@@ -9,7 +9,6 @@ from .exactnum import (
     GaussianFactorization,
     IndeterminateError,
     LogModulusVector,
-    Rational,
     TurnSum,
     certified_round_to_integer,
     factor_gaussian,
@@ -29,6 +28,7 @@ from .germ import (
     invert_germ,
 )
 from .resonance import (
+    EigenContext,
     EigenData,
     OmegaEnumeration,
     RelationLattice,

@@ -6,7 +6,8 @@ transcendental expression gets a third verdict, INDETERMINATE, instead of
 a guess.  Concretely:
 
 * sign questions about rational linear forms in {ln p} are decided exactly
-  (unique factorization makes those forms vanish only trivially);
+  (unique factorization makes those forms vanish only trivially; intervals
+  certify the sign, an exact comparison backs them up);
 * products of logarithms and arctangents are handled symbolically (a
   symbolic zero is a true zero) with directed-rounded interval arithmetic
   certifying the nonzero direction;
@@ -17,13 +18,13 @@ a guess.  Concretely:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Any
 
 from .exactnum import (
-    DomainError,
     GaussianRational,
     IndeterminateError,
     Interval,
@@ -33,7 +34,6 @@ from .exactnum import (
     log_modulus,
     precision_cap,
     precision_ladder,
-    principal_arg_turns,
 )
 from .linalg import (
     integer_rank,
@@ -43,12 +43,11 @@ from .linalg import (
     solve_integer,
 )
 from .resonance import (
+    EigenContext,
     EigenData,
     OmegaEnumeration,
-    RelationLattice,
     enumerate_omega,
     omega_span_basis,
-    relation_lattice,
 )
 from .series import UsageError
 
@@ -141,20 +140,24 @@ class BranchChoice:
         return [list(row) for row in self.b]
 
 
-def _k_integer(eigen: EigenData, i: int, k, branch: BranchChoice) -> int:
-    """K_i(k) = (sum_m k_m (Arg mu_im + 2 pi b_im)) / (2 pi), certified."""
+def _turns_of(ctx: EigenContext, i: int, k) -> TurnSum:
+    """sum_m k_m Arg(mu_im) / (2 pi), symbolically."""
     total = TurnSum(Fraction(0), ())
-    shift = 0
     for m, e in enumerate(k):
         if e:
-            total = total + principal_arg_turns(eigen.mu[i][m]).scale(e)
-            shift += e * branch.entry(i, m)
-    return certified_round_to_integer(total) + shift
+            total = total + ctx.arg_turns(i, m).scale(e)
+    return total
 
 
-def k_vector(eigen: EigenData, k, branch: BranchChoice | None = None) -> tuple[int, ...]:
-    br = branch if branch is not None else BranchChoice.zero(eigen.p, eigen.n)
-    return tuple(_k_integer(eigen, i, k, br) for i in range(eigen.p))
+def k_vector(eigen: EigenData | EigenContext, k, branch: BranchChoice | None = None) -> tuple[int, ...]:
+    """K_i(k) = (sum_m k_m (Arg mu_im + 2 pi b_im)) / (2 pi), certified, per germ i."""
+    ctx = EigenContext.of(eigen)
+    br = branch if branch is not None else BranchChoice.zero(ctx.eigen.p, ctx.eigen.n)
+    return tuple(
+        certified_round_to_integer(_turns_of(ctx, i, k))
+        + sum(e * br.entry(i, m) for m, e in enumerate(k))
+        for i in range(ctx.eigen.p)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +319,10 @@ def _logmod_poly(vec: LogModulusVector) -> dict:
     return {(("log", p),): GaussianRational(c) for p, c in vec.coords}
 
 
-def _lambda_entry_poly(eigen: EigenData, i: int, m: int, branch: BranchChoice) -> dict:
+def _lambda_entry_poly(ctx: EigenContext, i: int, m: int, branch: BranchChoice) -> dict:
     """lambda_im as a symbolic polynomial (degree 1) over {ln p, pi, atan}."""
-    poly = _logmod_poly(log_modulus(eigen.mu[i][m]))
-    turns = principal_arg_turns(eigen.mu[i][m])
+    poly = _logmod_poly(ctx.log_modulus(i, m))
+    turns = ctx.arg_turns(i, m)
     pi_coeff = 2 * (turns.rational + branch.entry(i, m))
     if pi_coeff:
         poly = poly_add(poly, {(("pi",),): GaussianRational(0, pi_coeff)})
@@ -334,12 +337,15 @@ def _lambda_entry_poly(eigen: EigenData, i: int, m: int, branch: BranchChoice) -
 # ---------------------------------------------------------------------------
 
 
-def is_nondegenerate(fam, omega_bound: int | None = None) -> Verdict:
+def is_nondegenerate(
+    fam, omega_bound: int | None = None, context: EigenContext | None = None
+) -> Verdict:
     """q independent first-integral exponents at the linear level certify q
-    functionally independent monomial first integrals."""
+    functionally independent monomial first integrals.  `context`, when
+    given, is the family's eigen context."""
     if not fam.is_diagonal_linear():
         raise UsageError("non-degeneracy test requires diagonal linear parts")
-    eigen = EigenData.from_family(fam)
+    eigen = context if context is not None else EigenData.from_family(fam)
     q = fam.n - fam.p
     bound = omega_bound if omega_bound is not None else 2 * fam.degree
     omega = enumerate_omega(eigen, bound)
@@ -363,9 +369,11 @@ def is_nondegenerate(fam, omega_bound: int | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def is_projectively_hyperbolic(eigen: EigenData, max_bits: int | None = None) -> Verdict:
+def is_projectively_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
     """Are the p log-modulus vectors R-linearly independent?"""
-    logmods = [[log_modulus(eigen.mu[i][m]) for m in range(eigen.n)] for i in range(eigen.p)]
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
+    logmods = [[ctx.log_modulus(i, m) for m in range(eigen.n)] for i in range(eigen.p)]
     if eigen.p == 1:
         for m in range(eigen.n):
             if not logmods[0][m].is_zero():
@@ -385,16 +393,14 @@ def is_projectively_hyperbolic(eigen: EigenData, max_bits: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def weak_resonance(
-    eigen: EigenData,
-    branches: BranchChoice | None = None,
-    lattice: RelationLattice | None = None,
-) -> Verdict:
+def weak_resonance(eigen: EigenData | EigenContext, branches: BranchChoice | None = None) -> Verdict:
     """YES means weakly resonant (some relation vector has a nonzero 2-pi-i
     multiplier vector K); NO means weakly non-resonant for this branch
     choice.  K is linear on the relation lattice, so its basis suffices."""
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
     branch = branches if branches is not None else BranchChoice.zero(eigen.p, eigen.n)
-    lat = lattice if lattice is not None else relation_lattice(eigen)
+    lat = ctx.lattice
     if lat.rank == 0:
         return _no({"relation_lattice": "trivial"})
     table = []
@@ -404,11 +410,11 @@ def weak_resonance(
             acc = LogModulusVector(())
             for m, e in enumerate(k):
                 if e:
-                    acc = acc + log_modulus(eigen.mu[i][m]).scale(e)
+                    acc = acc + ctx.log_modulus(i, m).scale(e)
             if not acc.is_zero():
                 raise AssertionError("relation vector with nonzero modulus part")
         try:
-            kv = k_vector(eigen, k, branch)
+            kv = k_vector(ctx, k, branch)
         except IndeterminateError as exc:
             return _indet(str(exc))
         table.append({"k": list(k), "K": list(kv)})
@@ -422,17 +428,12 @@ def weak_resonance(
 # ---------------------------------------------------------------------------
 
 
-def _branch_row_solutions(eigen: EigenData, i: int, span_rows: list[list[int]], bound: int):
+def _branch_row_solutions(ctx: EigenContext, i: int, span_rows: list[list[int]], bound: int):
     """Integer vectors b_i with sum_m w_m b_im = -K0_i(w) on every span row,
     restricted to |b_im| <= bound.  Returns (solutions, infeasibility); the
     solutions are complete for the box and sorted smallest-norm first."""
-    rhs = []
-    for w in span_rows:
-        total = TurnSum(Fraction(0), ())
-        for m, e in enumerate(w):
-            if e:
-                total = total + principal_arg_turns(eigen.mu[i][m]).scale(e)
-        rhs.append(-certified_round_to_integer(total))
+    eigen = ctx.eigen
+    rhs = [-certified_round_to_integer(_turns_of(ctx, i, w)) for w in span_rows]
     particular = solve_integer([list(w) for w in span_rows], rhs)
     if particular is None:
         return [], {"germ": i + 1, "span": [list(w) for w in span_rows], "rhs": rhs,
@@ -451,36 +452,41 @@ def _branch_row_solutions(eigen: EigenData, i: int, span_rows: list[list[int]], 
 
 
 def find_infinitesimal_generators(
-    eigen: EigenData, branch_bound: int = 10, omega_bound: int = 8
+    eigen: EigenData | EigenContext, branch_bound: int = 10, omega_bound: int = 8
 ) -> tuple[BranchChoice | None, dict]:
     """Branch matrix making K vanish on the Z-span of the enumerated Omega
     points (then every common monomial first integral of the linear parts is
     a first integral of the generators), or None with an infeasibility
     certificate."""
-    span = omega_span_basis(eigen, omega_bound)
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
+    span = omega_span_basis(ctx, omega_bound)
     bounds = {"omega_bound": omega_bound, "branch_bound": branch_bound}
     if not span:
         return BranchChoice.zero(eigen.p, eigen.n), {"vacuous": True, **bounds}
     rows = []
     for i in range(eigen.p):
-        solutions, failure = _branch_row_solutions(eigen, i, span, branch_bound)
+        solutions, failure = _branch_row_solutions(ctx, i, span, branch_bound)
         if failure is not None:
             return None, {**failure, **bounds}
         rows.append(solutions[0])
     return BranchChoice(tuple(rows)), bounds
 
 
-def generators_independent(eigen: EigenData, branch: BranchChoice, max_bits: int | None = None):
+def generators_independent(
+    eigen: EigenData | EigenContext, branch: BranchChoice, max_bits: int | None = None
+):
     """Hybrid decision whether the lambda(b) rows are linearly independent."""
+    ctx = EigenContext.of(eigen)
     entries = [
-        [_lambda_entry_poly(eigen, i, m, branch) for m in range(eigen.n)]
-        for i in range(eigen.p)
+        [_lambda_entry_poly(ctx, i, m, branch) for m in range(ctx.eigen.n)]
+        for i in range(ctx.eigen.p)
     ]
     return decide_full_row_rank(entries, max_bits)
 
 
 def normal_form_hypothesis(
-    eigen: EigenData,
+    eigen: EigenData | EigenContext,
     branch_bound: int = 3,
     max_bits: int | None = None,
     candidate_cap: int = 256,
@@ -489,11 +495,13 @@ def normal_form_hypothesis(
     integrable with a weakly non-resonant, linearly independent family of
     generators (the independence is part of integrability; branch search is
     bounded and the bound is reported)."""
-    proj = is_projectively_hyperbolic(eigen, max_bits)
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
+    proj = is_projectively_hyperbolic(ctx, max_bits)
     if proj.yes:
         return _yes({"route": "projectively_hyperbolic", **(proj.witness or {})},
                     method=proj.method)
-    lat = relation_lattice(eigen)
+    lat = ctx.lattice
     bounds = {"branch_bound": branch_bound}
     # branches with K == 0 on the full relation lattice are exactly the
     # weakly non-resonant generator families
@@ -505,7 +513,7 @@ def normal_form_hypothesis(
             continue
         try:
             sols, failure = _branch_row_solutions(
-                eigen, i, [list(k) for k in lat.basis], branch_bound
+                ctx, i, [list(k) for k in lat.basis], branch_bound
             )
         except IndeterminateError as exc:
             return _indet(str(exc), bounds)
@@ -525,7 +533,7 @@ def normal_form_hypothesis(
     saw_indeterminate = False
     for combo in itertools.product(*per_row):
         branch = BranchChoice(tuple(combo))
-        decided, info = generators_independent(eigen, branch, max_bits)
+        decided, info = generators_independent(ctx, branch, max_bits)
         if decided is True:
             return _yes(
                 {"route": "weakly_nonresonant_generators", "branch": branch.to_json(), **info},
@@ -547,17 +555,19 @@ def normal_form_hypothesis(
 # ---------------------------------------------------------------------------
 
 
-def _covectors(eigen: EigenData) -> list[list[LogModulusVector]]:
+def _covectors(ctx: EigenContext) -> list[list[LogModulusVector]]:
     """c_k = (ln|mu_1k|, ..., ln|mu_pk|) as exact prime-coordinate vectors."""
     return [
-        [log_modulus(eigen.mu[i][k]) for i in range(eigen.p)]
-        for k in range(eigen.n)
+        [ctx.log_modulus(i, k) for i in range(ctx.eigen.p)]
+        for k in range(ctx.eigen.n)
     ]
 
 
-def is_hyperbolic(eigen: EigenData, max_bits: int | None = None) -> Verdict:
+def is_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
     """Every p-subset of the n covectors linearly independent."""
-    covs = _covectors(eigen)
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
+    covs = _covectors(ctx)
     uncertified = []
     for subset in itertools.combinations(range(eigen.n), eigen.p):
         entries = [[_logmod_poly(covs[k][i]) for k in subset] for i in range(eigen.p)]
@@ -568,14 +578,7 @@ def is_hyperbolic(eigen: EigenData, max_bits: int | None = None) -> Verdict:
             uncertified.append([k + 1 for k in subset])
     if uncertified:
         return _indet(f"rank not certified for subsets {uncertified}")
-    return _yes({"subsets_checked": _ncr(eigen.n, eigen.p)}, method="symbolic+interval")
-
-
-def _ncr(n: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
+    return _yes({"subsets_checked": math.comb(eigen.n, eigen.p)}, method="symbolic+interval")
 
 
 def _hull_contains_origin(covs: list[LogModulusVector], max_bits: int | None):
@@ -646,14 +649,11 @@ def _hull_contains_origin(covs: list[LogModulusVector], max_bits: int | None):
 
 
 def _certify_logform_positive(vec: LogModulusVector, max_bits: int | None) -> bool:
-    sign = vec.sign()
-    return sign > 0
+    return vec.sign(max_bits) > 0
 
 
 def _separation_candidates(covs, p, npts):
     # float approximations drive the candidate; certification is exact
-    import math
-
     approx = []
     for j in range(npts):
         pt = []
@@ -674,9 +674,11 @@ def _separation_candidates(covs, p, npts):
     return out
 
 
-def is_weakly_hyperbolic(eigen: EigenData, max_bits: int | None = None) -> Verdict:
+def is_weakly_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
     """No p-subset's convex hull contains the origin."""
-    covs_by_col = _covectors(eigen)
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
+    covs_by_col = _covectors(ctx)
     points = [[covs_by_col[k][i] for i in range(eigen.p)] for k in range(eigen.n)]
     undecided = []
     for subset in itertools.combinations(range(eigen.n), eigen.p):
@@ -687,7 +689,7 @@ def is_weakly_hyperbolic(eigen: EigenData, max_bits: int | None = None) -> Verdi
             undecided.append([k + 1 for k in subset])
     if undecided:
         return _indet(f"hull tests undecided for subsets {undecided}")
-    return _yes({"subsets_checked": _ncr(eigen.n, eigen.p)})
+    return _yes({"subsets_checked": math.comb(eigen.n, eigen.p)})
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +728,11 @@ class PoincareTypeCertificate:
 
     def verify(self, eigen: EigenData) -> bool:
         mu = eigen.mu[0]
-        scale = LogModulusVector(self.log_scale)
-        if scale.squared_exp() != self.scale_sq or self.scale_sq <= 1:
+        if LogModulusVector(self.log_scale).squared_exp() != self.scale_sq or self.scale_sq <= 1:
             return False
+        # ln|mu_m| = k_m * log_scale, checked on the exact squared moduli
         for m in range(len(mu)):
-            if log_modulus(mu[m]).as_dict() != scale.scale(self.k[m]).as_dict():
+            if mu[m].norm() != self.scale_sq ** self.k[m]:
                 return False
         for idx, order in self.alphas:
             if not (mu[idx - 1] ** order).is_one():
@@ -754,16 +756,18 @@ class PoincareTypeCertificate:
 
 
 def poincare_type_single(
-    eigen: EigenData, omega: OmegaEnumeration, torsion_bound: int = 64
+    eigen: EigenData | EigenContext, omega: OmegaEnumeration, torsion_bound: int = 64
 ) -> Verdict:
     """Constructive Poincare-type certificate for p = 1 with n-1 independent
     first-integral exponents; hypothesis is that some eigenvalue leaves the
     unit circle."""
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
     if eigen.p != 1:
         raise UsageError("constructive Poincare-type requires p = 1")
     mu = eigen.mu[0]
     n = eigen.n
-    logmods = [log_modulus(z) for z in mu]
+    logmods = [ctx.log_modulus(0, m) for m in range(n)]
     if all(v.is_zero() for v in logmods):
         return _no({"all_unit_modulus": True})
     rows: list[list[int]] = []
@@ -805,7 +809,7 @@ def poincare_type_single(
     expanding = [m for m in range(n) if k[m] > 0]
     for i in contracting:
         for j in expanding:
-            g = _gcd_int(-k[i], k[j])
+            g = math.gcd(k[i], k[j])
             base_i, base_j = k[j] // g, -k[i] // g
             w = mu[i] ** base_i * mu[j] ** base_j
             t = _torsion_order(w, torsion_bound)
@@ -832,12 +836,6 @@ def _torsion_order(z: GaussianRational, bound: int) -> int | None:
         if acc.is_one():
             return t
     return None
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def reduce_exponent(cert: PoincareTypeCertificate, s) -> tuple[int, ...]:

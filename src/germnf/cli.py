@@ -19,7 +19,14 @@ import time
 from . import __version__
 from .exactnum import DomainError, IndeterminateError
 from .germ import CommutationError, Family, family_from_json, family_to_json, germ_to_json
-from .resonance import EigenData, enumerate_omega, relation_lattice, resonant_set, vect_omega_rank
+from .resonance import (
+    EigenContext,
+    EigenData,
+    enumerate_omega,
+    relation_lattice,
+    resonant_set,
+    vect_omega_rank,
+)
 from .series import UsageError
 from . import classify
 from . import normalform
@@ -86,9 +93,10 @@ def _indeterminate_in(payload) -> bool:
 
 def _cmd_lattice(data, args) -> dict:
     eigen = _eigen_from_input(data)
-    lat = relation_lattice(eigen)
+    ctx = EigenContext(eigen)
+    lat = ctx.lattice
     bound = args.bound_omega or 2 * args.degree
-    omega = enumerate_omega(eigen, bound, lat)
+    omega = enumerate_omega(ctx, bound)
     rank_enum, rank_lat = vect_omega_rank(lat, bound)
     payload = {
         "basis": lat.to_json(),
@@ -97,7 +105,7 @@ def _cmd_lattice(data, args) -> dict:
         "rank_enumerated": rank_enum,
         "rank_lattice": rank_lat,
         "resonant_sets": [
-            resonant_set(eigen, m, bound, lat).to_json() for m in range(1, eigen.n + 1)
+            resonant_set(ctx, m, bound).to_json() for m in range(1, eigen.n + 1)
         ],
     }
     return payload
@@ -105,46 +113,63 @@ def _cmd_lattice(data, args) -> dict:
 
 def _cmd_analyze(data, args) -> dict:
     eigen = _eigen_from_input(data)
-    lat = relation_lattice(eigen)
+    ctx = EigenContext(eigen)
+    lat = ctx.lattice
     bound = args.bound_omega or 2 * args.degree
     rank_enum, rank_lat = vect_omega_rank(lat, bound)
     branch, gen_info = None, None
     try:
         branch, gen_info = classify.find_infinitesimal_generators(
-            eigen, branch_bound=args.bound_branch, omega_bound=bound
+            ctx, branch_bound=args.bound_branch, omega_bound=bound
         )
     except IndeterminateError as exc:
         gen_info = {"indeterminate": str(exc)}
     payload = {
         "lattice_basis": lat.to_json(),
         "vect_omega_rank": {"enumerated": rank_enum, "lattice": rank_lat, "bound": bound},
-        "projectively_hyperbolic": classify.is_projectively_hyperbolic(eigen).to_json(),
-        "weakly_resonant": classify.weak_resonance(eigen, lattice=lat).to_json(),
+        "projectively_hyperbolic": classify.is_projectively_hyperbolic(ctx).to_json(),
+        "weakly_resonant": classify.weak_resonance(ctx).to_json(),
         "infinitesimal_generators": (
             {"found": branch.to_json(), **(gen_info or {})}
             if branch is not None
             else {"found": None, **(gen_info or {})}
         ),
-        "hyperbolic": classify.is_hyperbolic(eigen).to_json(),
-        "weakly_hyperbolic": classify.is_weakly_hyperbolic(eigen).to_json(),
+        "hyperbolic": classify.is_hyperbolic(ctx).to_json(),
+        "weakly_hyperbolic": classify.is_weakly_hyperbolic(ctx).to_json(),
         "normal_form_hypothesis": classify.normal_form_hypothesis(
-            eigen, branch_bound=args.bound_branch
+            ctx, branch_bound=args.bound_branch
         ).to_json(),
     }
     if "maps" in data:
         fam = _load_family(data)
-        payload["nondegenerate"] = classify.is_nondegenerate(fam, omega_bound=bound).to_json()
+        payload["nondegenerate"] = classify.is_nondegenerate(
+            fam, omega_bound=bound, context=ctx
+        ).to_json()
     if eigen.p == 1:
-        omega = enumerate_omega(eigen, bound, lat)
-        try:
-            verdict = classify.poincare_type_single(eigen, omega, torsion_bound=args.bound_torsion)
-            entry = verdict.to_json()
-            if verdict.yes:
-                entry["witness"] = verdict.witness.to_json()
-            payload["poincare_type"] = entry
-        except UsageError as exc:
-            payload["poincare_type"] = {"verdict": "indeterminate", "reason": str(exc)}
+        payload["poincare_type"] = _poincare_type(ctx, bound, args.bound_torsion)
     return payload
+
+
+def _poincare_type(ctx: EigenContext, bound: int, torsion_bound: int) -> dict:
+    """The p = 1 Poincare-type verdict.  Too few independent first-integral
+    exponents fail the hypothesis exactly when the relation lattice itself
+    has rank below n - 1, and leave it undecided when only the bounded
+    enumeration fell short."""
+    try:
+        verdict = classify.poincare_type_single(
+            ctx, enumerate_omega(ctx, bound), torsion_bound=torsion_bound
+        )
+    except UsageError as exc:
+        needed = ctx.eigen.n - 1
+        if ctx.lattice.rank < needed:
+            return classify.Verdict(
+                classify.VerdictValue.NO, {"lattice_rank": ctx.lattice.rank, "needed": needed}
+            ).to_json()
+        return {"verdict": "indeterminate", "reason": str(exc)}
+    entry = verdict.to_json()
+    if verdict.yes:
+        entry["witness"] = verdict.witness.to_json()
+    return entry
 
 
 def _cmd_normalize(data, args) -> dict:

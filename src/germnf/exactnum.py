@@ -23,7 +23,6 @@ from mpmath.libmp import (
     mpf_add,
     mpf_atan,
     mpf_div,
-    mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
@@ -32,8 +31,6 @@ from mpmath.libmp import (
     round_ceiling,
     round_floor,
 )
-
-Rational = Fraction
 
 _PRECISION_ENV = "GERMNF_PRECISION_BITS"
 _PRECISION_START = 64
@@ -233,17 +230,21 @@ I_UNIT = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Integer factorization helpers (desk-scale: trial division then Pollard rho)
+# Integer factorization: trial division up to 2000, then Pollard-Brent
+# splitting, with Miller-Rabin primality only where its bases prove it
 # ---------------------------------------------------------------------------
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 2000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to all
+# of _MR_BASES: below it the test is a proof of primality, from it on it is not
+_MR_PROOF_LIMIT = 318665857834031151167461
 
 
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -294,8 +295,28 @@ def _pollard_brent(n: int) -> int:
         seed += 1
 
 
+def _perfect_root(n: int) -> int | None:
+    """r > 1 with r^k == n for some k >= 2, or None.  Rho needs about
+    sqrt(p) steps to split p^k, so prime powers are split here instead.
+    n has no prime factor up to _TRIAL_LIMIT > 2^10, hence k < bits / 10."""
+    for k in range(2, n.bit_length() // 10 + 1):
+        r = 1 << -(-n.bit_length() // k)  # Newton from above to floor(n^(1/k))
+        while True:
+            nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+            if nxt >= r:
+                break
+            r = nxt
+        if r**k == n:
+            return r
+    return None
+
+
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    Every returned prime is proven prime.  A cofactor of at least psi_12
+    that passes Miller-Rabin cannot be told from a pseudoprime by the test,
+    so it raises IndeterminateError instead of being reported as a prime."""
     if n < 1:
         raise DomainError("factor_int expects a positive integer")
     out: dict[int, int] = {}
@@ -317,9 +338,14 @@ def factor_int(n: int) -> dict[int, int]:
         if m == 1:
             continue
         if _is_probable_prime(m):
+            if m >= _MR_PROOF_LIMIT:
+                raise IndeterminateError(
+                    f"cannot prove {m} prime: it passes Miller-Rabin to bases "
+                    f"{_MR_BASES[0]}..{_MR_BASES[-1]}, which is no proof from {_MR_PROOF_LIMIT} on"
+                )
             out[m] = out.get(m, 0) + 1
             continue
-        g = _pollard_brent(m)
+        g = _perfect_root(m) or _pollard_brent(m)
         stack.append(g)
         stack.append(m // g)
     return out
@@ -353,24 +379,32 @@ def _sqrt_minus_one_mod(p: int) -> int:
     raise AssertionError(f"no sqrt(-1) mod {p}")
 
 
-def _gaussian_gcd(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    # Euclidean algorithm on Gaussian integers, nearest-integer quotients
-    while not b.is_zero():
-        n = b.norm()
-        q = a * b.conjugate()
-        qr = Fraction(round(q.re / n))
-        qi = Fraction(round(q.im / n))
-        a, b = b, a - GaussianRational(qr, qi) * b
-    return a
-
-
 def _split_prime(p: int) -> GaussianRational:
-    """Canonical Gaussian prime above a rational prime p ≡ 1 (mod 4)."""
-    k = _sqrt_minus_one_mod(p)
-    g = _gaussian_gcd(GaussianRational(p), GaussianRational(k, 1))
-    if g.norm() != p:
-        raise AssertionError(f"gcd did not split {p}")
-    return canonical_associate(g)[0]
+    """Canonical Gaussian prime b + c*i (b, c > 0, b^2 + c^2 = p) above a
+    rational prime p ≡ 1 (mod 4): b is the first Euclidean remainder of p
+    and sqrt(-1) mod p below sqrt(p) (Hermite-Serret)."""
+    a, b = p, _sqrt_minus_one_mod(p)
+    root = math.isqrt(p)
+    while b > root:
+        a, b = b, a % b
+    c = math.isqrt(p - b * b)
+    if b * b + c * c != p:
+        raise AssertionError(f"Euclid did not split {p}")
+    return GaussianRational(b, c)
+
+
+def _gaussian_int_product(powers) -> tuple[int, int]:
+    """prod q^e over (q, e) with Gaussian-integer q, on plain integer pairs
+    (square and multiply)."""
+    a, b = 1, 0
+    for q, e in powers:
+        c, d = int(q.re), int(q.im)
+        while e:
+            if e & 1:
+                a, b = a * c - b * d, a * d + b * c
+            c, d = c * c - d * d, 2 * c * d
+            e >>= 1
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -381,10 +415,9 @@ class GaussianFactorization:
     factors: tuple[tuple[GaussianRational, int], ...]
 
     def value(self) -> GaussianRational:
-        acc = I_UNIT ** (self.unit_exp % 4)
-        for prime, e in self.factors:
-            acc = acc * prime**e
-        return acc
+        num = _gaussian_int_product((q, e) for q, e in self.factors if e > 0)
+        den = _gaussian_int_product((q, -e) for q, e in self.factors if e < 0)
+        return I_UNIT ** (self.unit_exp % 4) * GaussianRational(*num) / GaussianRational(*den)
 
     def exponent_of(self, prime: GaussianRational) -> int:
         for q, e in self.factors:
@@ -392,21 +425,35 @@ class GaussianFactorization:
                 return e
         return 0
 
+    def log_modulus(self) -> "LogModulusVector":
+        """ln|z| read off the prime norms, with no further factoring: a
+        Gaussian prime above p has norm p, an inert prime p has norm p^2."""
+        coords: dict[int, Fraction] = {}
+        for prime, e in self.factors:
+            if prime.im == 0:
+                p, c = int(prime.re), Fraction(e)
+            else:
+                p, c = int(prime.norm()), Fraction(e, 2)
+            coords[p] = coords.get(p, Fraction(0)) + c
+        return LogModulusVector.from_dict(coords)
+
 
 _ONE_PLUS_I = GaussianRational(1, 1)
 
 
 def _divide_out(g: GaussianRational, prime: GaussianRational, bound: int) -> tuple[GaussianRational, int]:
+    # Gaussian integers as integer pairs: g / prime = g * conj(prime) / norm
+    a, b = int(g.re), int(g.im)
+    c, d = int(prime.re), int(prime.im)
+    n = c * c + d * d
     count = 0
-    n = prime.norm()
     while count < bound:
-        q = g * prime.conjugate()
-        if q.re % n == 0 and q.im % n == 0:
-            g = GaussianRational(q.re / n, q.im / n)
-            count += 1
-        else:
+        x, y = a * c + b * d, b * c - a * d
+        if x % n or y % n:
             break
-    return g, count
+        a, b = x // n, y // n
+        count += 1
+    return GaussianRational(a, b), count
 
 
 def _factor_gaussian_integer(g: GaussianRational) -> GaussianFactorization:
@@ -527,10 +574,24 @@ class LogModulusVector:
             acc *= Fraction(p) ** int(e)
         return acc
 
-    def sign(self) -> int:
-        """Exact sign of the represented real number sum(c_p ln p)."""
+    def sign(self, max_bits: int | None = None) -> int:
+        """Exact sign of the represented real number sum(c_p ln p).
+
+        An interval enclosure of the sum, along the precision ladder up to
+        max_bits, decides it as soon as it excludes zero.  Logarithms of
+        distinct primes are linearly independent over Q, so a nonzero
+        vector over primes is always decided at some precision.  Only when
+        every level straddles zero is the sign decided by comparing the
+        exact products prod p^(c_p) on both sides."""
         if not self.coords:
             return 0
+        for prec in precision_ladder(max_bits):
+            acc = Interval.from_fraction(Fraction(0), prec)
+            for p, c in self.coords:
+                acc = acc + Interval.log_int(p, prec).scale(c)
+            decided = acc.sign()
+            if decided:
+                return decided
         num = Fraction(1)
         den = Fraction(1)
         common = math.lcm(*(c.denominator for _, c in self.coords))
@@ -548,19 +609,11 @@ class LogModulusVector:
 
 
 def log_modulus(z: GaussianRational) -> LogModulusVector:
-    """ln|z| as an exact rational vector over {ln p}.
-
-    Computed from the factorization of |z|^2 = norm(z); coordinates are the
-    norm's prime exponents halved."""
+    """ln|z| as an exact rational vector over {ln p}, read off the
+    Gaussian factorization of z."""
     if z.is_zero():
         raise DomainError("log_modulus of zero")
-    n = z.norm()
-    coords: dict[int, Fraction] = {}
-    for p, e in factor_int(n.numerator).items():
-        coords[p] = coords.get(p, Fraction(0)) + Fraction(e, 2)
-    for p, e in factor_int(n.denominator).items():
-        coords[p] = coords.get(p, Fraction(0)) - Fraction(e, 2)
-    return LogModulusVector.from_dict(coords)
+    return factor_gaussian(z).log_modulus()
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +661,6 @@ class Interval:
             mpf_atan(lo_arg, prec, round_floor),
             mpf_atan(hi_arg, prec, round_ceiling),
             prec,
-        )
-
-    @staticmethod
-    def exp(x: "Interval") -> "Interval":
-        return Interval(
-            mpf_exp(x.lo, x.prec, round_floor),
-            mpf_exp(x.hi, x.prec, round_ceiling),
-            x.prec,
         )
 
     # arithmetic
@@ -711,9 +756,6 @@ class TurnSum:
 
     def shift(self, r) -> "TurnSum":
         return TurnSum(self.rational + Fraction(r), self.atan_terms)
-
-
-TURN_ZERO = TurnSum(Fraction(0), ())
 
 
 def principal_arg_turns(z: GaussianRational) -> TurnSum:

@@ -8,13 +8,28 @@ integer-kernel computation by a scaled auxiliary column per germ.
 
 Omega (the paper's first-integral exponent set) is the lattice's
 intersection with N^n; resonant sets are its e_m-translates.
+
+An EigenContext decomposes an EigenData once: each distinct eigenvalue is
+factored once, its log-modulus vector is read off that factorization and
+its principal argument is taken once, and the relation lattice is computed
+once.  Every function here and in `classify` that takes eigen data accepts
+either an EigenData, for which it builds a context of its own, or a context
+that a caller (one CLI command) shares between them.  Nothing is cached
+beyond the context's lifetime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import GaussianRational, factor_gaussian
+from .exactnum import (
+    GaussianFactorization,
+    GaussianRational,
+    LogModulusVector,
+    TurnSum,
+    factor_gaussian,
+    principal_arg_turns,
+)
 from .linalg import integer_rank, kernel_basis, lattice_points, row_hnf
 from .series import MultiIndex, UsageError, grlex_key
 
@@ -101,7 +116,42 @@ class RelationLattice:
         return [list(row) for row in self.basis]
 
 
-def relation_lattice(eigen: EigenData) -> RelationLattice:
+class EigenContext:
+    """Per-eigenvalue decompositions and the relation lattice of one
+    EigenData, each computed once (see the module docstring)."""
+
+    def __init__(self, eigen: EigenData):
+        self.eigen = eigen
+        distinct = dict.fromkeys(z for row in eigen.mu for z in row)
+        self._factors = {z: factor_gaussian(z) for z in distinct}
+        self._logmods = {z: f.log_modulus() for z, f in self._factors.items()}
+        self._turns: dict[GaussianRational, TurnSum] = {}  # filled on demand
+        self._lattice: RelationLattice | None = None
+
+    @staticmethod
+    def of(eigen: "EigenData | EigenContext") -> "EigenContext":
+        return eigen if isinstance(eigen, EigenContext) else EigenContext(eigen)
+
+    def factorization(self, i: int, m: int) -> GaussianFactorization:
+        return self._factors[self.eigen.mu[i][m]]
+
+    def log_modulus(self, i: int, m: int) -> LogModulusVector:
+        return self._logmods[self.eigen.mu[i][m]]
+
+    def arg_turns(self, i: int, m: int) -> TurnSum:
+        z = self.eigen.mu[i][m]
+        if z not in self._turns:
+            self._turns[z] = principal_arg_turns(z)
+        return self._turns[z]
+
+    @property
+    def lattice(self) -> RelationLattice:
+        if self._lattice is None:
+            self._lattice = relation_lattice(self)
+        return self._lattice
+
+
+def relation_lattice(eigen: EigenData | EigenContext) -> RelationLattice:
     """Exact relation lattice of the eigenvalue family.
 
     Row system: for every germ i and every Gaussian prime pi occurring in
@@ -109,8 +159,10 @@ def relation_lattice(eigen: EigenData) -> RelationLattice:
     sum_m k_m * u_im - 4*t_i = 0 with auxiliary integer t_i.  The kernel is
     projected back to the k coordinates and HNF-canonicalized.
     """
+    ctx = EigenContext.of(eigen)
+    eigen = ctx.eigen
     p, n = eigen.p, eigen.n
-    factorizations = [[factor_gaussian(z) for z in row] for row in eigen.mu]
+    factorizations = [[ctx.factorization(i, m) for m in range(n)] for i in range(p)]
     rows: list[list[int]] = []
     for i in range(p):
         primes: list[GaussianRational] = []
@@ -136,6 +188,14 @@ def relation_lattice(eigen: EigenData) -> RelationLattice:
     return lattice
 
 
+def _lattice_and_data(eigen, lattice: RelationLattice | None) -> tuple[RelationLattice, EigenData]:
+    """The given lattice, else the context's; and the plain eigen data."""
+    if lattice is not None:
+        return lattice, eigen.eigen if isinstance(eigen, EigenContext) else eigen
+    ctx = EigenContext.of(eigen)
+    return ctx.lattice, ctx.eigen
+
+
 @dataclass(frozen=True)
 class OmegaEnumeration:
     """All nonzero first-integral exponents of degree <= degree_bound."""
@@ -147,7 +207,9 @@ class OmegaEnumeration:
         return {"bound": self.degree_bound, "points": [list(pt) for pt in self.points]}
 
 
-def enumerate_omega(eigen: EigenData, bound: int, lattice: RelationLattice | None = None) -> OmegaEnumeration:
+def enumerate_omega(
+    eigen: EigenData | EigenContext, bound: int, lattice: RelationLattice | None = None
+) -> OmegaEnumeration:
     """Nonzero lattice points in N^n with total degree <= bound.
 
     Enumeration walks the relation lattice intersected with the simplex
@@ -156,7 +218,7 @@ def enumerate_omega(eigen: EigenData, bound: int, lattice: RelationLattice | Non
     """
     if bound < 1:
         raise UsageError("enumeration bound must be >= 1")
-    lat = lattice if lattice is not None else relation_lattice(eigen)
+    lat, eigen = _lattice_and_data(eigen, lattice)
     pts = []
     for pt in lattice_points([list(r) for r in lat.basis], [0] * eigen.n, [bound] * eigen.n):
         deg = sum(pt)
@@ -184,18 +246,20 @@ class ResonantSet:
         }
 
 
-def resonant_set(eigen: EigenData, m: int, bound: int, lattice: RelationLattice | None = None) -> ResonantSet:
+def resonant_set(
+    eigen: EigenData | EigenContext, m: int, bound: int, lattice: RelationLattice | None = None
+) -> ResonantSet:
     """Solutions of the resonance condition mu_im = mu_i^gamma for all i.
 
     m is 1-based.  Computed as (e_m + lattice) intersected with N^n in the
     degree range, then cross-checked term by term against the exact
     products; the brute-force oracle comparison lives in the tests.
     """
+    lat, eigen = _lattice_and_data(eigen, lattice)
     if not 1 <= m <= eigen.n:
         raise UsageError(f"component {m} out of range 1..{eigen.n}")
     if bound < 2:
         raise UsageError("resonant set bound must be >= 2")
-    lat = lattice if lattice is not None else relation_lattice(eigen)
     offset = [1 if j == m - 1 else 0 for j in range(eigen.n)]
     pts = []
     for pt in lattice_points([list(r) for r in lat.basis], [0] * eigen.n, [bound] * eigen.n, offset=offset):
@@ -230,7 +294,9 @@ def vect_omega_rank(lat: RelationLattice, enumeration_bound: int) -> tuple[int, 
     return rank_enumerated, lat.rank
 
 
-def omega_span_basis(eigen: EigenData, bound: int, lattice: RelationLattice | None = None) -> list[list[int]]:
+def omega_span_basis(
+    eigen: EigenData | EigenContext, bound: int, lattice: RelationLattice | None = None
+) -> list[list[int]]:
     """HNF basis of the Z-span of the enumerated Omega points."""
     omega = enumerate_omega(eigen, bound, lattice)
     return row_hnf([list(pt) for pt in omega.points])

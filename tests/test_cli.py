@@ -127,6 +127,58 @@ class TestCommands:
         assert report["payload"]["pairing"] == [2, 1, 3][:2]
 
 
+class TestEigenWork:
+    P2_EIGEN = {"schema": 1, "mu": [["-1/3", "-1/2", "-3"], ["-3", "1", "3"]]}
+
+    def test_analyze_decomposes_each_eigenvalue_once(self, tmp_path, monkeypatch):
+        import germnf.exactnum as exactnum
+        import germnf.resonance as resonance
+
+        calls = {}
+
+        def count(module, name):
+            func = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(resonance, "factor_gaussian")
+        count(resonance, "relation_lattice")
+        count(exactnum, "factor_int")
+        count(resonance, "principal_arg_turns")
+        path = _write(tmp_path, "p2.json", self.P2_EIGEN)
+        distinct = 5  # -1/3, -1/2, -3, 1, 3
+        assert _run_json(tmp_path, "analyze", path)[0] in (0, 2)
+        assert calls.pop("principal_arg_turns", 0) <= distinct
+        once = {"factor_gaussian": distinct, "relation_lattice": 1, "factor_int": 2 * distinct}
+        assert calls == once
+        # a second run redoes all of it: nothing is kept between runs
+        assert _run_json(tmp_path, "analyze", path)[0] in (0, 2)
+        assert calls.pop("principal_arg_turns", 0) <= distinct
+        assert calls == {name: 2 * count for name, count in once.items()}
+
+    def test_poincare_type_fails_exactly_when_lattice_rank_is_short(self, tmp_path):
+        path = _write(tmp_path, "e23.json", {"schema": 1, "mu": [["2", "3"]]})
+        _, report = _run_json(tmp_path, "analyze", path)
+        assert report["payload"]["poincare_type"] == {
+            "verdict": "no",
+            "method": "exact",
+            "witness": {"lattice_rank": 0, "needed": 1},
+        }
+
+    def test_poincare_type_undecided_when_only_enumeration_is_short(self, tmp_path):
+        # lattice (1, -1) has rank n - 1 but no nonzero point in N^2
+        path = _write(tmp_path, "e22.json", {"schema": 1, "mu": [["2", "2"]]})
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 2
+        entry = report["payload"]["poincare_type"]
+        assert entry["verdict"] == "indeterminate"
+        assert entry["reason"] == "need n-1 = 1 independent first-integral exponents, found 0"
+
+
 class TestContracts:
     def test_determinism_excluding_timing(self, tmp_path):
         path = _write(tmp_path, "ex13.json", EX13)

@@ -1,15 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import (
     DomainError,
     GaussianRational as GR,
     IndeterminateError,
+    LogModulusVector,
     TurnSum,
     certified_round_to_integer,
     factor_gaussian,
+    factor_int,
     log_modulus,
     principal_arg_turns,
 )
@@ -98,6 +103,33 @@ class TestFactorization:
             assert factor_gaussian(z).value() == z
 
 
+# psi_12, the least strong pseudoprime to every prime base 2..37
+PSI_12 = 399165290221 * 798330580441
+
+
+class TestFactorInt:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(2001, 10**9).map(sympy.nextprime), min_size=1, max_size=4),
+        st.integers(1, 10**4),
+    )
+    def test_matches_sympy_on_primes_past_trial_division(self, primes, small):
+        n = small * math.prod(primes)
+        assert factor_int(n) == sympy.factorint(n)
+
+    def test_strong_pseudoprime_psi12_is_not_called_prime(self):
+        assert PSI_12 == 318665857834031151167461
+        with pytest.raises(IndeterminateError):
+            factor_int(PSI_12)
+        with pytest.raises(IndeterminateError):
+            factor_int(12 * PSI_12)
+
+    def test_primes_below_psi12_are_proven(self):
+        p = sympy.prevprime(PSI_12)
+        assert factor_int(p) == {p: 1}
+        assert factor_int(2 * p * p) == {2: 1, p: 2}
+
+
 class TestLogModulus:
     def test_examples(self):
         assert log_modulus(GR(-2)).as_dict() == {2: Fraction(1)}
@@ -126,6 +158,33 @@ class TestLogModulus:
         assert log_modulus(GR(Fraction(1, 2))).sign() == -1
         assert log_modulus(GR(0, 1)).sign() == 0
         assert (log_modulus(GR(2)) + log_modulus(GR(Fraction(1, 3)))).sign() == -1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(
+            st.sampled_from([2, 3, 4, 5, 6, 7, 999983, 1000003]),
+            st.integers(-40, 40).map(lambda k: Fraction(k, 2)),
+            max_size=6,
+        ),
+        st.sampled_from([None, 64]),
+    )
+    def test_sign_matches_exact_products(self, coords, max_bits):
+        # oracle: sum c_p ln p has the sign of prod p^(2 c_p) - 1; the
+        # composite keys 4 and 6 make some nonzero vectors sum to zero
+        num = den = 1
+        for p, c in coords.items():
+            e = int(2 * c)
+            if e > 0:
+                num *= p**e
+            else:
+                den *= p**-e
+        vec = LogModulusVector.from_dict(coords)
+        assert vec.sign(max_bits) == (num > den) - (num < den)
+
+    def test_sign_of_vanishing_combinations(self):
+        assert LogModulusVector(()).sign() == 0
+        assert LogModulusVector.from_dict({6: Fraction(1), 2: Fraction(-1), 3: Fraction(-1)}).sign() == 0
+        assert LogModulusVector.from_dict({4: Fraction(1, 2), 2: Fraction(-1)}).sign(64) == 0
 
 
 class TestCertifiedRounding:
