@@ -67,13 +67,14 @@ def _load_eigen(data) -> EigenData:
         raise _InputError(f"bad eigen input: {exc}")
 
 
-def _eigen_from_input(data) -> EigenData:
+def _eigen_from_input(data) -> tuple[EigenData, Family | None]:
+    """The eigen data of a family or eigen file, and the family if it is one."""
     if "maps" in data:
         fam = _load_family(data)
         if not fam.is_diagonal_linear():
             raise _InputError("this command needs diagonal linear parts")
-        return EigenData.from_family(fam)
-    return _load_eigen(data)
+        return EigenData.from_family(fam), fam
+    return _load_eigen(data), None
 
 
 def _indeterminate_in(payload) -> bool:
@@ -92,12 +93,12 @@ def _indeterminate_in(payload) -> bool:
 
 
 def _cmd_lattice(data, args) -> dict:
-    eigen = _eigen_from_input(data)
+    eigen, _ = _eigen_from_input(data)
     ctx = EigenContext(eigen)
     lat = ctx.lattice
     bound = args.bound_omega or 2 * args.degree
     omega = enumerate_omega(ctx, bound)
-    rank_enum, rank_lat = vect_omega_rank(lat, bound)
+    rank_enum, rank_lat = vect_omega_rank(ctx, bound)
     payload = {
         "basis": lat.to_json(),
         "omega_points": [list(pt) for pt in omega.points],
@@ -112,11 +113,11 @@ def _cmd_lattice(data, args) -> dict:
 
 
 def _cmd_analyze(data, args) -> dict:
-    eigen = _eigen_from_input(data)
+    eigen, fam = _eigen_from_input(data)
     ctx = EigenContext(eigen)
     lat = ctx.lattice
     bound = args.bound_omega or 2 * args.degree
-    rank_enum, rank_lat = vect_omega_rank(lat, bound)
+    rank_enum, rank_lat = vect_omega_rank(ctx, bound)
     branch, gen_info = None, None
     try:
         branch, gen_info = classify.find_infinitesimal_generators(
@@ -140,8 +141,7 @@ def _cmd_analyze(data, args) -> dict:
             ctx, branch_bound=args.bound_branch
         ).to_json(),
     }
-    if "maps" in data:
-        fam = _load_family(data)
+    if fam is not None:
         payload["nondegenerate"] = classify.is_nondegenerate(
             fam, omega_bound=bound, context=ctx
         ).to_json()
@@ -178,7 +178,7 @@ def _cmd_normalize(data, args) -> dict:
     if args.rho_equivariant:
         if "pairing" not in data:
             raise _InputError("--rho-equivariant needs a 'pairing' field (1-based involution)")
-        pairing = [int(v) - 1 for v in data["pairing"]]
+        pairing = [v - 1 for v in data["pairing"]]
     result = normalform.poincare_dulac_normalize(fam, rho_pairing=pairing)
     payload = result.to_json()
     eigen = EigenData.from_family(fam)
@@ -227,7 +227,7 @@ def _cmd_verify(data, args) -> dict:
 
 
 def _cmd_generate(data, args) -> dict:
-    eigen = _eigen_from_input(data)
+    eigen, _ = _eigen_from_input(data)
     lat = relation_lattice(eigen)
     fam = normalform.generate_integrable_nf(eigen, lat, args.degree, args.seed)
     cert = normalform.extract_integrable_certificate(fam, lat)

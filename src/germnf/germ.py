@@ -11,12 +11,9 @@ conjugate(f, psi) = psi^{-1} o f o psi.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .exactnum import GaussianRational, ZERO, ONE
 from .linalg import field_inverse
-from .series import MultiIndex, TruncatedSeries, UsageError, grlex_key
+from .series import TruncatedSeries, UsageError, compose_all, grlex_key
 
 
 class CommutationError(ValueError):
@@ -160,7 +157,7 @@ def compose_germ(f: Germ, g: Germ) -> Germ:
     """f o g (f after g), truncated at the shared degree."""
     if f.n != g.n or f.degree != g.degree:
         raise UsageError("germ composition dimension/degree mismatch")
-    return Germ([comp.compose(g.components) for comp in f.components])
+    return Germ(compose_all(f.components, g.components))
 
 
 def invert_germ(f: Germ) -> Germ:
@@ -183,7 +180,7 @@ def invert_germ(f: Germ) -> Germ:
 
     g = apply_linear(lin_inv, identity.components)
     for _ in range(f.degree):
-        correction = [identity.components[j] - nonlin[j].compose(g) for j in range(f.n)]
+        correction = [x - y for x, y in zip(identity.components, compose_all(nonlin, g))]
         new_g = apply_linear(lin_inv, correction)
         if new_g == g:
             break
@@ -283,6 +280,14 @@ def germ_to_json(g: Germ) -> dict:
     return entry
 
 
+def _json_int(value, what: str) -> int:
+    """An integer field of the wire format: floats, strings and booleans are
+    rejected, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
     if "linear_diag" in entry:
         diag = [GaussianRational.parse(s) for s in entry["linear_diag"]]
@@ -298,10 +303,13 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
         raise UsageError("map entry needs linear_diag or linear_matrix")
     comps = list(base.components)
     for term in entry.get("terms", []):
-        m = term["component"]
+        m = _json_int(term["component"], "component")
         if not 1 <= m <= n:
             raise UsageError(f"component {m} out of range 1..{n}")
-        exp = tuple(term["exponents"])
+        exponents = term["exponents"]
+        if not isinstance(exponents, list):
+            raise UsageError(f"exponents must be a list, got {exponents!r}")
+        exp = tuple(_json_int(e, "exponent") for e in exponents)
         if len(exp) != n:
             raise UsageError(f"exponents {exp} have wrong arity")
         if sum(exp) < 2:
@@ -327,17 +335,18 @@ def family_from_json(data: dict, check_commuting: bool = True) -> Family:
     for key in data:
         if key not in {"schema", "n", "p", "degree", "maps", "pairing"}:
             raise UsageError(f"unknown field {key!r} in family input")
-    n = int(data["n"])
-    degree = int(data["degree"])
+    n = _json_int(data["n"], "n")
+    degree = _json_int(data["degree"], "degree")
     if degree < 2:
         raise UsageError("degree must be >= 2")
     maps = data["maps"]
-    if "p" in data and int(data["p"]) != len(maps):
+    if "p" in data and _json_int(data["p"], "p") != len(maps):
         raise UsageError("declared p does not match the number of maps")
+    pairing = data.get("pairing", [])
+    if not isinstance(pairing, list):
+        raise UsageError(f"pairing must be a list, got {pairing!r}")
+    for v in pairing:
+        _json_int(v, "pairing entry")
     germs = [germ_from_json(entry, n, degree) for entry in maps]
     return Family(germs, check_commuting=check_commuting)
 
-
-def family_from_path(path: str, check_commuting: bool = True) -> Family:
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_json(json.load(fh), check_commuting=check_commuting)

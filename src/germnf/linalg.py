@@ -9,6 +9,7 @@ via an `is_zero`-style predicate supplied by the caller.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -85,17 +86,9 @@ def fraction_rank(rows: list[list[Fraction]]) -> int:
     """Rank over Q of a matrix with Fraction entries."""
     cleared = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         cleared.append([int(x * den) for x in row])
     return integer_rank(cleared)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def kernel_basis(rows: list[list[int]], ncols: int | None = None) -> list[list[int]]:

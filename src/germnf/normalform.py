@@ -7,10 +7,11 @@ exact-arithmetic form of the simultaneity argument for commuting
 families; a surviving term means the input did not commute and the run
 fails loudly).
 
-Eliminations are batched per degree by default: within one degree the
-homological corrections do not interact, so a single conjugation per
-degree realizes the same result as one conjugation per monomial.  The
-per-monomial mode is retained behind a flag and tested to agree.
+Eliminations are batched per degree: within one degree the homological
+corrections do not interact, so one conjugation per degree realizes the
+same result as one conjugation per monomial.  The final transformation psi
+is checked once, as psi o Phi_i' = Phi_i o psi for every germ, which needs
+no inverse of psi.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .exactnum import DomainError, GaussianRational, ONE, ZERO
 from .germ import Family, Germ, compose_germ, conjugate, invert_germ
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
-from .series import MultiIndex, TruncatedSeries, UsageError, grlex_key
+from .series import MultiIndex, TruncatedSeries, UsageError, compose_all, grlex_key
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +121,21 @@ def _conjugate_family(work: list[Germ], step: Germ) -> list[Germ]:
     return [compose_germ(step_inv, compose_germ(g, step)) for g in work]
 
 
-def poincare_dulac_normalize(
-    fam: Family,
-    rho_pairing=None,
-    per_monomial: bool = False,
-) -> NormalizationResult:
+def poincare_dulac_normalize(fam: Family, rho_pairing=None) -> NormalizationResult:
     """Conjugate a commuting family with diagonal linear parts into
     Poincare-Dulac normal form up to the truncation degree.
 
-    Order of elimination: degree ascending, then component, then graded-lex
-    monomial; the germ index used for each divisor is the smallest one whose
-    resonance gap is nonzero.  With rho_pairing set (an involution of the
-    coordinates), sigma-paired monomials are eliminated with conjugated
-    coefficients in the same step, so the transformation commutes with the
-    anti-holomorphic involution rho.
+    Each degree's non-resonant terms are removed by one conjugation, after
+    which no non-resonant term of that degree may survive in any germ.
+    Order of elimination records: degree ascending, then component, then
+    graded-lex monomial; the germ index used for each divisor is the
+    smallest one whose resonance gap is nonzero.  With rho_pairing set (an
+    involution of the coordinates), the input must be rho-equivariant, so
+    sigma-paired monomials get conjugated coefficients in the same step and
+    the transformation commutes with the anti-holomorphic involution rho.
+    The result is verified once: the output family commutes, and
+    psi o Phi_i' = Phi_i o psi for every germ (composing on the left by psi
+    is injective on jets, because psi has an invertible linear part).
     """
     if not fam.is_diagonal_linear():
         raise UsageError("normalization requires diagonal linear parts")
@@ -154,72 +156,34 @@ def poincare_dulac_normalize(
     psi = Germ.identity(n, degree)
     log: list[EliminationRecord] = []
 
-    def homological(m: int, exp: MultiIndex):
-        i_star = None
-        divisor = None
-        for i in range(fam.p):
-            gap = eigen.product(i, exp) - eigen.mu[i][m]
-            if not gap.is_zero():
-                i_star, divisor = i, gap
-                break
-        if i_star is None:
-            raise AssertionError("non-resonant monomial with zero divisors everywhere")
-        c = work[i_star].components[m].coeff(exp)
-        return i_star, divisor, c
-
     for ell in range(2, degree + 1):
         candidates = _scan_nonresonant(work, eigen, ell)
         if not candidates:
             continue
-        if per_monomial:
-            done: set[tuple[int, MultiIndex]] = set()
-            for m, exp in candidates:
-                if (m, exp) in done:
-                    continue
-                i_star, divisor, c = homological(m, exp)
-                if c.is_zero() and all(g.components[m].coeff(exp).is_zero() for g in work):
-                    continue  # removed by an earlier paired elimination
-                h = c / divisor
-                step_terms = {(m, exp): h}
-                log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
-                done.add((m, exp))
-                if sigma is not None:
-                    pm, pexp = sigma[m], _permute_exponents(exp, sigma)
-                    if (pm, pexp) != (m, exp):
-                        pi_star, pdiv, pc = homological(pm, pexp)
-                        step_terms[(pm, pexp)] = pc / pdiv
-                        log.append(EliminationRecord(ell, pm + 1, pexp, pc, pdiv, pi_star + 1))
-                        done.add((pm, pexp))
-                step = _step_germ(step_terms, n, degree)
-                psi = compose_germ(psi, step)
-                work = _conjugate_family(work, step)
-                for tm, texp in step_terms:
-                    for g in work:
-                        if not g.components[tm].coeff(texp).is_zero():
-                            raise AssertionError(
-                                f"term {texp} survived elimination in component {tm + 1}: "
-                                "commutativity assumption violated"
-                            )
-        else:
-            step_terms = {}
-            for m, exp in candidates:
-                i_star, divisor, c = homological(m, exp)
-                if c.is_zero():
-                    # compatible commuting input forces the term to be absent
-                    # from every germ; fail loudly below if it is not
-                    if any(not g.components[m].coeff(exp).is_zero() for g in work):
-                        raise AssertionError(
-                            f"inconsistent degree-{ell} term {exp}: zero in the pivot germ "
-                            "but present elsewhere (input cannot commute)"
-                        )
-                    continue
-                step_terms[(m, exp)] = c / divisor
-                log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
-            if not step_terms:
+        step_terms = {}
+        for m, exp in candidates:
+            # the first germ with a nonzero resonance gap supplies the divisor
+            for i_star in range(fam.p):
+                divisor = eigen.product(i_star, exp) - eigen.mu[i_star][m]
+                if not divisor.is_zero():
+                    break
+            else:
+                raise AssertionError("non-resonant monomial with zero divisors everywhere")
+            c = work[i_star].components[m].coeff(exp)
+            if c.is_zero():
+                # compatible commuting input forces the term to be absent
+                # from every germ; fail loudly below if it is not
+                if any(not g.components[m].coeff(exp).is_zero() for g in work):
+                    raise AssertionError(
+                        f"inconsistent degree-{ell} term {exp}: zero in the pivot germ "
+                        "but present elsewhere (input cannot commute)"
+                    )
                 continue
-            step = _step_germ(step_terms, n, degree)
-            psi = compose_germ(psi, step)
-            work = _conjugate_family(work, step)
+            step_terms[(m, exp)] = c / divisor
+            log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
+        step = _step_germ(step_terms, n, degree)
+        psi = compose_germ(psi, step)
+        work = _conjugate_family(work, step)
         remaining = _scan_nonresonant(work, eigen, ell)
         if remaining:
             raise AssertionError(
@@ -229,9 +193,8 @@ def poincare_dulac_normalize(
 
     normalized = Family(work, check_commuting=True)
     # soundness: the recorded psi really conjugates the input to the output
-    psi_inv = invert_germ(psi)
     for original, result in zip(fam.germs, work):
-        if compose_germ(psi_inv, compose_germ(original, psi)) != result:
+        if compose_germ(original, psi) != compose_germ(psi, result):
             raise AssertionError("normalizing transformation failed verification")
     if sigma is not None:
         for m in range(n):
@@ -294,39 +257,16 @@ def first_integrals(fam: Family, degree: int | None = None) -> list[TruncatedSer
     if d > fam.degree:
         raise UsageError("first-integral degree exceeds the family's jet degree")
     columns = _monomial_columns(fam.n, d)
-    col_index = {exp: j for j, exp in enumerate(columns)}
     rows: list[list[GaussianRational]] = []
+    monomials = [TruncatedSeries.monomial(gamma, 1, d) for gamma in columns]
     for g in fam.germs:
-        composed = {}
-        cache: list[dict[int, TruncatedSeries]] = [
-            {0: TruncatedSeries.constant(1, fam.n, d)} for _ in range(fam.n)
-        ]
         comps = [c.truncate(d) if d < fam.degree else c for c in g.components]
-
-        def power(k: int, e: int) -> TruncatedSeries:
-            slot = cache[k]
-            if e not in slot:
-                top = max(slot)
-                acc = slot[top]
-                for step in range(top + 1, e + 1):
-                    acc = acc * comps[k]
-                    slot[step] = acc
-            return slot[e]
-
-        for exp in columns:
-            term = TruncatedSeries.constant(1, fam.n, d)
-            for k, e in enumerate(exp):
-                if e:
-                    term = term * power(k, e)
-                    if term.is_zero():
-                        break
-            composed[exp] = term
+        composed = compose_all(monomials, comps)
         # rows indexed by target monomial delta: sum_gamma c_gamma
         # (coeff_delta(x^gamma o Phi) - [gamma == delta]) = 0
         row_map: dict[MultiIndex, list[GaussianRational]] = {}
-        for j, gamma in enumerate(columns):
-            diff = composed[gamma] - TruncatedSeries.monomial(gamma, 1, d)
-            for delta, coeff in diff.items():
+        for j, (mono, image) in enumerate(zip(monomials, composed)):
+            for delta, coeff in (image - mono).items():
                 if delta not in row_map:
                     row_map[delta] = [ZERO] * len(columns)
                 row_map[delta][j] = coeff

@@ -127,6 +127,7 @@ class EigenContext:
         self._logmods = {z: f.log_modulus() for z, f in self._factors.items()}
         self._turns: dict[GaussianRational, TurnSum] = {}  # filled on demand
         self._lattice: RelationLattice | None = None
+        self._omega: dict[int, OmegaEnumeration] = {}  # by degree bound, on demand
 
     @staticmethod
     def of(eigen: "EigenData | EigenContext") -> "EigenContext":
@@ -214,11 +215,19 @@ def enumerate_omega(
 
     Enumeration walks the relation lattice intersected with the simplex
     rather than all of N^n; every emitted point is re-verified by an exact
-    eigenvalue product.
+    eigenvalue product.  A context without an explicit lattice keeps the
+    result, so one command walks each box once.
     """
     if bound < 1:
         raise UsageError("enumeration bound must be >= 1")
-    lat, eigen = _lattice_and_data(eigen, lattice)
+    if lattice is None and isinstance(eigen, EigenContext):
+        if bound not in eigen._omega:
+            eigen._omega[bound] = _walk_omega(eigen.lattice, eigen.eigen, bound)
+        return eigen._omega[bound]
+    return _walk_omega(*_lattice_and_data(eigen, lattice), bound)
+
+
+def _walk_omega(lat: RelationLattice, eigen: EigenData, bound: int) -> OmegaEnumeration:
     pts = []
     for pt in lattice_points([list(r) for r in lat.basis], [0] * eigen.n, [bound] * eigen.n):
         deg = sum(pt)
@@ -278,20 +287,16 @@ def is_resonant_exponent(eigen: EigenData, m: int, gamma) -> bool:
     return all(eigen.product(i, gamma) == eigen.mu[i][m - 1] for i in range(eigen.p))
 
 
-def vect_omega_rank(lat: RelationLattice, enumeration_bound: int) -> tuple[int, int]:
+def vect_omega_rank(eigen: EigenData | EigenContext, enumeration_bound: int) -> tuple[int, int]:
     """(rank over Q of enumerated Omega points, rank of the full lattice).
 
     Both are reported: the vector space the paper takes is spanned by the
     nonnegative points only, and a finite enumeration can only bound its
     dimension from below.
     """
-    pts = [
-        list(pt)
-        for pt in lattice_points([list(r) for r in lat.basis], [0] * lat.n, [enumeration_bound] * lat.n)
-        if 1 <= sum(pt) <= enumeration_bound
-    ]
-    rank_enumerated = integer_rank(pts) if pts else 0
-    return rank_enumerated, lat.rank
+    ctx = EigenContext.of(eigen)
+    pts = [list(pt) for pt in enumerate_omega(ctx, enumeration_bound).points]
+    return (integer_rank(pts) if pts else 0), ctx.lattice.rank
 
 
 def omega_span_basis(

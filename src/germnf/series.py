@@ -23,10 +23,6 @@ class UsageError(ValueError):
     """Structural misuse: mismatched dimensions/degrees, bad indices."""
 
 
-def index_degree(exponents: MultiIndex) -> int:
-    return sum(exponents)
-
-
 def grlex_key(exponents: MultiIndex):
     return (sum(exponents), tuple(-e for e in exponents))
 
@@ -226,40 +222,7 @@ class TruncatedSeries:
 
     def compose(self, components: Iterable["TruncatedSeries"]) -> "TruncatedSeries":
         """Jet of self(g1, ..., gn); each g must have zero constant term."""
-        comps = list(components)
-        if len(comps) != self.n:
-            raise UsageError(f"composition needs {self.n} component series")
-        for g in comps:
-            if g.n != comps[0].n or g.degree != self.degree:
-                raise UsageError("composition component mismatch")
-            if not g.constant_term().is_zero():
-                raise DomainError("composition requires zero constant terms")
-        target_n = comps[0].n
-        cache: list[dict[int, TruncatedSeries]] = [
-            {0: TruncatedSeries.constant(1, target_n, self.degree)} for _ in comps
-        ]
-
-        def power(k: int, e: int) -> TruncatedSeries:
-            slot = cache[k]
-            if e not in slot:
-                top = max(slot)
-                acc = slot[top]
-                for step in range(top + 1, e + 1):
-                    acc = acc * comps[k]
-                    slot[step] = acc
-            return slot[e]
-
-        result = TruncatedSeries(target_n, self.degree)
-        for exp, c in self._terms.items():
-            # a factor with valuation v contributes degree >= v*e; skip dead terms
-            term = TruncatedSeries.constant(c, target_n, self.degree)
-            for k, e in enumerate(exp):
-                if e:
-                    term = term * power(k, e)
-                    if term.is_zero():
-                        break
-            result = result + term
-        return result
+        return compose_all([self], components)[0]
 
     def log1p(self) -> "TruncatedSeries":
         """log(1 + u) for a jet u with u(0) = 0."""
@@ -372,6 +335,44 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"<TruncatedSeries n={self.n} D={self.degree} {self}>"
+
+
+def compose_all(
+    targets: Iterable[TruncatedSeries], components: Iterable[TruncatedSeries]
+) -> list[TruncatedSeries]:
+    """Jets of t(g1, ..., gn) for every target t, substituting from one table
+    of the powers g_k^e shared by all targets; each g must have zero
+    constant term and the targets' degree."""
+    comps = list(components)
+    if not comps:
+        raise UsageError("composition needs at least one component series")
+    n, degree = comps[0].n, comps[0].degree
+    for g in comps:
+        if g.n != n or g.degree != degree:
+            raise UsageError("composition component mismatch")
+        if not g.constant_term().is_zero():
+            raise DomainError("composition requires zero constant terms")
+    powers = [[TruncatedSeries.constant(1, n, degree)] for _ in comps]
+    out = []
+    for target in targets:
+        if target.n != len(comps):
+            raise UsageError(f"composition needs {target.n} component series")
+        if target.degree != degree:
+            raise UsageError("composition component mismatch")
+        result = TruncatedSeries(n, degree)
+        for exp, c in target._terms.items():
+            term = TruncatedSeries.constant(c, n, degree)
+            for k, e in enumerate(exp):
+                if e:
+                    table = powers[k]
+                    while len(table) <= e:
+                        table.append(table[-1] * comps[k])
+                    term = term * table[e]
+                    if term.is_zero():
+                        break
+            result = result + term
+        out.append(result)
+    return out
 
 
 def _variable_names(n: int) -> list[str]:

@@ -11,6 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from germnf.exactnum import GaussianRational as GR
 from germnf.germ import Family, Germ, conjugate
 from germnf.linalg import field_kernel
@@ -87,6 +89,41 @@ def random_tangent_identity(rng: random.Random, n: int, degree: int,
             else random_gaussian(rng, 4, nonzero=True)
         )
         comps[j] = comps[j] + TruncatedSeries.monomial(exp, coeff, degree)
+    return Germ(comps)
+
+
+# hypothesis strategies: small shapes (n <= 3, D <= 5) keep tier-1 fast --------
+
+gaussians = st.builds(
+    GR,
+    st.fractions(-3, 3, max_denominator=3),
+    st.fractions(-3, 3, max_denominator=3),
+)
+nonzero_gaussians = gaussians.filter(lambda z: not z.is_zero())
+
+
+def _unit(j: int, n: int) -> tuple[int, ...]:
+    return tuple(1 if k == j else 0 for k in range(n))
+
+
+@st.composite
+def jets(draw, n: int, degree: int, min_degree: int = 1, max_terms: int = 3):
+    """A jet of at most max_terms terms, each of total degree >= min_degree."""
+    pool = list(all_exponents(n, degree, min_degree))
+    exps = draw(st.lists(st.sampled_from(pool), max_size=max_terms, unique=True)) if pool else []
+    return TruncatedSeries(n, degree, {exp: draw(gaussians) for exp in exps})
+
+
+@st.composite
+def germs(draw, n: int, degree: int):
+    """A germ whose linear part is a row permutation of an upper triangular
+    matrix with nonzero diagonal, so invertible but not always diagonal."""
+    perm = draw(st.permutations(range(n)))
+    comps = []
+    for m in range(n):
+        row = {_unit(j, n): draw(gaussians) for j in range(perm[m] + 1, n)}
+        row[_unit(perm[m], n)] = draw(nonzero_gaussians)
+        comps.append(TruncatedSeries(n, degree, row) + draw(jets(n, degree, 2)))
     return Germ(comps)
 
 

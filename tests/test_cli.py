@@ -160,6 +160,39 @@ class TestEigenWork:
         assert calls.pop("principal_arg_turns", 0) <= distinct
         assert calls == {name: 2 * count for name, count in once.items()}
 
+    def test_analyze_parses_a_family_once(self, tmp_path, monkeypatch):
+        import germnf.cli as cli
+
+        original, calls = cli.family_from_json, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "family_from_json", counted)
+        path = _write(tmp_path, "ex13.json", EX13)
+        assert _run_json(tmp_path, "analyze", path)[0] == 0
+        assert len(calls) == 1
+
+    def test_p1_analyze_walks_the_omega_box_once(self, tmp_path, monkeypatch):
+        import germnf.classify as classify
+        import germnf.linalg as linalg
+        import germnf.resonance as resonance
+
+        boxes = []
+
+        def counted(basis, lower, upper, offset=None):
+            boxes.append((tuple(lower), tuple(upper)))
+            return linalg.lattice_points(basis, lower, upper, offset)
+
+        for module in (resonance, classify):
+            monkeypatch.setattr(module, "lattice_points", counted)
+        path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 0 and report["payload"]["poincare_type"]["verdict"] == "yes"
+        bound = report["config"]["bound_omega"]
+        assert boxes.count(((0, 0), (bound, bound))) == 1
+
     def test_poincare_type_fails_exactly_when_lattice_rank_is_short(self, tmp_path):
         path = _write(tmp_path, "e23.json", {"schema": 1, "mu": [["2", "3"]]})
         _, report = _run_json(tmp_path, "analyze", path)
@@ -201,6 +234,30 @@ class TestContracts:
         data = dict(EX13, mystery=1)
         path = _write(tmp_path, "bad.json", data)
         assert run(["analyze", path]) == 1
+
+    @pytest.mark.parametrize(
+        "place, value",
+        [
+            ("exponents", [1.5, 1]),  # was truncated to [1, 1]
+            ("exponents", [True, 1]),
+            ("exponents", "02"),
+            ("component", True),
+            ("n", 2.0),
+            ("degree", True),
+            ("p", True),
+            ("pairing", [2, True]),
+            ("pairing", "21"),
+        ],
+    )
+    def test_non_integer_field_exit_1(self, tmp_path, capsys, place, value):
+        data = json.loads(json.dumps(NORMALIZABLE))
+        if place in ("exponents", "component"):
+            data["maps"][0]["terms"][0][place] = value
+        else:
+            data[place] = value
+        path = _write(tmp_path, "bad.json", data)
+        assert run(["verify", path]) == 1
+        assert "must be" in capsys.readouterr().err
 
     def test_malformed_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import GaussianRational as GR
 from germnf.germ import (
@@ -17,7 +18,9 @@ from germnf.germ import (
 )
 from germnf.series import TruncatedSeries as TS, UsageError
 
-from helpers import example_34_family, random_series, random_tangent_identity
+from helpers import example_34_family, germs, random_series, random_tangent_identity
+
+SMALL_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5))  # (n, D)
 
 
 def diag(values, degree):
@@ -42,6 +45,13 @@ class TestCompose:
         f = Germ([TS.variable(0, 1, 4) + TS.monomial((2,), 1, 4)])
         g = invert_germ(f)
         assert compose_germ(f, g) == Germ.identity(1, 4)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_associative(self, data):
+        n, d = data.draw(SMALL_SHAPES, label="(n, D)")
+        f, g, h = (data.draw(germs(n, d)) for _ in range(3))
+        assert compose_germ(compose_germ(f, g), h) == compose_germ(f, compose_germ(g, h))
 
 
 class TestInvert:
@@ -71,6 +81,16 @@ class TestInvert:
             ident = Germ.identity(n, d)
             assert compose_germ(f, g) == ident
             assert compose_germ(g, f) == ident
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_two_sided_property(self, data):
+        n, d = data.draw(SMALL_SHAPES, label="(n, D)")
+        f = data.draw(germs(n, d))
+        g = invert_germ(f)
+        ident = Germ.identity(n, d)
+        assert compose_germ(f, g) == ident
+        assert compose_germ(g, f) == ident
 
     def test_singular_rejected(self):
         with pytest.raises(UsageError):

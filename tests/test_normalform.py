@@ -58,17 +58,20 @@ class TestNormalize:
         res = poincare_dulac_normalize(fam)
         assert res.normalized == fam and res.psi == Germ.identity(2, 4)
 
-    def test_per_monomial_agrees_with_batched(self):
+    def test_psi_conjugates_input_to_output(self):
         rng = random.Random(8)
         eigen = EigenData.from_rows([["-2", "1/2"]])
         lat = relation_lattice(eigen)
         nf = generate_integrable_nf(eigen, lat, 5, seed=5)
         psi = random_tangent_identity(rng, 2, 5)
         fam = Family([conjugate(g, psi) for g in nf.germs])
-        batched = poincare_dulac_normalize(fam)
-        stepped = poincare_dulac_normalize(fam, per_monomial=True)
-        assert batched.normalized == stepped.normalized
-        assert batched.psi == stepped.psi
+        res = poincare_dulac_normalize(fam)
+        assert res.eliminations
+        assert verify_pd_nf(res.normalized) is None
+        # conjugate() goes through invert_germ, which the normalizer's own
+        # inverse-free check does not use: an independent oracle
+        for g, out in zip(fam.germs, res.normalized.germs):
+            assert conjugate(g, res.psi) == out
 
     def test_nondiagonal_rejected(self):
         rot = Germ.from_linear_matrix([[GR(0), GR(-1)], [GR(1), GR(0)]], 3)

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import DomainError, GaussianRational as GR
-from germnf.series import TruncatedSeries as TS, UsageError, grlex_key
+from germnf.series import TruncatedSeries as TS, UsageError, compose_all, grlex_key
 
-from helpers import random_series
+from helpers import jets, random_series
 
 
 def var(j, n, d):
@@ -89,6 +91,47 @@ class TestComposition:
             comps = [random_series(rng, 2, 6, 2) for _ in range(2)]
             lower = [c.truncate(4) for c in comps]
             assert f.compose(comps).truncate(4) == f.truncate(4).compose(lower)
+
+
+def _to_sympy(series: TS, xs):
+    expr = sympy.Integer(0)
+    for exp, c in series.items():
+        coeff = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+            c.im.numerator, c.im.denominator
+        )
+        expr += coeff * sympy.Mul(*(x**e for x, e in zip(xs, exp)))
+    return expr
+
+
+def _from_sympy(expr, xs, degree: int) -> TS:
+    """Expand, then drop the terms above the truncation degree."""
+    terms = {}
+    for monom, coeff in sympy.Poly(sympy.expand(expr), *xs).terms():
+        if sum(monom) <= degree:
+            re, im = (Fraction(int(v.p), int(v.q)) for v in coeff.as_real_imag())
+            terms[monom] = GR(re, im)
+    return TS(len(xs), degree, terms)
+
+
+class TestComposeAll:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_sympy_expand_and_truncate(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        d = data.draw(st.integers(1, 5), label="D")
+        targets = data.draw(st.lists(jets(n, d, min_degree=0), min_size=1, max_size=3))
+        comps = [data.draw(jets(n, d)) for _ in range(n)]
+        xs = sympy.symbols(f"x0:{n}")
+        images = {x: _to_sympy(g, xs) for x, g in zip(xs, comps)}
+        got = compose_all(targets, comps)
+        assert got == [_from_sympy(_to_sympy(t, xs).xreplace(images), xs, d) for t in targets]
+        assert got == [t.compose(comps) for t in targets]
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(UsageError):
+            compose_all([var(0, 2, 3)], [var(0, 2, 3)])
+        with pytest.raises(UsageError):
+            compose_all([var(0, 2, 3)], [var(0, 2, 4), var(1, 2, 4)])
 
 
 class TestTranscendentalJets:
