@@ -120,9 +120,6 @@ class BranchChoice:
     def entry(self, i: int, m: int) -> int:
         return self.b[i][m]
 
-    def max_abs(self) -> int:
-        return max((abs(v) for row in self.b for v in row), default=0)
-
     def verify(self, eigen: EigenData) -> bool:
         """exp(lambda_im) = mu_im, verified exactly: the modulus part must
         satisfy prod p^(2 coords) = |mu|^2, and the angle part is principal
@@ -183,12 +180,6 @@ def poly_add(a: dict, b: dict) -> dict:
         else:
             out[mono] = acc
     return out
-
-
-def poly_scale(a: dict, c: GaussianRational) -> dict:
-    if c.is_zero():
-        return {}
-    return {mono: v * c for mono, v in a.items()}
 
 
 def poly_mul(a: dict, b: dict) -> dict:

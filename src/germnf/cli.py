@@ -5,7 +5,11 @@ linear data matters, an eigenvalue file {"schema": 1, "mu": [["-2","1/2"]]}.
 Reports are canonical JSON: sorted keys and graded-lex term order, so two
 runs with the same config produce byte-identical output apart from the
 timing field.  Exit codes: 0 definite, 1 usage/input error,
-2 indeterminate verdicts present.
+2 indeterminate verdicts present, 3 an internal verification failed.
+
+Each command returns its payload and the jet degree it used, which the
+report's config echoes: the family's degree for family input, min(--degree,
+D) for first-integrals, and --degree for eigen input.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ def _indeterminate_in(payload) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_lattice(data, args) -> dict:
-    eigen, _ = _eigen_from_input(data)
+def _cmd_lattice(data, args) -> tuple[dict, int]:
+    eigen, fam = _eigen_from_input(data)
     ctx = EigenContext(eigen)
     lat = ctx.lattice
     bound = args.bound_omega or 2 * args.degree
@@ -109,10 +113,10 @@ def _cmd_lattice(data, args) -> dict:
             resonant_set(ctx, m, bound).to_json() for m in range(1, eigen.n + 1)
         ],
     }
-    return payload
+    return payload, fam.degree if fam else args.degree
 
 
-def _cmd_analyze(data, args) -> dict:
+def _cmd_analyze(data, args) -> tuple[dict, int]:
     eigen, fam = _eigen_from_input(data)
     ctx = EigenContext(eigen)
     lat = ctx.lattice
@@ -147,7 +151,7 @@ def _cmd_analyze(data, args) -> dict:
         ).to_json()
     if eigen.p == 1:
         payload["poincare_type"] = _poincare_type(ctx, bound, args.bound_torsion)
-    return payload
+    return payload, fam.degree if fam else args.degree
 
 
 def _poincare_type(ctx: EigenContext, bound: int, torsion_bound: int) -> dict:
@@ -172,7 +176,7 @@ def _poincare_type(ctx: EigenContext, bound: int, torsion_bound: int) -> dict:
     return entry
 
 
-def _cmd_normalize(data, args) -> dict:
+def _cmd_normalize(data, args) -> tuple[dict, int]:
     fam = _load_family(data)
     pairing = None
     if args.rho_equivariant:
@@ -192,20 +196,22 @@ def _cmd_normalize(data, args) -> dict:
             "ok": False,
             "division": normalform.division_check(result.normalized).to_json(),
         }
-    return payload
+    return payload, fam.degree
 
 
-def _cmd_first_integrals(data, args) -> dict:
+def _cmd_first_integrals(data, args) -> tuple[dict, int]:
     fam = _load_family(data)
-    basis = normalform.first_integrals(fam, min(args.degree, fam.degree))
-    return {
-        "degree": min(args.degree, fam.degree),
+    degree = min(args.degree, fam.degree)
+    basis = normalform.first_integrals(fam, degree)
+    payload = {
+        "degree": degree,
         "basis": [series.to_term_list() for series in basis],
         "dimension": len(basis),
     }
+    return payload, degree
 
 
-def _cmd_verify(data, args) -> dict:
+def _cmd_verify(data, args) -> tuple[dict, int]:
     fam = _load_family(data)
     offender = normalform.verify_pd_nf(fam)
     division = normalform.division_check(fam)
@@ -223,22 +229,23 @@ def _cmd_verify(data, args) -> dict:
         eigen = EigenData.from_family(fam)
         lat = relation_lattice(eigen)
         payload["certificate"] = normalform.extract_integrable_certificate(fam, lat).to_json()
-    return payload
+    return payload, fam.degree
 
 
-def _cmd_generate(data, args) -> dict:
+def _cmd_generate(data, args) -> tuple[dict, int]:
     eigen, _ = _eigen_from_input(data)
     lat = relation_lattice(eigen)
     fam = normalform.generate_integrable_nf(eigen, lat, args.degree, args.seed)
     cert = normalform.extract_integrable_certificate(fam, lat)
-    return {
+    payload = {
         "family": family_to_json(fam),
         "certificate_ok": cert.ok,
         "seed": args.seed,
     }
+    return payload, args.degree
 
 
-def _cmd_realcase(data, args) -> dict:
+def _cmd_realcase(data, args) -> tuple[dict, int]:
     fam = _load_family(data)
     complex_fam, p_germ, sigma = normalform.complexify_real_family(fam)
     result = normalform.poincare_dulac_normalize(complex_fam, rho_pairing=sigma)
@@ -249,7 +256,7 @@ def _cmd_realcase(data, args) -> dict:
     real_ok = all(
         c.im == 0 for comp in conjugator.components for _, c in comp.items()
     )
-    return {
+    payload = {
         "pairing": [m + 1 for m in sigma],
         "complexified": family_to_json(complex_fam),
         "real_normal_form": family_to_json(realified),
@@ -257,6 +264,7 @@ def _cmd_realcase(data, args) -> dict:
         "real_conjugator_is_real": real_ok,
         "eliminations": [rec.to_json() for rec in result.eliminations],
     }
+    return payload, fam.degree
 
 
 _COMMANDS = {
@@ -336,7 +344,7 @@ def run(argv=None) -> int:
     started = time.monotonic()
     try:
         data, digest = _load_json(args.input)
-        payload = _COMMANDS[args.command](data, args)
+        payload, degree = _COMMANDS[args.command](data, args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -346,12 +354,15 @@ def run(argv=None) -> int:
     except IndeterminateError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal verification failed: {exc}", file=sys.stderr)
+        return 3
     report = {
         "version": __version__,
         "command": args.command,
         "input_digest": digest,
         "config": {
-            "degree": args.degree,
+            "degree": degree,
             "bound_omega": args.bound_omega or 2 * args.degree,
             "bound_branch": args.bound_branch,
             "bound_torsion": args.bound_torsion,

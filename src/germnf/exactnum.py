@@ -118,11 +118,11 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def is_gaussian_integer(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
@@ -698,9 +698,6 @@ class Interval:
 
     def hi_fraction(self) -> Fraction:
         return _mpf_to_fraction(self.hi)
-
-    def contains_zero(self) -> bool:
-        return self.lo_fraction() <= 0 <= self.hi_fraction()
 
     def sign(self) -> int:
         """+1/-1 when certified away from zero, 0 when undecided."""

@@ -11,8 +11,8 @@ conjugate(f, psi) = psi^{-1} o f o psi.
 
 from __future__ import annotations
 
-from .exactnum import GaussianRational, ZERO, ONE
-from .linalg import field_inverse
+from .exactnum import GaussianRational, ONE
+from .linalg import field_inverse, field_rref
 from .series import TruncatedSeries, UsageError, compose_all, grlex_key
 
 
@@ -50,7 +50,7 @@ class Germ:
         self.n = n
         self.degree = degree
         self.components = comps
-        if _det(self.linear_matrix()).is_zero():
+        if len(field_rref(self.linear_rows())[1]) < n:
             raise UsageError("linear part is singular; not a diffeomorphism germ")
 
     # -- constructors ------------------------------------------------------
@@ -92,6 +92,10 @@ class Germ:
             mat.append(row)
         return mat
 
+    def linear_rows(self) -> list[dict[int, GaussianRational]]:
+        """The linear part as sparse rows {column: nonzero coefficient}."""
+        return [{j: a for j, a in enumerate(row) if a} for row in self.linear_matrix()]
+
     def is_diagonal_linear(self) -> bool:
         mat = self.linear_matrix()
         return all(mat[i][j].is_zero() for i in range(self.n) for j in range(self.n) if i != j)
@@ -101,15 +105,6 @@ class Germ:
             raise UsageError("linear part is not diagonal")
         mat = self.linear_matrix()
         return tuple(mat[j][j] for j in range(self.n))
-
-    def is_tangent_to_identity(self) -> bool:
-        mat = self.linear_matrix()
-        for i in range(self.n):
-            for j in range(self.n):
-                want = ONE if i == j else ZERO
-                if mat[i][j] != want:
-                    return False
-        return True
 
     def nonlinear_part(self) -> list[TruncatedSeries]:
         lin = Germ.from_linear_matrix(self.linear_matrix(), self.degree)
@@ -132,27 +127,6 @@ class Germ:
         return f"<Germ n={self.n} D={self.degree} {self}>"
 
 
-def _det(matrix) -> GaussianRational:
-    # fraction-free not needed: exact field arithmetic, n is tiny
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    det = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not a[i][c].is_zero()), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det = det * a[c][c]
-        inv = ONE / a[c][c]
-        for i in range(c + 1, n):
-            if not a[i][c].is_zero():
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
 def compose_germ(f: Germ, g: Germ) -> Germ:
     """f o g (f after g), truncated at the shared degree."""
     if f.n != g.n or f.degree != g.degree:
@@ -163,8 +137,7 @@ def compose_germ(f: Germ, g: Germ) -> Germ:
 def invert_germ(f: Germ) -> Germ:
     """Two-sided inverse of f modulo degree > D, by degree-recursive
     substitution g <- L^{-1}(id - N o g) where f = L + N."""
-    lin = f.linear_matrix()
-    lin_inv = field_inverse(lin, ONE, ZERO)
+    lin_inv = field_inverse(f.linear_rows(), ONE)
     nonlin = f.nonlinear_part()
     identity = Germ.identity(f.n, f.degree)
 
@@ -172,9 +145,8 @@ def invert_germ(f: Germ) -> Germ:
         out = []
         for row in mat:
             acc = TruncatedSeries.zero(f.n, f.degree)
-            for a, comp in zip(row, comps):
-                if not a.is_zero():
-                    acc = acc + comp.scale(a)
+            for j, a in row.items():
+                acc = acc + comps[j].scale(a)
             out.append(acc)
         return out
 
@@ -240,10 +212,6 @@ class Family:
         self.n = n
         self.degree = degree
         self.germs = members
-
-    @property
-    def declared_type(self) -> tuple[int, int]:
-        return (self.p, self.n - self.p)
 
     def linear_diags(self) -> list[tuple[GaussianRational, ...]]:
         return [g.linear_diag() for g in self.germs]

@@ -3,13 +3,12 @@
 Integer routines use row-style Hermite normal form with positive pivots,
 which makes every lattice basis in the engine canonical and reports
 diffable.  Field routines run over any of the exact coefficient types
-(Fraction, GaussianRational) that support +, -, *, / and == 0 comparison
-via an `is_zero`-style predicate supplied by the caller.
+(Fraction, GaussianRational) that support +, -, *, / and are false exactly
+when zero; their matrices are sparse rows {column: nonzero value}.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -80,15 +79,6 @@ def row_hnf(rows: list[list[int]]) -> list[list[int]]:
 
 def integer_rank(rows: list[list[int]]) -> int:
     return len(row_hnf(rows))
-
-
-def fraction_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q of a matrix with Fraction entries."""
-    cleared = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        cleared.append([int(x * den) for x in row])
-    return integer_rank(cleared)
 
 
 def kernel_basis(rows: list[list[int]], ncols: int | None = None) -> list[list[int]]:
@@ -185,70 +175,81 @@ def lattice_points(
 
 
 # ---------------------------------------------------------------------------
-# Field elimination (works for Fraction and GaussianRational alike)
+# Field elimination on sparse rows (Fraction and GaussianRational alike)
 # ---------------------------------------------------------------------------
 
 
-def _nonzero(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return not x.is_zero()
-    return x != 0
+def _subtract(row: dict, f, pivot_row: dict) -> None:
+    """row -= f * pivot_row in place, dropping entries that cancel."""
+    g = -f
+    for c, y in pivot_row.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = g * y
+        else:
+            x = x + g * y
+            if x:
+                row[c] = x
+            else:
+                del row[c]
 
 
-def field_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over a field; returns (rref rows, pivot cols)."""
-    a = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(a)):
-            if _nonzero(a[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and _nonzero(a[i][c]):
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
+def field_rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form over a field; returns (rref rows, pivot cols).
 
-
-def field_kernel(rows: list[list], ncols: int, one, zero) -> list[list]:
-    """Basis of the right kernel over the coefficient field.
-
-    `one`/`zero` supply the field constants (e.g. Fraction(1)/Fraction(0)).
-    Each basis vector has a 1 in its free column.
+    A row is a dict {column: value}; zero values are dropped, and every
+    output row holds only its nonzero entries.  Rows are reduced one at a
+    time against the pivot rows found so far, so zero entries cost nothing.
+    The reduced echelon basis of a row space is unique, so the result does
+    not depend on the order of the rows.
     """
-    rref, pivots = field_rref(rows, ncols)
+    echelon: dict[int, dict] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        for c in [c for c in row if c in echelon]:
+            _subtract(row, row[c], echelon[c])
+        if not row:
+            continue
+        pivot = min(row)
+        inv = row[pivot]
+        row = {c: x / inv for c, x in row.items()}
+        for other in echelon.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        echelon[pivot] = row
+    pivots = sorted(echelon)
+    return [echelon[c] for c in pivots], pivots
+
+
+def field_kernel(rows: list[dict], ncols: int, one) -> list[dict]:
+    """Basis of the right kernel in columns 0..ncols-1, as sparse vectors.
+
+    `one` is the field's unit (e.g. Fraction(1)).  Each basis vector has a
+    1 in its free column, in increasing order of that column.
+    """
+    rref, pivots = field_rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = zero - rref[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = {fc: one}
+        for pc, row in zip(pivots, rref):
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
 
-def field_inverse(matrix: list[list], one, zero) -> list[list]:
-    """Inverse of a square matrix over a field; raises ValueError if singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rref, pivots = field_rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)) or len(rref) < n:
+def field_inverse(rows: list[dict], one) -> list[dict]:
+    """Inverse of a square n x n matrix given by n sparse rows; raises
+    ValueError if singular."""
+    n = len(rows)
+    aug = [{**row, n + i: one} for i, row in enumerate(rows)]
+    rref, pivots = field_rref(aug)
+    if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in rref[:n]]
+    return [{c - n: x for c, x in row.items() if c >= n} for row in rref[:n]]
 
 
 # ---------------------------------------------------------------------------

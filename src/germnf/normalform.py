@@ -257,29 +257,21 @@ def first_integrals(fam: Family, degree: int | None = None) -> list[TruncatedSer
     if d > fam.degree:
         raise UsageError("first-integral degree exceeds the family's jet degree")
     columns = _monomial_columns(fam.n, d)
-    rows: list[list[GaussianRational]] = []
+    rows: list[dict[int, GaussianRational]] = []
     monomials = [TruncatedSeries.monomial(gamma, 1, d) for gamma in columns]
     for g in fam.germs:
         comps = [c.truncate(d) if d < fam.degree else c for c in g.components]
         composed = compose_all(monomials, comps)
         # rows indexed by target monomial delta: sum_gamma c_gamma
         # (coeff_delta(x^gamma o Phi) - [gamma == delta]) = 0
-        row_map: dict[MultiIndex, list[GaussianRational]] = {}
+        row_map: dict[MultiIndex, dict[int, GaussianRational]] = {}
         for j, (mono, image) in enumerate(zip(monomials, composed)):
             for delta, coeff in (image - mono).items():
-                if delta not in row_map:
-                    row_map[delta] = [ZERO] * len(columns)
-                row_map[delta][j] = coeff
+                row_map.setdefault(delta, {})[j] = coeff
         rows.extend(row_map[delta] for delta in sorted(row_map, key=grlex_key))
-    kernel = field_kernel(rows, len(columns), ONE, ZERO)
-    if not kernel:
-        return []
-    echelon, _ = field_rref(kernel, len(columns))
-    basis = []
-    for vec in echelon:
-        terms = {columns[j]: c for j, c in enumerate(vec) if not c.is_zero()}
-        basis.append(TruncatedSeries(fam.n, d, terms))
-    return basis
+    kernel = field_kernel(rows, len(columns), ONE)
+    echelon, _ = field_rref(kernel)
+    return [TruncatedSeries(fam.n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
 
 
 def verify_first_integral_support(fam: Family, integral: TruncatedSeries):
@@ -304,14 +296,10 @@ def echelonized_span(series_list: list[TruncatedSeries]) -> list[TruncatedSeries
     if not series_list:
         return []
     n, d = series_list[0].n, series_list[0].degree
-    columns = _monomial_columns(n, d)
-    rows = [[s.coeff(exp) for exp in columns] for s in series_list]
-    echelon, _ = field_rref(rows, len(columns))
-    out = []
-    for vec in echelon:
-        terms = {columns[j]: c for j, c in enumerate(vec) if not c.is_zero()}
-        out.append(TruncatedSeries(n, d, terms))
-    return out
+    columns = sorted({exp for s in series_list for exp, _ in s.items()}, key=grlex_key)
+    index = {exp: j for j, exp in enumerate(columns)}
+    echelon, _ = field_rref([{index[exp]: c for exp, c in s.items()} for s in series_list])
+    return [TruncatedSeries(n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
 
 
 # ---------------------------------------------------------------------------

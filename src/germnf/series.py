@@ -101,12 +101,6 @@ class TruncatedSeries:
     def constant_term(self) -> GaussianRational:
         return self.coeff((0,) * self.n)
 
-    def valuation(self) -> int | None:
-        """Lowest total degree present, or None for the zero series."""
-        if not self._terms:
-            return None
-        return min(sum(e) for e in self._terms)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import strategies as st
 
 from germnf.exactnum import GaussianRational as GR
@@ -102,6 +103,19 @@ gaussians = st.builds(
 nonzero_gaussians = gaussians.filter(lambda z: not z.is_zero())
 
 
+def gr_to_sympy(c: GR):
+    """The sympy number equal to a Gaussian rational."""
+    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+        c.im.numerator, c.im.denominator
+    )
+
+
+def gr_from_sympy(expr) -> GR:
+    """The Gaussian rational equal to a sympy expression over Q(i)."""
+    re, im = sympy.expand_complex(expr).as_real_imag()
+    return GR(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
 def _unit(j: int, n: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(n))
 
@@ -150,30 +164,24 @@ def rho_equivariant_nf(eigen: EigenData, sigma: tuple[int, ...], degree: int,
     for gamma in lat.basis:
         for pt in omega_pts:
             for part in (0, 1):
-                row = [Fraction(0)] * width
-                for k in range(n):
-                    if gamma[k]:
-                        row[pos[(k, pt)] + part] += Fraction(gamma[k])
-                rows.append(row)
+                rows.append({pos[(k, pt)] + part: Fraction(gamma[k]) for k in range(n) if gamma[k]})
     for k in range(n):
         for pt in omega_pts:
             mirrored = tuple(pt[sigma[j]] for j in range(n))
-            row_re = [Fraction(0)] * width
-            row_re[pos[(sigma[k], mirrored)]] += 1
-            row_re[pos[(k, pt)]] -= 1
+            row_re = {pos[(sigma[k], mirrored)]: Fraction(1)}
+            row_re[pos[(k, pt)]] = row_re.get(pos[(k, pt)], Fraction(0)) - 1
             rows.append(row_re)
-            row_im = [Fraction(0)] * width
-            row_im[pos[(sigma[k], mirrored)] + 1] += 1
-            row_im[pos[(k, pt)] + 1] += 1
+            row_im = {pos[(sigma[k], mirrored)] + 1: Fraction(1)}
+            row_im[pos[(k, pt)] + 1] = row_im.get(pos[(k, pt)] + 1, Fraction(0)) + 1
             rows.append(row_im)
-    basis = field_kernel(rows, width, Fraction(1), Fraction(0))
+    basis = field_kernel(rows, width, Fraction(1))
     germs = []
     for i in range(eigen.p):
         vec = [Fraction(0)] * width
         for kernel_vec in basis:
             t = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-            for j in range(width):
-                vec[j] += t * kernel_vec[j]
+            for j, v in kernel_vec.items():
+                vec[j] += t * v
         w = [TruncatedSeries.zero(n, degree) for _ in range(n)]
         for k in range(n):
             for pt in omega_pts:

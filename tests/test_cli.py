@@ -1,11 +1,17 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from germnf.cli import run
+from germnf.germ import family_from_json
+from germnf.series import TruncatedSeries, compose_all
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 EX13 = {
@@ -125,6 +131,34 @@ class TestCommands:
         assert code == 0
         assert report["payload"]["real_conjugator_is_real"] is True
         assert report["payload"]["pairing"] == [2, 1, 3][:2]
+
+
+def _perfbench_golden():
+    """perfbench/golden.py, loaded by path so sys.path stays as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_golden", ROOT / "perfbench" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFirstIntegralsCorpus:
+    def test_n4_p2_matches_golden_and_is_invariant(self, tmp_path):
+        golden = _perfbench_golden()
+        manifest, goldens = golden.load("integrals")
+        op = next(o for o in manifest["ops"] if o["id"] == "inf_p2_n4-0.first-integrals")
+        assert op["args"] == ["--degree", "6"]
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        expected = goldens[op["id"]]
+        assert code == expected["exit"]
+        assert golden.check(expected, code, json.dumps(report))[0] == []
+        payload = report["payload"]
+        fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
+        d = payload["degree"]
+        assert (fam.n, fam.p, d) == (4, 2, 6)
+        basis = [TruncatedSeries.from_term_list(terms, fam.n, d) for terms in payload["basis"]]
+        assert len(basis) == payload["dimension"] > 0
+        for g in fam.germs:
+            assert compose_all(basis, [c.truncate(d) for c in g.components]) == basis
 
 
 class TestEigenWork:
@@ -258,6 +292,28 @@ class TestContracts:
         path = _write(tmp_path, "bad.json", data)
         assert run(["verify", path]) == 1
         assert "must be" in capsys.readouterr().err
+
+    def test_config_echoes_the_family_degree(self, tmp_path):
+        path = _write(tmp_path, "d8.json", {**NORMALIZABLE, "degree": 8})
+        code, report = _run_json(tmp_path, "normalize", path)
+        assert code == 0 and report["config"]["degree"] == 8
+
+    def test_config_echoes_the_first_integral_degree(self, tmp_path):
+        path = _write(tmp_path, "ex13.json", EX13)
+        code, report = _run_json(tmp_path, "first-integrals", path, "--degree", "6")
+        assert code == 0
+        assert report["config"]["degree"] == report["payload"]["degree"] == 4
+
+    def test_failed_internal_check_exits_3(self, tmp_path, monkeypatch, capsys):
+        import germnf.normalform as normalform
+
+        monkeypatch.setattr(normalform, "_scan_nonresonant", lambda work, eigen, ell: [(0, (0, 2))])
+        path = _write(tmp_path, "nf.json", NORMALIZABLE)
+        assert run(["normalize", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal verification failed: non-resonant terms survived")
+        assert "Traceback" not in captured.err
 
     def test_malformed_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"

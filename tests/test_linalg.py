@@ -2,11 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from germnf.exactnum import GaussianRational as GR
 from germnf.linalg import (
     field_inverse,
     field_kernel,
     field_rref,
-    fraction_rank,
     hnf_with_transform,
     integer_rank,
     kernel_basis,
@@ -15,6 +19,8 @@ from germnf.linalg import (
     row_hnf,
     solve_integer,
 )
+
+from helpers import gr_from_sympy, gr_to_sympy, nonzero_gaussians
 
 
 def _mat_mul(a, b):
@@ -93,7 +99,6 @@ def test_solve_integer():
 def test_rank():
     assert integer_rank([[1, 2], [2, 4]]) == 1
     assert integer_rank([[1, 0], [0, 1]]) == 2
-    assert fraction_rank([[Fraction(1, 2), Fraction(1)], [Fraction(1, 4), Fraction(1, 2)]]) == 1
 
 
 def test_lattice_points_against_brute_force():
@@ -147,12 +152,75 @@ def test_rational_feasible():
 
 
 def test_field_routines():
-    one, zero = Fraction(1), Fraction(0)
-    kern = field_kernel([[one, one, zero]], 3, one, zero)
-    assert len(kern) == 2
-    for vec in kern:
-        assert vec[0] + vec[1] == 0
-    inv = field_inverse([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]], one, zero)
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    rref, pivots = field_rref([[zero, one], [one, zero]], 2)
-    assert pivots == [0, 1] and rref == [[one, zero], [zero, one]]
+    one = Fraction(1)
+    kern = field_kernel([{0: one, 1: one}], 3, one)
+    assert kern == [{1: one, 0: -one}, {2: one}]
+    inv = field_inverse([{0: Fraction(2), 1: one}, {0: one, 1: one}], one)
+    assert inv == [{0: one, 1: -one}, {0: -one, 1: Fraction(2)}]
+    with pytest.raises(ValueError):
+        field_inverse([{0: one, 1: one}, {0: Fraction(2), 1: Fraction(2)}], one)
+    rref, pivots = field_rref([{1: one}, {0: one, 1: Fraction(0)}, {}])
+    assert pivots == [0, 1] and rref == [{0: one}, {1: one}]
+
+
+# sparse elimination over Q(i) against sympy ----------------------------------
+
+@st.composite
+def _sparse_matrices(draw):
+    """(rows, ncols): up to 8 x 10 sparse rows over Q(i), with zero rows,
+    duplicate rows and combinations of earlier rows mixed in."""
+    ncols = draw(st.integers(1, 10))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "duplicate", "combination"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append({})
+        elif kind == "duplicate":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(nonzero_gaussians), draw(nonzero_gaussians)
+            combo = {c: s * a.get(c, GR(0)) + t * b.get(c, GR(0)) for c in set(a) | set(b)}
+            rows.append({c: x for c, x in combo.items() if x})
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+            rows.append({c: draw(nonzero_gaussians) for c in sorted(cols)})
+    return rows, ncols
+
+
+class TestSparseElimination:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_sparse_matrices())
+    def test_matches_sympy_rref_over_gaussian_rationals(self, matrix):
+        rows, ncols = matrix
+        dense = sympy.Matrix([[gr_to_sympy(row.get(c, GR(0))) for c in range(ncols)] for row in rows])
+        reduced, sympy_pivots = dense.rref()
+        want = [
+            {c: x for c in range(ncols) if (x := gr_from_sympy(reduced[i, c]))}
+            for i in range(len(sympy_pivots))
+        ]
+        rref, pivots = field_rref(rows)
+        assert pivots == list(sympy_pivots)
+        assert rref == want
+        assert all(all(x for x in row.values()) for row in rref)
+
+        kernel = field_kernel(rows, ncols, GR(1))
+        free = [c for c in range(ncols) if c not in pivots]
+        assert kernel == [
+            {fc: GR(1), **{pc: -row[fc] for pc, row in zip(pivots, want) if fc in row}}
+            for fc in free
+        ]
+        for vec in kernel:
+            for row in rows:
+                assert sum((x * vec.get(c, GR(0)) for c, x in row.items()), GR(0)).is_zero()
+
+    def test_row_order_does_not_change_the_result(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            rows = [
+                {c: GR(rng.randint(-3, 3), rng.randint(-3, 3)) for c in range(6) if rng.random() < 0.4}
+                for _ in range(5)
+            ]
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            assert field_rref(rows) == field_rref(shuffled)

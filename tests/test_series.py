@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from germnf.exactnum import DomainError, GaussianRational as GR
 from germnf.series import TruncatedSeries as TS, UsageError, compose_all, grlex_key
 
-from helpers import jets, random_series
+from helpers import gr_from_sympy, gr_to_sympy, jets, random_series
 
 
 def var(j, n, d):
@@ -96,10 +96,7 @@ class TestComposition:
 def _to_sympy(series: TS, xs):
     expr = sympy.Integer(0)
     for exp, c in series.items():
-        coeff = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-            c.im.numerator, c.im.denominator
-        )
-        expr += coeff * sympy.Mul(*(x**e for x, e in zip(xs, exp)))
+        expr += gr_to_sympy(c) * sympy.Mul(*(x**e for x, e in zip(xs, exp)))
     return expr
 
 
@@ -108,8 +105,7 @@ def _from_sympy(expr, xs, degree: int) -> TS:
     terms = {}
     for monom, coeff in sympy.Poly(sympy.expand(expr), *xs).terms():
         if sum(monom) <= degree:
-            re, im = (Fraction(int(v.p), int(v.q)) for v in coeff.as_real_imag())
-            terms[monom] = GR(re, im)
+            terms[monom] = gr_from_sympy(coeff)
     return TS(len(xs), degree, terms)
 
 
