@@ -22,7 +22,15 @@ import time
 
 from . import __version__
 from .exactnum import DomainError, IndeterminateError
-from .germ import CommutationError, Family, family_from_json, family_to_json, germ_to_json
+from .germ import (
+    CommutationError,
+    Family,
+    compose_germ,
+    family_from_json,
+    family_to_json,
+    germ_to_json,
+    invert_germ,
+)
 from .resonance import (
     EigenContext,
     EigenData,
@@ -187,15 +195,13 @@ def _cmd_normalize(data, args) -> tuple[dict, int]:
     payload = result.to_json()
     eigen = EigenData.from_family(fam)
     lat = relation_lattice(eigen)
-    if normalform.division_check(result.normalized).ok:
+    division = normalform.division_check(result.normalized)
+    if division.ok:
         payload["certificate"] = normalform.extract_integrable_certificate(
             result.normalized, lat
         ).to_json()
     else:
-        payload["certificate"] = {
-            "ok": False,
-            "division": normalform.division_check(result.normalized).to_json(),
-        }
+        payload["certificate"] = {"ok": False, "division": division.to_json()}
     return payload, fam.degree
 
 
@@ -250,8 +256,6 @@ def _cmd_realcase(data, args) -> tuple[dict, int]:
     complex_fam, p_germ, sigma = normalform.complexify_real_family(fam)
     result = normalform.poincare_dulac_normalize(complex_fam, rho_pairing=sigma)
     realified = normalform.realify_normal_form(result.normalized, sigma)
-    from .germ import compose_germ, invert_germ
-
     conjugator = compose_germ(compose_germ(p_germ, result.psi), invert_germ(p_germ))
     real_ok = all(
         c.im == 0 for comp in conjugator.components for _, c in comp.items()

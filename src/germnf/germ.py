@@ -6,7 +6,8 @@ algebra accepts arbitrary invertible linear parts; the normalizer imposes
 diagonality separately (eigen-decomposition over Q(i) is out of scope).
 
 Composition convention: compose_germ(f, g) is f after g, and
-conjugate(f, psi) = psi^{-1} o f o psi.
+conjugate(f, psi) = psi^{-1} o f o psi.  invert_germ returns only a jet X
+with f o X = id exactly; the test that ends its loop is its verification.
 """
 
 from __future__ import annotations
@@ -135,33 +136,20 @@ def compose_germ(f: Germ, g: Germ) -> Germ:
 
 
 def invert_germ(f: Germ) -> Germ:
-    """Two-sided inverse of f modulo degree > D, by degree-recursive
-    substitution g <- L^{-1}(id - N o g) where f = L + N."""
+    """Two-sided inverse of f modulo degree > D, by defect correction: from
+    X = 0, each round adds L^{-1}(id - f o X), L the linear part of f, which
+    makes X exact through one more degree.  The loop stops as soon as
+    f o X == id holds exactly; that test is the verification, and D + 1
+    rounds always suffice for it."""
     lin_inv = field_inverse(f.linear_rows(), ONE)
-    nonlin = f.nonlinear_part()
-    identity = Germ.identity(f.n, f.degree)
-
-    def apply_linear(mat, comps):
-        out = []
-        for row in mat:
-            acc = TruncatedSeries.zero(f.n, f.degree)
-            for j, a in row.items():
-                acc = acc + comps[j].scale(a)
-            out.append(acc)
-        return out
-
-    g = apply_linear(lin_inv, identity.components)
-    for _ in range(f.degree):
-        correction = [x - y for x, y in zip(identity.components, compose_all(nonlin, g))]
-        new_g = apply_linear(lin_inv, correction)
-        if new_g == g:
-            break
-        g = new_g
-    inverse = Germ(new_g if f.degree else g)
-    check = compose_germ(f, inverse)
-    if check != identity:
-        raise AssertionError("germ inversion failed verification")
-    return inverse
+    identity = [TruncatedSeries.variable(j, f.n, f.degree) for j in range(f.n)]
+    x = [TruncatedSeries.zero(f.n, f.degree)] * f.n
+    for _ in range(f.degree + 1):
+        defect = [a - b for a, b in zip(identity, compose_all(f.components, x))]
+        if all(d.is_zero() for d in defect):
+            return Germ(x)
+        x = [sum((defect[j].scale(a) for j, a in row.items()), xm) for xm, row in zip(x, lin_inv)]
+    raise AssertionError("germ inversion failed verification")
 
 
 def conjugate(f: Germ, psi: Germ) -> Germ:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import DomainError, GaussianRational, ONE, ZERO
-from .germ import Family, Germ, compose_germ, conjugate, invert_germ
+from .germ import Family, Germ, compose_germ, invert_germ
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
 from .series import MultiIndex, TruncatedSeries, UsageError, compose_all, grlex_key
@@ -147,11 +147,6 @@ def poincare_dulac_normalize(fam: Family, rho_pairing=None) -> NormalizationResu
         offense = rho_equivariance_offense(fam, sigma)
         if offense is not None:
             raise DomainError(f"input family is not rho-equivariant: offending term {offense}")
-        for i in range(fam.p):
-            diag = fam.germs[i].linear_diag()
-            for m in range(n):
-                if diag[sigma[m]] != diag[m].conjugate():
-                    raise DomainError("linear part is not rho-equivariant under the pairing")
     work = list(fam.germs)
     psi = Germ.identity(n, degree)
     log: list[EliminationRecord] = []
@@ -518,70 +513,48 @@ def _require_real(fam: Family):
                     )
 
 
-def detect_block_structure(fam: Family) -> list[tuple[int, ...]]:
-    """Partition coordinates into rotation-scaling 2x2 blocks and real tail
-    slots, validating the shape across all germs.  Returns a list of (a, b)
-    pairs and (t,) singletons, in coordinate order."""
+def detect_block_structure(fam: Family) -> tuple[int, ...]:
+    """The pairing sigma of the real block layout, validated across all
+    germs: sigma swaps the two slots of each rotation-scaling 2x2 block on
+    adjacent coordinates and fixes each real tail slot."""
     mats = [g.linear_matrix() for g in fam.germs]
     n = fam.n
-    structure: list[tuple[int, ...]] = []
+    sigma = list(range(n))
     t = 0
-    while t < n:
-        has_off = t + 1 < n and any(
-            not mats[i][t][t + 1].is_zero() or not mats[i][t + 1][t].is_zero()
-            for i in range(fam.p)
-        )
-        if has_off:
-            for i in range(fam.p):
-                u, mv = mats[i][t][t], mats[i][t][t + 1]
-                v, u2 = mats[i][t + 1][t], mats[i][t + 1][t + 1]
-                if u != u2 or mv != -v:
+    while t < n - 1:
+        if any(not mat[t][t + 1].is_zero() or not mat[t + 1][t].is_zero() for mat in mats):
+            for i, mat in enumerate(mats):
+                if mat[t][t] != mat[t + 1][t + 1] or mat[t][t + 1] != -mat[t + 1][t]:
                     raise DomainError(
                         f"germ {i + 1} rows {t + 1},{t + 2} are not a rotation-scaling block"
                     )
-            structure.append((t, t + 1))
+            sigma[t], sigma[t + 1] = t + 1, t
             t += 2
         else:
-            structure.append((t,))
             t += 1
     # entries outside the detected blocks must vanish
-    allowed = set()
-    for block in structure:
-        for a in block:
-            for b in block:
-                allowed.add((a, b))
-    for i in range(fam.p):
+    for i, mat in enumerate(mats):
         for a in range(n):
             for b in range(n):
-                if (a, b) not in allowed and not mats[i][a][b].is_zero():
+                if b not in (a, sigma[a]) and not mat[a][b].is_zero():
                     raise DomainError(
                         f"germ {i + 1} has a linear entry at ({a + 1},{b + 1}) outside the block structure"
                     )
-    return structure
-
-
-def _pairing_from_structure(structure: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
-    sigma = list(range(n))
-    for block in structure:
-        if len(block) == 2:
-            a, b = block
-            sigma[a], sigma[b] = b, a
     return tuple(sigma)
 
 
-def _block_p_germ(structure: list[tuple[int, ...]], n: int, degree: int) -> Germ:
+def _block_p_germ(sigma: tuple[int, ...], degree: int) -> Germ:
     half = GaussianRational(Fraction(1, 2))
     mihalf = GaussianRational(0, Fraction(-1, 2))
     ihalf = GaussianRational(0, Fraction(1, 2))
+    n = len(sigma)
     mat = [[ZERO for _ in range(n)] for _ in range(n)]
-    for block in structure:
-        if len(block) == 2:
-            a, b = block
+    for a, b in enumerate(sigma):
+        if a == b:
+            mat[a][a] = ONE
+        elif a < b:
             mat[a][a], mat[a][b] = half, half
             mat[b][a], mat[b][b] = mihalf, ihalf
-        else:
-            (a,) = block
-            mat[a][a] = ONE
     return Germ.from_linear_matrix(mat, degree)
 
 
@@ -590,13 +563,11 @@ def complexify_real_family(fam: Family):
     family with diagonal linear parts; returns (complex family, P germ,
     pairing sigma swapping each block's two slots)."""
     _require_real(fam)
-    structure = detect_block_structure(fam)
-    if all(len(b) == 1 for b in structure):
+    sigma = detect_block_structure(fam)
+    if sigma == tuple(range(fam.n)):
         raise DomainError("no rotation-scaling blocks found; family is already diagonal")
-    sigma = _pairing_from_structure(structure, fam.n)
-    p_germ = _block_p_germ(structure, fam.n, fam.degree)
-    complex_germs = [conjugate(g, p_germ) for g in fam.germs]
-    complex_fam = Family(complex_germs, check_commuting=True)
+    p_germ = _block_p_germ(sigma, fam.degree)
+    complex_fam = Family(_conjugate_family(fam.germs, p_germ), check_commuting=True)
     if not complex_fam.is_diagonal_linear():
         raise AssertionError("complexified family is not diagonal")
     offense = rho_equivariance_offense(complex_fam, sigma)
@@ -613,19 +584,11 @@ def realify_normal_form(fam: Family, sigma) -> Family:
     offense = rho_equivariance_offense(fam, sigma)
     if offense is not None:
         raise DomainError(f"family is not rho-equivariant: offending term {offense}")
-    structure: list[tuple[int, ...]] = []
-    m = 0
-    while m < fam.n:
-        if sigma[m] == m + 1:
-            structure.append((m, m + 1))
-            m += 2
-        elif sigma[m] == m:
-            structure.append((m,))
-            m += 1
-        else:
-            raise UsageError("pairing must swap adjacent coordinates")
-    p_germ = _block_p_germ(structure, fam.n, fam.degree)
-    real_germs = [conjugate(g, invert_germ(p_germ)) for g in fam.germs]
+    if any(abs(s - m) > 1 for m, s in enumerate(sigma)):
+        raise UsageError("pairing must swap adjacent coordinates")
+    p_germ = _block_p_germ(sigma, fam.degree)
+    p_inv = invert_germ(p_germ)
+    real_germs = [compose_germ(p_germ, compose_germ(g, p_inv)) for g in fam.germs]
     for i, g in enumerate(real_germs):
         for mm, comp in enumerate(g.components):
             for exp, c in comp.items():

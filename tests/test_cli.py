@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from germnf.cli import run
-from germnf.germ import family_from_json
+from germnf.germ import family_from_json, invert_germ
 from germnf.series import TruncatedSeries, compose_all
+
+from helpers import random_real_block_family
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,6 +162,36 @@ class TestFirstIntegralsCorpus:
         assert len(basis) == payload["dimension"] > 0
         for g in fam.germs:
             assert compose_all(basis, [c.truncate(d) for c in g.components]) == basis
+
+
+class TestRealcaseCorpus:
+    def test_real_block_matches_golden_and_inverts_p_once(self, tmp_path, monkeypatch):
+        import germnf.normalform as normalform
+
+        golden = _perfbench_golden()
+        manifest, goldens = golden.load("normalize")
+        op = next(o for o in manifest["ops"] if o["id"] == "real_block-2.realcase")
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        expected = goldens[op["id"]]
+        assert code == expected["exit"]
+        assert golden.check(expected, code, json.dumps(report))[0] == []
+
+        inverted = []
+
+        def counted(g):
+            inverted.append(g)
+            return invert_germ(g)
+
+        monkeypatch.setattr(normalform, "invert_germ", counted)
+        corpus_fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
+        p2_fam, _ = random_real_block_family(random.Random(11), blocks=1, tail=[3], p=2, degree=4)
+        for fam in (corpus_fam, p2_fam):
+            inverted.clear()
+            cfam, p_germ, sigma = normalform.complexify_real_family(fam)
+            assert inverted == [p_germ]
+            inverted.clear()
+            assert normalform.realify_normal_form(cfam, sigma) == fam
+            assert inverted == [p_germ]
 
 
 class TestEigenWork:
@@ -314,6 +347,22 @@ class TestContracts:
         assert captured.out == ""
         assert captured.err.startswith("internal verification failed: non-resonant terms survived")
         assert "Traceback" not in captured.err
+
+    def test_failed_germ_inversion_exits_3(self, tmp_path, monkeypatch, capsys):
+        import germnf.germ as germ
+
+        exact = germ.field_inverse
+
+        def doubled(rows, one):
+            return [{j: a + a for j, a in row.items()} for row in exact(rows, one)]
+
+        monkeypatch.setattr(germ, "field_inverse", doubled)
+        with pytest.raises(AssertionError, match="germ inversion failed verification"):
+            invert_germ(family_from_json(NORMALIZABLE).germs[0])
+        path = _write(tmp_path, "nf.json", NORMALIZABLE)
+        assert run(["normalize", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal verification failed: germ inversion failed verification\n"
 
     def test_malformed_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"

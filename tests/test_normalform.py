@@ -78,6 +78,12 @@ class TestNormalize:
         with pytest.raises(UsageError):
             poincare_dulac_normalize(Family([rot]))
 
+    def test_linear_part_not_rho_equivariant(self):
+        # the pairing swaps x and y, so their eigenvalues must be conjugate
+        fam = Family([Germ.from_linear_diag([GR(2), GR(3)], 3)])
+        with pytest.raises(DomainError, match="input family is not rho-equivariant"):
+            poincare_dulac_normalize(fam, rho_pairing=(1, 0))
+
     def test_elimination_log_remultiplies(self):
         rng = random.Random(9)
         eigen = EigenData.from_rows([["2", "1/4"]])
@@ -119,6 +125,20 @@ class TestFirstIntegrals:
         nf = generate_integrable_nf(eigen, lat, 5, seed=3)
         basis = first_integrals(nf, 4)
         assert basis == [TS.monomial((2, 2), 1, 4)]
+
+    def test_multi_term_integral_is_invariant(self):
+        # a conjugated normal form whose integral x^2 y^2 picks up a second
+        # term: the kernel vector is not a unit vector, so the sign and
+        # placement of field_kernel's pivot entries reach the output
+        eigen = EigenData.from_rows([["-2", "1/2"]])
+        nf = generate_integrable_nf(eigen, relation_lattice(eigen), 5, seed=5)
+        psi = random_tangent_identity(random.Random(8), 2, 5)
+        fam = Family([conjugate(g, psi) for g in nf.germs])
+        basis = first_integrals(fam)
+        assert any(len(f.items()) >= 2 for f in basis)
+        for f in basis:
+            for g in fam.germs:
+                assert f.compose(list(g.components)) == f
 
     def test_transport_under_normalization(self):
         rng = random.Random(12)
