@@ -29,7 +29,6 @@ from .germ import (
     family_from_json,
     family_to_json,
     germ_to_json,
-    invert_germ,
 )
 from .resonance import (
     EigenContext,
@@ -58,6 +57,8 @@ def _load_json(path: str):
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _InputError(f"malformed JSON in {path}: {exc}")
+    if not isinstance(data, dict):
+        raise _InputError(f"input must be a JSON object, got {type(data).__name__}")
     return data, hashlib.sha256(raw).hexdigest()
 
 
@@ -69,12 +70,25 @@ def _load_family(data) -> Family:
 
 
 def _load_eigen(data) -> EigenData:
+    """Eigen input is strict: only the keys schema and mu, and each
+    eigenvalue a string in GaussianRational.parse form or an integer (not a
+    bool); floats and other JSON values are rejected, never converted."""
     if data.get("schema") != 1:
         raise _InputError("missing or unsupported schema field (expected 1)")
+    for key in data:
+        if key not in ("schema", "mu"):
+            raise _InputError(f"unknown field {key!r} in eigen input")
     if "mu" not in data:
         raise _InputError("eigen input needs a 'mu' field")
+    rows = data["mu"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise _InputError(f"mu must be a list of rows, got {rows!r}")
+    for row in rows:
+        for z in row:
+            if isinstance(z, bool) or not isinstance(z, (int, str)):
+                raise _InputError(f"eigenvalue must be a string or an integer, got {z!r}")
     try:
-        return EigenData.from_rows(data["mu"])
+        return EigenData.from_rows(rows)
     except (UsageError, ValueError) as exc:
         raise _InputError(f"bad eigen input: {exc}")
 
@@ -253,13 +267,12 @@ def _cmd_generate(data, args) -> tuple[dict, int]:
 
 def _cmd_realcase(data, args) -> tuple[dict, int]:
     fam = _load_family(data)
-    complex_fam, p_germ, sigma = normalform.complexify_real_family(fam)
+    complex_fam, _, sigma = normalform.complexify_real_family(fam)
     result = normalform.poincare_dulac_normalize(complex_fam, rho_pairing=sigma)
     realified = normalform.realify_normal_form(result.normalized, sigma)
-    conjugator = compose_germ(compose_germ(p_germ, result.psi), invert_germ(p_germ))
-    real_ok = all(
-        c.im == 0 for comp in conjugator.components for _, c in comp.items()
-    )
+    p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
+    conjugator = compose_germ(compose_germ(p_germ, result.psi), p_inv)
+    real_ok = all(comp.is_real() for comp in conjugator.components)
     payload = {
         "pairing": [m + 1 for m in sigma],
         "complexified": family_to_json(complex_fam),

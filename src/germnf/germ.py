@@ -5,6 +5,13 @@ all with zero constant term and an invertible linear part.  The germ
 algebra accepts arbitrary invertible linear parts; the normalizer imposes
 diagonality separately (eigen-decomposition over Q(i) is out of scope).
 
+Each component is an integer-native jet (see `series`): Gaussian-integer
+numerators over one denominator, in lowest terms, so germs compare and hash
+by their stored jets and `GaussianRational` appears only where a coefficient
+is read out (the linear matrix, JSON).  compose_germ substitutes all
+components through one `compose_all` call, whose memo of monomial images
+is shared by the n components of the outer germ.
+
 Composition convention: compose_germ(f, g) is f after g, and
 conjugate(f, psi) = psi^{-1} o f o psi.  invert_germ returns only a jet X
 with f o X = id exactly; the test that ends its loop is its verification.
@@ -166,11 +173,12 @@ def commutativity_defect(f: Germ, g: Germ):
     worst = None
     for m in range(f.n):
         diff = fg.components[m] - gf.components[m]
-        for exp, coeff in diff.items():
-            key = (sum(exp), m, grlex_key(exp))
-            if worst is None or key < worst[0]:
-                worst = (key, (sum(exp), m + 1, exp, coeff))
-            break  # items() is sorted, first term is this component's minimum
+        if diff.is_zero():
+            continue
+        exp = diff.support()[0]  # support() is sorted: this component's minimum
+        key = (sum(exp), m, grlex_key(exp))
+        if worst is None or key < worst[0]:
+            worst = (key, (sum(exp), m + 1, exp, diff.coeff(exp)))
     return worst[1] if worst else None
 
 
@@ -244,14 +252,29 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_coeff(value) -> GaussianRational:
+    """A coefficient of the wire format: a string in GaussianRational.parse
+    form; numbers and other JSON values are rejected, never coerced."""
+    if not isinstance(value, str):
+        raise UsageError(f"coefficient must be a string, got {value!r}")
+    return GaussianRational.parse(value)
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise UsageError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
     if "linear_diag" in entry:
-        diag = [GaussianRational.parse(s) for s in entry["linear_diag"]]
+        diag = [_json_coeff(s) for s in _json_list(entry["linear_diag"], "linear_diag")]
         if len(diag) != n:
             raise UsageError("linear_diag length does not match n")
         base = Germ.from_linear_diag(diag, degree)
     elif "linear_matrix" in entry:
-        mat = [[GaussianRational.parse(s) for s in row] for row in entry["linear_matrix"]]
+        rows = _json_list(entry["linear_matrix"], "linear_matrix")
+        mat = [[_json_coeff(s) for s in _json_list(row, "linear_matrix row")] for row in rows]
         if len(mat) != n or any(len(r) != n for r in mat):
             raise UsageError("linear_matrix shape does not match n")
         base = Germ.from_linear_matrix(mat, degree)
@@ -262,15 +285,12 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
         m = _json_int(term["component"], "component")
         if not 1 <= m <= n:
             raise UsageError(f"component {m} out of range 1..{n}")
-        exponents = term["exponents"]
-        if not isinstance(exponents, list):
-            raise UsageError(f"exponents must be a list, got {exponents!r}")
-        exp = tuple(_json_int(e, "exponent") for e in exponents)
+        exp = tuple(_json_int(e, "exponent") for e in _json_list(term["exponents"], "exponents"))
         if len(exp) != n:
             raise UsageError(f"exponents {exp} have wrong arity")
         if sum(exp) < 2:
             raise UsageError(f"terms must have degree >= 2 (linear part is separate): {exp}")
-        coeff = GaussianRational.parse(term["coeff"])
+        coeff = _json_coeff(term["coeff"])
         comps[m - 1] = comps[m - 1] + TruncatedSeries.monomial(exp, coeff, degree)
     return Germ(comps)
 
@@ -298,10 +318,7 @@ def family_from_json(data: dict, check_commuting: bool = True) -> Family:
     maps = data["maps"]
     if "p" in data and _json_int(data["p"], "p") != len(maps):
         raise UsageError("declared p does not match the number of maps")
-    pairing = data.get("pairing", [])
-    if not isinstance(pairing, list):
-        raise UsageError(f"pairing must be a list, got {pairing!r}")
-    for v in pairing:
+    for v in _json_list(data.get("pairing", []), "pairing"):
         _json_int(v, "pairing entry")
     germs = [germ_from_json(entry, n, degree) for entry in maps]
     return Family(germs, check_commuting=check_commuting)

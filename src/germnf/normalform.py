@@ -9,9 +9,11 @@ fails loudly).
 
 Eliminations are batched per degree: within one degree the homological
 corrections do not interact, so one conjugation per degree realizes the
-same result as one conjugation per monomial.  The final transformation psi
-is checked once, as psi o Phi_i' = Phi_i o psi for every germ, which needs
-no inverse of psi.
+same result as one conjugation per monomial.  The resonance gaps
+mu_i^gamma - mu_im that decide which terms are eliminated, and supply the
+divisors, live in one table per normalizer call, so each mu^gamma is
+computed once.  The final transformation psi is checked once, as
+psi o Phi_i' = Phi_i o psi for every germ, which needs no inverse of psi.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import DomainError, GaussianRational, ONE, ZERO
+from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, invert_germ
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
@@ -101,23 +103,41 @@ def rho_equivariance_offense(fam: Family, sigma: tuple[int, ...]):
     return None
 
 
-def _scan_nonresonant(work: list[Germ], eigen: EigenData, ell: int) -> list[tuple[int, MultiIndex]]:
+class _ResonanceGaps(dict):
+    """(m, gamma) -> the resonance gaps mu_i^gamma - mu_im of every germ i,
+    filled on first use.  Each mu^gamma is computed once, as
+    mu^(gamma - e_k) * mu_k; one table serves one normalizer call."""
+
+    def __init__(self, eigen: EigenData):
+        super().__init__()
+        self.mu = eigen.mu
+        self.powers = {(0,) * eigen.n: tuple(ONE for _ in eigen.mu)}
+
+    def power(self, exp: MultiIndex) -> tuple[GaussianRational, ...]:
+        found = self.powers.get(exp)
+        if found is None:
+            k = max(j for j, e in enumerate(exp) if e)
+            lower = self.power(exp[:k] + (exp[k] - 1,) + exp[k + 1:])
+            found = self.powers[exp] = tuple(pw * row[k] for pw, row in zip(lower, self.mu))
+        return found
+
+    def __missing__(self, key: tuple[int, MultiIndex]) -> tuple[GaussianRational, ...]:
+        m, exp = key
+        gaps = self[key] = tuple(pw - row[m] for pw, row in zip(self.power(exp), self.mu))
+        return gaps
+
+
+def _scan_nonresonant(work: list[Germ], gaps: _ResonanceGaps, ell: int) -> list[tuple[int, MultiIndex]]:
     found: list[tuple[int, MultiIndex]] = []
-    for m in range(eigen.n):
-        exps = set()
-        for g in work:
-            for exp, _ in g.components[m].items():
-                if sum(exp) == ell:
-                    exps.add(exp)
-        for exp in exps:
-            if not is_resonant_exponent(eigen, m + 1, exp):
-                found.append((m, exp))
+    for m in range(work[0].n):
+        exps = {exp for g in work for exp in g.components[m].support() if sum(exp) == ell}
+        found.extend((m, exp) for exp in exps if any(gaps[(m, exp)]))
     found.sort(key=lambda t: (t[0], grlex_key(t[1])))
     return found
 
 
-def _conjugate_family(work: list[Germ], step: Germ) -> list[Germ]:
-    step_inv = invert_germ(step)
+def _conjugate_family(work: list[Germ], step: Germ, step_inv: Germ) -> list[Germ]:
+    """step^{-1} o g o step for every germ g, given both step and its inverse."""
     return [compose_germ(step_inv, compose_germ(g, step)) for g in work]
 
 
@@ -150,17 +170,17 @@ def poincare_dulac_normalize(fam: Family, rho_pairing=None) -> NormalizationResu
     work = list(fam.germs)
     psi = Germ.identity(n, degree)
     log: list[EliminationRecord] = []
+    gaps = _ResonanceGaps(eigen)
 
     for ell in range(2, degree + 1):
-        candidates = _scan_nonresonant(work, eigen, ell)
+        candidates = _scan_nonresonant(work, gaps, ell)
         if not candidates:
             continue
         step_terms = {}
         for m, exp in candidates:
             # the first germ with a nonzero resonance gap supplies the divisor
-            for i_star in range(fam.p):
-                divisor = eigen.product(i_star, exp) - eigen.mu[i_star][m]
-                if not divisor.is_zero():
+            for i_star, divisor in enumerate(gaps[(m, exp)]):
+                if divisor:
                     break
             else:
                 raise AssertionError("non-resonant monomial with zero divisors everywhere")
@@ -178,8 +198,8 @@ def poincare_dulac_normalize(fam: Family, rho_pairing=None) -> NormalizationResu
             log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
         step = _step_germ(step_terms, n, degree)
         psi = compose_germ(psi, step)
-        work = _conjugate_family(work, step)
-        remaining = _scan_nonresonant(work, eigen, ell)
+        work = _conjugate_family(work, step, invert_germ(step))
+        remaining = _scan_nonresonant(work, gaps, ell)
         if remaining:
             raise AssertionError(
                 f"non-resonant terms survived degree {ell}: {remaining[:3]} "
@@ -216,7 +236,7 @@ def verify_pd_nf(fam: Family):
     eigen = EigenData.from_family(fam)
     for i, g in enumerate(fam.germs):
         for m in range(fam.n):
-            for exp, _ in g.components[m].items():
+            for exp in g.components[m].support():
                 if sum(exp) < 2:
                     continue
                 if not is_resonant_exponent(eigen, m + 1, exp):
@@ -277,7 +297,7 @@ def verify_first_integral_support(fam: Family, integral: TruncatedSeries):
     if offender is not None:
         raise UsageError(f"family is not in PD normal form: offending term {offender}")
     eigen = EigenData.from_family(fam)
-    for exp, _ in integral.items():
+    for exp in integral.support():
         if sum(exp) == 0:
             continue
         if not eigen.satisfies_relation(exp):
@@ -291,7 +311,7 @@ def echelonized_span(series_list: list[TruncatedSeries]) -> list[TruncatedSeries
     if not series_list:
         return []
     n, d = series_list[0].n, series_list[0].degree
-    columns = sorted({exp for s in series_list for exp, _ in s.items()}, key=grlex_key)
+    columns = sorted({exp for s in series_list for exp in s.support()}, key=grlex_key)
     index = {exp: j for j, exp in enumerate(columns)}
     echelon, _ = field_rref([{index[exp]: c for exp, c in s.items()} for s in series_list])
     return [TruncatedSeries(n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
@@ -329,7 +349,7 @@ def division_check(fam: Family) -> DivisionReport:
     offenders = []
     for i, g in enumerate(fam.germs):
         for m in range(fam.n):
-            for exp, _ in g.components[m].items():
+            for exp in g.components[m].support():
                 if exp[m] < 1:
                     offenders.append((i + 1, m + 1, exp))
                     break
@@ -379,13 +399,8 @@ class IntegrableNFCertificate:
 
 def extract_integrable_certificate(fam: Family, lattice: RelationLattice) -> IntegrableNFCertificate:
     """Divide out mu_im x_m from each component and verify the integrable
-    normal-form relations; division failures propagate as DomainError."""
-    report = division_check(fam)
-    if not report.ok:
-        i, m, exp = report.first_failure()
-        raise DomainError(
-            f"component {m} of germ {i} is not divisible by its variable: term {exp}"
-        )
+    normal-form relations.  Callers run `division_check` first; a term that
+    is not divisible still raises DomainError from `divide_by_variable`."""
     eigen = EigenData.from_family(fam)
     n, degree = fam.n, fam.degree
     one = TruncatedSeries.constant(1, n, degree)
@@ -399,7 +414,7 @@ def extract_integrable_certificate(fam: Family, lattice: RelationLattice) -> Int
             if not phi.constant_term().is_zero():
                 raise AssertionError("phi has a constant term after division")
             row.append(phi)
-            for exp, _ in phi.items():
+            for exp in phi.support():
                 if not eigen.satisfies_relation(exp):
                     support_offenders.append((i + 1, m + 1, exp))
                     break
@@ -503,14 +518,15 @@ def pushforward_leading(exponents: MultiIndex, f: Germ) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _require_real(fam: Family):
-    for i, g in enumerate(fam.germs):
+def _first_imaginary(germs: list[Germ]):
+    """(germ_1based, component_1based, exponents, coefficient) of the first
+    coefficient with a nonzero imaginary part, or None."""
+    for i, g in enumerate(germs):
         for m, comp in enumerate(g.components):
-            for exp, c in comp.items():
-                if c.im != 0:
-                    raise DomainError(
-                        f"germ {i + 1} component {m + 1} term {exp} has imaginary coefficient {c}"
-                    )
+            if not comp.is_real():
+                exp, c = next((exp, c) for exp, c in comp.items() if c.im)
+                return i + 1, m + 1, exp, c
+    return None
 
 
 def detect_block_structure(fam: Family) -> tuple[int, ...]:
@@ -543,31 +559,42 @@ def detect_block_structure(fam: Family) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _block_p_germ(sigma: tuple[int, ...], degree: int) -> Germ:
-    half = GaussianRational(Fraction(1, 2))
-    mihalf = GaussianRational(0, Fraction(-1, 2))
-    ihalf = GaussianRational(0, Fraction(1, 2))
+def block_transforms(sigma: tuple[int, ...], degree: int) -> tuple[Germ, Germ]:
+    """The linear block transformation P of the pairing sigma and its
+    inverse, both in closed form: for each block a < b = sigma(a), P has
+    rows (1/2, 1/2) and (-i/2, i/2) and P^{-1} rows (1, i) and (1, -i) on
+    columns (a, b); tail slots are fixed.  P P^{-1} = I is checked exactly,
+    once, on the linear matrices, so nothing here inverts a germ."""
+    half, ihalf = GaussianRational(Fraction(1, 2)), GaussianRational(0, Fraction(1, 2))
     n = len(sigma)
-    mat = [[ZERO for _ in range(n)] for _ in range(n)]
+    mat = [[ZERO] * n for _ in range(n)]
+    inv = [[ZERO] * n for _ in range(n)]
     for a, b in enumerate(sigma):
         if a == b:
-            mat[a][a] = ONE
+            mat[a][a] = inv[a][a] = ONE
         elif a < b:
-            mat[a][a], mat[a][b] = half, half
-            mat[b][a], mat[b][b] = mihalf, ihalf
-    return Germ.from_linear_matrix(mat, degree)
+            mat[a][a], mat[a][b], mat[b][a], mat[b][b] = half, half, -ihalf, ihalf
+            inv[a][a], inv[a][b], inv[b][a], inv[b][b] = ONE, I_UNIT, ONE, -I_UNIT
+    for r in range(n):
+        row = [sum((x * inv[k][c] for k, x in enumerate(mat[r]) if x), ZERO) for c in range(n)]
+        if row != [ONE if c == r else ZERO for c in range(n)]:
+            raise AssertionError("block transformation inverse failed verification")
+    return Germ.from_linear_matrix(mat, degree), Germ.from_linear_matrix(inv, degree)
 
 
 def complexify_real_family(fam: Family):
     """Conjugate a real block family by the block transformation P into a
     family with diagonal linear parts; returns (complex family, P germ,
     pairing sigma swapping each block's two slots)."""
-    _require_real(fam)
+    imaginary = _first_imaginary(fam.germs)
+    if imaginary is not None:
+        i, m, exp, c = imaginary
+        raise DomainError(f"germ {i} component {m} term {exp} has imaginary coefficient {c}")
     sigma = detect_block_structure(fam)
     if sigma == tuple(range(fam.n)):
         raise DomainError("no rotation-scaling blocks found; family is already diagonal")
-    p_germ = _block_p_germ(sigma, fam.degree)
-    complex_fam = Family(_conjugate_family(fam.germs, p_germ), check_commuting=True)
+    p_germ, p_inv = block_transforms(sigma, fam.degree)
+    complex_fam = Family(_conjugate_family(fam.germs, p_germ, p_inv), check_commuting=True)
     if not complex_fam.is_diagonal_linear():
         raise AssertionError("complexified family is not diagonal")
     offense = rho_equivariance_offense(complex_fam, sigma)
@@ -586,14 +613,10 @@ def realify_normal_form(fam: Family, sigma) -> Family:
         raise DomainError(f"family is not rho-equivariant: offending term {offense}")
     if any(abs(s - m) > 1 for m, s in enumerate(sigma)):
         raise UsageError("pairing must swap adjacent coordinates")
-    p_germ = _block_p_germ(sigma, fam.degree)
-    p_inv = invert_germ(p_germ)
-    real_germs = [compose_germ(p_germ, compose_germ(g, p_inv)) for g in fam.germs]
-    for i, g in enumerate(real_germs):
-        for mm, comp in enumerate(g.components):
-            for exp, c in comp.items():
-                if c.im != 0:
-                    raise AssertionError(
-                        f"realified germ {i + 1} component {mm + 1} kept an imaginary part at {exp}"
-                    )
+    p_germ, p_inv = block_transforms(sigma, fam.degree)
+    real_germs = _conjugate_family(fam.germs, p_inv, p_germ)
+    imaginary = _first_imaginary(real_germs)
+    if imaginary is not None:
+        i, m, exp, _ = imaginary
+        raise AssertionError(f"realified germ {i} component {m} kept an imaginary part at {exp}")
     return Family(real_germs, check_commuting=True)

@@ -4,17 +4,30 @@ A series is a jet: terms of total degree > D are discarded by every
 operation.  The truncation degree is fixed per computation at parse time;
 mixing degrees or dimensions raises UsageError rather than coercing.
 
-Storage is sparse (exponent tuple -> coefficient) because normal forms are
-supported on resonant monomials only.  Canonical term order everywhere is
-graded lexicographic: ascending total degree, then x1 before x2 before ...
+Storage is sparse because normal forms are supported on resonant monomials
+only, and integer-native: a series holds one positive denominator `_den`
+and a dict `_terms` {exponent tuple: (a, b)} of nonzero Gaussian-integer
+numerators, the coefficient of x^exponent being (a + b*i) / _den.  Every
+operation returns its result in lowest terms, gcd(_den, all a, all b) = 1
+(zero is {} over 1), so equal jets have equal storage and `==` and `hash`
+compare it directly.  The ring operations, scaling, truncation and
+composition are plain integer multiply-adds with one gcd per result.
+
+`GaussianRational` stays the boundary type: the mapping constructor,
+`from_term_list` and `scale` take one; `coeff`, `items`, `to_term_list` and
+`str` give one back.  `support()` gives the exponents without building
+coefficients.  Canonical term order everywhere is graded lexicographic:
+ascending total degree, then x1 before x2 before ...
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
-from .exactnum import DomainError, GaussianRational, ZERO, ONE
+from .exactnum import DomainError, GaussianRational, ZERO
 
 MultiIndex = tuple[int, ...]
 
@@ -27,40 +40,66 @@ def grlex_key(exponents: MultiIndex):
     return (sum(exponents), tuple(-e for e in exponents))
 
 
-def _as_coeff(value) -> GaussianRational:
+def _parts(value) -> tuple[int, int, int]:
+    """(a, b, d) with value = (a + b*i) / d and d > 0."""
     if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+        re, im = value.re, value.im
+        d = lcm(re.denominator, im.denominator)
+        return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
     raise TypeError(f"bad coefficient type {type(value).__name__}")
+
+
+def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
+    """(terms, den) without zero numerators and divided by the gcd of den
+    and all numerators; 1 over the zero series.  `terms` is consumed."""
+    for e in [e for e, (a, b) in terms.items() if not (a or b)]:
+        del terms[e]
+    if not terms:
+        return terms, 1
+    g = den
+    for a, b in terms.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return terms, den
+    return {e: (a // g, b // g) for e, (a, b) in terms.items()}, den // g
+
+
+def _canonical(n: int, degree: int, terms: dict, den: int) -> "TruncatedSeries":
+    """The series sum (a + b*i)/den x^e over terms {e: (a, b)}, in lowest terms."""
+    out = object.__new__(TruncatedSeries)
+    out.n, out.degree = n, degree
+    out._terms, out._den = _lowest_terms(terms, den)
+    return out
 
 
 class TruncatedSeries:
     """Jet of a formal power series in n variables modulo degree > D."""
 
-    __slots__ = ("n", "degree", "_terms")
+    __slots__ = ("n", "degree", "_terms", "_den")
 
     def __init__(self, n: int, degree: int, terms: Mapping[MultiIndex, GaussianRational] | None = None):
         if n < 1:
             raise UsageError("dimension must be >= 1")
         if degree < 0:
             raise UsageError("truncation degree must be >= 0")
-        self.n = n
-        self.degree = degree
-        clean: dict[MultiIndex, GaussianRational] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != n:
-                    raise UsageError(f"exponent {exp} has wrong arity for n={n}")
-                if any(e < 0 for e in exp):
-                    raise UsageError(f"negative exponent in {exp}")
-                if sum(exp) > degree:
-                    continue
-                coeff = _as_coeff(coeff)
-                if not coeff.is_zero():
-                    clean[exp] = coeff
-        self._terms = clean
+        parts = {}
+        for exp, coeff in (terms or {}).items():
+            exp = tuple(int(e) for e in exp)
+            if len(exp) != n:
+                raise UsageError(f"exponent {exp} has wrong arity for n={n}")
+            if any(e < 0 for e in exp):
+                raise UsageError(f"negative exponent in {exp}")
+            if sum(exp) <= degree:
+                parts[exp] = _parts(coeff)
+        den = lcm(*(d for _, _, d in parts.values()))
+        self.n, self.degree = n, degree
+        self._terms, self._den = _lowest_terms(
+            {e: (a * (den // d), b * (den // d)) for e, (a, b, d) in parts.items()}, den
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -70,33 +109,41 @@ class TruncatedSeries:
 
     @staticmethod
     def constant(value, n: int, degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(n, degree, {(0,) * n: _as_coeff(value)})
+        return TruncatedSeries(n, degree, {(0,) * n: value})
 
     @staticmethod
     def variable(index: int, n: int, degree: int) -> "TruncatedSeries":
         if not 0 <= index < n:
             raise UsageError(f"variable index {index} out of range")
         exp = tuple(1 if j == index else 0 for j in range(n))
-        return TruncatedSeries(n, degree, {exp: ONE})
+        return TruncatedSeries(n, degree, {exp: 1})
 
     @staticmethod
     def monomial(exponents: MultiIndex, coeff, degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(len(exponents), degree, {tuple(exponents): _as_coeff(coeff)})
+        return TruncatedSeries(len(exponents), degree, {tuple(exponents): coeff})
 
     # -- basic queries -------------------------------------------------------
 
     def coeff(self, exponents: MultiIndex) -> GaussianRational:
-        return self._terms.get(tuple(exponents), ZERO)
+        ab = self._terms.get(tuple(exponents))
+        if ab is None:
+            return ZERO
+        return GaussianRational(Fraction(ab[0], self._den), Fraction(ab[1], self._den))
 
     def items(self) -> list[tuple[MultiIndex, GaussianRational]]:
         """Terms in graded-lex order (the canonical iteration order)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        return [(exp, self.coeff(exp)) for exp in self.support()]
 
     def support(self) -> list[MultiIndex]:
-        return [exp for exp, _ in self.items()]
+        """Exponents of the nonzero terms in graded-lex order."""
+        return sorted(self._terms, key=grlex_key)
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def is_real(self) -> bool:
+        """True when every coefficient has zero imaginary part."""
+        return not any(b for _, b in self._terms.values())
 
     def constant_term(self) -> GaussianRational:
         return self.coeff((0,) * self.n)
@@ -104,10 +151,15 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.n == other.n and self.degree == other.degree and self._terms == other._terms
+        return (
+            self.n == other.n
+            and self.degree == other.degree
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash((self.n, self.degree, tuple(self.items())))
+        return hash((self.n, self.degree, self._den, frozenset(self._terms.items())))
 
     # -- ring operations -----------------------------------------------------
 
@@ -117,53 +169,63 @@ class TruncatedSeries:
                 f"series mismatch: (n={self.n}, D={self.degree}) vs (n={other.n}, D={other.degree})"
             )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other over the least common denominator."""
         self._check_compatible(other)
-        terms = dict(self._terms)
-        for exp, c in other._terms.items():
-            acc = terms.get(exp, ZERO) + c
-            if acc.is_zero():
-                terms.pop(exp, None)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        terms = {e: (a * fa, b * fa) for e, (a, b) in self._terms.items()}
+        for e, (a, b) in other._terms.items():
+            cur = terms.get(e)
+            if cur is None:
+                terms[e] = (a * fb, b * fb)
             else:
-                terms[exp] = acc
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = terms
-        return out
+                terms[e] = (cur[0] + a * fb, cur[1] + b * fb)
+        return _canonical(self.n, self.degree, terms, den)
+
+    def _map(self, func, den: int = 1) -> "TruncatedSeries":
+        """The series of func(e, a, b) -> (new exponent, new a, new b), or
+        None to drop the term, over self._den * den."""
+        terms = {}
+        for e, (a, b) in self._terms.items():
+            mapped = func(e, a, b)
+            if mapped is not None:
+                terms[mapped[0]] = mapped[1:]
+        return _canonical(self.n, self.degree, terms, self._den * den)
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = {exp: -c for exp, c in self._terms.items()}
-        return out
+        return self.scale(-1)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
         limit = self.degree
-        terms: dict[MultiIndex, GaussianRational] = {}
-        for ea, ca in self._terms.items():
-            da = sum(ea)
-            for eb, cb in other._terms.items():
-                if da + sum(eb) > limit:
-                    continue
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(exp, ZERO) + ca * cb
-                if acc.is_zero():
-                    terms.pop(exp, None)
+        right = sorted(((sum(e), e, a, b) for e, (a, b) in other._terms.items()), key=itemgetter(0))
+        terms: dict[MultiIndex, tuple[int, int]] = {}
+        get = terms.get
+        for ea, (ar, ai) in self._terms.items():
+            room = limit - sum(ea)
+            for db, eb, br, bi in right:
+                if db > room:
+                    break
+                exp = tuple(map(add, ea, eb))
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                cur = get(exp)
+                if cur is None:
+                    terms[exp] = (re, im)
                 else:
-                    terms[exp] = acc
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = terms
-        return out
+                    terms[exp] = (cur[0] + re, cur[1] + im)
+        return _canonical(self.n, self.degree, terms, self._den * other._den)
 
     def scale(self, value) -> "TruncatedSeries":
-        c = _as_coeff(value)
-        if c.is_zero():
-            return TruncatedSeries(self.n, self.degree)
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = {exp: coeff * c for exp, coeff in self._terms.items()}
-        return out
+        p, q, d = _parts(value)
+        return self._map(lambda e, a, b: (e, a * p - b * q, a * q + b * p), d)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
@@ -182,35 +244,33 @@ class TruncatedSeries:
 
     def shift_monomial(self, exponents: MultiIndex, coeff=1) -> "TruncatedSeries":
         """Multiply by coeff * x^exponents (with truncation)."""
-        c = _as_coeff(coeff)
         shift = tuple(exponents)
-        terms = {}
-        for exp, v in self._terms.items():
-            new = tuple(x + y for x, y in zip(exp, shift))
-            if sum(new) <= self.degree:
-                terms[new] = v * c
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        return out
+        p, q, d = _parts(coeff)
+        limit = self.degree - sum(shift)
+
+        def shifted(e, a, b):
+            if sum(e) > limit:
+                return None
+            return tuple(map(add, e, shift)), a * p - b * q, a * q + b * p
+
+        return self._map(shifted, d)
 
     # -- jets ----------------------------------------------------------------
 
     def homogeneous_part(self, d: int) -> "TruncatedSeries":
         if d < 0 or d > self.degree:
             raise UsageError(f"homogeneous degree {d} outside [0, {self.degree}]")
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = {exp: c for exp, c in self._terms.items() if sum(exp) == d}
-        return out
+        return self._map(lambda e, a, b: (e, a, b) if sum(e) == d else None)
 
     def part_up_to(self, d: int) -> "TruncatedSeries":
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = {exp: c for exp, c in self._terms.items() if sum(exp) <= d}
-        return out
+        return self._map(lambda e, a, b: (e, a, b) if sum(e) <= d else None)
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.degree:
             raise UsageError("cannot raise the truncation degree of a jet")
-        return TruncatedSeries(self.n, new_degree, self._terms)
+        out = self.part_up_to(new_degree)
+        out.degree = new_degree
+        return out
 
     # -- composition and transcendental jets ----------------------------------
 
@@ -250,38 +310,27 @@ class TruncatedSeries:
     # -- coordinate operations used by the real case --------------------------
 
     def conjugate_coeffs(self) -> "TruncatedSeries":
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = {exp: c.conjugate() for exp, c in self._terms.items()}
-        return out
+        return self._map(lambda e, a, b: (e, a, -b))
 
     def permute_variables(self, perm: tuple[int, ...]) -> "TruncatedSeries":
         """Substitute x_j -> x_{perm[j]}: exponent at slot perm[j] receives e_j."""
         if sorted(perm) != list(range(self.n)):
             raise UsageError("not a permutation")
-        out = TruncatedSeries(self.n, self.degree)
-        terms = {}
-        for exp, c in self._terms.items():
-            new = [0] * self.n
-            for j, e in enumerate(exp):
-                new[perm[j]] = e
-            terms[tuple(new)] = c
-        out._terms = terms
-        return out
+        inverse = sorted(range(self.n), key=lambda j: perm[j])
+        return self._map(lambda e, a, b: (tuple(e[j] for j in inverse), a, b))
 
     def divide_by_variable(self, index: int) -> "TruncatedSeries":
         """Exact division by x_index; raises DomainError if any term lacks it.
 
         The quotient is returned at the same truncation degree (it is a
         polynomial of degree <= D - 1, so no information is invented)."""
-        out_terms = {}
-        for exp, c in self._terms.items():
-            if exp[index] < 1:
-                raise DomainError(f"term {exp} is not divisible by variable {index + 1}")
-            new = tuple(e - 1 if j == index else e for j, e in enumerate(exp))
-            out_terms[new] = c
-        out = TruncatedSeries(self.n, self.degree)
-        out._terms = out_terms
-        return out
+
+        def lower(e, a, b):
+            if e[index] < 1:
+                raise DomainError(f"term {e} is not divisible by variable {index + 1}")
+            return e[:index] + (e[index] - 1,) + e[index + 1:], a, b
+
+        return self._map(lower)
 
     # -- serialization ---------------------------------------------------------
 
@@ -334,9 +383,14 @@ class TruncatedSeries:
 def compose_all(
     targets: Iterable[TruncatedSeries], components: Iterable[TruncatedSeries]
 ) -> list[TruncatedSeries]:
-    """Jets of t(g1, ..., gn) for every target t, substituting from one table
-    of the powers g_k^e shared by all targets; each g must have zero
-    constant term and the targets' degree."""
+    """Jets of t(g1, ..., gn) for every target t; each g must have zero
+    constant term and the targets' degree.
+
+    A memo of monomial images, private to the call and shared by all
+    targets, holds x^gamma o g for each exponent gamma met; a missing one is
+    (x^(gamma - e_k) o g) * g_k with k the last variable of gamma, so each
+    distinct monomial costs one series product.  A target's coefficients
+    are then applied to the images as one integer linear combination."""
     comps = list(components)
     if not comps:
         raise UsageError("composition needs at least one component series")
@@ -344,28 +398,40 @@ def compose_all(
     for g in comps:
         if g.n != n or g.degree != degree:
             raise UsageError("composition component mismatch")
-        if not g.constant_term().is_zero():
+        if (0,) * n in g._terms:
             raise DomainError("composition requires zero constant terms")
-    powers = [[TruncatedSeries.constant(1, n, degree)] for _ in comps]
+    images: dict[MultiIndex, TruncatedSeries] = {(0,) * n: TruncatedSeries.constant(1, n, degree)}
+    images.update((tuple(int(j == k) for j in range(n)), g) for k, g in enumerate(comps))
+
+    def image(exp: MultiIndex) -> TruncatedSeries:
+        found = images.get(exp)
+        if found is None:
+            k = max(j for j, e in enumerate(exp) if e)
+            found = images[exp] = image(exp[:k] + (exp[k] - 1,) + exp[k + 1:]) * comps[k]
+        return found
+
     out = []
     for target in targets:
         if target.n != len(comps):
             raise UsageError(f"composition needs {target.n} component series")
         if target.degree != degree:
             raise UsageError("composition component mismatch")
-        result = TruncatedSeries(n, degree)
-        for exp, c in target._terms.items():
-            term = TruncatedSeries.constant(c, n, degree)
-            for k, e in enumerate(exp):
-                if e:
-                    table = powers[k]
-                    while len(table) <= e:
-                        table.append(table[-1] * comps[k])
-                    term = term * table[e]
-                    if term.is_zero():
-                        break
-            result = result + term
-        out.append(result)
+        parts = [(a, b, image(exp)) for exp, (a, b) in target._terms.items()]
+        den = lcm(*(img._den for _, _, img in parts))
+        terms: dict[MultiIndex, tuple[int, int]] = {}
+        get = terms.get
+        for p, q, img in parts:
+            f = den // img._den
+            p, q = p * f, q * f
+            for e, (a, b) in img._terms.items():
+                re = a * p - b * q
+                im = a * q + b * p
+                cur = get(e)
+                if cur is None:
+                    terms[e] = (re, im)
+                else:
+                    terms[e] = (cur[0] + re, cur[1] + im)
+        out.append(_canonical(n, degree, terms, den * target._den))
     return out
 
 

@@ -121,11 +121,12 @@ def _unit(j: int, n: int) -> tuple[int, ...]:
 
 
 @st.composite
-def jets(draw, n: int, degree: int, min_degree: int = 1, max_terms: int = 3):
-    """A jet of at most max_terms terms, each of total degree >= min_degree."""
+def jets(draw, n: int, degree: int, min_degree: int = 1, max_terms: int = 3, coeffs=gaussians):
+    """A jet of at most max_terms terms, each of total degree >= min_degree,
+    with coefficients drawn from `coeffs`."""
     pool = list(all_exponents(n, degree, min_degree))
     exps = draw(st.lists(st.sampled_from(pool), max_size=max_terms, unique=True)) if pool else []
-    return TruncatedSeries(n, degree, {exp: draw(gaussians) for exp in exps})
+    return TruncatedSeries(n, degree, {exp: draw(coeffs) for exp in exps})
 
 
 @st.composite

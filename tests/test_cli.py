@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from germnf.cli import run
-from germnf.germ import family_from_json, invert_germ
+from germnf.germ import Germ, family_from_json, invert_germ
 from germnf.series import TruncatedSeries, compose_all
 
 from helpers import random_real_block_family
@@ -165,17 +165,11 @@ class TestFirstIntegralsCorpus:
 
 
 class TestRealcaseCorpus:
-    def test_real_block_matches_golden_and_inverts_p_once(self, tmp_path, monkeypatch):
+    def test_real_block_matches_golden_and_never_inverts_p(self, tmp_path, monkeypatch):
         import germnf.normalform as normalform
 
         golden = _perfbench_golden()
         manifest, goldens = golden.load("normalize")
-        op = next(o for o in manifest["ops"] if o["id"] == "real_block-2.realcase")
-        code, report = _run_json(tmp_path, *golden.argv_of(op))
-        expected = goldens[op["id"]]
-        assert code == expected["exit"]
-        assert golden.check(expected, code, json.dumps(report))[0] == []
-
         inverted = []
 
         def counted(g):
@@ -183,15 +177,86 @@ class TestRealcaseCorpus:
             return invert_germ(g)
 
         monkeypatch.setattr(normalform, "invert_germ", counted)
-        corpus_fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
+        for op in (o for o in manifest["ops"] if o["command"] == "realcase"):
+            inverted.clear()
+            code, report = _run_json(tmp_path, *golden.argv_of(op))
+            expected = goldens[op["id"]]
+            assert code == expected["exit"]
+            assert golden.check(expected, code, json.dumps(report))[0] == []
+            fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
+            sigma = tuple(m - 1 for m in report["payload"]["pairing"])
+            p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
+            # only elimination steps (linear part the identity) are inverted
+            assert inverted and p_germ not in inverted and p_inv not in inverted
+            identity = Germ.identity(fam.n, fam.degree).linear_matrix()
+            assert all(g.linear_matrix() == identity for g in inverted)
         p2_fam, _ = random_real_block_family(random.Random(11), blocks=1, tail=[3], p=2, degree=4)
-        for fam in (corpus_fam, p2_fam):
-            inverted.clear()
-            cfam, p_germ, sigma = normalform.complexify_real_family(fam)
-            assert inverted == [p_germ]
-            inverted.clear()
-            assert normalform.realify_normal_form(cfam, sigma) == fam
-            assert inverted == [p_germ]
+        inverted.clear()
+        cfam, _, sigma = normalform.complexify_real_family(p2_fam)
+        assert normalform.realify_normal_form(cfam, sigma) == p2_fam
+        assert inverted == []
+
+
+class TestCorpusGoldens:
+    """Every normalize and integrals corpus op, checked against its stored
+    golden result, so a report change in the jet layer fails here too."""
+
+    OPS = [
+        (workload, op["id"])
+        for workload in ("normalize", "integrals")
+        for op in json.loads((ROOT / "perfbench" / "corpus" / f"{workload}.json").read_text())["ops"]
+    ]
+
+    def test_corpus_has_22_ops(self):
+        assert len(self.OPS) == 22
+
+    @pytest.mark.parametrize("workload, op_id", OPS)
+    def test_report_matches_golden(self, tmp_path, workload, op_id):
+        golden = _perfbench_golden()
+        manifest, goldens = golden.load(workload)
+        op = next(o for o in manifest["ops"] if o["id"] == op_id)
+        expected = goldens[op_id]
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        assert code == expected["exit"]
+        assert golden.check(expected, code, json.dumps(report))[0] == []
+
+
+class TestJetWork:
+    @pytest.mark.parametrize("op_id", ["dense_p1-0.normalize", "conj_p2-0.normalize"])
+    def test_normalize_division_checks_once(self, tmp_path, monkeypatch, op_id):
+        import germnf.normalform as normalform
+
+        original, calls = normalform.division_check, []
+
+        def counted(fam):
+            calls.append(fam)
+            return original(fam)
+
+        monkeypatch.setattr(normalform, "division_check", counted)
+        golden = _perfbench_golden()
+        manifest, _ = golden.load("normalize")
+        op = next(o for o in manifest["ops"] if o["id"] == op_id)
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        assert code == 0 and "certificate" in report["payload"]
+        assert len(calls) == 1
+
+    def test_first_integrals_one_product_per_column_monomial(self, monkeypatch):
+        import germnf.normalform as normalform
+
+        golden = _perfbench_golden()
+        fam = family_from_json(json.loads((golden.HERE / "corpus/integrals/inf_p2_n4-0.json").read_text()))
+        products = []
+        original = TruncatedSeries.__mul__
+
+        def counted(a, b):
+            products.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        basis = normalform.first_integrals(fam, 6)
+        columns = normalform._monomial_columns(fam.n, 6)
+        assert basis and len(columns) == 209
+        assert 0 < len(products) <= fam.p * len(columns)
 
 
 class TestEigenWork:
@@ -303,6 +368,34 @@ class TestContracts:
         assert run(["analyze", path]) == 1
 
     @pytest.mark.parametrize(
+        "data",
+        [
+            {"schema": 1, "mu": [["2", True]]},  # was read as 1
+            {"schema": 1, "mu": [["2", 0.1]], "junk": 3},
+            {"schema": 1, "mu": [["2", "3"]], "junk": 3},
+            {"schema": 1, "mu": [["2", 0.1]]},  # was read through its binary value
+            {"schema": 1, "mu": [["2", 1.5]]},
+            {"schema": 1, "mu": [["2", None]]},
+            {"schema": 1, "mu": [["2", ["3"]]]},
+            {"schema": 1, "mu": [["2", "3x"]]},
+            {"schema": 1, "mu": ["2", "3"]},
+            {"schema": 1, "mu": "2"},
+            ["schema", 1],
+        ],
+    )
+    @pytest.mark.parametrize("command", ["lattice", "analyze"])
+    def test_strict_eigen_input_exit_1(self, tmp_path, capsys, command, data):
+        path = _write(tmp_path, "bad.json", data)
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_integer_eigenvalues_accepted(self, tmp_path):
+        path = _write(tmp_path, "int.json", {"schema": 1, "mu": [[-2, "1/2"]]})
+        code, report = _run_json(tmp_path, "lattice", path)
+        assert code == 0 and report["payload"]["basis"] == [[2, 2]]
+
+    @pytest.mark.parametrize(
         "place, value",
         [
             ("exponents", [1.5, 1]),  # was truncated to [1, 1]
@@ -314,12 +407,23 @@ class TestContracts:
             ("p", True),
             ("pairing", [2, True]),
             ("pairing", "21"),
+            ("coeff", 0.5),
+            ("coeff", 2),
+            ("coeff", True),
+            ("coeff", None),
+            ("linear_diag", [2, "3"]),
+            ("linear_diag", "23"),  # was read as ["2", "3"]
+            ("linear_matrix", ["20", "03"]),  # was read as [["2", "0"], ["0", "3"]]
+            ("linear_matrix", "2003"),
         ],
     )
     def test_non_integer_field_exit_1(self, tmp_path, capsys, place, value):
         data = json.loads(json.dumps(NORMALIZABLE))
-        if place in ("exponents", "component"):
+        if place in ("exponents", "component", "coeff"):
             data["maps"][0]["terms"][0][place] = value
+        elif place.startswith("linear_"):
+            del data["maps"][0]["linear_diag"]
+            data["maps"][0][place] = value
         else:
             data[place] = value
         path = _write(tmp_path, "bad.json", data)

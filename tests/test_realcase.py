@@ -6,6 +6,7 @@ import pytest
 from germnf.exactnum import DomainError, GaussianRational as GR
 from germnf.germ import Family, Germ, compose_germ, conjugate, invert_germ
 from germnf.normalform import (
+    block_transforms,
     complexify_real_family,
     poincare_dulac_normalize,
     realify_normal_form,
@@ -51,6 +52,20 @@ class TestComplexify:
         g = Germ.from_linear_diag([GR(0, 1), GR(0, -1)], 3)
         with pytest.raises(DomainError):
             complexify_real_family(Family([g]))
+
+
+class TestBlockTransforms:
+    @pytest.mark.parametrize("sigma", [(1, 0), (1, 0, 2), (0, 2, 1), (1, 0, 3, 2)])
+    def test_closed_form_inverse(self, sigma):
+        p_germ, p_inv = block_transforms(sigma, 3)
+        identity = Germ.identity(len(sigma), 3)
+        assert compose_germ(p_germ, p_inv) == identity == compose_germ(p_inv, p_germ)
+        assert invert_germ(p_germ) == p_inv
+
+    def test_complexify_uses_the_block_transform(self):
+        fam = Family([rotation_germ()])
+        cfam, p_germ, sigma = complexify_real_family(fam)
+        assert block_transforms(sigma, 4)[0] == p_germ
 
 
 class TestRealify:

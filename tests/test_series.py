@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -200,3 +201,162 @@ class TestSerialization:
                 2,
                 4,
             )
+
+
+# ---------------------------------------------------------------------------
+# the integer-native storage against a dict-of-GaussianRational reference
+# ---------------------------------------------------------------------------
+
+# coefficients with many distinct denominators, so operands rarely share one
+wide = st.builds(
+    GR,
+    st.fractions(-6, 6, max_denominator=12),
+    st.fractions(-6, 6, max_denominator=12),
+)
+
+
+def ref(s: TS) -> dict:
+    """The reference form of a jet: {exponent: nonzero GaussianRational}."""
+    return dict(s.items())
+
+
+def ref_clean(terms: dict, degree: int) -> dict:
+    return {e: c for e, c in terms.items() if c and sum(e) <= degree}
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, GR(0)) + c * sign
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict, degree: int) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, GR(0)) + ca * cb
+    return ref_clean(out, degree)
+
+
+def ref_compose(target: dict, comps: list[dict], n: int, degree: int) -> dict:
+    out = {}
+    for exp, c in target.items():
+        term = {(0,) * n: c}
+        for k, e in enumerate(exp):
+            for _ in range(e):
+                term = ref_mul(term, comps[k], degree)
+        out = ref_add(out, term)
+    return out
+
+
+def assert_canonical(s: TS):
+    """Lowest terms: a positive denominator sharing no factor with all the
+    numerators, no zero numerator, and 1 over the zero jet."""
+    assert s._den > 0
+    assert all(a or b for a, b in s._terms.values())
+    assert math.gcd(s._den, *(x for ab in s._terms.values() for x in ab)) == 1
+
+
+def assert_matches(s: TS, expected: dict):
+    assert_canonical(s)
+    assert ref(s) == expected
+    rebuilt = TS(s.n, s.degree, expected)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+
+
+class TestIntegerStorage:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_ring_operations_match_reference(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        d = data.draw(st.integers(1, 5), label="D")
+        f = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="f")
+        g = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="g")
+        c = data.draw(wide, label="c")
+        assert_matches(f + g, ref_add(ref(f), ref(g)))
+        assert_matches(f - g, ref_add(ref(f), ref(g), -1))
+        assert_matches(-f, {e: -v for e, v in ref(f).items()})
+        assert_matches(f * g, ref_mul(ref(f), ref(g), d))
+        assert_matches(f.scale(c), ref_clean({e: v * c for e, v in ref(f).items()}, d))
+        low = data.draw(st.integers(0, d), label="low")
+        truncated = f.truncate(low)
+        assert truncated.degree == low
+        assert_matches(truncated, ref_clean(ref(f), low))
+        assert_matches(f.homogeneous_part(low), {e: v for e, v in ref(f).items() if sum(e) == low})
+        shift = tuple(data.draw(st.integers(0, 2), label="shift") for _ in range(n))
+        shifted = {tuple(x + y for x, y in zip(e, shift)): v * c for e, v in ref(f).items()}
+        assert_matches(f.shift_monomial(shift, c), ref_clean(shifted, d))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sums_that_cancel(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        d = data.draw(st.integers(1, 5), label="D")
+        f = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="f")
+        g = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="g")
+        zero = TS.zero(n, d)
+        for cancelled in (f - f, f + (-f), f.scale(0), (f + g) - g - f, f * zero):
+            assert cancelled == zero and hash(cancelled) == hash(zero)
+            assert cancelled._den == 1 and cancelled.is_zero()
+        # partial cancellation lowers the denominator back to the survivors'
+        assert_matches((f + g) - g, ref(f))
+        assert_matches(f + g.scale(GR(1, 1)) - g.scale(GR(0, 1)), ref_add(ref(f), ref(g)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_divide_by_variable_matches_reference(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        d = data.draw(st.integers(1, 5), label="D")
+        k = data.draw(st.integers(0, n - 1), label="k")
+        f = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="f")
+        terms = ref(f)
+        if all(e[k] >= 1 for e in terms):
+            lowered = {e[:k] + (e[k] - 1,) + e[k + 1:]: v for e, v in terms.items()}
+            assert_matches(f.divide_by_variable(k), lowered)
+        else:
+            with pytest.raises(DomainError):
+                f.divide_by_variable(k)
+        multiple = f.shift_monomial(tuple(int(j == k) for j in range(n)))
+        assert_matches(multiple.divide_by_variable(k), ref_clean(terms, d - 1))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_compose_all_matches_reference(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        d = data.draw(st.integers(1, 5), label="D")
+        targets = data.draw(st.lists(jets(n, d, min_degree=0, coeffs=wide), min_size=1, max_size=3))
+        comps = [data.draw(jets(n, d, coeffs=wide)) for _ in range(n)]
+        got = compose_all(targets, comps)
+        for target, image in zip(targets, got):
+            assert_matches(image, ref_compose(ref(target), [ref(g) for g in comps], n, d))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equal_values_have_equal_storage(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        d = data.draw(st.integers(1, 5), label="D")
+        f = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="f")
+        g = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="g")
+        h = data.draw(jets(n, d, min_degree=0, max_terms=4, coeffs=wide), label="h")
+        routes = [
+            (f + g) * h,
+            f * h + g * h,
+            h * (g + f),
+            TS(n, d, ref_mul(ref_add(ref(f), ref(g)), ref(h), d)),
+            TS.from_term_list(((f + g) * h).to_term_list(), n, d),
+        ]
+        for other in routes[1:]:
+            assert other == routes[0] and hash(other) == hash(routes[0])
+            assert other._den == routes[0]._den and other._terms == routes[0]._terms
+
+    def test_boundary_conversion(self):
+        f = TS(2, 3, {(1, 0): GR(Fraction(1, 6), Fraction(-1, 4)), (0, 2): Fraction(2, 3), (1, 1): 0})
+        assert f.support() == [(1, 0), (0, 2)]
+        assert f.coeff((1, 0)) == GR(Fraction(1, 6), Fraction(-1, 4))
+        assert f.coeff((0, 2)) == GR(Fraction(2, 3)) and f.coeff((1, 1)) == GR(0)
+        assert (f._den, f._terms) == (12, {(1, 0): (2, -3), (0, 2): (8, 0)})
+        assert str(f) == "(1/6-1/4*i)*x + 2/3*y^2"
+        assert not f.is_real() and f.scale(GR(0, 1)).scale(GR(0, -1)) == f
+        assert TS(2, 3, {(1, 0): 2}).is_real()
