@@ -13,6 +13,13 @@ a guess.  Concretely:
   certifying the nonzero direction;
 * the remaining gap (a symbolically nonzero expression whose value cannot
   be separated from zero) is reported as INDETERMINATE.
+
+The hyperbolicity deciders read one table of log-modulus minors per
+EigenContext.  Weak hyperbolicity decides each subset's hull: full rank
+(not in it), else a rational hull point from an exact LP, else at rank
+p - 1 the sign test on the cofactor vector spanning the kernel (in it iff
+sign-definite), at rank 1 a sign test on one coordinate, else
+INDETERMINATE; see is_weakly_hyperbolic.
 """
 
 from __future__ import annotations
@@ -116,9 +123,6 @@ class BranchChoice:
     def zero(p: int, n: int) -> "BranchChoice":
         return BranchChoice(tuple((0,) * n for _ in range(p)))
 
-    def entry(self, i: int, m: int) -> int:
-        return self.b[i][m]
-
     def verify(self, eigen: EigenData) -> bool:
         """exp(lambda_im) = mu_im holds for every integer branch entry, since
         ln|mu| is exact and the angle is the principal argument plus whole
@@ -131,11 +135,7 @@ class BranchChoice:
 
 def _turns_of(ctx: EigenContext, i: int, k) -> TurnSum:
     """sum_m k_m Arg(mu_im) / (2 pi), symbolically."""
-    total = TurnSum(Fraction(0), ())
-    for m, e in enumerate(k):
-        if e:
-            total = total + ctx.arg_turns(i, m).scale(e)
-    return total
+    return sum((ctx.arg_turns(i, m).scale(e) for m, e in enumerate(k) if e), TurnSum(Fraction(0), ()))
 
 
 def k_vector(eigen: EigenData | EigenContext, k, branch: BranchChoice | None = None) -> tuple[int, ...]:
@@ -144,7 +144,7 @@ def k_vector(eigen: EigenData | EigenContext, k, branch: BranchChoice | None = N
     br = branch if branch is not None else BranchChoice.zero(ctx.eigen.p, ctx.eigen.n)
     return tuple(
         certified_round_to_integer(_turns_of(ctx, i, k))
-        + sum(e * br.entry(i, m) for m, e in enumerate(k))
+        + sum(e * br.b[i][m] for m, e in enumerate(k))
         for i in range(ctx.eigen.p)
     )
 
@@ -154,23 +154,24 @@ def k_vector(eigen: EigenData | EigenContext, k, branch: BranchChoice | None = N
 # ---------------------------------------------------------------------------
 
 # symbol encodings: ("log", p), ("pi",), ("atan", num, den) with 0 < num/den < 1
-SymMonomial = tuple
-
-_POLY_ZERO: dict = {}
 
 
 def poly_const(c: GaussianRational) -> dict:
     return {} if c.is_zero() else {(): c}
 
 
+def _accumulate(out: dict, mono, c: GaussianRational) -> None:
+    acc = out.get(mono, GaussianRational(0)) + c
+    if acc.is_zero():
+        out.pop(mono, None)
+    else:
+        out[mono] = acc
+
+
 def poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for mono, c in b.items():
-        acc = out.get(mono, GaussianRational(0)) + c
-        if acc.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = acc
+        _accumulate(out, mono, c)
     return out
 
 
@@ -178,44 +179,23 @@ def poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(sorted(ma + mb))
-            acc = out.get(mono, GaussianRational(0)) + ca * cb
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
+            _accumulate(out, tuple(sorted(ma + mb)), ca * cb)
     return out
 
 
 def poly_det(rows: list[list[dict]]) -> dict:
-    n = len(rows)
-    det: dict = {}
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = poly_const(GaussianRational(sign))
-        for i in range(n):
-            term = poly_mul(term, rows[i][perm[i]])
-            if not term:
-                break
-        det = poly_add(det, term)
+    """Determinant by Laplace expansion along the first row."""
+    det = {} if rows else poly_const(GaussianRational(1))
+    for j, entry in enumerate(rows[0] if rows else ()):
+        if entry:
+            det = poly_add(det, poly_mul(entry, _cofactor(rows, 0, j)))
     return det
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _cofactor(rows: list[list[dict]], r: int, j: int) -> dict:
+    """(-1)^(r+j) times the minor of `rows` without row r and column j."""
+    minor = poly_det([row[:j] + row[j + 1:] for i, row in enumerate(rows) if i != r])
+    return poly_mul(poly_const(GaussianRational((-1) ** (r + j))), minor)
 
 
 def _symbol_interval(sym, prec: int) -> Interval:
@@ -259,43 +239,95 @@ def certify_poly_nonzero(poly: dict, max_bits: int | None = None) -> bool:
     Affine forms in {1, ln p} are decided exactly; everything else goes to
     the interval ladder, and False there means 'could not certify', not
     'zero'."""
-    if not poly:
-        return False
-    if _poly_is_log_affine(poly):
-        # c0 + sum c_p ln p = 0 only when every coefficient vanishes: a
-        # nontrivial relation would force a multiplicative relation among
-        # primes (or e^q rational for rational q != 0)
-        return True
+    # c0 + sum c_p ln p = 0 only when every coefficient vanishes: a
+    # nontrivial relation would force a multiplicative relation among
+    # primes (or e^q rational for rational q != 0)
+    return bool(poly) and (_poly_is_log_affine(poly) or _interval_signs(poly, max_bits) != (0, 0))
+
+
+def _interval_signs(poly: dict, max_bits: int | None) -> tuple[int, int]:
+    """Signs of the real and imaginary parts at the first precision that
+    separates either from zero, else (0, 0)."""
     for prec in precision_ladder(max_bits):
         re_iv, im_iv = poly_eval_intervals(poly, prec)
-        if re_iv.sign() != 0 or im_iv.sign() != 0:
-            return True
-    return False
+        if re_iv.sign() or im_iv.sign():
+            return re_iv.sign(), im_iv.sign()
+    return 0, 0
+
+
+def poly_sign(poly: dict, max_bits: int | None = None) -> int | None:
+    """Certified sign of a real polynomial's value: 0 for the symbolic zero,
+    None when no precision up to max_bits separates it from zero.  A linear
+    form in logarithms of primes is decided exactly."""
+    if () not in poly and _poly_is_log_affine(poly):
+        return LogModulusVector.from_dict({mono[0][1]: c.re for mono, c in poly.items()}).sign(max_bits)
+    return _interval_signs(poly, max_bits)[0] or None
+
+
+@dataclass(frozen=True)
+class Minor:
+    """The p x p minor on `columns` (0-based) of a p-row symbolic matrix.
+    `full`: `det` certified nonzero (True), symbolically zero (False) or
+    neither (None).  A singular minor's `kernel` is a cofactor vector with a
+    certified nonzero entry, which spans the kernel (see is_weakly_hyperbolic),
+    and `signs` its entries' certified signs (None where uncertified)."""
+
+    columns: tuple[int, ...]
+    det: dict
+    full: bool | None
+    kernel: tuple[dict, ...] | None = None
+    signs: tuple[int | None, ...] | None = None
+
+
+def _cofactor_kernel(block: list[list[dict]], max_bits: int | None):
+    """(cofactors, signs) along the first row of the singular square block
+    whose cofactors are not all zero or uncertified, else (None, None)."""
+    for r in range(len(block)):
+        vector = tuple(_cofactor(block, r, j) for j in range(len(block)))
+        signs = tuple(poly_sign(v, max_bits) for v in vector)
+        if any(signs):
+            return vector, signs
+    return None, None
+
+
+def _minors(entries: list[list[dict]], max_bits: int | None, kernels: bool = False):
+    """The minors of p rows of symbolic entries on each p-subset of
+    columns, lazily and in lexicographic order; with `kernels`, singular
+    minors carry their cofactor kernel vector."""
+    for columns in itertools.combinations(range(len(entries[0])), len(entries)):
+        block = [[row[c] for c in columns] for row in entries]
+        det = poly_det(block)
+        if det:
+            yield Minor(columns, det, certify_poly_nonzero(det, max_bits) or None)
+        else:
+            yield Minor(columns, det, False, *(_cofactor_kernel(block, max_bits) if kernels else (None, None)))
+
+
+def _one_based(columns) -> list[int]:
+    return [c + 1 for c in columns]
+
+
+def _full_row_rank(minors):
+    """(True, witness) at the first certified minor, (False, witness) when
+    every minor is symbolically zero, (None, info) otherwise."""
+    uncertified = []
+    for minor in minors:
+        if minor.full:
+            return True, {"minor_columns": _one_based(minor.columns)}
+        if minor.full is None:
+            uncertified.append(_one_based(minor.columns))
+    if uncertified:
+        return None, {"uncertified_minors": uncertified}
+    return False, {"all_minors_symbolically_zero": True}
 
 
 def decide_full_row_rank(entries: list[list[dict]], max_bits: int | None = None):
     """Is the symbolic matrix of full row rank (as real/complex numbers)?
-
-    Returns (True, witness) / (False, witness) / (None, info).  False relies
-    only on symbolic cancellation (exact); True on a certified nonzero minor.
-    """
-    p = len(entries)
-    cols = len(entries[0]) if p else 0
-    if p > cols:
+    See _full_row_rank: False relies only on symbolic cancellation (exact),
+    True on a certified nonzero minor."""
+    if len(entries) > len(entries[0]):
         return False, {"reason": "more rows than columns"}
-    all_zero = True
-    uncertified = []
-    for subset in itertools.combinations(range(cols), p):
-        det = poly_det([[entries[i][c] for c in subset] for i in range(p)])
-        if not det:
-            continue
-        all_zero = False
-        if certify_poly_nonzero(det, max_bits):
-            return True, {"minor_columns": [c + 1 for c in subset]}
-        uncertified.append([c + 1 for c in subset])
-    if all_zero:
-        return False, {"all_minors_symbolically_zero": True}
-    return None, {"uncertified_minors": uncertified}
+    return _full_row_rank(_minors(entries, max_bits))
 
 
 def _logmod_poly(vec: LogModulusVector) -> dict:
@@ -306,13 +338,28 @@ def _lambda_entry_poly(ctx: EigenContext, i: int, m: int, branch: BranchChoice) 
     """lambda_im as a symbolic polynomial (degree 1) over {ln p, pi, atan}."""
     poly = _logmod_poly(ctx.log_modulus(i, m))
     turns = ctx.arg_turns(i, m)
-    pi_coeff = 2 * (turns.rational + branch.entry(i, m))
+    pi_coeff = 2 * (turns.rational + branch.b[i][m])
     if pi_coeff:
         poly = poly_add(poly, {(("pi",),): GaussianRational(0, pi_coeff)})
     for c, t in turns.atan_terms:
         sym = ("atan", t.numerator, t.denominator)
         poly = poly_add(poly, {(sym,): GaussianRational(0, c)})
     return poly
+
+
+def _minor_table(ctx: EigenContext, max_bits: int | None) -> list[Minor]:
+    """The minors of the p x n log-modulus matrix, entry (i, m) = ln|mu_im|,
+    with cofactor kernels, built once per context and max_bits.  Its column
+    p-subsets are the p-subsets of covectors c_k = (ln|mu_1k|, ...,
+    ln|mu_pk|), so the three hyperbolicity deciders all read this table."""
+    table = ctx.minor_tables.get(max_bits)
+    if table is None:
+        entries = [
+            [_logmod_poly(ctx.log_modulus(i, m)) for m in range(ctx.eigen.n)]
+            for i in range(ctx.eigen.p)
+        ]
+        table = ctx.minor_tables[max_bits] = list(_minors(entries, max_bits, kernels=True))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +378,22 @@ def is_nondegenerate(
     eigen = context if context is not None else EigenData.from_family(fam)
     q = fam.n - fam.p
     bound = omega_bound if omega_bound is not None else 2 * fam.degree
-    omega = enumerate_omega(eigen, bound)
-    chosen: list[list[int]] = []
-    rank = 0
-    for pt in omega.points:
-        candidate = chosen + [list(pt)]
-        if integer_rank(candidate) > rank:
-            chosen = candidate
-            rank += 1
-            if rank == q:
-                break
+    chosen = _independent_points(enumerate_omega(eigen, bound), q)
     bounds = {"omega_bound": bound}
-    if rank >= q:
+    if len(chosen) >= q:
         return _yes({"independent_exponents": chosen}, bounds=bounds)
-    return _no({"rank_enumerated": rank, "required": q}, bounds=bounds)
+    return _no({"rank_enumerated": len(chosen), "required": q}, bounds=bounds)
+
+
+def _independent_points(omega: OmegaEnumeration, limit: int) -> list[list[int]]:
+    """Omega points taken in order when they raise the rank, until `limit`."""
+    rows: list[list[int]] = []
+    for pt in omega.points:
+        if integer_rank(rows + [list(pt)]) > len(rows):
+            rows.append(list(pt))
+            if len(rows) == limit:
+                break
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +402,21 @@ def is_nondegenerate(
 
 
 def is_projectively_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
-    """Are the p log-modulus vectors R-linearly independent?"""
+    """Are the p log-modulus vectors R-linearly independent?  Yes when some
+    minor of the table is certified nonzero, no when all are symbolically
+    zero.  For p = 1 a minor is one log form, so both answers are exact."""
     ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
-    logmods = [[ctx.log_modulus(i, m) for m in range(eigen.n)] for i in range(eigen.p)]
-    if eigen.p == 1:
-        for m in range(eigen.n):
-            if not logmods[0][m].is_zero():
-                return _yes({"nonzero_column": m + 1})
-        return _no({"all_unit_modulus": True})
-    entries = [[_logmod_poly(logmods[i][m]) for m in range(eigen.n)] for i in range(eigen.p)]
-    decided, info = decide_full_row_rank(entries, max_bits)
+    table = _minor_table(ctx, max_bits)
+    if not table:  # p > n: no p x p minor
+        return _no({"reason": "more rows than columns"})
+    if ctx.eigen.p == 1:
+        full = next((minor for minor in table if minor.full), None)
+        return _yes({"nonzero_column": full.columns[0] + 1}) if full else _no({"all_unit_modulus": True})
+    decided, info = _full_row_rank(table)
     if decided is True:
         return _yes(info, method="symbolic+interval")
     if decided is False:
-        return _no(info, method="exact")
+        return _no(info)
     return _indet("rank of the log-modulus matrix could not be certified", {"max_bits": max_bits or precision_cap()})
 
 
@@ -390,11 +439,8 @@ def weak_resonance(eigen: EigenData | EigenContext, branches: BranchChoice | Non
     for k in lat.basis:
         # modulus part vanishes automatically on the relation lattice; check it
         for i in range(eigen.p):
-            acc = LogModulusVector(())
-            for m, e in enumerate(k):
-                if e:
-                    acc = acc + ctx.log_modulus(i, m).scale(e)
-            if not acc.is_zero():
+            modulus = sum((ctx.log_modulus(i, m).scale(e) for m, e in enumerate(k) if e), LogModulusVector(()))
+            if not modulus.is_zero():
                 raise AssertionError("relation vector with nonzero modulus part")
         try:
             kv = k_vector(ctx, k, branch)
@@ -508,9 +554,7 @@ def normal_form_hypothesis(
         if proj.no:
             return _no({"projective": proj.witness, "weak_nonresonance": infeasible}, bounds=bounds)
         return _indet("projective hyperbolicity undecided and no weakly non-resonant branch", bounds)
-    total = 1
-    for sols in per_row:
-        total *= len(sols)
+    total = math.prod(len(sols) for sols in per_row)
     if total > candidate_cap:
         return _indet(f"too many candidate branches ({total}) within bound", bounds)
     saw_indeterminate = False
@@ -538,141 +582,100 @@ def normal_form_hypothesis(
 # ---------------------------------------------------------------------------
 
 
-def _covectors(ctx: EigenContext) -> list[list[LogModulusVector]]:
-    """c_k = (ln|mu_1k|, ..., ln|mu_pk|) as exact prime-coordinate vectors."""
-    return [
-        [ctx.log_modulus(i, k) for i in range(ctx.eigen.p)]
-        for k in range(ctx.eigen.n)
-    ]
-
-
 def is_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
-    """Every p-subset of the n covectors linearly independent."""
+    """Every p-subset of the n covectors linearly independent: every minor
+    of the table certified nonzero."""
     ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
-    covs = _covectors(ctx)
-    uncertified = []
-    for subset in itertools.combinations(range(eigen.n), eigen.p):
-        entries = [[_logmod_poly(covs[k][i]) for k in subset] for i in range(eigen.p)]
-        decided, info = decide_full_row_rank(entries, max_bits)
-        if decided is False:
-            return _no({"dependent_subset": [k + 1 for k in subset], **info})
-        if decided is None:
-            uncertified.append([k + 1 for k in subset])
+    table = _minor_table(ctx, max_bits)
+    for minor in table:
+        if minor.full is False:
+            return _no({"dependent_subset": _one_based(minor.columns), "all_minors_symbolically_zero": True})
+    uncertified = [_one_based(minor.columns) for minor in table if minor.full is None]
     if uncertified:
         return _indet(f"rank not certified for subsets {uncertified}")
-    return _yes({"subsets_checked": math.comb(eigen.n, eigen.p)}, method="symbolic+interval")
+    return _yes({"subsets_checked": len(table)}, method="symbolic+interval")
 
 
-def _hull_contains_origin(covs: list[LogModulusVector], max_bits: int | None):
-    """Does conv{c_1..c_p} (points in R^p) contain 0?  covs[j] is the j-th
-    point; each coordinate i of point j is covs_points[j][i]."""
-    p = len(covs[0]) if covs else 0
-    npts = len(covs)
-    # exact: any point that is exactly zero puts the origin in the hull
-    for j in range(npts):
-        if all(covs[j][i].is_zero() for i in range(p)):
-            return True, {"zero_covector_at": j + 1}
-    # row-wise 1-D reduction: coordinate i of all points proportional to one
-    # nonzero prime-coordinate vector => exact rational equation
-    reduced_rows = []
-    reducible = True
-    for i in range(p):
-        vecs = [covs[j][i] for j in range(npts)]
-        generator = next((v for v in vecs if not v.is_zero()), None)
-        if generator is None:
-            continue  # identically zero equation
-        gen_dict = generator.as_dict()
-        anchor_prime, anchor_coeff = next(iter(sorted(gen_dict.items())))
-        ratios = []
-        ok = True
-        for v in vecs:
-            vd = v.as_dict()
-            r = Fraction(vd.get(anchor_prime, 0)) / anchor_coeff
-            # v must equal r * generator exactly
-            if vd != {pp: c * r for pp, c in gen_dict.items() if c * r != 0}:
-                ok = False
-                break
-            ratios.append(r)
-        if not ok:
-            reducible = False
-            break
-        reduced_rows.append(ratios)
-    if reducible:
-        rows = [[Fraction(x) for x in row] for row in reduced_rows]
-        rows.append([Fraction(1)] * npts)  # sum lambda = 1
-        rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-        point = rational_feasible(rows, rhs)
-        if point is None:
-            return False, {"exact_rational_infeasible": True}
-        return True, {"hull_coefficients": [str(x) for x in point]}
-    # sufficient containment: rational lambda balancing every prime coordinate
-    prime_rows: list[list[Fraction]] = []
-    for i in range(p):
-        primes = sorted({pp for j in range(npts) for pp in covs[j][i].as_dict()})
-        for pp in primes:
-            prime_rows.append([Fraction(covs[j][i].as_dict().get(pp, 0)) for j in range(npts)])
-    prime_rows.append([Fraction(1)] * npts)
-    rhs = [Fraction(0)] * (len(prime_rows) - 1) + [Fraction(1)]
-    point = rational_feasible(prime_rows, rhs)
-    if point is not None:
-        return True, {"hull_coefficients": [str(x) for x in point], "route": "per-prime"}
-    # separation certificate: rational w with <w, c_j> > 0 for all j, certified
-    candidates = _separation_candidates(covs, p, npts)
-    for w in candidates:
-        forms = []
-        for j in range(npts):
-            acc = LogModulusVector(())
-            for i in range(p):
-                acc = acc + covs[j][i].scale(w[i])
-            forms.append(acc)
-        if all(_certify_logform_positive(f, max_bits) for f in forms):
-            return False, {"separating_vector": [str(x) for x in w]}
-    return None, {"reason": "hull membership not certified"}
+def _rational_multiples(forms: list[LogModulusVector]) -> bool:
+    """Are all the log forms rational multiples of one of them?"""
+    base = next((f for f in forms if not f.is_zero()), None)
+    if base is None:
+        return True
+    q, c = base.coords[0]
+    return all(f == base.scale(f.as_dict().get(q, 0) / c) for f in forms)
 
 
-def _certify_logform_positive(vec: LogModulusVector, max_bits: int | None) -> bool:
-    return vec.sign(max_bits) > 0
+def _collinear_signs(points: list[list[LogModulusVector]]) -> list[int] | None:
+    """When every covector is t_k u for one vector u (each 2 x 2 minor with
+    the first nonzero entry is symbolically zero), the signs of the entries
+    in that entry's coordinate i: those of t_k, times the sign of u_i.
+    Otherwise None.  Some covector must be nonzero."""
+    a, i = next((a, i) for a, point in enumerate(points) for i, x in enumerate(point) if not x.is_zero())
+    polys = [[_logmod_poly(x) for x in point] for point in points]
+    if any(poly_mul(pk[j], polys[a][i]) != poly_mul(pk[i], polys[a][j]) for pk in polys for j in range(len(pk))):
+        return None
+    return [point[i].sign() for point in points]
 
 
-def _separation_candidates(covs, p, npts):
-    # float approximations drive the candidate; certification is exact
-    approx = []
-    for j in range(npts):
-        pt = []
-        for i in range(p):
-            val = sum(float(c) * math.log(pp) for pp, c in covs[j][i].as_dict().items())
-            pt.append(val)
-        approx.append(pt)
-    cands = []
-    centroid = [sum(pt[i] for pt in approx) / npts for i in range(p)]
-    cands.append(centroid)
-    cands.extend(approx)
-    out = []
-    for c in cands:
-        norm = max((abs(v) for v in c), default=0.0)
-        if norm == 0.0:
-            continue
-        out.append([Fraction(v / norm).limit_denominator(10**6) for v in c])
-    return out
+def _hull_contains_origin(ctx: EigenContext, minor: Minor) -> tuple[bool | None, dict]:
+    """Does the convex hull of the covectors c_k, k in minor.columns,
+    contain 0?  (True, witness), (False, {}) or (None, {}); the steps are
+    those of is_weakly_hyperbolic."""
+    if minor.full:
+        return False, {}
+    points = [[ctx.log_modulus(i, k) for i in range(ctx.eigen.p)] for k in minor.columns]
+    # one row per coordinate and prime, and sum lambda_k = 1
+    rows = [[Fraction(point[i].as_dict().get(q, 0)) for point in points] for i in range(ctx.eigen.p)
+            for q in sorted({q for point in points for q, _ in point[i].coords})] + [[Fraction(1)] * len(points)]
+    hull_point = rational_feasible(rows, [Fraction(0)] * (len(rows) - 1) + [Fraction(1)])
+    if hull_point is not None:
+        return True, {"hull_coefficients": [str(x) for x in hull_point]}
+    if minor.kernel is not None:
+        if 1 in minor.signs and -1 in minor.signs:
+            return False, {}
+        if None not in minor.signs:
+            # each entry as [coefficient, [primes whose logarithms it multiplies]]
+            vector = [[[str(c), [s[1] for s in mono]] for mono, c in sorted(v.items())] for v in minor.kernel]
+            return True, {"kernel_vector": vector, "kernel_signs": list(minor.signs)}
+    signs = _collinear_signs(points)
+    if signs is not None:
+        return (True, {"collinear_signs": signs}) if 1 in signs and -1 in signs else (False, {})
+    if all(_rational_multiples([point[i] for point in points]) for i in range(ctx.eigen.p)):
+        return False, {}
+    return None, {}
 
 
 def is_weakly_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
-    """No p-subset's convex hull contains the origin."""
+    """No p-subset's convex hull contains the origin.
+
+    By Gordan's alternative the origin is either in conv{c_k : k in S} or
+    strictly separated from it.  Each p-subset S is decided in this order:
+
+    1. its minor certified nonzero: sum lambda_k c_k = 0 forces lambda = 0,
+       against sum lambda_k = 1, so the origin is not in the hull;
+    2. a rational hull point lambda balancing every prime coordinate (an
+       exact LP): the origin is in the hull, lambda is the witness;
+    3. rank p - 1: a cofactor vector v along p - 1 rows is in the kernel
+       (expand along the dropped row), and when certified nonzero it spans
+       it; the origin is in the hull iff v is sign-definite, zero entries
+       allowed; v and its certified signs are the witness;
+    4. rank 1 (all covectors t_k u): in the hull iff the t_k take both
+       signs, read exactly off one coordinate; this completes p <= 3;
+    5. otherwise INDETERMINATE, unless every coordinate is a rational
+       multiple of one log form: step 2's prime rows are then multiples of
+       one rational row per coordinate, and its infeasibility is exact."""
     ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
-    covs_by_col = _covectors(ctx)
-    points = [[covs_by_col[k][i] for i in range(eigen.p)] for k in range(eigen.n)]
+    table = _minor_table(ctx, max_bits)
     undecided = []
-    for subset in itertools.combinations(range(eigen.n), eigen.p):
-        contains, info = _hull_contains_origin([points[k] for k in subset], max_bits)
-        if contains is True:
-            return _no({"subset": [k + 1 for k in subset], **info})
+    for minor in table:
+        contains, info = _hull_contains_origin(ctx, minor)
+        if contains:
+            return _no({"subset": _one_based(minor.columns), **info})
         if contains is None:
-            undecided.append([k + 1 for k in subset])
+            undecided.append(_one_based(minor.columns))
     if undecided:
         return _indet(f"hull tests undecided for subsets {undecided}")
-    return _yes({"subsets_checked": math.comb(eigen.n, eigen.p)})
+    return _yes({"subsets_checked": len(table)})
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +756,7 @@ def poincare_type_single(
     logmods = [ctx.log_modulus(0, m) for m in range(n)]
     if all(v.is_zero() for v in logmods):
         return _no({"all_unit_modulus": True})
-    rows: list[list[int]] = []
-    for pt in omega.points:
-        cand = rows + [list(pt)]
-        if integer_rank(cand) > len(rows):
-            rows.append(list(pt))
-        if len(rows) == n - 1:
-            break
+    rows = _independent_points(omega, n - 1)
     if len(rows) < n - 1:
         raise UsageError(
             f"need n-1 = {n - 1} independent first-integral exponents, found {len(rows)}"

@@ -266,7 +266,14 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
+    entry = _json_object(entry, "map entry")
     if "linear_diag" in entry:
         diag = [_json_coeff(s) for s in _json_list(entry["linear_diag"], "linear_diag")]
         if len(diag) != n:
@@ -281,7 +288,8 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
     else:
         raise UsageError("map entry needs linear_diag or linear_matrix")
     comps = list(base.components)
-    for term in entry.get("terms", []):
+    for term in _json_list(entry.get("terms", []), "terms"):
+        term = _json_object(term, "term")
         m = _json_int(term["component"], "component")
         if not 1 <= m <= n:
             raise UsageError(f"component {m} out of range 1..{n}")
@@ -315,7 +323,7 @@ def family_from_json(data: dict, check_commuting: bool = True) -> Family:
     degree = _json_int(data["degree"], "degree")
     if degree < 2:
         raise UsageError("degree must be >= 2")
-    maps = data["maps"]
+    maps = _json_list(data["maps"], "maps")
     if "p" in data and _json_int(data["p"], "p") != len(maps):
         raise UsageError("declared p does not match the number of maps")
     for v in _json_list(data.get("pairing", []), "pairing"):

@@ -83,23 +83,20 @@ def _pairing_involution(pairing, n: int) -> tuple[int, ...]:
     return sigma
 
 
-def _permute_exponents(exp: MultiIndex, sigma: tuple[int, ...]) -> MultiIndex:
-    return tuple(exp[sigma[j]] for j in range(len(exp)))
-
-
 def rho_equivariance_offense(fam: Family, sigma: tuple[int, ...]):
     """First witness (germ_1based, component_1based, exponents) violating
     coeff(m, gamma) = conj(coeff(sigma(m), gamma o sigma)), or None."""
-    for i, g in enumerate(fam.germs):
-        for m in range(fam.n):
-            partner = g.components[sigma[m]]
-            for exp, c in g.components[m].items():
-                if c != partner.coeff(_permute_exponents(exp, sigma)).conjugate():
-                    return (i + 1, m + 1, exp)
-            # terms present only on the partner side violate the pairing too
-            for exp, c in partner.items():
-                if g.components[m].coeff(_permute_exponents(exp, sigma)).conjugate() != c:
-                    return (i + 1, sigma[m] + 1, exp)
+    return _rho_offense(fam.germs, sigma)
+
+
+def _rho_offense(germs: list[Germ], sigma: tuple[int, ...]):
+    """Compares component m whole with conj(component sigma(m)), variables
+    permuted by sigma; the offense is the first term of the difference."""
+    for i, g in enumerate(germs):
+        for m, comp in enumerate(g.components):
+            difference = comp - g.components[sigma[m]].permute_variables(sigma).conjugate_coeffs()
+            if not difference.is_zero():
+                return (i + 1, m + 1, difference.support()[0])
     return None
 
 
@@ -211,12 +208,8 @@ def poincare_dulac_normalize(fam: Family, rho_pairing=None) -> NormalizationResu
     for original, result in zip(fam.germs, work):
         if compose_germ(original, psi) != compose_germ(psi, result):
             raise AssertionError("normalizing transformation failed verification")
-    if sigma is not None:
-        for m in range(n):
-            partner = psi.components[sigma[m]]
-            for exp, c in psi.components[m].items():
-                if partner.coeff(_permute_exponents(exp, sigma)) != c.conjugate():
-                    raise AssertionError("psi is not rho-equivariant")
+    if sigma is not None and _rho_offense([psi], sigma) is not None:
+        raise AssertionError("psi is not rho-equivariant")
     return NormalizationResult(normalized, psi, tuple(log))
 
 

@@ -128,6 +128,7 @@ class EigenContext:
         self._turns: dict[GaussianRational, TurnSum] = {}  # filled on demand
         self._lattice: RelationLattice | None = None
         self._omega: dict[int, OmegaEnumeration] = {}  # by degree bound, on demand
+        self.minor_tables: dict = {}  # classify's log-modulus minors, by max_bits, on demand
 
     @staticmethod
     def of(eigen: "EigenData | EigenContext") -> "EigenContext":

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import sympy
 from hypothesis import strategies as st
 
@@ -38,6 +39,52 @@ def brute_force_omega(eigen: EigenData, bound: int) -> list[tuple[int, ...]]:
         if eigen.satisfies_relation(exp):
             out.append(exp)
     return sorted(out, key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
+def log_moduli_mp(eigen: EigenData, dps: int = 100):
+    """ln|mu_im| as mpmath numbers at `dps` digits, row i, column m."""
+    with mpmath.workdps(dps):
+        return [[mpmath.log(mpmath.mpf(z.norm().numerator) / z.norm().denominator) / 2 for z in row]
+                for row in eigen.mu]
+
+
+def _det_mp(rows):
+    """Leibniz determinant (mpmath's LU gives up on some singular input)."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def minor_is_zero_mp(logs, columns, dps: int = 100) -> bool:
+    """The log-modulus minor on `columns` vanishes, to within 10^(-dps/2)."""
+    with mpmath.workdps(dps):
+        det = _det_mp([[row[c] for c in columns] for row in logs])
+        return abs(det) < mpmath.mpf(10) ** (-dps // 2)
+
+
+def hull_contains_origin_mp(logs, columns, dps: int = 100) -> bool:
+    """Brute force over supports: 0 is in the convex hull of the covectors
+    c_k = (logs[0][k], ..., logs[p-1][k]), k in columns, iff some support S
+    of affinely independent points gives a strictly positive solution of
+    sum_{k in S} lambda_k c_k = 0, sum lambda_k = 1 (Caratheodory)."""
+    tol = mpmath.mpf(10) ** (-dps // 2)
+    with mpmath.workdps(dps):
+        for size in range(1, len(columns) + 1):
+            for support in itertools.combinations(columns, size):
+                a = mpmath.matrix([[row[k] for k in support] for row in logs] + [[1] * size])
+                e = mpmath.matrix([0] * len(logs) + [1])
+                gram = a.T * a
+                if abs(_det_mp(gram.tolist())) < tol:
+                    continue  # affinely dependent support
+                lam = mpmath.lu_solve(gram, a.T * e)
+                if mpmath.norm(a * lam - e) < tol and all(x > tol for x in lam):
+                    return True
+    return False
 
 
 def brute_force_resonant(eigen: EigenData, m: int, bound: int) -> list[tuple[int, ...]]:

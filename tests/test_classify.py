@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germnf.classify import (
     BranchChoice,
@@ -20,10 +22,17 @@ from germnf.classify import (
     weak_resonance,
 )
 from germnf.exactnum import GaussianRational as GR
-from germnf.resonance import EigenData, enumerate_omega, relation_lattice
+from germnf.exactnum import LogModulusVector
+from germnf.resonance import EigenContext, EigenData, enumerate_omega, relation_lattice
 from germnf.series import UsageError
 
-from helpers import example_13_family, i_minus_i_family
+from helpers import (
+    example_13_family,
+    hull_contains_origin_mp,
+    i_minus_i_family,
+    log_moduli_mp,
+    minor_is_zero_mp,
+)
 
 E13 = EigenData.from_rows([["-2", "1/2"]])
 E23 = EigenData.from_rows([["2", "3"]])
@@ -179,6 +188,133 @@ class TestHyperbolicity:
     def test_p1_all_nonunit(self):
         eigen = EigenData.from_rows([["-2", "3/7"]])
         assert is_weakly_hyperbolic(eigen).yes
+
+    def test_origin_in_hull_only_at_irrational_weights(self):
+        # c1 = (ln 2, 2 ln 2), c2 = (-ln 3, -2 ln 3): the hull point has
+        # lambda_1 = ln 3 / ln 6, so no rational LP finds it
+        eigen = EigenData.from_rows([["2", "1/3"], ["4", "1/9"]])
+        assert is_hyperbolic(eigen).no
+        verdict = is_weakly_hyperbolic(eigen)
+        assert verdict.no and verdict.method == "exact"
+        assert verdict.witness["subset"] == [1, 2] and "hull_coefficients" not in verdict.witness
+        # the kernel vector is (-2 ln 3, -2 ln 2), both entries negative
+        assert verdict.witness["kernel_vector"] == [[["-2", [3]]], [["-2", [2]]]]
+        assert verdict.witness["kernel_signs"] == [-1, -1]
+
+    def test_collinear_same_side_p2(self):
+        # c1 = (ln 2, 2 ln 2), c2 = (ln 3, 2 ln 3): proportional, same side
+        eigen = EigenData.from_rows([["2", "3"], ["4", "9"]])
+        assert is_hyperbolic(eigen).no
+        assert is_weakly_hyperbolic(eigen).yes
+
+    def test_zero_covector_p2(self):
+        eigen = EigenData.from_rows([["2", "1", "3"], ["5", "-1", "1/7"]])
+        verdict = is_weakly_hyperbolic(eigen)
+        assert verdict.no
+        assert verdict.witness == {"subset": [1, 2], "hull_coefficients": ["0", "1"]}
+
+    def test_collinear_same_side_p3_stays_yes(self):
+        # c_k = k (ln 2, ln 3, ln 5): rank 1 = p - 2, every coordinate a
+        # rational multiple of one log form, so the LP decides exactly
+        eigen = EigenData.from_rows([["2", "4", "8"], ["3", "9", "27"], ["5", "25", "125"]])
+        assert is_hyperbolic(eigen).no
+        assert is_weakly_hyperbolic(eigen).yes
+
+    def test_collinear_p3_both_sides(self):
+        # c_k = (ln 2, -ln 3, ln 5)_k times u = (1, -1, 2): rank 1, no
+        # coordinate a rational multiple of one log form, t = (+, -, +)
+        eigen = EigenData.from_rows([["2", "1/3", "5"], ["1/2", "3", "1/5"], ["4", "1/9", "25"]])
+        verdict = is_weakly_hyperbolic(eigen)
+        assert verdict.no and verdict.witness == {"subset": [1, 2, 3], "collinear_signs": [1, -1, 1]}
+
+    def test_collinear_p3_same_side_not_reducible(self):
+        # c1 = c3 = ln 4 u, c2 = ln 20 u with u = (1, -1, -1)
+        eigen = EigenData.from_rows([["4", "20", "4"], ["1/4", "1/20", "1/4"], ["1/4", "1/20", "1/4"]])
+        assert is_weakly_hyperbolic(eigen).yes
+
+    def test_rank_p_minus_1_p3_mixed_signs(self):
+        # c3 = c1 - c2 with c1, c2 independent: the kernel (1, -1, -1) is not
+        # sign-definite, so the origin is not in the hull
+        eigen = EigenData.from_rows([["2", "3", "2/3"], ["5", "1/7", "35"], ["1", "2", "1/2"]])
+        assert is_hyperbolic(eigen).no
+        assert is_weakly_hyperbolic(eigen).yes
+
+
+@st.composite
+def small_prime_eigen(draw):
+    """p x n eigenvalues, p in {2, 3}, whose covectors lie in the span of
+    1..p+1 integer directions d: c_k = sum_d s_kd ln(q_kd) d with q_kd in
+    {2, 3}.  Every rank occurs, and collinear covectors over different
+    primes give hull points with irrational weights.  Entries are times i
+    at random, which leaves the moduli as they are."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=p, max_value=p + 1))
+    directions = draw(st.lists(st.lists(st.integers(-1, 1), min_size=p, max_size=p),
+                               min_size=1, max_size=p + 1))
+    exponents = [[{2: 0, 3: 0} for _ in range(n)] for _ in range(p)]
+    for k in range(n):
+        for d in directions:
+            q, scale = draw(st.sampled_from([2, 3])), draw(st.integers(-1, 2))
+            for i in range(p):
+                exponents[i][k][q] += scale * d[i]
+    rows = []
+    for i in range(p):
+        row = []
+        for k in range(n):
+            value = GR(Fraction(2) ** exponents[i][k][2] * Fraction(3) ** exponents[i][k][3])
+            row.append(value * GR(0, 1) if draw(st.booleans()) else value)
+        rows.append(tuple(row))
+    return EigenData(tuple(rows))
+
+
+def _check_against_oracle(eigen: EigenData):
+    """Assert every definite verdict of the three hyperbolicity deciders
+    against the mpmath oracle; return (p, weak verdict, witness keys)."""
+    ctx = EigenContext(eigen)
+    proj, hyp, weak = is_projectively_hyperbolic(ctx), is_hyperbolic(ctx), is_weakly_hyperbolic(ctx)
+    logs = log_moduli_mp(eigen)
+    subsets = list(itertools.combinations(range(eigen.n), eigen.p))
+    zero = [minor_is_zero_mp(logs, s) for s in subsets]
+    if not proj.indeterminate:
+        assert proj.yes == (not all(zero))
+    if not hyp.indeterminate:
+        assert hyp.yes == (not any(zero))
+    if not weak.indeterminate:
+        assert weak.yes == (not any(hull_contains_origin_mp(logs, s) for s in subsets))
+    assert not (hyp.yes and weak.no)
+    # for p <= 3 every subset has full rank, rank p - 1, rank 1 or rank 0
+    assert not (proj.indeterminate or hyp.indeterminate or weak.indeterminate)
+    if weak.no and "hull_coefficients" in weak.witness:
+        # a rational hull point balances every covector coordinate exactly
+        lam = [Fraction(x) for x in weak.witness["hull_coefficients"]]
+        assert sum(lam) == 1 and min(lam) >= 0
+        for i in range(eigen.p):
+            total = LogModulusVector(())
+            for weight, k in zip(lam, weak.witness["subset"]):
+                total = total + ctx.log_modulus(i, k - 1).scale(weight)
+            assert total.is_zero()
+    return eigen.p, weak.value, tuple(sorted((weak.witness or {}).keys()))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(eigen=small_prime_eigen())
+def _oracle_property(seen: set, eigen: EigenData):
+    seen.add(_check_against_oracle(eigen))
+
+
+class TestHullOracle:
+    """The three hyperbolicity deciders against an mpmath oracle at 100
+    digits: minors by determinant, hulls by brute force over supports."""
+
+    def test_definite_verdicts_agree_with_oracle(self):
+        seen: set = set()
+        _oracle_property(seen)
+        # the draws reach every hull witness and a definite yes for each p
+        for p in (2, 3):
+            assert (p, VerdictValue.NO, ("kernel_signs", "kernel_vector", "subset")) in seen
+            assert (p, VerdictValue.NO, ("hull_coefficients", "subset")) in seen
+            assert (p, VerdictValue.YES, ("subsets_checked",)) in seen
+        assert (3, VerdictValue.NO, ("collinear_signs", "subset")) in seen
 
 
 class TestPoincareType:

@@ -220,6 +220,45 @@ class TestCorpusGoldens:
         assert code == expected["exit"]
         assert golden.check(expected, code, json.dumps(report))[0] == []
 
+    EIGEN_OPS = [
+        op["id"] for op in json.loads((ROOT / "perfbench" / "corpus" / "eigen.json").read_text())["ops"]
+    ]
+
+    def test_eigen_corpus_has_22_ops(self):
+        assert len(self.EIGEN_OPS) == 22
+
+    @pytest.mark.parametrize("op_id", EIGEN_OPS)
+    def test_eigen_report_matches_golden(self, tmp_path, op_id):
+        """Every eigen op is decided.  A golden exit 2 may become exit 0 (its
+        indeterminate verdicts became definite); an op without a golden
+        (large_p2-0.analyze) is checked for its exit code and shape."""
+        golden = _perfbench_golden()
+        manifest, goldens = golden.load("eigen")
+        op = next(o for o in manifest["ops"] if o["id"] == op_id)
+        expected = goldens[op_id]
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        problems, found = golden.check(expected, code, json.dumps(report))
+        assert problems == [] and found is not None
+        assert golden.verdict_counts(found)[0] == 0 and code == 0
+
+
+class TestMinorTable:
+    def test_analyze_builds_the_minor_table_once(self, tmp_path, monkeypatch):
+        """The three hyperbolicity deciders and the normal-form hypothesis
+        read one table: one build, one determinant per 2-subset of the
+        three columns."""
+        import germnf.classify as classify
+
+        builds, dets = [], []
+        minors, poly_det = classify._minors, classify.poly_det
+        monkeypatch.setattr(classify, "_minors", lambda *a, **k: builds.append(a) or minors(*a, **k))
+        monkeypatch.setattr(classify, "poly_det", lambda rows: dets.append(len(rows)) or poly_det(rows))
+        path = ROOT / "perfbench" / "corpus" / "eigen" / "small_p2-0.json"
+        code, report = _run_json(tmp_path, "analyze", str(path))
+        assert code == 0 and report["payload"]["weakly_hyperbolic"]["verdict"] == "yes"
+        assert len(builds) == 1
+        assert dets.count(2) == 3
+
 
 class TestJetWork:
     @pytest.mark.parametrize("op_id", ["dense_p1-0.normalize", "conj_p2-0.normalize"])
@@ -429,6 +468,18 @@ class TestContracts:
         path = _write(tmp_path, "bad.json", data)
         assert run(["verify", path]) == 1
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("place, value", [("maps", 5), ("maps", [5]), ("terms", [5]), ("terms", 5)])
+    def test_malformed_maps_exit_1(self, tmp_path, capsys, place, value):
+        data = json.loads(json.dumps(NORMALIZABLE))
+        if place == "maps":
+            data["maps"] = value
+        else:
+            data["maps"][0]["terms"] = value
+        path = _write(tmp_path, "bad.json", data)
+        assert run(["verify", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be" in err
 
     def test_config_echoes_the_family_degree(self, tmp_path):
         path = _write(tmp_path, "d8.json", {**NORMALIZABLE, "degree": 8})
