@@ -28,7 +28,6 @@ from .germ import (
     invert_germ,
 )
 from .resonance import (
-    EigenContext,
     EigenData,
     OmegaEnumeration,
     RelationLattice,

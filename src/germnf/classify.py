@@ -14,12 +14,18 @@ a guess.  Concretely:
 * the remaining gap (a symbolically nonzero expression whose value cannot
   be separated from zero) is reported as INDETERMINATE.
 
-The hyperbolicity deciders read one table of log-modulus minors per
-EigenContext.  Weak hyperbolicity decides each subset's hull: full rank
-(not in it), else a rational hull point from an exact LP, else at rank
-p - 1 the sign test on the cofactor vector spanning the kernel (in it iff
-sign-definite), at rank 1 a sign test on one coordinate, else
-INDETERMINATE; see is_weakly_hyperbolic.
+Every decider takes the one eigen object, `resonance.EigenData`, which
+decomposes each eigenvalue once and keeps what the deciders share: the
+relation lattice, the Omega walks and one table of log-modulus minors,
+which the three hyperbolicity deciders read.  Weak hyperbolicity decides
+each subset's hull: full rank (not in it), else a rational hull point from
+an exact LP, else at rank p - 1 the sign test on the cofactor vector
+spanning the kernel (in it iff sign-definite), at rank 1 a sign test on
+one coordinate, else INDETERMINATE; see is_weakly_hyperbolic.
+
+There is one precision budget: interval evaluation climbs 64 bits doubling
+up to precision_cap(), which GERMNF_PRECISION_BITS sets, and an
+INDETERMINATE rank verdict reports that cap as `bounds_used.max_bits`.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ from .linalg import (
     solve_integer,
 )
 from .resonance import (
-    EigenContext,
     EigenData,
     OmegaEnumeration,
     enumerate_omega,
@@ -79,10 +84,6 @@ class Verdict:
     @property
     def no(self) -> bool:
         return self.value is VerdictValue.NO
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.value is VerdictValue.INDETERMINATE
 
     def to_json(self) -> dict:
         out = {"verdict": self.value.value, "method": self.method}
@@ -133,19 +134,18 @@ class BranchChoice:
         return [list(row) for row in self.b]
 
 
-def _turns_of(ctx: EigenContext, i: int, k) -> TurnSum:
+def _turns_of(eigen: EigenData, i: int, k) -> TurnSum:
     """sum_m k_m Arg(mu_im) / (2 pi), symbolically."""
-    return sum((ctx.arg_turns(i, m).scale(e) for m, e in enumerate(k) if e), TurnSum(Fraction(0), ()))
+    return sum((eigen.arg_turns(i, m).scale(e) for m, e in enumerate(k) if e), TurnSum(Fraction(0), ()))
 
 
-def k_vector(eigen: EigenData | EigenContext, k, branch: BranchChoice | None = None) -> tuple[int, ...]:
+def k_vector(eigen: EigenData, k, branch: BranchChoice | None = None) -> tuple[int, ...]:
     """K_i(k) = (sum_m k_m (Arg mu_im + 2 pi b_im)) / (2 pi), certified, per germ i."""
-    ctx = EigenContext.of(eigen)
-    br = branch if branch is not None else BranchChoice.zero(ctx.eigen.p, ctx.eigen.n)
+    br = branch if branch is not None else BranchChoice.zero(eigen.p, eigen.n)
     return tuple(
-        certified_round_to_integer(_turns_of(ctx, i, k))
+        certified_round_to_integer(_turns_of(eigen, i, k))
         + sum(e * br.b[i][m] for m, e in enumerate(k))
-        for i in range(ctx.eigen.p)
+        for i in range(eigen.p)
     )
 
 
@@ -232,7 +232,7 @@ def _poly_is_log_affine(poly: dict) -> bool:
     return True
 
 
-def certify_poly_nonzero(poly: dict, max_bits: int | None = None) -> bool:
+def certify_poly_nonzero(poly: dict) -> bool:
     """True when the polynomial's value is certified nonzero.
 
     Symbolically zero inputs return False immediately (they ARE zero).
@@ -242,26 +242,26 @@ def certify_poly_nonzero(poly: dict, max_bits: int | None = None) -> bool:
     # c0 + sum c_p ln p = 0 only when every coefficient vanishes: a
     # nontrivial relation would force a multiplicative relation among
     # primes (or e^q rational for rational q != 0)
-    return bool(poly) and (_poly_is_log_affine(poly) or _interval_signs(poly, max_bits) != (0, 0))
+    return bool(poly) and (_poly_is_log_affine(poly) or _interval_signs(poly) != (0, 0))
 
 
-def _interval_signs(poly: dict, max_bits: int | None) -> tuple[int, int]:
+def _interval_signs(poly: dict) -> tuple[int, int]:
     """Signs of the real and imaginary parts at the first precision that
     separates either from zero, else (0, 0)."""
-    for prec in precision_ladder(max_bits):
+    for prec in precision_ladder():
         re_iv, im_iv = poly_eval_intervals(poly, prec)
         if re_iv.sign() or im_iv.sign():
             return re_iv.sign(), im_iv.sign()
     return 0, 0
 
 
-def poly_sign(poly: dict, max_bits: int | None = None) -> int | None:
+def poly_sign(poly: dict) -> int | None:
     """Certified sign of a real polynomial's value: 0 for the symbolic zero,
-    None when no precision up to max_bits separates it from zero.  A linear
+    None when no precision up to the cap separates it from zero.  A linear
     form in logarithms of primes is decided exactly."""
     if () not in poly and _poly_is_log_affine(poly):
-        return LogModulusVector.from_dict({mono[0][1]: c.re for mono, c in poly.items()}).sign(max_bits)
-    return _interval_signs(poly, max_bits)[0] or None
+        return LogModulusVector.from_dict({mono[0][1]: c.re for mono, c in poly.items()}).sign()
+    return _interval_signs(poly)[0] or None
 
 
 @dataclass(frozen=True)
@@ -279,18 +279,18 @@ class Minor:
     signs: tuple[int | None, ...] | None = None
 
 
-def _cofactor_kernel(block: list[list[dict]], max_bits: int | None):
+def _cofactor_kernel(block: list[list[dict]]):
     """(cofactors, signs) along the first row of the singular square block
     whose cofactors are not all zero or uncertified, else (None, None)."""
     for r in range(len(block)):
         vector = tuple(_cofactor(block, r, j) for j in range(len(block)))
-        signs = tuple(poly_sign(v, max_bits) for v in vector)
+        signs = tuple(poly_sign(v) for v in vector)
         if any(signs):
             return vector, signs
     return None, None
 
 
-def _minors(entries: list[list[dict]], max_bits: int | None, kernels: bool = False):
+def _minors(entries: list[list[dict]], kernels: bool = False):
     """The minors of p rows of symbolic entries on each p-subset of
     columns, lazily and in lexicographic order; with `kernels`, singular
     minors carry their cofactor kernel vector."""
@@ -298,9 +298,9 @@ def _minors(entries: list[list[dict]], max_bits: int | None, kernels: bool = Fal
         block = [[row[c] for c in columns] for row in entries]
         det = poly_det(block)
         if det:
-            yield Minor(columns, det, certify_poly_nonzero(det, max_bits) or None)
+            yield Minor(columns, det, certify_poly_nonzero(det) or None)
         else:
-            yield Minor(columns, det, False, *(_cofactor_kernel(block, max_bits) if kernels else (None, None)))
+            yield Minor(columns, det, False, *(_cofactor_kernel(block) if kernels else (None, None)))
 
 
 def _one_based(columns) -> list[int]:
@@ -321,23 +321,23 @@ def _full_row_rank(minors):
     return False, {"all_minors_symbolically_zero": True}
 
 
-def decide_full_row_rank(entries: list[list[dict]], max_bits: int | None = None):
+def decide_full_row_rank(entries: list[list[dict]]):
     """Is the symbolic matrix of full row rank (as real/complex numbers)?
     See _full_row_rank: False relies only on symbolic cancellation (exact),
     True on a certified nonzero minor."""
     if len(entries) > len(entries[0]):
         return False, {"reason": "more rows than columns"}
-    return _full_row_rank(_minors(entries, max_bits))
+    return _full_row_rank(_minors(entries))
 
 
 def _logmod_poly(vec: LogModulusVector) -> dict:
     return {(("log", p),): GaussianRational(c) for p, c in vec.coords}
 
 
-def _lambda_entry_poly(ctx: EigenContext, i: int, m: int, branch: BranchChoice) -> dict:
+def _lambda_entry_poly(eigen: EigenData, i: int, m: int, branch: BranchChoice) -> dict:
     """lambda_im as a symbolic polynomial (degree 1) over {ln p, pi, atan}."""
-    poly = _logmod_poly(ctx.log_modulus(i, m))
-    turns = ctx.arg_turns(i, m)
+    poly = _logmod_poly(eigen.log_modulus(i, m))
+    turns = eigen.arg_turns(i, m)
     pi_coeff = 2 * (turns.rational + branch.b[i][m])
     if pi_coeff:
         poly = poly_add(poly, {(("pi",),): GaussianRational(0, pi_coeff)})
@@ -347,19 +347,18 @@ def _lambda_entry_poly(ctx: EigenContext, i: int, m: int, branch: BranchChoice) 
     return poly
 
 
-def _minor_table(ctx: EigenContext, max_bits: int | None) -> list[Minor]:
+def _minor_table(eigen: EigenData) -> list[Minor]:
     """The minors of the p x n log-modulus matrix, entry (i, m) = ln|mu_im|,
-    with cofactor kernels, built once per context and max_bits.  Its column
-    p-subsets are the p-subsets of covectors c_k = (ln|mu_1k|, ...,
-    ln|mu_pk|), so the three hyperbolicity deciders all read this table."""
-    table = ctx.minor_tables.get(max_bits)
-    if table is None:
-        entries = [
-            [_logmod_poly(ctx.log_modulus(i, m)) for m in range(ctx.eigen.n)]
-            for i in range(ctx.eigen.p)
-        ]
-        table = ctx.minor_tables[max_bits] = list(_minors(entries, max_bits, kernels=True))
-    return table
+    with cofactor kernels, built once per eigen object (under the precision
+    cap in force at its first use).  Its column p-subsets are the p-subsets
+    of covectors c_k = (ln|mu_1k|, ..., ln|mu_pk|), so the three
+    hyperbolicity deciders all read this table."""
+
+    def build():
+        entries = [[_logmod_poly(eigen.log_modulus(i, m)) for m in range(eigen.n)] for i in range(eigen.p)]
+        return list(_minors(entries, kernels=True))
+
+    return eigen.once("minor_table", build)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +366,12 @@ def _minor_table(ctx: EigenContext, max_bits: int | None) -> list[Minor]:
 # ---------------------------------------------------------------------------
 
 
-def is_nondegenerate(
-    fam, omega_bound: int | None = None, context: EigenContext | None = None
-) -> Verdict:
-    """q independent first-integral exponents at the linear level certify q
-    functionally independent monomial first integrals.  `context`, when
-    given, is the family's eigen context."""
-    if not fam.is_diagonal_linear():
-        raise UsageError("non-degeneracy test requires diagonal linear parts")
-    eigen = context if context is not None else EigenData.from_family(fam)
-    q = fam.n - fam.p
-    bound = omega_bound if omega_bound is not None else 2 * fam.degree
-    chosen = _independent_points(enumerate_omega(eigen, bound), q)
-    bounds = {"omega_bound": bound}
+def is_nondegenerate(eigen: EigenData, omega_bound: int) -> Verdict:
+    """q = n - p independent first-integral exponents at the linear level
+    certify q functionally independent monomial first integrals."""
+    q = eigen.n - eigen.p
+    chosen = _independent_points(enumerate_omega(eigen, omega_bound), q)
+    bounds = {"omega_bound": omega_bound}
     if len(chosen) >= q:
         return _yes({"independent_exponents": chosen}, bounds=bounds)
     return _no({"rank_enumerated": len(chosen), "required": q}, bounds=bounds)
@@ -401,15 +393,14 @@ def _independent_points(omega: OmegaEnumeration, limit: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def is_projectively_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
+def is_projectively_hyperbolic(eigen: EigenData) -> Verdict:
     """Are the p log-modulus vectors R-linearly independent?  Yes when some
     minor of the table is certified nonzero, no when all are symbolically
     zero.  For p = 1 a minor is one log form, so both answers are exact."""
-    ctx = EigenContext.of(eigen)
-    table = _minor_table(ctx, max_bits)
+    table = _minor_table(eigen)
     if not table:  # p > n: no p x p minor
         return _no({"reason": "more rows than columns"})
-    if ctx.eigen.p == 1:
+    if eigen.p == 1:
         full = next((minor for minor in table if minor.full), None)
         return _yes({"nonzero_column": full.columns[0] + 1}) if full else _no({"all_unit_modulus": True})
     decided, info = _full_row_rank(table)
@@ -417,7 +408,7 @@ def is_projectively_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | 
         return _yes(info, method="symbolic+interval")
     if decided is False:
         return _no(info)
-    return _indet("rank of the log-modulus matrix could not be certified", {"max_bits": max_bits or precision_cap()})
+    return _indet("rank of the log-modulus matrix could not be certified", {"max_bits": precision_cap()})
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +416,23 @@ def is_projectively_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | 
 # ---------------------------------------------------------------------------
 
 
-def weak_resonance(eigen: EigenData | EigenContext, branches: BranchChoice | None = None) -> Verdict:
+def weak_resonance(eigen: EigenData, branches: BranchChoice | None = None) -> Verdict:
     """YES means weakly resonant (some relation vector has a nonzero 2-pi-i
     multiplier vector K); NO means weakly non-resonant for this branch
     choice.  K is linear on the relation lattice, so its basis suffices."""
-    ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
     branch = branches if branches is not None else BranchChoice.zero(eigen.p, eigen.n)
-    lat = ctx.lattice
+    lat = eigen.lattice
     if lat.rank == 0:
         return _no({"relation_lattice": "trivial"})
     table = []
     for k in lat.basis:
         # modulus part vanishes automatically on the relation lattice; check it
         for i in range(eigen.p):
-            modulus = sum((ctx.log_modulus(i, m).scale(e) for m, e in enumerate(k) if e), LogModulusVector(()))
+            modulus = sum((eigen.log_modulus(i, m).scale(e) for m, e in enumerate(k) if e), LogModulusVector(()))
             if not modulus.is_zero():
                 raise AssertionError("relation vector with nonzero modulus part")
         try:
-            kv = k_vector(ctx, k, branch)
+            kv = k_vector(eigen, k, branch)
         except IndeterminateError as exc:
             return _indet(str(exc))
         table.append({"k": list(k), "K": list(kv)})
@@ -457,12 +446,11 @@ def weak_resonance(eigen: EigenData | EigenContext, branches: BranchChoice | Non
 # ---------------------------------------------------------------------------
 
 
-def _branch_row_solutions(ctx: EigenContext, i: int, span_rows: list[list[int]], bound: int):
+def _branch_row_solutions(eigen: EigenData, i: int, span_rows: list[list[int]], bound: int):
     """Integer vectors b_i with sum_m w_m b_im = -K0_i(w) on every span row,
     restricted to |b_im| <= bound.  Returns (solutions, infeasibility); the
     solutions are complete for the box and sorted smallest-norm first."""
-    eigen = ctx.eigen
-    rhs = [-certified_round_to_integer(_turns_of(ctx, i, w)) for w in span_rows]
+    rhs = [-certified_round_to_integer(_turns_of(eigen, i, w)) for w in span_rows]
     particular = solve_integer([list(w) for w in span_rows], rhs)
     if particular is None:
         return [], {"germ": i + 1, "span": [list(w) for w in span_rows], "rhs": rhs,
@@ -481,56 +469,41 @@ def _branch_row_solutions(ctx: EigenContext, i: int, span_rows: list[list[int]],
 
 
 def find_infinitesimal_generators(
-    eigen: EigenData | EigenContext, branch_bound: int = 10, omega_bound: int = 8
+    eigen: EigenData, branch_bound: int = 10, omega_bound: int = 8
 ) -> tuple[BranchChoice | None, dict]:
     """Branch matrix making K vanish on the Z-span of the enumerated Omega
     points (then every common monomial first integral of the linear parts is
     a first integral of the generators), or None with an infeasibility
     certificate."""
-    ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
-    span = omega_span_basis(ctx, omega_bound)
+    span = omega_span_basis(eigen, omega_bound)
     bounds = {"omega_bound": omega_bound, "branch_bound": branch_bound}
     if not span:
         return BranchChoice.zero(eigen.p, eigen.n), {"vacuous": True, **bounds}
     rows = []
     for i in range(eigen.p):
-        solutions, failure = _branch_row_solutions(ctx, i, span, branch_bound)
+        solutions, failure = _branch_row_solutions(eigen, i, span, branch_bound)
         if failure is not None:
             return None, {**failure, **bounds}
         rows.append(solutions[0])
     return BranchChoice(tuple(rows)), bounds
 
 
-def generators_independent(
-    eigen: EigenData | EigenContext, branch: BranchChoice, max_bits: int | None = None
-):
+def generators_independent(eigen: EigenData, branch: BranchChoice):
     """Hybrid decision whether the lambda(b) rows are linearly independent."""
-    ctx = EigenContext.of(eigen)
-    entries = [
-        [_lambda_entry_poly(ctx, i, m, branch) for m in range(ctx.eigen.n)]
-        for i in range(ctx.eigen.p)
-    ]
-    return decide_full_row_rank(entries, max_bits)
+    entries = [[_lambda_entry_poly(eigen, i, m, branch) for m in range(eigen.n)] for i in range(eigen.p)]
+    return decide_full_row_rank(entries)
 
 
-def normal_form_hypothesis(
-    eigen: EigenData | EigenContext,
-    branch_bound: int = 3,
-    max_bits: int | None = None,
-    candidate_cap: int = 256,
-) -> Verdict:
+def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3, candidate_cap: int = 256) -> Verdict:
     """Theorem hypothesis: projectively hyperbolic, or infinitesimally
     integrable with a weakly non-resonant, linearly independent family of
     generators (the independence is part of integrability; branch search is
     bounded and the bound is reported)."""
-    ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
-    proj = is_projectively_hyperbolic(ctx, max_bits)
+    proj = is_projectively_hyperbolic(eigen)
     if proj.yes:
         return _yes({"route": "projectively_hyperbolic", **(proj.witness or {})},
                     method=proj.method)
-    lat = ctx.lattice
+    lat = eigen.lattice
     bounds = {"branch_bound": branch_bound}
     # branches with K == 0 on the full relation lattice are exactly the
     # weakly non-resonant generator families
@@ -541,9 +514,7 @@ def normal_form_hypothesis(
             per_row.append([tuple([0] * eigen.n)])
             continue
         try:
-            sols, failure = _branch_row_solutions(
-                ctx, i, [list(k) for k in lat.basis], branch_bound
-            )
+            sols, failure = _branch_row_solutions(eigen, i, [list(k) for k in lat.basis], branch_bound)
         except IndeterminateError as exc:
             return _indet(str(exc), bounds)
         if failure is not None:
@@ -560,7 +531,7 @@ def normal_form_hypothesis(
     saw_indeterminate = False
     for combo in itertools.product(*per_row):
         branch = BranchChoice(tuple(combo))
-        decided, info = generators_independent(ctx, branch, max_bits)
+        decided, info = generators_independent(eigen, branch)
         if decided is True:
             return _yes(
                 {"route": "weakly_nonresonant_generators", "branch": branch.to_json(), **info},
@@ -582,11 +553,10 @@ def normal_form_hypothesis(
 # ---------------------------------------------------------------------------
 
 
-def is_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
+def is_hyperbolic(eigen: EigenData) -> Verdict:
     """Every p-subset of the n covectors linearly independent: every minor
     of the table certified nonzero."""
-    ctx = EigenContext.of(eigen)
-    table = _minor_table(ctx, max_bits)
+    table = _minor_table(eigen)
     for minor in table:
         if minor.full is False:
             return _no({"dependent_subset": _one_based(minor.columns), "all_minors_symbolically_zero": True})
@@ -617,15 +587,15 @@ def _collinear_signs(points: list[list[LogModulusVector]]) -> list[int] | None:
     return [point[i].sign() for point in points]
 
 
-def _hull_contains_origin(ctx: EigenContext, minor: Minor) -> tuple[bool | None, dict]:
+def _hull_contains_origin(eigen: EigenData, minor: Minor) -> tuple[bool | None, dict]:
     """Does the convex hull of the covectors c_k, k in minor.columns,
     contain 0?  (True, witness), (False, {}) or (None, {}); the steps are
     those of is_weakly_hyperbolic."""
     if minor.full:
         return False, {}
-    points = [[ctx.log_modulus(i, k) for i in range(ctx.eigen.p)] for k in minor.columns]
+    points = [[eigen.log_modulus(i, k) for i in range(eigen.p)] for k in minor.columns]
     # one row per coordinate and prime, and sum lambda_k = 1
-    rows = [[Fraction(point[i].as_dict().get(q, 0)) for point in points] for i in range(ctx.eigen.p)
+    rows = [[Fraction(point[i].as_dict().get(q, 0)) for point in points] for i in range(eigen.p)
             for q in sorted({q for point in points for q, _ in point[i].coords})] + [[Fraction(1)] * len(points)]
     hull_point = rational_feasible(rows, [Fraction(0)] * (len(rows) - 1) + [Fraction(1)])
     if hull_point is not None:
@@ -640,12 +610,12 @@ def _hull_contains_origin(ctx: EigenContext, minor: Minor) -> tuple[bool | None,
     signs = _collinear_signs(points)
     if signs is not None:
         return (True, {"collinear_signs": signs}) if 1 in signs and -1 in signs else (False, {})
-    if all(_rational_multiples([point[i] for point in points]) for i in range(ctx.eigen.p)):
+    if all(_rational_multiples([point[i] for point in points]) for i in range(eigen.p)):
         return False, {}
     return None, {}
 
 
-def is_weakly_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None = None) -> Verdict:
+def is_weakly_hyperbolic(eigen: EigenData) -> Verdict:
     """No p-subset's convex hull contains the origin.
 
     By Gordan's alternative the origin is either in conv{c_k : k in S} or
@@ -664,11 +634,10 @@ def is_weakly_hyperbolic(eigen: EigenData | EigenContext, max_bits: int | None =
     5. otherwise INDETERMINATE, unless every coordinate is a rational
        multiple of one log form: step 2's prime rows are then multiples of
        one rational row per coordinate, and its infeasibility is exact."""
-    ctx = EigenContext.of(eigen)
-    table = _minor_table(ctx, max_bits)
+    table = _minor_table(eigen)
     undecided = []
     for minor in table:
-        contains, info = _hull_contains_origin(ctx, minor)
+        contains, info = _hull_contains_origin(eigen, minor)
         if contains:
             return _no({"subset": _one_based(minor.columns), **info})
         if contains is None:
@@ -700,18 +669,6 @@ class PoincareTypeCertificate:
     betas: tuple[tuple[int, int, int, int], ...]  # (i_1based, j_1based, beta_i, beta_j)
     bound_m: int
 
-    def alpha_of(self, index: int) -> int | None:
-        for idx, order in self.alphas:
-            if idx == index:
-                return order
-        return None
-
-    def beta_of(self, i: int, j: int) -> tuple[int, int] | None:
-        for a, b, bi, bj in self.betas:
-            if (a, b) == (i, j):
-                return (bi, bj)
-        return None
-
     def verify(self, eigen: EigenData) -> bool:
         mu = eigen.mu[0]
         if LogModulusVector(self.log_scale).squared_exp() != self.scale_sq or self.scale_sq <= 1:
@@ -741,19 +698,15 @@ class PoincareTypeCertificate:
         }
 
 
-def poincare_type_single(
-    eigen: EigenData | EigenContext, omega: OmegaEnumeration, torsion_bound: int = 64
-) -> Verdict:
+def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration, torsion_bound: int = 64) -> Verdict:
     """Constructive Poincare-type certificate for p = 1 with n-1 independent
     first-integral exponents; hypothesis is that some eigenvalue leaves the
     unit circle."""
-    ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
     if eigen.p != 1:
         raise UsageError("constructive Poincare-type requires p = 1")
     mu = eigen.mu[0]
     n = eigen.n
-    logmods = [ctx.log_modulus(0, m) for m in range(n)]
+    logmods = [eigen.log_modulus(0, m) for m in range(n)]
     if all(v.is_zero() for v in logmods):
         return _no({"all_unit_modulus": True})
     rows = _independent_points(omega, n - 1)
@@ -816,27 +769,3 @@ def _torsion_order(z: GaussianRational, bound: int) -> int | None:
         if acc.is_one():
             return t
     return None
-
-
-def reduce_exponent(cert: PoincareTypeCertificate, s) -> tuple[int, ...]:
-    """Reduce an exponent vector preserving the exact eigenvalue product:
-    unit-modulus slots fold modulo their torsion order, contracting/expanding
-    pairs cancel along beta vectors, until one side is bounded by M."""
-    out = list(s)
-    m_bound = cert.bound_m
-    for idx, order in cert.alphas:
-        if out[idx - 1] >= m_bound:
-            out[idx - 1] %= order
-    while True:
-        progressed = False
-        for i1, j1, bi, bj in cert.betas:
-            i, j = i1 - 1, j1 - 1
-            if out[i] > m_bound and out[j] > m_bound:
-                steps = min(out[i] // bi, out[j] // bj)
-                if steps > 0:
-                    out[i] -= steps * bi
-                    out[j] -= steps * bj
-                    progressed = True
-        if not progressed:
-            break
-    return tuple(out)

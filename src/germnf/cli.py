@@ -10,6 +10,14 @@ timing field.  Exit codes: 0 definite, 1 usage/input error,
 Each command returns its payload and the jet degree it used, which the
 report's config echoes: the family's degree for family input, min(--degree,
 D) for first-integrals, and --degree for eigen input.
+
+A command builds one `EigenData` from its input and passes that one object
+to every lattice, Omega and decider call, so each distinct eigenvalue is
+factored once per command and the relation lattice computed once; nothing
+is kept between commands.  Certified interval evaluation has one precision
+budget, GERMNF_PRECISION_BITS (see `exactnum.precision_cap`); there is no
+option for it, and an indeterminate rank verdict reports the cap in
+`bounds_used.max_bits`.
 """
 
 from __future__ import annotations
@@ -30,14 +38,7 @@ from .germ import (
     family_to_json,
     germ_to_json,
 )
-from .resonance import (
-    EigenContext,
-    EigenData,
-    enumerate_omega,
-    relation_lattice,
-    resonant_set,
-    vect_omega_rank,
-)
+from .resonance import EigenData, enumerate_omega, resonant_set, vect_omega_rank
 from .series import UsageError
 from . import classify
 from . import normalform
@@ -120,11 +121,10 @@ def _indeterminate_in(payload) -> bool:
 
 def _cmd_lattice(data, args) -> tuple[dict, int]:
     eigen, fam = _eigen_from_input(data)
-    ctx = EigenContext(eigen)
-    lat = ctx.lattice
+    lat = eigen.lattice
     bound = args.bound_omega or 2 * args.degree
-    omega = enumerate_omega(ctx, bound)
-    rank_enum, rank_lat = vect_omega_rank(ctx, bound)
+    omega = enumerate_omega(eigen, bound)
+    rank_enum, rank_lat = vect_omega_rank(eigen, bound)
     payload = {
         "basis": lat.to_json(),
         "omega_points": [list(pt) for pt in omega.points],
@@ -132,7 +132,7 @@ def _cmd_lattice(data, args) -> tuple[dict, int]:
         "rank_enumerated": rank_enum,
         "rank_lattice": rank_lat,
         "resonant_sets": [
-            resonant_set(ctx, m, bound).to_json() for m in range(1, eigen.n + 1)
+            resonant_set(eigen, m, bound).to_json() for m in range(1, eigen.n + 1)
         ],
     }
     return payload, fam.degree if fam else args.degree
@@ -140,56 +140,53 @@ def _cmd_lattice(data, args) -> tuple[dict, int]:
 
 def _cmd_analyze(data, args) -> tuple[dict, int]:
     eigen, fam = _eigen_from_input(data)
-    ctx = EigenContext(eigen)
-    lat = ctx.lattice
+    lat = eigen.lattice
     bound = args.bound_omega or 2 * args.degree
-    rank_enum, rank_lat = vect_omega_rank(ctx, bound)
+    rank_enum, rank_lat = vect_omega_rank(eigen, bound)
     branch, gen_info = None, None
     try:
         branch, gen_info = classify.find_infinitesimal_generators(
-            ctx, branch_bound=args.bound_branch, omega_bound=bound
+            eigen, branch_bound=args.bound_branch, omega_bound=bound
         )
     except IndeterminateError as exc:
         gen_info = {"indeterminate": str(exc)}
     payload = {
         "lattice_basis": lat.to_json(),
         "vect_omega_rank": {"enumerated": rank_enum, "lattice": rank_lat, "bound": bound},
-        "projectively_hyperbolic": classify.is_projectively_hyperbolic(ctx).to_json(),
-        "weakly_resonant": classify.weak_resonance(ctx).to_json(),
+        "projectively_hyperbolic": classify.is_projectively_hyperbolic(eigen).to_json(),
+        "weakly_resonant": classify.weak_resonance(eigen).to_json(),
         "infinitesimal_generators": (
             {"found": branch.to_json(), **(gen_info or {})}
             if branch is not None
             else {"found": None, **(gen_info or {})}
         ),
-        "hyperbolic": classify.is_hyperbolic(ctx).to_json(),
-        "weakly_hyperbolic": classify.is_weakly_hyperbolic(ctx).to_json(),
+        "hyperbolic": classify.is_hyperbolic(eigen).to_json(),
+        "weakly_hyperbolic": classify.is_weakly_hyperbolic(eigen).to_json(),
         "normal_form_hypothesis": classify.normal_form_hypothesis(
-            ctx, branch_bound=args.bound_branch
+            eigen, branch_bound=args.bound_branch
         ).to_json(),
     }
     if fam is not None:
-        payload["nondegenerate"] = classify.is_nondegenerate(
-            fam, omega_bound=bound, context=ctx
-        ).to_json()
+        payload["nondegenerate"] = classify.is_nondegenerate(eigen, bound).to_json()
     if eigen.p == 1:
-        payload["poincare_type"] = _poincare_type(ctx, bound, args.bound_torsion)
+        payload["poincare_type"] = _poincare_type(eigen, bound, args.bound_torsion)
     return payload, fam.degree if fam else args.degree
 
 
-def _poincare_type(ctx: EigenContext, bound: int, torsion_bound: int) -> dict:
+def _poincare_type(eigen: EigenData, bound: int, torsion_bound: int) -> dict:
     """The p = 1 Poincare-type verdict.  Too few independent first-integral
     exponents fail the hypothesis exactly when the relation lattice itself
     has rank below n - 1, and leave it undecided when only the bounded
     enumeration fell short."""
     try:
         verdict = classify.poincare_type_single(
-            ctx, enumerate_omega(ctx, bound), torsion_bound=torsion_bound
+            eigen, enumerate_omega(eigen, bound), torsion_bound=torsion_bound
         )
     except UsageError as exc:
-        needed = ctx.eigen.n - 1
-        if ctx.lattice.rank < needed:
+        needed = eigen.n - 1
+        if eigen.lattice.rank < needed:
             return classify.Verdict(
-                classify.VerdictValue.NO, {"lattice_rank": ctx.lattice.rank, "needed": needed}
+                classify.VerdictValue.NO, {"lattice_rank": eigen.lattice.rank, "needed": needed}
             ).to_json()
         return {"verdict": "indeterminate", "reason": str(exc)}
     entry = verdict.to_json()
@@ -207,8 +204,7 @@ def _cmd_normalize(data, args) -> tuple[dict, int]:
         pairing = [v - 1 for v in data["pairing"]]
     result = normalform.poincare_dulac_normalize(fam, rho_pairing=pairing)
     payload = result.to_json()
-    eigen = EigenData.from_family(fam)
-    lat = relation_lattice(eigen)
+    lat = EigenData.from_family(fam).lattice
     division = normalform.division_check(result.normalized)
     if division.ok:
         payload["certificate"] = normalform.extract_integrable_certificate(
@@ -246,15 +242,14 @@ def _cmd_verify(data, args) -> tuple[dict, int]:
             "exponents": list(offender[2]),
         }
     if offender is None and division.ok:
-        eigen = EigenData.from_family(fam)
-        lat = relation_lattice(eigen)
+        lat = EigenData.from_family(fam).lattice
         payload["certificate"] = normalform.extract_integrable_certificate(fam, lat).to_json()
     return payload, fam.degree
 
 
 def _cmd_generate(data, args) -> tuple[dict, int]:
     eigen, _ = _eigen_from_input(data)
-    lat = relation_lattice(eigen)
+    lat = eigen.lattice
     fam = normalform.generate_integrable_nf(eigen, lat, args.degree, args.seed)
     cert = normalform.extract_integrable_certificate(fam, lat)
     payload = {

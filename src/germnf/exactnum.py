@@ -49,7 +49,8 @@ class DomainError(ValueError):
 
 
 def precision_cap() -> int:
-    """Maximum interval mantissa bits; GERMNF_PRECISION_BITS caps it."""
+    """Maximum interval mantissa bits, the one precision budget of every
+    certified evaluation; GERMNF_PRECISION_BITS sets it within [64, 1024]."""
     raw = os.environ.get(_PRECISION_ENV)
     if raw is None:
         return _PRECISION_CAP
@@ -60,8 +61,9 @@ def precision_cap() -> int:
     return max(_PRECISION_START, min(value, _PRECISION_CAP))
 
 
-def precision_ladder(cap: int | None = None):
-    top = precision_cap() if cap is None else cap
+def precision_ladder():
+    """64 bits, doubling up to precision_cap()."""
+    top = precision_cap()
     bits = _PRECISION_START
     while bits <= top:
         yield bits
@@ -574,18 +576,18 @@ class LogModulusVector:
             acc *= Fraction(p) ** int(e)
         return acc
 
-    def sign(self, max_bits: int | None = None) -> int:
+    def sign(self) -> int:
         """Exact sign of the represented real number sum(c_p ln p).
 
-        An interval enclosure of the sum, along the precision ladder up to
-        max_bits, decides it as soon as it excludes zero.  Logarithms of
+        An interval enclosure of the sum, along the precision ladder, decides
+        it as soon as it excludes zero.  Logarithms of
         distinct primes are linearly independent over Q, so a nonzero
         vector over primes is always decided at some precision.  Only when
         every level straddles zero is the sign decided by comparing the
         exact products prod p^(c_p) on both sides."""
         if not self.coords:
             return 0
-        for prec in precision_ladder(max_bits):
+        for prec in precision_ladder():
             acc = Interval.from_fraction(Fraction(0), prec)
             for p, c in self.coords:
                 acc = acc + Interval.log_int(p, prec).scale(c)
@@ -795,7 +797,7 @@ def _turns_interval(ts: TurnSum, prec: int) -> Interval:
     return acc
 
 
-def certified_round_to_integer(ts: TurnSum, max_bits: int | None = None) -> int:
+def certified_round_to_integer(ts: TurnSum) -> int:
     """Round a TurnSum known to be an exact integer, with certification.
 
     The returned K satisfies |value - K| < 1/4, certified by interval
@@ -810,7 +812,7 @@ def certified_round_to_integer(ts: TurnSum, max_bits: int | None = None) -> int:
             )
         return int(ts.rational)
     quarter = Fraction(1, 4)
-    for prec in precision_ladder(max_bits):
+    for prec in precision_ladder():
         box = _turns_interval(ts, prec)
         lo, hi = box.lo_fraction(), box.hi_fraction()
         mid = (lo + hi) / 2

@@ -4,6 +4,10 @@ A germ is stored as its degree-D jet: one TruncatedSeries per component,
 all with zero constant term and an invertible linear part.  The germ
 algebra accepts arbitrary invertible linear parts; the normalizer imposes
 diagonality separately (eigen-decomposition over Q(i) is out of scope).
+Invertibility is checked once, where a linear part enters from outside
+(`germ_from_json`): compositions and inverses of invertible germs are
+invertible, so `Germ` itself checks only the structure, and `invert_germ`
+of a singular germ still fails in `field_inverse`.
 
 Each component is an integer-native jet (see `series`): Gaussian-integer
 numerators over one denominator, in lowest terms, so germs compare and hash
@@ -58,8 +62,6 @@ class Germ:
         self.n = n
         self.degree = degree
         self.components = comps
-        if len(field_rref(self.linear_rows())[1]) < n:
-            raise UsageError("linear part is singular; not a diffeomorphism germ")
 
     # -- constructors ------------------------------------------------------
 
@@ -287,6 +289,8 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
         base = Germ.from_linear_matrix(mat, degree)
     else:
         raise UsageError("map entry needs linear_diag or linear_matrix")
+    if len(field_rref(base.linear_rows())[1]) < n:
+        raise UsageError("linear part is singular; not a diffeomorphism germ")
     comps = list(base.components)
     for term in _json_list(entry.get("terms", []), "terms"):
         term = _json_object(term, "term")

@@ -43,9 +43,6 @@ class EliminationRecord:
     divisor: GaussianRational
     germ_index: int  # 1-based: the i* whose resonance gap was used
 
-    def homological_coefficient(self) -> GaussianRational:
-        return self.coefficient / self.divisor
-
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
@@ -282,34 +279,6 @@ def first_integrals(fam: Family, degree: int | None = None) -> list[TruncatedSer
     return [TruncatedSeries(fam.n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
 
 
-def verify_first_integral_support(fam: Family, integral: TruncatedSeries):
-    """None when every monomial of the integral lies in Omega (exact product
-    checks); otherwise the first offending exponent.  Requires the family to
-    be in PD normal form."""
-    offender = verify_pd_nf(fam)
-    if offender is not None:
-        raise UsageError(f"family is not in PD normal form: offending term {offender}")
-    eigen = EigenData.from_family(fam)
-    for exp in integral.support():
-        if sum(exp) == 0:
-            continue
-        if not eigen.satisfies_relation(exp):
-            return exp
-    return None
-
-
-def echelonized_span(series_list: list[TruncatedSeries]) -> list[TruncatedSeries]:
-    """Canonical reduced echelon basis of the span; equality of spans is
-    equality of these lists."""
-    if not series_list:
-        return []
-    n, d = series_list[0].n, series_list[0].degree
-    columns = sorted({exp for s in series_list for exp in s.support()}, key=grlex_key)
-    index = {exp: j for j, exp in enumerate(columns)}
-    echelon, _ = field_rref([{index[exp]: c for exp, c in s.items()} for s in series_list])
-    return [TruncatedSeries(n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
-
-
 # ---------------------------------------------------------------------------
 # Division, integrable certificates, fixtures
 # ---------------------------------------------------------------------------
@@ -324,9 +293,6 @@ class DivisionReport:
     @property
     def ok(self) -> bool:
         return not self.offenders
-
-    def first_failure(self):
-        return self.offenders[0] if self.offenders else None
 
     def to_json(self) -> dict:
         return {
@@ -448,11 +414,12 @@ def generate_integrable_nf(
     """Deterministic fixture generator realizing the integrable normal-form
     class: components mu_im x_m exp(w_im) with the w coefficient vectors in
     the rational kernel of the lattice basis matrix, so the product
-    relations hold exactly and the family commutes up to D.
+    relations hold exactly and the family commutes up to D.  `lattice` is
+    the relation lattice of `eigen`, whose Omega walk supplies the monomials.
 
     seed = 0 means zero degrees of freedom: the linear family."""
     n = eigen.n
-    omega = enumerate_omega(eigen, max(degree - 1, 1), lattice) if degree >= 2 else None
+    omega = enumerate_omega(eigen, max(degree - 1, 1)) if degree >= 2 else None
     kernel = kernel_basis([list(r) for r in lattice.basis], ncols=n)
     germs = []
     rng = random.Random(seed)
@@ -474,36 +441,6 @@ def generate_integrable_nf(
             comps.append(x_m.scale(eigen.mu[i][m]) * w[m].exp0())
         germs.append(Germ(comps))
     return Family(germs, check_commuting=True)
-
-
-def pushforward_leading(exponents: MultiIndex, f: Germ) -> TruncatedSeries:
-    """Homogeneous part of degree |l| + 1 of x^l o f by the closed formula
-    (prod mu^l) * x^l * sum_m l_m phi_m^(2) / (mu_m x_m).
-
-    The eigenvalue-product factor is 1 exactly when x^l is invariant under
-    the linear part (the case the theory uses); keeping it makes the
-    identity with direct composition exact for every division-passing germ.
-    """
-    report = division_check(Family([f], check_commuting=False))
-    if not report.ok:
-        raise DomainError(f"division fails: {report.first_failure()}")
-    ell = sum(exponents)
-    if ell + 1 > f.degree:
-        raise UsageError("need |l| + 1 <= D to extract the leading part")
-    diag = f.linear_diag()
-    acc = TruncatedSeries.zero(f.n, f.degree)
-    for m, e in enumerate(exponents):
-        if not e:
-            continue
-        quad = f.components[m].homogeneous_part(2)
-        if quad.is_zero():
-            continue
-        acc = acc + quad.divide_by_variable(m).scale(GaussianRational(e) / diag[m])
-    scale = ONE
-    for m, e in enumerate(exponents):
-        if e:
-            scale = scale * diag[m] ** e
-    return acc.shift_monomial(exponents, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ integer-kernel computation by a scaled auxiliary column per germ.
 Omega (the paper's first-integral exponent set) is the lattice's
 intersection with N^n; resonant sets are its e_m-translates.
 
-An EigenContext decomposes an EigenData once: each distinct eigenvalue is
-factored once, its log-modulus vector is read off that factorization and
-its principal argument is taken once, and the relation lattice is computed
-once.  Every function here and in `classify` that takes eigen data accepts
-either an EigenData, for which it builds a context of its own, or a context
-that a caller (one CLI command) shares between them.  Nothing is cached
-beyond the context's lifetime.
+EigenData is the one eigen object: every hypothesis of the theorem is a
+function of the eigenvalue matrix mu alone, and everything read off mu is
+computed once per object, on first use, and kept with it: each distinct
+eigenvalue's factorization, log-modulus vector and principal argument,
+the relation lattice, the Omega walk per degree bound, and `classify`'s
+table of log-modulus minors.  A caller that holds a lattice or an Omega
+enumeration holds the EigenData it came from, so the functions here take
+only that.  Nothing is cached beyond the object's lifetime; one CLI
+command builds one object.
 """
 
 from __future__ import annotations
@@ -34,22 +36,35 @@ from .linalg import integer_rank, kernel_basis, lattice_points, row_hnf
 from .series import MultiIndex, UsageError, grlex_key
 
 
-@dataclass(frozen=True)
 class EigenData:
-    """Eigenvalues mu[i][m] of the diagonal semisimple linear parts."""
+    """Eigenvalues mu[i][m] of the diagonal semisimple linear parts, and
+    what is read off them, each computed once (see the module docstring)."""
 
-    mu: tuple[tuple[GaussianRational, ...], ...]
+    __slots__ = ("mu", "_memo")
 
-    def __post_init__(self):
-        if not self.mu or not self.mu[0]:
+    def __init__(self, mu: tuple[tuple[GaussianRational, ...], ...]):
+        if not mu or not mu[0]:
             raise UsageError("eigen data must be a nonempty p x n matrix")
-        n = len(self.mu[0])
-        for row in self.mu:
+        n = len(mu[0])
+        for row in mu:
             if len(row) != n:
                 raise UsageError("ragged eigenvalue matrix")
             for z in row:
                 if z.is_zero():
                     raise UsageError("eigenvalues must be nonzero")
+        self.mu = mu
+        self._memo: dict = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, EigenData):
+            return NotImplemented
+        return self.mu == other.mu
+
+    def __hash__(self):
+        return hash(self.mu)
+
+    def __repr__(self):
+        return f"EigenData({self.mu!r})"
 
     @property
     def p(self) -> int:
@@ -66,6 +81,28 @@ class EigenData:
     @staticmethod
     def from_family(fam) -> "EigenData":
         return EigenData(tuple(fam.linear_diags()))
+
+    def once(self, key, make):
+        """make(), computed on the first request for `key` and kept."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def factorization(self, i: int, m: int) -> GaussianFactorization:
+        z = self.mu[i][m]
+        return self.once(("factors", z), lambda: factor_gaussian(z))
+
+    def log_modulus(self, i: int, m: int) -> LogModulusVector:
+        """ln|mu_im|, read off the factorization."""
+        return self.once(("log_modulus", self.mu[i][m]), lambda: self.factorization(i, m).log_modulus())
+
+    def arg_turns(self, i: int, m: int) -> TurnSum:
+        z = self.mu[i][m]
+        return self.once(("arg_turns", z), lambda: principal_arg_turns(z))
+
+    @property
+    def lattice(self) -> "RelationLattice":
+        return self.once("lattice", lambda: relation_lattice(self))
 
     def product(self, i: int, k) -> GaussianRational:
         """prod_m mu[i][m]^{k_m}, exact (negative entries via inverses)."""
@@ -116,44 +153,7 @@ class RelationLattice:
         return [list(row) for row in self.basis]
 
 
-class EigenContext:
-    """Per-eigenvalue decompositions and the relation lattice of one
-    EigenData, each computed once (see the module docstring)."""
-
-    def __init__(self, eigen: EigenData):
-        self.eigen = eigen
-        distinct = dict.fromkeys(z for row in eigen.mu for z in row)
-        self._factors = {z: factor_gaussian(z) for z in distinct}
-        self._logmods = {z: f.log_modulus() for z, f in self._factors.items()}
-        self._turns: dict[GaussianRational, TurnSum] = {}  # filled on demand
-        self._lattice: RelationLattice | None = None
-        self._omega: dict[int, OmegaEnumeration] = {}  # by degree bound, on demand
-        self.minor_tables: dict = {}  # classify's log-modulus minors, by max_bits, on demand
-
-    @staticmethod
-    def of(eigen: "EigenData | EigenContext") -> "EigenContext":
-        return eigen if isinstance(eigen, EigenContext) else EigenContext(eigen)
-
-    def factorization(self, i: int, m: int) -> GaussianFactorization:
-        return self._factors[self.eigen.mu[i][m]]
-
-    def log_modulus(self, i: int, m: int) -> LogModulusVector:
-        return self._logmods[self.eigen.mu[i][m]]
-
-    def arg_turns(self, i: int, m: int) -> TurnSum:
-        z = self.eigen.mu[i][m]
-        if z not in self._turns:
-            self._turns[z] = principal_arg_turns(z)
-        return self._turns[z]
-
-    @property
-    def lattice(self) -> RelationLattice:
-        if self._lattice is None:
-            self._lattice = relation_lattice(self)
-        return self._lattice
-
-
-def relation_lattice(eigen: EigenData | EigenContext) -> RelationLattice:
+def relation_lattice(eigen: EigenData) -> RelationLattice:
     """Exact relation lattice of the eigenvalue family.
 
     Row system: for every germ i and every Gaussian prime pi occurring in
@@ -161,10 +161,8 @@ def relation_lattice(eigen: EigenData | EigenContext) -> RelationLattice:
     sum_m k_m * u_im - 4*t_i = 0 with auxiliary integer t_i.  The kernel is
     projected back to the k coordinates and HNF-canonicalized.
     """
-    ctx = EigenContext.of(eigen)
-    eigen = ctx.eigen
     p, n = eigen.p, eigen.n
-    factorizations = [[ctx.factorization(i, m) for m in range(n)] for i in range(p)]
+    factorizations = [[eigen.factorization(i, m) for m in range(n)] for i in range(p)]
     rows: list[list[int]] = []
     for i in range(p):
         primes: list[GaussianRational] = []
@@ -190,14 +188,6 @@ def relation_lattice(eigen: EigenData | EigenContext) -> RelationLattice:
     return lattice
 
 
-def _lattice_and_data(eigen, lattice: RelationLattice | None) -> tuple[RelationLattice, EigenData]:
-    """The given lattice, else the context's; and the plain eigen data."""
-    if lattice is not None:
-        return lattice, eigen.eigen if isinstance(eigen, EigenContext) else eigen
-    ctx = EigenContext.of(eigen)
-    return ctx.lattice, ctx.eigen
-
-
 @dataclass(frozen=True)
 class OmegaEnumeration:
     """All nonzero first-integral exponents of degree <= degree_bound."""
@@ -209,28 +199,22 @@ class OmegaEnumeration:
         return {"bound": self.degree_bound, "points": [list(pt) for pt in self.points]}
 
 
-def enumerate_omega(
-    eigen: EigenData | EigenContext, bound: int, lattice: RelationLattice | None = None
-) -> OmegaEnumeration:
+def enumerate_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
     """Nonzero lattice points in N^n with total degree <= bound.
 
     Enumeration walks the relation lattice intersected with the simplex
     rather than all of N^n; every emitted point is re-verified by an exact
-    eigenvalue product.  A context without an explicit lattice keeps the
-    result, so one command walks each box once.
+    eigenvalue product.  The eigen object keeps the result, so one command
+    walks each box once.
     """
     if bound < 1:
         raise UsageError("enumeration bound must be >= 1")
-    if lattice is None and isinstance(eigen, EigenContext):
-        if bound not in eigen._omega:
-            eigen._omega[bound] = _walk_omega(eigen.lattice, eigen.eigen, bound)
-        return eigen._omega[bound]
-    return _walk_omega(*_lattice_and_data(eigen, lattice), bound)
+    return eigen.once(("omega", bound), lambda: _walk_omega(eigen, bound))
 
 
-def _walk_omega(lat: RelationLattice, eigen: EigenData, bound: int) -> OmegaEnumeration:
+def _walk_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
     pts = []
-    for pt in lattice_points([list(r) for r in lat.basis], [0] * eigen.n, [bound] * eigen.n):
+    for pt in lattice_points([list(r) for r in eigen.lattice.basis], [0] * eigen.n, [bound] * eigen.n):
         deg = sum(pt)
         if 1 <= deg <= bound:
             if not eigen.satisfies_relation(pt):
@@ -256,23 +240,21 @@ class ResonantSet:
         }
 
 
-def resonant_set(
-    eigen: EigenData | EigenContext, m: int, bound: int, lattice: RelationLattice | None = None
-) -> ResonantSet:
+def resonant_set(eigen: EigenData, m: int, bound: int) -> ResonantSet:
     """Solutions of the resonance condition mu_im = mu_i^gamma for all i.
 
     m is 1-based.  Computed as (e_m + lattice) intersected with N^n in the
     degree range, then cross-checked term by term against the exact
     products; the brute-force oracle comparison lives in the tests.
     """
-    lat, eigen = _lattice_and_data(eigen, lattice)
     if not 1 <= m <= eigen.n:
         raise UsageError(f"component {m} out of range 1..{eigen.n}")
     if bound < 2:
         raise UsageError("resonant set bound must be >= 2")
     offset = [1 if j == m - 1 else 0 for j in range(eigen.n)]
     pts = []
-    for pt in lattice_points([list(r) for r in lat.basis], [0] * eigen.n, [bound] * eigen.n, offset=offset):
+    basis = [list(r) for r in eigen.lattice.basis]
+    for pt in lattice_points(basis, [0] * eigen.n, [bound] * eigen.n, offset=offset):
         deg = sum(pt)
         if 2 <= deg <= bound:
             for i in range(eigen.p):
@@ -288,21 +270,17 @@ def is_resonant_exponent(eigen: EigenData, m: int, gamma) -> bool:
     return all(eigen.product(i, gamma) == eigen.mu[i][m - 1] for i in range(eigen.p))
 
 
-def vect_omega_rank(eigen: EigenData | EigenContext, enumeration_bound: int) -> tuple[int, int]:
+def vect_omega_rank(eigen: EigenData, enumeration_bound: int) -> tuple[int, int]:
     """(rank over Q of enumerated Omega points, rank of the full lattice).
 
     Both are reported: the vector space the paper takes is spanned by the
     nonnegative points only, and a finite enumeration can only bound its
     dimension from below.
     """
-    ctx = EigenContext.of(eigen)
-    pts = [list(pt) for pt in enumerate_omega(ctx, enumeration_bound).points]
-    return (integer_rank(pts) if pts else 0), ctx.lattice.rank
+    pts = [list(pt) for pt in enumerate_omega(eigen, enumeration_bound).points]
+    return (integer_rank(pts) if pts else 0), eigen.lattice.rank
 
 
-def omega_span_basis(
-    eigen: EigenData | EigenContext, bound: int, lattice: RelationLattice | None = None
-) -> list[list[int]]:
+def omega_span_basis(eigen: EigenData, bound: int) -> list[list[int]]:
     """HNF basis of the Z-span of the enumerated Omega points."""
-    omega = enumerate_omega(eigen, bound, lattice)
-    return row_hnf([list(pt) for pt in omega.points])
+    return row_hnf([list(pt) for pt in enumerate_omega(eigen, bound).points])

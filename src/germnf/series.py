@@ -13,9 +13,9 @@ operation returns its result in lowest terms, gcd(_den, all a, all b) = 1
 compare it directly.  The ring operations, scaling, truncation and
 composition are plain integer multiply-adds with one gcd per result.
 
-`GaussianRational` stays the boundary type: the mapping constructor,
-`from_term_list` and `scale` take one; `coeff`, `items`, `to_term_list` and
-`str` give one back.  `support()` gives the exponents without building
+`GaussianRational` stays the boundary type: the mapping constructor and
+`scale` take one; `coeff`, `items`, `to_term_list` and `str` give one
+back.  `support()` gives the exponents without building
 coefficients.  Canonical term order everywhere is graded lexicographic:
 ascending total degree, then x1 before x2 before ...
 """
@@ -242,25 +242,7 @@ class TruncatedSeries:
             e >>= 1
         return result
 
-    def shift_monomial(self, exponents: MultiIndex, coeff=1) -> "TruncatedSeries":
-        """Multiply by coeff * x^exponents (with truncation)."""
-        shift = tuple(exponents)
-        p, q, d = _parts(coeff)
-        limit = self.degree - sum(shift)
-
-        def shifted(e, a, b):
-            if sum(e) > limit:
-                return None
-            return tuple(map(add, e, shift)), a * p - b * q, a * q + b * p
-
-        return self._map(shifted, d)
-
     # -- jets ----------------------------------------------------------------
-
-    def homogeneous_part(self, d: int) -> "TruncatedSeries":
-        if d < 0 or d > self.degree:
-            raise UsageError(f"homogeneous degree {d} outside [0, {self.degree}]")
-        return self._map(lambda e, a, b: (e, a, b) if sum(e) == d else None)
 
     def part_up_to(self, d: int) -> "TruncatedSeries":
         return self._map(lambda e, a, b: (e, a, b) if sum(e) <= d else None)
@@ -277,20 +259,6 @@ class TruncatedSeries:
     def compose(self, components: Iterable["TruncatedSeries"]) -> "TruncatedSeries":
         """Jet of self(g1, ..., gn); each g must have zero constant term."""
         return compose_all([self], components)[0]
-
-    def log1p(self) -> "TruncatedSeries":
-        """log(1 + u) for a jet u with u(0) = 0."""
-        if not self.constant_term().is_zero():
-            raise DomainError("log1p requires zero constant term")
-        result = TruncatedSeries(self.n, self.degree)
-        power = TruncatedSeries.constant(1, self.n, self.degree)
-        for t in range(1, self.degree + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            sign = Fraction(1, t) if t % 2 else Fraction(-1, t)
-            result = result + power.scale(sign)
-        return result
 
     def exp0(self) -> "TruncatedSeries":
         """exp(w) for a jet w with w(0) = 0."""
@@ -339,17 +307,6 @@ class TruncatedSeries:
             {"exponents": list(exp), "coeff": str(c)}
             for exp, c in self.items()
         ]
-
-    @staticmethod
-    def from_term_list(terms: list[dict], n: int, degree: int) -> "TruncatedSeries":
-        data = {}
-        for entry in terms:
-            exp = tuple(entry["exponents"])
-            coeff = GaussianRational.parse(entry["coeff"])
-            if exp in data:
-                raise UsageError(f"duplicate exponent {exp} in term list")
-            data[exp] = coeff
-        return TruncatedSeries(n, degree, data)
 
     def __str__(self):
         if not self._terms:

@@ -15,11 +15,12 @@ import mpmath
 import sympy
 from hypothesis import strategies as st
 
-from germnf.exactnum import GaussianRational as GR
+from germnf.exactnum import DomainError, GaussianRational as GR
 from germnf.germ import Family, Germ, conjugate
-from germnf.linalg import field_kernel
-from germnf.resonance import EigenData, enumerate_omega, relation_lattice
-from germnf.series import TruncatedSeries
+from germnf.linalg import field_kernel, field_rref
+from germnf.normalform import division_check
+from germnf.resonance import EigenData, enumerate_omega
+from germnf.series import TruncatedSeries, UsageError, grlex_key
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,71 @@ def brute_force_resonant(eigen: EigenData, m: int, bound: int) -> list[tuple[int
         if all(eigen.product(i, exp) == eigen.mu[i][m - 1] for i in range(eigen.p)):
             out.append(exp)
     return sorted(out, key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
+# ---------------------------------------------------------------------------
+# jet oracles: closed formulas and canonical forms the library does not need
+# ---------------------------------------------------------------------------
+
+
+def homogeneous_part(f: TruncatedSeries, d: int) -> TruncatedSeries:
+    """The terms of total degree exactly d."""
+    return f.part_up_to(d) - f.part_up_to(d - 1) if d else f.part_up_to(0)
+
+
+def log1p(u: TruncatedSeries) -> TruncatedSeries:
+    """log(1 + u) for a jet u with u(0) = 0, by its power series: the
+    inverse of TruncatedSeries.exp0."""
+    if not u.constant_term().is_zero():
+        raise DomainError("log1p requires zero constant term")
+    result = TruncatedSeries.zero(u.n, u.degree)
+    power = TruncatedSeries.constant(1, u.n, u.degree)
+    for t in range(1, u.degree + 1):
+        power = power * u
+        result = result + power.scale(Fraction((-1) ** (t + 1), t))
+    return result
+
+
+def from_term_list(terms: list[dict], n: int, degree: int) -> TruncatedSeries:
+    """Inverse of TruncatedSeries.to_term_list; a repeated exponent is an error."""
+    data = {}
+    for entry in terms:
+        exp = tuple(entry["exponents"])
+        if exp in data:
+            raise UsageError(f"duplicate exponent {exp} in term list")
+        data[exp] = GR.parse(entry["coeff"])
+    return TruncatedSeries(n, degree, data)
+
+
+def echelonized_span(series_list: list[TruncatedSeries]) -> list[TruncatedSeries]:
+    """Canonical reduced echelon basis of the span; equality of spans is
+    equality of these lists."""
+    if not series_list:
+        return []
+    n, d = series_list[0].n, series_list[0].degree
+    columns = sorted({exp for s in series_list for exp in s.support()}, key=grlex_key)
+    index = {exp: j for j, exp in enumerate(columns)}
+    echelon, _ = field_rref([{index[exp]: c for exp, c in s.items()} for s in series_list])
+    return [TruncatedSeries(n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
+
+
+def pushforward_leading(exponents: tuple[int, ...], f: Germ) -> TruncatedSeries:
+    """Homogeneous part of degree |l| + 1 of x^l o f by the closed formula
+    (prod mu^l) * x^l * sum_m l_m phi_m^(2) / (mu_m x_m), for a germ with
+    diagonal linear part mu whose components phi_m are divisible by x_m: an
+    oracle for composition."""
+    report = division_check(Family([f], check_commuting=False))
+    if not report.ok:
+        raise DomainError(f"division fails: {report.offenders[0]}")
+    diag = f.linear_diag()
+    acc = TruncatedSeries.zero(f.n, f.degree)
+    scale = GR(1)
+    for m, e in enumerate(exponents):
+        if e:
+            quad = homogeneous_part(f.components[m], 2)
+            acc = acc + quad.divide_by_variable(m).scale(GR(e) / diag[m])
+            scale = scale * diag[m] ** e
+    return acc * TruncatedSeries.monomial(tuple(exponents), scale, f.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +266,8 @@ def rho_equivariant_nf(eigen: EigenData, sigma: tuple[int, ...], degree: int,
     lattice kernel conditions (commutativity + product relations) and the
     conjugation pairing w_{sigma(k)}(G o sigma) = conj(w_k(G))."""
     n = eigen.n
-    lat = relation_lattice(eigen)
-    omega_pts = list(enumerate_omega(eigen, max(degree - 1, 1), lat).points) if degree >= 2 else []
+    lat = eigen.lattice
+    omega_pts = list(enumerate_omega(eigen, max(degree - 1, 1)).points) if degree >= 2 else []
     if not omega_pts:
         return Family([Germ.from_linear_diag(row, degree) for row in eigen.mu])
     # real unknowns re[k, G], im[k, G]

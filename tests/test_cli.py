@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -12,7 +14,7 @@ from germnf.cli import run
 from germnf.germ import Germ, family_from_json, invert_germ
 from germnf.series import TruncatedSeries, compose_all
 
-from helpers import random_real_block_family
+from helpers import from_term_list, random_real_block_family
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -158,7 +160,7 @@ class TestFirstIntegralsCorpus:
         fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
         d = payload["degree"]
         assert (fam.n, fam.p, d) == (4, 2, 6)
-        basis = [TruncatedSeries.from_term_list(terms, fam.n, d) for terms in payload["basis"]]
+        basis = [from_term_list(terms, fam.n, d) for terms in payload["basis"]]
         assert len(basis) == payload["dimension"] > 0
         for g in fam.germs:
             assert compose_all(basis, [c.truncate(d) for c in g.components]) == basis
@@ -242,6 +244,27 @@ class TestCorpusGoldens:
         assert golden.verdict_counts(found)[0] == 0 and code == 0
 
 
+class TestCorpusGenerator:
+    def test_build_reproduces_the_committed_inputs(self, monkeypatch):
+        """perfbench/gen.py draws the 27 corpus inputs with the public API
+        (EigenData.from_rows, relation_lattice, generate_integrable_nf, Germ,
+        conjugate); building them again, in memory, gives the committed
+        files byte for byte."""
+        monkeypatch.setattr(sys, "path", list(sys.path))  # gen.py prepends src/
+        spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        built = {
+            f"{workload}/{name}.json": json.dumps(data, sort_keys=True) + "\n"
+            for workload, inputs in gen.build(20071063).items()
+            for name, data, _ in inputs
+        }
+        corpus = ROOT / "perfbench" / "corpus"
+        committed = {path.relative_to(corpus).as_posix(): path.read_text() for path in corpus.glob("*/*.json")}
+        assert len(built) == 27
+        assert built == committed
+
+
 class TestMinorTable:
     def test_analyze_builds_the_minor_table_once(self, tmp_path, monkeypatch):
         """The three hyperbolicity deciders and the normal-form hypothesis
@@ -301,7 +324,13 @@ class TestJetWork:
 class TestEigenWork:
     P2_EIGEN = {"schema": 1, "mu": [["-1/3", "-1/2", "-3"], ["-3", "1", "3"]]}
 
-    def test_analyze_decomposes_each_eigenvalue_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _assert_decomposes_once(monkeypatch, argv, distinct):
+        """One run of the command factors each of its `distinct` eigenvalues
+        once (factor_int on numerator and denominator norms), computes the
+        relation lattice once and takes each principal argument at most
+        once; a second run redoes all of it, since nothing is kept between
+        runs."""
         import germnf.exactnum as exactnum
         import germnf.resonance as resonance
 
@@ -320,16 +349,30 @@ class TestEigenWork:
         count(resonance, "relation_lattice")
         count(exactnum, "factor_int")
         count(resonance, "principal_arg_turns")
-        path = _write(tmp_path, "p2.json", self.P2_EIGEN)
-        distinct = 5  # -1/3, -1/2, -3, 1, 3
-        assert _run_json(tmp_path, "analyze", path)[0] in (0, 2)
-        assert calls.pop("principal_arg_turns", 0) <= distinct
         once = {"factor_gaussian": distinct, "relation_lattice": 1, "factor_int": 2 * distinct}
-        assert calls == once
-        # a second run redoes all of it: nothing is kept between runs
-        assert _run_json(tmp_path, "analyze", path)[0] in (0, 2)
-        assert calls.pop("principal_arg_turns", 0) <= distinct
-        assert calls == {name: 2 * count for name, count in once.items()}
+        for runs in (1, 2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) in (0, 2)
+            assert calls.pop("principal_arg_turns", 0) <= distinct
+            assert calls == {name: runs * count for name, count in once.items()}
+
+    def test_analyze_decomposes_each_eigenvalue_once(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "p2.json", self.P2_EIGEN)
+        self._assert_decomposes_once(monkeypatch, ["analyze", path], 5)  # -1/3, -1/2, -3, 1, 3
+
+    @pytest.mark.parametrize("command, name", [
+        ("lattice", "eigen/large_p2-0"),
+        ("normalize", "normalize/conj_p2-0"),
+        ("verify", "integrals/inf_p2_n4-0"),
+        ("generate", "eigen/small_p2-0"),
+    ])
+    def test_each_command_decomposes_each_eigenvalue_once(self, monkeypatch, command, name):
+        """The corpus manifests record each input's distinct eigenvalues."""
+        workload, stem = name.split("/")
+        manifest = json.loads((ROOT / "perfbench" / "corpus" / f"{workload}.json").read_text())
+        distinct = next(op["distinct_eigenvalues"] for op in manifest["ops"] if op["id"].startswith(stem + "."))
+        path = ROOT / "perfbench" / "corpus" / f"{name}.json"
+        self._assert_decomposes_once(monkeypatch, [command, str(path)], distinct)
 
     def test_analyze_parses_a_family_once(self, tmp_path, monkeypatch):
         import germnf.cli as cli

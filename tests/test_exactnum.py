@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,19 @@ from germnf.exactnum import (
 )
 
 from helpers import random_gaussian
+
+
+@contextlib.contextmanager
+def precision_bits(bits):
+    """The one precision budget, GERMNF_PRECISION_BITS, set to `bits` (unset
+    for None) inside the block.  Hypothesis tests cannot take the
+    function-scoped monkeypatch fixture, so this sets it in the test body."""
+    with pytest.MonkeyPatch.context() as mp:
+        if bits is None:
+            mp.delenv("GERMNF_PRECISION_BITS", raising=False)
+        else:
+            mp.setenv("GERMNF_PRECISION_BITS", str(bits))
+        yield
 
 
 class TestGaussianRational:
@@ -168,7 +182,7 @@ class TestLogModulus:
         ),
         st.sampled_from([None, 64]),
     )
-    def test_sign_matches_exact_products(self, coords, max_bits):
+    def test_sign_matches_exact_products(self, coords, bits):
         # oracle: sum c_p ln p has the sign of prod p^(2 c_p) - 1; the
         # composite keys 4 and 6 make some nonzero vectors sum to zero
         num = den = 1
@@ -179,12 +193,14 @@ class TestLogModulus:
             else:
                 den *= p**-e
         vec = LogModulusVector.from_dict(coords)
-        assert vec.sign(max_bits) == (num > den) - (num < den)
+        with precision_bits(bits):
+            assert vec.sign() == (num > den) - (num < den)
 
     def test_sign_of_vanishing_combinations(self):
         assert LogModulusVector(()).sign() == 0
         assert LogModulusVector.from_dict({6: Fraction(1), 2: Fraction(-1), 3: Fraction(-1)}).sign() == 0
-        assert LogModulusVector.from_dict({4: Fraction(1, 2), 2: Fraction(-1)}).sign(64) == 0
+        with precision_bits(64):
+            assert LogModulusVector.from_dict({4: Fraction(1, 2), 2: Fraction(-1)}).sign() == 0
 
 
 class TestCertifiedRounding:
@@ -208,16 +224,22 @@ class TestCertifiedRounding:
 
     def test_deterministic_across_precisions(self):
         ts = principal_arg_turns(GR(2, 1)).scale(4) + principal_arg_turns(GR(2, -1)).scale(4)
-        assert certified_round_to_integer(ts, max_bits=64) == certified_round_to_integer(ts, max_bits=1024) == 0
+        with precision_bits(64):
+            low = certified_round_to_integer(ts)
+        with precision_bits(1024):
+            high = certified_round_to_integer(ts)
+        assert low == high == 0
 
     def test_non_integer_rational_rejected(self):
         with pytest.raises(DomainError):
             certified_round_to_integer(TurnSum(Fraction(1, 2), ()))
 
     def test_budget_exhaustion_signals(self):
-        ts = principal_arg_turns(GR(3, 4))  # genuinely non-integer value
+        # Arg(2+i) + Arg(3+i) = pi/4, so ts is exactly a quarter turn, and no
+        # enclosure within the default cap lies within 1/4 of an integer
+        ts = (principal_arg_turns(GR(2, 1)) + principal_arg_turns(GR(3, 1))).scale(2)
         with pytest.raises(IndeterminateError):
-            certified_round_to_integer(ts, max_bits=32)
+            certified_round_to_integer(ts)
 
     def test_principal_range_conventions(self):
         # Arg principal in (-pi, pi]: Arg(-2) = pi, Arg(-1-i) = -3pi/4

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germnf.cli import run
 from germnf.exactnum import GaussianRational as GR
 from germnf.germ import (
     CommutationError,
@@ -18,7 +20,7 @@ from germnf.germ import (
 )
 from germnf.series import TruncatedSeries as TS, UsageError
 
-from helpers import example_34_family, germs, random_series, random_tangent_identity
+from helpers import example_34_family, germs, homogeneous_part, random_series, random_tangent_identity
 
 SMALL_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5))  # (n, D)
 
@@ -74,7 +76,7 @@ class TestInvert:
             comps = []
             for j in range(n):
                 comp = TS.variable(j, n, d).scale(GR(rng.randint(1, 3)))
-                comp = comp + random_series(rng, n, d, 2).homogeneous_part(2) if d >= 2 else comp
+                comp = comp + homogeneous_part(random_series(rng, n, d, 2), 2) if d >= 2 else comp
                 comps.append(comp)
             f = Germ(comps)
             g = invert_germ(f)
@@ -92,9 +94,18 @@ class TestInvert:
         assert compose_germ(f, g) == ident
         assert compose_germ(g, f) == ident
 
-    def test_singular_rejected(self):
-        with pytest.raises(UsageError):
-            Germ([TS.monomial((2,), 1, 3)])
+    def test_singular_rejected(self, tmp_path):
+        """A singular linear part is rejected where it enters, as family
+        input (exit 1); a singular germ built in code fails to invert."""
+        for entry in ({"linear_matrix": [["1", "2"], ["2", "4"]]}, {"linear_diag": ["3", "0"]}):
+            data = {"schema": 1, "n": 2, "degree": 3, "maps": [entry]}
+            with pytest.raises(UsageError, match="singular"):
+                family_from_json(data)
+            path = tmp_path / "singular.json"
+            path.write_text(json.dumps(data))
+            assert run(["normalize", str(path)]) == 1
+        with pytest.raises(ValueError, match="singular"):
+            invert_germ(Germ([TS.monomial((2,), 1, 3)]))
 
 
 class TestConjugate:
@@ -115,7 +126,7 @@ class TestConjugate:
             f = Germ(
                 [
                     TS.variable(j, 2, 5).scale(GR(rng.randint(1, 4)))
-                    + random_series(rng, 2, 5, 2).homogeneous_part(rng.randint(2, 4))
+                    + homogeneous_part(random_series(rng, 2, 5, 2), rng.randint(2, 4))
                     for j in range(2)
                 ]
             )

@@ -89,9 +89,10 @@ class TestResonantSet:
                 tuple(tuple(random_gaussian(rng, 8, nonzero=True) for _ in range(n)) for _ in range(p))
             )
             bound = rng.randint(2, 6)
-            lat = relation_lattice(eigen)
+            lat = eigen.lattice
+            assert lat == relation_lattice(eigen)
             for m in range(1, n + 1):
-                got = list(resonant_set(eigen, m, bound, lat).points)
+                got = list(resonant_set(eigen, m, bound).points)
                 assert got == brute_force_resonant(eigen, m, bound)
                 # shifted-lattice characterization
                 for pt in got:
