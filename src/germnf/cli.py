@@ -104,6 +104,14 @@ def _eigen_from_input(data) -> tuple[EigenData, Family | None]:
     return _load_eigen(data), None
 
 
+def _family_eigen(fam: Family, task: str) -> EigenData:
+    """The command's one EigenData for a family with diagonal linear parts;
+    other families are refused with a message naming the task."""
+    if not fam.is_diagonal_linear():
+        raise UsageError(f"{task} requires diagonal linear parts")
+    return EigenData.from_family(fam)
+
+
 def _indeterminate_in(payload) -> bool:
     if isinstance(payload, dict):
         if payload.get("verdict") == "indeterminate":
@@ -202,13 +210,13 @@ def _cmd_normalize(data, args) -> tuple[dict, int]:
         if "pairing" not in data:
             raise _InputError("--rho-equivariant needs a 'pairing' field (1-based involution)")
         pairing = [v - 1 for v in data["pairing"]]
-    result = normalform.poincare_dulac_normalize(fam, rho_pairing=pairing)
+    eigen = _family_eigen(fam, "normalization")
+    result = normalform.poincare_dulac_normalize(fam, eigen, rho_pairing=pairing)
     payload = result.to_json()
-    lat = EigenData.from_family(fam).lattice
     division = normalform.division_check(result.normalized)
     if division.ok:
         payload["certificate"] = normalform.extract_integrable_certificate(
-            result.normalized, lat
+            result.normalized, eigen
         ).to_json()
     else:
         payload["certificate"] = {"ok": False, "division": division.to_json()}
@@ -229,7 +237,8 @@ def _cmd_first_integrals(data, args) -> tuple[dict, int]:
 
 def _cmd_verify(data, args) -> tuple[dict, int]:
     fam = _load_family(data)
-    offender = normalform.verify_pd_nf(fam)
+    eigen = _family_eigen(fam, "PD-NF verification")
+    offender = normalform.verify_pd_nf(fam, eigen)
     division = normalform.division_check(fam)
     payload = {
         "pd_normal_form": {"ok": offender is None},
@@ -242,16 +251,14 @@ def _cmd_verify(data, args) -> tuple[dict, int]:
             "exponents": list(offender[2]),
         }
     if offender is None and division.ok:
-        lat = EigenData.from_family(fam).lattice
-        payload["certificate"] = normalform.extract_integrable_certificate(fam, lat).to_json()
+        payload["certificate"] = normalform.extract_integrable_certificate(fam, eigen).to_json()
     return payload, fam.degree
 
 
 def _cmd_generate(data, args) -> tuple[dict, int]:
     eigen, _ = _eigen_from_input(data)
-    lat = eigen.lattice
-    fam = normalform.generate_integrable_nf(eigen, lat, args.degree, args.seed)
-    cert = normalform.extract_integrable_certificate(fam, lat)
+    fam = normalform.generate_integrable_nf(eigen, eigen.lattice, args.degree, args.seed)
+    cert = normalform.extract_integrable_certificate(fam, eigen)
     payload = {
         "family": family_to_json(fam),
         "certificate_ok": cert.ok,
@@ -263,7 +270,9 @@ def _cmd_generate(data, args) -> tuple[dict, int]:
 def _cmd_realcase(data, args) -> tuple[dict, int]:
     fam = _load_family(data)
     complex_fam, _, sigma = normalform.complexify_real_family(fam)
-    result = normalform.poincare_dulac_normalize(complex_fam, rho_pairing=sigma)
+    result = normalform.poincare_dulac_normalize(
+        complex_fam, EigenData.from_family(complex_fam), rho_pairing=sigma
+    )
     realified = normalform.realify_normal_form(result.normalized, sigma)
     p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
     conjugator = compose_germ(compose_germ(p_germ, result.psi), p_inv)

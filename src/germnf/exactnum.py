@@ -170,23 +170,21 @@ class GaussianRational:
         return _coerce(other) / self
 
     def __pow__(self, exponent: int) -> "GaussianRational":
+        """Square and multiply, with no product by 1 and no square past the
+        top bit: z^1 costs nothing, z^2 one product."""
         if exponent < 0:
             return (GaussianRational(1) / self) ** (-exponent)
-        result = GaussianRational(1)
-        base = self
-        e = exponent
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return GaussianRational(1) if result is None else result
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        return GaussianRational(1) / self
 
     def norm(self) -> Fraction:
         """|z|^2 as an exact rational."""

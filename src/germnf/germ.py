@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .exactnum import GaussianRational, ONE
 from .linalg import field_inverse, field_rref
-from .series import TruncatedSeries, UsageError, compose_all, grlex_key
+from .series import TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key
 
 
 class CommutationError(ValueError):
@@ -327,6 +327,7 @@ def family_from_json(data: dict, check_commuting: bool = True) -> Family:
     degree = _json_int(data["degree"], "degree")
     if degree < 2:
         raise UsageError("degree must be >= 2")
+    check_jet_size(n, degree)
     maps = _json_list(data["maps"], "maps")
     if "p" in data and _json_int(data["p"], "p") != len(maps):
         raise UsageError("declared p does not match the number of maps")

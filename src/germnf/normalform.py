@@ -11,9 +11,13 @@ Eliminations are batched per degree: within one degree the homological
 corrections do not interact, so one conjugation per degree realizes the
 same result as one conjugation per monomial.  The resonance gaps
 mu_i^gamma - mu_im that decide which terms are eliminated, and supply the
-divisors, live in one table per normalizer call, so each mu^gamma is
-computed once.  The final transformation psi is checked once, as
+divisors, live in one table per normalizer call; the powers mu^gamma are
+read from the EigenData's one power table, so each is computed once per
+command.  The final transformation psi is checked once, as
 psi o Phi_i' = Phi_i o psi for every germ, which needs no inverse of psi.
+
+The normalizer, the PD-NF check and the certificate take the command's
+EigenData and refuse one that is not the family's linear diagonal.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, invert_germ
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
-from .series import MultiIndex, TruncatedSeries, UsageError, compose_all, grlex_key
+from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +101,23 @@ def _rho_offense(germs: list[Germ], sigma: tuple[int, ...]):
     return None
 
 
+def _check_eigen(fam: Family, eigen: EigenData) -> None:
+    if eigen.mu != tuple(fam.linear_diags()):
+        raise UsageError("eigen data must be the family's linear diagonal")
+
+
 class _ResonanceGaps(dict):
     """(m, gamma) -> the resonance gaps mu_i^gamma - mu_im of every germ i,
-    filled on first use.  Each mu^gamma is computed once, as
-    mu^(gamma - e_k) * mu_k; one table serves one normalizer call."""
+    filled on first use from the EigenData's power table; one table serves
+    one normalizer call."""
 
     def __init__(self, eigen: EigenData):
         super().__init__()
-        self.mu = eigen.mu
-        self.powers = {(0,) * eigen.n: tuple(ONE for _ in eigen.mu)}
-
-    def power(self, exp: MultiIndex) -> tuple[GaussianRational, ...]:
-        found = self.powers.get(exp)
-        if found is None:
-            k = max(j for j, e in enumerate(exp) if e)
-            lower = self.power(exp[:k] + (exp[k] - 1,) + exp[k + 1:])
-            found = self.powers[exp] = tuple(pw * row[k] for pw, row in zip(lower, self.mu))
-        return found
+        self.eigen = eigen
 
     def __missing__(self, key: tuple[int, MultiIndex]) -> tuple[GaussianRational, ...]:
         m, exp = key
-        gaps = self[key] = tuple(pw - row[m] for pw, row in zip(self.power(exp), self.mu))
+        gaps = self[key] = tuple(pw - row[m] for pw, row in zip(self.eigen.power(exp), self.eigen.mu))
         return gaps
 
 
@@ -135,9 +135,10 @@ def _conjugate_family(work: list[Germ], step: Germ, step_inv: Germ) -> list[Germ
     return [compose_germ(step_inv, compose_germ(g, step)) for g in work]
 
 
-def poincare_dulac_normalize(fam: Family, rho_pairing=None) -> NormalizationResult:
-    """Conjugate a commuting family with diagonal linear parts into
-    Poincare-Dulac normal form up to the truncation degree.
+def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) -> NormalizationResult:
+    """Conjugate a commuting family with diagonal linear parts, whose
+    eigenvalues are `eigen`, into Poincare-Dulac normal form up to the
+    truncation degree.
 
     Each degree's non-resonant terms are removed by one conjugation, after
     which no non-resonant term of that degree may survive in any germ.
@@ -151,9 +152,7 @@ def poincare_dulac_normalize(fam: Family, rho_pairing=None) -> NormalizationResu
     psi o Phi_i' = Phi_i o psi for every germ (composing on the left by psi
     is injective on jets, because psi has an invertible linear part).
     """
-    if not fam.is_diagonal_linear():
-        raise UsageError("normalization requires diagonal linear parts")
-    eigen = EigenData.from_family(fam)
+    _check_eigen(fam, eigen)
     n, degree = fam.n, fam.degree
     sigma = None
     if rho_pairing is not None:
@@ -217,13 +216,11 @@ def _step_germ(step_terms: dict, n: int, degree: int) -> Germ:
     return Germ(comps)
 
 
-def verify_pd_nf(fam: Family):
+def verify_pd_nf(fam: Family, eigen: EigenData):
     """None when every nonlinear monomial of component m of every germ is
     resonant for component m; otherwise the first offender as
     (germ_1based, component_1based, exponents)."""
-    if not fam.is_diagonal_linear():
-        raise UsageError("PD-NF verification requires diagonal linear parts")
-    eigen = EigenData.from_family(fam)
+    _check_eigen(fam, eigen)
     for i, g in enumerate(fam.germs):
         for m in range(fam.n):
             for exp in g.components[m].support():
@@ -356,11 +353,13 @@ class IntegrableNFCertificate:
         }
 
 
-def extract_integrable_certificate(fam: Family, lattice: RelationLattice) -> IntegrableNFCertificate:
+def extract_integrable_certificate(fam: Family, eigen: EigenData) -> IntegrableNFCertificate:
     """Divide out mu_im x_m from each component and verify the integrable
-    normal-form relations.  Callers run `division_check` first; a term that
-    is not divisible still raises DomainError from `divide_by_variable`."""
-    eigen = EigenData.from_family(fam)
+    normal-form relations against the relation lattice of `eigen`.  Callers
+    run `division_check` first; a term that is not divisible still raises
+    DomainError from `divide_by_variable`."""
+    _check_eigen(fam, eigen)
+    lattice = eigen.lattice
     n, degree = fam.n, fam.degree
     one = TruncatedSeries.constant(1, n, degree)
     phi_rows = []
@@ -419,6 +418,7 @@ def generate_integrable_nf(
 
     seed = 0 means zero degrees of freedom: the linear family."""
     n = eigen.n
+    check_jet_size(n, degree)
     omega = enumerate_omega(eigen, max(degree - 1, 1)) if degree >= 2 else None
     kernel = kernel_basis([list(r) for r in lattice.basis], ncols=n)
     germs = []

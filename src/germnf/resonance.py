@@ -13,11 +13,19 @@ EigenData is the one eigen object: every hypothesis of the theorem is a
 function of the eigenvalue matrix mu alone, and everything read off mu is
 computed once per object, on first use, and kept with it: each distinct
 eigenvalue's factorization, log-modulus vector and principal argument,
-the relation lattice, the Omega walk per degree bound, and `classify`'s
-table of log-modulus minors.  A caller that holds a lattice or an Omega
-enumeration holds the EigenData it came from, so the functions here take
-only that.  Nothing is cached beyond the object's lifetime; one CLI
-command builds one object.
+the relation lattice, the Omega walk per degree bound, `classify`'s table
+of log-modulus minors, and one table of eigenvalue powers.  A caller that
+holds a lattice or an Omega enumeration holds the EigenData it came from,
+so the functions here take only that.  Nothing is cached beyond the
+object's lifetime; one CLI command builds one object.
+
+The power table maps gamma in N^n to (mu_i^gamma for every germ i).  Every
+exact product test reads it: the resonance condition mu_i^gamma = mu_im,
+the Omega condition mu_i^k = 1, and a relation k = k+ - k- as
+mu^(k+) = mu^(k-), which needs no inverse because every mu is nonzero.
+Entries are built by multiplying mu entries only, never read off a
+factorization, so the re-verification of the lattice, the Omega walk and
+the resonant sets stays independent of `factor_gaussian`.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .exactnum import (
     GaussianFactorization,
     GaussianRational,
     LogModulusVector,
+    ONE,
     TurnSum,
     factor_gaussian,
     principal_arg_turns,
@@ -104,16 +113,31 @@ class EigenData:
     def lattice(self) -> "RelationLattice":
         return self.once("lattice", lambda: relation_lattice(self))
 
-    def product(self, i: int, k) -> GaussianRational:
-        """prod_m mu[i][m]^{k_m}, exact (negative entries via inverses)."""
-        acc = GaussianRational(1)
-        for m, e in enumerate(k):
-            if e:
-                acc = acc * self.mu[i][m] ** int(e)
-        return acc
+    def power(self, gamma) -> tuple[GaussianRational, ...]:
+        """(mu_i^gamma for every germ i), gamma in N^n, from the power table.
+
+        With k the last nonzero coordinate of gamma, a new entry is
+        power(gamma - e_k) * mu_k when that entry exists, else
+        power(gamma with coordinate k zeroed) * mu_k^gamma_k, so the
+        recursion is at most n deep and a row such as (1000, 1) adds O(n)
+        entries."""
+        gamma = tuple(gamma)
+        table = self.once("powers", lambda: {(0,) * self.n: (ONE,) * self.p})
+        found = table.get(gamma)
+        if found is None:
+            k = max(j for j, e in enumerate(gamma) if e)
+            below = table.get(gamma[:k] + (gamma[k] - 1,) + gamma[k + 1:])
+            if below is not None:
+                found = tuple(pw * row[k] for pw, row in zip(below, self.mu))
+            else:
+                rest = self.power(gamma[:k] + (0,) + gamma[k + 1:])
+                found = tuple(pw * row[k] ** gamma[k] for pw, row in zip(rest, self.mu))
+            table[gamma] = found
+        return found
 
     def satisfies_relation(self, k) -> bool:
-        return all(self.product(i, k).is_one() for i in range(self.p))
+        """mu_i^k = 1 for every germ i, tested as mu^(k+) = mu^(k-)."""
+        return self.power(max(e, 0) for e in k) == self.power(max(-e, 0) for e in k)
 
 
 def _as_gauss(z) -> GaussianRational:
@@ -134,17 +158,6 @@ class RelationLattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, k) -> bool:
-        from .linalg import solve_integer
-
-        if not self.basis:
-            return not any(k)
-        sol = solve_integer(
-            [[self.basis[j][c] for j in range(self.rank)] for c in range(self.n)],
-            list(k),
-        )
-        return sol is not None
 
     def verify(self, eigen: EigenData) -> bool:
         return all(eigen.satisfies_relation(k) for k in self.basis)
@@ -204,8 +217,8 @@ def enumerate_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
 
     Enumeration walks the relation lattice intersected with the simplex
     rather than all of N^n; every emitted point is re-verified by an exact
-    eigenvalue product.  The eigen object keeps the result, so one command
-    walks each box once.
+    eigenvalue product from the power table.  The eigen object keeps the
+    result, so one command walks each box once.
     """
     if bound < 1:
         raise UsageError("enumeration bound must be >= 1")
@@ -257,9 +270,8 @@ def resonant_set(eigen: EigenData, m: int, bound: int) -> ResonantSet:
     for pt in lattice_points(basis, [0] * eigen.n, [bound] * eigen.n, offset=offset):
         deg = sum(pt)
         if 2 <= deg <= bound:
-            for i in range(eigen.p):
-                if eigen.product(i, pt) != eigen.mu[i][m - 1]:
-                    raise AssertionError(f"resonant candidate {pt} failed exact check")
+            if not is_resonant_exponent(eigen, m, pt):
+                raise AssertionError(f"resonant candidate {pt} failed exact check")
             pts.append(pt)
     pts.sort(key=grlex_key)
     return ResonantSet(m, bound, tuple(pts))
@@ -267,7 +279,7 @@ def resonant_set(eigen: EigenData, m: int, bound: int) -> ResonantSet:
 
 def is_resonant_exponent(eigen: EigenData, m: int, gamma) -> bool:
     """Exact membership test for the component-m resonance condition (m 1-based)."""
-    return all(eigen.product(i, gamma) == eigen.mu[i][m - 1] for i in range(eigen.p))
+    return all(pw == row[m - 1] for pw, row in zip(eigen.power(gamma), eigen.mu))
 
 
 def vect_omega_rank(eigen: EigenData, enumeration_bound: int) -> tuple[int, int]:

@@ -36,6 +36,25 @@ class UsageError(ValueError):
     """Structural misuse: mismatched dimensions/degrees, bad indices."""
 
 
+MAX_JET_MONOMIALS = 20_000
+
+
+def check_jet_size(n: int, degree: int) -> None:
+    """UsageError when a jet in n variables to the degree has more than
+    MAX_JET_MONOMIALS monomials, C(n + degree, n); checked where input
+    fixes n and the degree, before any jet is built.  The binomial is
+    accumulated as C(M + j, j), M = max(n, degree), and stops at the cap,
+    so huge n or degree costs a handful of steps."""
+    count, big = 1, max(n, degree)
+    for j in range(1, min(n, degree) + 1):
+        count = count * (big + j) // j
+        if count > MAX_JET_MONOMIALS:
+            raise UsageError(
+                f"a jet in {n} variables to degree {degree} has more than "
+                f"{MAX_JET_MONOMIALS} monomials"
+            )
+
+
 def grlex_key(exponents: MultiIndex):
     return (sum(exponents), tuple(-e for e in exponents))
 

@@ -2,7 +2,8 @@
 
 Oracles here are deliberately independent of the library paths they check:
 Omega and resonant sets by brute-force scans of N^n with direct exact
-products, compositions by direct substitution, and so on.
+products (`mu_product`, never the EigenData power table), compositions by
+direct substitution, and so on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from germnf.exactnum import DomainError, GaussianRational as GR
 from germnf.germ import Family, Germ, conjugate
-from germnf.linalg import field_kernel, field_rref
+from germnf.linalg import field_kernel, field_rref, solve_integer
 from germnf.normalform import division_check
 from germnf.resonance import EigenData, enumerate_omega
 from germnf.series import TruncatedSeries, UsageError, grlex_key
@@ -34,10 +35,29 @@ def all_exponents(n: int, max_degree: int, min_degree: int = 0):
             yield exp
 
 
+def mu_product(eigen: EigenData, i: int, k) -> GR:
+    """prod_m mu[i][m]^{k_m} by direct powers (negative entries through
+    inverses), independent of the EigenData power table."""
+    acc = GR(1)
+    for m, e in enumerate(k):
+        if e:
+            acc = acc * eigen.mu[i][m] ** int(e)
+    return acc
+
+
+def lattice_contains(lattice, k) -> bool:
+    """k lies in the Z-span of the lattice basis, by an integer solve that
+    never looks at the eigenvalues."""
+    if not lattice.basis:
+        return not any(k)
+    columns = [[row[c] for row in lattice.basis] for c in range(lattice.n)]
+    return solve_integer(columns, list(k)) is not None
+
+
 def brute_force_omega(eigen: EigenData, bound: int) -> list[tuple[int, ...]]:
     out = []
     for exp in all_exponents(eigen.n, bound, min_degree=1):
-        if eigen.satisfies_relation(exp):
+        if all(mu_product(eigen, i, exp).is_one() for i in range(eigen.p)):
             out.append(exp)
     return sorted(out, key=lambda e: (sum(e), tuple(-x for x in e)))
 
@@ -91,7 +111,7 @@ def hull_contains_origin_mp(logs, columns, dps: int = 100) -> bool:
 def brute_force_resonant(eigen: EigenData, m: int, bound: int) -> list[tuple[int, ...]]:
     out = []
     for exp in all_exponents(eigen.n, bound, min_degree=2):
-        if all(eigen.product(i, exp) == eigen.mu[i][m - 1] for i in range(eigen.p)):
+        if all(mu_product(eigen, i, exp) == eigen.mu[i][m - 1] for i in range(eigen.p)):
             out.append(exp)
     return sorted(out, key=lambda e: (sum(e), tuple(-x for x in e)))
 

@@ -6,13 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from germnf.cli import run
 from germnf.germ import Germ, family_from_json, invert_germ
-from germnf.series import TruncatedSeries, compose_all
+from germnf.series import TruncatedSeries, UsageError, compose_all
 
 from helpers import from_term_list, random_real_block_family
 
@@ -326,15 +327,22 @@ class TestEigenWork:
 
     @staticmethod
     def _assert_decomposes_once(monkeypatch, argv, distinct):
-        """One run of the command factors each of its `distinct` eigenvalues
-        once (factor_int on numerator and denominator norms), computes the
-        relation lattice once and takes each principal argument at most
-        once; a second run redoes all of it, since nothing is kept between
-        runs."""
+        """One run of the command builds one EigenData, factors each of its
+        `distinct` eigenvalues once (factor_int on numerator and denominator
+        norms), computes the relation lattice once and takes each principal
+        argument at most once; a second run redoes all of it, since nothing
+        is kept between runs."""
         import germnf.exactnum as exactnum
         import germnf.resonance as resonance
 
         calls = {}
+        build = resonance.EigenData.__init__
+
+        def counted_build(self, mu):
+            calls["EigenData"] = calls.get("EigenData", 0) + 1
+            build(self, mu)
+
+        monkeypatch.setattr(resonance.EigenData, "__init__", counted_build)
 
         def count(module, name):
             func = getattr(module, name)
@@ -349,7 +357,7 @@ class TestEigenWork:
         count(resonance, "relation_lattice")
         count(exactnum, "factor_int")
         count(resonance, "principal_arg_turns")
-        once = {"factor_gaussian": distinct, "relation_lattice": 1, "factor_int": 2 * distinct}
+        once = {"factor_gaussian": distinct, "relation_lattice": 1, "factor_int": 2 * distinct, "EigenData": 1}
         for runs in (1, 2):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(argv) in (0, 2)
@@ -373,6 +381,25 @@ class TestEigenWork:
         distinct = next(op["distinct_eigenvalues"] for op in manifest["ops"] if op["id"].startswith(stem + "."))
         path = ROOT / "perfbench" / "corpus" / f"{name}.json"
         self._assert_decomposes_once(monkeypatch, [command, str(path)], distinct)
+
+    def test_verify_reads_eigenvalue_powers_from_one_table(self, monkeypatch):
+        """Every mu^gamma test of a verify run (PD-NF, Omega support of phi,
+        lattice re-check) is a lookup in the EigenData power table, so the
+        run makes few Q(i) products: 112 here, where recomputing each
+        product made 1460."""
+        from germnf.exactnum import GaussianRational
+
+        multiply, calls = GaussianRational.__mul__, []
+
+        def counted(self, other):
+            calls.append(1)
+            return multiply(self, other)
+
+        monkeypatch.setattr(GaussianRational, "__mul__", counted)
+        path = ROOT / "perfbench" / "corpus" / "integrals" / "inf_p2_n4-0.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["verify", str(path)]) == 0
+        assert 0 < len(calls) <= 200
 
     def test_analyze_parses_a_family_once(self, tmp_path, monkeypatch):
         import germnf.cli as cli
@@ -523,6 +550,41 @@ class TestContracts:
         assert run(["verify", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be" in err
+
+    @pytest.mark.parametrize("command, task", [
+        ("verify", "PD-NF verification"),
+        ("normalize", "normalization"),
+    ])
+    def test_nondiagonal_family_exit_1(self, tmp_path, capsys, command, task):
+        path = _write(tmp_path, "rot.json", ROTATION)
+        assert run([command, path]) == 1
+        assert capsys.readouterr().err == f"error: {task} requires diagonal linear parts\n"
+
+    def test_jet_size_cap_exit_1(self, tmp_path, capsys):
+        """n = 10 to degree 10 is C(20, 10) = 184756 monomials per jet:
+        refused before any jet is built, where it used to run away."""
+        big = {"schema": 1, "n": 10, "degree": 10, "maps": [{"linear_diag": [str(k) for k in range(2, 12)]}]}
+        path = _write(tmp_path, "big.json", big)
+        started = time.process_time()
+        assert run(["first-integrals", path, "--degree", "10"]) == 1
+        eigen = _write(tmp_path, "mu.json", {"schema": 1, "mu": [[str(k) for k in range(2, 12)]]})
+        assert run(["generate", eigen, "--degree", "10"]) == 1
+        assert time.process_time() - started < 1
+        err = capsys.readouterr().err
+        assert err.count("more than 20000 monomials") == 2
+        # n = 4, D = 6 (210 monomials, the largest corpus jet) is unaffected
+        small = {**big, "n": 4, "degree": 6, "maps": [{"linear_diag": ["2", "3", "5", "7"]}]}
+        path = _write(tmp_path, "small.json", small)
+        assert _run_json(tmp_path, "first-integrals", path, "--degree", "6")[0] == 0
+
+    def test_jet_size_check_is_cheap_at_any_height(self):
+        from germnf.series import check_jet_size
+
+        for n, degree in [(10**9, 10**9), (10**9, 2), (2, 10**9)]:
+            with pytest.raises(UsageError):
+                check_jet_size(n, degree)
+        check_jet_size(4, 6)
+        check_jet_size(1, 19_999)  # C(20000, 1) = 20000 is at the cap
 
     def test_config_echoes_the_family_degree(self, tmp_path):
         path = _write(tmp_path, "d8.json", {**NORMALIZABLE, "degree": 8})

@@ -21,6 +21,7 @@ from helpers import (
     example_13_family,
     example_34_family,
     homogeneous_part,
+    mu_product,
     pushforward_leading,
     random_tangent_identity,
 )
@@ -36,7 +37,8 @@ def _simple_fixture(degree=4):
 
 class TestNormalize:
     def test_single_resonance_gap(self):
-        res = poincare_dulac_normalize(_simple_fixture())
+        fam = _simple_fixture()
+        res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.normalized.germs[0] == Germ.from_linear_diag([GR(2), GR(3)], 4)
         expected_psi = Germ(
             [TS.variable(0, 2, 4) + TS.monomial((0, 2), Fraction(1, 7), 4), TS.variable(1, 2, 4)]
@@ -48,14 +50,14 @@ class TestNormalize:
 
     def test_example_34_already_normal(self):
         fam = example_34_family(4)
-        res = poincare_dulac_normalize(fam)
+        res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.normalized == fam
         assert res.psi == Germ.identity(2, 4)
         assert res.eliminations == ()
 
     def test_identity_family(self):
         fam = Family([Germ.identity(2, 4)])
-        res = poincare_dulac_normalize(fam)
+        res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.normalized == fam and res.psi == Germ.identity(2, 4)
 
     def test_psi_conjugates_input_to_output(self):
@@ -65,9 +67,9 @@ class TestNormalize:
         nf = generate_integrable_nf(eigen, lat, 5, seed=5)
         psi = random_tangent_identity(rng, 2, 5)
         fam = Family([conjugate(g, psi) for g in nf.germs])
-        res = poincare_dulac_normalize(fam)
+        res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.eliminations
-        assert verify_pd_nf(res.normalized) is None
+        assert verify_pd_nf(res.normalized, EigenData.from_family(fam)) is None
         # conjugate() goes through invert_germ, which the normalizer's own
         # inverse-free check does not use: an independent oracle
         for g, out in zip(fam.germs, res.normalized.germs):
@@ -76,13 +78,13 @@ class TestNormalize:
     def test_nondiagonal_rejected(self):
         rot = Germ.from_linear_matrix([[GR(0), GR(-1)], [GR(1), GR(0)]], 3)
         with pytest.raises(UsageError):
-            poincare_dulac_normalize(Family([rot]))
+            poincare_dulac_normalize(Family([rot]), EigenData.from_rows([["i", "-i"]]))
 
     def test_linear_part_not_rho_equivariant(self):
         # the pairing swaps x and y, so their eigenvalues must be conjugate
         fam = Family([Germ.from_linear_diag([GR(2), GR(3)], 3)])
         with pytest.raises(DomainError, match="input family is not rho-equivariant"):
-            poincare_dulac_normalize(fam, rho_pairing=(1, 0))
+            poincare_dulac_normalize(fam, EigenData.from_family(fam), rho_pairing=(1, 0))
 
     def test_elimination_log_remultiplies(self):
         rng = random.Random(9)
@@ -91,20 +93,30 @@ class TestNormalize:
         nf = generate_integrable_nf(eigen, lat, 5, seed=11)
         psi = random_tangent_identity(rng, 2, 5)
         fam = Family([conjugate(g, psi) for g in nf.germs])
-        res = poincare_dulac_normalize(fam)
+        res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.eliminations
         for rec in res.eliminations:
             # the divisor is the pivot germ's exact resonance gap mu^gamma - mu_m
             i, m = rec.germ_index - 1, rec.component - 1
             assert not rec.divisor.is_zero() and not rec.coefficient.is_zero()
-            assert rec.divisor == eigen.product(i, rec.exponents) - eigen.mu[i][m]
+            assert rec.divisor == mu_product(eigen, i, rec.exponents) - eigen.mu[i][m]
 
 
 class TestVerifyPdNf:
     def test_cases(self):
-        assert verify_pd_nf(example_34_family(4)) is None
-        assert verify_pd_nf(_simple_fixture()) == (1, 1, (0, 2))
-        assert verify_pd_nf(Family([Germ.from_linear_diag([GR(5), GR(7)], 3)])) is None
+        for fam, offender in [
+            (example_34_family(4), None),
+            (_simple_fixture(), (1, 1, (0, 2))),
+            (Family([Germ.from_linear_diag([GR(5), GR(7)], 3)]), None),
+        ]:
+            assert verify_pd_nf(fam, EigenData.from_family(fam)) == offender
+
+    def test_eigen_must_be_the_family_diagonal(self):
+        fam = _simple_fixture()
+        other = EigenData.from_rows([["2", "5"]])
+        for check in (verify_pd_nf, extract_integrable_certificate, poincare_dulac_normalize):
+            with pytest.raises(UsageError, match="eigen data must be the family's linear diagonal"):
+                check(fam, other)
 
 
 class TestFirstIntegrals:
@@ -149,7 +161,7 @@ class TestFirstIntegrals:
         nf = generate_integrable_nf(eigen, lat, 4, seed=21)
         psi = random_tangent_identity(rng, 2, 4)
         fam = Family([conjugate(g, psi) for g in nf.germs])
-        res = poincare_dulac_normalize(fam)
+        res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         original_basis = first_integrals(fam, 4)
         transported = [f.compose(list(res.psi.components)) for f in original_basis]
         assert echelonized_span(transported) == echelonized_span(first_integrals(res.normalized, 4))
@@ -177,9 +189,8 @@ class TestDivisionAndCertificates:
 
     def test_certificate_on_linear_family(self):
         eigen = EigenData.from_rows([["2", "3"]])
-        lat = relation_lattice(eigen)
         fam = Family([Germ.from_linear_diag([GR(2), GR(3)], 4)])
-        cert = extract_integrable_certificate(fam, lat)
+        cert = extract_integrable_certificate(fam, eigen)
         assert cert.ok
         assert all(s.is_zero() for row in cert.phi for s in row)
 
@@ -187,14 +198,13 @@ class TestDivisionAndCertificates:
         eigen = EigenData.from_rows([["2", "1/2", "-1"]])
         lat = relation_lattice(eigen)
         nf = generate_integrable_nf(eigen, lat, 5, seed=31)
-        cert = extract_integrable_certificate(nf, lat)
+        cert = extract_integrable_certificate(nf, eigen)
         assert cert.ok
 
     def test_example_34_certificate_errors(self):
         eigen = EigenData.from_family(example_34_family(4))
-        lat = relation_lattice(eigen)
         with pytest.raises(DomainError):
-            extract_integrable_certificate(example_34_family(4), lat)
+            extract_integrable_certificate(example_34_family(4), eigen)
 
 
 class TestGenerate:
@@ -218,7 +228,7 @@ class TestGenerate:
         eigen = EigenData.from_rows([["2", "1/2"], ["3", "1/3"]])
         lat = relation_lattice(eigen)
         fam = generate_integrable_nf(eigen, lat, 5, seed=13)
-        assert extract_integrable_certificate(fam, lat).ok
+        assert extract_integrable_certificate(fam, eigen).ok
 
 
 class TestPushforward:
@@ -287,7 +297,7 @@ class TestProp32Property:
             nf = generate_integrable_nf(eigen, lat, 6, seed=seed)
             psi = random_tangent_identity(rng, 2, 6)
             fam = Family([conjugate(g, psi) for g in nf.germs])
-            res = poincare_dulac_normalize(fam)
+            res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
             for pt in enumerate_omega(eigen, 3).points:
                 G = TS.monomial(pt, 1, 6)
                 for g in res.normalized.germs:

@@ -98,7 +98,7 @@ class TestRhoEquivariantNormalization:
         fam, sigma = random_real_block_family(rng, blocks=1, tail=[2], p=1, degree=4)
         cfam, p_germ, sig = complexify_real_family(fam)
         assert sig == sigma
-        res = poincare_dulac_normalize(cfam, rho_pairing=sig)
+        res = poincare_dulac_normalize(cfam, EigenData.from_family(cfam), rho_pairing=sig)
         assert rho_equivariance_offense(res.normalized, sig) is None
         # psi commutes with rho: checked inside normalize, re-check here
         for m in range(cfam.n):
@@ -116,7 +116,7 @@ class TestRhoEquivariantNormalization:
         rng = random.Random(7)
         fam, sigma = random_real_block_family(rng, blocks=2, tail=[], p=1, degree=4)
         cfam, p_germ, sig = complexify_real_family(fam)
-        res = poincare_dulac_normalize(cfam, rho_pairing=sig)
+        res = poincare_dulac_normalize(cfam, EigenData.from_family(cfam), rho_pairing=sig)
         out = realify_normal_form(res.normalized, sig)
         conjugator = compose_germ(compose_germ(p_germ, res.psi), invert_germ(p_germ))
         assert all(c.im == 0 for comp in conjugator.components for _, c in comp.items())
@@ -127,7 +127,7 @@ class TestRhoEquivariantNormalization:
         rng = random.Random(11)
         fam, sigma = random_real_block_family(rng, blocks=1, tail=[3], p=2, degree=4)
         cfam, p_germ, sig = complexify_real_family(fam)
-        res = poincare_dulac_normalize(cfam, rho_pairing=sig)
+        res = poincare_dulac_normalize(cfam, EigenData.from_family(cfam), rho_pairing=sig)
         out = realify_normal_form(res.normalized, sig)
         conjugator = compose_germ(compose_germ(p_germ, res.psi), invert_germ(p_germ))
         for original, final in zip(fam.germs, out.germs):
@@ -143,7 +143,6 @@ class TestRhoEquivariantGenerator:
         fam = rho_equivariant_nf(eigen, sigma, 5, rng)
         assert rho_equivariance_offense(fam, sigma) is None
         from germnf.normalform import extract_integrable_certificate
-        from germnf.resonance import relation_lattice
 
-        cert = extract_integrable_certificate(fam, relation_lattice(eigen))
+        cert = extract_integrable_certificate(fam, eigen)
         assert cert.ok

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import GaussianRational as GR
 from germnf.resonance import (
@@ -15,7 +16,7 @@ from germnf.resonance import (
 )
 from germnf.series import UsageError
 
-from helpers import brute_force_omega, brute_force_resonant, random_gaussian
+from helpers import brute_force_omega, brute_force_resonant, lattice_contains, mu_product, random_gaussian
 
 
 E13 = EigenData.from_rows([["-2", "1/2"]])
@@ -44,8 +45,8 @@ class TestRelationLattice:
 
     def test_contains(self):
         lat = relation_lattice(E13)
-        assert lat.contains((2, 2)) and lat.contains((-4, -4))
-        assert not lat.contains((1, 1))
+        assert lattice_contains(lat, (2, 2)) and lattice_contains(lat, (-4, -4))
+        assert not lattice_contains(lat, (1, 1))
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(UsageError):
@@ -98,11 +99,52 @@ class TestResonantSet:
                 for pt in got:
                     shifted = list(pt)
                     shifted[m - 1] -= 1
-                    assert lat.contains(shifted)
+                    assert lattice_contains(lat, shifted)
 
     def test_is_resonant_exponent(self):
         assert is_resonant_exponent(E34, 2, (2, 0))
         assert not is_resonant_exponent(E34, 1, (2, 0))
+
+
+_MU_POOL = ["i", "-i", "-1", "2", "1/2", "-2", "3", "1/3", "4", "1/4", "1+i", "1/2-1/2*i", "3/5+4/5*i", "-3/7"]
+
+
+@st.composite
+def _eigen_and_exponents(draw):
+    p, n = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    rows = [[draw(st.sampled_from(_MU_POOL)) for _ in range(n)] for _ in range(p)]
+    exponents = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * n), min_size=1, max_size=12))
+    return EigenData.from_rows(rows), exponents
+
+
+class TestPowerTable:
+    """power, satisfies_relation and is_resonant_exponent against direct
+    products (helpers.mu_product), which never read the table."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_eigen_and_exponents())
+    def test_agrees_with_direct_products(self, case):
+        eigen, exponents = case
+        for k in exponents:
+            plus, minus = tuple(max(e, 0) for e in k), tuple(max(-e, 0) for e in k)
+            direct_plus = [mu_product(eigen, i, plus) for i in range(eigen.p)]
+            direct_minus = [mu_product(eigen, i, minus) for i in range(eigen.p)]
+            assert eigen.power(plus) == tuple(direct_plus)
+            assert eigen.satisfies_relation(k) == all(
+                z.is_one() for z in (mu_product(eigen, i, k) for i in range(eigen.p))
+            )
+            for m in range(1, eigen.n + 1):
+                column = [row[m - 1] for row in eigen.mu]
+                assert is_resonant_exponent(eigen, m, plus) == (direct_plus == column)
+                assert is_resonant_exponent(eigen, m, minus) == (direct_minus == column)
+
+    def test_long_relation_adds_few_entries(self):
+        # 2^1000 * (2^-1000)^1 = 1: verifying the row (1000, 1) builds
+        # (1000, 0) by one power and (1000, 1) by one product, not 1000 steps
+        eigen = EigenData.from_rows([["2", "1/" + str(2**1000)]])
+        assert eigen.lattice.basis == ((1000, 1),)
+        assert eigen.satisfies_relation((1000, 1)) and not eigen.satisfies_relation((999, 1))
+        assert len(eigen._memo["powers"]) < 10
 
 
 class TestRank:
