@@ -44,6 +44,9 @@ from . import classify
 from . import normalform
 
 
+MAX_BOUND_OMEGA = 1000  # the walk's cost grows faster than the bound
+
+
 class _InputError(Exception):
     pass
 
@@ -112,6 +115,14 @@ def _family_eigen(fam: Family, task: str) -> EigenData:
     return EigenData.from_family(fam)
 
 
+def _omega_bound(args) -> int:
+    """--bound-omega (default 2 * --degree), refused above MAX_BOUND_OMEGA."""
+    bound = args.bound_omega or 2 * args.degree
+    if bound > MAX_BOUND_OMEGA:
+        raise _InputError(f"Omega bound {bound} is above the cap {MAX_BOUND_OMEGA}")
+    return bound
+
+
 def _indeterminate_in(payload) -> bool:
     if isinstance(payload, dict):
         if payload.get("verdict") == "indeterminate":
@@ -128,9 +139,9 @@ def _indeterminate_in(payload) -> bool:
 
 
 def _cmd_lattice(data, args) -> tuple[dict, int]:
+    bound = _omega_bound(args)
     eigen, fam = _eigen_from_input(data)
     lat = eigen.lattice
-    bound = args.bound_omega or 2 * args.degree
     omega = enumerate_omega(eigen, bound)
     rank_enum, rank_lat = vect_omega_rank(eigen, bound)
     payload = {
@@ -147,9 +158,9 @@ def _cmd_lattice(data, args) -> tuple[dict, int]:
 
 
 def _cmd_analyze(data, args) -> tuple[dict, int]:
+    bound = _omega_bound(args)
     eigen, fam = _eigen_from_input(data)
     lat = eigen.lattice
-    bound = args.bound_omega or 2 * args.degree
     rank_enum, rank_lat = vect_omega_rank(eigen, bound)
     branch, gen_info = None, None
     try:

@@ -6,8 +6,8 @@ algebra accepts arbitrary invertible linear parts; the normalizer imposes
 diagonality separately (eigen-decomposition over Q(i) is out of scope).
 Invertibility is checked once, where a linear part enters from outside
 (`germ_from_json`): compositions and inverses of invertible germs are
-invertible, so `Germ` itself checks only the structure, and `invert_germ`
-of a singular germ still fails in `field_inverse`.
+invertible, so `Germ` itself checks only the structure, and `solve_germ`
+with a singular germ on the left still fails in `field_inverse`.
 
 Each component is an integer-native jet (see `series`): Gaussian-integer
 numerators over one denominator, in lowest terms, so germs compare and hash
@@ -16,12 +16,16 @@ is read out (the linear matrix, JSON).  compose_germ substitutes all
 components through one `compose_all` call, whose memo of monomial images
 is shared by the n components of the outer germ.
 
-Composition convention: compose_germ(f, g) is f after g, and
-conjugate(f, psi) = psi^{-1} o f o psi.  invert_germ returns only a jet X
-with f o X = id exactly; the test that ends its loop is its verification.
+Composition convention: compose_germ(f, g) is f after g.  No inverse is
+formed to divide on the left: solve_germ(f, g) is the jet Y with f o Y = g,
+conjugate(f, psi) = solve_germ(psi, f o psi) = psi^{-1} o f o psi, and
+invert_germ is solve_germ(f, id) with one exact check that f o X == id.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add
 
 from .exactnum import GaussianRational, ONE
 from .linalg import field_inverse, field_rref
@@ -39,6 +43,10 @@ class CommutationError(ValueError):
             f"germs {i + 1} and {j + 1} do not commute: defect at degree {degree}, "
             f"component {component}, monomial {exp}, coefficient {coeff}"
         )
+
+
+def _unit(j: int, n: int) -> tuple[int, ...]:
+    return tuple(int(k == j) for k in range(n))
 
 
 class Germ:
@@ -71,36 +79,17 @@ class Germ:
 
     @staticmethod
     def from_linear_diag(diag, degree: int) -> "Germ":
-        n = len(diag)
-        comps = []
-        for j, mu in enumerate(diag):
-            exp = tuple(1 if k == j else 0 for k in range(n))
-            comps.append(TruncatedSeries.monomial(exp, mu, degree))
-        return Germ(comps)
+        return Germ([TruncatedSeries.monomial(_unit(j, len(diag)), mu, degree) for j, mu in enumerate(diag)])
 
     @staticmethod
     def from_linear_matrix(matrix, degree: int) -> "Germ":
         n = len(matrix)
-        comps = []
-        for row in matrix:
-            terms = {}
-            for j, a in enumerate(row):
-                exp = tuple(1 if k == j else 0 for k in range(n))
-                terms[exp] = a
-            comps.append(TruncatedSeries(n, degree, terms))
-        return Germ(comps)
+        return Germ([TruncatedSeries(n, degree, {_unit(j, n): a for j, a in enumerate(row)}) for row in matrix])
 
     # -- linear part --------------------------------------------------------
 
     def linear_matrix(self) -> list[list[GaussianRational]]:
-        mat = []
-        for comp in self.components:
-            row = []
-            for j in range(self.n):
-                exp = tuple(1 if k == j else 0 for k in range(self.n))
-                row.append(comp.coeff(exp))
-            mat.append(row)
-        return mat
+        return [[comp.coeff(_unit(j, self.n)) for j in range(self.n)] for comp in self.components]
 
     def linear_rows(self) -> list[dict[int, GaussianRational]]:
         """The linear part as sparse rows {column: nonzero coefficient}."""
@@ -117,8 +106,7 @@ class Germ:
         return tuple(mat[j][j] for j in range(self.n))
 
     def nonlinear_part(self) -> list[TruncatedSeries]:
-        lin = Germ.from_linear_matrix(self.linear_matrix(), self.degree)
-        return [c - l for c, l in zip(self.components, lin.components)]
+        return [c - c.part_up_to(1) for c in self.components]
 
     # -- structure ----------------------------------------------------------
 
@@ -144,26 +132,45 @@ def compose_germ(f: Germ, g: Germ) -> Germ:
     return Germ(compose_all(f.components, g.components))
 
 
-def invert_germ(f: Germ) -> Germ:
-    """Two-sided inverse of f modulo degree > D, by defect correction: from
-    X = 0, each round adds L^{-1}(id - f o X), L the linear part of f, which
-    makes X exact through one more degree.  The loop stops as soon as
-    f o X == id holds exactly; that test is the verification, and D + 1
-    rounds always suffice for it."""
+def solve_germ(f: Germ, g: Germ) -> Germ:
+    """f^{-1} o g without forming f^{-1}: the jet Y with f o Y = g, by defect
+    correction.  With f = L + N, N of lowest degree r, the round
+    Y <- Y + L^{-1}(g - f o Y) is Y <- L^{-1}(g - N o Y); from Y = 0 the
+    first is exact through degree r - 1 and each later one gains r - 1, so
+    a linear f takes one round and composes nothing.  Each round keeps Y
+    only through the degree t it makes exact: the terms above t are wrong
+    anyway, and they would make the next composition denser.  Nothing is
+    checked here: callers verify at their boundary."""
+    if f.n != g.n or f.degree != g.degree:
+        raise UsageError("germ solve dimension/degree mismatch")
     lin_inv = field_inverse(f.linear_rows(), ONE)
-    identity = [TruncatedSeries.variable(j, f.n, f.degree) for j in range(f.n)]
-    x = [TruncatedSeries.zero(f.n, f.degree)] * f.n
-    for _ in range(f.degree + 1):
-        defect = [a - b for a, b in zip(identity, compose_all(f.components, x))]
-        if all(d.is_zero() for d in defect):
-            return Germ(x)
-        x = [sum((defect[j].scale(a) for j, a in row.items()), xm) for xm, row in zip(x, lin_inv)]
-    raise AssertionError("germ inversion failed verification")
+    nonlinear = f.nonlinear_part()
+    gain = min((sum(c.support()[0]) for c in nonlinear if not c.is_zero()), default=f.degree + 1) - 1
+
+    def lin_solve(rhs: list[TruncatedSeries], t: int) -> list[TruncatedSeries]:
+        rhs = [c.part_up_to(t) for c in rhs] if t < f.degree else rhs
+        return [reduce(add, (rhs[j].scale(a) for j, a in row.items())) for row in lin_inv]
+
+    t = min(gain, f.degree)
+    y = lin_solve(g.components, t)
+    while t < f.degree:
+        t = min(t + gain, f.degree)
+        y = lin_solve([a - b for a, b in zip(g.components, compose_all(nonlinear, y))], t)
+    return Germ(y)
+
+
+def invert_germ(f: Germ) -> Germ:
+    """Two-sided inverse of f modulo degree > D, checked once: f o X == id."""
+    identity = Germ.identity(f.n, f.degree)
+    x = solve_germ(f, identity)
+    if compose_germ(f, x) != identity:
+        raise AssertionError("germ inversion failed verification")
+    return x
 
 
 def conjugate(f: Germ, psi: Germ) -> Germ:
-    """psi^{-1} o f o psi."""
-    return compose_germ(invert_germ(psi), compose_germ(f, psi))
+    """psi^{-1} o f o psi, as the solution Y of psi o Y = f o psi."""
+    return solve_germ(psi, compose_germ(f, psi))
 
 
 def commutativity_defect(f: Germ, g: Germ):

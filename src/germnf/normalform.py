@@ -13,8 +13,9 @@ same result as one conjugation per monomial.  The resonance gaps
 mu_i^gamma - mu_im that decide which terms are eliminated, and supply the
 divisors, live in one table per normalizer call; the powers mu^gamma are
 read from the EigenData's one power table, so each is computed once per
-command.  The final transformation psi is checked once, as
-psi o Phi_i' = Phi_i o psi for every germ, which needs no inverse of psi.
+command.  No germ is inverted: each step conjugation solves
+step o Y = Phi o step (`germ.conjugate`), and the final transformation psi
+is checked once, as psi o Phi_i' = Phi_i o psi for every germ.
 
 The normalizer, the PD-NF check and the certificate take the command's
 EigenData and refuse one that is not the family's linear diagonal.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
-from .germ import Family, Germ, compose_germ, invert_germ
+from .germ import Family, Germ, compose_germ, conjugate
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
 from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key
@@ -84,15 +85,12 @@ def _pairing_involution(pairing, n: int) -> tuple[int, ...]:
     return sigma
 
 
-def rho_equivariance_offense(fam: Family, sigma: tuple[int, ...]):
+def rho_equivariance_offense(germs, sigma: tuple[int, ...]):
     """First witness (germ_1based, component_1based, exponents) violating
-    coeff(m, gamma) = conj(coeff(sigma(m), gamma o sigma)), or None."""
-    return _rho_offense(fam.germs, sigma)
-
-
-def _rho_offense(germs: list[Germ], sigma: tuple[int, ...]):
-    """Compares component m whole with conj(component sigma(m)), variables
-    permuted by sigma; the offense is the first term of the difference."""
+    coeff(m, gamma) = conj(coeff(sigma(m), gamma o sigma)) in a family or a
+    list of germs, or None.  Component m is compared whole with
+    conj(component sigma(m)), variables permuted by sigma; the offense is
+    the first term of the difference."""
     for i, g in enumerate(germs):
         for m, comp in enumerate(g.components):
             difference = comp - g.components[sigma[m]].permute_variables(sigma).conjugate_coeffs()
@@ -124,15 +122,10 @@ class _ResonanceGaps(dict):
 def _scan_nonresonant(work: list[Germ], gaps: _ResonanceGaps, ell: int) -> list[tuple[int, MultiIndex]]:
     found: list[tuple[int, MultiIndex]] = []
     for m in range(work[0].n):
-        exps = {exp for g in work for exp in g.components[m].support() if sum(exp) == ell}
+        exps = {exp for g in work for exp in g.components[m].exponents() if sum(exp) == ell}
         found.extend((m, exp) for exp in exps if any(gaps[(m, exp)]))
     found.sort(key=lambda t: (t[0], grlex_key(t[1])))
     return found
-
-
-def _conjugate_family(work: list[Germ], step: Germ, step_inv: Germ) -> list[Germ]:
-    """step^{-1} o g o step for every germ g, given both step and its inverse."""
-    return [compose_germ(step_inv, compose_germ(g, step)) for g in work]
 
 
 def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) -> NormalizationResult:
@@ -140,8 +133,10 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     eigenvalues are `eigen`, into Poincare-Dulac normal form up to the
     truncation degree.
 
-    Each degree's non-resonant terms are removed by one conjugation, after
-    which no non-resonant term of that degree may survive in any germ.
+    Each degree's non-resonant terms are removed by one conjugation by the
+    step id + h, which solves step o Y = g o step for each germ g and forms
+    no inverse; after it no non-resonant term of that degree may survive in
+    any germ, and that scan is what checks each step.
     Order of elimination records: degree ascending, then component, then
     graded-lex monomial; the germ index used for each divisor is the
     smallest one whose resonance gap is nonzero.  With rho_pairing set (an
@@ -191,7 +186,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
             log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
         step = _step_germ(step_terms, n, degree)
         psi = compose_germ(psi, step)
-        work = _conjugate_family(work, step, invert_germ(step))
+        work = [conjugate(g, step) for g in work]
         remaining = _scan_nonresonant(work, gaps, ell)
         if remaining:
             raise AssertionError(
@@ -204,7 +199,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     for original, result in zip(fam.germs, work):
         if compose_germ(original, psi) != compose_germ(psi, result):
             raise AssertionError("normalizing transformation failed verification")
-    if sigma is not None and _rho_offense([psi], sigma) is not None:
+    if sigma is not None and rho_equivariance_offense([psi], sigma) is not None:
         raise AssertionError("psi is not rho-equivariant")
     return NormalizationResult(normalized, psi, tuple(log))
 
@@ -515,7 +510,8 @@ def block_transforms(sigma: tuple[int, ...], degree: int) -> tuple[Germ, Germ]:
 def complexify_real_family(fam: Family):
     """Conjugate a real block family by the block transformation P into a
     family with diagonal linear parts; returns (complex family, P germ,
-    pairing sigma swapping each block's two slots)."""
+    pairing sigma swapping each block's two slots).  P^{-1} is the checked
+    closed form, not a solve: the normalizer's checks do not cover P."""
     imaginary = _first_imaginary(fam.germs)
     if imaginary is not None:
         i, m, exp, c = imaginary
@@ -524,7 +520,7 @@ def complexify_real_family(fam: Family):
     if sigma == tuple(range(fam.n)):
         raise DomainError("no rotation-scaling blocks found; family is already diagonal")
     p_germ, p_inv = block_transforms(sigma, fam.degree)
-    complex_fam = Family(_conjugate_family(fam.germs, p_germ, p_inv), check_commuting=True)
+    complex_fam = Family([compose_germ(p_inv, compose_germ(g, p_germ)) for g in fam.germs], check_commuting=True)
     if not complex_fam.is_diagonal_linear():
         raise AssertionError("complexified family is not diagonal")
     offense = rho_equivariance_offense(complex_fam, sigma)
@@ -544,7 +540,7 @@ def realify_normal_form(fam: Family, sigma) -> Family:
     if any(abs(s - m) > 1 for m, s in enumerate(sigma)):
         raise UsageError("pairing must swap adjacent coordinates")
     p_germ, p_inv = block_transforms(sigma, fam.degree)
-    real_germs = _conjugate_family(fam.germs, p_inv, p_germ)
+    real_germs = [compose_germ(p_germ, compose_germ(g, p_inv)) for g in fam.germs]
     imaginary = _first_imaginary(real_germs)
     if imaginary is not None:
         i, m, exp, _ = imaginary

@@ -157,6 +157,10 @@ class TruncatedSeries:
         """Exponents of the nonzero terms in graded-lex order."""
         return sorted(self._terms, key=grlex_key)
 
+    def exponents(self):
+        """Exponents of the nonzero terms, unsorted."""
+        return self._terms.keys()
+
     def is_zero(self) -> bool:
         return not self._terms
 

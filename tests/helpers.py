@@ -17,8 +17,8 @@ import sympy
 from hypothesis import strategies as st
 
 from germnf.exactnum import DomainError, GaussianRational as GR
-from germnf.germ import Family, Germ, conjugate
-from germnf.linalg import field_kernel, field_rref, solve_integer
+from germnf.germ import Family, Germ, compose_germ, conjugate
+from germnf.linalg import field_inverse, field_kernel, field_rref, solve_integer
 from germnf.normalform import division_check
 from germnf.resonance import EigenData, enumerate_omega
 from germnf.series import TruncatedSeries, UsageError, grlex_key
@@ -179,6 +179,27 @@ def pushforward_leading(exponents: tuple[int, ...], f: Germ) -> TruncatedSeries:
             acc = acc + quad.divide_by_variable(m).scale(GR(e) / diag[m])
             scale = scale * diag[m] ** e
     return acc * TruncatedSeries.monomial(tuple(exponents), scale, f.degree)
+
+
+def inverse_by_defect_correction(f: Germ) -> Germ:
+    """Two-sided inverse of f at full degree in every round: from X = 0,
+    add L^{-1}(id - f o X), L the linear part of f, until f o X == id
+    (at most D + 1 rounds).  It forms the inverse, which solve_germ never
+    does, so it checks invert_germ and conjugate independently."""
+    lin_inv = field_inverse(f.linear_rows(), GR(1))
+    identity = [TruncatedSeries.variable(j, f.n, f.degree) for j in range(f.n)]
+    x = [TruncatedSeries.zero(f.n, f.degree)] * f.n
+    for _ in range(f.degree + 1):
+        defect = [a - b for a, b in zip(identity, compose_germ(f, Germ(x)).components)]
+        if all(d.is_zero() for d in defect):
+            return Germ(x)
+        x = [sum((defect[j].scale(a) for j, a in row.items()), xm) for xm, row in zip(x, lin_inv)]
+    raise AssertionError("inverse oracle did not converge")
+
+
+def conjugate_by_inverse(f: Germ, psi: Germ) -> Germ:
+    """psi^{-1} o f o psi with psi^{-1} formed explicitly."""
+    return compose_germ(inverse_by_defect_correction(psi), compose_germ(f, psi))
 
 
 # ---------------------------------------------------------------------------

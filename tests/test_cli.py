@@ -169,34 +169,42 @@ class TestFirstIntegralsCorpus:
 
 class TestRealcaseCorpus:
     def test_real_block_matches_golden_and_never_inverts_p(self, tmp_path, monkeypatch):
+        """realcase inverts no germ: the block transformation P is composed
+        with its closed-form inverse, and is never the left factor of a
+        solve; the only solves are the elimination steps, whose linear part
+        is the identity."""
+        import germnf.germ as germ
         import germnf.normalform as normalform
 
         golden = _perfbench_golden()
         manifest, goldens = golden.load("normalize")
-        inverted = []
+        inverted, solved = [], []
+        solve = germ.solve_germ
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "germnf"]:
+            if hasattr(module, "invert_germ"):
+                monkeypatch.setattr(module, "invert_germ", lambda f: inverted.append(f) or invert_germ(f))
+        monkeypatch.setattr(germ, "solve_germ", lambda f, g: solved.append(f) or solve(f, g))
 
-        def counted(g):
-            inverted.append(g)
-            return invert_germ(g)
+        def check_solves(fam, sigma):
+            p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
+            identity = Germ.identity(fam.n, fam.degree).linear_matrix()
+            assert p_germ not in solved and p_inv not in solved
+            assert all(f.linear_matrix() == identity for f in solved)
 
-        monkeypatch.setattr(normalform, "invert_germ", counted)
         for op in (o for o in manifest["ops"] if o["command"] == "realcase"):
-            inverted.clear()
+            solved.clear()
             code, report = _run_json(tmp_path, *golden.argv_of(op))
             expected = goldens[op["id"]]
             assert code == expected["exit"]
             assert golden.check(expected, code, json.dumps(report))[0] == []
             fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
-            sigma = tuple(m - 1 for m in report["payload"]["pairing"])
-            p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
-            # only elimination steps (linear part the identity) are inverted
-            assert inverted and p_germ not in inverted and p_inv not in inverted
-            identity = Germ.identity(fam.n, fam.degree).linear_matrix()
-            assert all(g.linear_matrix() == identity for g in inverted)
+            check_solves(fam, tuple(m - 1 for m in report["payload"]["pairing"]))
+            assert solved  # the elimination steps were solved
         p2_fam, _ = random_real_block_family(random.Random(11), blocks=1, tail=[3], p=2, degree=4)
-        inverted.clear()
+        solved.clear()
         cfam, _, sigma = normalform.complexify_real_family(p2_fam)
         assert normalform.realify_normal_form(cfam, sigma) == p2_fam
+        assert solved == []
         assert inverted == []
 
 
@@ -302,6 +310,40 @@ class TestJetWork:
         code, report = _run_json(tmp_path, *golden.argv_of(op))
         assert code == 0 and "certificate" in report["payload"]
         assert len(calls) == 1
+
+    # Series products per normalize/realcase corpus op with each step
+    # solved, not inverted: 6453 in all (9453 when each step was inverted
+    # and the dense inverse composed on the left).
+    PRODUCTS = {
+        "dense_p1-0.normalize": 975,
+        "dense_p1-1.normalize": 910,
+        "dense_p1-2.normalize": 832,
+        "conj_p2-0.normalize": 544,
+        "conj_p2-1.normalize": 202,
+        "conj_p2-2.normalize": 1020,
+        "conj_p2-3.normalize": 339,
+        "real_block-0.realcase": 591,
+        "real_block-1.realcase": 503,
+        "real_block-2.realcase": 537,
+    }
+
+    def test_product_budget_covers_the_corpus(self):
+        golden = _perfbench_golden()
+        manifest, _ = golden.load("normalize")
+        assert sorted(self.PRODUCTS) == sorted(op["id"] for op in manifest["ops"])
+        assert sum(self.PRODUCTS.values()) == 6453
+
+    @pytest.mark.parametrize("op_id", sorted(PRODUCTS))
+    def test_conjugation_product_budget(self, tmp_path, monkeypatch, op_id):
+        golden = _perfbench_golden()
+        manifest, _ = golden.load("normalize")
+        op = next(o for o in manifest["ops"] if o["id"] == op_id)
+        products = []
+        original = TruncatedSeries.__mul__
+        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or original(a, b))
+        code, _ = _run_json(tmp_path, *golden.argv_of(op))
+        assert code == 0
+        assert 0 < len(products) <= self.PRODUCTS[op_id]
 
     def test_first_integrals_one_product_per_column_monomial(self, monkeypatch):
         import germnf.normalform as normalform
@@ -577,6 +619,23 @@ class TestContracts:
         path = _write(tmp_path, "small.json", small)
         assert _run_json(tmp_path, "first-integrals", path, "--degree", "6")[0] == 0
 
+    def test_omega_bound_cap_exit_1(self, tmp_path, capsys):
+        """An Omega bound above the cap is refused before any walk; at the
+        cap the walk still runs (about 0.4 s CPU on this mu)."""
+        from germnf.cli import MAX_BOUND_OMEGA
+
+        path = _write(tmp_path, "mu.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        started = time.process_time()
+        assert run(["lattice", path, "--bound-omega", "100000"]) == 1
+        assert run(["analyze", path, "--bound-omega", str(MAX_BOUND_OMEGA + 1)]) == 1
+        assert run(["lattice", path, "--degree", str(MAX_BOUND_OMEGA)]) == 1  # default 2 * degree
+        assert time.process_time() - started < 0.5
+        err = capsys.readouterr().err
+        assert err.count(f"is above the cap {MAX_BOUND_OMEGA}") == 3
+        assert "error: Omega bound 100000 is above the cap" in err
+        code, report = _run_json(tmp_path, "lattice", path, "--bound-omega", "40")
+        assert code == 0 and report["payload"]["bound"] == 40
+
     def test_jet_size_check_is_cheap_at_any_height(self):
         from germnf.series import check_jet_size
 
@@ -619,10 +678,16 @@ class TestContracts:
         monkeypatch.setattr(germ, "field_inverse", doubled)
         with pytest.raises(AssertionError, match="germ inversion failed verification"):
             invert_germ(family_from_json(NORMALIZABLE).germs[0])
+        # the normalizer inverts no germ: its per-degree scan catches the
+        # wrong conjugation that the corrupted linear solve produces, also
+        # on the complexified family of a real block
         path = _write(tmp_path, "nf.json", NORMALIZABLE)
         assert run(["normalize", path]) == 3
         captured = capsys.readouterr()
-        assert captured.err == "internal verification failed: germ inversion failed verification\n"
+        assert captured.err.startswith("internal verification failed: non-resonant terms survived degree 2")
+        real = _perfbench_golden().HERE / "corpus" / "normalize" / "real_block-0.json"
+        assert run(["realcase", str(real)]) == 3
+        assert capsys.readouterr().err.startswith("internal verification failed: non-resonant terms survived")
 
     def test_malformed_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"

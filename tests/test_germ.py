@@ -17,10 +17,20 @@ from germnf.germ import (
     family_from_json,
     family_to_json,
     invert_germ,
+    solve_germ,
 )
 from germnf.series import TruncatedSeries as TS, UsageError
 
-from helpers import example_34_family, germs, homogeneous_part, random_series, random_tangent_identity
+from helpers import (
+    conjugate_by_inverse,
+    example_34_family,
+    germs,
+    homogeneous_part,
+    inverse_by_defect_correction,
+    jets,
+    random_series,
+    random_tangent_identity,
+)
 
 SMALL_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5))  # (n, D)
 
@@ -106,6 +116,86 @@ class TestInvert:
             assert run(["normalize", str(path)]) == 1
         with pytest.raises(ValueError, match="singular"):
             invert_germ(Germ([TS.monomial((2,), 1, 3)]))
+
+
+class TestSolve:
+    """solve_germ(f, g) is the jet Y with f o Y = g, found without f^{-1}."""
+
+    @staticmethod
+    def _record_rounds(monkeypatch):
+        """For each composition solve_germ runs, the highest degree of a term
+        in the jet Y it substitutes."""
+        import germnf.germ as germ
+
+        rounds, compose = [], germ.compose_all
+
+        def recorded(targets, comps):
+            rounds.append(max((sum(e) for c in comps for e in c.support()), default=0))
+            return compose(targets, comps)
+
+        monkeypatch.setattr(germ, "compose_all", recorded)
+        return rounds
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_solves_random_germs(self, data):
+        """Non-diagonal linear parts on the left, any jets on the right."""
+        n, d = data.draw(SMALL_SHAPES, label="(n, D)")
+        f = data.draw(germs(n, d), label="f")
+        g = Germ([data.draw(jets(n, d, max_terms=4), label=f"g{m}") for m in range(n)])
+        assert compose_germ(f, solve_germ(f, g)) == g
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_linear_f_takes_one_round(self, data):
+        n, d = data.draw(SMALL_SHAPES, label="(n, D)")
+        f = data.draw(germs(n, d), label="f")
+        linear = Germ.from_linear_matrix(f.linear_matrix(), d)
+        g = data.draw(germs(n, d), label="g")
+        with pytest.MonkeyPatch.context() as mp:
+            rounds = self._record_rounds(mp)
+            y = solve_germ(linear, g)
+        assert rounds == []
+        assert compose_germ(linear, y) == g
+
+    def test_near_identity_steps_every_degree(self, monkeypatch):
+        """id + h_l for l = 2..D: the first round is exact through degree
+        l - 1 and each composing round gains l - 1 more, so the solve stops
+        after ceil(D / (l - 1)) - 1 compositions, and the Y substituted in
+        composition k holds no term above the degree k (l - 1) it is exact
+        through."""
+        rng = random.Random(61)
+        rounds = self._record_rounds(monkeypatch)
+        for n, d in [(1, 6), (2, 6), (3, 5)]:
+            for ell in range(2, d + 1):
+                step = Germ(
+                    [
+                        TS.variable(j, n, d) + homogeneous_part(random_series(rng, n, d, 4), ell)
+                        for j in range(n)
+                    ]
+                )
+                if step == Germ.identity(n, d):
+                    continue
+                g = Germ([TS.variable(j, n, d).scale(GR(j + 2)) + random_series(rng, n, d, 3) for j in range(n)])
+                rounds.clear()
+                y = solve_germ(step, g)
+                assert len(rounds) == -(-d // (ell - 1)) - 1, (n, d, ell)
+                assert all(top <= k * (ell - 1) for k, top in enumerate(rounds, 1)), (n, d, ell, rounds)
+                assert compose_germ(step, y) == g
+                assert y == compose_germ(inverse_by_defect_correction(step), g)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_conjugate_and_invert_match_the_inverse_oracle(self, data):
+        n, d = data.draw(SMALL_SHAPES, label="(n, D)")
+        f = data.draw(germs(n, d), label="f")
+        psi = data.draw(germs(n, d), label="psi")
+        assert conjugate(f, psi) == conjugate_by_inverse(f, psi)
+        assert invert_germ(psi) == inverse_by_defect_correction(psi)
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(UsageError):
+            solve_germ(Germ.identity(2, 3), Germ.identity(2, 4))
 
 
 class TestConjugate:

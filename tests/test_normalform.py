@@ -17,6 +17,7 @@ from germnf.resonance import EigenData, enumerate_omega, relation_lattice
 from germnf.series import TruncatedSeries as TS, UsageError
 
 from helpers import (
+    conjugate_by_inverse,
     echelonized_span,
     example_13_family,
     example_34_family,
@@ -70,10 +71,10 @@ class TestNormalize:
         res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.eliminations
         assert verify_pd_nf(res.normalized, EigenData.from_family(fam)) is None
-        # conjugate() goes through invert_germ, which the normalizer's own
-        # inverse-free check does not use: an independent oracle
+        # conjugate_by_inverse forms psi^{-1}, which the normalizer never
+        # does (it solves each step): an independent oracle
         for g, out in zip(fam.germs, res.normalized.germs):
-            assert conjugate(g, res.psi) == out
+            assert conjugate_by_inverse(g, res.psi) == out
 
     def test_nondiagonal_rejected(self):
         rot = Germ.from_linear_matrix([[GR(0), GR(-1)], [GR(1), GR(0)]], 3)
