@@ -17,9 +17,8 @@ components through one `compose_all` call, whose memo of monomial images
 is shared by the n components of the outer germ.
 
 Composition convention: compose_germ(f, g) is f after g.  No inverse is
-formed to divide on the left: solve_germ(f, g) is the jet Y with f o Y = g,
-conjugate(f, psi) = solve_germ(psi, f o psi) = psi^{-1} o f o psi, and
-invert_germ is solve_germ(f, id) with one exact check that f o X == id.
+formed to divide on the left: `solve_germ`, the one checked kernel, gives the
+Y_i with f o Y_i = g_i, and conjugate_all, conjugate and invert_germ call it.
 """
 
 from __future__ import annotations
@@ -132,45 +131,59 @@ def compose_germ(f: Germ, g: Germ) -> Germ:
     return Germ(compose_all(f.components, g.components))
 
 
-def solve_germ(f: Germ, g: Germ) -> Germ:
-    """f^{-1} o g without forming f^{-1}: the jet Y with f o Y = g, by defect
-    correction.  With f = L + N, N of lowest degree r, the round
-    Y <- Y + L^{-1}(g - f o Y) is Y <- L^{-1}(g - N o Y); from Y = 0 the
-    first is exact through degree r - 1 and each later one gains r - 1, so
-    a linear f takes one round and composes nothing.  Each round keeps Y
-    only through the degree t it makes exact: the terms above t are wrong
-    anyway, and they would make the next composition denser.  Nothing is
-    checked here: callers verify at their boundary."""
-    if f.n != g.n or f.degree != g.degree:
+def jet_through(components: list[TruncatedSeries], d: int) -> list[TruncatedSeries]:
+    """The components without their terms above degree d."""
+    return [c.part_up_to(d) for c in components] if d < components[0].degree else components
+
+
+def _round_degrees(r: int, degree: int) -> range:
+    return range(r - 1, degree, r - 1)  # the degree Y is exact through before each composing round
+
+
+def solve_germ(f: Germ, targets: list[Germ]) -> list[Germ]:
+    """The checked jets Y_i with f o Y_i = g_i, without forming f^{-1}.  With
+    f = L + N, N of lowest degree r, the round Y <- L^{-1}(g - N o Y) from
+    Y = 0 is exact through degree r - 1, each later one gains r - 1, and N is
+    fed Y only through that degree, at most D - r + 1 (all N o Y reads).
+    Checks (AssertionError): L^{-1} L = I (so L L^{-1} = I), and a fixed
+    point: the last round gives Y = L^{-1}(g - N o Y') for the Y' it was fed,
+    so f o Y = g - N o Y' + N o Y, which is g when Y through D - r + 1 is Y'."""
+    if any(g.n != f.n or g.degree != f.degree for g in targets):
         raise UsageError("germ solve dimension/degree mismatch")
     lin_inv = field_inverse(f.linear_rows(), ONE)
-    nonlinear = f.nonlinear_part()
-    gain = min((sum(c.support()[0]) for c in nonlinear if not c.is_zero()), default=f.degree + 1) - 1
 
-    def lin_solve(rhs: list[TruncatedSeries], t: int) -> list[TruncatedSeries]:
-        rhs = [c.part_up_to(t) for c in rhs] if t < f.degree else rhs
+    def lin_solve(rhs: list[TruncatedSeries]) -> list[TruncatedSeries]:
         return [reduce(add, (rhs[j].scale(a) for j, a in row.items())) for row in lin_inv]
 
-    t = min(gain, f.degree)
-    y = lin_solve(g.components, t)
-    while t < f.degree:
-        t = min(t + gain, f.degree)
-        y = lin_solve([a - b for a, b in zip(g.components, compose_all(nonlinear, y))], t)
-    return Germ(y)
+    if Germ(lin_solve(jet_through(f.components, 1))) != Germ.identity(f.n, f.degree):
+        raise AssertionError("germ solve failed verification: L^-1 L is not the identity")
+    nonlinear = f.nonlinear_part()
+    r = min((sum(c.support()[0]) for c in nonlinear if not c.is_zero()), default=f.degree + 1)
+    solved = []
+    for g in targets:
+        y, fed = lin_solve(g.components), None
+        for t in _round_degrees(r, f.degree):
+            fed = jet_through(y, min(t, f.degree - r + 1))
+            y = lin_solve([a - b for a, b in zip(g.components, compose_all(nonlinear, fed))])
+        if r <= f.degree and jet_through(y, f.degree - r + 1) != fed:
+            raise AssertionError("germ solve failed verification: f o Y != g (no fixed point)")
+        solved.append(Germ(y))
+    return solved
 
 
 def invert_germ(f: Germ) -> Germ:
-    """Two-sided inverse of f modulo degree > D, checked once: f o X == id."""
-    identity = Germ.identity(f.n, f.degree)
-    x = solve_germ(f, identity)
-    if compose_germ(f, x) != identity:
-        raise AssertionError("germ inversion failed verification")
-    return x
+    """Two-sided inverse of f modulo degree > D, the checked solve of f o X = id."""
+    return solve_germ(f, [Germ.identity(f.n, f.degree)])[0]
+
+
+def conjugate_all(germs: list[Germ], psi: Germ) -> list[Germ]:
+    """psi^{-1} o g o psi for every g, by one checked solve of psi o Y = g o psi."""
+    return solve_germ(psi, [compose_germ(g, psi) for g in germs])
 
 
 def conjugate(f: Germ, psi: Germ) -> Germ:
-    """psi^{-1} o f o psi, as the solution Y of psi o Y = f o psi."""
-    return solve_germ(psi, compose_germ(f, psi))
+    """psi^{-1} o f o psi, the one-germ call of `conjugate_all`."""
+    return conjugate_all([f], psi)[0]
 
 
 def commutativity_defect(f: Germ, g: Germ):

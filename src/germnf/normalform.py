@@ -13,9 +13,9 @@ same result as one conjugation per monomial.  The resonance gaps
 mu_i^gamma - mu_im that decide which terms are eliminated, and supply the
 divisors, live in one table per normalizer call; the powers mu^gamma are
 read from the EigenData's one power table, so each is computed once per
-command.  No germ is inverted: each step conjugation solves
-step o Y = Phi o step (`germ.conjugate`), and the final transformation psi
-is checked once, as psi o Phi_i' = Phi_i o psi for every germ.
+command.  No germ is inverted: each step s_l's conjugation is one checked
+solve for the family (`germ.conjugate_all`), and the chain of checked steps
+gives Phi o psi = psi o Phi' unformed (see `poincare_dulac_normalize`).
 
 The normalizer, the PD-NF check and the certificate take the command's
 EigenData and refuse one that is not the family's linear diagonal.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
-from .germ import Family, Germ, compose_germ, conjugate
+from .germ import Family, Germ, compose_germ, conjugate_all, jet_through
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
 from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key
@@ -134,18 +134,17 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     truncation degree.
 
     Each degree's non-resonant terms are removed by one conjugation by the
-    step id + h, which solves step o Y = g o step for each germ g and forms
-    no inverse; after it no non-resonant term of that degree may survive in
-    any germ, and that scan is what checks each step.
+    step s_l = id + h_l, a checked solve of s_l o Y = g o s_l for all germs
+    g; after it no non-resonant term of that degree may survive in any germ.
     Order of elimination records: degree ascending, then component, then
     graded-lex monomial; the germ index used for each divisor is the
     smallest one whose resonance gap is nonzero.  With rho_pairing set (an
     involution of the coordinates), the input must be rho-equivariant, so
     sigma-paired monomials get conjugated coefficients in the same step and
     the transformation commutes with the anti-holomorphic involution rho.
-    The result is verified once: the output family commutes, and
-    psi o Phi_i' = Phi_i o psi for every germ (composing on the left by psi
-    is injective on jets, because psi has an invertible linear part).
+    psi = s_2 o ... o s_D is built right to left, s_l o R = R + h_l o R
+    reading R through degree D - l + 1.  By associativity of truncated
+    composition the checked steps give Phi_i o psi = psi o Phi_i'.
     """
     _check_eigen(fam, eigen)
     n, degree = fam.n, fam.degree
@@ -156,7 +155,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
         if offense is not None:
             raise DomainError(f"input family is not rho-equivariant: offending term {offense}")
     work = list(fam.germs)
-    psi = Germ.identity(n, degree)
+    steps: list[tuple[int, Germ]] = []
     log: list[EliminationRecord] = []
     gaps = _ResonanceGaps(eigen)
 
@@ -164,7 +163,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
         candidates = _scan_nonresonant(work, gaps, ell)
         if not candidates:
             continue
-        step_terms = {}
+        comps = [{tuple(int(j == m) for j in range(n)): 1} for m in range(n)]  # the step, id + h
         for m, exp in candidates:
             # the first germ with a nonzero resonance gap supplies the divisor
             for i_star, divisor in enumerate(gaps[(m, exp)]):
@@ -173,20 +172,15 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
             else:
                 raise AssertionError("non-resonant monomial with zero divisors everywhere")
             c = work[i_star].components[m].coeff(exp)
-            if c.is_zero():
-                # compatible commuting input forces the term to be absent
-                # from every germ; fail loudly below if it is not
-                if any(not g.components[m].coeff(exp).is_zero() for g in work):
-                    raise AssertionError(
-                        f"inconsistent degree-{ell} term {exp}: zero in the pivot germ "
-                        "but present elsewhere (input cannot commute)"
-                    )
-                continue
-            step_terms[(m, exp)] = c / divisor
+            if c.is_zero():  # the scan found it in some germ: commuting input has it in all
+                raise AssertionError(
+                    f"inconsistent degree-{ell} term {exp}: zero in the pivot germ "
+                    "but present elsewhere (input cannot commute)"
+                )
+            comps[m][exp] = c / divisor
             log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
-        step = _step_germ(step_terms, n, degree)
-        psi = compose_germ(psi, step)
-        work = [conjugate(g, step) for g in work]
+        steps.append((ell, Germ([TruncatedSeries(n, degree, terms) for terms in comps])))
+        work = conjugate_all(work, steps[-1][1])
         remaining = _scan_nonresonant(work, gaps, ell)
         if remaining:
             raise AssertionError(
@@ -195,20 +189,13 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
             )
 
     normalized = Family(work, check_commuting=True)
-    # soundness: the recorded psi really conjugates the input to the output
-    for original, result in zip(fam.germs, work):
-        if compose_germ(original, psi) != compose_germ(psi, result):
-            raise AssertionError("normalizing transformation failed verification")
+    psi = Germ.identity(n, degree).components
+    for ell, step in reversed(steps):
+        psi = [a + b for a, b in zip(psi, compose_all(step.nonlinear_part(), jet_through(psi, degree - ell + 1)))]
+    psi = Germ(psi)
     if sigma is not None and rho_equivariance_offense([psi], sigma) is not None:
         raise AssertionError("psi is not rho-equivariant")
     return NormalizationResult(normalized, psi, tuple(log))
-
-
-def _step_germ(step_terms: dict, n: int, degree: int) -> Germ:
-    comps = [TruncatedSeries.variable(j, n, degree) for j in range(n)]
-    for (m, exp), h in step_terms.items():
-        comps[m] = comps[m] + TruncatedSeries.monomial(exp, h, degree)
-    return Germ(comps)
 
 
 def verify_pd_nf(fam: Family, eigen: EigenData):

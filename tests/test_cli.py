@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -311,27 +312,29 @@ class TestJetWork:
         assert code == 0 and "certificate" in report["payload"]
         assert len(calls) == 1
 
-    # Series products per normalize/realcase corpus op with each step
-    # solved, not inverted: 6453 in all (9453 when each step was inverted
-    # and the dense inverse composed on the left).
+    # Series products per normalize/realcase corpus op with each step's
+    # conjugation solved and checked where it is made, and no final
+    # Phi o psi composition: 5285 in all (6453 with the final composition,
+    # 9453 when each step was inverted and the dense inverse composed on
+    # the left).
     PRODUCTS = {
-        "dense_p1-0.normalize": 975,
-        "dense_p1-1.normalize": 910,
-        "dense_p1-2.normalize": 832,
-        "conj_p2-0.normalize": 544,
-        "conj_p2-1.normalize": 202,
-        "conj_p2-2.normalize": 1020,
-        "conj_p2-3.normalize": 339,
-        "real_block-0.realcase": 591,
-        "real_block-1.realcase": 503,
-        "real_block-2.realcase": 537,
+        "dense_p1-0.normalize": 780,
+        "dense_p1-1.normalize": 744,
+        "dense_p1-2.normalize": 690,
+        "conj_p2-0.normalize": 428,
+        "conj_p2-1.normalize": 154,
+        "conj_p2-2.normalize": 792,
+        "conj_p2-3.normalize": 271,
+        "real_block-0.realcase": 516,
+        "real_block-1.realcase": 445,
+        "real_block-2.realcase": 465,
     }
 
     def test_product_budget_covers_the_corpus(self):
         golden = _perfbench_golden()
         manifest, _ = golden.load("normalize")
         assert sorted(self.PRODUCTS) == sorted(op["id"] for op in manifest["ops"])
-        assert sum(self.PRODUCTS.values()) == 6453
+        assert sum(self.PRODUCTS.values()) == 5285
 
     @pytest.mark.parametrize("op_id", sorted(PRODUCTS))
     def test_conjugation_product_budget(self, tmp_path, monkeypatch, op_id):
@@ -344,6 +347,23 @@ class TestJetWork:
         code, _ = _run_json(tmp_path, *golden.argv_of(op))
         assert code == 0
         assert 0 < len(products) <= self.PRODUCTS[op_id]
+
+    @pytest.mark.parametrize("op_id", sorted(PRODUCTS))
+    def test_one_linear_inverse_per_elimination_step(self, tmp_path, monkeypatch, op_id):
+        """A step's linear part is inverted once for all germs of the family."""
+        import germnf.linalg as linalg
+
+        golden = _perfbench_golden()
+        manifest, _ = golden.load("normalize")
+        op = next(o for o in manifest["ops"] if o["id"] == op_id)
+        calls, inverse = [], linalg.field_inverse
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "germnf"]:
+            if hasattr(module, "field_inverse"):
+                monkeypatch.setattr(module, "field_inverse", lambda rows, one: calls.append(1) or inverse(rows, one))
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        steps = {rec["degree"] for rec in report["payload"]["eliminations"]}
+        assert code == 0 and steps
+        assert len(calls) <= len(steps)
 
     def test_first_integrals_one_product_per_column_monomial(self, monkeypatch):
         import germnf.normalform as normalform
@@ -676,18 +696,35 @@ class TestContracts:
             return [{j: a + a for j, a in row.items()} for row in exact(rows, one)]
 
         monkeypatch.setattr(germ, "field_inverse", doubled)
-        with pytest.raises(AssertionError, match="germ inversion failed verification"):
+        message = "germ solve failed verification: L^-1 L is not the identity"
+        with pytest.raises(AssertionError, match=re.escape(message)):
             invert_germ(family_from_json(NORMALIZABLE).germs[0])
-        # the normalizer inverts no germ: its per-degree scan catches the
-        # wrong conjugation that the corrupted linear solve produces, also
-        # on the complexified family of a real block
+        # every solve checks L^-1 L = I, so the corrupted linear solve is
+        # caught at the first elimination step, also on the complexified
+        # family of a real block
         path = _write(tmp_path, "nf.json", NORMALIZABLE)
         assert run(["normalize", path]) == 3
         captured = capsys.readouterr()
-        assert captured.err.startswith("internal verification failed: non-resonant terms survived degree 2")
+        assert captured.err.startswith(f"internal verification failed: {message}")
         real = _perfbench_golden().HERE / "corpus" / "normalize" / "real_block-0.json"
         assert run(["realcase", str(real)]) == 3
-        assert capsys.readouterr().err.startswith("internal verification failed: non-resonant terms survived")
+        assert capsys.readouterr().err.startswith(f"internal verification failed: {message}")
+
+    def test_solve_stopped_a_round_short_exits_3(self, monkeypatch, capsys):
+        """The solve's fixed-point test catches a round too few, so each
+        step conjugation is checked where it is made."""
+        import germnf.germ as germ
+
+        rounds = germ._round_degrees
+        monkeypatch.setattr(germ, "_round_degrees", lambda r, degree: rounds(r, degree)[:-1])
+        corpus = _perfbench_golden().HERE / "corpus" / "normalize"
+        for command, name in [("normalize", "dense_p1-0"), ("realcase", "real_block-0")]:
+            assert run([command, str(corpus / f"{name}.json")]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "internal verification failed: germ solve failed verification: f o Y != g"
+            )
 
     def test_malformed_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -17,9 +17,10 @@ from germnf.germ import (
     family_from_json,
     family_to_json,
     invert_germ,
+    jet_through,
     solve_germ,
 )
-from germnf.series import TruncatedSeries as TS, UsageError
+from germnf.series import TruncatedSeries as TS, UsageError, compose_all
 
 from helpers import (
     conjugate_by_inverse,
@@ -119,7 +120,7 @@ class TestInvert:
 
 
 class TestSolve:
-    """solve_germ(f, g) is the jet Y with f o Y = g, found without f^{-1}."""
+    """solve_germ(f, [g]) is [Y] with f o Y = g, found without f^{-1}."""
 
     @staticmethod
     def _record_rounds(monkeypatch):
@@ -143,7 +144,7 @@ class TestSolve:
         n, d = data.draw(SMALL_SHAPES, label="(n, D)")
         f = data.draw(germs(n, d), label="f")
         g = Germ([data.draw(jets(n, d, max_terms=4), label=f"g{m}") for m in range(n)])
-        assert compose_germ(f, solve_germ(f, g)) == g
+        assert compose_germ(f, solve_germ(f, [g])[0]) == g
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.data())
@@ -154,7 +155,7 @@ class TestSolve:
         g = data.draw(germs(n, d), label="g")
         with pytest.MonkeyPatch.context() as mp:
             rounds = self._record_rounds(mp)
-            y = solve_germ(linear, g)
+            (y,) = solve_germ(linear, [g])
         assert rounds == []
         assert compose_germ(linear, y) == g
 
@@ -178,7 +179,7 @@ class TestSolve:
                     continue
                 g = Germ([TS.variable(j, n, d).scale(GR(j + 2)) + random_series(rng, n, d, 3) for j in range(n)])
                 rounds.clear()
-                y = solve_germ(step, g)
+                (y,) = solve_germ(step, [g])
                 assert len(rounds) == -(-d // (ell - 1)) - 1, (n, d, ell)
                 assert all(top <= k * (ell - 1) for k, top in enumerate(rounds, 1)), (n, d, ell, rounds)
                 assert compose_germ(step, y) == g
@@ -193,9 +194,20 @@ class TestSolve:
         assert conjugate(f, psi) == conjugate_by_inverse(f, psi)
         assert invert_germ(psi) == inverse_by_defect_correction(psi)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_nonlinear_part_reads_y_through_d_minus_r_plus_1(self, data):
+        """N o Y == N o Y_{<= D - r + 1} for N of order r: the bound each
+        solve round and the normalizer's psi build feed a composition."""
+        n, d = data.draw(st.tuples(st.integers(1, 3), st.integers(2, 6)), label="(n, D)")
+        r = data.draw(st.integers(2, d), label="r")
+        nonlinear = [data.draw(jets(n, d, min_degree=r), label=f"N{m}") for m in range(n)]
+        y = data.draw(germs(n, d), label="Y").components
+        assert compose_all(nonlinear, y) == compose_all(nonlinear, jet_through(y, d - r + 1))
+
     def test_mismatch_rejected(self):
         with pytest.raises(UsageError):
-            solve_germ(Germ.identity(2, 3), Germ.identity(2, 4))
+            solve_germ(Germ.identity(2, 3), [Germ.identity(2, 4)])
 
 
 class TestConjugate:

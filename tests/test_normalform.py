@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import DomainError, GaussianRational as GR
 from germnf.germ import Family, Germ, compose_germ, conjugate, invert_germ
@@ -101,6 +102,40 @@ class TestNormalize:
             i, m = rec.germ_index - 1, rec.component - 1
             assert not rec.divisor.is_zero() and not rec.coefficient.is_zero()
             assert rec.divisor == mu_product(eigen, i, rec.exponents) - eigen.mu[i][m]
+
+
+def _left_to_right_psi(res, n: int, degree: int) -> Germ:
+    """psi accumulated as psi o s_l for l ascending, each step s_l rebuilt
+    from the elimination records of degree l: an oracle for the
+    normalizer's right-to-left build."""
+    psi = Germ.identity(n, degree)
+    for ell in sorted({rec.degree for rec in res.eliminations}):
+        comps = list(Germ.identity(n, degree).components)
+        for rec in (rec for rec in res.eliminations if rec.degree == ell):
+            h = rec.coefficient / rec.divisor
+            comps[rec.component - 1] = comps[rec.component - 1] + TS.monomial(rec.exponents, h, degree)
+        psi = compose_germ(psi, Germ(comps))
+    return psi
+
+
+class TestStepChain:
+    """The normalizer checks each step conjugation where it is made and
+    composes no Phi_i o psi; the chain of checked steps must still give
+    Phi_i o psi == psi o Phi_i' for the psi it reports."""
+
+    EIGEN_ROWS = [[["-2", "1/2"]], [["2", "1/4"]], [["2", "3"]], [["2", "4"], ["-3", "9"]], [["2", "3", "1/6"]]]
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.sampled_from(EIGEN_ROWS), st.integers(3, 5), st.integers(1, 50), st.integers(0, 10**6))
+    def test_psi_conjugates_by_composition(self, rows, degree, nf_seed, psi_seed):
+        eigen = EigenData.from_rows(rows)
+        nf = generate_integrable_nf(eigen, eigen.lattice, degree, seed=nf_seed)
+        psi0 = random_tangent_identity(random.Random(psi_seed), eigen.n, degree, extra_terms=3)
+        fam = Family([conjugate(g, psi0) for g in nf.germs])
+        res = poincare_dulac_normalize(fam, eigen)
+        for phi, out in zip(fam.germs, res.normalized.germs):
+            assert compose_germ(phi, res.psi) == compose_germ(res.psi, out)
+        assert res.psi == _left_to_right_psi(res, eigen.n, degree)
 
 
 class TestVerifyPdNf:
