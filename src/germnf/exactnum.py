@@ -82,16 +82,32 @@ _GAUSS_RE = _re.compile(
 
 
 class GaussianRational:
-    """Element a + b*i of Q(i) with exact Fraction parts."""
+    """Element (a + b*i)/d of Q(i), held as the integers a, b and d in
+    canonical form: d > 0, gcd(a, b, d) = 1, zero as 0/1.  A `series` jet
+    keeps the same invariant, so a coefficient crosses between the two as
+    its triple (`as_parts`, `from_parts`).  Arithmetic, `==` and `str` are
+    integer operations, each result reduced by one 3-way gcd; `re`, `im`
+    and `norm()` give exact Fractions.  The public constructor takes what
+    Fraction takes for each part.  Immutable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = math.lcm(re.denominator, im.denominator)
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    re = property(lambda self: Fraction(self._a, self._d), doc="Real part, an exact Fraction.")
+    im = property(lambda self: Fraction(self._b, self._d), doc="Imaginary part, an exact Fraction.")
 
     # -- constructors -----------------------------------------------------
 
@@ -101,79 +117,67 @@ class GaussianRational:
         m = _GAUSS_RE.match(text)
         if not m or (m.group("re") is None and m.group("im") is None):
             raise ValueError(f"cannot parse Gaussian rational: {text!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
         im_raw = m.group("im")
-        if im_raw is None:
-            im_part = Fraction(0)
-        else:
-            im_raw = im_raw.replace("*", "").replace(" ", "")
-            if im_raw in ("", "+"):
-                im_part = Fraction(1)
-            elif im_raw == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(im_raw)
-        return GaussianRational(re_part, im_part)
+        im_raw = "0" if im_raw is None else im_raw.replace("*", "").replace(" ", "")
+        return GaussianRational(m.group("re") or 0, {"": 1, "+": 1, "-": -1}.get(im_raw, im_raw))
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self._a == 1 and not self._b and self._d == 1
 
     def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
+        return self._d == 1
 
     # -- field arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        c, e, f = as_parts(other)
+        a, b, d = self._a, self._b, self._d
+        return from_parts(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        c, e, f = as_parts(other)
+        a, b, d = self._a, self._b, self._d
+        return from_parts(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return from_parts(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        c, e, f = as_parts(other)
+        a, b = self._a, self._b
+        return from_parts(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.norm()
-        if n == 0:
+        c, e, f = as_parts(other)
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b = self._a * f, self._b * f
+        return from_parts(a * c + b * e, b * c - a * e, self._d * n)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return from_parts(*as_parts(other)) / self
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         """Square and multiply, with no product by 1 and no square past the
         top bit: z^1 costs nothing, z^2 one product."""
         if exponent < 0:
-            return (GaussianRational(1) / self) ** (-exponent)
+            return (1 / self) ** (-exponent)
         result, base, e = None, self, exponent
         while e:
             if e & 1:
@@ -181,46 +185,75 @@ class GaussianRational:
             e >>= 1
             if e:
                 base = base * base
-        return GaussianRational(1) if result is None else result
+        return ONE if result is None else result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return from_parts(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- hashing / display ---------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._d == 1 and not self._b and self._a == other
+        if isinstance(other, Fraction):
+            return not self._b and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
+        if self._d == 1:  # hash(Fraction(n)) == hash(n)
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im_txt = f"{self.im}*i"
-        if self.re == 0:
-            return im_txt
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        if not a:
+            return f"{_ratio_str(b, d)}*i"
+        return f"{_ratio_str(a, d)}{'+' if b > 0 else '-'}{_ratio_str(abs(b), d)}*i"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _coerce(value) -> GaussianRational:
+_set_a, _set_b, _set_d = (getattr(GaussianRational, s).__set__ for s in GaussianRational.__slots__)
+_new = object.__new__
+
+
+def from_parts(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for integers a, b and d > 0, in canonical form."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def as_parts(value) -> tuple[int, int, int]:
+    """(a, b, d) with value = (a + b*i)/d in canonical form, for a
+    GaussianRational, an int or a Fraction."""
     if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+        return value._a, value._b, value._d
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
     raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 GR = GaussianRational
@@ -362,7 +395,7 @@ def canonical_associate(z: GaussianRational) -> tuple[GaussianRational, int]:
     if z.is_zero():
         raise DomainError("zero has no canonical associate")
     w, t = z, 0
-    while not (w.re > 0 and w.im >= 0):
+    while not (w._a > 0 and w._b >= 0):
         w = w * I_UNIT
         t += 1
         if t > 3:
@@ -393,20 +426,6 @@ def _split_prime(p: int) -> GaussianRational:
     return GaussianRational(b, c)
 
 
-def _gaussian_int_product(powers) -> tuple[int, int]:
-    """prod q^e over (q, e) with Gaussian-integer q, on plain integer pairs
-    (square and multiply)."""
-    a, b = 1, 0
-    for q, e in powers:
-        c, d = int(q.re), int(q.im)
-        while e:
-            if e & 1:
-                a, b = a * c - b * d, a * d + b * c
-            c, d = c * c - d * d, 2 * c * d
-            e >>= 1
-    return a, b
-
-
 @dataclass(frozen=True)
 class GaussianFactorization:
     """z = i^unit_exp * prod(prime^exponent) over canonical Gaussian primes."""
@@ -415,9 +434,13 @@ class GaussianFactorization:
     factors: tuple[tuple[GaussianRational, int], ...]
 
     def value(self) -> GaussianRational:
-        num = _gaussian_int_product((q, e) for q, e in self.factors if e > 0)
-        den = _gaussian_int_product((q, -e) for q, e in self.factors if e < 0)
-        return I_UNIT ** (self.unit_exp % 4) * GaussianRational(*num) / GaussianRational(*den)
+        num = den = ONE  # Gaussian integers, multiplied apart
+        for q, e in self.factors:
+            if e > 0:
+                num = num * q ** e
+            else:
+                den = den * q ** -e
+        return I_UNIT ** (self.unit_exp % 4) * num / den
 
     def exponent_of(self, prime: GaussianRational) -> int:
         for q, e in self.factors:
@@ -430,10 +453,10 @@ class GaussianFactorization:
         Gaussian prime above p has norm p, an inert prime p has norm p^2."""
         coords: dict[int, Fraction] = {}
         for prime, e in self.factors:
-            if prime.im == 0:
-                p, c = int(prime.re), Fraction(e)
+            if prime._b == 0:
+                p, c = prime._a, Fraction(e)
             else:
-                p, c = int(prime.norm()), Fraction(e, 2)
+                p, c = prime._a ** 2 + prime._b ** 2, Fraction(e, 2)
             coords[p] = coords.get(p, Fraction(0)) + c
         return LogModulusVector.from_dict(coords)
 
@@ -443,8 +466,8 @@ _ONE_PLUS_I = GaussianRational(1, 1)
 
 def _divide_out(g: GaussianRational, prime: GaussianRational, bound: int) -> tuple[GaussianRational, int]:
     # Gaussian integers as integer pairs: g / prime = g * conj(prime) / norm
-    a, b = int(g.re), int(g.im)
-    c, d = int(prime.re), int(prime.im)
+    a, b = g._a, g._b
+    c, d = prime._a, prime._b
     n = c * c + d * d
     count = 0
     while count < bound:
@@ -459,7 +482,7 @@ def _divide_out(g: GaussianRational, prime: GaussianRational, bound: int) -> tup
 def _factor_gaussian_integer(g: GaussianRational) -> GaussianFactorization:
     if not g.is_gaussian_integer():
         raise AssertionError("internal: expected a Gaussian integer")
-    norm_factors = factor_int(int(g.norm()))
+    norm_factors = factor_int(g._a ** 2 + g._b ** 2)
     factors: list[tuple[GaussianRational, int]] = []
     rest = g
     for p in sorted(norm_factors):
@@ -492,7 +515,7 @@ def _factor_gaussian_integer(g: GaussianRational) -> GaussianFactorization:
     if rest.norm() != 1:
         raise AssertionError("non-unit remainder after factorization")
     unit = {ONE: 0, I_UNIT: 1, -ONE: 2, -I_UNIT: 3}[rest]
-    factors.sort(key=lambda pe: (pe[0].norm(), pe[0].re, pe[0].im))
+    factors.sort(key=lambda pe: (pe[0]._a ** 2 + pe[0]._b ** 2, pe[0]._a, pe[0]._b))
     return GaussianFactorization(unit, tuple(factors))
 
 
@@ -502,17 +525,15 @@ def factor_gaussian(z: GaussianRational) -> GaussianFactorization:
     Negative exponents carry the denominator part."""
     if z.is_zero():
         raise DomainError("cannot factor zero")
-    den = int(math.lcm(z.re.denominator, z.im.denominator))
-    num = GaussianRational(z.re * den, z.im * den)
-    fn = _factor_gaussian_integer(num)
-    fd = _factor_gaussian_integer(GaussianRational(den))
+    fn = _factor_gaussian_integer(GaussianRational(z._a, z._b))
+    fd = _factor_gaussian_integer(GaussianRational(z._d))
     merged: dict[GaussianRational, int] = dict(fn.factors)
     for prime, e in fd.factors:
         merged[prime] = merged.get(prime, 0) - e
         if merged[prime] == 0:
             del merged[prime]
     unit = (fn.unit_exp - fd.unit_exp) % 4
-    ordered = tuple(sorted(merged.items(), key=lambda pe: (pe[0].norm(), pe[0].re, pe[0].im)))
+    ordered = tuple(sorted(merged.items(), key=lambda pe: (pe[0]._a ** 2 + pe[0]._b ** 2, pe[0]._a, pe[0]._b)))
     result = GaussianFactorization(unit, ordered)
     if result.value() != z:
         raise AssertionError("factorization failed re-multiplication check")

@@ -311,7 +311,7 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
         raise UsageError("map entry needs linear_diag or linear_matrix")
     if len(field_rref(base.linear_rows())[1]) < n:
         raise UsageError("linear part is singular; not a diffeomorphism germ")
-    comps = list(base.components)
+    comps = [dict(c.items()) for c in base.components]
     for term in _json_list(entry.get("terms", []), "terms"):
         term = _json_object(term, "term")
         m = _json_int(term["component"], "component")
@@ -322,9 +322,9 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
             raise UsageError(f"exponents {exp} have wrong arity")
         if sum(exp) < 2:
             raise UsageError(f"terms must have degree >= 2 (linear part is separate): {exp}")
-        coeff = _json_coeff(term["coeff"])
-        comps[m - 1] = comps[m - 1] + TruncatedSeries.monomial(exp, coeff, degree)
-    return Germ(comps)
+        comp = comps[m - 1]
+        comp[exp] = comp.get(exp, 0) + _json_coeff(term["coeff"])
+    return Germ([TruncatedSeries(n, degree, comp) for comp in comps])
 
 
 def family_to_json(fam: Family) -> dict:

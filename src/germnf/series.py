@@ -15,9 +15,11 @@ composition are plain integer multiply-adds with one gcd per result.
 
 `GaussianRational` stays the boundary type: the mapping constructor and
 `scale` take one; `coeff`, `items`, `to_term_list` and `str` give one
-back.  `support()` gives the exponents without building
-coefficients.  Canonical term order everywhere is graded lexicographic:
-ascending total degree, then x1 before x2 before ...
+back.  The scalar shares this representation, one (a + b*i) / d in lowest
+terms, so a coefficient crosses the boundary as its integer triple
+(`as_parts`, `from_parts`) with no Fraction built.  `support()` gives the
+exponents without building coefficients.  Canonical term order everywhere
+is graded lexicographic: ascending total degree, then x1 before x2 before ...
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Iterable, Mapping
 
-from .exactnum import DomainError, GaussianRational, ZERO
+from .exactnum import DomainError, GaussianRational, ZERO, as_parts, from_parts
 
 MultiIndex = tuple[int, ...]
 
@@ -57,19 +59,6 @@ def check_jet_size(n: int, degree: int) -> None:
 
 def grlex_key(exponents: MultiIndex):
     return (sum(exponents), tuple(-e for e in exponents))
-
-
-def _parts(value) -> tuple[int, int, int]:
-    """(a, b, d) with value = (a + b*i) / d and d > 0."""
-    if isinstance(value, GaussianRational):
-        re, im = value.re, value.im
-        d = lcm(re.denominator, im.denominator)
-        return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
-    if isinstance(value, int):
-        return value, 0, 1
-    if isinstance(value, Fraction):
-        return value.numerator, 0, value.denominator
-    raise TypeError(f"bad coefficient type {type(value).__name__}")
 
 
 def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
@@ -113,7 +102,7 @@ class TruncatedSeries:
             if any(e < 0 for e in exp):
                 raise UsageError(f"negative exponent in {exp}")
             if sum(exp) <= degree:
-                parts[exp] = _parts(coeff)
+                parts[exp] = as_parts(coeff)
         den = lcm(*(d for _, _, d in parts.values()))
         self.n, self.degree = n, degree
         self._terms, self._den = _lowest_terms(
@@ -147,7 +136,7 @@ class TruncatedSeries:
         ab = self._terms.get(tuple(exponents))
         if ab is None:
             return ZERO
-        return GaussianRational(Fraction(ab[0], self._den), Fraction(ab[1], self._den))
+        return from_parts(ab[0], ab[1], self._den)
 
     def items(self) -> list[tuple[MultiIndex, GaussianRational]]:
         """Terms in graded-lex order (the canonical iteration order)."""
@@ -247,7 +236,7 @@ class TruncatedSeries:
         return _canonical(self.n, self.degree, terms, self._den * other._den)
 
     def scale(self, value) -> "TruncatedSeries":
-        p, q, d = _parts(value)
+        p, q, d = as_parts(value)
         return self._map(lambda e, a, b: (e, a * p - b * q, a * q + b * p), d)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
@@ -346,7 +335,7 @@ class TruncatedSeries:
             if mono:
                 if c.is_one():
                     parts.append(mono)
-                elif c == GaussianRational(-1):
+                elif c == -1:
                     parts.append(f"-{mono}")
                 else:
                     wrap = f"({coeff_txt})" if ("+" in coeff_txt[1:] or "-" in coeff_txt[1:]) else coeff_txt

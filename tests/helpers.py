@@ -9,6 +9,7 @@ direct substitution, and so on.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import mpmath
 import sympy
 from hypothesis import strategies as st
 
-from germnf.exactnum import DomainError, GaussianRational as GR
+from germnf.exactnum import DomainError, GaussianRational as GR, as_parts
 from germnf.germ import Family, Germ, compose_germ, conjugate
 from germnf.linalg import field_inverse, field_kernel, field_rref, solve_integer
 from germnf.normalform import division_check
@@ -200,6 +201,74 @@ def inverse_by_defect_correction(f: Germ) -> Germ:
 def conjugate_by_inverse(f: Germ, psi: Germ) -> Germ:
     """psi^{-1} o f o psi with psi^{-1} formed explicitly."""
     return compose_germ(inverse_by_defect_correction(psi), compose_germ(f, psi))
+
+
+# ---------------------------------------------------------------------------
+# Q(i) scalar oracle
+# ---------------------------------------------------------------------------
+
+
+class FractionPair:
+    """Oracle for GaussianRational: re + im*i held as two Fractions, with
+    every operation written out on the parts."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(value) -> "FractionPair":
+        """The oracle value of a GaussianRational, int or Fraction."""
+        if isinstance(value, GR):
+            return FractionPair(value.re, value.im)
+        return FractionPair(value)
+
+    def __add__(self, other):
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return FractionPair(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError("oracle division by zero")
+        return FractionPair((self.re * other.re + self.im * other.im) / n,
+                            (self.im * other.re - self.re * other.im) / n)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return (FractionPair(1) / self) ** -e
+        out = FractionPair(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def norm(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i"
+        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
+
+
+def agrees(z: GR, oracle: FractionPair) -> bool:
+    """z has the oracle's value and is stored in canonical form: (a + b*i)/d
+    with d > 0, gcd(a, b, d) = 1 and zero as 0/1."""
+    a, b, d = as_parts(z)
+    canonical = d > 0 and math.gcd(a, b, d) == 1 and (a or b or d == 1)
+    return bool(canonical) and (z.re, z.im) == (oracle.re, oracle.im)
 
 
 # ---------------------------------------------------------------------------

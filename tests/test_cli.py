@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from germnf.cli import run
 from germnf.germ import Germ, family_from_json, invert_germ
 from germnf.series import TruncatedSeries, UsageError, compose_all
 
-from helpers import from_term_list, random_real_block_family
+from helpers import from_term_list, random_gaussian, random_real_block_family
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -382,6 +383,47 @@ class TestJetWork:
         columns = normalform._monomial_columns(fam.n, 6)
         assert basis and len(columns) == 209
         assert 0 < len(products) <= fam.p * len(columns)
+
+
+class TestScalarWork:
+    """Q(i) arithmetic is integer arithmetic on (a + b*i)/d: the field
+    kernels build no Fraction, and first-integrals builds one only where a
+    coefficient is parsed or printed."""
+
+    @staticmethod
+    def _count_fractions(monkeypatch) -> list:
+        built, original = [], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        return built
+
+    def test_field_kernels_build_no_fraction(self, monkeypatch):
+        from germnf.exactnum import ONE
+        from germnf.linalg import field_inverse, field_kernel, field_rref
+
+        rng = random.Random(12)
+        wide = [{c: random_gaussian(rng, 9) for c in rng.sample(range(9), 5)} for _ in range(6)]
+        square = [{c: random_gaussian(rng, 9) for c in range(5)} for _ in range(5)]
+        built = self._count_fractions(monkeypatch)
+        assert len(field_rref(wide)[1]) == 6
+        assert len(field_kernel(wide, 9, ONE)) == 3
+        assert len(field_inverse(square, ONE)) == 5
+        assert built == []
+
+    def test_first_integrals_fraction_budget(self, tmp_path, monkeypatch):
+        """At most 300 on integrals/inf_p2_n4-0 (96 here, 14 441 when each
+        scalar held two Fractions)."""
+        golden = _perfbench_golden()
+        manifest, _ = golden.load("integrals")
+        op = next(o for o in manifest["ops"] if o["id"] == "inf_p2_n4-0.first-integrals")
+        built = self._count_fractions(monkeypatch)
+        code, _ = _run_json(tmp_path, *golden.argv_of(op))
+        assert code == 0
+        assert 0 < len(built) <= 300
 
 
 class TestEigenWork:

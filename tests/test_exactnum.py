@@ -1,6 +1,8 @@
 import contextlib
 import math
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from germnf.exactnum import (
     principal_arg_turns,
 )
 
-from helpers import random_gaussian
+from helpers import FractionPair, agrees, random_gaussian
 
 
 @contextlib.contextmanager
@@ -77,6 +79,106 @@ class TestGaussianRational:
         for _ in range(50):
             a, b = random_gaussian(rng, 10), random_gaussian(rng, 10)
             assert (a * b).norm() == a.norm() * b.norm()
+
+
+# Parts small enough to cancel often, and large enough to need big integers.
+_PART = st.one_of(
+    st.fractions(-6, 6, max_denominator=6),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+_GAUSS = st.builds(GR, _PART, _PART)
+_OPERAND = st.one_of(_GAUSS, st.integers(-(10**25), 10**25), st.integers(-3, 3), _PART)
+_ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+_MODULUS = sys.hash_info.modulus
+
+
+class TestGaussianRationalOracle:
+    """The integer triple against the pair-of-Fractions oracle; `agrees`
+    also checks the canonical form of every result."""
+
+    @_ORACLE
+    @given(st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+           _GAUSS, _OPERAND, st.booleans())
+    def test_binary_operators(self, op, z, other, swap):
+        x, y = (other, z) if swap else (z, other)
+        try:
+            expected = op(FractionPair.of(x), FractionPair.of(y))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            return
+        assert agrees(op(x, y), expected)
+
+    @_ORACLE
+    @given(_GAUSS, st.integers(-6, 9))
+    def test_powers(self, z, e):
+        if z.is_zero() and e < 0:
+            with pytest.raises(ZeroDivisionError):
+                z ** e
+        else:
+            assert agrees(z ** e, FractionPair.of(z) ** e)
+
+    @_ORACLE
+    @given(_GAUSS)
+    def test_unary_operations(self, z):
+        o = FractionPair.of(z)
+        assert agrees(-z, -o)
+        assert agrees(z.conjugate(), o.conjugate())
+        assert z.norm() == o.norm() and isinstance(z.norm(), Fraction)
+        assert z.is_zero() == (not z) == (o.re == o.im == 0)
+        assert z.is_one() == ((o.re, o.im) == (1, 0))
+        assert z.is_gaussian_integer() == (o.re.denominator == o.im.denominator == 1)
+
+    @_ORACLE
+    @given(_PART, _PART)
+    def test_constructor(self, re, im):
+        assert agrees(GR(re, im), FractionPair(re, im))
+        assert agrees(GR(str(re), str(im)), FractionPair(re, im))
+        if re.denominator == 1:
+            assert agrees(GR(int(re)), FractionPair(re))
+
+    @_ORACLE
+    @given(_GAUSS, _OPERAND)
+    def test_equality_and_hash(self, z, other):
+        o, p = FractionPair.of(z), FractionPair.of(other)
+        same = (o.re, o.im) == (p.re, p.im)
+        assert (z == other) == same and (other == z) == same and (z != other) != same
+        assert (z == o.re) == (o.im == 0)
+        assert (z == o.re.numerator) == (o.im == 0 and o.re.denominator == 1)
+        assert hash(z) == hash((o.re, o.im))
+        assert isinstance(z.re, Fraction) and (z.re, z.im) == (o.re, o.im)
+
+    def test_hash_when_the_denominator_meets_the_hash_modulus(self):
+        for re, im in [(Fraction(1, _MODULUS), 0), (Fraction(3, 2 * _MODULUS), Fraction(-5, _MODULUS**2)),
+                       (Fraction(-1, _MODULUS + 1), 1), (Fraction(2, 3), Fraction(-1, _MODULUS + 1))]:
+            z = GR(re, im)
+            assert hash(z) == hash((re, im))
+
+    @_ORACLE
+    @given(_GAUSS)
+    def test_str_and_parse(self, z):
+        assert str(z) == str(FractionPair.of(z))
+        assert agrees(GR.parse(str(z)), FractionPair.of(z))
+        assert repr(z) == f"GaussianRational({z.re!r}, {z.im!r})"
+
+    def test_division_by_zero(self):
+        z = GR(Fraction(1, 2), 3)
+        for zero in (0, Fraction(0), GR(0)):
+            with pytest.raises(ZeroDivisionError):
+                z / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / GR(0)
+        with pytest.raises(ZeroDivisionError):
+            GR(0) ** -1
+
+    def test_immutable_and_typed(self):
+        z = GR(1, 2)
+        for name in ("re", "im", "_a", "_b", "_d"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 0)
+        with pytest.raises(TypeError):
+            z + 0.5
+        assert z.__eq__("1+2*i") is NotImplemented
 
 
 class TestFactorization:

@@ -317,3 +317,24 @@ class TestJson:
         }
         with pytest.raises(UsageError):
             family_from_json(data)
+
+    def test_repeated_terms_add_up(self):
+        """A (component, exponents) pair given twice is the sum of its
+        coefficients, and terms that cancel leave no term."""
+        terms = [
+            {"component": 1, "exponents": [2, 0], "coeff": "1/2"},
+            {"component": 2, "exponents": [1, 1], "coeff": "i"},
+            {"component": 1, "exponents": [2, 0], "coeff": "1/3-i"},
+            {"component": 2, "exponents": [1, 1], "coeff": "-i"},
+            {"component": 2, "exponents": [0, 3], "coeff": "2"},
+        ]
+        data = {"schema": 1, "n": 2, "degree": 3, "maps": [{"linear_diag": ["2", "3"], "terms": terms}]}
+        (f,) = family_from_json(data).germs
+        assert f.components[0] == TS(2, 3, {(1, 0): 2, (2, 0): GR.parse("5/6-i")})
+        assert f.components[1] == TS(2, 3, {(0, 1): 3, (0, 3): 2})
+
+    def test_term_with_negative_exponent_rejected(self):
+        terms = [{"component": 1, "exponents": [3, -1], "coeff": "1"}]
+        data = {"schema": 1, "n": 2, "degree": 3, "maps": [{"linear_diag": ["2", "3"], "terms": terms}]}
+        with pytest.raises(UsageError, match="negative exponent"):
+            family_from_json(data)
