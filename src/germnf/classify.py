@@ -5,9 +5,9 @@ witnesses, and anything that would require deciding vanishing of a
 transcendental expression gets a third verdict, INDETERMINATE, instead of
 a guess.  Concretely:
 
-* sign questions about rational linear forms in {ln p} are decided exactly
-  (unique factorization makes those forms vanish only trivially; intervals
-  certify the sign, an exact comparison backs them up);
+* sign questions about rational linear forms in {ln p} are decided by one
+  exact comparison of integer products (see LogModulusVector.sign), with
+  no intervals;
 * products of logarithms and arctangents are handled symbolically (a
   symbolic zero is a true zero) with directed-rounded interval arithmetic
   certifying the nonzero direction;
@@ -40,12 +40,16 @@ from typing import Any
 from .exactnum import (
     GaussianRational,
     IndeterminateError,
-    Interval,
     LogModulusVector,
     TurnSum,
+    atan_interval,
     certified_round_to_integer,
+    interval_sign,
+    libmpi,
+    log_interval,
     precision_cap,
     precision_ladder,
+    rational_interval,
 )
 from .linalg import (
     integer_rank,
@@ -108,6 +112,12 @@ def _indet(reason: str, bounds=None) -> Verdict:
     return Verdict(VerdictValue.INDETERMINATE, None, "symbolic+interval", bounds or {}, reason)
 
 
+def _method(exact: bool) -> str:
+    """A definite verdict's label: 'exact' when no fact it rests on needed
+    the interval ladder, else 'symbolic+interval'."""
+    return "exact" if exact else "symbolic+interval"
+
+
 # ---------------------------------------------------------------------------
 # Branch choices for eigenvalue logarithms
 # ---------------------------------------------------------------------------
@@ -123,12 +133,6 @@ class BranchChoice:
     @staticmethod
     def zero(p: int, n: int) -> "BranchChoice":
         return BranchChoice(tuple((0,) * n for _ in range(p)))
-
-    def verify(self, eigen: EigenData) -> bool:
-        """exp(lambda_im) = mu_im holds for every integer branch entry, since
-        ln|mu| is exact and the angle is the principal argument plus whole
-        turns; what remains to check is that b has the shape p x n."""
-        return len(self.b) == eigen.p and all(len(row) == eigen.n for row in self.b)
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.b]
@@ -198,38 +202,39 @@ def _cofactor(rows: list[list[dict]], r: int, j: int) -> dict:
     return poly_mul(poly_const(GaussianRational((-1) ** (r + j))), minor)
 
 
-def _symbol_interval(sym, prec: int) -> Interval:
-    kind = sym[0]
-    if kind == "log":
-        return Interval.log_int(sym[1], prec)
-    if kind == "pi":
-        return Interval.pi(prec)
-    if kind == "atan":
-        return Interval.atan_fraction(Fraction(sym[1], sym[2]), prec)
+def _symbol_interval(sym, prec: int):
+    if sym[0] == "log":
+        return log_interval(sym[1], prec)
+    if sym[0] == "pi":
+        return libmpi().mpi_pi(prec)
+    if sym[0] == "atan":
+        return atan_interval(Fraction(sym[1], sym[2]), prec)
     raise AssertionError(f"unknown symbol {sym}")
 
 
-def poly_eval_intervals(poly: dict, prec: int) -> tuple[Interval, Interval]:
-    re_acc = Interval.from_fraction(Fraction(0), prec)
-    im_acc = Interval.from_fraction(Fraction(0), prec)
+def poly_eval_intervals(poly: dict, prec: int):
+    """Enclosures (lo, hi) of the real and imaginary parts of the value at
+    `prec` bits."""
+    mpi = libmpi()
+    re_acc = im_acc = (mpi.fzero, mpi.fzero)
     for mono, coeff in poly.items():
-        prod = Interval.from_fraction(Fraction(1), prec)
+        prod = (mpi.fone, mpi.fone)
         for sym in mono:
-            prod = prod * _symbol_interval(sym, prec)
+            prod = mpi.mpi_mul(prod, _symbol_interval(sym, prec), prec)
         if coeff.re:
-            re_acc = re_acc + prod.scale(coeff.re)
+            re_acc = mpi.mpi_add(re_acc, mpi.mpi_mul(prod, rational_interval(coeff.re, prec), prec), prec)
         if coeff.im:
-            im_acc = im_acc + prod.scale(coeff.im)
+            im_acc = mpi.mpi_add(im_acc, mpi.mpi_mul(prod, rational_interval(coeff.im, prec), prec), prec)
     return re_acc, im_acc
 
 
 def _poly_is_log_affine(poly: dict) -> bool:
-    for mono in poly:
-        if len(mono) > 1:
-            return False
-        if mono and mono[0][0] != "log":
-            return False
-    return True
+    return all(not mono or (len(mono) == 1 and mono[0][0] == "log") for mono in poly)
+
+
+def _is_log_form(poly: dict) -> bool:
+    """sum c_p ln p with no constant term: poly_sign decides it exactly."""
+    return () not in poly and _poly_is_log_affine(poly)
 
 
 def certify_poly_nonzero(poly: dict) -> bool:
@@ -249,9 +254,9 @@ def _interval_signs(poly: dict) -> tuple[int, int]:
     """Signs of the real and imaginary parts at the first precision that
     separates either from zero, else (0, 0)."""
     for prec in precision_ladder():
-        re_iv, im_iv = poly_eval_intervals(poly, prec)
-        if re_iv.sign() or im_iv.sign():
-            return re_iv.sign(), im_iv.sign()
+        signs = tuple(map(interval_sign, poly_eval_intervals(poly, prec)))
+        if signs != (0, 0):
+            return signs
     return 0, 0
 
 
@@ -259,7 +264,7 @@ def poly_sign(poly: dict) -> int | None:
     """Certified sign of a real polynomial's value: 0 for the symbolic zero,
     None when no precision up to the cap separates it from zero.  A linear
     form in logarithms of primes is decided exactly."""
-    if () not in poly and _poly_is_log_affine(poly):
+    if _is_log_form(poly):
         return LogModulusVector.from_dict({mono[0][1]: c.re for mono, c in poly.items()}).sign()
     return _interval_signs(poly)[0] or None
 
@@ -277,6 +282,14 @@ class Minor:
     full: bool | None
     kernel: tuple[dict, ...] | None = None
     signs: tuple[int | None, ...] | None = None
+
+    @property
+    def exact(self) -> bool:
+        """Were `full` (if not False), else the certified `signs`, decided with
+        no interval: a log-affine det, or signs of log forms?"""
+        if self.full is not False:
+            return _poly_is_log_affine(self.det)
+        return all(_is_log_form(v) for v, s in zip(self.kernel or (), self.signs or ()) if s)
 
 
 def _cofactor_kernel(block: list[list[dict]]):
@@ -400,12 +413,12 @@ def is_projectively_hyperbolic(eigen: EigenData) -> Verdict:
     table = _minor_table(eigen)
     if not table:  # p > n: no p x p minor
         return _no({"reason": "more rows than columns"})
+    full = next((minor for minor in table if minor.full), None)
     if eigen.p == 1:
-        full = next((minor for minor in table if minor.full), None)
         return _yes({"nonzero_column": full.columns[0] + 1}) if full else _no({"all_unit_modulus": True})
     decided, info = _full_row_rank(table)
     if decided is True:
-        return _yes(info, method="symbolic+interval")
+        return _yes(info, method=_method(full.exact))
     if decided is False:
         return _no(info)
     return _indet("rank of the log-modulus matrix could not be certified", {"max_bits": precision_cap()})
@@ -533,6 +546,9 @@ def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3, candidate_ca
         branch = BranchChoice(tuple(combo))
         decided, info = generators_independent(eigen, branch)
         if decided is True:
+            # only intervals certify a lambda(b) minor: at p >= 2 it has
+            # degree p, and at p = 1 an entry without pi or atan is ln|mu|,
+            # which, nonzero, makes the family projectively hyperbolic
             return _yes(
                 {"route": "weakly_nonresonant_generators", "branch": branch.to_json(), **info},
                 method="symbolic+interval",
@@ -563,7 +579,7 @@ def is_hyperbolic(eigen: EigenData) -> Verdict:
     uncertified = [_one_based(minor.columns) for minor in table if minor.full is None]
     if uncertified:
         return _indet(f"rank not certified for subsets {uncertified}")
-    return _yes({"subsets_checked": len(table)}, method="symbolic+interval")
+    return _yes({"subsets_checked": len(table)}, method=_method(all(minor.exact for minor in table)))
 
 
 def _rational_multiples(forms: list[LogModulusVector]) -> bool:
@@ -587,32 +603,33 @@ def _collinear_signs(points: list[list[LogModulusVector]]) -> list[int] | None:
     return [point[i].sign() for point in points]
 
 
-def _hull_contains_origin(eigen: EigenData, minor: Minor) -> tuple[bool | None, dict]:
+def _hull_contains_origin(eigen: EigenData, minor: Minor) -> tuple[bool | None, dict, bool]:
     """Does the convex hull of the covectors c_k, k in minor.columns,
-    contain 0?  (True, witness), (False, {}) or (None, {}); the steps are
-    those of is_weakly_hyperbolic."""
+    contain 0?  (True, witness), (False, {}) or (None, {}), and whether the
+    answer is exact: only the minor's own certified facts (`Minor.exact`)
+    may rest on intervals.  The steps are those of is_weakly_hyperbolic."""
     if minor.full:
-        return False, {}
+        return False, {}, minor.exact
     points = [[eigen.log_modulus(i, k) for i in range(eigen.p)] for k in minor.columns]
     # one row per coordinate and prime, and sum lambda_k = 1
     rows = [[Fraction(point[i].as_dict().get(q, 0)) for point in points] for i in range(eigen.p)
             for q in sorted({q for point in points for q, _ in point[i].coords})] + [[Fraction(1)] * len(points)]
     hull_point = rational_feasible(rows, [Fraction(0)] * (len(rows) - 1) + [Fraction(1)])
     if hull_point is not None:
-        return True, {"hull_coefficients": [str(x) for x in hull_point]}
+        return True, {"hull_coefficients": [str(x) for x in hull_point]}, True
     if minor.kernel is not None:
         if 1 in minor.signs and -1 in minor.signs:
-            return False, {}
+            return False, {}, minor.exact
         if None not in minor.signs:
             # each entry as [coefficient, [primes whose logarithms it multiplies]]
             vector = [[[str(c), [s[1] for s in mono]] for mono, c in sorted(v.items())] for v in minor.kernel]
-            return True, {"kernel_vector": vector, "kernel_signs": list(minor.signs)}
+            return True, {"kernel_vector": vector, "kernel_signs": list(minor.signs)}, minor.exact
     signs = _collinear_signs(points)
     if signs is not None:
-        return (True, {"collinear_signs": signs}) if 1 in signs and -1 in signs else (False, {})
+        return (True, {"collinear_signs": signs}, True) if 1 in signs and -1 in signs else (False, {}, True)
     if all(_rational_multiples([point[i] for point in points]) for i in range(eigen.p)):
-        return False, {}
-    return None, {}
+        return False, {}, True
+    return None, {}, True
 
 
 def is_weakly_hyperbolic(eigen: EigenData) -> Verdict:
@@ -636,15 +653,17 @@ def is_weakly_hyperbolic(eigen: EigenData) -> Verdict:
        one rational row per coordinate, and its infeasibility is exact."""
     table = _minor_table(eigen)
     undecided = []
+    exact = True
     for minor in table:
-        contains, info = _hull_contains_origin(eigen, minor)
+        contains, info, by_exact = _hull_contains_origin(eigen, minor)
         if contains:
-            return _no({"subset": _one_based(minor.columns), **info})
+            return _no({"subset": _one_based(minor.columns), **info}, method=_method(by_exact))
         if contains is None:
             undecided.append(_one_based(minor.columns))
+        exact = exact and by_exact
     if undecided:
         return _indet(f"hull tests undecided for subsets {undecided}")
-    return _yes({"subsets_checked": len(table)})
+    return _yes({"subsets_checked": len(table)}, method=_method(exact))
 
 
 # ---------------------------------------------------------------------------

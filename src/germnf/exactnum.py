@@ -2,8 +2,10 @@
 
 Everything downstream (series coefficients, eigenvalues, lattice
 verification) runs on the types in this module.  There is no floating
-point anywhere except inside the certified interval evaluator, whose
-endpoints are directed-rounded and therefore rigorous.
+point anywhere except inside certified interval evaluation: mpmath's
+`libmpi` on (lo, hi) pairs of mpf endpoints, each rounded outward, and
+therefore rigorous.  mpmath is imported on the first certified evaluation
+(`libmpi()`), so a command that evaluates no interval never loads it.
 
 The coefficient field is Q(i) only.  Eigenvalues like e^{i} that are not
 Gaussian rationals are out of scope; fixtures use exactly representable
@@ -12,25 +14,12 @@ analogues such as (i, -i) or (3+4i)/5 instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath.libmp import (
-    from_int,
-    mpf_add,
-    mpf_atan,
-    mpf_div,
-    mpf_log,
-    mpf_mul,
-    mpf_neg,
-    mpf_pi,
-    mpf_sub,
-    round_ceiling,
-    round_floor,
-)
 
 _PRECISION_ENV = "GERMNF_PRECISION_BITS"
 _PRECISION_START = 64
@@ -51,12 +40,9 @@ class DomainError(ValueError):
 def precision_cap() -> int:
     """Maximum interval mantissa bits, the one precision budget of every
     certified evaluation; GERMNF_PRECISION_BITS sets it within [64, 1024]."""
-    raw = os.environ.get(_PRECISION_ENV)
-    if raw is None:
-        return _PRECISION_CAP
     try:
-        value = int(raw)
-    except ValueError:
+        value = int(os.environ.get(_PRECISION_ENV))
+    except (TypeError, ValueError):  # unset or not an integer
         return _PRECISION_CAP
     return max(_PRECISION_START, min(value, _PRECISION_CAP))
 
@@ -571,12 +557,6 @@ class LogModulusVector:
             d[p] = d.get(p, 0) + c
         return LogModulusVector.from_dict(d)
 
-    def __neg__(self) -> "LogModulusVector":
-        return LogModulusVector(tuple((p, -c) for p, c in self.coords))
-
-    def __sub__(self, other: "LogModulusVector") -> "LogModulusVector":
-        return self + (-other)
-
     def scale(self, s) -> "LogModulusVector":
         s = Fraction(s)
         if s == 0:
@@ -598,35 +578,21 @@ class LogModulusVector:
     def sign(self) -> int:
         """Exact sign of the represented real number sum(c_p ln p).
 
-        An interval enclosure of the sum, along the precision ladder, decides
-        it as soon as it excludes zero.  Logarithms of
-        distinct primes are linearly independent over Q, so a nonzero
-        vector over primes is always decided at some precision.  Only when
-        every level straddles zero is the sign decided by comparing the
-        exact products prod p^(c_p) on both sides."""
-        if not self.coords:
-            return 0
-        for prec in precision_ladder():
-            acc = Interval.from_fraction(Fraction(0), prec)
-            for p, c in self.coords:
-                acc = acc + Interval.log_int(p, prec).scale(c)
-            decided = acc.sign()
-            if decided:
-                return decided
-        num = Fraction(1)
-        den = Fraction(1)
+        With L the lcm of the denominators of the c_p, the sum has the sign
+        of prod p^(L c_p) - 1, so one comparison of the integer products of
+        the positive and the negative part decides it, with no interval and
+        no precision budget.  Those integers are prod p^(L |c_p|): about
+        |z|^2 for ln|z| or a rational rescaling of it, the forms every
+        caller passes."""
         common = math.lcm(*(c.denominator for _, c in self.coords))
+        num = den = 1
         for p, c in self.coords:
-            e = int(c * common)
+            e = c.numerator * (common // c.denominator)
             if e > 0:
-                num *= Fraction(p) ** e
+                num *= p**e
             else:
-                den *= Fraction(p) ** (-e)
-        if num > den:
-            return 1
-        if num < den:
-            return -1
-        return 0
+                den *= p**-e
+        return (num > den) - (num < den)
 
 
 def log_modulus(z: GaussianRational) -> LogModulusVector:
@@ -638,109 +604,44 @@ def log_modulus(z: GaussianRational) -> LogModulusVector:
 
 
 # ---------------------------------------------------------------------------
-# Rigorous interval arithmetic on mpmath mantissas
+# Certified enclosures: mpmath's (lo, hi) intervals, rounded outward
 # ---------------------------------------------------------------------------
 
 
-class Interval:
-    """Closed interval with directed-rounded mpf endpoints."""
+@functools.cache
+def libmpi():
+    """mpmath.libmp.libmpi, imported on the first call: the interval
+    operations (mpi_add, mpi_mul, ...) on (lo, hi) pairs of mpf endpoints,
+    lo rounded down and hi up, and the mpf primitives they use."""
+    from mpmath.libmp import libmpi as module
 
-    __slots__ = ("lo", "hi", "prec")
-
-    def __init__(self, lo, hi, prec: int):
-        self.lo = lo
-        self.hi = hi
-        self.prec = prec
-
-    # construction
-
-    @staticmethod
-    def from_fraction(fr: Fraction, prec: int) -> "Interval":
-        num, den = from_int(fr.numerator), from_int(fr.denominator)
-        return Interval(
-            mpf_div(num, den, prec, round_floor),
-            mpf_div(num, den, prec, round_ceiling),
-            prec,
-        )
-
-    @staticmethod
-    def pi(prec: int) -> "Interval":
-        return Interval(mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling), prec)
-
-    @staticmethod
-    def log_int(n: int, prec: int) -> "Interval":
-        x = from_int(n)
-        return Interval(mpf_log(x, prec, round_floor), mpf_log(x, prec, round_ceiling), prec)
-
-    @staticmethod
-    def atan_fraction(t: Fraction, prec: int) -> "Interval":
-        # atan is increasing: round the argument outward first
-        num, den = from_int(t.numerator), from_int(t.denominator)
-        lo_arg = mpf_div(num, den, prec + 8, round_floor)
-        hi_arg = mpf_div(num, den, prec + 8, round_ceiling)
-        return Interval(
-            mpf_atan(lo_arg, prec, round_floor),
-            mpf_atan(hi_arg, prec, round_ceiling),
-            prec,
-        )
-
-    # arithmetic
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(
-            mpf_add(self.lo, other.lo, self.prec, round_floor),
-            mpf_add(self.hi, other.hi, self.prec, round_ceiling),
-            self.prec,
-        )
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(
-            mpf_sub(self.lo, other.hi, self.prec, round_floor),
-            mpf_sub(self.hi, other.lo, self.prec, round_ceiling),
-            self.prec,
-        )
-
-    def __neg__(self) -> "Interval":
-        return Interval(mpf_neg(self.hi), mpf_neg(self.lo), self.prec)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        pairs = [(self.lo, other.lo), (self.lo, other.hi), (self.hi, other.lo), (self.hi, other.hi)]
-        los = [mpf_mul(a, b, self.prec, round_floor) for a, b in pairs]
-        his = [mpf_mul(a, b, self.prec, round_ceiling) for a, b in pairs]
-        return Interval(min(los, key=_mpf_key), max(his, key=_mpf_key), self.prec)
-
-    def scale(self, fr: Fraction) -> "Interval":
-        return self * Interval.from_fraction(fr, self.prec)
-
-    # queries (exact: endpoints convert to Fractions losslessly)
-
-    def lo_fraction(self) -> Fraction:
-        return _mpf_to_fraction(self.lo)
-
-    def hi_fraction(self) -> Fraction:
-        return _mpf_to_fraction(self.hi)
-
-    def sign(self) -> int:
-        """+1/-1 when certified away from zero, 0 when undecided."""
-        if self.lo_fraction() > 0:
-            return 1
-        if self.hi_fraction() < 0:
-            return -1
-        return 0
+    return module
 
 
-def _mpf_key(x) -> Fraction:
-    return _mpf_to_fraction(x)
+def rational_interval(q: Fraction, prec: int):
+    """Enclosure of a rational at `prec` bits."""
+    mpi = libmpi()
+    num, den = mpi.from_int(q.numerator), mpi.from_int(q.denominator)
+    return mpi.mpi_div((num, num), (den, den), prec)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise AssertionError("non-finite mpf endpoint")
-    value = Fraction(int(man)) * (Fraction(2) ** exp)
-    return -value if sign else value
+def log_interval(n: int, prec: int):
+    """Enclosure of ln n for an integer n >= 1."""
+    mpi = libmpi()
+    x = mpi.from_int(n)
+    return mpi.mpi_log((x, x), prec)
+
+
+def atan_interval(t: Fraction, prec: int):
+    """Enclosure of atan t: t enclosed with 8 guard bits, then atan, which
+    is increasing."""
+    return libmpi().mpi_atan(rational_interval(t, prec + 8), prec)
+
+
+def interval_sign(iv) -> int:
+    """+1/-1 when the enclosure excludes zero, 0 when it does not."""
+    sign = libmpi().mpf_sign
+    return 1 if sign(iv[0]) > 0 else -1 if sign(iv[1]) < 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -802,20 +703,6 @@ def principal_arg_turns(z: GaussianRational) -> TurnSum:
     return acute.scale(-1)
 
 
-def _turns_interval(ts: TurnSum, prec: int) -> Interval:
-    acc = Interval.from_fraction(ts.rational, prec)
-    if ts.atan_terms:
-        two_pi = Interval.pi(prec).scale(Fraction(2))
-        inv = Interval(
-            mpf_div(from_int(1), two_pi.hi, prec, round_floor),
-            mpf_div(from_int(1), two_pi.lo, prec, round_ceiling),
-            prec,
-        )
-        for c, t in ts.atan_terms:
-            acc = acc + (Interval.atan_fraction(t, prec) * inv).scale(c)
-    return acc
-
-
 def certified_round_to_integer(ts: TurnSum) -> int:
     """Round a TurnSum known to be an exact integer, with certification.
 
@@ -830,12 +717,17 @@ def certified_round_to_integer(ts: TurnSum) -> int:
                 f"value {ts.rational} is provably not an integer; caller precondition violated"
             )
         return int(ts.rational)
-    quarter = Fraction(1, 4)
+    mpi = libmpi()
+    two, quarter = mpi.from_int(2), mpi.from_man_exp(1, -2)
     for prec in precision_ladder():
-        box = _turns_interval(ts, prec)
-        lo, hi = box.lo_fraction(), box.hi_fraction()
-        mid = (lo + hi) / 2
-        k = int(mid) if mid.denominator == 1 else round(mid)
-        if lo > k - quarter and hi < k + quarter:
+        inv_two_pi = mpi.mpi_div((mpi.fone, mpi.fone), mpi.mpi_mul(mpi.mpi_pi(prec), (two, two), prec), prec)
+        lo, hi = rational_interval(ts.rational, prec)
+        for c, t in ts.atan_terms:
+            turns = mpi.mpi_mul(atan_interval(t, prec), inv_two_pi, prec)
+            lo, hi = mpi.mpi_add((lo, hi), mpi.mpi_mul(turns, rational_interval(c, prec), prec), prec)
+        # exact mpf sums: the nearest integer to the midpoint, then |x - k| < 1/4 at both ends
+        k = mpi.to_int(mpi.mpf_shift(mpi.mpf_add(lo, hi), -1), mpi.round_nearest)
+        kf = mpi.from_int(k)
+        if mpi.mpf_gt(lo, mpi.mpf_sub(kf, quarter)) and mpi.mpf_lt(hi, mpi.mpf_add(kf, quarter)):
             return k
     raise IndeterminateError("certified rounding exhausted its precision budget")

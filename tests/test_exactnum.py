@@ -3,8 +3,10 @@ import math
 import operator
 import random
 import sys
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,8 @@ from germnf.exactnum import (
     log_modulus,
     principal_arg_turns,
 )
+
+from germnf.resonance import EigenData
 
 from helpers import FractionPair, agrees, random_gaussian
 
@@ -305,6 +309,53 @@ class TestLogModulus:
             assert LogModulusVector.from_dict({4: Fraction(1, 2), 2: Fraction(-1)}).sign() == 0
 
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 60), st.integers(2, 60), st.integers(-6, 6).map(lambda k: Fraction(k, 2))),
+            min_size=1,
+            max_size=4,
+        ),
+        st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.integers(-6, 6).map(lambda k: Fraction(k, 2)),
+                        max_size=2),
+    )
+    def test_sign_matches_oracle_on_composite_forms(self, relations, extra):
+        """c (ln ab - ln a - ln b) vanishes exactly, so a sum of such
+        relations is zero however its composite keys are written, and
+        `extra` moves it off zero.  The oracle is mpmath at more digits than
+        prod p^(2|c_p|) has, below which a nonzero form cannot lie."""
+        coords: dict[int, Fraction] = dict(extra)
+        for a, b, c in relations:
+            for key, sign in ((a * b, 1), (a, -1), (b, -1)):
+                coords[key] = coords.get(key, Fraction(0)) + sign * c
+        vec = LogModulusVector.from_dict(coords)
+        digits = int(sum(2 * abs(c) * math.log10(q) for q, c in vec.coords)) + 30
+        with mpmath.workdps(digits):
+            value = mpmath.fsum(mpmath.log(q) * c.numerator / c.denominator for q, c in vec.coords)
+            expected = 0 if abs(value) < mpmath.mpf(10) ** (20 - digits) else int(mpmath.sign(value))
+        with precision_bits(64):
+            low = vec.sign()
+        with precision_bits(None):
+            assert vec.sign() == low == expected
+
+    def test_sign_at_height_4000_bits(self):
+        """Log moduli of eigenvalues of about 2^4000 and rational rescalings
+        of them: the exact comparison multiplies integers of about 8000 bits
+        and takes well under a second for all of them."""
+        gauss = GR(1, 2) ** 3444  # modulus 5^1722, about 2^3998.6
+        mus = [GR(Fraction(2**4000, 3**2523)), GR(Fraction(3**2523, 2**4000)), gauss / GR(2) ** 3999,
+               gauss / GR(3) ** 2523, GR(2) ** 4000 * GR(Fraction(1, 3)) ** 2524]
+        forms = [log_modulus(mu) for mu in mus]
+        forms += [form.scale(Fraction(1, 7)) for form in forms] + [forms[0].scale(Fraction(-5, 3))]
+        start = time.process_time()
+        signs = [form.sign() for form in forms]
+        assert time.process_time() - start < 1.0
+        with mpmath.workdps(50):
+            expected = [int(mpmath.sign(mpmath.fsum(mpmath.log(q) * c.numerator / c.denominator
+                                                    for q, c in form.coords))) for form in forms]
+        assert signs == expected and set(signs) == {1, -1}
+
+
 class TestCertifiedRounding:
     def test_example_minus_two_half(self):
         # (2 Arg(-2) + 2 Arg(1/2)) / 2pi = 1
@@ -342,6 +393,30 @@ class TestCertifiedRounding:
         ts = (principal_arg_turns(GR(2, 1)) + principal_arg_turns(GR(3, 1))).scale(2)
         with pytest.raises(IndeterminateError):
             certified_round_to_integer(ts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any), min_size=2, max_size=3),
+           st.lists(st.integers(-2, 2), min_size=2, max_size=3),
+           st.sampled_from([GR(1), GR(0, 1), GR(-1), GR(0, -1), GR(Fraction(3, 5), Fraction(4, 5))]),
+           st.integers(1, 2))
+    def test_relation_turns_match_oracle(self, bases, powers, unit, p):
+        """For every relation vector k of an eigen row that multiplies
+        random Gaussian integers, sum_m k_m Arg(mu_m) / 2pi is an integer,
+        and certified rounding finds mpmath's value of it."""
+        gs = [GR(a, b) for a, b in bases]
+        row = gs + [unit] + [math.prod((g ** e for g, e in zip(gs, powers)), start=unit)]
+        rows = [row, [z.conjugate() * GR(0, 1) for z in row]][:p]
+        eigen = EigenData(tuple(tuple(r) for r in rows))
+        with mpmath.workdps(60):
+            for k in eigen.lattice.basis:
+                for r in rows:
+                    ts = sum((principal_arg_turns(z).scale(e) for z, e in zip(r, k) if e), TurnSum(Fraction(0), ()))
+                    exact = sum(e * mpmath.arg(mpmath.mpc(z.re.numerator / mpmath.mpf(z.re.denominator),
+                                                          z.im.numerator / mpmath.mpf(z.im.denominator)))
+                                for z, e in zip(r, k)) / (2 * mpmath.pi)
+                    expected = int(mpmath.nint(exact))
+                    assert abs(exact - expected) < mpmath.mpf(10) ** -40
+                    assert certified_round_to_integer(ts) == expected
 
     def test_principal_range_conventions(self):
         # Arg principal in (-pi, pi]: Arg(-2) = pi, Arg(-1-i) = -3pi/4
