@@ -19,9 +19,9 @@ decomposes each eigenvalue once and keeps what the deciders share: the
 relation lattice, the Omega walks and one table of log-modulus minors,
 which the three hyperbolicity deciders read.  Weak hyperbolicity decides
 each subset's hull: full rank (not in it), else a rational hull point from
-an exact LP, else at rank p - 1 the sign test on the cofactor vector
-spanning the kernel (in it iff sign-definite), at rank 1 a sign test on
-one coordinate, else INDETERMINATE; see is_weakly_hyperbolic.
+an exact LP, else one circuit rule at every rank (in it iff some minimally
+dependent subset has a kernel vector of one strict sign), else
+INDETERMINATE; see is_weakly_hyperbolic.
 
 There is one precision budget: interval evaluation climbs 64 bits doubling
 up to precision_cap(), which GERMNF_PRECISION_BITS sets, and an
@@ -165,7 +165,8 @@ def poly_const(c: GaussianRational) -> dict:
 
 
 def _accumulate(out: dict, mono, c: GaussianRational) -> None:
-    acc = out.get(mono, GaussianRational(0)) + c
+    acc = out.get(mono)
+    acc = c if acc is None else acc + c
     if acc.is_zero():
         out.pop(mono, None)
     else:
@@ -192,14 +193,15 @@ def poly_det(rows: list[list[dict]]) -> dict:
     det = {} if rows else poly_const(GaussianRational(1))
     for j, entry in enumerate(rows[0] if rows else ()):
         if entry:
-            det = poly_add(det, poly_mul(entry, _cofactor(rows, 0, j)))
+            det = poly_add(det, poly_mul(entry, _cofactor(rows, (0,), j)))
     return det
 
 
-def _cofactor(rows: list[list[dict]], r: int, j: int) -> dict:
-    """(-1)^(r+j) times the minor of `rows` without row r and column j."""
-    minor = poly_det([row[:j] + row[j + 1:] for i, row in enumerate(rows) if i != r])
-    return poly_mul(poly_const(GaussianRational((-1) ** (r + j))), minor)
+def _cofactor(rows: list[list[dict]], dropped: tuple[int, ...], j: int) -> dict:
+    """(-1)^(sum(dropped) + j) times the minor of `rows` without the rows in
+    `dropped` and column j."""
+    minor = poly_det([row[:j] + row[j + 1:] for i, row in enumerate(rows) if i not in dropped])
+    return {mono: -c for mono, c in minor.items()} if (sum(dropped) + j) % 2 else minor
 
 
 def _symbol_interval(sym, prec: int):
@@ -273,47 +275,24 @@ def poly_sign(poly: dict) -> int | None:
 class Minor:
     """The p x p minor on `columns` (0-based) of a p-row symbolic matrix.
     `full`: `det` certified nonzero (True), symbolically zero (False) or
-    neither (None).  A singular minor's `kernel` is a cofactor vector with a
-    certified nonzero entry, which spans the kernel (see is_weakly_hyperbolic),
-    and `signs` its entries' certified signs (None where uncertified)."""
+    neither (None)."""
 
     columns: tuple[int, ...]
     det: dict
     full: bool | None
-    kernel: tuple[dict, ...] | None = None
-    signs: tuple[int | None, ...] | None = None
 
     @property
     def exact(self) -> bool:
-        """Were `full` (if not False), else the certified `signs`, decided with
-        no interval: a log-affine det, or signs of log forms?"""
-        if self.full is not False:
-            return _poly_is_log_affine(self.det)
-        return all(_is_log_form(v) for v, s in zip(self.kernel or (), self.signs or ()) if s)
+        """Was `full` decided with no interval: a log-affine or zero det?"""
+        return _poly_is_log_affine(self.det)
 
 
-def _cofactor_kernel(block: list[list[dict]]):
-    """(cofactors, signs) along the first row of the singular square block
-    whose cofactors are not all zero or uncertified, else (None, None)."""
-    for r in range(len(block)):
-        vector = tuple(_cofactor(block, r, j) for j in range(len(block)))
-        signs = tuple(poly_sign(v) for v in vector)
-        if any(signs):
-            return vector, signs
-    return None, None
-
-
-def _minors(entries: list[list[dict]], kernels: bool = False):
+def _minors(entries: list[list[dict]]):
     """The minors of p rows of symbolic entries on each p-subset of
-    columns, lazily and in lexicographic order; with `kernels`, singular
-    minors carry their cofactor kernel vector."""
+    columns, lazily and in lexicographic order."""
     for columns in itertools.combinations(range(len(entries[0])), len(entries)):
-        block = [[row[c] for c in columns] for row in entries]
-        det = poly_det(block)
-        if det:
-            yield Minor(columns, det, certify_poly_nonzero(det) or None)
-        else:
-            yield Minor(columns, det, False, *(_cofactor_kernel(block) if kernels else (None, None)))
+        det = poly_det([[row[c] for c in columns] for row in entries])
+        yield Minor(columns, det, (certify_poly_nonzero(det) or None) if det else False)
 
 
 def _one_based(columns) -> list[int]:
@@ -332,15 +311,6 @@ def _full_row_rank(minors):
     if uncertified:
         return None, {"uncertified_minors": uncertified}
     return False, {"all_minors_symbolically_zero": True}
-
-
-def decide_full_row_rank(entries: list[list[dict]]):
-    """Is the symbolic matrix of full row rank (as real/complex numbers)?
-    See _full_row_rank: False relies only on symbolic cancellation (exact),
-    True on a certified nonzero minor."""
-    if len(entries) > len(entries[0]):
-        return False, {"reason": "more rows than columns"}
-    return _full_row_rank(_minors(entries))
 
 
 def _logmod_poly(vec: LogModulusVector) -> dict:
@@ -362,16 +332,12 @@ def _lambda_entry_poly(eigen: EigenData, i: int, m: int, branch: BranchChoice) -
 
 def _minor_table(eigen: EigenData) -> list[Minor]:
     """The minors of the p x n log-modulus matrix, entry (i, m) = ln|mu_im|,
-    with cofactor kernels, built once per eigen object (under the precision
-    cap in force at its first use).  Its column p-subsets are the p-subsets
-    of covectors c_k = (ln|mu_1k|, ..., ln|mu_pk|), so the three
-    hyperbolicity deciders all read this table."""
-
-    def build():
-        entries = [[_logmod_poly(eigen.log_modulus(i, m)) for m in range(eigen.n)] for i in range(eigen.p)]
-        return list(_minors(entries, kernels=True))
-
-    return eigen.once("minor_table", build)
+    built once per eigen object (under the precision cap in force at its
+    first use).  Its column p-subsets are the p-subsets of covectors
+    c_k = (ln|mu_1k|, ..., ln|mu_pk|), which all three hyperbolicity
+    deciders read."""
+    return eigen.once("minor_table", lambda: list(_minors(
+        [[_logmod_poly(eigen.log_modulus(i, m)) for m in range(eigen.n)] for i in range(eigen.p)])))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +377,6 @@ def is_projectively_hyperbolic(eigen: EigenData) -> Verdict:
     minor of the table is certified nonzero, no when all are symbolically
     zero.  For p = 1 a minor is one log form, so both answers are exact."""
     table = _minor_table(eigen)
-    if not table:  # p > n: no p x p minor
-        return _no({"reason": "more rows than columns"})
     full = next((minor for minor in table if minor.full), None)
     if eigen.p == 1:
         return _yes({"nonzero_column": full.columns[0] + 1}) if full else _no({"all_unit_modulus": True})
@@ -502,12 +466,16 @@ def find_infinitesimal_generators(
 
 
 def generators_independent(eigen: EigenData, branch: BranchChoice):
-    """Hybrid decision whether the lambda(b) rows are linearly independent."""
+    """Are the lambda(b) rows linearly independent?  See _full_row_rank:
+    False rests only on symbolic cancellation, True on a certified minor."""
     entries = [[_lambda_entry_poly(eigen, i, m, branch) for m in range(eigen.n)] for i in range(eigen.p)]
-    return decide_full_row_rank(entries)
+    return _full_row_rank(_minors(entries))
 
 
-def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3, candidate_cap: int = 256) -> Verdict:
+CANDIDATE_CAP = 256  # lambda(b) families tried by normal_form_hypothesis
+
+
+def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3) -> Verdict:
     """Theorem hypothesis: projectively hyperbolic, or infinitesimally
     integrable with a weakly non-resonant, linearly independent family of
     generators (the independence is part of integrability; branch search is
@@ -539,7 +507,7 @@ def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3, candidate_ca
             return _no({"projective": proj.witness, "weak_nonresonance": infeasible}, bounds=bounds)
         return _indet("projective hyperbolicity undecided and no weakly non-resonant branch", bounds)
     total = math.prod(len(sols) for sols in per_row)
-    if total > candidate_cap:
+    if total > CANDIDATE_CAP:
         return _indet(f"too many candidate branches ({total}) within bound", bounds)
     saw_indeterminate = False
     for combo in itertools.product(*per_row):
@@ -582,32 +550,41 @@ def is_hyperbolic(eigen: EigenData) -> Verdict:
     return _yes({"subsets_checked": len(table)}, method=_method(all(minor.exact for minor in table)))
 
 
-def _rational_multiples(forms: list[LogModulusVector]) -> bool:
-    """Are all the log forms rational multiples of one of them?"""
-    base = next((f for f in forms if not f.is_zero()), None)
-    if base is None:
-        return True
-    q, c = base.coords[0]
-    return all(f == base.scale(f.as_dict().get(q, 0) / c) for f in forms)
-
-
-def _collinear_signs(points: list[list[LogModulusVector]]) -> list[int] | None:
-    """When every covector is t_k u for one vector u (each 2 x 2 minor with
-    the first nonzero entry is symbolically zero), the signs of the entries
-    in that entry's coordinate i: those of t_k, times the sign of u_i.
-    Otherwise None.  Some covector must be nonzero."""
-    a, i = next((a, i) for a, point in enumerate(points) for i, x in enumerate(point) if not x.is_zero())
-    polys = [[_logmod_poly(x) for x in point] for point in points]
-    if any(poly_mul(pk[j], polys[a][i]) != poly_mul(pk[i], polys[a][j]) for pk in polys for j in range(len(pk))):
-        return None
-    return [point[i].sign() for point in points]
+def _circuit(rows: list[list[dict]], minors) -> tuple[bool | None, tuple | None, bool]:
+    """Is the subset T of covectors `rows` (|T| >= 2, one row each), whose
+    |T|-row minors are `minors`, dependent with a kernel vector of one
+    strict sign?  (True, (v, signs)), False or None, and whether the answer
+    is exact.  See is_weakly_hyperbolic, step 3."""
+    uncertified = False
+    for minor in minors:
+        if minor.full:
+            return False, None, minor.exact
+        uncertified = uncertified or minor.full is None
+    if uncertified:
+        return None, None, True
+    block = [list(column) for column in zip(*rows)]
+    inconclusive = False
+    for dropped in itertools.combinations(range(len(block)), len(block) - len(rows) + 1):
+        vector = tuple(_cofactor(block, dropped, j) for j in range(len(rows)))
+        signs = tuple(poly_sign(v) for v in vector)
+        if not any(signs):
+            # no certified entry: v may vanish, and another choice decide
+            inconclusive = inconclusive or any(vector)
+            continue
+        exact = all(_is_log_form(v) for v, s in zip(vector, signs) if s)
+        if set(signs) in ({1}, {-1}):
+            return True, (vector, signs), exact
+        if 0 in signs or {1, -1} <= set(signs):
+            return False, None, exact
+        return None, None, True
+    return (None if inconclusive else False), None, True
 
 
 def _hull_contains_origin(eigen: EigenData, minor: Minor) -> tuple[bool | None, dict, bool]:
     """Does the convex hull of the covectors c_k, k in minor.columns,
     contain 0?  (True, witness), (False, {}) or (None, {}), and whether the
-    answer is exact: only the minor's own certified facts (`Minor.exact`)
-    may rest on intervals.  The steps are those of is_weakly_hyperbolic."""
+    answer is exact: no fact it rests on needed the interval ladder.  The
+    steps are those of is_weakly_hyperbolic."""
     if minor.full:
         return False, {}, minor.exact
     points = [[eigen.log_modulus(i, k) for i in range(eigen.p)] for k in minor.columns]
@@ -617,19 +594,24 @@ def _hull_contains_origin(eigen: EigenData, minor: Minor) -> tuple[bool | None, 
     hull_point = rational_feasible(rows, [Fraction(0)] * (len(rows) - 1) + [Fraction(1)])
     if hull_point is not None:
         return True, {"hull_coefficients": [str(x) for x in hull_point]}, True
-    if minor.kernel is not None:
-        if 1 in minor.signs and -1 in minor.signs:
-            return False, {}, minor.exact
-        if None not in minor.signs:
-            # each entry as [coefficient, [primes whose logarithms it multiplies]]
-            vector = [[[str(c), [s[1] for s in mono]] for mono, c in sorted(v.items())] for v in minor.kernel]
-            return True, {"kernel_vector": vector, "kernel_signs": list(minor.signs)}, minor.exact
-    signs = _collinear_signs(points)
-    if signs is not None:
-        return (True, {"collinear_signs": signs}, True) if 1 in signs and -1 in signs else (False, {}, True)
-    if all(_rational_multiples([point[i] for point in points]) for i in range(eigen.p)):
-        return False, {}, True
-    return None, {}, True
+    undecided, exact = False, True
+    for size in range(2, eigen.p + 1):
+        for circuit in itertools.combinations(minor.columns, size):
+            covectors = [[_logmod_poly(eigen.log_modulus(i, k)) for i in range(eigen.p)] for k in circuit]
+            # at T = S the one minor is the table's
+            contains, kernel, by_exact = _circuit(covectors, _minors(covectors) if size < eigen.p else [minor])
+            if contains:
+                vector, signs = kernel
+                # each entry as [coefficient, [primes whose logarithms it multiplies]]
+                info = {"kernel_vector": [[[str(c), [s[1] for s in mono]] for mono, c in sorted(v.items())]
+                                          for v in vector],
+                        "kernel_signs": list(signs)}
+                if size < eigen.p:
+                    info["circuit"] = _one_based(circuit)
+                return True, info, by_exact
+            undecided = undecided or contains is None
+            exact = exact and by_exact
+    return (None if undecided else False), {}, exact
 
 
 def is_weakly_hyperbolic(eigen: EigenData) -> Verdict:
@@ -642,15 +624,20 @@ def is_weakly_hyperbolic(eigen: EigenData) -> Verdict:
        against sum lambda_k = 1, so the origin is not in the hull;
     2. a rational hull point lambda balancing every prime coordinate (an
        exact LP): the origin is in the hull, lambda is the witness;
-    3. rank p - 1: a cofactor vector v along p - 1 rows is in the kernel
-       (expand along the dropped row), and when certified nonzero it spans
-       it; the origin is in the hull iff v is sign-definite, zero entries
-       allowed; v and its certified signs are the witness;
-    4. rank 1 (all covectors t_k u): in the hull iff the t_k take both
-       signs, read exactly off one coordinate; this completes p <= 3;
-    5. otherwise INDETERMINATE, unless every coordinate is a rational
-       multiple of one log form: step 2's prime rows are then multiples of
-       one rational row per coordinate, and its infeasibility is exact."""
+    3. its circuits: by Caratheodory the origin is in the hull iff some
+       minimally dependent T in S has a kernel vector of one strict sign
+       (|T| = 1, a zero covector, is a hull point of step 2).  For each T,
+       |T| >= 2: a |T|-row minor of c_T certified nonzero makes T
+       independent.  When all are symbolically zero, each choice of |T| - 1
+       rows (the dropped ones in lexicographic order) gives a kernel vector
+       v of signed (|T| - 1)-row minors, by Laplace expansion; at |T| = p
+       it is the cofactor vector along the dropped row.  A certified
+       nonzero entry makes v span the kernel: one strict sign puts the
+       origin in the hull, with v, its signs and T (as `circuit` when not
+       S) the witness; opposite signs or a symbolically zero entry rule T
+       out.  A v with no certified nonzero entry passes to the next choice,
+       and T is not a circuit when every v is symbolically zero.  Anything
+       else, an uncertified minor or sign, leaves S INDETERMINATE."""
     table = _minor_table(eigen)
     undecided = []
     exact = True
@@ -717,7 +704,7 @@ class PoincareTypeCertificate:
         }
 
 
-def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration, torsion_bound: int = 64) -> Verdict:
+def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
     """Constructive Poincare-type certificate for p = 1 with n-1 independent
     first-integral exponents; hypothesis is that some eigenvalue leaves the
     unit circle."""
@@ -749,12 +736,9 @@ def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration, torsion_boun
     alphas = []
     for m in range(n):
         if k[m] == 0:
-            order = _torsion_order(mu[m], torsion_bound)
+            order = _torsion_order(mu[m])
             if order is None:
-                return _indet(
-                    f"unit-modulus eigenvalue at slot {m + 1} has no torsion order <= {torsion_bound}",
-                    {"torsion_bound": torsion_bound},
-                )
+                return _indet(f"unit-modulus eigenvalue at slot {m + 1} is not a root of unity")
             alphas.append((m + 1, order))
     betas = []
     contracting = [m for m in range(n) if k[m] < 0]
@@ -764,12 +748,9 @@ def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration, torsion_boun
             g = math.gcd(k[i], k[j])
             base_i, base_j = k[j] // g, -k[i] // g
             w = mu[i] ** base_i * mu[j] ** base_j
-            t = _torsion_order(w, torsion_bound)
+            t = _torsion_order(w)
             if t is None:
-                return _indet(
-                    f"pair ({i + 1},{j + 1}) has no exact cancelling power <= {torsion_bound}",
-                    {"torsion_bound": torsion_bound},
-                )
+                return _indet(f"pair ({i + 1},{j + 1}) has no exact cancelling power: not a root of unity")
             betas.append((i + 1, j + 1, t * base_i, t * base_j))
     entries = [order for _, order in alphas] + [b for _, _, bi, bj in betas for b in (bi, bj)]
     bound_m = max(entries, default=0) + 1
@@ -778,13 +759,10 @@ def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration, torsion_boun
     )
     if not cert.verify(eigen):
         raise AssertionError("Poincare-type certificate failed self-verification")
-    return _yes(cert, bounds={"torsion_bound": torsion_bound})
+    return _yes(cert)
 
 
-def _torsion_order(z: GaussianRational, bound: int) -> int | None:
-    acc = GaussianRational(1)
-    for t in range(1, bound + 1):
-        acc = acc * z
-        if acc.is_one():
-            return t
-    return None
+def _torsion_order(z: GaussianRational) -> int | None:
+    """The order of z as a root of unity, else None.  The roots of unity in
+    Q(i) are +-1 and +-i, so the order divides 4."""
+    return next((t for t in (1, 2, 4) if (z ** t).is_one()), None)

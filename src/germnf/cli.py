@@ -188,19 +188,17 @@ def _cmd_analyze(data, args) -> tuple[dict, int]:
     if fam is not None:
         payload["nondegenerate"] = classify.is_nondegenerate(eigen, bound).to_json()
     if eigen.p == 1:
-        payload["poincare_type"] = _poincare_type(eigen, bound, args.bound_torsion)
+        payload["poincare_type"] = _poincare_type(eigen, bound)
     return payload, fam.degree if fam else args.degree
 
 
-def _poincare_type(eigen: EigenData, bound: int, torsion_bound: int) -> dict:
+def _poincare_type(eigen: EigenData, bound: int) -> dict:
     """The p = 1 Poincare-type verdict.  Too few independent first-integral
     exponents fail the hypothesis exactly when the relation lattice itself
     has rank below n - 1, and leave it undecided when only the bounded
     enumeration fell short."""
     try:
-        verdict = classify.poincare_type_single(
-            eigen, enumerate_omega(eigen, bound), torsion_bound=torsion_bound
-        )
+        verdict = classify.poincare_type_single(eigen, enumerate_omega(eigen, bound))
     except UsageError as exc:
         needed = eigen.n - 1
         if eigen.lattice.rank < needed:
@@ -355,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumeration bound for Omega (default 2*degree)")
     parser.add_argument("--bound-branch", type=int, default=10,
                         help="max |b| entries in branch searches")
-    parser.add_argument("--bound-torsion", type=int, default=64,
-                        help="torsion order search bound")
     parser.add_argument("--rho-equivariant", action="store_true")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--format", choices=["json", "text"], default="json")
@@ -369,7 +365,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.degree < 2:
         parser.error("--degree must be >= 2")
-    for name in ("bound_omega", "bound_branch", "bound_torsion"):
+    for name in ("bound_omega", "bound_branch"):
         value = getattr(args, name)
         if value is not None and value < 1:
             parser.error(f"--{name.replace('_', '-')} must be positive")
@@ -397,7 +393,6 @@ def run(argv=None) -> int:
             "degree": degree,
             "bound_omega": args.bound_omega or 2 * args.degree,
             "bound_branch": args.bound_branch,
-            "bound_torsion": args.bound_torsion,
             "rho_equivariant": args.rho_equivariant,
             "seed": args.seed,
         },

@@ -55,6 +55,8 @@ class EigenData:
         if not mu or not mu[0]:
             raise UsageError("eigen data must be a nonempty p x n matrix")
         n = len(mu[0])
+        if len(mu) > n:
+            raise UsageError("family has more germs than the ambient dimension")
         for row in mu:
             if len(row) != n:
                 raise UsageError("ragged eigenvalue matrix")

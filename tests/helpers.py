@@ -93,18 +93,23 @@ def hull_contains_origin_mp(logs, columns, dps: int = 100) -> bool:
     """Brute force over supports: 0 is in the convex hull of the covectors
     c_k = (logs[0][k], ..., logs[p-1][k]), k in columns, iff some support S
     of affinely independent points gives a strictly positive solution of
-    sum_{k in S} lambda_k c_k = 0, sum lambda_k = 1 (Caratheodory)."""
+    sum_{k in S} lambda_k c_k = 0, sum lambda_k = 1 (Caratheodory).  The
+    normal equations are solved by Cramer's rule on plain mpf lists."""
     tol = mpmath.mpf(10) ** (-dps // 2)
     with mpmath.workdps(dps):
         for size in range(1, len(columns) + 1):
             for support in itertools.combinations(columns, size):
-                a = mpmath.matrix([[row[k] for k in support] for row in logs] + [[1] * size])
-                e = mpmath.matrix([0] * len(logs) + [1])
-                gram = a.T * a
-                if abs(_det_mp(gram.tolist())) < tol:
+                a = [[row[k] for k in support] for row in logs] + [[1] * size]
+                e = [0] * len(logs) + [1]
+                gram = [[mpmath.fsum(r[i] * r[j] for r in a) for j in range(size)] for i in range(size)]
+                det = _det_mp(gram)
+                if abs(det) < tol:
                     continue  # affinely dependent support
-                lam = mpmath.lu_solve(gram, a.T * e)
-                if mpmath.norm(a * lam - e) < tol and all(x > tol for x in lam):
+                rhs = [mpmath.fsum(r[i] * x for r, x in zip(a, e)) for i in range(size)]
+                lam = [_det_mp([row[:j] + [b] + row[j + 1:] for row, b in zip(gram, rhs)]) / det
+                       for j in range(size)]
+                residual = mpmath.sqrt(mpmath.fsum((mpmath.fdot(r, lam) - x) ** 2 for r, x in zip(a, e)))
+                if residual < tol and all(x > tol for x in lam):
                     return True
     return False
 
@@ -455,6 +460,10 @@ def random_real_block_family(rng: random.Random, blocks: int, tail: list, p: int
 
 
 # standard paper fixtures ----------------------------------------------------
+
+# p = 4 eigenvalues with rows a, b, a b, a / b: the one 4-subset of
+# covectors has rank 2, and only its circuit {1, 2, 3} decides its hull
+RANK_2_P4_MU = [["2", "1", "1/5", "2"], ["1", "3", "1/7", "3"], ["2", "3", "1/35", "6"], ["2", "1/3", "7/5", "2/3"]]
 
 
 def example_13_family(degree: int = 4) -> Family:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +22,7 @@ from germnf.classify import (
     poincare_type_single,
     poly_eval_intervals,
     weak_resonance,
+    _torsion_order,
 )
 from germnf.exactnum import GaussianRational as GR
 from germnf.exactnum import LogModulusVector, precision_ladder
@@ -28,6 +30,7 @@ from germnf.resonance import EigenData, enumerate_omega, relation_lattice
 from germnf.series import UsageError
 
 from helpers import (
+    RANK_2_P4_MU,
     example_13_family,
     hull_contains_origin_mp,
     i_minus_i_family,
@@ -222,10 +225,37 @@ class TestHyperbolicity:
 
     def test_collinear_p3_both_sides(self):
         # c_k = (ln 2, -ln 3, ln 5)_k times u = (1, -1, 2): rank 1, no
-        # coordinate a rational multiple of one log form, t = (+, -, +)
+        # coordinate a rational multiple of one log form, t = (+, -, +).
+        # The circuit {1, 2} has the kernel vector (2 ln 3, 2 ln 2), read
+        # off the third coordinate: 2 ln 3 c_1 + 2 ln 2 c_2 = 0
         eigen = EigenData.from_rows([["2", "1/3", "5"], ["1/2", "3", "1/5"], ["4", "1/9", "25"]])
         verdict = is_weakly_hyperbolic(eigen)
-        assert verdict.no and verdict.witness == {"subset": [1, 2, 3], "collinear_signs": [1, -1, 1]}
+        assert verdict.no and verdict.method == "exact"
+        assert verdict.witness == {"subset": [1, 2, 3], "circuit": [1, 2],
+                                   "kernel_vector": [[["2", [3]]], [["2", [2]]]], "kernel_signs": [1, 1]}
+
+    def test_circuit_read_off_a_later_row_choice(self):
+        # c_1 = ln 2 u, c_2 = -ln 3 u with u = (1, 1, 0): the first row
+        # choice of the circuit {1, 2}, the third coordinate, gives the zero
+        # vector, the next one (-ln 3, -ln 2)
+        eigen = EigenData.from_rows([["2", "1/3", "5"], ["2", "1/3", "7"], ["1", "1", "11"]])
+        verdict = is_weakly_hyperbolic(eigen)
+        assert verdict.no and verdict.method == "exact"
+        assert verdict.witness == {"subset": [1, 2, 3], "circuit": [1, 2],
+                                   "kernel_vector": [[["-1", [3]]], [["-1", [2]]]], "kernel_signs": [-1, -1]}
+
+    def test_rank_2_of_p4(self):
+        # the hull holds the origin only at irrational weights, which the LP
+        # cannot find
+        eigen = EigenData.from_rows(RANK_2_P4_MU)
+        start = time.process_time()
+        verdict = is_weakly_hyperbolic(eigen)
+        assert time.process_time() - start < 1.0
+        assert verdict.no and verdict.method == "symbolic+interval"
+        assert verdict.witness["subset"] == [1, 2, 3, 4] and verdict.witness["circuit"] == [1, 2, 3]
+        assert verdict.witness["kernel_signs"] == [1, 1, 1]
+        assert hull_contains_origin_mp(log_moduli_mp(eigen), (0, 1, 2))
+        assert _check_against_oracle(eigen)[1] is VerdictValue.NO
 
     def test_collinear_p3_same_side_not_reducible(self):
         # c1 = c3 = ln 4 u, c2 = ln 20 u with u = (1, -1, -1)
@@ -325,13 +355,13 @@ class TestIntervalOracle:
 
 
 @st.composite
-def small_prime_eigen(draw):
-    """p x n eigenvalues, p in {2, 3}, whose covectors lie in the span of
+def small_prime_eigen(draw, ps):
+    """p x n eigenvalues, p drawn from `ps`, whose covectors lie in the span of
     1..p+1 integer directions d: c_k = sum_d s_kd ln(q_kd) d with q_kd in
     {2, 3}.  Every rank occurs, and collinear covectors over different
     primes give hull points with irrational weights.  Entries are times i
     at random, which leaves the moduli as they are."""
-    p = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from(ps))
     n = draw(st.integers(min_value=p, max_value=p + 1))
     directions = draw(st.lists(st.lists(st.integers(-1, 1), min_size=p, max_size=p),
                                min_size=1, max_size=p + 1))
@@ -366,8 +396,17 @@ def _check_against_oracle(eigen: EigenData):
     if weak.value is not undecided:
         assert weak.yes == (not any(hull_contains_origin_mp(logs, s) for s in subsets))
     assert not (hyp.yes and weak.no)
-    # for p <= 3 every subset has full rank, rank p - 1, rank 1 or rank 0
+    # the circuit rule decides every subset, whatever its rank
     assert undecided not in (proj.value, hyp.value, weak.value)
+    if weak.no and "kernel_vector" in weak.witness:
+        # the kernel vector has the signs it states and balances its circuit
+        circuit = weak.witness.get("circuit", weak.witness["subset"])
+        with mpmath.workdps(100):
+            vector = [sum(Fraction(c) * mpmath.fprod(mpmath.log(q) for q in primes) for c, primes in entry)
+                      for entry in weak.witness["kernel_vector"]]
+            assert [int(mpmath.sign(v)) for v in vector] == weak.witness["kernel_signs"]
+            for row in logs:
+                assert abs(mpmath.fsum(v * row[k - 1] for v, k in zip(vector, circuit))) < mpmath.mpf(10) ** -50
     if weak.no and "hull_coefficients" in weak.witness:
         # a rational hull point balances every covector coordinate exactly
         lam = [Fraction(x) for x in weak.witness["hull_coefficients"]]
@@ -381,8 +420,14 @@ def _check_against_oracle(eigen: EigenData):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(eigen=small_prime_eigen())
+@given(eigen=small_prime_eigen([2, 3]))
 def _oracle_property(seen: set, eigen: EigenData):
+    seen.add(_check_against_oracle(eigen))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(eigen=small_prime_eigen([4]))
+def _oracle_property_p4(seen: set, eigen: EigenData):
     seen.add(_check_against_oracle(eigen))
 
 
@@ -393,12 +438,14 @@ class TestHullOracle:
     def test_definite_verdicts_agree_with_oracle(self):
         seen: set = set()
         _oracle_property(seen)
+        _oracle_property_p4(seen)
         # the draws reach every hull witness and a definite yes for each p
-        for p in (2, 3):
+        for p in (2, 3, 4):
             assert (p, VerdictValue.NO, ("kernel_signs", "kernel_vector", "subset")) in seen
             assert (p, VerdictValue.NO, ("hull_coefficients", "subset")) in seen
             assert (p, VerdictValue.YES, ("subsets_checked",)) in seen
-        assert (3, VerdictValue.NO, ("collinear_signs", "subset")) in seen
+        for p in (3, 4):
+            assert (p, VerdictValue.NO, ("circuit", "kernel_signs", "kernel_vector", "subset")) in seen
 
 
 class TestPoincareType:
@@ -421,6 +468,18 @@ class TestPoincareType:
 
     def test_unit_circle_hypothesis_fails(self):
         assert poincare_type_single(EI, enumerate_omega(EI, 8)).no
+
+    def test_unit_modulus_slot_of_order_4(self):
+        eigen = EigenData.from_rows([["2", "1/2", "i"]])
+        verdict = poincare_type_single(eigen, enumerate_omega(eigen, 8))
+        assert verdict.yes and verdict.witness.alphas == ((3, 4),) and not verdict.bounds_used
+        assert verdict.witness.verify(eigen)
+
+    def test_torsion_orders_are_exact(self):
+        # the roots of unity in Q(i) are +-1 and +-i
+        assert [_torsion_order(z) for z in (GR(1), GR(-1), GR(0, 1), GR(0, -1))] == [1, 2, 4, 4]
+        assert _torsion_order(GR(Fraction(3, 5), Fraction(4, 5))) is None
+        assert _torsion_order(GR(2)) is None
 
     def test_needs_enough_integrals(self):
         with pytest.raises(UsageError):

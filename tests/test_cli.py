@@ -17,7 +17,7 @@ from germnf.cli import run
 from germnf.germ import Germ, family_from_json, invert_germ
 from germnf.series import TruncatedSeries, UsageError, compose_all
 
-from helpers import from_term_list, random_gaussian, random_real_block_family
+from helpers import RANK_2_P4_MU, from_term_list, random_gaussian, random_real_block_family
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -294,6 +294,16 @@ class TestMinorTable:
         assert dets.count(2) == 3
 
 
+EXACT_WEAK_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from germnf.classify import is_weakly_hyperbolic
+from germnf.resonance import EigenData
+verdict = is_weakly_hyperbolic(EigenData.from_rows([["2", "1/2", "i"]])).to_json()
+print(json.dumps({"verdict": verdict, "mpmath": sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")}))
+"""
+
+
 LAZY_MPMATH_CHILD = """
 import contextlib, io, json, sys
 root, path = sys.argv[1:]
@@ -326,6 +336,37 @@ class TestStartup:
         assert result["code"] == 0 and result["after_analyze"]
         assert result["weakly_hyperbolic"]["verdict"] == "yes"
         assert result["weakly_hyperbolic"]["method"] == "symbolic+interval"
+
+    def test_exact_weak_hyperbolicity_imports_no_mpmath(self):
+        """At p = 1 the minor table holds log forms only, decided exactly: a
+        unit-modulus eigenvalue's zero covector is a rational hull point, so
+        no interval is evaluated."""
+        proc = subprocess.run(
+            [sys.executable, "-c", EXACT_WEAK_CHILD, str(ROOT)], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["verdict"]["verdict"] == "no" and result["verdict"]["method"] == "exact"
+        assert result["verdict"]["witness"] == {"subset": [3], "hull_coefficients": ["1"]}
+        assert result["mpmath"] == []
+
+
+class TestCircuitRule:
+    def test_rank_2_subset_of_p4_is_decided(self, tmp_path):
+        """The one 4-subset has rank 2, and only the circuit {1, 2, 3}
+        decides its hull.  Exit 2 comes from normal_form_hypothesis alone,
+        whose branch search is still capped on this input."""
+        path = _write(tmp_path, "p4.json", {"schema": 1, "mu": RANK_2_P4_MU})
+        start = time.process_time()
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert time.process_time() - start < 1.0
+        payload = report["payload"]
+        weak = payload["weakly_hyperbolic"]
+        assert weak["verdict"] == "no" and weak["witness"]["circuit"] == [1, 2, 3]
+        assert weak["witness"]["kernel_signs"] == [1, 1, 1]
+        assert code == 2
+        assert [key for key, value in payload.items() if isinstance(value, dict)
+                and value.get("verdict") == "indeterminate"] == ["normal_form_hypothesis"]
 
 
 class TestJetWork:
@@ -636,6 +677,23 @@ class TestContracts:
         assert run([command, path]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["lattice", "analyze", "generate"])
+    def test_more_germs_than_dimension_exit_1(self, tmp_path, capsys, command):
+        """p > n eigen input is refused as family input is, instead of
+        getting vacuous verdicts from an empty minor table."""
+        path = _write(tmp_path, "pn.json", {"schema": 1, "mu": [["2"], ["3"]]})
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad eigen input: family has more germs than the ambient dimension\n"
+
+    def test_bound_torsion_is_gone(self, tmp_path, capsys):
+        path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        with pytest.raises(SystemExit):
+            run(["analyze", path, "--bound-torsion", "64"])
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 0 and "bound_torsion" not in report["config"]
 
     def test_integer_eigenvalues_accepted(self, tmp_path):
         path = _write(tmp_path, "int.json", {"schema": 1, "mu": [[-2, "1/2"]]})

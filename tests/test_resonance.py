@@ -36,7 +36,7 @@ class TestRelationLattice:
         rng = random.Random(51)
         for _ in range(30):
             p = rng.randint(1, 2)
-            n = rng.randint(1, 3)
+            n = rng.randint(p, 3)
             eigen = EigenData(
                 tuple(tuple(random_gaussian(rng, 6, nonzero=True) for _ in range(n)) for _ in range(p))
             )
@@ -52,6 +52,10 @@ class TestRelationLattice:
         with pytest.raises(UsageError):
             EigenData.from_rows([["0", "1"]])
 
+    def test_more_germs_than_dimension_rejected(self):
+        with pytest.raises(UsageError, match="more germs than the ambient dimension"):
+            EigenData.from_rows([["2"], ["3"]])
+
 
 class TestOmega:
     def test_fixtures(self):
@@ -63,7 +67,7 @@ class TestOmega:
         rng = random.Random(77)
         for _ in range(50):
             p = rng.randint(1, 2)
-            n = rng.randint(1, 3)
+            n = rng.randint(p, 3)
             eigen = EigenData(
                 tuple(tuple(random_gaussian(rng, 8, nonzero=True) for _ in range(n)) for _ in range(p))
             )
@@ -85,7 +89,7 @@ class TestResonantSet:
         rng = random.Random(78)
         for _ in range(30):
             p = rng.randint(1, 2)
-            n = rng.randint(1, 3)
+            n = rng.randint(p, 3)
             eigen = EigenData(
                 tuple(tuple(random_gaussian(rng, 8, nonzero=True) for _ in range(n)) for _ in range(p))
             )
@@ -111,7 +115,8 @@ _MU_POOL = ["i", "-i", "-1", "2", "1/2", "-2", "3", "1/3", "4", "1/4", "1+i", "1
 
 @st.composite
 def _eigen_and_exponents(draw):
-    p, n = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(p, 4))
     rows = [[draw(st.sampled_from(_MU_POOL)) for _ in range(n)] for _ in range(p)]
     exponents = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * n), min_size=1, max_size=12))
     return EigenData.from_rows(rows), exponents
@@ -157,7 +162,7 @@ class TestRank:
         rng = random.Random(79)
         for _ in range(25):
             p = rng.randint(1, 2)
-            n = rng.randint(1, 3)
+            n = rng.randint(p, 3)
             eigen = EigenData(
                 tuple(tuple(random_gaussian(rng, 8, nonzero=True) for _ in range(n)) for _ in range(p))
             )
