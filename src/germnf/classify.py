@@ -707,7 +707,11 @@ class PoincareTypeCertificate:
 def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
     """Constructive Poincare-type certificate for p = 1 with n-1 independent
     first-integral exponents; hypothesis is that some eigenvalue leaves the
-    unit circle."""
+    unit circle.  The rows are Omega points, which lie in the relation
+    lattice and span k^perp over Q, so every integer vector v orthogonal to
+    k has a multiple in the lattice and mu^v is a root of unity: a slot with
+    k_m = 0 or a cancelling pair without a torsion order is an internal
+    error (AssertionError), not an undecided input."""
     if eigen.p != 1:
         raise UsageError("constructive Poincare-type requires p = 1")
     mu = eigen.mu[0]
@@ -738,7 +742,7 @@ def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
         if k[m] == 0:
             order = _torsion_order(mu[m])
             if order is None:
-                return _indet(f"unit-modulus eigenvalue at slot {m + 1} is not a root of unity")
+                raise AssertionError(f"unit-modulus eigenvalue at slot {m + 1} is not a root of unity")
             alphas.append((m + 1, order))
     betas = []
     contracting = [m for m in range(n) if k[m] < 0]
@@ -750,7 +754,7 @@ def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
             w = mu[i] ** base_i * mu[j] ** base_j
             t = _torsion_order(w)
             if t is None:
-                return _indet(f"pair ({i + 1},{j + 1}) has no exact cancelling power: not a root of unity")
+                raise AssertionError(f"pair ({i + 1},{j + 1}) has no exact cancelling power: not a root of unity")
             betas.append((i + 1, j + 1, t * base_i, t * base_j))
     entries = [order for _, order in alphas] + [b for _, _, bi, bj in betas for b in (bi, bj)]
     bound_m = max(entries, default=0) + 1

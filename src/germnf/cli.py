@@ -408,7 +408,8 @@ def run(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 2 if _indeterminate_in(payload) else 0
+    # only analyze builds verdicts; the other payloads are not walked
+    return 2 if args.command == "analyze" and _indeterminate_in(payload) else 0
 
 
 def main() -> None:

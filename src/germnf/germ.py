@@ -12,9 +12,12 @@ with a singular germ on the left still fails in `field_inverse`.
 Each component is an integer-native jet (see `series`): Gaussian-integer
 numerators over one denominator, in lowest terms, so germs compare and hash
 by their stored jets and `GaussianRational` appears only where a coefficient
-is read out (the linear matrix, JSON).  compose_germ substitutes all
-components through one `compose_all` call, whose memo of monomial images
-is shared by the n components of the outer germ.
+is read out (the linear matrix, JSON).  compose_germ(f, g) picks its
+algorithm from g: when g's linear part is exactly the identity, g = id + h
+(every elimination step, psi), it is the Taylor sum f(x + h) of
+`series.compose_shifted`; otherwise all components are substituted through
+one `compose_all` call, whose memo of monomial images is shared by the n
+components of f.
 
 Composition convention: compose_germ(f, g) is f after g.  No inverse is
 formed to divide on the left: `solve_germ`, the one checked kernel, gives the
@@ -28,7 +31,15 @@ from operator import add
 
 from .exactnum import GaussianRational, ONE
 from .linalg import field_inverse, field_rref
-from .series import TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key
+from .series import (
+    TruncatedSeries,
+    UsageError,
+    check_jet_size,
+    compose_all,
+    compose_shifted,
+    grlex_key,
+    identity_shift,
+)
 
 
 class CommutationError(ValueError):
@@ -125,10 +136,16 @@ class Germ:
 
 
 def compose_germ(f: Germ, g: Germ) -> Germ:
-    """f o g (f after g), truncated at the shared degree."""
+    """f o g (f after g), truncated at the shared degree.  When g = id + h
+    (its linear part exactly the identity, as for every elimination step
+    and for psi), f o g is the Taylor sum f(x + h) of `compose_shifted`;
+    otherwise every monomial of f is substituted by `compose_all`."""
     if f.n != g.n or f.degree != g.degree:
         raise UsageError("germ composition dimension/degree mismatch")
-    return Germ(compose_all(f.components, g.components))
+    shift = identity_shift(g.components)
+    if shift is None:
+        return Germ(compose_all(f.components, g.components))
+    return Germ(compose_shifted(f.components, shift))
 
 
 def jet_through(components: list[TruncatedSeries], d: int) -> list[TruncatedSeries]:

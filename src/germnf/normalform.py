@@ -16,6 +16,8 @@ read from the EigenData's one power table, so each is computed once per
 command.  No germ is inverted: each step s_l's conjugation is one checked
 solve for the family (`germ.conjugate_all`), and the chain of checked steps
 gives Phi o psi = psi o Phi' unformed (see `poincare_dulac_normalize`).
+Both g o s_l and psi o s_l have an inner map with identity linear part, so
+`compose_germ` forms them by the Taylor kernel.
 
 The normalizer, the PD-NF check and the certificate take the command's
 EigenData and refuse one that is not the family's linear diagonal.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
-from .germ import Family, Germ, compose_germ, conjugate_all, jet_through
+from .germ import Family, Germ, compose_germ, conjugate_all
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
 from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key
@@ -142,9 +144,9 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     involution of the coordinates), the input must be rho-equivariant, so
     sigma-paired monomials get conjugated coefficients in the same step and
     the transformation commutes with the anti-holomorphic involution rho.
-    psi = s_2 o ... o s_D is built right to left, s_l o R = R + h_l o R
-    reading R through degree D - l + 1.  By associativity of truncated
-    composition the checked steps give Phi_i o psi = psi o Phi_i'.
+    psi = s_2 o ... o s_D is built left to right, psi <- psi o s_l right
+    after each step.  By associativity of truncated composition the checked
+    steps give Phi_i o psi = psi o Phi_i'.
     """
     _check_eigen(fam, eigen)
     n, degree = fam.n, fam.degree
@@ -155,7 +157,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
         if offense is not None:
             raise DomainError(f"input family is not rho-equivariant: offending term {offense}")
     work = list(fam.germs)
-    steps: list[tuple[int, Germ]] = []
+    psi = Germ.identity(n, degree)
     log: list[EliminationRecord] = []
     gaps = _ResonanceGaps(eigen)
 
@@ -179,8 +181,9 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
                 )
             comps[m][exp] = c / divisor
             log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
-        steps.append((ell, Germ([TruncatedSeries(n, degree, terms) for terms in comps])))
-        work = conjugate_all(work, steps[-1][1])
+        step = Germ([TruncatedSeries(n, degree, terms) for terms in comps])
+        work = conjugate_all(work, step)
+        psi = compose_germ(psi, step)
         remaining = _scan_nonresonant(work, gaps, ell)
         if remaining:
             raise AssertionError(
@@ -189,10 +192,6 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
             )
 
     normalized = Family(work, check_commuting=True)
-    psi = Germ.identity(n, degree).components
-    for ell, step in reversed(steps):
-        psi = [a + b for a, b in zip(psi, compose_all(step.nonlinear_part(), jet_through(psi, degree - ell + 1)))]
-    psi = Germ(psi)
     if sigma is not None and rho_equivariance_offense([psi], sigma) is not None:
         raise AssertionError("psi is not rho-equivariant")
     return NormalizationResult(normalized, psi, tuple(log))

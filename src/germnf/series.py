@@ -13,6 +13,13 @@ operation returns its result in lowest terms, gcd(_den, all a, all b) = 1
 compare it directly.  The ring operations, scaling, truncation and
 composition are plain integer multiply-adds with one gcd per result.
 
+Composition has two kernels.  `compose_all` substitutes the components into
+every monomial of the targets, through a memo of monomial images.
+`compose_shifted` evaluates t(x + h) for h without constant or linear
+terms as the truncated Taylor sum, whose few surviving terms cost far fewer
+products; `identity_shift` recognises components x + h from their degree-1
+terms.  `germ.compose_germ` picks between them.
+
 `GaussianRational` stays the boundary type: the mapping constructor and
 `scale` take one; `coeff`, `items`, `to_term_list` and `str` give one
 back.  The scalar shares this representation, one (a + b*i) / d in lowest
@@ -237,6 +244,8 @@ class TruncatedSeries:
 
     def scale(self, value) -> "TruncatedSeries":
         p, q, d = as_parts(value)
+        if p == d == 1 and not q:
+            return self  # jets are immutable
         return self._map(lambda e, a, b: (e, a * p - b * q, a * q + b * p), d)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
@@ -262,7 +271,7 @@ class TruncatedSeries:
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.degree:
             raise UsageError("cannot raise the truncation degree of a jet")
-        out = self.part_up_to(new_degree)
+        out = self.part_up_to(new_degree)  # a fresh object, so setting its degree is safe
         out.degree = new_degree
         return out
 
@@ -401,6 +410,94 @@ def compose_all(
                 else:
                     terms[e] = (cur[0] + re, cur[1] + im)
         out.append(_canonical(n, degree, terms, den * target._den))
+    return out
+
+
+def identity_shift(components: list[TruncatedSeries]) -> list[TruncatedSeries] | None:
+    """The h_m with g_m = x_m + h_m, h without linear terms, when the linear
+    part of the components g is exactly the identity; else None.  Decided
+    from the n degree-1 slots of each component, without a pass over its
+    other terms."""
+    n = len(components)
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    shift = []
+    for unit, g in zip(units, components):
+        terms = g._terms
+        if terms.get(unit) != (g._den, 0) or sum(u in terms for u in units) != 1:
+            return None
+        shift.append(_canonical(n, g.degree, {e: ab for e, ab in terms.items() if e != unit}, g._den))
+    return shift
+
+
+def compose_shifted(
+    targets: Iterable[TruncatedSeries], h: list[TruncatedSeries]
+) -> list[TruncatedSeries]:
+    """Jets of t(x + h) for every target t, where h has neither constant
+    nor linear terms (its lowest degree `low` is >= 2).
+
+    The Taylor sum t(x + h) = sum_beta (d^beta t / beta!)(x) h^beta is
+    evaluated in Horner form over the multi-indices beta, each taken once as
+    a non-decreasing index sequence:
+
+        V(beta) = c_beta + sum_{j >= last(beta), h_j != 0} h_j * V(beta + e_j),
+
+    with c_beta = d^beta t / beta! and t(x + h) = V(0).  A child's c is the
+    parent's differentiated once, c_(beta + e_j) = (d_j c_beta) / beta'_j
+    with beta'_j the multiplicity of j in beta + e_j: integer multiples of
+    the numerators over a denominator times beta'_j.  h^beta starts at
+    degree |beta| * low, so V(beta) is read only through D - |beta| * low:
+    c_beta is kept only through that degree, and the sum stops at
+    |beta| = D // low.  (Terms a product puts above it, possible only when h
+    is not homogeneous, fall past D in the next product.)  So only a few
+    Taylor terms are formed, where substituting every monomial of t
+    (`compose_all`) builds the image of each one.  Products go through
+    `TruncatedSeries.__mul__`; each V(beta) is one accumulation over the
+    least common denominator and one `_canonical`."""
+    n, degree = len(h), h[0].degree
+    for g in h:
+        if g.n != n or g.degree != degree:
+            raise UsageError("composition component mismatch")
+    active = [j for j, g in enumerate(h) if g._terms]
+    low = min((sum(e) for j in active for e in h[j]._terms), default=degree + 1)
+    if low < 2:
+        raise DomainError("a Taylor shift needs h without constant or linear terms")
+
+    def value(terms: dict, den: int, first: int, size: int, mult: int) -> TruncatedSeries:
+        """V(beta) for c_beta = terms / den, |beta| = size, beta's last index
+        active[first] with multiplicity mult (first = mult = 0 at the root)."""
+        reach = degree - (size + 1) * low  # a child V is read through this degree
+        products = []
+        for q in range(first, len(active) if reach >= 0 else first):
+            j = active[q]
+            child = {
+                e[:j] + (e[j] - 1,) + e[j + 1:]: (a * e[j], b * e[j])
+                for e, (a, b) in terms.items()
+                if e[j] and sum(e) <= reach + 1
+            }
+            if child:
+                count = mult + 1 if q == first else 1  # the multiplicity of j in beta + e_j
+                products.append(h[j] * value(child, den * count, q, size + 1, count))
+        if not products:
+            return _canonical(n, degree, dict(terms), den)
+        total = lcm(den, *(p._den for p in products))
+        f = total // den
+        acc = {e: (a * f, b * f) for e, (a, b) in terms.items()}
+        get = acc.get
+        for p in products:
+            f = total // p._den
+            for e, (a, b) in p._terms.items():
+                cur = get(e)
+                if cur is None:
+                    acc[e] = (a * f, b * f)
+                else:
+                    acc[e] = (cur[0] + a * f, cur[1] + b * f)
+        return _canonical(n, degree, acc, total)
+
+    out = []
+    for target in targets:
+        if target.n != n or target.degree != degree:
+            raise UsageError("composition component mismatch")
+        out.append(value(target._terms, target._den, 0, 0, 0))
     return out
 
 

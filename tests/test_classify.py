@@ -481,6 +481,18 @@ class TestPoincareType:
         assert _torsion_order(GR(Fraction(3, 5), Fraction(4, 5))) is None
         assert _torsion_order(GR(2)) is None
 
+    def test_missing_torsion_order_is_an_internal_error(self, monkeypatch):
+        # unreachable on real input: every torsion order the certificate
+        # needs exists, so its absence is a failed self-check
+        import germnf.classify as classify
+
+        monkeypatch.setattr(classify, "_torsion_order", lambda z: None)
+        eigen = EigenData.from_rows([["2", "1/2", "-1"]])
+        with pytest.raises(AssertionError, match="slot 3 is not a root of unity"):
+            poincare_type_single(eigen, enumerate_omega(eigen, 8))
+        with pytest.raises(AssertionError, match=r"pair \(2,1\) has no exact cancelling power"):
+            poincare_type_single(E13, enumerate_omega(E13, 8))
+
     def test_needs_enough_integrals(self):
         with pytest.raises(UsageError):
             poincare_type_single(E23, enumerate_omega(E23, 8))

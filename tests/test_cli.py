@@ -210,9 +210,18 @@ class TestRealcaseCorpus:
         assert inverted == []
 
 
+def _holds_verdict(payload) -> bool:
+    """Whether some object in a payload has a "verdict" key."""
+    if isinstance(payload, dict):
+        return "verdict" in payload or any(_holds_verdict(v) for v in payload.values())
+    return isinstance(payload, list) and any(_holds_verdict(v) for v in payload)
+
+
 class TestCorpusGoldens:
     """Every normalize and integrals corpus op, checked against its stored
-    golden result, so a report change in the jet layer fails here too."""
+    golden result, so a report change in the jet layer fails here too.
+    Only analyze payloads hold verdicts, so only their walk can give exit 2:
+    every other op's payload is checked to hold none, with its exit code."""
 
     OPS = [
         (workload, op["id"])
@@ -232,6 +241,7 @@ class TestCorpusGoldens:
         code, report = _run_json(tmp_path, *golden.argv_of(op))
         assert code == expected["exit"]
         assert golden.check(expected, code, json.dumps(report))[0] == []
+        assert not _holds_verdict(report["payload"])
 
     EIGEN_OPS = [
         op["id"] for op in json.loads((ROOT / "perfbench" / "corpus" / "eigen.json").read_text())["ops"]
@@ -253,6 +263,7 @@ class TestCorpusGoldens:
         problems, found = golden.check(expected, code, json.dumps(report))
         assert problems == [] and found is not None
         assert golden.verdict_counts(found)[0] == 0 and code == 0
+        assert _holds_verdict(report["payload"]) == (op["command"] == "analyze")
 
 
 class TestCorpusGenerator:
@@ -388,29 +399,29 @@ class TestJetWork:
         assert code == 0 and "certificate" in report["payload"]
         assert len(calls) == 1
 
-    # Series products per normalize/realcase corpus op with each step's
-    # conjugation solved and checked where it is made, and no final
-    # Phi o psi composition: 5285 in all (6453 with the final composition,
-    # 9453 when each step was inverted and the dense inverse composed on
-    # the left).
+    # Series products per normalize/realcase corpus op, with g o s_l and
+    # psi o s_l formed by the Taylor kernel (the inner map's linear part is
+    # the identity): 2334 in all (5285 when every monomial of g and psi was
+    # substituted, 6453 with the final Phi o psi composition, 9453 when each
+    # step was inverted and the dense inverse composed on the left).
     PRODUCTS = {
-        "dense_p1-0.normalize": 780,
-        "dense_p1-1.normalize": 744,
-        "dense_p1-2.normalize": 690,
-        "conj_p2-0.normalize": 428,
-        "conj_p2-1.normalize": 154,
-        "conj_p2-2.normalize": 792,
-        "conj_p2-3.normalize": 271,
-        "real_block-0.realcase": 516,
-        "real_block-1.realcase": 445,
-        "real_block-2.realcase": 465,
+        "dense_p1-0.normalize": 298,
+        "dense_p1-1.normalize": 277,
+        "dense_p1-2.normalize": 215,
+        "conj_p2-0.normalize": 231,
+        "conj_p2-1.normalize": 90,
+        "conj_p2-2.normalize": 341,
+        "conj_p2-3.normalize": 159,
+        "real_block-0.realcase": 283,
+        "real_block-1.realcase": 215,
+        "real_block-2.realcase": 225,
     }
 
     def test_product_budget_covers_the_corpus(self):
         golden = _perfbench_golden()
         manifest, _ = golden.load("normalize")
         assert sorted(self.PRODUCTS) == sorted(op["id"] for op in manifest["ops"])
-        assert sum(self.PRODUCTS.values()) == 5285
+        assert sum(self.PRODUCTS.values()) == 2334
 
     @pytest.mark.parametrize("op_id", sorted(PRODUCTS))
     def test_conjugation_product_budget(self, tmp_path, monkeypatch, op_id):
@@ -843,6 +854,16 @@ class TestContracts:
         real = _perfbench_golden().HERE / "corpus" / "normalize" / "real_block-0.json"
         assert run(["realcase", str(real)]) == 3
         assert capsys.readouterr().err.startswith(f"internal verification failed: {message}")
+
+    def test_missing_torsion_order_exits_3(self, tmp_path, monkeypatch, capsys):
+        import germnf.classify as classify
+
+        monkeypatch.setattr(classify, "_torsion_order", lambda z: None)
+        path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        assert run(["analyze", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal verification failed: pair (2,1) has no exact cancelling power")
 
     def test_solve_stopped_a_round_short_exits_3(self, monkeypatch, capsys):
         """The solve's fixed-point test catches a round too few, so each

@@ -20,7 +20,7 @@ from germnf.germ import (
     jet_through,
     solve_germ,
 )
-from germnf.series import TruncatedSeries as TS, UsageError, compose_all
+from germnf.series import TruncatedSeries as TS, UsageError, compose_all, identity_shift
 
 from helpers import (
     conjugate_by_inverse,
@@ -65,6 +65,21 @@ class TestCompose:
         n, d = data.draw(SMALL_SHAPES, label="(n, D)")
         f, g, h = (data.draw(germs(n, d)) for _ in range(3))
         assert compose_germ(compose_germ(f, g), h) == compose_germ(f, compose_germ(g, h))
+
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_both_algorithms_match_substitution(self, data):
+        """compose_germ takes the Taylor kernel exactly when the inner linear
+        part is the identity, and substitutes every monomial otherwise; both
+        agree with compose_all."""
+        n, d = data.draw(st.tuples(st.integers(1, 3), st.integers(2, 5)), label="(n, D)")
+        f, g = data.draw(germs(n, d)), data.draw(germs(n, d))
+        tangent = Germ([TS.variable(j, n, d) + h for j, h in enumerate(g.nonlinear_part())])
+        for inner in (g, tangent):
+            identity_linear = inner.linear_matrix() == Germ.identity(n, d).linear_matrix()
+            assert (identity_shift(inner.components) is not None) == identity_linear
+            assert compose_germ(f, inner) == Germ(compose_all(f.components, inner.components))
 
 
 class TestInvert:

@@ -15,7 +15,7 @@ from germnf.normalform import (
     verify_pd_nf,
 )
 from germnf.resonance import EigenData, enumerate_omega, relation_lattice
-from germnf.series import TruncatedSeries as TS, UsageError
+from germnf.series import TruncatedSeries as TS, UsageError, compose_all
 
 from helpers import (
     conjugate_by_inverse,
@@ -104,17 +104,18 @@ class TestNormalize:
             assert rec.divisor == mu_product(eigen, i, rec.exponents) - eigen.mu[i][m]
 
 
-def _left_to_right_psi(res, n: int, degree: int) -> Germ:
-    """psi accumulated as psi o s_l for l ascending, each step s_l rebuilt
-    from the elimination records of degree l: an oracle for the
-    normalizer's right-to-left build."""
+def _right_to_left_psi(res, n: int, degree: int) -> Germ:
+    """psi accumulated as s_l o psi for l descending, each step s_l rebuilt
+    from the elimination records of degree l and composed by substituting
+    every monomial (`compose_all`): an oracle for the normalizer's
+    left-to-right build through the Taylor kernel."""
     psi = Germ.identity(n, degree)
-    for ell in sorted({rec.degree for rec in res.eliminations}):
+    for ell in sorted({rec.degree for rec in res.eliminations}, reverse=True):
         comps = list(Germ.identity(n, degree).components)
         for rec in (rec for rec in res.eliminations if rec.degree == ell):
             h = rec.coefficient / rec.divisor
             comps[rec.component - 1] = comps[rec.component - 1] + TS.monomial(rec.exponents, h, degree)
-        psi = compose_germ(psi, Germ(comps))
+        psi = Germ(compose_all(comps, psi.components))
     return psi
 
 
@@ -135,7 +136,7 @@ class TestStepChain:
         res = poincare_dulac_normalize(fam, eigen)
         for phi, out in zip(fam.germs, res.normalized.germs):
             assert compose_germ(phi, res.psi) == compose_germ(res.psi, out)
-        assert res.psi == _left_to_right_psi(res, eigen.n, degree)
+        assert res.psi == _right_to_left_psi(res, eigen.n, degree)
 
 
 class TestVerifyPdNf:

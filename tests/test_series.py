@@ -5,12 +5,21 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rings import ring
 
 from germnf.exactnum import DomainError, GaussianRational as GR
-from germnf.series import TruncatedSeries as TS, UsageError, compose_all, grlex_key
+from germnf.series import (
+    TruncatedSeries as TS,
+    UsageError,
+    compose_all,
+    compose_shifted,
+    grlex_key,
+    identity_shift,
+)
 
 from helpers import (
     from_term_list,
+    gaussians,
     gr_from_sympy,
     gr_to_sympy,
     homogeneous_part,
@@ -137,6 +146,70 @@ class TestComposeAll:
             compose_all([var(0, 2, 3)], [var(0, 2, 3)])
         with pytest.raises(UsageError):
             compose_all([var(0, 2, 3)], [var(0, 2, 4), var(1, 2, 4)])
+
+
+def _sympy_substitute(target: TS, inner: list[TS]) -> TS:
+    """target(inner) in sympy's sparse polynomial ring over Q(i), each
+    product truncated above the degree; expanding first and truncating at
+    the end takes minutes at n = 4, D = 7."""
+    n, d = target.n, target.degree
+    R, *_ = ring([f"x{j}" for j in range(n)], sympy.QQ_I)
+
+    def lift(series: TS):
+        return R({e: sympy.QQ_I.from_sympy(gr_to_sympy(c)) for e, c in series.items()})
+
+    images, total = [lift(g) for g in inner], R.zero
+    for exp, c in target.items():
+        term = lift(TS.constant(c, n, d))
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                term = R({m: a for m, a in (term * image).items() if sum(m) <= d})
+        total += term
+    return TS(n, d, {m: gr_from_sympy(sympy.QQ_I.to_sympy(a)) for m, a in total.items()})
+
+
+class TestComposeShifted:
+    """t(x + h) by the Taylor kernel against substitution of every monomial
+    (`compose_all` with the components x_j + h_j) and against sympy."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_substitution_and_sympy(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        d = data.draw(st.integers(2, 7), label="D")
+        low = data.draw(st.integers(2, d), label="low")
+        shift = [
+            data.draw(jets(n, d, min_degree=low)) if data.draw(st.booleans()) else TS.zero(n, d)
+            for _ in range(n)
+        ]
+        targets = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            affine = {(0,) * n: data.draw(gaussians)}
+            affine.update({tuple(int(k == j) for k in range(n)): data.draw(gaussians) for j in range(n)})
+            targets.append(TS(n, d, affine) + data.draw(jets(n, d, min_degree=2, max_terms=4)))
+        got = compose_shifted(targets, shift)
+        inner = [var(j, n, d) + h for j, h in enumerate(shift)]
+        assert got == compose_all(targets, inner)
+        assert got == [_sympy_substitute(t, inner) for t in targets]
+
+    def test_identity_shift_reads_the_linear_part(self):
+        x, y = var(0, 2, 4), var(1, 2, 4)
+        h = [x * y.scale(GR(Fraction(1, 2), 1)), y * y * y]
+        assert identity_shift([x + h[0], y + h[1]]) == h
+        assert identity_shift([x, y]) == [TS.zero(2, 4), TS.zero(2, 4)]
+        assert identity_shift([x.scale(2) + h[0], y]) is None
+        assert identity_shift([x + y + h[0], y]) is None
+        assert identity_shift([y, x]) is None
+
+    def test_shift_needs_degree_two(self):
+        x, y = var(0, 2, 3), var(1, 2, 3)
+        with pytest.raises(DomainError):
+            compose_shifted([x * y], [y, TS.zero(2, 3)])
+        with pytest.raises(DomainError):
+            compose_shifted([x * y], [TS.constant(1, 2, 3), TS.zero(2, 3)])
+        with pytest.raises(UsageError):
+            compose_shifted([var(0, 2, 4)], [x * y, TS.zero(2, 3)])
+        assert compose_shifted([x * y + x], [TS.zero(2, 3)] * 2) == [x * y + x]
 
 
 class TestTranscendentalJets:
