@@ -4,7 +4,11 @@ Commands operate on a family JSON file (schema 1) or, where only the
 linear data matters, an eigenvalue file {"schema": 1, "mu": [["-2","1/2"]]}.
 Reports are canonical JSON: sorted keys and graded-lex term order, so two
 runs with the same config produce byte-identical output apart from the
-timing field.  Exit codes: 0 definite, 1 usage/input error,
+timing field.  One recursive writer, `_json_text`, prints a report as
+json.dumps(report, sort_keys=True, indent=2) would, byte for byte, without
+the pure-Python encoder that an indent selects: strings go through the C
+`encode_basestring_ascii`, ints through `int.__repr__`, and a list of ints
+(exponents, lattice vectors) is one join.  Exit codes: 0 definite, 1 usage/input error,
 2 indeterminate verdicts present, 3 an internal verification failed.
 
 Each command returns its payload and the jet degree it used, which the
@@ -27,6 +31,7 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .exactnum import DomainError, IndeterminateError
@@ -341,6 +346,43 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for JSON data whose
+    objects have string keys; newline is the line break and indentation
+    that obj's closing bracket sits at.  Short strings and ints in objects,
+    most of a report, are written without a call of their own."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            value = obj[key]
+            kind = type(value)
+            if kind is str:
+                text = encode_basestring_ascii(value)
+            elif kind is int:
+                text = int.__repr__(value)
+            else:
+                text = _json_text(value, inner)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj)  # null, true, false, a float, or a str or int subclass
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="germnf",
@@ -400,7 +442,7 @@ def run(argv=None) -> int:
         "timing_seconds": round(time.monotonic() - started, 6),
     }
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     else:
         text = _render_text(report)
     if args.output:

@@ -197,12 +197,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __str__(self):
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return _ratio_str(a, d)
-        if not a:
-            return f"{_ratio_str(b, d)}*i"
-        return f"{_ratio_str(a, d)}{'+' if b > 0 else '-'}{_ratio_str(abs(b), d)}*i"
+        return parts_str(self._a, self._b, self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -234,6 +229,17 @@ def as_parts(value) -> tuple[int, int, int]:
     if isinstance(value, Fraction):
         return value.numerator, 0, value.denominator
     raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+
+
+def parts_str(a: int, b: int, d: int) -> str:
+    """str((a + b*i)/d) for integers a, b and d > 0, in lowest terms or not:
+    each part is printed as its reduced fraction, so no canonical scalar
+    has to be built first."""
+    if not b:
+        return _ratio_str(a, d)
+    if not a:
+        return f"{_ratio_str(b, d)}*i"
+    return f"{_ratio_str(a, d)}{'+' if b > 0 else '-'}{_ratio_str(abs(b), d)}*i"
 
 
 def _ratio_str(n: int, d: int) -> str:

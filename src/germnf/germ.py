@@ -12,7 +12,7 @@ with a singular germ on the left still fails in `field_inverse`.
 Each component is an integer-native jet (see `series`): Gaussian-integer
 numerators over one denominator, in lowest terms, so germs compare and hash
 by their stored jets and `GaussianRational` appears only where a coefficient
-is read out (the linear matrix, JSON).  compose_germ(f, g) picks its
+is read out (the linear matrix); JSON terms are printed from the numerators.  compose_germ(f, g) picks its
 algorithm from g: when g's linear part is exactly the identity, g = id + h
 (every elimination step, psi), it is the Taylor sum f(x + h) of
 `series.compose_shifted`; otherwise all components are substituted through
@@ -59,6 +59,10 @@ def _unit(j: int, n: int) -> tuple[int, ...]:
     return tuple(int(k == j) for k in range(n))
 
 
+def _is_diagonal(mat: list[list[GaussianRational]]) -> bool:
+    return all(a.is_zero() for i, row in enumerate(mat) for j, a in enumerate(row) if i != j)
+
+
 class Germ:
     """Jet of a diffeomorphism germ fixing 0 in K^n, K = Q(i)."""
 
@@ -99,20 +103,19 @@ class Germ:
     # -- linear part --------------------------------------------------------
 
     def linear_matrix(self) -> list[list[GaussianRational]]:
-        return [[comp.coeff(_unit(j, self.n)) for j in range(self.n)] for comp in self.components]
+        return [comp.linear_coeffs() for comp in self.components]
 
     def linear_rows(self) -> list[dict[int, GaussianRational]]:
         """The linear part as sparse rows {column: nonzero coefficient}."""
         return [{j: a for j, a in enumerate(row) if a} for row in self.linear_matrix()]
 
     def is_diagonal_linear(self) -> bool:
-        mat = self.linear_matrix()
-        return all(mat[i][j].is_zero() for i in range(self.n) for j in range(self.n) if i != j)
+        return _is_diagonal(self.linear_matrix())
 
     def linear_diag(self) -> tuple[GaussianRational, ...]:
-        if not self.is_diagonal_linear():
-            raise UsageError("linear part is not diagonal")
         mat = self.linear_matrix()
+        if not _is_diagonal(mat):
+            raise UsageError("linear part is not diagonal")
         return tuple(mat[j][j] for j in range(self.n))
 
     def nonlinear_part(self) -> list[TruncatedSeries]:
@@ -175,7 +178,7 @@ def solve_germ(f: Germ, targets: list[Germ]) -> list[Germ]:
     if Germ(lin_solve(jet_through(f.components, 1))) != Germ.identity(f.n, f.degree):
         raise AssertionError("germ solve failed verification: L^-1 L is not the identity")
     nonlinear = f.nonlinear_part()
-    r = min((sum(c.support()[0]) for c in nonlinear if not c.is_zero()), default=f.degree + 1)
+    r = min(c.order() for c in nonlinear)
     solved = []
     for g in targets:
         y, fed = lin_solve(g.components), None
@@ -269,17 +272,19 @@ class Family:
 
 
 def germ_to_json(g: Germ) -> dict:
+    """The wire form: the linear part, read once, and the terms of degree
+    >= 2 by component, each component's in graded-lex order."""
+    mat = g.linear_matrix()
     entry: dict = {}
-    if g.is_diagonal_linear():
-        entry["linear_diag"] = [str(mu) for mu in g.linear_diag()]
+    if _is_diagonal(mat):
+        entry["linear_diag"] = [str(mat[j][j]) for j in range(g.n)]
     else:
-        entry["linear_matrix"] = [[str(a) for a in row] for row in g.linear_matrix()]
-    terms = []
-    for m, comp in enumerate(g.nonlinear_part()):
-        for exp, coeff in comp.items():
-            terms.append({"component": m + 1, "exponents": list(exp), "coeff": str(coeff)})
-    terms.sort(key=lambda t: (t["component"], grlex_key(tuple(t["exponents"]))))
-    entry["terms"] = terms
+        entry["linear_matrix"] = [[str(a) for a in row] for row in mat]
+    entry["terms"] = [
+        {"component": m + 1, "exponents": exp, "coeff": coeff}
+        for m, comp in enumerate(g.components)
+        for exp, coeff in comp.term_strings(2)
+    ]
     return entry
 
 

@@ -33,7 +33,7 @@ from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, conjugate_all
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
-from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key
+from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key, unpack
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +122,15 @@ class _ResonanceGaps(dict):
 
 
 def _scan_nonresonant(work: list[Germ], gaps: _ResonanceGaps, ell: int) -> list[tuple[int, MultiIndex]]:
+    """The non-resonant (component, exponent) pairs of degree ell present in
+    some germ, by component and then graded-lex; each monomial is unpacked
+    once, however many germs hold it."""
     found: list[tuple[int, MultiIndex]] = []
-    for m in range(work[0].n):
-        exps = {exp for g in work for exp in g.components[m].exponents() if sum(exp) == ell}
+    n = work[0].n
+    for m in range(n):
+        keys = set().union(*(g.components[m].keys_of_degree(ell) for g in work))
+        exps = sorted((unpack(key, n) for key in keys), key=grlex_key)
         found.extend((m, exp) for exp in exps if any(gaps[(m, exp)]))
-    found.sort(key=lambda t: (t[0], grlex_key(t[1])))
     return found
 
 

@@ -6,12 +6,31 @@ mixing degrees or dimensions raises UsageError rather than coercing.
 
 Storage is sparse because normal forms are supported on resonant monomials
 only, and integer-native: a series holds one positive denominator `_den`
-and a dict `_terms` {exponent tuple: (a, b)} of nonzero Gaussian-integer
-numerators, the coefficient of x^exponent being (a + b*i) / _den.  Every
-operation returns its result in lowest terms, gcd(_den, all a, all b) = 1
-(zero is {} over 1), so equal jets have equal storage and `==` and `hash`
-compare it directly.  The ring operations, scaling, truncation and
-composition are plain integer multiply-adds with one gcd per result.
+and a dict `_terms` {key: (a, b)} of nonzero Gaussian-integer numerators,
+the coefficient of x^e being (a + b*i) / _den.  Every operation returns its
+result in lowest terms, gcd(_den, all a, all b) = 1 (zero is {} over 1), so
+equal jets have equal storage and `==` and `hash` compare it directly.  The
+ring operations, scaling, truncation and composition are plain integer
+multiply-adds with one gcd per result.
+
+The key of x^e in n variables is one int that packs the total degree |e|
+and then e_1 ... e_n, FIELD bits each, e_n lowest:
+
+    key = |e| << FIELD*n  |  e_1 << FIELD*(n-1)  |  ...  |  e_n.
+
+Every field stays below 2^FIELD because the constructor refuses a
+truncation degree D >= 2^FIELD and products form only keys of degree <= D.
+So a product of monomials is the sum of their keys, |e| <= d is
+key < (d + 1) << FIELD*n, the lowest degree is read from the smallest key,
+graded-lex order is the order of key ^ (2^(FIELD*n) - 1) (the exponent
+fields flipped), and dividing by x_j subtracts the key of x_j.
+
+`GaussianRational` and exponent tuples stay the boundary types: the mapping
+constructor takes {exponent tuple: scalar}, `scale` one scalar, and
+`coeff` and `permute_variables` a tuple; `items` and `support` give tuples
+and scalars back, and `to_term_list` exponent lists and coefficient
+strings.  Only `keys_of_degree` hands out keys, which `unpack` turns into
+tuples.
 
 Composition has two kernels.  `compose_all` substitutes the components into
 every monomial of the targets, through a memo of monomial images.
@@ -20,23 +39,22 @@ terms as the truncated Taylor sum, whose few surviving terms cost far fewer
 products; `identity_shift` recognises components x + h from their degree-1
 terms.  `germ.compose_germ` picks between them.
 
-`GaussianRational` stays the boundary type: the mapping constructor and
-`scale` take one; `coeff`, `items`, `to_term_list` and `str` give one
-back.  The scalar shares this representation, one (a + b*i) / d in lowest
-terms, so a coefficient crosses the boundary as its integer triple
+The scalar shares the coefficient representation, one (a + b*i) / d in
+lowest terms, so a coefficient crosses the boundary as its integer triple
 (`as_parts`, `from_parts`) with no Fraction built.  `support()` gives the
-exponents without building coefficients.  Canonical term order everywhere
-is graded lexicographic: ascending total degree, then x1 before x2 before ...
+exponents without building coefficients, and `term_strings` prints the
+coefficients straight from the numerators (`parts_str`).  Canonical term
+order everywhere is graded lexicographic: ascending total degree, then x1
+before x2 before ...
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter
 from typing import Iterable, Mapping
 
-from .exactnum import DomainError, GaussianRational, ZERO, as_parts, from_parts
+from .exactnum import DomainError, GaussianRational, ZERO, as_parts, from_parts, parts_str
 
 MultiIndex = tuple[int, ...]
 
@@ -66,6 +84,39 @@ def check_jet_size(n: int, degree: int) -> None:
 
 def grlex_key(exponents: MultiIndex):
     return (sum(exponents), tuple(-e for e in exponents))
+
+
+FIELD = 16  # bits per exponent field of a packed key
+_FIELD_MASK = (1 << FIELD) - 1
+
+
+def _checked(exponents, n: int) -> MultiIndex:
+    """The exponent tuple of a monomial in n variables; UsageError for a
+    wrong arity or a negative entry, which would pack into another key."""
+    exp = tuple(map(int, exponents))
+    if len(exp) != n:
+        raise UsageError(f"exponent {exp} has wrong arity for n={n}")
+    if min(exp) < 0:
+        raise UsageError(f"negative exponent in {exp}")
+    return exp
+
+
+def _pack(exp: MultiIndex) -> int:
+    """The key of x^exp, whose entries and total degree are below 2^FIELD."""
+    key = sum(exp)
+    for e in exp:
+        key = key << FIELD | e
+    return key
+
+
+def _unit(j: int, n: int) -> int:
+    """The key of x_j."""
+    return 1 << FIELD * n | 1 << FIELD * (n - 1 - j)
+
+
+def unpack(key: int, n: int) -> MultiIndex:
+    """The exponent tuple of a key in n variables."""
+    return tuple(key >> s & _FIELD_MASK for s in range(FIELD * (n - 1), -1, -FIELD))
 
 
 def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
@@ -101,15 +152,13 @@ class TruncatedSeries:
             raise UsageError("dimension must be >= 1")
         if degree < 0:
             raise UsageError("truncation degree must be >= 0")
+        if degree >> FIELD:
+            raise UsageError(f"truncation degree {degree} is not below 2^{FIELD}")
         parts = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != n:
-                raise UsageError(f"exponent {exp} has wrong arity for n={n}")
-            if any(e < 0 for e in exp):
-                raise UsageError(f"negative exponent in {exp}")
+            exp = _checked(exp, n)
             if sum(exp) <= degree:
-                parts[exp] = as_parts(coeff)
+                parts[_pack(exp)] = as_parts(coeff)
         den = lcm(*(d for _, _, d in parts.values()))
         self.n, self.degree = n, degree
         self._terms, self._den = _lowest_terms(
@@ -140,22 +189,53 @@ class TruncatedSeries:
     # -- basic queries -------------------------------------------------------
 
     def coeff(self, exponents: MultiIndex) -> GaussianRational:
-        ab = self._terms.get(tuple(exponents))
+        """The coefficient of x^exponents, zero above the truncation degree;
+        UsageError for a malformed exponent tuple."""
+        exp = _checked(exponents, self.n)
+        return self._coeff_at(_pack(exp)) if sum(exp) <= self.degree else ZERO
+
+    def _coeff_at(self, key: int) -> GaussianRational:
+        ab = self._terms.get(key)
         if ab is None:
             return ZERO
         return from_parts(ab[0], ab[1], self._den)
 
+    def linear_coeffs(self) -> list[GaussianRational]:
+        """The coefficients of x_1, ..., x_n."""
+        return [self._coeff_at(_unit(j, self.n)) for j in range(self.n)]
+
+    def _grlex_keys(self) -> list[int]:
+        """The keys of the nonzero terms in graded-lex order."""
+        return sorted(self._terms, key=((1 << FIELD * self.n) - 1).__xor__)
+
     def items(self) -> list[tuple[MultiIndex, GaussianRational]]:
         """Terms in graded-lex order (the canonical iteration order)."""
-        return [(exp, self.coeff(exp)) for exp in self.support()]
+        return [(unpack(key, self.n), self._coeff_at(key)) for key in self._grlex_keys()]
 
     def support(self) -> list[MultiIndex]:
         """Exponents of the nonzero terms in graded-lex order."""
-        return sorted(self._terms, key=grlex_key)
+        return [unpack(key, self.n) for key in self._grlex_keys()]
 
-    def exponents(self):
-        """Exponents of the nonzero terms, unsorted."""
-        return self._terms.keys()
+    def term_strings(self, min_degree: int = 0) -> list[tuple[list[int], str]]:
+        """(exponent list, str(coefficient)) of each term of total degree
+        >= min_degree, in graded-lex order, printed from the numerators."""
+        n, den, terms = self.n, self._den, self._terms
+        start = min_degree << FIELD * n
+        shifts = range(FIELD * (n - 1), -1, -FIELD)
+        return [
+            ([key >> s & _FIELD_MASK for s in shifts], parts_str(*terms[key], den))
+            for key in self._grlex_keys()
+            if key >= start
+        ]
+
+    def keys_of_degree(self, d: int) -> set[int]:
+        """The keys of the nonzero terms of total degree d (see `unpack`)."""
+        low, high = d << FIELD * self.n, (d + 1) << FIELD * self.n
+        return {key for key in self._terms if low <= key < high}
+
+    def order(self) -> int:
+        """The lowest total degree of a nonzero term; degree + 1 for zero."""
+        return min(self._terms) >> FIELD * self.n if self._terms else self.degree + 1
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -165,7 +245,7 @@ class TruncatedSeries:
         return not any(b for _, b in self._terms.values())
 
     def constant_term(self) -> GaussianRational:
-        return self.coeff((0,) * self.n)
+        return self._coeff_at(0)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -203,13 +283,12 @@ class TruncatedSeries:
         return _canonical(self.n, self.degree, terms, den)
 
     def _map(self, func, den: int = 1) -> "TruncatedSeries":
-        """The series of func(e, a, b) -> (new exponent, new a, new b), or
-        None to drop the term, over self._den * den."""
+        """The series of func(key, a, b) -> (new key, new a, new b) over
+        self._den * den."""
         terms = {}
-        for e, (a, b) in self._terms.items():
-            mapped = func(e, a, b)
-            if mapped is not None:
-                terms[mapped[0]] = mapped[1:]
+        for k, (a, b) in self._terms.items():
+            mapped = func(k, a, b)
+            terms[mapped[0]] = mapped[1:]
         return _canonical(self.n, self.degree, terms, self._den * den)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -222,31 +301,35 @@ class TruncatedSeries:
         return self.scale(-1)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The truncated product.  Keys ka + kb < cutoff = (D + 1) << FIELD*n
+        exactly when the degrees add up to <= D, and other's keys are
+        scanned in ascending order, so each row stops at its first pair
+        past D and no key with a field at 2^FIELD is ever formed."""
         self._check_compatible(other)
-        limit = self.degree
-        right = sorted(((sum(e), e, a, b) for e, (a, b) in other._terms.items()), key=itemgetter(0))
-        terms: dict[MultiIndex, tuple[int, int]] = {}
+        cutoff = (self.degree + 1) << FIELD * self.n
+        right = [(kb, br, bi) for kb, (br, bi) in sorted(other._terms.items())]
+        terms: dict[int, tuple[int, int]] = {}
         get = terms.get
-        for ea, (ar, ai) in self._terms.items():
-            room = limit - sum(ea)
-            for db, eb, br, bi in right:
-                if db > room:
+        for ka, (ar, ai) in self._terms.items():
+            room = cutoff - ka
+            for kb, br, bi in right:
+                if kb >= room:
                     break
-                exp = tuple(map(add, ea, eb))
+                key = ka + kb
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
-                cur = get(exp)
+                cur = get(key)
                 if cur is None:
-                    terms[exp] = (re, im)
+                    terms[key] = (re, im)
                 else:
-                    terms[exp] = (cur[0] + re, cur[1] + im)
+                    terms[key] = (cur[0] + re, cur[1] + im)
         return _canonical(self.n, self.degree, terms, self._den * other._den)
 
     def scale(self, value) -> "TruncatedSeries":
         p, q, d = as_parts(value)
         if p == d == 1 and not q:
             return self  # jets are immutable
-        return self._map(lambda e, a, b: (e, a * p - b * q, a * q + b * p), d)
+        return self._map(lambda k, a, b: (k, a * p - b * q, a * q + b * p), d)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
@@ -266,7 +349,8 @@ class TruncatedSeries:
     # -- jets ----------------------------------------------------------------
 
     def part_up_to(self, d: int) -> "TruncatedSeries":
-        return self._map(lambda e, a, b: (e, a, b) if sum(e) <= d else None)
+        cutoff = (d + 1) << FIELD * self.n
+        return _canonical(self.n, self.degree, {k: ab for k, ab in self._terms.items() if k < cutoff}, self._den)
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.degree:
@@ -299,35 +383,42 @@ class TruncatedSeries:
     # -- coordinate operations used by the real case --------------------------
 
     def conjugate_coeffs(self) -> "TruncatedSeries":
-        return self._map(lambda e, a, b: (e, a, -b))
+        return self._map(lambda k, a, b: (k, a, -b))
 
     def permute_variables(self, perm: tuple[int, ...]) -> "TruncatedSeries":
         """Substitute x_j -> x_{perm[j]}: exponent at slot perm[j] receives e_j."""
-        if sorted(perm) != list(range(self.n)):
+        n = self.n
+        if sorted(perm) != list(range(n)):
             raise UsageError("not a permutation")
-        inverse = sorted(range(self.n), key=lambda j: perm[j])
-        return self._map(lambda e, a, b: (tuple(e[j] for j in inverse), a, b))
+        inverse = sorted(range(n), key=lambda j: perm[j])
+
+        def permuted(k, a, b):
+            e = unpack(k, n)
+            return _pack(tuple(e[j] for j in inverse)), a, b
+
+        return self._map(permuted)
 
     def divide_by_variable(self, index: int) -> "TruncatedSeries":
         """Exact division by x_index; raises DomainError if any term lacks it.
 
         The quotient is returned at the same truncation degree (it is a
         polynomial of degree <= D - 1, so no information is invented)."""
+        n = self.n
+        if not 0 <= index < n:
+            raise UsageError(f"variable index {index} out of range")
+        unit, shift = _unit(index, n), FIELD * (n - 1 - index)
 
-        def lower(e, a, b):
-            if e[index] < 1:
-                raise DomainError(f"term {e} is not divisible by variable {index + 1}")
-            return e[:index] + (e[index] - 1,) + e[index + 1:], a, b
+        def lower(k, a, b):
+            if not k >> shift & _FIELD_MASK:
+                raise DomainError(f"term {unpack(k, n)} is not divisible by variable {index + 1}")
+            return k - unit, a, b
 
         return self._map(lower)
 
     # -- serialization ---------------------------------------------------------
 
     def to_term_list(self) -> list[dict]:
-        return [
-            {"exponents": list(exp), "coeff": str(c)}
-            for exp, c in self.items()
-        ]
+        return [{"exponents": exp, "coeff": c} for exp, c in self.term_strings()]
 
     def __str__(self):
         if not self._terms:
@@ -365,10 +456,11 @@ def compose_all(
     constant term and the targets' degree.
 
     A memo of monomial images, private to the call and shared by all
-    targets, holds x^gamma o g for each exponent gamma met; a missing one is
-    (x^(gamma - e_k) o g) * g_k with k the last variable of gamma, so each
-    distinct monomial costs one series product.  A target's coefficients
-    are then applied to the images as one integer linear combination."""
+    targets, holds x^gamma o g for each key gamma met; a missing one is
+    (x^(gamma - e_k) o g) * g_k with k the last variable of gamma, the
+    lowest nonzero field of its key, so each distinct monomial costs one
+    series product.  A target's coefficients are then applied to the images
+    as one integer linear combination."""
     comps = list(components)
     if not comps:
         raise UsageError("composition needs at least one component series")
@@ -376,16 +468,17 @@ def compose_all(
     for g in comps:
         if g.n != n or g.degree != degree:
             raise UsageError("composition component mismatch")
-        if (0,) * n in g._terms:
+        if 0 in g._terms:
             raise DomainError("composition requires zero constant terms")
-    images: dict[MultiIndex, TruncatedSeries] = {(0,) * n: TruncatedSeries.constant(1, n, degree)}
-    images.update((tuple(int(j == k) for j in range(n)), g) for k, g in enumerate(comps))
+    units = [_unit(k, n) for k in range(n)]
+    images: dict[int, TruncatedSeries] = {0: TruncatedSeries.constant(1, n, degree)}
+    images.update(zip(units, comps))
 
-    def image(exp: MultiIndex) -> TruncatedSeries:
-        found = images.get(exp)
+    def image(key: int) -> TruncatedSeries:
+        found = images.get(key)
         if found is None:
-            k = max(j for j, e in enumerate(exp) if e)
-            found = images[exp] = image(exp[:k] + (exp[k] - 1,) + exp[k + 1:]) * comps[k]
+            k = n - 1 - ((key & -key).bit_length() - 1) // FIELD
+            found = images[key] = image(key - units[k]) * comps[k]
         return found
 
     out = []
@@ -394,9 +487,9 @@ def compose_all(
             raise UsageError(f"composition needs {target.n} component series")
         if target.degree != degree:
             raise UsageError("composition component mismatch")
-        parts = [(a, b, image(exp)) for exp, (a, b) in target._terms.items()]
+        parts = [(a, b, image(key)) for key, (a, b) in target._terms.items()]
         den = lcm(*(img._den for _, _, img in parts))
-        terms: dict[MultiIndex, tuple[int, int]] = {}
+        terms: dict[int, tuple[int, int]] = {}
         get = terms.get
         for p, q, img in parts:
             f = den // img._den
@@ -419,13 +512,13 @@ def identity_shift(components: list[TruncatedSeries]) -> list[TruncatedSeries] |
     from the n degree-1 slots of each component, without a pass over its
     other terms."""
     n = len(components)
-    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    units = [_unit(k, n) for k in range(n)]
     shift = []
     for unit, g in zip(units, components):
         terms = g._terms
         if terms.get(unit) != (g._den, 0) or sum(u in terms for u in units) != 1:
             return None
-        shift.append(_canonical(n, g.degree, {e: ab for e, ab in terms.items() if e != unit}, g._den))
+        shift.append(_canonical(n, g.degree, {k: ab for k, ab in terms.items() if k != unit}, g._den))
     return shift
 
 
@@ -458,22 +551,26 @@ def compose_shifted(
         if g.n != n or g.degree != degree:
             raise UsageError("composition component mismatch")
     active = [j for j, g in enumerate(h) if g._terms]
-    low = min((sum(e) for j in active for e in h[j]._terms), default=degree + 1)
+    low = min(g.order() for g in h)
     if low < 2:
         raise DomainError("a Taylor shift needs h without constant or linear terms")
+    units = [_unit(j, n) for j in range(n)]
 
     def value(terms: dict, den: int, first: int, size: int, mult: int) -> TruncatedSeries:
         """V(beta) for c_beta = terms / den, |beta| = size, beta's last index
         active[first] with multiplicity mult (first = mult = 0 at the root)."""
         reach = degree - (size + 1) * low  # a child V is read through this degree
+        cutoff = (reach + 2) << FIELD * n  # keys of degree <= reach + 1
         products = []
         for q in range(first, len(active) if reach >= 0 else first):
             j = active[q]
-            child = {
-                e[:j] + (e[j] - 1,) + e[j + 1:]: (a * e[j], b * e[j])
-                for e, (a, b) in terms.items()
-                if e[j] and sum(e) <= reach + 1
-            }
+            unit, shift = units[j], FIELD * (n - 1 - j)
+            child = {}
+            for k, (a, b) in terms.items():
+                if k < cutoff:
+                    e = k >> shift & _FIELD_MASK
+                    if e:
+                        child[k - unit] = (a * e, b * e)
             if child:
                 count = mult + 1 if q == first else 1  # the multiplicity of j in beta + e_j
                 products.append(h[j] * value(child, den * count, q, size + 1, count))

@@ -12,8 +12,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from germnf.cli import run
+from germnf.cli import _json_text, run
 from germnf.germ import Germ, family_from_json, invert_germ
 from germnf.series import TruncatedSeries, UsageError, compose_all
 
@@ -70,6 +71,20 @@ def _run_json(tmp_path, *argv):
     out = tmp_path / "out.json"
     code = run(list(argv) + ["--output", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
+    return code, report
+
+
+def _run_canonical(*argv):
+    """The exit code and parsed report of one run, after checking that its
+    stdout is byte for byte json.dumps(report, sort_keys=True, indent=2)
+    and a newline, so the report writer's layout is pinned as well as the
+    parsed values."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(list(argv))
+    text = out.getvalue()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
     return code, report
 
 
@@ -233,12 +248,12 @@ class TestCorpusGoldens:
         assert len(self.OPS) == 22
 
     @pytest.mark.parametrize("workload, op_id", OPS)
-    def test_report_matches_golden(self, tmp_path, workload, op_id):
+    def test_report_matches_golden(self, workload, op_id):
         golden = _perfbench_golden()
         manifest, goldens = golden.load(workload)
         op = next(o for o in manifest["ops"] if o["id"] == op_id)
         expected = goldens[op_id]
-        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        code, report = _run_canonical(*golden.argv_of(op))
         assert code == expected["exit"]
         assert golden.check(expected, code, json.dumps(report))[0] == []
         assert not _holds_verdict(report["payload"])
@@ -251,7 +266,7 @@ class TestCorpusGoldens:
         assert len(self.EIGEN_OPS) == 22
 
     @pytest.mark.parametrize("op_id", EIGEN_OPS)
-    def test_eigen_report_matches_golden(self, tmp_path, op_id):
+    def test_eigen_report_matches_golden(self, op_id):
         """Every eigen op is decided.  A golden exit 2 may become exit 0 (its
         indeterminate verdicts became definite); an op without a golden
         (large_p2-0.analyze) is checked for its exit code and shape."""
@@ -259,7 +274,7 @@ class TestCorpusGoldens:
         manifest, goldens = golden.load("eigen")
         op = next(o for o in manifest["ops"] if o["id"] == op_id)
         expected = goldens[op_id]
-        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        code, report = _run_canonical(*golden.argv_of(op))
         problems, found = golden.check(expected, code, json.dumps(report))
         assert problems == [] and found is not None
         assert golden.verdict_counts(found)[0] == 0 and code == 0
@@ -924,3 +939,35 @@ class TestContracts:
         assert precision_cap() == 1024
         monkeypatch.delenv("GERMNF_PRECISION_BITS")
         assert precision_cap() == 1024
+
+
+# strings with what JSON escapes or could misparse: quotes, backslashes,
+# control characters, non-ASCII text (astral and lone surrogates too), and
+# the separators and brackets of the layout itself
+_awkward = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028",
+                            "\U0001f600", "\ud800", ",", ":", ": ", "[", "]", "{", "}", "[]", "{}", " "])
+_strings = st.one_of(st.text(max_size=6), st.lists(_awkward, max_size=4).map("".join))
+_ints = st.one_of(st.integers(-1000, 1000), st.integers(min_value=2**64), st.integers(max_value=-(2**64)))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, st.floats(), _strings, st.lists(_ints, max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_strings, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """The report writer against the json module's indented encoder."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_json_values)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_empty_containers_at_every_depth(self):
+        value = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {"e": []}}], "f": [{}]}
+        for _ in range(3):
+            assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+            value = [value, {"g": value, "h": []}]

@@ -9,12 +9,14 @@ from sympy.polys.rings import ring
 
 from germnf.exactnum import DomainError, GaussianRational as GR
 from germnf.series import (
+    FIELD,
     TruncatedSeries as TS,
     UsageError,
     compose_all,
     compose_shifted,
     grlex_key,
     identity_shift,
+    unpack,
 )
 
 from helpers import (
@@ -439,7 +441,100 @@ class TestIntegerStorage:
         assert f.support() == [(1, 0), (0, 2)]
         assert f.coeff((1, 0)) == GR(Fraction(1, 6), Fraction(-1, 4))
         assert f.coeff((0, 2)) == GR(Fraction(2, 3)) and f.coeff((1, 1)) == GR(0)
-        assert (f._den, f._terms) == (12, {(1, 0): (2, -3), (0, 2): (8, 0)})
+        assert (f._den, {unpack(k, 2): ab for k, ab in f._terms.items()}) == (12, {(1, 0): (2, -3), (0, 2): (8, 0)})
+        assert len(f._terms) == 2
         assert str(f) == "(1/6-1/4*i)*x + 2/3*y^2"
         assert not f.is_real() and f.scale(GR(0, 1)).scale(GR(0, -1)) == f
         assert TS(2, 3, {(1, 0): 2}).is_real()
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys against the tuple-keyed reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def exponents(draw, n: int, low: int, high: int):
+    """An exponent tuple in n variables of total degree in low..high."""
+    total = draw(st.integers(low, high))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+def tuple_terms(n: int, low: int, high: int, max_terms: int = 4):
+    """{exponent tuple: coefficient} with total degrees in low..high."""
+    return st.dictionaries(exponents(n, low, high), wide, max_size=max_terms)
+
+
+class TestPackedKeys:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_packed_storage_matches_tuple_reference(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        d = data.draw(st.integers(0, 12), label="D")
+        terms = data.draw(tuple_terms(n, 0, d + 1), label="terms")  # degree d + 1 is dropped
+        expected = ref_clean(terms, d)
+        f = TS(n, d, terms)
+        assert_matches(f, expected)
+        assert f.support() == sorted(expected, key=grlex_key)
+        assert [e for e, _ in f.items()] == f.support()
+        assert all(f.coeff(e) == c for e, c in expected.items())
+        assert from_term_list(f.to_term_list(), n, d) == f
+        assert f.order() == min(map(sum, expected), default=d + 1)
+        for k in range(d + 1):
+            assert sorted(unpack(key, n) for key in f.keys_of_degree(k)) == sorted(e for e in expected if sum(e) == k)
+        low = data.draw(st.integers(0, d), label="low")
+        assert_matches(f.part_up_to(low), ref_clean(expected, low))
+        assert_matches(f.truncate(low), ref_clean(expected, low))
+        g = TS(n, d, data.draw(tuple_terms(n, 0, d), label="g"))
+        assert_matches(f * g, ref_mul(expected, ref(g), d))
+        perm = tuple(data.draw(st.permutations(range(n)), label="perm"))
+        permuted = {}
+        for e, c in expected.items():
+            moved = [0] * n
+            for j, ej in enumerate(e):
+                moved[perm[j]] = ej
+            permuted[tuple(moved)] = c
+        assert_matches(f.permute_variables(perm), permuted)
+        k = data.draw(st.integers(0, n - 1), label="k")
+        multiple = f * TS.variable(k, n, d)
+        assert_matches(multiple.divide_by_variable(k), ref_clean(expected, d - 1))
+        if any(e[k] == 0 for e in expected):
+            with pytest.raises(DomainError):
+                f.divide_by_variable(k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_compose_shifted_matches_reference(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        d = data.draw(st.integers(2, 12), label="D")
+        low = data.draw(st.integers(2, d), label="low")
+        h = [TS(n, d, data.draw(tuple_terms(n, low, d, 2), label=f"h{j}")) for j in range(n)]
+        target = TS(n, d, data.draw(tuple_terms(n, 0, min(d, 6), 3), label="target"))
+        inner = [TS.variable(j, n, d) + hj for j, hj in enumerate(h)]
+        (got,) = compose_shifted([target], h)
+        assert_matches(got, ref_compose(ref(target), [ref(g) for g in inner], n, d))
+
+    def test_field_boundary(self):
+        top = 2**FIELD - 1
+        x = TS.variable(0, 1, top)
+        f = TS(1, top, {(top,): GR(1, 1)})
+        assert f.support() == [(top,)] and f.order() == top
+        assert f.coeff((top,)) == GR(1, 1) and f.to_term_list() == [{"exponents": [top], "coeff": "1+1*i"}]
+        assert (f * x).is_zero() and f.divide_by_variable(0) == TS.monomial((top - 1,), GR(1, 1), top)
+        assert TS.monomial((top - 1,), 1, top) * x == TS.monomial((top,), 1, top)
+        corner = TS(2, top, {(top, 0): 1, (0, top): 2})
+        assert corner.support() == [(top, 0), (0, top)]
+        assert corner.permute_variables((1, 0)) == TS(2, top, {(0, top): 1, (top, 0): 2})
+        for refused in (lambda: TS(1, top + 1), lambda: TS.variable(0, 2, 2**FIELD), lambda: TS(1, 2**FIELD, {(1,): 1})):
+            with pytest.raises(UsageError):
+                refused()
+
+    def test_coeff_refuses_malformed_exponents(self):
+        f = TS(2, 3, {(1, 0): 2})
+        for bad in ((1, 0, 0), (1,), (), (-1, 2), (2, -1)):
+            with pytest.raises(UsageError):
+                f.coeff(bad)
+        assert f.coeff((1, 0)) == GR(2) and f.coeff((0, 4)) == GR(0)
+        with pytest.raises(UsageError):
+            f.divide_by_variable(2)
