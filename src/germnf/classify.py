@@ -5,9 +5,10 @@ witnesses, and anything that would require deciding vanishing of a
 transcendental expression gets a third verdict, INDETERMINATE, instead of
 a guess.  Concretely:
 
-* sign questions about rational linear forms in {ln p} are decided by one
-  exact comparison of integer products (see LogModulusVector.sign), with
-  no intervals;
+* sign questions about rational linear forms in {ln q}, q in the integer
+  coprime base of the eigenvalues' norms and denominators (see
+  resonance.EigenData.integer_base), are decided by one exact comparison
+  of integer products (see LogModulusVector.sign), with no intervals;
 * products of logarithms and arctangents are handled symbolically (a
   symbolic zero is a true zero) with directed-rounded interval arithmetic
   certifying the nonzero direction;
@@ -154,10 +155,16 @@ def k_vector(eigen: EigenData, k, branch: BranchChoice | None = None) -> tuple[i
 
 
 # ---------------------------------------------------------------------------
-# Symbolic polynomials over {ln p, pi, atan(t)} with Gaussian coefficients
+# Symbolic polynomials over {ln q, pi, atan(t)} with Gaussian coefficients
 # ---------------------------------------------------------------------------
 
-# symbol encodings: ("log", p), ("pi",), ("atan", num, den) with 0 < num/den < 1
+# symbol encodings: ("log", q), ("pi",), ("atan", num, den) with 0 < num/den < 1,
+# q an element of the integer coprime base.  Each ln q is the Q-linear form
+# sum_p v_p(q) ln p in logarithms of primes, and these forms are independent
+# because the q are multiplicatively independent.  So the substitution
+# ln q -> sum_p v_p(q) ln p is injective and linear: it sends a polynomial to
+# zero only when the polynomial is zero, and it keeps degrees.  Symbolic
+# zero-ness and log-affineness of a minor are thus what they are over primes.
 
 
 def poly_const(c: GaussianRational) -> dict:
@@ -235,7 +242,7 @@ def _poly_is_log_affine(poly: dict) -> bool:
 
 
 def _is_log_form(poly: dict) -> bool:
-    """sum c_p ln p with no constant term: poly_sign decides it exactly."""
+    """sum c_q ln q with no constant term: poly_sign decides it exactly."""
     return () not in poly and _poly_is_log_affine(poly)
 
 
@@ -243,12 +250,13 @@ def certify_poly_nonzero(poly: dict) -> bool:
     """True when the polynomial's value is certified nonzero.
 
     Symbolically zero inputs return False immediately (they ARE zero).
-    Affine forms in {1, ln p} are decided exactly; everything else goes to
+    Affine forms in {1, ln q} are decided exactly; everything else goes to
     the interval ladder, and False there means 'could not certify', not
     'zero'."""
-    # c0 + sum c_p ln p = 0 only when every coefficient vanishes: a
-    # nontrivial relation would force a multiplicative relation among
-    # primes (or e^q rational for rational q != 0)
+    # c0 + sum c_q ln q = 0 only when every coefficient vanishes: the ln q
+    # of pairwise-coprime integers q > 1 are Q-independent (a relation
+    # would make a product of their powers 1), and c0 != 0 would make e^c0
+    # algebraic for a rational c0 != 0, which Lindemann rules out
     return bool(poly) and (_poly_is_log_affine(poly) or _interval_signs(poly) != (0, 0))
 
 
@@ -265,7 +273,8 @@ def _interval_signs(poly: dict) -> tuple[int, int]:
 def poly_sign(poly: dict) -> int | None:
     """Certified sign of a real polynomial's value: 0 for the symbolic zero,
     None when no precision up to the cap separates it from zero.  A linear
-    form in logarithms of primes is decided exactly."""
+    form in logarithms of pairwise-coprime integers (the base elements) is
+    decided exactly by LogModulusVector.sign."""
     if _is_log_form(poly):
         return LogModulusVector.from_dict({mono[0][1]: c.re for mono, c in poly.items()}).sign()
     return _interval_signs(poly)[0] or None
@@ -318,7 +327,7 @@ def _logmod_poly(vec: LogModulusVector) -> dict:
 
 
 def _lambda_entry_poly(eigen: EigenData, i: int, m: int, branch: BranchChoice) -> dict:
-    """lambda_im as a symbolic polynomial (degree 1) over {ln p, pi, atan}."""
+    """lambda_im as a symbolic polynomial (degree 1) over {ln q, pi, atan}."""
     poly = _logmod_poly(eigen.log_modulus(i, m))
     turns = eigen.arg_turns(i, m)
     pi_coeff = 2 * (turns.rational + branch.b[i][m])
@@ -588,7 +597,7 @@ def _hull_contains_origin(eigen: EigenData, minor: Minor) -> tuple[bool | None, 
     if minor.full:
         return False, {}, minor.exact
     points = [[eigen.log_modulus(i, k) for i in range(eigen.p)] for k in minor.columns]
-    # one row per coordinate and prime, and sum lambda_k = 1
+    # one row per coordinate and base element, and sum lambda_k = 1
     rows = [[Fraction(point[i].as_dict().get(q, 0)) for point in points] for i in range(eigen.p)
             for q in sorted({q for point in points for q, _ in point[i].coords})] + [[Fraction(1)] * len(points)]
     hull_point = rational_feasible(rows, [Fraction(0)] * (len(rows) - 1) + [Fraction(1)])
@@ -602,7 +611,7 @@ def _hull_contains_origin(eigen: EigenData, minor: Minor) -> tuple[bool | None, 
             contains, kernel, by_exact = _circuit(covectors, _minors(covectors) if size < eigen.p else [minor])
             if contains:
                 vector, signs = kernel
-                # each entry as [coefficient, [primes whose logarithms it multiplies]]
+                # each entry as [coefficient, [base elements whose logarithms it multiplies]]
                 info = {"kernel_vector": [[[str(c), [s[1] for s in mono]] for mono, c in sorted(v.items())]
                                           for v in vector],
                         "kernel_signs": list(signs)}
@@ -622,7 +631,7 @@ def is_weakly_hyperbolic(eigen: EigenData) -> Verdict:
 
     1. its minor certified nonzero: sum lambda_k c_k = 0 forces lambda = 0,
        against sum lambda_k = 1, so the origin is not in the hull;
-    2. a rational hull point lambda balancing every prime coordinate (an
+    2. a rational hull point lambda balancing every base coordinate (an
        exact LP): the origin is in the hull, lambda is the witness;
     3. its circuits: by Caratheodory the origin is in the hull iff some
        minimally dependent T in S has a kernel vector of one strict sign

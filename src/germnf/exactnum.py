@@ -256,7 +256,9 @@ I_UNIT = GaussianRational(0, 1)
 
 # ---------------------------------------------------------------------------
 # Integer factorization: trial division up to 2000, then Pollard-Brent
-# splitting, with Miller-Rabin primality only where its bases prove it
+# splitting, with Miller-Rabin primality only where its bases prove it.
+# No command factors: this and the Gaussian factorization below are the
+# public API and the tests' oracle for the coprime bases further down.
 # ---------------------------------------------------------------------------
 
 _TRIAL_LIMIT = 2000
@@ -320,17 +322,22 @@ def _pollard_brent(n: int) -> int:
         seed += 1
 
 
+def _kth_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
+
+
 def _perfect_root(n: int) -> int | None:
     """r > 1 with r^k == n for some k >= 2, or None.  Rho needs about
     sqrt(p) steps to split p^k, so prime powers are split here instead.
     n has no prime factor up to _TRIAL_LIMIT > 2^10, hence k < bits / 10."""
     for k in range(2, n.bit_length() // 10 + 1):
-        r = 1 << -(-n.bit_length() // k)  # Newton from above to floor(n^(1/k))
-        while True:
-            nxt = ((k - 1) * r + n // r ** (k - 1)) // k
-            if nxt >= r:
-                break
-            r = nxt
+        r = _kth_root(n, k)
         if r**k == n:
             return r
     return None
@@ -381,18 +388,12 @@ def factor_int(n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_associate(z: GaussianRational) -> tuple[GaussianRational, int]:
-    """Return (w, t) with w = i^t * z, w in the canonical first-quadrant form
-    re > 0, im >= 0.  Inert rational primes keep their natural form (im = 0)."""
-    if z.is_zero():
-        raise DomainError("zero has no canonical associate")
-    w, t = z, 0
-    while not (w._a > 0 and w._b >= 0):
-        w = w * I_UNIT
-        t += 1
-        if t > 3:
-            raise AssertionError("associate rotation failed to terminate")
-    return w, t
+def _first_quadrant(a: int, b: int) -> tuple[int, int]:
+    """The associate of a nonzero a + b*i with re > 0 and im >= 0 (an inert
+    rational prime keeps its natural form, im = 0)."""
+    while not (a > 0 and b >= 0):
+        a, b = -b, a
+    return a, b
 
 
 def _sqrt_minus_one_mod(p: int) -> int:
@@ -454,6 +455,7 @@ class GaussianFactorization:
 
 
 _ONE_PLUS_I = GaussianRational(1, 1)
+_UNIT_EXP = {ONE: 0, I_UNIT: 1, -ONE: 2, -I_UNIT: 3}  # i^t -> t
 
 
 def _divide_out(g: GaussianRational, prime: GaussianRational, bound: int) -> tuple[GaussianRational, int]:
@@ -494,7 +496,7 @@ def _factor_gaussian_integer(g: GaussianRational) -> GaussianFactorization:
             factors.append((prime, e // 2))
         else:
             pi = _split_prime(p)
-            pi_bar = canonical_associate(pi.conjugate())[0]
+            pi_bar = GaussianRational(*_first_quadrant(pi._a, -pi._b))
             rest, a = _divide_out(rest, pi, e)
             rest, b = _divide_out(rest, pi_bar, e - a)
             if a + b != e:
@@ -506,7 +508,7 @@ def _factor_gaussian_integer(g: GaussianRational) -> GaussianFactorization:
     # the undivided remainder must be a unit i^t
     if rest.norm() != 1:
         raise AssertionError("non-unit remainder after factorization")
-    unit = {ONE: 0, I_UNIT: 1, -ONE: 2, -I_UNIT: 3}[rest]
+    unit = _UNIT_EXP[rest]
     factors.sort(key=lambda pe: (pe[0]._a ** 2 + pe[0]._b ** 2, pe[0]._a, pe[0]._b))
     return GaussianFactorization(unit, tuple(factors))
 
@@ -533,16 +535,23 @@ def factor_gaussian(z: GaussianRational) -> GaussianFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Log-modulus coordinates over the rational-prime basis
+# Log-modulus coordinates over pairwise-coprime integers
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LogModulusVector:
-    """ln|z| written as sum(coords[p] * ln p) with exact rational coords.
+    """ln|z| written as sum(coords[q] * ln q) with exact rational coords,
+    over pairwise-coprime integers q > 1: rational primes (log_modulus, the
+    oracle) or the elements of an integer coprime base (base_log_modulus,
+    what every command uses).
 
-    coords[p] is half the exponent of p in the norm |z|^2, so entries may be
-    half-integers.  Exactness invariant: prod(p^(2*coords[p])) == |z|^2.
+    coords[q] is half the exponent of q in the norm |z|^2, so entries may be
+    half-integers.  Exactness invariant: prod(q^(2*coords[q])) == |z|^2.
+    The ln q are linearly independent over Q: a rational relation would
+    make a product of powers of pairwise-coprime integers > 1 equal to 1,
+    and a prime dividing one of them divides no other.  So a vector is the
+    zero number only when it has no coordinate, over either kind of q.
     """
 
     coords: tuple[tuple[int, Fraction], ...]
@@ -603,10 +612,163 @@ class LogModulusVector:
 
 def log_modulus(z: GaussianRational) -> LogModulusVector:
     """ln|z| as an exact rational vector over {ln p}, read off the
-    Gaussian factorization of z."""
+    Gaussian factorization of z (the oracle for base_log_modulus)."""
     if z.is_zero():
         raise DomainError("log_modulus of zero")
     return factor_gaussian(z).log_modulus()
+
+
+# ---------------------------------------------------------------------------
+# Coprime bases: the eigen layer factors over these, with gcds only
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_gcd(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """A gcd of a + b*i and c + d*i: Euclid in Z[i] with each quotient
+    rounded to the nearest Gaussian integer, so each remainder has at most
+    half its divisor's norm."""
+    while c or d:
+        n = c * c + d * d
+        x, y = a * c + b * d, b * c - a * d  # (a + b*i)(c - d*i), n times the quotient
+        qa, qb = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+        a, b, c, d = c, d, a - qa * c + qb * d, b - qa * d - qb * c
+    return a, b
+
+
+def _quotient(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a + b*i) / (c + d*i) for a divisor c + d*i of a + b*i."""
+    n = c * c + d * d
+    return (a * c + b * d) // n, (b * c - a * d) // n
+
+
+def coprime_base(values) -> tuple[tuple[int, int], ...]:
+    """A coprime base of nonzero Gaussian integers given as pairs (a, b):
+    pairwise-coprime non-units in first-quadrant form, sorted by (norm, a,
+    b), such that each value is a unit times a product of their powers.
+    gcds only, no factoring (D. J. Bernstein, J. Algorithms 54, 2005, has a
+    fast version; these sets are small).  A pending element is coprime to a
+    kept one when their norms are; else a kept element sharing a non-unit
+    gcd g with it is replaced by g and both cofactors, all pending again.
+    Each split divides the norm product of all elements by N(g) > 1, so the
+    loop ends.  Rational values (n, 0) give a base in Z."""
+    kept: list[tuple[int, int]] = []
+    pending = list(values)
+    while pending:
+        a, b = pending.pop()
+        norm = a * a + b * b
+        if norm == 1:
+            continue
+        if not norm:
+            raise DomainError("a coprime base of zero")
+        a, b = _first_quadrant(a, b)
+        for j, (c, d) in enumerate(kept):
+            if math.gcd(norm, c * c + d * d) == 1:
+                continue
+            g = _gaussian_gcd(a, b, c, d)
+            if g[0] ** 2 + g[1] ** 2 > 1:
+                del kept[j]
+                pending += [g, _quotient(c, d, *g), _quotient(a, b, *g)]
+                break
+        else:
+            kept.append((a, b))
+    return tuple(sorted(kept, key=lambda q: (q[0] ** 2 + q[1] ** 2, q)))
+
+
+@functools.cache
+def _primes_to(limit: int) -> tuple[int, ...]:
+    """The primes up to `limit`."""
+    primes: list[int] = []
+    for k in range(2, limit + 1):
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+    return tuple(primes)
+
+
+def _least_root(n: int) -> int:
+    """The least r with r^k = n for some k >= 1, for n >= 2: an integer
+    k-th root for every prime k up to the bit length, a root taken again at
+    the same k."""
+    for k in _primes_to(n.bit_length()):
+        while True:
+            r = _kth_root(n, k)
+            if r**k != n:
+                break
+            n = r
+    return n
+
+
+def gaussian_coprime_base(values) -> tuple[GaussianRational, ...]:
+    """coprime_base of the numerator a + b*i and the denominator d of each
+    nonzero (a + b*i)/d in `values`."""
+    pairs = [(z._a, z._b) for z in values] + [(z._d, 0) for z in values]
+    return tuple(from_parts(a, b, 1) for a, b in coprime_base(pairs))
+
+
+def integer_coprime_base(values) -> tuple[int, ...]:
+    """coprime_base, in Z, of a^2 + b^2 and d for each nonzero (a + b*i)/d
+    in `values`, each element then replaced by its least root (so that a
+    prime power gives its prime), ascending."""
+    ints = [(z._a ** 2 + z._b ** 2, 0) for z in values] + [(z._d, 0) for z in values]
+    return tuple(sorted(_least_root(a) for a, _ in coprime_base(ints)))
+
+
+def _divide_all(g: GaussianRational, q: GaussianRational) -> tuple[GaussianRational, int]:
+    """(g / q^e, e) for the largest e with q^e dividing the Gaussian integer g."""
+    norm = g._a ** 2 + g._b ** 2
+    if math.gcd(norm, q._a ** 2 + q._b ** 2) == 1:
+        return g, 0
+    return _divide_out(g, q, norm.bit_length())
+
+
+def base_factorization(z: GaussianRational, base: tuple[GaussianRational, ...]) -> GaussianFactorization:
+    """z = i^t * prod(q^e) over a Gaussian coprime base that holds every
+    non-unit factor of z's numerator and denominator.  The undivided
+    remainders must be units and the product must give z back, or this
+    raises AssertionError.  Its log_modulus() does not apply: that reads
+    prime norms."""
+    if z.is_zero():
+        raise DomainError("cannot factor zero")
+    num, den = GaussianRational(z._a, z._b), GaussianRational(z._d)
+    factors = []
+    for q in base:
+        num, e = _divide_all(num, q)
+        den, f = _divide_all(den, q)
+        if e != f:
+            factors.append((q, e - f))
+    if num.norm() != 1 or den.norm() != 1:
+        raise AssertionError("non-unit remainder over the coprime base")
+    result = GaussianFactorization((_UNIT_EXP[num] - _UNIT_EXP[den]) % 4, tuple(factors))
+    if result.value() != z:
+        raise AssertionError("base factorization failed re-multiplication check")
+    return result
+
+
+def base_log_modulus(z: GaussianRational, base: tuple[int, ...]) -> LogModulusVector:
+    """ln|z| = ln(a^2 + b^2) / 2 - ln d for z = (a + b*i)/d, over an integer
+    coprime base that holds every factor > 1 of a^2 + b^2 and d:
+    coords[q] = v_q(a^2 + b^2) / 2 - v_q(d).  The undivided remainders must
+    be 1 and squared_exp() must give |z|^2 back, or this raises
+    AssertionError."""
+    if z.is_zero():
+        raise DomainError("log_modulus of zero")
+    norm, den = z._a ** 2 + z._b ** 2, z._d
+    coords: dict[int, Fraction] = {}
+    for q in base:
+        e = f = 0
+        while norm % q == 0:
+            norm //= q
+            e += 1
+        while den % q == 0:
+            den //= q
+            f += 1
+        if e or f:
+            coords[q] = Fraction(e, 2) - f
+    if norm != 1 or den != 1:
+        raise AssertionError("remainder > 1 over the integer coprime base")
+    vector = LogModulusVector.from_dict(coords)
+    if vector.squared_exp() != z.norm():
+        raise AssertionError("log-modulus vector failed the squared-modulus check")
+    return vector
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 """Multiplicative relation lattices of eigenvalue families.
 
 The central object is {k in Z^n : prod_m mu_im^{k_m} = 1 for all i},
-computed exactly: each eigenvalue factors over canonical Gaussian primes,
-so a product is 1 iff every prime exponent balances and the i-unit
-exponent balances mod 4.  The mod-4 congruence is absorbed into one
-integer-kernel computation by a scaled auxiliary column per germ.
+computed exactly with no integer factoring: each eigenvalue factors over
+one coprime base in Z[i] of all numerators and denominators of mu, built
+with gcds only (`exactnum.coprime_base`).  Pairwise-coprime non-units are
+multiplicatively independent: a product of their powers is a unit only
+when every exponent is 0, since a Gaussian prime dividing one element
+divides no other.  So a product is 1 iff every base exponent balances and
+the i-unit exponent balances mod 4, exactly as over Gaussian primes.  The
+mod-4 congruence is absorbed into one integer-kernel computation by a
+scaled auxiliary column per germ.
 
 Omega (the paper's first-integral exponent set) is the lattice's
 intersection with N^n; resonant sets are its e_m-translates.
 
 EigenData is the one eigen object: every hypothesis of the theorem is a
 function of the eigenvalue matrix mu alone, and everything read off mu is
-computed once per object, on first use, and kept with it: each distinct
-eigenvalue's factorization, log-modulus vector and principal argument,
+computed once per object, on first use, and kept with it: the two
+coprime bases (in Z[i] for the lattice, in Z for the log-moduli), each
+distinct eigenvalue's factorization, log-modulus vector and principal
+argument,
 the relation lattice, the Omega walk per degree bound, `classify`'s table
 of log-modulus minors, and one table of eigenvalue powers.  A caller that
 holds a lattice or an Omega enumeration holds the EigenData it came from,
@@ -25,7 +32,7 @@ the Omega condition mu_i^k = 1, and a relation k = k+ - k- as
 mu^(k+) = mu^(k-), which needs no inverse because every mu is nonzero.
 Entries are built by multiplying mu entries only, never read off a
 factorization, so the re-verification of the lattice, the Omega walk and
-the resonant sets stays independent of `factor_gaussian`.
+the resonant sets stays independent of the coprime base.
 """
 
 from __future__ import annotations
@@ -38,7 +45,10 @@ from .exactnum import (
     LogModulusVector,
     ONE,
     TurnSum,
-    factor_gaussian,
+    base_factorization,
+    base_log_modulus,
+    gaussian_coprime_base,
+    integer_coprime_base,
     principal_arg_turns,
 )
 from .linalg import integer_rank, kernel_basis, lattice_points, row_hnf
@@ -99,13 +109,31 @@ class EigenData:
             self._memo[key] = make()
         return self._memo[key]
 
+    @property
+    def gaussian_base(self) -> tuple[GaussianRational, ...]:
+        """The coprime base in Z[i] of the distinct eigenvalues, all rows
+        together (see relation_lattice)."""
+        return self.once("gaussian_base", lambda: gaussian_coprime_base(self._distinct()))
+
+    @property
+    def integer_base(self) -> tuple[int, ...]:
+        """The coprime base in Z of the distinct eigenvalues' norms and
+        denominators, all rows together, since `classify`'s log-modulus
+        minors mix rows."""
+        return self.once("integer_base", lambda: integer_coprime_base(self._distinct()))
+
+    def _distinct(self) -> tuple[GaussianRational, ...]:
+        return tuple(dict.fromkeys(z for row in self.mu for z in row))
+
     def factorization(self, i: int, m: int) -> GaussianFactorization:
+        """mu_im over the Gaussian coprime base."""
         z = self.mu[i][m]
-        return self.once(("factors", z), lambda: factor_gaussian(z))
+        return self.once(("factors", z), lambda: base_factorization(z, self.gaussian_base))
 
     def log_modulus(self, i: int, m: int) -> LogModulusVector:
-        """ln|mu_im|, read off the factorization."""
-        return self.once(("log_modulus", self.mu[i][m]), lambda: self.factorization(i, m).log_modulus())
+        """ln|mu_im| over the integer coprime base."""
+        z = self.mu[i][m]
+        return self.once(("log_modulus", z), lambda: base_log_modulus(z, self.integer_base))
 
     def arg_turns(self, i: int, m: int) -> TurnSum:
         z = self.mu[i][m]
@@ -171,10 +199,13 @@ class RelationLattice:
 def relation_lattice(eigen: EigenData) -> RelationLattice:
     """Exact relation lattice of the eigenvalue family.
 
-    Row system: for every germ i and every Gaussian prime pi occurring in
-    any mu[i][m], sum_m k_m * v_pi(mu[i][m]) = 0; and per germ a unit row
-    sum_m k_m * u_im - 4*t_i = 0 with auxiliary integer t_i.  The kernel is
-    projected back to the k coordinates and HNF-canonicalized.
+    Row system: for every germ i and every element q of the Gaussian
+    coprime base occurring in any mu[i][m], sum_m k_m * v_q(mu[i][m]) = 0;
+    and per germ a unit row sum_m k_m * u_im - 4*t_i = 0 with auxiliary
+    integer t_i.  The base elements are multiplicatively independent (see
+    the module docstring), so these rows cut out the same lattice as rows
+    over Gaussian primes would.  The kernel is projected back to the k
+    coordinates and HNF-canonicalized, then re-verified by exact products.
     """
     p, n = eigen.p, eigen.n
     factorizations = [[eigen.factorization(i, m) for m in range(n)] for i in range(p)]

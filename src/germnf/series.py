@@ -91,9 +91,14 @@ _FIELD_MASK = (1 << FIELD) - 1
 
 
 def _checked(exponents, n: int) -> MultiIndex:
-    """The exponent tuple of a monomial in n variables; UsageError for a
-    wrong arity or a negative entry, which would pack into another key."""
-    exp = tuple(map(int, exponents))
+    """The exponent tuple of a monomial in n variables; UsageError for an
+    entry whose type is not exactly int (a float, bool or string is refused,
+    not coerced), a wrong arity or a negative entry, which would pack into
+    another key."""
+    exp = tuple(exponents)
+    for e in exp:
+        if type(e) is not int:
+            raise UsageError(f"exponent entry {e!r} in {exp} is not an int")
     if len(exp) != n:
         raise UsageError(f"exponent {exp} has wrong arity for n={n}")
     if min(exp) < 0:

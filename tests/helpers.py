@@ -17,7 +17,14 @@ import mpmath
 import sympy
 from hypothesis import strategies as st
 
-from germnf.exactnum import DomainError, GaussianRational as GR, as_parts
+from germnf.exactnum import (
+    DomainError,
+    GaussianRational as GR,
+    IndeterminateError,
+    as_parts,
+    factor_gaussian,
+    log_modulus,
+)
 from germnf.germ import Family, Germ, compose_germ, conjugate
 from germnf.linalg import field_inverse, field_kernel, field_rref, solve_integer
 from germnf.normalform import division_check
@@ -61,6 +68,56 @@ def brute_force_omega(eigen: EigenData, bound: int) -> list[tuple[int, ...]]:
         if all(mu_product(eigen, i, exp).is_one() for i in range(eigen.p)):
             out.append(exp)
     return sorted(out, key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
+class FactoringEigenData(EigenData):
+    """EigenData that factors every eigenvalue over Gaussian and rational
+    primes (factor_gaussian and log_modulus, which factor every norm and
+    denominator) in place of the coprime bases: the oracle for them.  The
+    relation lattice, each log-modulus sign and each decider's verdict and
+    method must come out the same."""
+
+    __slots__ = ()
+
+    def factorization(self, i: int, m: int):
+        z = self.mu[i][m]
+        return self.once(("factors", z), lambda: factor_gaussian(z))
+
+    def log_modulus(self, i: int, m: int):
+        z = self.mu[i][m]
+        return self.once(("log_modulus", z), lambda: log_modulus(z))
+
+
+def decider_outcomes(eigen: EigenData, bound: int = 6, branch_bound: int = 3) -> dict:
+    """(verdict, method) of each decider `analyze` runs, the generator
+    search's branch, and for p = 1 the Poincare-type verdict; an
+    IndeterminateError stands as its own outcome."""
+    from germnf import classify
+    from germnf.cli import _poincare_type
+
+    deciders = {
+        "projectively_hyperbolic": classify.is_projectively_hyperbolic,
+        "weakly_resonant": classify.weak_resonance,
+        "hyperbolic": classify.is_hyperbolic,
+        "weakly_hyperbolic": classify.is_weakly_hyperbolic,
+        "normal_form_hypothesis": lambda e: classify.normal_form_hypothesis(e, branch_bound=branch_bound),
+    }
+    out = {}
+    for name, decide in deciders.items():
+        try:
+            verdict = decide(eigen)
+            out[name] = (verdict.value, verdict.method)
+        except IndeterminateError:
+            out[name] = "IndeterminateError"
+    try:
+        branch, _ = classify.find_infinitesimal_generators(eigen, branch_bound=branch_bound, omega_bound=bound)
+        out["generators"] = branch.to_json() if branch is not None else None
+    except IndeterminateError:
+        out["generators"] = "IndeterminateError"
+    if eigen.p == 1:
+        entry = _poincare_type(eigen, bound)
+        out["poincare_type"] = (entry["verdict"], entry.get("method"))
+    return out
 
 
 def log_moduli_mp(eigen: EigenData, dps: int = 100):

@@ -531,12 +531,15 @@ class TestEigenWork:
     P2_EIGEN = {"schema": 1, "mu": [["-1/3", "-1/2", "-3"], ["-3", "1", "3"]]}
 
     @staticmethod
-    def _assert_decomposes_once(monkeypatch, argv, distinct):
-        """One run of the command builds one EigenData, factors each of its
-        `distinct` eigenvalues once (factor_int on numerator and denominator
-        norms), computes the relation lattice once and takes each principal
-        argument at most once; a second run redoes all of it, since nothing
-        is kept between runs."""
+    def _assert_decomposes_once(monkeypatch, argv, distinct, log_moduli=False):
+        """One run of the command builds one EigenData and its Gaussian
+        coprime base once, and decomposes each of its `distinct` eigenvalues
+        over that base once; when it reads log-moduli, it builds the integer
+        base once and reads each eigenvalue's log-modulus over it once, else
+        neither.  It factors no integer and no Gaussian integer (factor_int
+        and factor_gaussian are test oracles only), computes the relation
+        lattice once and takes each principal argument at most once; a
+        second run redoes all of it, since nothing is kept between runs."""
         import germnf.exactnum as exactnum
         import germnf.resonance as resonance
 
@@ -558,11 +561,14 @@ class TestEigenWork:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(resonance, "factor_gaussian")
-        count(resonance, "relation_lattice")
+        for name in ("gaussian_coprime_base", "base_factorization", "integer_coprime_base", "base_log_modulus",
+                     "relation_lattice", "principal_arg_turns"):
+            count(resonance, name)
         count(exactnum, "factor_int")
-        count(resonance, "principal_arg_turns")
-        once = {"factor_gaussian": distinct, "relation_lattice": 1, "factor_int": 2 * distinct, "EigenData": 1}
+        count(exactnum, "factor_gaussian")
+        once = {"EigenData": 1, "gaussian_coprime_base": 1, "base_factorization": distinct, "relation_lattice": 1}
+        if log_moduli:
+            once.update(integer_coprime_base=1, base_log_modulus=distinct)
         for runs in (1, 2):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(argv) in (0, 2)
@@ -571,7 +577,7 @@ class TestEigenWork:
 
     def test_analyze_decomposes_each_eigenvalue_once(self, tmp_path, monkeypatch):
         path = _write(tmp_path, "p2.json", self.P2_EIGEN)
-        self._assert_decomposes_once(monkeypatch, ["analyze", path], 5)  # -1/3, -1/2, -3, 1, 3
+        self._assert_decomposes_once(monkeypatch, ["analyze", path], 5, log_moduli=True)  # -1/3, -1/2, -3, 1, 3
 
     @pytest.mark.parametrize("command, name", [
         ("lattice", "eigen/large_p2-0"),
@@ -580,12 +586,41 @@ class TestEigenWork:
         ("generate", "eigen/small_p2-0"),
     ])
     def test_each_command_decomposes_each_eigenvalue_once(self, monkeypatch, command, name):
-        """The corpus manifests record each input's distinct eigenvalues."""
+        """The corpus manifests record each input's distinct eigenvalues.
+        None of these commands reads a log-modulus."""
         workload, stem = name.split("/")
         manifest = json.loads((ROOT / "perfbench" / "corpus" / f"{workload}.json").read_text())
         distinct = next(op["distinct_eigenvalues"] for op in manifest["ops"] if op["id"].startswith(stem + "."))
         path = ROOT / "perfbench" / "corpus" / f"{name}.json"
         self._assert_decomposes_once(monkeypatch, [command, str(path)], distinct)
+
+    def test_strong_pseudoprime_entry_is_decided_exactly(self, tmp_path):
+        """An entry psi_12, the least strong pseudoprime to every base 2..37,
+        needs no primality proof over a coprime base: `lattice` gives the
+        exact basis and `analyze` decides every hypothesis, with no
+        factoring IndeterminateError."""
+        psi12 = "318665857834031151167461"
+        path = _write(tmp_path, "psi12.json", {"schema": 1, "mu": [[psi12, "2", f"1/{psi12}"]]})
+        code, report = _run_json(tmp_path, "lattice", path)
+        assert code == 0 and report["payload"]["basis"] == [[1, 0, 1]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 0 and err.getvalue() == ""
+        payload = report["payload"]
+        assert payload["lattice_basis"] == [[1, 0, 1]]
+        verdicts = [entry["verdict"] for entry in payload.values() if isinstance(entry, dict) and "verdict" in entry]
+        assert len(verdicts) >= 5 and "indeterminate" not in verdicts
+
+    def test_log_scale_names_base_elements(self, tmp_path):
+        """A Poincare-type witness writes ln|mu| over the integer coprime
+        base: 2 and 3 always occur together in (6, 1/6), so the base has the
+        one element 6 and log_scale is 1 * ln 6, exactly re-checked by
+        scale_squared = 6^2."""
+        path = _write(tmp_path, "six.json", {"schema": 1, "mu": [["6", "1/6"]]})
+        code, report = _run_json(tmp_path, "analyze", path)
+        witness = report["payload"]["poincare_type"]["witness"]
+        assert code == 0 and witness["log_scale"] == [[6, "1"]] and witness["scale_squared"] == "36"
 
     def test_verify_reads_eigenvalue_powers_from_one_table(self, monkeypatch):
         """Every mu^gamma test of a verify run (PD-NF, Omega support of phi,

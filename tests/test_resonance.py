@@ -1,10 +1,13 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from germnf.exactnum import GaussianRational as GR
+from germnf.exactnum import GaussianRational as GR, factor_gaussian, log_modulus
 from germnf.resonance import (
     EigenData,
     enumerate_omega,
@@ -16,7 +19,15 @@ from germnf.resonance import (
 )
 from germnf.series import UsageError
 
-from helpers import brute_force_omega, brute_force_resonant, lattice_contains, mu_product, random_gaussian
+from helpers import (
+    FactoringEigenData,
+    brute_force_omega,
+    brute_force_resonant,
+    decider_outcomes,
+    lattice_contains,
+    mu_product,
+    random_gaussian,
+)
 
 
 E13 = EigenData.from_rows([["-2", "1/2"]])
@@ -189,3 +200,116 @@ class TestRank:
 
     def test_span_basis(self):
         assert omega_span_basis(EI, 4) == [[1, 1], [0, 4]]
+
+
+# Gaussian primes the structured entries share: 1 + i (ramified), the
+# conjugate pair 2 + i and 1 + 2i (associate of 2 - i), the inert 3 and 7,
+# and 3 + 2i
+_SHARED_PRIMES = [GR(1, 1), GR(2, 1), GR(1, 2), GR(3), GR(7), GR(3, 2)]
+_UNITS = [GR(1), GR(-1), GR(0, 1), GR(0, -1)]
+
+
+@st.composite
+def _eigen_entry(draw):
+    """A unit times powers (prime powers included) of shared Gaussian
+    primes, or a random Gaussian rational whose numerator norm and
+    denominator square are at most 2^40."""
+    if draw(st.booleans()):
+        z = draw(st.sampled_from(_UNITS))
+        for _ in range(draw(st.integers(0, 3))):
+            z = z * draw(st.sampled_from(_SHARED_PRIMES)) ** draw(st.integers(-3, 3))
+        return z
+    bound = 1 << 19
+    a, b, d = draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound)), draw(st.integers(1, 1 << 20))
+    return GR(Fraction(a, d), Fraction(b, d)) if a or b else GR(1)
+
+
+@st.composite
+def _eigen_matrices(draw, max_n: int = 4):
+    """p x n matrices of _eigen_entry values, some entries the product of
+    two earlier ones (possibly inverted), so that relations occur."""
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(max(p, 2), max_n))
+    flat = []
+    for _ in range(p * n):
+        if len(flat) >= 2 and draw(st.integers(0, 3)) == 0:
+            u, v = draw(st.sampled_from(flat)), draw(st.sampled_from(flat))
+            flat.append(u * v ** draw(st.sampled_from([1, -1])))
+        else:
+            flat.append(draw(_eigen_entry()))
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(p))
+
+
+def _prime_exponents(factorization) -> tuple[int, dict]:
+    """(unit exponent, {Gaussian prime: exponent}) of a factorization over
+    any base, each base element refactored by the oracle."""
+    unit, primes = factorization.unit_exp, {}
+    for q, e in factorization.factors:
+        inner = factor_gaussian(q)
+        unit += e * inner.unit_exp
+        for prime, k in inner.factors:
+            primes[prime] = primes.get(prime, 0) + e * k
+    return unit % 4, {prime: e for prime, e in primes.items() if e}
+
+
+class TestCoprimeBase:
+    """The coprime bases against the factoring oracle (helpers.FactoringEigenData)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_eigen_matrices())
+    def test_lattice_and_log_modulus_signs_match_the_oracle(self, mu):
+        eigen, oracle = EigenData(mu), FactoringEigenData(mu)
+        assert eigen.lattice.basis == oracle.lattice.basis
+        for i in range(eigen.p):
+            for m in range(eigen.n):
+                assert eigen.log_modulus(i, m).sign() == oracle.log_modulus(i, m).sign()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_eigen_matrices(max_n=3))
+    def test_analyze_verdicts_and_methods_match_the_oracle(self, mu):
+        assert decider_outcomes(EigenData(mu)) == decider_outcomes(FactoringEigenData(mu))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_eigen_matrices())
+    def test_base_invariants(self, mu):
+        """Both bases hold pairwise-coprime non-units, and each eigenvalue is
+        a unit times a product of base powers, checked prime by prime
+        against the oracle's factorizations."""
+        eigen = EigenData(mu)
+        gaussian, integer = eigen.gaussian_base, eigen.integer_base
+        assert all(q.norm() > 1 and q.re > 0 and q.im >= 0 for q in gaussian)
+        prime_sets = [set(dict(factor_gaussian(q).factors)) for q in gaussian]
+        for s, t in itertools.combinations(prime_sets, 2):
+            assert not s & t
+        assert all(q > 1 and not sympy.perfect_power(q) for q in integer)
+        assert all(math.gcd(q, r) == 1 for q, r in itertools.combinations(integer, 2))
+        for i in range(eigen.p):
+            for m in range(eigen.n):
+                z = eigen.mu[i][m]
+                oracle = factor_gaussian(z)
+                assert _prime_exponents(eigen.factorization(i, m)) == (oracle.unit_exp, dict(oracle.factors))
+                by_prime = {}
+                for q, c in eigen.log_modulus(i, m).coords:
+                    for prime, k in sympy.factorint(q).items():
+                        by_prime[prime] = by_prime.get(prime, 0) + c * k
+                assert {prime: c for prime, c in by_prime.items() if c} == dict(log_modulus(z).coords)
+
+    def test_examples(self):
+        # 6 = 2 * 3 always together: one base element, printed as 6; 4 and
+        # 1 + i give the prime 2, not 4
+        assert EigenData.from_rows([["6", "1/36"]]).integer_base == (6,)
+        assert EigenData.from_rows([["6", "1/36"]]).log_modulus(0, 0).as_dict() == {6: 1}
+        assert EigenData.from_rows([["4", "1+i"]]).integer_base == (2,)
+        assert EigenData.from_rows([["4", "1+i"]]).log_modulus(0, 1).as_dict() == {2: Fraction(1, 2)}
+        assert EigenData.from_rows([["6", "2"]]).integer_base == (2, 3)
+        e = EigenData.from_rows([["2+i", "2-i", "5"]])
+        assert e.gaussian_base == (GR(1, 2), GR(2, 1))
+        assert e.lattice.basis == ((1, 1, -1),)
+
+    def test_incomplete_base_is_refused(self):
+        from germnf.exactnum import base_factorization, base_log_modulus
+
+        with pytest.raises(AssertionError):
+            base_factorization(GR(6), (GR(2),))
+        with pytest.raises(AssertionError):
+            base_log_modulus(GR(6), (2,))

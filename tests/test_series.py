@@ -538,3 +538,14 @@ class TestPackedKeys:
         assert f.coeff((1, 0)) == GR(2) and f.coeff((0, 4)) == GR(0)
         with pytest.raises(UsageError):
             f.divide_by_variable(2)
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0, 0.9, True, False, "1"])
+    def test_exponent_entries_must_be_ints(self, entry):
+        """A float, bool or str exponent entry is refused, not coerced: int()
+        would store 1.5 as 1, and read 0.9 or True as a valid index."""
+        f = TS(2, 3, {(1, 0): 2, (0, 0): 5})
+        with pytest.raises(UsageError):
+            TS(2, 3, {(entry, 0): 1})
+        with pytest.raises(UsageError):
+            f.coeff((entry, 0))
+        assert f.coeff([1, 0]) == GR(2)  # a list of ints is still an exponent
