@@ -8,8 +8,9 @@ timing field.  One recursive writer, `_json_text`, prints a report as
 json.dumps(report, sort_keys=True, indent=2) would, byte for byte, without
 the pure-Python encoder that an indent selects: strings go through the C
 `encode_basestring_ascii`, ints through `int.__repr__`, and a list of ints
-(exponents, lattice vectors) is one join.  Exit codes: 0 definite, 1 usage/input error,
-2 indeterminate verdicts present, 3 an internal verification failed.
+(exponents, lattice vectors) is one join.  Exit codes: 0 definite (and
+`--help`), 1 a usage or input error or an unwritable --output, 2
+indeterminate verdicts present, 3 an internal verification failed.
 
 Each command returns its payload and the jet degree it used, which the
 report's config echoes: the family's degree for family input, min(--degree,
@@ -52,22 +53,18 @@ from . import normalform
 MAX_BOUND_OMEGA = 1000  # the walk's cost grows faster than the bound
 
 
-class _InputError(Exception):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise _InputError(f"cannot read input: {exc}")
+        raise UsageError(f"cannot read input: {exc}")
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _InputError(f"malformed JSON in {path}: {exc}")
+        raise UsageError(f"malformed JSON in {path}: {exc}")
     if not isinstance(data, dict):
-        raise _InputError(f"input must be a JSON object, got {type(data).__name__}")
+        raise UsageError(f"input must be a JSON object, got {type(data).__name__}")
     return data, hashlib.sha256(raw).hexdigest()
 
 
@@ -75,7 +72,7 @@ def _load_family(data) -> Family:
     try:
         return family_from_json(data)
     except (UsageError, DomainError, CommutationError, KeyError, ValueError) as exc:
-        raise _InputError(f"bad family input: {exc}")
+        raise UsageError(f"bad family input: {exc}")
 
 
 def _load_eigen(data) -> EigenData:
@@ -83,32 +80,30 @@ def _load_eigen(data) -> EigenData:
     eigenvalue a string in GaussianRational.parse form or an integer (not a
     bool); floats and other JSON values are rejected, never converted."""
     if data.get("schema") != 1:
-        raise _InputError("missing or unsupported schema field (expected 1)")
+        raise UsageError("missing or unsupported schema field (expected 1)")
     for key in data:
         if key not in ("schema", "mu"):
-            raise _InputError(f"unknown field {key!r} in eigen input")
+            raise UsageError(f"unknown field {key!r} in eigen input")
     if "mu" not in data:
-        raise _InputError("eigen input needs a 'mu' field")
+        raise UsageError("eigen input needs a 'mu' field")
     rows = data["mu"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise _InputError(f"mu must be a list of rows, got {rows!r}")
+        raise UsageError(f"mu must be a list of rows, got {rows!r}")
     for row in rows:
         for z in row:
             if isinstance(z, bool) or not isinstance(z, (int, str)):
-                raise _InputError(f"eigenvalue must be a string or an integer, got {z!r}")
+                raise UsageError(f"eigenvalue must be a string or an integer, got {z!r}")
     try:
         return EigenData.from_rows(rows)
     except (UsageError, ValueError) as exc:
-        raise _InputError(f"bad eigen input: {exc}")
+        raise UsageError(f"bad eigen input: {exc}")
 
 
 def _eigen_from_input(data) -> tuple[EigenData, Family | None]:
     """The eigen data of a family or eigen file, and the family if it is one."""
     if "maps" in data:
         fam = _load_family(data)
-        if not fam.is_diagonal_linear():
-            raise _InputError("this command needs diagonal linear parts")
-        return EigenData.from_family(fam), fam
+        return _family_eigen(fam, "this command"), fam
     return _load_eigen(data), None
 
 
@@ -124,7 +119,7 @@ def _omega_bound(args) -> int:
     """--bound-omega (default 2 * --degree), refused above MAX_BOUND_OMEGA."""
     bound = args.bound_omega or 2 * args.degree
     if bound > MAX_BOUND_OMEGA:
-        raise _InputError(f"Omega bound {bound} is above the cap {MAX_BOUND_OMEGA}")
+        raise UsageError(f"Omega bound {bound} is above the cap {MAX_BOUND_OMEGA}")
     return bound
 
 
@@ -146,11 +141,10 @@ def _indeterminate_in(payload) -> bool:
 def _cmd_lattice(data, args) -> tuple[dict, int]:
     bound = _omega_bound(args)
     eigen, fam = _eigen_from_input(data)
-    lat = eigen.lattice
     omega = enumerate_omega(eigen, bound)
     rank_enum, rank_lat = vect_omega_rank(eigen, bound)
     payload = {
-        "basis": lat.to_json(),
+        "basis": eigen.lattice.to_json(),
         "omega_points": [list(pt) for pt in omega.points],
         "bound": bound,
         "rank_enumerated": rank_enum,
@@ -165,9 +159,8 @@ def _cmd_lattice(data, args) -> tuple[dict, int]:
 def _cmd_analyze(data, args) -> tuple[dict, int]:
     bound = _omega_bound(args)
     eigen, fam = _eigen_from_input(data)
-    lat = eigen.lattice
     rank_enum, rank_lat = vect_omega_rank(eigen, bound)
-    branch, gen_info = None, None
+    branch = None
     try:
         branch, gen_info = classify.find_infinitesimal_generators(
             eigen, branch_bound=args.bound_branch, omega_bound=bound
@@ -175,15 +168,11 @@ def _cmd_analyze(data, args) -> tuple[dict, int]:
     except IndeterminateError as exc:
         gen_info = {"indeterminate": str(exc)}
     payload = {
-        "lattice_basis": lat.to_json(),
+        "lattice_basis": eigen.lattice.to_json(),
         "vect_omega_rank": {"enumerated": rank_enum, "lattice": rank_lat, "bound": bound},
         "projectively_hyperbolic": classify.is_projectively_hyperbolic(eigen).to_json(),
         "weakly_resonant": classify.weak_resonance(eigen).to_json(),
-        "infinitesimal_generators": (
-            {"found": branch.to_json(), **(gen_info or {})}
-            if branch is not None
-            else {"found": None, **(gen_info or {})}
-        ),
+        "infinitesimal_generators": {"found": None if branch is None else branch.to_json(), **gen_info},
         "hyperbolic": classify.is_hyperbolic(eigen).to_json(),
         "weakly_hyperbolic": classify.is_weakly_hyperbolic(eigen).to_json(),
         "normal_form_hypothesis": classify.normal_form_hypothesis(
@@ -222,7 +211,7 @@ def _cmd_normalize(data, args) -> tuple[dict, int]:
     pairing = None
     if args.rho_equivariant:
         if "pairing" not in data:
-            raise _InputError("--rho-equivariant needs a 'pairing' field (1-based involution)")
+            raise UsageError("--rho-equivariant needs a 'pairing' field (1-based involution)")
         pairing = [v - 1 for v in data["pairing"]]
     eigen = _family_eigen(fam, "normalization")
     result = normalform.poincare_dulac_normalize(fam, eigen, rho_pairing=pairing)
@@ -383,8 +372,14 @@ def _json_text(obj, newline: str = "\n") -> str:
     return json.dumps(obj)  # null, true, false, a float, or a str or int subclass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, as input errors do: 2 means indeterminate
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="germnf",
         description="Exact normal forms and integrability certificates for commuting germs",
     )
@@ -402,22 +397,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: building costs more than a small command
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.degree < 2:
-        parser.error("--degree must be >= 2")
+        _PARSER.error("--degree must be >= 2")
     for name in ("bound_omega", "bound_branch"):
         value = getattr(args, name)
         if value is not None and value < 1:
-            parser.error(f"--{name.replace('_', '-')} must be positive")
+            _PARSER.error(f"--{name.replace('_', '-')} must be positive")
     started = time.monotonic()
     try:
         data, digest = _load_json(args.input)
         payload, degree = _COMMANDS[args.command](data, args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (UsageError, DomainError, CommutationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -446,8 +440,12 @@ def run(argv=None) -> int:
     else:
         text = _render_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     # only analyze builds verdicts; the other payloads are not walked

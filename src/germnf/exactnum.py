@@ -18,12 +18,14 @@ import functools
 import math
 import os
 import re as _re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 _PRECISION_ENV = "GERMNF_PRECISION_BITS"
 _PRECISION_START = 64
 _PRECISION_CAP = 1024
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class IndeterminateError(Exception):
@@ -192,9 +194,16 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        if self._d == 1:  # hash(Fraction(n)) == hash(n)
-            return hash((self._a, self._b))
-        return hash((self.re, self.im))
+        """A real value hashes as the equal int or Fraction does (Python's
+        numeric hash rule, with no Fraction built); others by (a, b, d)."""
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        if d == 1:
+            return hash(a)
+        h = hash(hash(abs(a)) * pow(d, -1, _HASH_MODULUS)) if d % _HASH_MODULUS else sys.hash_info.inf
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __str__(self):
         return parts_str(self._a, self._b, self._d)
@@ -248,7 +257,6 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-GR = GaussianRational
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
@@ -332,17 +340,6 @@ def _kth_root(n: int, k: int) -> int:
         r = nxt
 
 
-def _perfect_root(n: int) -> int | None:
-    """r > 1 with r^k == n for some k >= 2, or None.  Rho needs about
-    sqrt(p) steps to split p^k, so prime powers are split here instead.
-    n has no prime factor up to _TRIAL_LIMIT > 2^10, hence k < bits / 10."""
-    for k in range(2, n.bit_length() // 10 + 1):
-        r = _kth_root(n, k)
-        if r**k == n:
-            return r
-    return None
-
-
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
@@ -377,7 +374,9 @@ def factor_int(n: int) -> dict[int, int]:
                 )
             out[m] = out.get(m, 0) + 1
             continue
-        g = _perfect_root(m) or _pollard_brent(m)
+        g = _least_root(m)  # rho needs about sqrt(p) steps to split p^k
+        if g == m:
+            g = _pollard_brent(m)
         stack.append(g)
         stack.append(m // g)
     return out
@@ -434,12 +433,6 @@ class GaussianFactorization:
             else:
                 den = den * q ** -e
         return I_UNIT ** (self.unit_exp % 4) * num / den
-
-    def exponent_of(self, prime: GaussianRational) -> int:
-        for q, e in self.factors:
-            if q == prime:
-                return e
-        return 0
 
     def log_modulus(self) -> "LogModulusVector":
         """ln|z| read off the prime norms, with no further factoring: a
@@ -508,9 +501,7 @@ def _factor_gaussian_integer(g: GaussianRational) -> GaussianFactorization:
     # the undivided remainder must be a unit i^t
     if rest.norm() != 1:
         raise AssertionError("non-unit remainder after factorization")
-    unit = _UNIT_EXP[rest]
-    factors.sort(key=lambda pe: (pe[0]._a ** 2 + pe[0]._b ** 2, pe[0]._a, pe[0]._b))
-    return GaussianFactorization(unit, tuple(factors))
+    return GaussianFactorization(_UNIT_EXP[rest], tuple(factors))  # factor_gaussian orders them
 
 
 def factor_gaussian(z: GaussianRational) -> GaussianFactorization:

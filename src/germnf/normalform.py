@@ -10,12 +10,12 @@ fails loudly).
 Eliminations are batched per degree: within one degree the homological
 corrections do not interact, so one conjugation per degree realizes the
 same result as one conjugation per monomial.  The resonance gaps
-mu_i^gamma - mu_im that decide which terms are eliminated, and supply the
-divisors, live in one table per normalizer call; the powers mu^gamma are
-read from the EigenData's one power table, so each is computed once per
-command.  No germ is inverted: each step s_l's conjugation is one checked
-solve for the family (`germ.conjugate_all`), and the chain of checked steps
-gives Phi o psi = psi o Phi' unformed (see `poincare_dulac_normalize`).
+mu_i^gamma - mu_im that decide which terms are eliminated (by
+`resonance.is_resonant_exponent`) and supply the divisors live in the
+EigenData's one gap table, so each is computed once per command.  No germ
+is inverted: each step s_l's conjugation is one checked solve for the
+family (`germ.conjugate_all`), and the chain of checked steps gives
+Phi o psi = psi o Phi' unformed (see `poincare_dulac_normalize`).
 Both g o s_l and psi o s_l have an inner map with identity linear part, so
 `compose_germ` forms them by the Taylor kernel.
 
@@ -106,22 +106,7 @@ def _check_eigen(fam: Family, eigen: EigenData) -> None:
         raise UsageError("eigen data must be the family's linear diagonal")
 
 
-class _ResonanceGaps(dict):
-    """(m, gamma) -> the resonance gaps mu_i^gamma - mu_im of every germ i,
-    filled on first use from the EigenData's power table; one table serves
-    one normalizer call."""
-
-    def __init__(self, eigen: EigenData):
-        super().__init__()
-        self.eigen = eigen
-
-    def __missing__(self, key: tuple[int, MultiIndex]) -> tuple[GaussianRational, ...]:
-        m, exp = key
-        gaps = self[key] = tuple(pw - row[m] for pw, row in zip(self.eigen.power(exp), self.eigen.mu))
-        return gaps
-
-
-def _scan_nonresonant(work: list[Germ], gaps: _ResonanceGaps, ell: int) -> list[tuple[int, MultiIndex]]:
+def _scan_nonresonant(work: list[Germ], eigen: EigenData, ell: int) -> list[tuple[int, MultiIndex]]:
     """The non-resonant (component, exponent) pairs of degree ell present in
     some germ, by component and then graded-lex; each monomial is unpacked
     once, however many germs hold it."""
@@ -130,7 +115,7 @@ def _scan_nonresonant(work: list[Germ], gaps: _ResonanceGaps, ell: int) -> list[
     for m in range(n):
         keys = set().union(*(g.components[m].keys_of_degree(ell) for g in work))
         exps = sorted((unpack(key, n) for key in keys), key=grlex_key)
-        found.extend((m, exp) for exp in exps if any(gaps[(m, exp)]))
+        found.extend((m, exp) for exp in exps if not is_resonant_exponent(eigen, m + 1, exp))
     return found
 
 
@@ -163,16 +148,15 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     work = list(fam.germs)
     psi = Germ.identity(n, degree)
     log: list[EliminationRecord] = []
-    gaps = _ResonanceGaps(eigen)
 
     for ell in range(2, degree + 1):
-        candidates = _scan_nonresonant(work, gaps, ell)
+        candidates = _scan_nonresonant(work, eigen, ell)
         if not candidates:
             continue
         comps = [{tuple(int(j == m) for j in range(n)): 1} for m in range(n)]  # the step, id + h
         for m, exp in candidates:
             # the first germ with a nonzero resonance gap supplies the divisor
-            for i_star, divisor in enumerate(gaps[(m, exp)]):
+            for i_star, divisor in enumerate(eigen.gaps(m, exp)):
                 if divisor:
                     break
             else:
@@ -188,7 +172,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
         step = Germ([TruncatedSeries(n, degree, terms) for terms in comps])
         work = conjugate_all(work, step)
         psi = compose_germ(psi, step)
-        remaining = _scan_nonresonant(work, gaps, ell)
+        remaining = _scan_nonresonant(work, eigen, ell)
         if remaining:
             raise AssertionError(
                 f"non-resonant terms survived degree {ell}: {remaining[:3]} "
@@ -209,9 +193,7 @@ def verify_pd_nf(fam: Family, eigen: EigenData):
     for i, g in enumerate(fam.germs):
         for m in range(fam.n):
             for exp in g.components[m].support():
-                if sum(exp) < 2:
-                    continue
-                if not is_resonant_exponent(eigen, m + 1, exp):
+                if sum(exp) >= 2 and not is_resonant_exponent(eigen, m + 1, exp):
                     return (i + 1, m + 1, exp)
     return None
 

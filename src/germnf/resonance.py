@@ -19,20 +19,21 @@ function of the eigenvalue matrix mu alone, and everything read off mu is
 computed once per object, on first use, and kept with it: the two
 coprime bases (in Z[i] for the lattice, in Z for the log-moduli), each
 distinct eigenvalue's factorization, log-modulus vector and principal
-argument,
-the relation lattice, the Omega walk per degree bound, `classify`'s table
-of log-modulus minors, and one table of eigenvalue powers.  A caller that
-holds a lattice or an Omega enumeration holds the EigenData it came from,
-so the functions here take only that.  Nothing is cached beyond the
-object's lifetime; one CLI command builds one object.
+argument, the relation lattice, the Omega walk per degree bound,
+`classify`'s table of log-modulus minors, and the tables of eigenvalue
+powers and resonance gaps.  A caller that holds a lattice or an Omega
+enumeration holds the EigenData it came from, so the functions here take
+only that.  Nothing is cached beyond the object's lifetime; one CLI
+command builds one object.
 
 The power table maps gamma in N^n to (mu_i^gamma for every germ i).  Every
-exact product test reads it: the resonance condition mu_i^gamma = mu_im,
-the Omega condition mu_i^k = 1, and a relation k = k+ - k- as
-mu^(k+) = mu^(k-), which needs no inverse because every mu is nonzero.
-Entries are built by multiplying mu entries only, never read off a
-factorization, so the re-verification of the lattice, the Omega walk and
-the resonant sets stays independent of the coprime base.
+exact product test reads it: the Omega condition mu_i^k = 1, a relation
+k = k+ - k- as mu^(k+) = mu^(k-) (no inverse: every mu is nonzero), and
+the gap table of mu_i^gamma - mu_im per (m, gamma), from which
+`is_resonant_exponent` decides resonance for every caller and the
+normalizer takes its divisors.  Entries are products of mu entries only,
+never read off a factorization, so every re-verification stays
+independent of the coprime base.
 """
 
 from __future__ import annotations
@@ -165,6 +166,14 @@ class EigenData:
             table[gamma] = found
         return found
 
+    def gaps(self, m: int, gamma: MultiIndex) -> tuple[GaussianRational, ...]:
+        """(mu_i^gamma - mu_im for every germ i), m 0-based, from the gap table."""
+        table = self.once("gaps", dict)
+        found = table.get((m, gamma))
+        if found is None:
+            found = table[(m, gamma)] = tuple(pw - row[m] for pw, row in zip(self.power(gamma), self.mu))
+        return found
+
     def satisfies_relation(self, k) -> bool:
         """mu_i^k = 1 for every germ i, tested as mu^(k+) = mu^(k-)."""
         return self.power(max(e, 0) for e in k) == self.power(max(-e, 0) for e in k)
@@ -208,21 +217,13 @@ def relation_lattice(eigen: EigenData) -> RelationLattice:
     coordinates and HNF-canonicalized, then re-verified by exact products.
     """
     p, n = eigen.p, eigen.n
-    factorizations = [[eigen.factorization(i, m) for m in range(n)] for i in range(p)]
     rows: list[list[int]] = []
     for i in range(p):
-        primes: list[GaussianRational] = []
-        seen = set()
-        for f in factorizations[i]:
-            for prime, _ in f.factors:
-                if prime not in seen:
-                    seen.add(prime)
-                    primes.append(prime)
-        primes.sort(key=lambda q: (q.norm(), q.re, q.im))
-        for prime in primes:
-            row = [factorizations[i][m].exponent_of(prime) for m in range(n)]
-            rows.append(row + [0] * p)
-        unit_row = [factorizations[i][m].unit_exp for m in range(n)] + [0] * p
+        factorizations = [eigen.factorization(i, m) for m in range(n)]
+        exponents = [dict(f.factors) for f in factorizations]
+        for q in dict.fromkeys(q for f in factorizations for q, _ in f.factors):
+            rows.append([e.get(q, 0) for e in exponents] + [0] * p)
+        unit_row = [f.unit_exp for f in factorizations] + [0] * p
         unit_row[n + i] = -4
         rows.append(unit_row)
     kernel = kernel_basis(rows, ncols=n + p)
@@ -311,8 +312,8 @@ def resonant_set(eigen: EigenData, m: int, bound: int) -> ResonantSet:
 
 
 def is_resonant_exponent(eigen: EigenData, m: int, gamma) -> bool:
-    """Exact membership test for the component-m resonance condition (m 1-based)."""
-    return all(pw == row[m - 1] for pw, row in zip(eigen.power(gamma), eigen.mu))
+    """mu_i^gamma = mu_im for every germ i (m 1-based): no resonance gap is nonzero."""
+    return not any(eigen.gaps(m - 1, tuple(gamma)))
 
 
 def vect_omega_rank(eigen: EigenData, enumeration_bound: int) -> tuple[int, int]:

@@ -756,6 +756,28 @@ class TestContracts:
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 0 and "bound_torsion" not in report["config"]
 
+    @pytest.mark.parametrize("extra", [["--degree", "1"], ["--bound-omega", "0"], ["--bogus"]])
+    def test_usage_error_exits_1(self, tmp_path, capsys, extra):
+        path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        with pytest.raises(SystemExit) as exited:
+            run(["lattice", path, *extra])
+        assert exited.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "germnf: error: " in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run(["--help"])
+        assert exited.value.code == 0 and capsys.readouterr().out.startswith("usage: germnf")
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        target = tmp_path / "missing" / "out.json"
+        assert run(["lattice", path, "--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot write output: ")
+        assert captured.err.count("\n") == 1 and not target.exists()
+
     def test_integer_eigenvalues_accepted(self, tmp_path):
         path = _write(tmp_path, "int.json", {"schema": 1, "mu": [[-2, "1/2"]]})
         code, report = _run_json(tmp_path, "lattice", path)

@@ -149,14 +149,26 @@ class TestGaussianRationalOracle:
         assert (z == other) == same and (other == z) == same and (z != other) != same
         assert (z == o.re) == (o.im == 0)
         assert (z == o.re.numerator) == (o.im == 0 and o.re.denominator == 1)
-        assert hash(z) == hash((o.re, o.im))
+        if z == other:
+            assert hash(z) == hash(other)
+        if o.im == 0:  # a real value hashes as the equal Fraction, and int
+            assert hash(z) == hash(o.re)
         assert isinstance(z.re, Fraction) and (z.re, z.im) == (o.re, o.im)
 
     def test_hash_when_the_denominator_meets_the_hash_modulus(self):
         for re, im in [(Fraction(1, _MODULUS), 0), (Fraction(3, 2 * _MODULUS), Fraction(-5, _MODULUS**2)),
-                       (Fraction(-1, _MODULUS + 1), 1), (Fraction(2, 3), Fraction(-1, _MODULUS + 1))]:
+                       (Fraction(-1, _MODULUS + 1), 1), (Fraction(2, 3), Fraction(-1, _MODULUS + 1)),
+                       (Fraction(-3, 2 * _MODULUS), 0), (Fraction(5, _MODULUS + 1), 0)]:
             z = GR(re, im)
-            assert hash(z) == hash((re, im))
+            assert hash(z) == hash(GR(str(re), str(im)))
+            if im == 0:
+                assert hash(z) == hash(re)
+
+    def test_equal_numbers_find_each_other_in_sets_and_dicts(self):
+        assert GR(2) in {2} and 2 in {GR(2)} and GR(-1) in {-1}
+        assert {GR(Fraction(1, 2)): 0}[Fraction(1, 2)] == 0
+        assert {Fraction(-7, 3): 0}[GR(Fraction(-7, 3))] == 0
+        assert GR(2, 1) not in {2}
 
     @_ORACLE
     @given(_GAUSS)
