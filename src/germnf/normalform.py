@@ -33,7 +33,7 @@ from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, conjugate_all
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
-from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, compose_all, grlex_key, unpack
+from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, grlex_key, unpack
 
 
 # ---------------------------------------------------------------------------
@@ -204,40 +204,24 @@ def verify_pd_nf(fam: Family, eigen: EigenData):
 
 
 def _monomial_columns(n: int, degree: int) -> list[MultiIndex]:
-    out: list[MultiIndex] = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            if sum(prefix) >= 1:
-                out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], degree)
-    out.sort(key=grlex_key)
-    return out
+    """The exponents with 1 <= |gamma| <= degree in graded-lex order."""
+    out = [()]
+    for _ in range(n):
+        out = [e + (k,) for e in out for k in range(degree + 1 - sum(e))]
+    return sorted(out[1:], key=grlex_key)
 
 
 def first_integrals(fam: Family, degree: int | None = None) -> list[TruncatedSeries]:
     """Echelonized basis (graded-lex pivots, no constant term) of polynomial
-    first integrals F with F o Phi_i = F for all i, up to the degree."""
+    first integrals F = sum c_gamma x^gamma with F o Phi_i = F for all i, up
+    to the degree: the kernel of the germs' stacked `fixed_point_rows`, whose
+    row x^delta holds in column gamma the coefficient of x^delta in
+    x^gamma o Phi_i, less 1 when delta = gamma."""
     d = degree if degree is not None else fam.degree
     if d > fam.degree:
         raise UsageError("first-integral degree exceeds the family's jet degree")
     columns = _monomial_columns(fam.n, d)
-    rows: list[dict[int, GaussianRational]] = []
-    monomials = [TruncatedSeries.monomial(gamma, 1, d) for gamma in columns]
-    for g in fam.germs:
-        comps = [c.truncate(d) if d < fam.degree else c for c in g.components]
-        composed = compose_all(monomials, comps)
-        # rows indexed by target monomial delta: sum_gamma c_gamma
-        # (coeff_delta(x^gamma o Phi) - [gamma == delta]) = 0
-        row_map: dict[MultiIndex, dict[int, GaussianRational]] = {}
-        for j, (mono, image) in enumerate(zip(monomials, composed)):
-            for delta, coeff in (image - mono).items():
-                row_map.setdefault(delta, {})[j] = coeff
-        rows.extend(row_map[delta] for delta in sorted(row_map, key=grlex_key))
+    rows = [row for g in fam.germs for row in fixed_point_rows([c.truncate(d) for c in g.components], columns)]
     kernel = field_kernel(rows, len(columns), ONE)
     echelon, _ = field_rref(kernel)
     return [TruncatedSeries(fam.n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]

@@ -33,11 +33,10 @@ strings.  Only `keys_of_degree` hands out keys, which `unpack` turns into
 tuples.
 
 Composition has two kernels.  `compose_all` substitutes the components into
-every monomial of the targets, through a memo of monomial images.
-`compose_shifted` evaluates t(x + h) for h without constant or linear
-terms as the truncated Taylor sum, whose few surviving terms cost far fewer
-products; `identity_shift` recognises components x + h from their degree-1
-terms.  `germ.compose_germ` picks between them.
+each monomial of the targets through one table of images x^gamma o g
+(`_monomial_images`), from which `fixed_point_rows` also reads the integer
+rows of F o g = F.  `compose_shifted` sums t(x + h), h of order >= 2
+(`identity_shift`), as a Taylor series with far fewer products.
 
 The scalar shares the coefficient representation, one (a + b*i) / d in
 lowest terms, so a coefficient crosses the boundary as its integer triple
@@ -454,29 +453,23 @@ class TruncatedSeries:
         return f"<TruncatedSeries n={self.n} D={self.degree} {self}>"
 
 
-def compose_all(
-    targets: Iterable[TruncatedSeries], components: Iterable[TruncatedSeries]
-) -> list[TruncatedSeries]:
-    """Jets of t(g1, ..., gn) for every target t; each g must have zero
-    constant term and the targets' degree.
-
-    A memo of monomial images, private to the call and shared by all
-    targets, holds x^gamma o g for each key gamma met; a missing one is
-    (x^(gamma - e_k) o g) * g_k with k the last variable of gamma, the
-    lowest nonzero field of its key, so each distinct monomial costs one
-    series product.  A target's coefficients are then applied to the images
-    as one integer linear combination."""
-    comps = list(components)
+def _monomial_images(comps: list[TruncatedSeries]):
+    """The memo image(key) = x^gamma o g that `compose_all` and
+    `fixed_point_rows` read, for a map g of n components in n variables.  A
+    missing image is (x^(gamma - e_k) o g) * g_k, k the last variable of
+    gamma (the lowest nonzero field of its key): one product per monomial."""
     if not comps:
         raise UsageError("composition needs at least one component series")
     n, degree = comps[0].n, comps[0].degree
+    if len(comps) != n:
+        raise UsageError(f"a map in {n} variables needs {n} component series")
     for g in comps:
         if g.n != n or g.degree != degree:
             raise UsageError("composition component mismatch")
         if 0 in g._terms:
             raise DomainError("composition requires zero constant terms")
     units = [_unit(k, n) for k in range(n)]
-    images: dict[int, TruncatedSeries] = {0: TruncatedSeries.constant(1, n, degree)}
+    images: dict[int, TruncatedSeries] = {0: _canonical(n, degree, {0: (1, 0)}, 1)}
     images.update(zip(units, comps))
 
     def image(key: int) -> TruncatedSeries:
@@ -486,6 +479,19 @@ def compose_all(
             found = images[key] = image(key - units[k]) * comps[k]
         return found
 
+    return image
+
+
+def compose_all(
+    targets: Iterable[TruncatedSeries], components: Iterable[TruncatedSeries]
+) -> list[TruncatedSeries]:
+    """Jets of t(g1, ..., gn) for every target t; each g must have zero
+    constant term and the targets' degree.  All targets share one
+    `_monomial_images` memo, and a target's coefficients are applied to
+    the images as one integer linear combination."""
+    comps = list(components)
+    image = _monomial_images(comps)
+    n, degree = comps[0].n, comps[0].degree
     out = []
     for target in targets:
         if target.n != len(comps):
@@ -509,6 +515,26 @@ def compose_all(
                     terms[e] = (cur[0] + re, cur[1] + im)
         out.append(_canonical(n, degree, terms, den * target._den))
     return out
+
+
+def fixed_point_rows(components: list[TruncatedSeries], columns: list[MultiIndex]) -> list[dict]:
+    """The conditions F o g = F on F = sum_j c_j x^(columns[j]): one sparse
+    row {j: nonzero entry} per monomial x^delta, in graded-lex order.  The
+    entry is from_parts(a - [delta == gamma]*den, b, den) for gamma =
+    columns[j] and (a + b*i)/den the coefficient of x^delta in x^gamma o g,
+    read off the `_monomial_images` memo: no jet per column, none subtracted."""
+    image, n = _monomial_images(components), len(components)
+    rows: dict[int, dict] = {}
+    for j, gamma in enumerate(columns):
+        key = _pack(_checked(gamma, n))
+        img = image(key)
+        den, terms = img._den, dict(img._terms)
+        a, b = terms.get(key, (0, 0))
+        terms[key] = (a - den, b)
+        for delta, (a, b) in terms.items():
+            if a or b:
+                rows.setdefault(delta, {})[j] = from_parts(a, b, den)
+    return [rows[key] for key in sorted(rows, key=((1 << FIELD * n) - 1).__xor__)]
 
 
 def identity_shift(components: list[TruncatedSeries]) -> list[TruncatedSeries] | None:

@@ -468,22 +468,32 @@ class TestJetWork:
         assert len(calls) <= len(steps)
 
     def test_first_integrals_one_product_per_column_monomial(self, monkeypatch):
+        """Each column monomial's image costs one product; the rows are read
+        off the images, so no jet is subtracted and none is constructed per
+        column (the only constructor calls build the basis)."""
         import germnf.normalform as normalform
 
         golden = _perfbench_golden()
         fam = family_from_json(json.loads((golden.HERE / "corpus/integrals/inf_p2_n4-0.json").read_text()))
-        products = []
-        original = TruncatedSeries.__mul__
+        calls = {"__mul__": 0, "_combine": 0, "__init__": 0}
 
-        def counted(a, b):
-            products.append(1)
-            return original(a, b)
+        def count(name):
+            original = getattr(TruncatedSeries, name)
 
-        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(TruncatedSeries, name, counted)
+
+        for name in calls:
+            count(name)
         basis = normalform.first_integrals(fam, 6)
         columns = normalform._monomial_columns(fam.n, 6)
         assert basis and len(columns) == 209
-        assert 0 < len(products) <= fam.p * len(columns)
+        assert 0 < calls["__mul__"] <= fam.p * len(columns)
+        assert calls["_combine"] == 0
+        assert calls["__init__"] <= len(basis)
 
 
 class TestScalarWork:

@@ -203,6 +203,40 @@ class TestFirstIntegrals:
         transported = [f.compose(list(res.psi.components)) for f in original_basis]
         assert echelonized_span(transported) == echelonized_span(first_integrals(res.normalized, 4))
 
+    # the first Omega point gamma has |gamma| = 2 and gamma_1 >= 1, so the
+    # control's factor exp(x^gamma / 3) on x_1 shows at degree 2|gamma| <= D
+    ORACLE_ROWS = [
+        [["2", "1/2"]], [["i", "-i"]], [["-1", "-1"]], [["2", "1/2", "3"]], [["2", "1/2", "1/2"]],
+        [["3", "1/3", "2"], ["1/2", "2", "5"]], [["2", "1/2"], ["-3", "-1/3"]],
+    ]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(ORACLE_ROWS), st.integers(4, 5), st.integers(1, 50), st.integers(0, 10**6))
+    def test_conjugated_integrable_family_oracle(self, rows, degree, nf_seed, psi_seed):
+        """An integrable normal form conjugated by a tangent-to-identity map:
+        its first integrals are the x^gamma o psi^{-1}, gamma in Omega, for
+        the normalizing psi, so their number is |Omega| up to D; each one is
+        invariant.  Multiplying Phi_1's first component by exp(x^gamma / 3)
+        loses an integral and breaks the invariance of the old basis."""
+        eigen = EigenData.from_rows(rows)
+        nf = generate_integrable_nf(eigen, eigen.lattice, degree, seed=nf_seed)
+        psi0 = random_tangent_identity(random.Random(psi_seed), eigen.n, degree, extra_terms=3)
+        fam = Family([conjugate(g, psi0) for g in nf.germs])
+        omega = enumerate_omega(eigen, degree).points
+        basis = first_integrals(fam, degree)
+        assert len(basis) == len(omega)
+        psi_inv = list(invert_germ(poincare_dulac_normalize(fam, eigen).psi).components)
+        expected = [TS.monomial(gamma, 1, degree).compose(psi_inv) for gamma in omega]
+        assert echelonized_span(basis) == echelonized_span(expected)
+        for f in basis:
+            for g in fam.germs:
+                assert f.compose(list(g.components)) == f
+        first = list(fam.germs[0].components)
+        first[0] = first[0] * TS.monomial(omega[0], Fraction(1, 3), degree).exp0()
+        perturbed = Family([Germ(first), *fam.germs[1:]], check_commuting=False)
+        assert len(first_integrals(perturbed, degree)) < len(basis)
+        assert any(f.compose(first) != f for f in basis)
+
     def test_support_checks(self):
         # the first integrals of a normal form are supported on Omega
         eigen = EigenData.from_rows([["-2", "1/2"]])

@@ -14,12 +14,14 @@ from germnf.series import (
     UsageError,
     compose_all,
     compose_shifted,
+    fixed_point_rows,
     grlex_key,
     identity_shift,
     unpack,
 )
 
 from helpers import (
+    all_exponents,
     from_term_list,
     gaussians,
     gr_from_sympy,
@@ -148,6 +150,31 @@ class TestComposeAll:
             compose_all([var(0, 2, 3)], [var(0, 2, 3)])
         with pytest.raises(UsageError):
             compose_all([var(0, 2, 3)], [var(0, 2, 4), var(1, 2, 4)])
+        # image keys are packed in the components' own n variables, so the
+        # components must be a map of their own space
+        comps = [var(0, 3, 4) + var(1, 3, 4) * var(2, 3, 4), var(2, 3, 4)]
+        with pytest.raises(UsageError, match="a map in 3 variables needs 3 component series"):
+            compose_all([TS(2, 4, {(1, 0): 1, (0, 2): GR(2, 1)})], comps)
+        with pytest.raises(UsageError, match="a map in 3 variables needs 3 component series"):
+            fixed_point_rows(comps, [(1, 0)])
+
+    def test_fixed_point_rows_read_the_images(self):
+        """Row delta, column gamma: coefficient of x^delta in x^gamma o g,
+        less 1 on the diagonal, zero entries left out, rows in graded-lex
+        order; the same numbers as the jets x^gamma o g - x^gamma."""
+        rng = random.Random(4)
+        columns = sorted(all_exponents(2, 4, min_degree=1), key=grlex_key)
+        swap = [var(1, 2, 4), var(0, 2, 4)]  # x o swap = y has no x term: a lone -1 on the diagonal
+        for comps in ([random_series(rng, 2, 4) + var(j, 2, 4) for j in range(2)], swap):
+            expected: dict = {}
+            for j, gamma in enumerate(columns):
+                mono = TS.monomial(gamma, 1, 4)
+                for delta, c in (mono.compose(comps) - mono).items():
+                    expected.setdefault(delta, {})[j] = c
+            rows = fixed_point_rows(comps, columns)
+            assert rows == [expected[delta] for delta in sorted(expected, key=grlex_key)]
+            assert all(v for row in rows for v in row.values())
+        assert fixed_point_rows([var(0, 2, 4), var(1, 2, 4)], columns) == []
 
 
 def _sympy_substitute(target: TS, inner: list[TS]) -> TS:
