@@ -412,6 +412,21 @@ def run(argv=None) -> int:
     try:
         data, digest = _load_json(args.input)
         payload, degree = _COMMANDS[args.command](data, args)
+        report = {
+            "version": __version__,
+            "command": args.command,
+            "input_digest": digest,
+            "config": {
+                "degree": degree,
+                "bound_omega": args.bound_omega or 2 * args.degree,
+                "bound_branch": args.bound_branch,
+                "rho_equivariant": args.rho_equivariant,
+                "seed": args.seed,
+            },
+            "payload": payload,
+            "timing_seconds": round(time.monotonic() - started, 6),
+        }
+        text = _json_text(report) + "\n" if args.format == "json" else _render_text(report)
     except (UsageError, DomainError, CommutationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -421,24 +436,11 @@ def run(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal verification failed: {exc}", file=sys.stderr)
         return 3
-    report = {
-        "version": __version__,
-        "command": args.command,
-        "input_digest": digest,
-        "config": {
-            "degree": degree,
-            "bound_omega": args.bound_omega or 2 * args.degree,
-            "bound_branch": args.bound_branch,
-            "rho_equivariant": args.rho_equivariant,
-            "seed": args.seed,
-        },
-        "payload": payload,
-        "timing_seconds": round(time.monotonic() - started, 6),
-    }
-    if args.format == "json":
-        text = _json_text(report) + "\n"
-    else:
-        text = _render_text(report)
+    except ValueError as exc:  # an int in the input JSON or a report past the interpreter's digit guard
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an integer exceeds the {sys.get_int_max_str_digits()}-digit int/str limit", file=sys.stderr)
+        return 1
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

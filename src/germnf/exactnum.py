@@ -9,7 +9,9 @@ therefore rigorous.  mpmath is imported on the first certified evaluation
 
 The coefficient field is Q(i) only.  Eigenvalues like e^{i} that are not
 Gaussian rationals are out of scope; fixtures use exactly representable
-analogues such as (i, -i) or (3+4i)/5 instead.
+analogues such as (i, -i) or (3+4i)/5 instead.  One grammar serves both
+input kinds, family coefficients and eigenvalues: `parse_parts` reads a
+string into an integer triple with no Fraction built.
 """
 
 from __future__ import annotations
@@ -62,11 +64,25 @@ def precision_ladder():
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+# groups: real numerator and denominator; imaginary sign, numerator and denominator
 _GAUSS_RE = _re.compile(
-    rf"^\s*(?:(?P<re>{_RAT})(?=\s*(?:[+-]|$)))?\s*"
-    rf"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*\*\s*)?)i)?\s*$"
+    r"^\s*(?:([+-]?\d+)(?:/(\d+))?(?=\s*(?:[+-]|$)))?\s*"
+    r"(?:([+-]?)(?:(\d+)(?:/(\d+))?\s*\*\s*)?i)?\s*$"
 )
+
+
+def parse_parts(text: str) -> tuple[int, int, int]:
+    """(a, b, d), d > 0 and not reduced, with text 'a/p+c/q*i' (optional
+    parts; str() prints it) = (a + b*i)/d; ValueError otherwise or for a zero denominator."""
+    m = _GAUSS_RE.match(text)
+    if m is None or m.group(1) is None and m.group(3) is None:
+        raise ValueError(f"cannot parse Gaussian rational: {text!r}")
+    a, p, sign, c, q = m.groups()
+    p, q = int(p or 1), int(q or 1)
+    if not (p and q):
+        raise ValueError(f"zero denominator in Gaussian rational: {text!r}")
+    b = 0 if sign is None else int(c or 1) * (-1 if sign == "-" else 1)
+    return int(a or 0) * q, b * p, p * q
 
 
 class GaussianRational:
@@ -101,13 +117,8 @@ class GaussianRational:
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
-        """Parse 'a/b+c/d*i' with optional parts; inverse of str()."""
-        m = _GAUSS_RE.match(text)
-        if not m or (m.group("re") is None and m.group("im") is None):
-            raise ValueError(f"cannot parse Gaussian rational: {text!r}")
-        im_raw = m.group("im")
-        im_raw = "0" if im_raw is None else im_raw.replace("*", "").replace(" ", "")
-        return GaussianRational(m.group("re") or 0, {"": 1, "+": 1, "-": -1}.get(im_raw, im_raw))
+        """Parse 'a/b+c/d*i' with optional parts (`parse_parts`); inverse of str()."""
+        return from_parts(*parse_parts(text))
 
     # -- predicates --------------------------------------------------------
 

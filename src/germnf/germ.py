@@ -12,9 +12,11 @@ with a singular germ on the left still fails in `field_inverse`.
 Each component is an integer-native jet (see `series`): Gaussian-integer
 numerators over one denominator, in lowest terms, so germs compare and hash
 by their stored jets and `GaussianRational` appears only where a coefficient
-is read out (the linear matrix); JSON terms are printed from the numerators.  compose_germ(f, g) picks its
-algorithm from g: when g's linear part is exactly the identity, g = id + h
-(every elimination step, psi), it is the Taylor sum f(x + h) of
+is read out (the linear matrix).  The wire format is read in one pass into
+that storage, strings to packed keys and integer triples with no Fraction
+(`germ_from_json`), and printed from the numerators.  compose_germ(f, g)
+picks its algorithm from g: when g's linear part is exactly the identity,
+g = id + h (every elimination step, psi), it is the Taylor sum f(x + h) of
 `series.compose_shifted`; otherwise all components are substituted through
 one `compose_all` call, whose memo of monomial images is shared by the n
 components of f.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .exactnum import GaussianRational, ONE
+from .exactnum import GaussianRational, ONE, from_parts, parse_parts
 from .linalg import field_inverse, field_rref
 from .series import (
     TruncatedSeries,
@@ -37,8 +39,10 @@ from .series import (
     check_jet_size,
     compose_all,
     compose_shifted,
+    from_key_parts,
     grlex_key,
     identity_shift,
+    pack,
 )
 
 
@@ -90,10 +94,6 @@ class Germ:
     @staticmethod
     def identity(n: int, degree: int) -> "Germ":
         return Germ([TruncatedSeries.variable(j, n, degree) for j in range(n)])
-
-    @staticmethod
-    def from_linear_diag(diag, degree: int) -> "Germ":
-        return Germ([TruncatedSeries.monomial(_unit(j, len(diag)), mu, degree) for j, mu in enumerate(diag)])
 
     @staticmethod
     def from_linear_matrix(matrix, degree: int) -> "Germ":
@@ -296,12 +296,12 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_coeff(value) -> GaussianRational:
-    """A coefficient of the wire format: a string in GaussianRational.parse
-    form; numbers and other JSON values are rejected, never coerced."""
+def _json_parts(value) -> tuple[int, int, int]:
+    """A coefficient of the wire format, a string (`parse_parts`), as its
+    triple; numbers and other JSON values are rejected, never coerced."""
     if not isinstance(value, str):
         raise UsageError(f"coefficient must be a string, got {value!r}")
-    return GaussianRational.parse(value)
+    return parse_parts(value)
 
 
 def _json_list(value, what: str) -> list:
@@ -317,23 +317,27 @@ def _json_object(value, what: str) -> dict:
 
 
 def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
+    """One map entry in one pass: repeated terms summed as triples, terms
+    above D dropped; only the linear entries become scalars (the rank check)."""
     entry = _json_object(entry, "map entry")
     if "linear_diag" in entry:
-        diag = [_json_coeff(s) for s in _json_list(entry["linear_diag"], "linear_diag")]
+        diag = [_json_parts(s) for s in _json_list(entry["linear_diag"], "linear_diag")]
         if len(diag) != n:
             raise UsageError("linear_diag length does not match n")
-        base = Germ.from_linear_diag(diag, degree)
+        linear = [{j: t} for j, t in enumerate(diag)]
     elif "linear_matrix" in entry:
         rows = _json_list(entry["linear_matrix"], "linear_matrix")
-        mat = [[_json_coeff(s) for s in _json_list(row, "linear_matrix row")] for row in rows]
+        mat = [[_json_parts(s) for s in _json_list(row, "linear_matrix row")] for row in rows]
         if len(mat) != n or any(len(r) != n for r in mat):
             raise UsageError("linear_matrix shape does not match n")
-        base = Germ.from_linear_matrix(mat, degree)
+        linear = [dict(enumerate(row)) for row in mat]
     else:
         raise UsageError("map entry needs linear_diag or linear_matrix")
-    if len(field_rref(base.linear_rows())[1]) < n:
+    if not n:
+        raise UsageError("a germ needs at least one component")
+    if len(field_rref([{j: from_parts(*t) for j, t in row.items() if t[0] or t[1]} for row in linear])[1]) < n:
         raise UsageError("linear part is singular; not a diffeomorphism germ")
-    comps = [dict(c.items()) for c in base.components]
+    comps = [{pack(_unit(j, n)): t for j, t in row.items()} for row in linear]
     for term in _json_list(entry.get("terms", []), "terms"):
         term = _json_object(term, "term")
         m = _json_int(term["component"], "component")
@@ -344,9 +348,16 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
             raise UsageError(f"exponents {exp} have wrong arity")
         if sum(exp) < 2:
             raise UsageError(f"terms must have degree >= 2 (linear part is separate): {exp}")
-        comp = comps[m - 1]
-        comp[exp] = comp.get(exp, 0) + _json_coeff(term["coeff"])
-    return Germ([TruncatedSeries(n, degree, comp) for comp in comps])
+        if min(exp) < 0:
+            raise UsageError(f"negative exponent in {exp}")
+        c, e, f = _json_parts(term["coeff"])
+        if sum(exp) <= degree:
+            comp, key = comps[m - 1], pack(exp)
+            if key in comp:
+                a, b, d = comp[key]
+                c, e, f = a * f + c * d, b * f + e * d, d * f
+            comp[key] = c, e, f
+    return Germ([from_key_parts(n, degree, comp) for comp in comps])
 
 
 def family_to_json(fam: Family) -> dict:

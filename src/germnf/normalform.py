@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, conjugate_all
@@ -313,33 +315,26 @@ def extract_integrable_certificate(fam: Family, eigen: EigenData) -> IntegrableN
     lattice = eigen.lattice
     n, degree = fam.n, fam.degree
     one = TruncatedSeries.constant(1, n, degree)
-    phi_rows = []
+    phi_rows, quotient_rows = [], []
     support_offenders = []
     for i, g in enumerate(fam.germs):
-        row = []
-        for m in range(n):
-            quotient = g.components[m].divide_by_variable(m).scale(ONE / eigen.mu[i][m])
-            phi = quotient - one
+        quotients = [g.components[m].divide_by_variable(m).scale(ONE / eigen.mu[i][m]) for m in range(n)]
+        row = tuple(quotient - one for quotient in quotients)
+        for m, phi in enumerate(row):
             if not phi.constant_term().is_zero():
                 raise AssertionError("phi has a constant term after division")
-            row.append(phi)
             for exp in phi.support():
                 if not eigen.satisfies_relation(exp):
                     support_offenders.append((i + 1, m + 1, exp))
                     break
-        phi_rows.append(tuple(row))
+        phi_rows.append(row)
+        quotient_rows.append(quotients)
     verified_to = degree - 1
     residuals = []
-    for i in range(fam.p):
-        for gamma in lattice.basis:
-            lhs = TruncatedSeries.constant(1, n, degree)
-            rhs = TruncatedSeries.constant(1, n, degree)
-            for k, e in enumerate(gamma):
-                factor = one + phi_rows[i][k]
-                if e > 0:
-                    lhs = lhs * factor**e
-                elif e < 0:
-                    rhs = rhs * factor ** (-e)
+    for i, quotients in enumerate(quotient_rows):
+        for gamma in lattice.basis:  # each side a product of powers of 1 + phi_ik, none by 1
+            sides = ([q ** abs(e) for q, e in zip(quotients, gamma) if e * sign > 0] for sign in (1, -1))
+            lhs, rhs = (reduce(mul, side) if side else one for side in sides)
             diff = (lhs - rhs).part_up_to(verified_to)
             entry = {"germ": i + 1, "gamma": list(gamma), "zero": diff.is_zero()}
             if not diff.is_zero():

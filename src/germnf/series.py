@@ -30,7 +30,7 @@ constructor takes {exponent tuple: scalar}, `scale` one scalar, and
 `coeff` and `permute_variables` a tuple; `items` and `support` give tuples
 and scalars back, and `to_term_list` exponent lists and coefficient
 strings.  Only `keys_of_degree` hands out keys, which `unpack` turns into
-tuples.
+tuples; `from_key_parts` takes keys (`pack`) with integer triples.
 
 Composition has two kernels.  `compose_all` substitutes the components into
 each monomial of the targets through one table of images x^gamma o g
@@ -105,7 +105,7 @@ def _checked(exponents, n: int) -> MultiIndex:
     return exp
 
 
-def _pack(exp: MultiIndex) -> int:
+def pack(exp: MultiIndex) -> int:
     """The key of x^exp, whose entries and total degree are below 2^FIELD."""
     key = sum(exp)
     for e in exp:
@@ -138,6 +138,13 @@ def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
     return {e: (a // g, b // g) for e, (a, b) in terms.items()}, den // g
 
 
+def from_key_parts(n: int, degree: int, parts: dict) -> "TruncatedSeries":
+    """The series sum (a + b*i)/d x^key over {key: (a, b, d)}, each d > 0 and
+    each key of degree <= D, in lowest terms: the constructor's tail."""
+    den = lcm(*(d for _, _, d in parts.values()))
+    return _canonical(n, degree, {e: (a * (den // d), b * (den // d)) for e, (a, b, d) in parts.items()}, den)
+
+
 def _canonical(n: int, degree: int, terms: dict, den: int) -> "TruncatedSeries":
     """The series sum (a + b*i)/den x^e over terms {e: (a, b)}, in lowest terms."""
     out = object.__new__(TruncatedSeries)
@@ -162,12 +169,9 @@ class TruncatedSeries:
         for exp, coeff in (terms or {}).items():
             exp = _checked(exp, n)
             if sum(exp) <= degree:
-                parts[_pack(exp)] = as_parts(coeff)
-        den = lcm(*(d for _, _, d in parts.values()))
-        self.n, self.degree = n, degree
-        self._terms, self._den = _lowest_terms(
-            {e: (a * (den // d), b * (den // d)) for e, (a, b, d) in parts.items()}, den
-        )
+                parts[pack(exp)] = as_parts(coeff)
+        out = from_key_parts(n, degree, parts)
+        self.n, self.degree, self._terms, self._den = n, degree, out._terms, out._den
 
     # -- constructors ------------------------------------------------------
 
@@ -196,7 +200,7 @@ class TruncatedSeries:
         """The coefficient of x^exponents, zero above the truncation degree;
         UsageError for a malformed exponent tuple."""
         exp = _checked(exponents, self.n)
-        return self._coeff_at(_pack(exp)) if sum(exp) <= self.degree else ZERO
+        return self._coeff_at(pack(exp)) if sum(exp) <= self.degree else ZERO
 
     def _coeff_at(self, key: int) -> GaussianRational:
         ab = self._terms.get(key)
@@ -338,17 +342,14 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
             raise UsageError("negative series powers are not defined here")
-        result = TruncatedSeries.constant(1, self.n, self.degree)
-        base = self
-        e = exponent
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
-            base_needed = e > 1
-            if base_needed:
-                base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return TruncatedSeries.constant(1, self.n, self.degree) if result is None else result
 
     # -- jets ----------------------------------------------------------------
 
@@ -398,7 +399,7 @@ class TruncatedSeries:
 
         def permuted(k, a, b):
             e = unpack(k, n)
-            return _pack(tuple(e[j] for j in inverse)), a, b
+            return pack(tuple(e[j] for j in inverse)), a, b
 
         return self._map(permuted)
 
@@ -526,7 +527,7 @@ def fixed_point_rows(components: list[TruncatedSeries], columns: list[MultiIndex
     image, n = _monomial_images(components), len(components)
     rows: dict[int, dict] = {}
     for j, gamma in enumerate(columns):
-        key = _pack(_checked(gamma, n))
+        key = pack(_checked(gamma, n))
         img = image(key)
         den, terms = img._den, dict(img._terms)
         a, b = terms.get(key, (0, 0))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -213,6 +214,45 @@ def from_term_list(terms: list[dict], n: int, degree: int) -> TruncatedSeries:
     return TruncatedSeries(n, degree, data)
 
 
+_RAT = r"[+-]?\d+(?:/\d+)?"
+_FRACTION_GAUSS_RE = re.compile(
+    rf"^\s*(?:(?P<re>{_RAT})(?=\s*(?:[+-]|$)))?\s*"
+    rf"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*\*\s*)?)i)?\s*$"
+)
+
+
+def fraction_parse(text: str) -> GR:
+    """The input grammar read through named regex groups and Fractions:
+    the oracle for `exactnum.parse_parts`.  A zero denominator raises
+    ZeroDivisionError here."""
+    m = _FRACTION_GAUSS_RE.match(text)
+    if not m or (m.group("re") is None and m.group("im") is None):
+        raise ValueError(f"cannot parse Gaussian rational: {text!r}")
+    im_raw = m.group("im")
+    im_raw = "0" if im_raw is None else im_raw.replace("*", "").replace(" ", "")
+    return GR(Fraction(m.group("re") or 0), Fraction({"": 1, "+": 1, "-": -1}.get(im_raw, im_raw)))
+
+
+def family_by_oracle(data: dict) -> Family:
+    """A well-formed schema-1 family built through the public constructors:
+    each component is TruncatedSeries(n, D, {exponents: scalar}) with the
+    scalars from `fraction_parse`, repeated terms added as scalars and terms
+    above D left to the constructor to drop.  Commutativity is not checked."""
+    n, degree = data["n"], data["degree"]
+    germs = []
+    for entry in data["maps"]:
+        if "linear_diag" in entry:
+            matrix = [[fraction_parse(s) if j == k else GR(0) for k in range(n)] for j, s in enumerate(entry["linear_diag"])]
+        else:
+            matrix = [[fraction_parse(s) for s in row] for row in entry["linear_matrix"]]
+        comps = [{_unit(k, n): a for k, a in enumerate(row)} for row in matrix]
+        for term in entry.get("terms", []):
+            comp, exp = comps[term["component"] - 1], tuple(term["exponents"])
+            comp[exp] = comp.get(exp, GR(0)) + fraction_parse(term["coeff"])
+        germs.append(Germ([TruncatedSeries(n, degree, comp) for comp in comps]))
+    return Family(germs, check_commuting=False)
+
+
 def echelonized_span(series_list: list[TruncatedSeries]) -> list[TruncatedSeries]:
     """Canonical reduced echelon basis of the span; equality of spans is
     equality of these lists."""
@@ -405,6 +445,11 @@ def _unit(j: int, n: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(n))
 
 
+def linear_diag_germ(diag, degree: int) -> Germ:
+    """The linear germ x -> (mu_1 x_1, ..., mu_n x_n)."""
+    return Germ([TruncatedSeries.monomial(_unit(j, len(diag)), mu, degree) for j, mu in enumerate(diag)])
+
+
 @st.composite
 def jets(draw, n: int, degree: int, min_degree: int = 1, max_terms: int = 3, coeffs=gaussians):
     """A jet of at most max_terms terms, each of total degree >= min_degree,
@@ -441,7 +486,7 @@ def rho_equivariant_nf(eigen: EigenData, sigma: tuple[int, ...], degree: int,
     lat = eigen.lattice
     omega_pts = list(enumerate_omega(eigen, max(degree - 1, 1)).points) if degree >= 2 else []
     if not omega_pts:
-        return Family([Germ.from_linear_diag(row, degree) for row in eigen.mu])
+        return Family([linear_diag_germ(row, degree) for row in eigen.mu])
     # real unknowns re[k, G], im[k, G]
     slots = [(k, pt) for k in range(n) for pt in omega_pts]
     pos = {slot: 2 * j for j, slot in enumerate(slots)}
@@ -524,7 +569,7 @@ RANK_2_P4_MU = [["2", "1", "1/5", "2"], ["1", "3", "1/7", "3"], ["2", "3", "1/35
 
 
 def example_13_family(degree: int = 4) -> Family:
-    return Family([Germ.from_linear_diag([GR(-2), GR(Fraction(1, 2))], degree)])
+    return Family([linear_diag_germ([GR(-2), GR(Fraction(1, 2))], degree)])
 
 
 def example_34_family(degree: int = 4) -> Family:
@@ -533,9 +578,9 @@ def example_34_family(degree: int = 4) -> Family:
         TruncatedSeries.monomial((0, 1), 4, degree)
         + TruncatedSeries.monomial((2, 0), 1, degree),
     ])
-    phi2 = Germ.from_linear_diag([GR(-3), GR(9)], degree)
+    phi2 = linear_diag_germ([GR(-3), GR(9)], degree)
     return Family([phi1, phi2])
 
 
 def i_minus_i_family(degree: int = 4) -> Family:
-    return Family([Germ.from_linear_diag([GR(0, 1), GR(0, -1)], degree)])
+    return Family([linear_diag_germ([GR(0, 1), GR(0, -1)], degree)])

@@ -34,6 +34,7 @@ from helpers import (
     example_13_family,
     hull_contains_origin_mp,
     i_minus_i_family,
+    linear_diag_germ,
     log_moduli_mp,
     minor_is_zero_mp,
 )
@@ -53,7 +54,7 @@ class TestNondegenerate:
     def test_independent_primes(self):
         from germnf.germ import Family, Germ
 
-        fam = Family([Germ.from_linear_diag([GR(2), GR(3)], 4)])
+        fam = Family([linear_diag_germ([GR(2), GR(3)], 4)])
         assert is_nondegenerate(EigenData.from_family(fam), 8).no
 
     def test_i_minus_i(self):

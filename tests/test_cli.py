@@ -498,8 +498,8 @@ class TestJetWork:
 
 class TestScalarWork:
     """Q(i) arithmetic is integer arithmetic on (a + b*i)/d: the field
-    kernels build no Fraction, and first-integrals builds one only where a
-    coefficient is parsed or printed."""
+    kernels build no Fraction, and neither does first-integrals, from
+    parsing its input to printing its report."""
 
     @staticmethod
     def _count_fractions(monkeypatch) -> list:
@@ -526,15 +526,22 @@ class TestScalarWork:
         assert built == []
 
     def test_first_integrals_fraction_budget(self, tmp_path, monkeypatch):
-        """At most 300 on integrals/inf_p2_n4-0 (96 here, 14 441 when each
-        scalar held two Fractions)."""
+        """None on integrals/inf_p2_n4-0: the input is read straight into
+        integer triples (96 Fractions when each coefficient was parsed
+        through two, 14 441 when each scalar held two)."""
         golden = _perfbench_golden()
         manifest, _ = golden.load("integrals")
         op = next(o for o in manifest["ops"] if o["id"] == "inf_p2_n4-0.first-integrals")
         built = self._count_fractions(monkeypatch)
         code, _ = _run_json(tmp_path, *golden.argv_of(op))
         assert code == 0
-        assert 0 < len(built) <= 300
+        assert built == []
+
+    def test_fraction_counter_sees_a_fraction(self, monkeypatch):
+        """Positive control for the budget above: the counter is live."""
+        built = self._count_fractions(monkeypatch)
+        assert Fraction(1, 2).denominator == 2
+        assert built == [1]
 
 
 class TestEigenWork:
@@ -839,6 +846,56 @@ class TestContracts:
         assert run(["verify", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be" in err
+
+    @pytest.mark.parametrize("place, text", [("term", "1/0"), ("linear_diag", "3/0"), ("linear_matrix", "2-5/0*i")])
+    @pytest.mark.parametrize("command", ["verify", "normalize", "first-integrals", "analyze"])
+    def test_zero_denominator_in_family_exit_1(self, tmp_path, capsys, command, place, text):
+        """A zero denominator is an input error with the usual message; it
+        used to end in an uncaught ZeroDivisionError."""
+        data = json.loads(json.dumps(NORMALIZABLE))
+        entry = data["maps"][0]
+        if place == "term":
+            entry["terms"][0]["coeff"] = text
+        elif place == "linear_diag":
+            entry["linear_diag"][1] = text
+        else:
+            del entry["linear_diag"]
+            entry["linear_matrix"] = [["2", text], ["0", "3"]]
+        path = _write(tmp_path, "bad.json", data)
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad family input: zero denominator in Gaussian rational: {text!r}\n"
+
+    @pytest.mark.parametrize("command", ["lattice", "analyze"])
+    def test_zero_denominator_in_mu_exit_1(self, tmp_path, capsys, command):
+        path = _write(tmp_path, "bad.json", {"schema": 1, "mu": [["1/0", "2"]]})
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad eigen input: zero denominator in Gaussian rational: '1/0'\n"
+
+    def test_report_integer_over_str_limit_exit_1(self, tmp_path, capsys):
+        """An n = 1, D = 4 family with a 3000-digit x^2 coefficient and its
+        reciprocal at x^3 is valid input, but psi has coefficients whose
+        digits pass the interpreter's int/str limit, which stays in place:
+        one error line names it instead of a traceback."""
+        big = "1" + "3" * 2999
+        terms = [{"component": 1, "exponents": [2], "coeff": big}, {"component": 1, "exponents": [3], "coeff": "1/" + big}]
+        data = {"schema": 1, "n": 1, "p": 1, "degree": 4, "maps": [{"linear_diag": ["2"], "terms": terms}]}
+        path = _write(tmp_path, "big.json", data)
+        limit = sys.get_int_max_str_digits()
+        assert 0 < limit < 6000
+        assert run(["verify", path]) == 0
+        capsys.readouterr()
+        assert run(["normalize", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: an integer exceeds the {limit}-digit int/str limit\n"
+        assert sys.get_int_max_str_digits() == limit
+        (tmp_path / "long_n.json").write_text('{"schema": 1, "n": 1' + "0" * limit + ', "degree": 3, "maps": []}')
+        assert run(["verify", str(tmp_path / "long_n.json")]) == 1  # the same limit met while reading JSON
+        assert capsys.readouterr().err == f"error: an integer exceeds the {limit}-digit int/str limit\n"
 
     @pytest.mark.parametrize("command, task", [
         ("verify", "PD-NF verification"),

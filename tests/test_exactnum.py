@@ -20,13 +20,15 @@ from germnf.exactnum import (
     certified_round_to_integer,
     factor_gaussian,
     factor_int,
+    from_parts,
     log_modulus,
+    parse_parts,
     principal_arg_turns,
 )
 
 from germnf.resonance import EigenData
 
-from helpers import FractionPair, agrees, random_gaussian
+from helpers import FractionPair, agrees, fraction_parse, random_gaussian
 
 
 @contextlib.contextmanager
@@ -93,6 +95,21 @@ _PART = st.one_of(
 _GAUSS = st.builds(GR, _PART, _PART)
 _OPERAND = st.one_of(_GAUSS, st.integers(-(10**25), 10**25), st.integers(-3, 3), _PART)
 _ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_SIGN = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+_RATIONAL = st.builds(lambda num, den: num if den is None else f"{num}/{den}", _DIGITS, st.none() | _DIGITS)
+# strings of the input grammar: an optional signed real part, then an
+# optional imaginary part ('i', '-i' or 'c/q * i' with spaces around '*')
+_GRAMMAR = st.builds(
+    lambda lead, re, im, trail: lead + re + im + trail,
+    _SPACE,
+    st.just("") | st.builds(str.__add__, _SIGN, _RATIONAL),
+    st.just("") | st.builds(lambda sp, sign, coeff, s1, s2: f"{sp}{sign}{coeff}{s1}*{s2}i" if coeff else f"{sp}{sign}i",
+                            _SPACE, _SIGN, st.just("") | _RATIONAL, _SPACE, _SPACE),
+    _SPACE,
+)
+_JUNK = st.text("0123456789+-*/i .e\u0663", max_size=14) | st.text(max_size=8)
 _MODULUS = sys.hash_info.modulus
 
 
@@ -186,6 +203,30 @@ class TestGaussianRationalOracle:
             1 / GR(0)
         with pytest.raises(ZeroDivisionError):
             GR(0) ** -1
+
+    def test_zero_denominator_is_a_parse_error(self):
+        for text in ("1/0", "3/0*i", "1+2/0*i", "0/0", "-5/0 * i"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                GR.parse(text)
+
+    @_ORACLE
+    @given(st.one_of(_GRAMMAR, _JUNK))
+    def test_parser_against_fraction_oracle(self, text):
+        """The integer parser and the Fraction-based one read the same value
+        or both refuse (the oracle divides by a zero denominator)."""
+        try:
+            expected = fraction_parse(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_parts(text)
+            return
+        except ValueError:
+            with pytest.raises(ValueError, match="cannot parse"):
+                parse_parts(text)
+            return
+        a, b, d = parse_parts(text)
+        assert d > 0 and agrees(from_parts(a, b, d), FractionPair.of(expected))
+        assert GR.parse(text) == expected
 
     def test_immutable_and_typed(self):
         z = GR(1, 2)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,21 +24,54 @@ from germnf.germ import (
 from germnf.series import TruncatedSeries as TS, UsageError, compose_all, identity_shift
 
 from helpers import (
+    all_exponents,
     conjugate_by_inverse,
     example_34_family,
+    family_by_oracle,
+    gaussians,
     germs,
     homogeneous_part,
     inverse_by_defect_correction,
     jets,
+    linear_diag_germ,
+    nonzero_gaussians,
     random_series,
     random_tangent_identity,
 )
 
 SMALL_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5))  # (n, D)
+ROOT = Path(__file__).resolve().parents[1]
+# coefficient strings: printed scalars and other spellings of the grammar
+COEFF_TEXT = gaussians.map(str) | st.sampled_from(["i", "-i", " 2/4 ", "-3/6+4/8 * i", "0", "0/7", "+5"])
+
+
+@st.composite
+def family_inputs(draw):
+    """Schema-1 family input, p <= 2, n <= 3, D <= 4, commuting or not:
+    invertible linear parts (a diagonal, or a row permutation of an upper
+    triangular matrix with nonzero diagonal) and up to 8 terms of degree 2
+    to D + 2, some of them repeated."""
+    n, degree = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    p = draw(st.integers(1, min(2, n)))
+    pool = list(all_exponents(n, degree + 2, 2))
+    maps = []
+    for _ in range(p):
+        pivots = [draw(nonzero_gaussians.map(str)) for _ in range(n)]
+        if draw(st.booleans()):
+            entry = {"linear_diag": pivots}
+        else:
+            upper = [[pivots[j] if j == k else draw(COEFF_TEXT) if k > j else "0" for k in range(n)] for j in range(n)]
+            entry = {"linear_matrix": draw(st.permutations(upper))}
+        terms = draw(st.lists(st.fixed_dictionaries({
+            "component": st.integers(1, n), "exponents": st.sampled_from(pool).map(list), "coeff": COEFF_TEXT,
+        }), max_size=8))
+        entry["terms"] = terms + draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+        maps.append(entry)
+    return {"schema": 1, "n": n, "p": p, "degree": degree, "maps": maps}
 
 
 def diag(values, degree):
-    return Germ.from_linear_diag([GR(v) if not isinstance(v, GR) else v for v in values], degree)
+    return linear_diag_germ([GR(v) if not isinstance(v, GR) else v for v in values], degree)
 
 
 class TestCompose:
@@ -347,6 +381,29 @@ class TestJson:
         (f,) = family_from_json(data).germs
         assert f.components[0] == TS(2, 3, {(1, 0): 2, (2, 0): GR.parse("5/6-i")})
         assert f.components[1] == TS(2, 3, {(0, 1): 3, (0, 3): 2})
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family_inputs())
+    def test_one_pass_reader_against_constructor_oracle(self, data):
+        """The reader's packed keys and summed triples give the family that
+        TruncatedSeries(n, D, {exponents: scalar}) builds from the
+        Fraction-parsed scalars, repeated terms and terms above D included."""
+        assert family_from_json(data, check_commuting=False) == family_by_oracle(data)
+
+    def test_reader_builds_scalars_only_for_the_linear_entries(self, monkeypatch):
+        """No Fraction, no parsed scalar and no scalar per term: the reader
+        builds a GaussianRational only for the nonzero linear entries that
+        the invertibility check reads."""
+        import germnf.germ as germ
+
+        data = json.loads((ROOT / "perfbench/corpus/integrals/inf_p2_n4-0.json").read_text())
+        built, scalars, original = [], [], germ.from_parts
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a)))
+        monkeypatch.setattr(GR, "__init__", lambda self, *a: built.append(a))
+        monkeypatch.setattr(germ, "from_parts", lambda *t: scalars.append(t) or original(*t))
+        fam = family_from_json(data, check_commuting=False)
+        assert built == []
+        assert len(scalars) == sum(len(g.linear_rows()) for g in fam.germs) == fam.p * fam.n
 
     def test_term_with_negative_exponent_rejected(self):
         terms = [{"component": 1, "exponents": [3, -1], "coeff": "1"}]

@@ -23,6 +23,7 @@ from helpers import (
     example_13_family,
     example_34_family,
     homogeneous_part,
+    linear_diag_germ,
     mu_product,
     pushforward_leading,
     random_tangent_identity,
@@ -41,7 +42,7 @@ class TestNormalize:
     def test_single_resonance_gap(self):
         fam = _simple_fixture()
         res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
-        assert res.normalized.germs[0] == Germ.from_linear_diag([GR(2), GR(3)], 4)
+        assert res.normalized.germs[0] == linear_diag_germ([GR(2), GR(3)], 4)
         expected_psi = Germ(
             [TS.variable(0, 2, 4) + TS.monomial((0, 2), Fraction(1, 7), 4), TS.variable(1, 2, 4)]
         )
@@ -84,7 +85,7 @@ class TestNormalize:
 
     def test_linear_part_not_rho_equivariant(self):
         # the pairing swaps x and y, so their eigenvalues must be conjugate
-        fam = Family([Germ.from_linear_diag([GR(2), GR(3)], 3)])
+        fam = Family([linear_diag_germ([GR(2), GR(3)], 3)])
         with pytest.raises(DomainError, match="input family is not rho-equivariant"):
             poincare_dulac_normalize(fam, EigenData.from_family(fam), rho_pairing=(1, 0))
 
@@ -144,7 +145,7 @@ class TestVerifyPdNf:
         for fam, offender in [
             (example_34_family(4), None),
             (_simple_fixture(), (1, 1, (0, 2))),
-            (Family([Germ.from_linear_diag([GR(5), GR(7)], 3)]), None),
+            (Family([linear_diag_germ([GR(5), GR(7)], 3)]), None),
         ]:
             assert verify_pd_nf(fam, EigenData.from_family(fam)) == offender
 
@@ -162,11 +163,11 @@ class TestFirstIntegrals:
         assert basis == [TS.monomial((2, 2), 1, 4)]
 
     def test_rotation(self):
-        fam = Family([Germ.from_linear_diag([GR(0, 1), GR(0, -1)], 2)])
+        fam = Family([linear_diag_germ([GR(0, 1), GR(0, -1)], 2)])
         assert first_integrals(fam, 2) == [TS.monomial((1, 1), 1, 2)]
 
     def test_empty(self):
-        fam = Family([Germ.from_linear_diag([GR(2), GR(3)], 5)])
+        fam = Family([linear_diag_germ([GR(2), GR(3)], 5)])
         assert first_integrals(fam, 5) == []
 
     def test_nonlinear_family(self):
@@ -260,7 +261,7 @@ class TestDivisionAndCertificates:
 
     def test_certificate_on_linear_family(self):
         eigen = EigenData.from_rows([["2", "3"]])
-        fam = Family([Germ.from_linear_diag([GR(2), GR(3)], 4)])
+        fam = Family([linear_diag_germ([GR(2), GR(3)], 4)])
         cert = extract_integrable_certificate(fam, eigen)
         assert cert.ok
         assert all(s.is_zero() for row in cert.phi for s in row)
@@ -271,6 +272,22 @@ class TestDivisionAndCertificates:
         nf = generate_integrable_nf(eigen, lat, 5, seed=31)
         cert = extract_integrable_certificate(nf, eigen)
         assert cert.ok
+
+    def test_certificate_multiplies_no_constant_one(self, monkeypatch):
+        """Each side of a lattice relation starts at its first factor and a
+        power at its base, so no product has the constant 1 as an operand."""
+        eigen = EigenData.from_rows([["4", "1/2", "2"], ["9", "1/3", "3"]])
+        fam = generate_integrable_nf(eigen, relation_lattice(eigen), 5, seed=13)
+        one, original, products = TS.constant(1, fam.n, fam.degree), TS.__mul__, []
+
+        def counted(a, b):
+            products.append(one in (a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(TS, "__mul__", counted)
+        cert = extract_integrable_certificate(fam, eigen)
+        assert cert.ok and any(e < 0 for gamma in cert.omega_generators for e in gamma)
+        assert len(products) >= 4 and not any(products)
 
     def test_example_34_certificate_errors(self):
         eigen = EigenData.from_family(example_34_family(4))
@@ -283,7 +300,7 @@ class TestGenerate:
         eigen = EigenData.from_rows([["-2", "1/2"]])
         lat = relation_lattice(eigen)
         fam = generate_integrable_nf(eigen, lat, 5, seed=0)
-        assert fam.germs[0] == Germ.from_linear_diag([GR(-2), GR(Fraction(1, 2))], 5)
+        assert fam.germs[0] == linear_diag_germ([GR(-2), GR(Fraction(1, 2))], 5)
 
     def test_kernel_structure(self):
         # kernel of (2,2) is spanned by (1,-1): w = (t G, -t G)
@@ -317,7 +334,7 @@ class TestPushforward:
         assert got == direct
 
     def test_linear_germ_zero(self):
-        f = Germ.from_linear_diag([GR(2), GR(Fraction(1, 2))], 6)
+        f = linear_diag_germ([GR(2), GR(Fraction(1, 2))], 6)
         assert pushforward_leading((1, 1), f).is_zero()
 
     def test_division_failure_rejected(self):

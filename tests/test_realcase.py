@@ -15,7 +15,7 @@ from germnf.normalform import (
 from germnf.resonance import EigenData
 from germnf.series import TruncatedSeries as TS
 
-from helpers import random_real_block_family, rho_equivariant_nf
+from helpers import linear_diag_germ, random_real_block_family, rho_equivariant_nf
 
 
 def rotation_germ(degree=4):
@@ -25,13 +25,13 @@ def rotation_germ(degree=4):
 class TestComplexify:
     def test_pure_rotation(self):
         cfam, p_germ, sigma = complexify_real_family(Family([rotation_germ()]))
-        assert cfam.germs[0] == Germ.from_linear_diag([GR(0, 1), GR(0, -1)], 4)
+        assert cfam.germs[0] == linear_diag_germ([GR(0, 1), GR(0, -1)], 4)
         assert sigma == (1, 0)
 
     def test_scaling_rotation(self):
         g = Germ.from_linear_matrix([[GR(1), GR(-1)], [GR(1), GR(1)]], 4)
         cfam, _, _ = complexify_real_family(Family([g]))
-        assert cfam.germs[0] == Germ.from_linear_diag([GR(1, 1), GR(1, -1)], 4)
+        assert cfam.germs[0] == linear_diag_germ([GR(1, 1), GR(1, -1)], 4)
 
     def test_block_with_tail(self):
         mat = [
@@ -40,7 +40,7 @@ class TestComplexify:
             [GR(0), GR(0), GR(2)],
         ]
         cfam, _, sigma = complexify_real_family(Family([Germ.from_linear_matrix(mat, 3)]))
-        assert cfam.germs[0] == Germ.from_linear_diag([GR(0, 1), GR(0, -1), GR(2)], 3)
+        assert cfam.germs[0] == linear_diag_germ([GR(0, 1), GR(0, -1), GR(2)], 3)
         assert sigma == (1, 0, 2)
 
     def test_malformed_block(self):
@@ -49,7 +49,7 @@ class TestComplexify:
             complexify_real_family(Family([Germ.from_linear_matrix(mat, 3)]))
 
     def test_complex_input_rejected(self):
-        g = Germ.from_linear_diag([GR(0, 1), GR(0, -1)], 3)
+        g = linear_diag_germ([GR(0, 1), GR(0, -1)], 3)
         with pytest.raises(DomainError):
             complexify_real_family(Family([g]))
 
@@ -70,7 +70,7 @@ class TestBlockTransforms:
 
 class TestRealify:
     def test_linear_diagonal(self):
-        fam = Family([Germ.from_linear_diag([GR(0, 1), GR(0, -1)], 3)])
+        fam = Family([linear_diag_germ([GR(0, 1), GR(0, -1)], 3)])
         back = realify_normal_form(fam, (1, 0))
         assert back.germs[0] == rotation_germ(3)
 
