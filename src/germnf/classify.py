@@ -15,6 +15,11 @@ a guess.  Concretely:
 * the remaining gap (a symbolically nonzero expression whose value cannot
   be separated from zero) is reported as INDETERMINATE.
 
+A NO rests only on an exact fact: a relation lattice of too small a rank
+(`_exponents_needed`) or a branch system with no integer solution.  A
+bounded Omega walk or branch box that falls short gives INDETERMINATE and
+names its bound in `bounds_used`.
+
 Every decider takes the one eigen object, `resonance.EigenData`, which
 decomposes each eigenvalue once and keeps what the deciders share: the
 relation lattice, the Omega walks and one table of log-modulus minors,
@@ -53,18 +58,12 @@ from .exactnum import (
     rational_interval,
 )
 from .linalg import (
-    integer_rank,
     kernel_basis,
     lattice_points,
     rational_feasible,
     solve_integer,
 )
-from .resonance import (
-    EigenData,
-    OmegaEnumeration,
-    enumerate_omega,
-    omega_span_basis,
-)
+from .resonance import EigenData, OmegaEnumeration, enumerate_omega
 from .series import UsageError
 
 
@@ -93,7 +92,7 @@ class Verdict:
     def to_json(self) -> dict:
         out = {"verdict": self.value.value, "method": self.method}
         if self.witness is not None:
-            out["witness"] = self.witness
+            out["witness"] = self.witness.to_json() if hasattr(self.witness, "to_json") else self.witness
         if self.bounds_used:
             out["bounds_used"] = self.bounds_used
         if self.reason:
@@ -357,23 +356,24 @@ def _minor_table(eigen: EigenData) -> list[Minor]:
 def is_nondegenerate(eigen: EigenData, omega_bound: int) -> Verdict:
     """q = n - p independent first-integral exponents at the linear level
     certify q functionally independent monomial first integrals."""
-    q = eigen.n - eigen.p
-    chosen = _independent_points(enumerate_omega(eigen, omega_bound), q)
-    bounds = {"omega_bound": omega_bound}
-    if len(chosen) >= q:
-        return _yes({"independent_exponents": chosen}, bounds=bounds)
-    return _no({"rank_enumerated": len(chosen), "required": q}, bounds=bounds)
+    chosen, shortfall = _exponents_needed(eigen, enumerate_omega(eigen, omega_bound), eigen.n - eigen.p, "n-p")
+    if shortfall is not None:
+        return shortfall
+    return _yes({"independent_exponents": chosen}, bounds={"omega_bound": omega_bound})
 
 
-def _independent_points(omega: OmegaEnumeration, limit: int) -> list[list[int]]:
-    """Omega points taken in order when they raise the rank, until `limit`."""
-    rows: list[list[int]] = []
-    for pt in omega.points:
-        if integer_rank(rows + [list(pt)]) > len(rows):
-            rows.append(list(pt))
-            if len(rows) == limit:
-                break
-    return rows
+def _exponents_needed(eigen: EigenData, omega: OmegaEnumeration, k: int, label: str):
+    """(the first k independent Omega points, None), or (those found, the
+    shortfall's verdict): NO when the relation lattice's rank is below k,
+    so that no bound finds k, else INDETERMINATE with the walk's bound.
+    `label` names k in the reason."""
+    rows = [list(pt) for pt in omega.independent[:k]]
+    if len(rows) == k:
+        return rows, None
+    if eigen.lattice.rank < k:
+        return rows, _no({"lattice_rank": eigen.lattice.rank, "needed": k})
+    return rows, _indet(f"need {label} = {k} independent first-integral exponents, found {len(rows)}",
+                        {"omega_bound": omega.degree_bound})
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def weak_resonance(eigen: EigenData, branches: BranchChoice | None = None) -> Ve
 # ---------------------------------------------------------------------------
 
 
-def _branch_row_solutions(eigen: EigenData, i: int, span_rows: list[list[int]], bound: int):
+def _branch_row_solutions(eigen: EigenData, i: int, span_rows: tuple[tuple[int, ...], ...], bound: int):
     """Integer vectors b_i with sum_m w_m b_im = -K0_i(w) on every span row,
     restricted to |b_im| <= bound.  Returns (solutions, infeasibility); the
     solutions are complete for the box and sorted smallest-norm first."""
@@ -461,7 +461,7 @@ def find_infinitesimal_generators(
     points (then every common monomial first integral of the linear parts is
     a first integral of the generators), or None with an infeasibility
     certificate."""
-    span = omega_span_basis(eigen, omega_bound)
+    span = enumerate_omega(eigen, omega_bound).span
     bounds = {"omega_bound": omega_bound, "branch_bound": branch_bound}
     if not span:
         return BranchChoice.zero(eigen.p, eigen.n), {"vacuous": True, **bounds}
@@ -498,23 +498,22 @@ def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3) -> Verdict:
     # branches with K == 0 on the full relation lattice are exactly the
     # weakly non-resonant generator families
     per_row: list[list[tuple[int, ...]]] = []
-    infeasible = None
     for i in range(eigen.p):
         if lat.rank == 0:
             per_row.append([tuple([0] * eigen.n)])
             continue
         try:
-            sols, failure = _branch_row_solutions(eigen, i, [list(k) for k in lat.basis], branch_bound)
+            sols, failure = _branch_row_solutions(eigen, i, lat.basis, branch_bound)
         except IndeterminateError as exc:
             return _indet(str(exc), bounds)
-        if failure is not None:
-            infeasible = failure
-            break
-        per_row.append(sols)
-    if infeasible is not None:
-        if proj.no:
-            return _no({"projective": proj.witness, "weak_nonresonance": infeasible}, bounds=bounds)
-        return _indet("projective hyperbolicity undecided and no weakly non-resonant branch", bounds)
+        if failure is None:
+            per_row.append(sols)
+        elif "particular" in failure:  # integer solutions exist, only the box missed them
+            return _indet(f"germ {i + 1}: {failure['reason']}", bounds)
+        elif proj.no:
+            return _no({"projective": proj.witness, "weak_nonresonance": failure}, bounds=bounds)
+        else:
+            return _indet("projective hyperbolicity undecided and no weakly non-resonant branch", bounds)
     total = math.prod(len(sols) for sols in per_row)
     if total > CANDIDATE_CAP:
         return _indet(f"too many candidate branches ({total}) within bound", bounds)
@@ -716,7 +715,8 @@ class PoincareTypeCertificate:
 def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
     """Constructive Poincare-type certificate for p = 1 with n-1 independent
     first-integral exponents; hypothesis is that some eigenvalue leaves the
-    unit circle.  The rows are Omega points, which lie in the relation
+    unit circle.  Too few exponents give the shortfall verdict of
+    _exponents_needed.  The rows are Omega points, which lie in the relation
     lattice and span k^perp over Q, so every integer vector v orthogonal to
     k has a multiple in the lattice and mu^v is a root of unity: a slot with
     k_m = 0 or a cancelling pair without a torsion order is an internal
@@ -728,11 +728,9 @@ def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
     logmods = [eigen.log_modulus(0, m) for m in range(n)]
     if all(v.is_zero() for v in logmods):
         return _no({"all_unit_modulus": True})
-    rows = _independent_points(omega, n - 1)
-    if len(rows) < n - 1:
-        raise UsageError(
-            f"need n-1 = {n - 1} independent first-integral exponents, found {len(rows)}"
-        )
+    rows, shortfall = _exponents_needed(eigen, omega, n - 1, "n-1")
+    if shortfall is not None:
+        return shortfall
     kern = kernel_basis(rows, ncols=n)
     if len(kern) != 1:
         raise AssertionError("first-integral matrix kernel is not one-dimensional")

@@ -16,13 +16,14 @@ Each command returns its payload and the jet degree it used, which the
 report's config echoes: the family's degree for family input, min(--degree,
 D) for first-integrals, and --degree for eigen input.
 
-A command builds one `EigenData` from its input and passes that one object
-to every lattice, Omega and decider call, so each distinct eigenvalue is
-factored once per command and the relation lattice computed once; nothing
-is kept between commands.  Certified interval evaluation has one precision
-budget, GERMNF_PRECISION_BITS (see `exactnum.precision_cap`); there is no
-option for it, and an indeterminate rank verdict reports the cap in
-`bounds_used.max_bits`.
+The CLI holds no verdict logic: `analyze` serializes what `classify`
+decides.  A command builds one `EigenData` from its input and passes that
+one object to every lattice, Omega and decider call, so each distinct
+eigenvalue is factored once per command and the relation lattice computed
+once; nothing is kept between commands.  Certified interval evaluation has
+one precision budget, GERMNF_PRECISION_BITS (see `exactnum.precision_cap`);
+there is no option for it, and an indeterminate rank verdict reports the
+cap in `bounds_used.max_bits`.
 """
 
 from __future__ import annotations
@@ -182,28 +183,8 @@ def _cmd_analyze(data, args) -> tuple[dict, int]:
     if fam is not None:
         payload["nondegenerate"] = classify.is_nondegenerate(eigen, bound).to_json()
     if eigen.p == 1:
-        payload["poincare_type"] = _poincare_type(eigen, bound)
+        payload["poincare_type"] = classify.poincare_type_single(eigen, enumerate_omega(eigen, bound)).to_json()
     return payload, fam.degree if fam else args.degree
-
-
-def _poincare_type(eigen: EigenData, bound: int) -> dict:
-    """The p = 1 Poincare-type verdict.  Too few independent first-integral
-    exponents fail the hypothesis exactly when the relation lattice itself
-    has rank below n - 1, and leave it undecided when only the bounded
-    enumeration fell short."""
-    try:
-        verdict = classify.poincare_type_single(eigen, enumerate_omega(eigen, bound))
-    except UsageError as exc:
-        needed = eigen.n - 1
-        if eigen.lattice.rank < needed:
-            return classify.Verdict(
-                classify.VerdictValue.NO, {"lattice_rank": eigen.lattice.rank, "needed": needed}
-            ).to_json()
-        return {"verdict": "indeterminate", "reason": str(exc)}
-    entry = verdict.to_json()
-    if verdict.yes:
-        entry["witness"] = verdict.witness.to_json()
-    return entry
 
 
 def _cmd_normalize(data, args) -> tuple[dict, int]:

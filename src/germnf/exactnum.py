@@ -67,7 +67,8 @@ def precision_ladder():
 # groups: real numerator and denominator; imaginary sign, numerator and denominator
 _GAUSS_RE = _re.compile(
     r"^\s*(?:([+-]?\d+)(?:/(\d+))?(?=\s*(?:[+-]|$)))?\s*"
-    r"(?:([+-]?)(?:(\d+)(?:/(\d+))?\s*\*\s*)?i)?\s*$"
+    r"(?:([+-]?)(?:(\d+)(?:/(\d+))?\s*\*\s*)?i)?\s*$",
+    _re.ASCII,  # \d and \s: ASCII digits and whitespace only
 )
 
 

@@ -33,10 +33,15 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
     H keeps its zero rows (at the bottom) so U rows stay aligned; pivots are
     positive and entries above each pivot are reduced into [0, pivot).
     """
+    return _hnf(rows, [[1 if i == j else 0 for j in range(len(rows))] for i in range(len(rows))])
+
+
+def _hnf(rows: list[list[int]], u: list[list]) -> tuple[list[list[int]], list[list]]:
+    """hnf_with_transform, with every row operation also applied to u, one
+    row per row of A: the identity gives U, and empty rows track nothing."""
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
     for c in range(n):
         pivot_row = None
@@ -72,8 +77,10 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
 
 
 def row_hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical HNF basis of the lattice spanned by the rows (zero rows dropped)."""
-    h, _ = hnf_with_transform(rows)
+    """Canonical HNF basis of the lattice spanned by the rows (zero rows
+    dropped).  No transform is tracked: an m x m one would cost O(m^2) per
+    step on the thousands of Omega points a large bound walks."""
+    h, _ = _hnf(rows, [[] for _ in rows])
     return [r for r in h if any(r)]
 
 

@@ -12,7 +12,10 @@ mod-4 congruence is absorbed into one integer-kernel computation by a
 scaled auxiliary column per germ.
 
 Omega (the paper's first-integral exponent set) is the lattice's
-intersection with N^n; resonant sets are its e_m-translates.
+intersection with N^n; resonant sets are its e_m-translates.  One box walk,
+`_walk`, enumerates both.  Its record, `OmegaEnumeration`, also carries
+the two facts every reader of a bounded Omega needs: `span`, the HNF of
+its points, and `independent`, its points that raise the rank.
 
 EigenData is the one eigen object: every hypothesis of the theorem is a
 function of the eigenvalue matrix mu alone, and everything read off mu is
@@ -39,6 +42,7 @@ independent of the coprime base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactnum import (
     GaussianFactorization,
@@ -237,10 +241,27 @@ def relation_lattice(eigen: EigenData) -> RelationLattice:
 
 @dataclass(frozen=True)
 class OmegaEnumeration:
-    """All nonzero first-integral exponents of degree <= degree_bound."""
+    """All nonzero first-integral exponents of degree <= degree_bound, in
+    grlex order, with the two facts read off them, each computed on first
+    read: `span`, the HNF basis of their Z-span, and `independent`, the
+    points in order that raise the rank, len(span) of them."""
 
     degree_bound: int
     points: tuple[MultiIndex, ...]
+
+    @cached_property
+    def span(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, row_hnf(self.points))) if self.points else ()
+
+    @cached_property
+    def independent(self) -> tuple[MultiIndex, ...]:
+        rows: list[MultiIndex] = []
+        for pt in self.points:
+            if len(rows) == len(self.span):
+                break
+            if integer_rank([*rows, pt]) > len(rows):
+                rows.append(pt)
+        return tuple(rows)
 
     def to_json(self) -> dict:
         return {"bound": self.degree_bound, "points": [list(pt) for pt in self.points]}
@@ -249,26 +270,28 @@ class OmegaEnumeration:
 def enumerate_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
     """Nonzero lattice points in N^n with total degree <= bound.
 
-    Enumeration walks the relation lattice intersected with the simplex
-    rather than all of N^n; every emitted point is re-verified by an exact
-    eigenvalue product from the power table.  The eigen object keeps the
-    result, so one command walks each box once.
+    The eigen object keeps the result, so one command walks each box once
+    and computes its span once.
     """
     if bound < 1:
         raise UsageError("enumeration bound must be >= 1")
-    return eigen.once(("omega", bound), lambda: _walk_omega(eigen, bound))
+    return eigen.once(("omega", bound), lambda: OmegaEnumeration(
+        bound, _walk(eigen, [0] * eigen.n, 1, bound, eigen.satisfies_relation)))
 
 
-def _walk_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
+def _walk(eigen: EigenData, offset: list[int], low: int, bound: int, holds) -> tuple[MultiIndex, ...]:
+    """The points of offset + lattice in N^n with low <= degree <= bound, in
+    grlex order.  The walk covers the lattice intersected with the box
+    [0, bound]^n, not all of N^n, and each point is re-checked exactly by
+    `holds`, which reads the power table."""
     pts = []
-    for pt in lattice_points([list(r) for r in eigen.lattice.basis], [0] * eigen.n, [bound] * eigen.n):
-        deg = sum(pt)
-        if 1 <= deg <= bound:
-            if not eigen.satisfies_relation(pt):
-                raise AssertionError(f"enumerated point {pt} failed product re-verification")
+    for pt in lattice_points(eigen.lattice.basis, [0] * eigen.n, [bound] * eigen.n, offset=offset):
+        if low <= sum(pt) <= bound:
+            if not holds(pt):
+                raise AssertionError(f"walked point {pt} failed its exact re-check")
             pts.append(pt)
     pts.sort(key=grlex_key)
-    return OmegaEnumeration(bound, tuple(pts))
+    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -291,24 +314,15 @@ def resonant_set(eigen: EigenData, m: int, bound: int) -> ResonantSet:
     """Solutions of the resonance condition mu_im = mu_i^gamma for all i.
 
     m is 1-based.  Computed as (e_m + lattice) intersected with N^n in the
-    degree range, then cross-checked term by term against the exact
-    products; the brute-force oracle comparison lives in the tests.
+    degree range by the walk Omega uses, each point checked against the
+    resonance gaps; the brute-force oracle comparison lives in the tests.
     """
     if not 1 <= m <= eigen.n:
         raise UsageError(f"component {m} out of range 1..{eigen.n}")
     if bound < 2:
         raise UsageError("resonant set bound must be >= 2")
     offset = [1 if j == m - 1 else 0 for j in range(eigen.n)]
-    pts = []
-    basis = [list(r) for r in eigen.lattice.basis]
-    for pt in lattice_points(basis, [0] * eigen.n, [bound] * eigen.n, offset=offset):
-        deg = sum(pt)
-        if 2 <= deg <= bound:
-            if not is_resonant_exponent(eigen, m, pt):
-                raise AssertionError(f"resonant candidate {pt} failed exact check")
-            pts.append(pt)
-    pts.sort(key=grlex_key)
-    return ResonantSet(m, bound, tuple(pts))
+    return ResonantSet(m, bound, _walk(eigen, offset, 2, bound, lambda pt: is_resonant_exponent(eigen, m, pt)))
 
 
 def is_resonant_exponent(eigen: EigenData, m: int, gamma) -> bool:
@@ -323,10 +337,4 @@ def vect_omega_rank(eigen: EigenData, enumeration_bound: int) -> tuple[int, int]
     nonnegative points only, and a finite enumeration can only bound its
     dimension from below.
     """
-    pts = [list(pt) for pt in enumerate_omega(eigen, enumeration_bound).points]
-    return (integer_rank(pts) if pts else 0), eigen.lattice.rank
-
-
-def omega_span_basis(eigen: EigenData, bound: int) -> list[list[int]]:
-    """HNF basis of the Z-span of the enumerated Omega points."""
-    return row_hnf([list(pt) for pt in enumerate_omega(eigen, bound).points])
+    return len(enumerate_omega(eigen, enumeration_bound).span), eigen.lattice.rank

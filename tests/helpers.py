@@ -94,7 +94,6 @@ def decider_outcomes(eigen: EigenData, bound: int = 6, branch_bound: int = 3) ->
     search's branch, and for p = 1 the Poincare-type verdict; an
     IndeterminateError stands as its own outcome."""
     from germnf import classify
-    from germnf.cli import _poincare_type
 
     deciders = {
         "projectively_hyperbolic": classify.is_projectively_hyperbolic,
@@ -116,8 +115,8 @@ def decider_outcomes(eigen: EigenData, bound: int = 6, branch_bound: int = 3) ->
     except IndeterminateError:
         out["generators"] = "IndeterminateError"
     if eigen.p == 1:
-        entry = _poincare_type(eigen, bound)
-        out["poincare_type"] = (entry["verdict"], entry.get("method"))
+        verdict = classify.poincare_type_single(eigen, enumerate_omega(eigen, bound))
+        out["poincare_type"] = (verdict.value, verdict.method)
     return out
 
 
@@ -217,7 +216,8 @@ def from_term_list(terms: list[dict], n: int, degree: int) -> TruncatedSeries:
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _FRACTION_GAUSS_RE = re.compile(
     rf"^\s*(?:(?P<re>{_RAT})(?=\s*(?:[+-]|$)))?\s*"
-    rf"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*\*\s*)?)i)?\s*$"
+    rf"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*\*\s*)?)i)?\s*$",
+    re.ASCII,  # Fraction reads Unicode digits too, so the grammar refuses them here
 )
 
 

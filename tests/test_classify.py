@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -27,7 +28,6 @@ from germnf.classify import (
 from germnf.exactnum import GaussianRational as GR
 from germnf.exactnum import LogModulusVector, precision_ladder
 from germnf.resonance import EigenData, enumerate_omega, relation_lattice
-from germnf.series import UsageError
 
 from helpers import (
     RANK_2_P4_MU,
@@ -159,6 +159,8 @@ class TestNormalFormHypothesis:
     def test_routes(self):
         assert normal_form_hypothesis(E13).witness["route"] == "projectively_hyperbolic"
         assert normal_form_hypothesis(E34).no
+        # no integer branch row at all, whatever the box: an exact NO
+        assert normal_form_hypothesis(EI).witness["weak_nonresonance"]["reason"] == "no integer solution"
         assert normal_form_hypothesis(EI).no
         elliptic = EigenData(((GR(Fraction(3, 5), Fraction(4, 5)), GR(Fraction(3, 5), Fraction(-4, 5))),))
         verdict = normal_form_hypothesis(elliptic)
@@ -495,5 +497,54 @@ class TestPoincareType:
             poincare_type_single(E13, enumerate_omega(E13, 8))
 
     def test_needs_enough_integrals(self):
-        with pytest.raises(UsageError):
-            poincare_type_single(E23, enumerate_omega(E23, 8))
+        verdict = poincare_type_single(E23, enumerate_omega(E23, 8))
+        assert verdict.no and verdict.method == "exact" and not verdict.bounds_used
+        assert verdict.witness == {"lattice_rank": 0, "needed": 1}
+
+
+_UNITS = (GR(1), GR(-1), GR(0, 1), GR(0, -1))
+_ELLIPTIC = GR(1, 2) / GR(1, -2)  # modulus 1, not a root of unity
+
+
+@st.composite
+def bounded_search_eigen(draw):
+    """p x n eigenvalues, p <= 2 and n <= 3.  Each germ's entries are units
+    times powers of one or two generators from 2, 3, 6 and the unit-modulus
+    (1 + 2i)/(1 - 2i), so its relation lattice has rank n - 1 or n - 2 and
+    Omega can be empty, start past degree 8 or start low; exponents up to
+    12 also give branch rows with large particular solutions."""
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(max(p, 2), 3))
+    rows = []
+    for _ in range(p):
+        gens = draw(st.lists(st.sampled_from([GR(2), GR(3), GR(6), _ELLIPTIC]), min_size=1, max_size=2))
+        rows.append(tuple(
+            draw(st.sampled_from(_UNITS)) * math.prod((g ** draw(st.integers(-12, 12)) for g in gens), start=GR(1))
+            for _ in range(n)))
+    return EigenData(tuple(rows))
+
+
+def _bounded_verdicts(eigen: EigenData, scale: int) -> dict:
+    """The verdicts whose searches the Omega and branch bounds limit, at the
+    command line's default bounds (8 and 10) times `scale`."""
+    omega_bound, branch_bound = 8 * scale, 10 * scale
+    verdicts = {
+        "nondegenerate": is_nondegenerate(eigen, omega_bound),
+        "normal_form_hypothesis": normal_form_hypothesis(eigen, branch_bound=branch_bound),
+    }
+    if eigen.p == 1:
+        verdicts["poincare_type"] = poincare_type_single(eigen, enumerate_omega(eigen, omega_bound))
+    return {name: verdict.value for name, verdict in verdicts.items()}
+
+
+class TestBoundedSearchOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(eigen=bounded_search_eigen())
+    def test_default_bounds_never_contradict_larger_ones(self, eigen):
+        """A verdict at the default bounds is INDETERMINATE or the one that
+        three times the bounds give, whenever that one is definite: a
+        bounded search that falls short never answers NO."""
+        small, large = _bounded_verdicts(eigen, 1), _bounded_verdicts(eigen, 3)
+        undecided = VerdictValue.INDETERMINATE
+        for name, verdict in small.items():
+            assert verdict is undecided or large[name] is undecided or verdict is large[name], (name, eigen)

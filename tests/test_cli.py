@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germnf.cli import _json_text, run
+from germnf.exactnum import GaussianRational as GR
 from germnf.germ import Germ, family_from_json, invert_germ
 from germnf.series import TruncatedSeries, UsageError, compose_all
 
@@ -710,6 +711,55 @@ class TestEigenWork:
         assert entry["reason"] == "need n-1 = 1 independent first-integral exponents, found 0"
 
 
+class TestBoundedSearchShortfall:
+    """A bounded search that falls short answers INDETERMINATE and names its
+    bound; a bound large enough decides."""
+
+    # Omega's first points, (1, 20, 0) and (1, 19, 1), have degree 21
+    FAR_OMEGA = {"schema": 1, "n": 3, "p": 1, "degree": 4,
+                 "maps": [{"linear_diag": ["1048576", "1/2", "1/2"], "terms": []}]}
+
+    def test_omega_walk_shortfall_is_indeterminate(self, tmp_path):
+        path = _write(tmp_path, "far.json", self.FAR_OMEGA)
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 2
+        for name in ("nondegenerate", "poincare_type"):
+            entry = report["payload"][name]
+            assert entry["verdict"] == "indeterminate" and entry["bounds_used"] == {"omega_bound": 8}, name
+        assert report["payload"]["nondegenerate"]["reason"] == (
+            "need n-p = 2 independent first-integral exponents, found 0")
+        code, report = _run_json(tmp_path, "analyze", path, "--bound-omega", "21")
+        assert code == 0
+        entry = report["payload"]["nondegenerate"]
+        assert entry["verdict"] == "yes"
+        assert entry["witness"]["independent_exponents"] == [[1, 20, 0], [1, 19, 1]]
+        assert report["payload"]["poincare_type"]["verdict"] == "yes"
+
+    def test_nondegenerate_fails_exactly_when_lattice_rank_is_short(self, tmp_path):
+        data = {"schema": 1, "n": 2, "p": 1, "degree": 4, "maps": [{"linear_diag": ["2", "3"], "terms": []}]}
+        _, report = _run_json(tmp_path, "analyze", _write(tmp_path, "e23.json", data))
+        assert report["payload"]["nondegenerate"] == {
+            "verdict": "no",
+            "method": "exact",
+            "witness": {"lattice_rank": 0, "needed": 1},
+        }
+
+    def test_branch_box_shortfall_is_indeterminate(self, tmp_path):
+        # all moduli 1 and lattice basis (1, 400): the branch row's integer
+        # solutions are (-59, 0) plus the kernel, none within the default box
+        mu2 = GR(Fraction(3, 5), Fraction(4, 5))
+        path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(mu2 ** -400), str(mu2)]]})
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 2
+        entry = report["payload"]["normal_form_hypothesis"]
+        assert entry["verdict"] == "indeterminate" and entry["bounds_used"] == {"branch_bound": 10}
+        assert entry["reason"] == "germ 1: integer solutions exist but none within branch bound"
+        code, report = _run_json(tmp_path, "analyze", path, "--bound-branch", "60")
+        assert code == 0
+        entry = report["payload"]["normal_form_hypothesis"]
+        assert entry["verdict"] == "yes" and entry["witness"]["branch"] == [[-59, 0]]
+
+
 class TestContracts:
     def test_determinism_excluding_timing(self, tmp_path):
         path = _write(tmp_path, "ex13.json", EX13)
@@ -874,6 +924,26 @@ class TestContracts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bad eigen input: zero denominator in Gaussian rational: '1/0'\n"
+
+    @pytest.mark.parametrize("text", ["\u0661/\u0662", "\uff11\uff12", "\xa01/2", "3\u2003+ i"])
+    def test_non_ascii_number_in_family_exit_1(self, tmp_path, capsys, text):
+        """The grammar is ASCII: Arabic-Indic or fullwidth digits and Unicode
+        spaces are refused, not read as the numbers they look like."""
+        data = json.loads(json.dumps(NORMALIZABLE))
+        data["maps"][0]["linear_diag"][1] = text
+        path = _write(tmp_path, "bad.json", data)
+        assert run(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad family input: cannot parse Gaussian rational: {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["\u0661/\u0662", "\uff11\uff12", "\xa01/2", "3\u2003+ i"])
+    def test_non_ascii_number_in_mu_exit_1(self, tmp_path, capsys, text):
+        path = _write(tmp_path, "bad.json", {"schema": 1, "mu": [[text, "2"]]})
+        assert run(["lattice", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad eigen input: cannot parse Gaussian rational: {text!r}\n"
 
     def test_report_integer_over_str_limit_exit_1(self, tmp_path, capsys):
         """An n = 1, D = 4 family with a 3000-digit x^2 coefficient and its

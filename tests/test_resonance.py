@@ -12,7 +12,6 @@ from germnf.resonance import (
     EigenData,
     enumerate_omega,
     is_resonant_exponent,
-    omega_span_basis,
     relation_lattice,
     resonant_set,
     vect_omega_rank,
@@ -199,7 +198,7 @@ class TestRank:
             assert vect_omega_rank(eigen, 12)[0] == q
 
     def test_span_basis(self):
-        assert omega_span_basis(EI, 4) == [[1, 1], [0, 4]]
+        assert enumerate_omega(EI, 4).span == ((1, 1), (0, 4))
 
 
 # Gaussian primes the structured entries share: 1 + i (ramified), the
