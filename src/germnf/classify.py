@@ -17,8 +17,8 @@ a guess.  Concretely:
 
 A NO rests only on an exact fact: a relation lattice of too small a rank
 (`_exponents_needed`) or a branch system with no integer solution.  A
-bounded Omega walk or branch box that falls short gives INDETERMINATE and
-names its bound in `bounds_used`.
+bounded Omega walk, branch box or candidate cap that falls short gives
+INDETERMINATE with method `bounded_search` and its bound in `bounds_used`.
 
 Every decider takes the one eigen object, `resonance.EigenData`, which
 decomposes each eigenvalue once and keeps what the deciders share: the
@@ -108,8 +108,8 @@ def _no(witness=None, method="exact", bounds=None) -> Verdict:
     return Verdict(VerdictValue.NO, witness, method, bounds or {})
 
 
-def _indet(reason: str, bounds=None) -> Verdict:
-    return Verdict(VerdictValue.INDETERMINATE, None, "symbolic+interval", bounds or {}, reason)
+def _indet(reason: str, bounds=None, method="symbolic+interval") -> Verdict:
+    return Verdict(VerdictValue.INDETERMINATE, None, method, bounds or {}, reason)
 
 
 def _method(exact: bool) -> str:
@@ -373,7 +373,7 @@ def _exponents_needed(eigen: EigenData, omega: OmegaEnumeration, k: int, label: 
     if eigen.lattice.rank < k:
         return rows, _no({"lattice_rank": eigen.lattice.rank, "needed": k})
     return rows, _indet(f"need {label} = {k} independent first-integral exponents, found {len(rows)}",
-                        {"omega_bound": omega.degree_bound})
+                        {"omega_bound": omega.degree_bound}, "bounded_search")
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +509,14 @@ def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3) -> Verdict:
         if failure is None:
             per_row.append(sols)
         elif "particular" in failure:  # integer solutions exist, only the box missed them
-            return _indet(f"germ {i + 1}: {failure['reason']}", bounds)
+            return _indet(f"germ {i + 1}: {failure['reason']}", bounds, "bounded_search")
         elif proj.no:
             return _no({"projective": proj.witness, "weak_nonresonance": failure}, bounds=bounds)
         else:
             return _indet("projective hyperbolicity undecided and no weakly non-resonant branch", bounds)
     total = math.prod(len(sols) for sols in per_row)
     if total > CANDIDATE_CAP:
-        return _indet(f"too many candidate branches ({total}) within bound", bounds)
+        return _indet(f"too many candidate branches ({total}) within bound", bounds, "bounded_search")
     saw_indeterminate = False
     for combo in itertools.product(*per_row):
         branch = BranchChoice(tuple(combo))

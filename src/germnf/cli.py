@@ -24,6 +24,11 @@ once; nothing is kept between commands.  Certified interval evaluation has
 one precision budget, GERMNF_PRECISION_BITS (see `exactnum.precision_cap`);
 there is no option for it, and an indeterminate rank verdict reports the
 cap in `bounds_used.max_bits`.
+
+Commutation is checked once per command: `first-integrals`, `analyze` and
+`lattice` check every pair of the input at load; `normalize`, `realcase` and
+`verify` show it at the end by an ok integrable certificate or one check of
+the normal form (for `verify`, the input), see `_commutation_once`.
 """
 
 from __future__ import annotations
@@ -69,11 +74,43 @@ def _load_json(path: str):
     return data, hashlib.sha256(raw).hexdigest()
 
 
-def _load_family(data) -> Family:
+def _load_family(data, check_commuting: bool = True) -> Family:
     try:
-        return family_from_json(data)
+        return family_from_json(data, check_commuting)
     except (UsageError, DomainError, CommutationError, KeyError, ValueError) as exc:
         raise UsageError(f"bad family input: {exc}")
+
+
+def _commutation_once(command):
+    """Run `command(fam, data, args)` on the family loaded unchecked and show
+    commutation once.  The command returns its payload and None when an
+    integrable certificate is ok, else the family to check: the normal form
+    Phi', or for `verify` the input.  On any error, or if that family does
+    not commute, the input is checked first, so input that does not commute
+    keeps its load error; else the error is re-raised, a failing Phi' as an
+    AssertionError.
+
+    Why this suffices.  Conjugation is an automorphism of the group of
+    D-jets, so Phi' commutes iff Phi does.  For an ok certificate write
+    Phi_jm = mu_jm x_m u_jm, u = 1 + phi.  gamma -> prod_k u_jk^gamma_k is a
+    homomorphism into the units mod m^D, trivial on the certificate's basis,
+    so on all of the relation lattice L.  Each phi_im is supported on L and
+    x^beta o Phi_j = x^beta prod_k u_jk^beta_k, so phi_im o Phi_j = phi_im
+    mod m^D and (Phi_i o Phi_j)_m = mu_im mu_jm x_m u_im u_jm mod m^(D+1),
+    symmetric in i and j."""
+    def checked(data, args):
+        fam = _load_family(data, check_commuting=False)
+        try:
+            payload, unproven = command(fam, data, args)
+            if unproven is not None:
+                Family(unproven.germs)
+        except Exception as exc:
+            _load_family(data)  # raises when the input does not commute
+            if isinstance(exc, CommutationError):
+                raise AssertionError(f"the normal form does not commute, though its input does: {exc}")
+            raise
+        return payload, fam.degree
+    return checked
 
 
 def _load_eigen(data) -> EigenData:
@@ -187,8 +224,8 @@ def _cmd_analyze(data, args) -> tuple[dict, int]:
     return payload, fam.degree if fam else args.degree
 
 
-def _cmd_normalize(data, args) -> tuple[dict, int]:
-    fam = _load_family(data)
+@_commutation_once
+def _cmd_normalize(fam, data, args) -> tuple[dict, Family | None]:
     pairing = None
     if args.rho_equivariant:
         if "pairing" not in data:
@@ -199,12 +236,10 @@ def _cmd_normalize(data, args) -> tuple[dict, int]:
     payload = result.to_json()
     division = normalform.division_check(result.normalized)
     if division.ok:
-        payload["certificate"] = normalform.extract_integrable_certificate(
-            result.normalized, eigen
-        ).to_json()
+        payload["certificate"] = normalform.extract_integrable_certificate(result.normalized, eigen).to_json()
     else:
         payload["certificate"] = {"ok": False, "division": division.to_json()}
-    return payload, fam.degree
+    return payload, None if payload["certificate"]["ok"] else result.normalized
 
 
 def _cmd_first_integrals(data, args) -> tuple[dict, int]:
@@ -219,44 +254,31 @@ def _cmd_first_integrals(data, args) -> tuple[dict, int]:
     return payload, degree
 
 
-def _cmd_verify(data, args) -> tuple[dict, int]:
-    fam = _load_family(data)
+@_commutation_once
+def _cmd_verify(fam, data, args) -> tuple[dict, Family | None]:
     eigen = _family_eigen(fam, "PD-NF verification")
     offender = normalform.verify_pd_nf(fam, eigen)
     division = normalform.division_check(fam)
-    payload = {
-        "pd_normal_form": {"ok": offender is None},
-        "division": division.to_json(),
-    }
+    payload = {"pd_normal_form": {"ok": offender is None}, "division": division.to_json()}
     if offender is not None:
-        payload["pd_normal_form"]["offending"] = {
-            "germ": offender[0],
-            "component": offender[1],
-            "exponents": list(offender[2]),
-        }
+        germ, component, exps = offender
+        payload["pd_normal_form"]["offending"] = {"germ": germ, "component": component, "exponents": list(exps)}
     if offender is None and division.ok:
         payload["certificate"] = normalform.extract_integrable_certificate(fam, eigen).to_json()
-    return payload, fam.degree
+    return payload, None if payload.get("certificate", {}).get("ok") else fam
 
 
 def _cmd_generate(data, args) -> tuple[dict, int]:
     eigen, _ = _eigen_from_input(data)
     fam = normalform.generate_integrable_nf(eigen, eigen.lattice, args.degree, args.seed)
     cert = normalform.extract_integrable_certificate(fam, eigen)
-    payload = {
-        "family": family_to_json(fam),
-        "certificate_ok": cert.ok,
-        "seed": args.seed,
-    }
-    return payload, args.degree
+    return {"family": family_to_json(fam), "certificate_ok": cert.ok, "seed": args.seed}, args.degree
 
 
-def _cmd_realcase(data, args) -> tuple[dict, int]:
-    fam = _load_family(data)
+@_commutation_once
+def _cmd_realcase(fam, data, args) -> tuple[dict, Family | None]:
     complex_fam, _, sigma = normalform.complexify_real_family(fam)
-    result = normalform.poincare_dulac_normalize(
-        complex_fam, EigenData.from_family(complex_fam), rho_pairing=sigma
-    )
+    result = normalform.poincare_dulac_normalize(complex_fam, EigenData.from_family(complex_fam), rho_pairing=sigma)
     realified = normalform.realify_normal_form(result.normalized, sigma)
     p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
     conjugator = compose_germ(compose_germ(p_germ, result.psi), p_inv)
@@ -269,7 +291,7 @@ def _cmd_realcase(data, args) -> tuple[dict, int]:
         "real_conjugator_is_real": real_ok,
         "eliminations": [rec.to_json() for rec in result.eliminations],
     }
-    return payload, fam.degree
+    return payload, result.normalized
 
 
 _COMMANDS = {

@@ -225,8 +225,9 @@ def commutativity_defect(f: Germ, g: Germ):
 
 
 class Family:
-    """p pairwise commuting germs sharing (n, D); commutativity is checked
-    at construction, not assumed."""
+    """p pairwise commuting germs sharing (n, D).  Commutativity is checked
+    at construction only when `check_commuting` is set; whoever builds a
+    family without it owns the check (see `cli._commutation_once`)."""
 
     __slots__ = ("p", "n", "degree", "germs")
 

@@ -137,7 +137,9 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     the transformation commutes with the anti-holomorphic involution rho.
     psi = s_2 o ... o s_D is built left to right, psi <- psi o s_l right
     after each step.  By associativity of truncated composition the checked
-    steps give Phi_i o psi = psi o Phi_i'.
+    steps give Phi_i o psi = psi o Phi_i'.  Phi' commutes iff Phi does; the
+    caller checks one of them (`cli._commutation_once`), so input that does
+    not commute may raise AssertionError here or give Phi' that does not.
     """
     _check_eigen(fam, eigen)
     n, degree = fam.n, fam.degree
@@ -181,7 +183,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
                 "(commutativity assumption violated)"
             )
 
-    normalized = Family(work, check_commuting=True)
+    normalized = Family(work, check_commuting=False)
     if sigma is not None and rho_equivariance_offense([psi], sigma) is not None:
         raise AssertionError("psi is not rho-equivariant")
     return NormalizationResult(normalized, psi, tuple(log))
@@ -358,9 +360,9 @@ def generate_integrable_nf(
 ) -> Family:
     """Deterministic fixture generator realizing the integrable normal-form
     class: components mu_im x_m exp(w_im) with the w coefficient vectors in
-    the rational kernel of the lattice basis matrix, so the product
-    relations hold exactly and the family commutes up to D.  `lattice` is
-    the relation lattice of `eigen`, whose Omega walk supplies the monomials.
+    the kernel of the lattice basis, so the product relations hold exactly
+    and the family commutes up to D (`cli._commutation_once`; unchecked).
+    `lattice` is the relation lattice of `eigen`; its Omega gives the terms.
 
     seed = 0 means zero degrees of freedom: the linear family."""
     n = eigen.n
@@ -386,7 +388,7 @@ def generate_integrable_nf(
             x_m = TruncatedSeries.variable(m, n, degree)
             comps.append(x_m.scale(eigen.mu[i][m]) * w[m].exp0())
         germs.append(Germ(comps))
-    return Family(germs, check_commuting=True)
+    return Family(germs, check_commuting=False)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +473,7 @@ def complexify_real_family(fam: Family):
     if sigma == tuple(range(fam.n)):
         raise DomainError("no rotation-scaling blocks found; family is already diagonal")
     p_germ, p_inv = block_transforms(sigma, fam.degree)
-    complex_fam = Family([compose_germ(p_inv, compose_germ(g, p_germ)) for g in fam.germs], check_commuting=True)
+    complex_fam = Family([compose_germ(p_inv, compose_germ(g, p_germ)) for g in fam.germs], check_commuting=False)
     if not complex_fam.is_diagonal_linear():
         raise AssertionError("complexified family is not diagonal")
     offense = rho_equivariance_offense(complex_fam, sigma)
@@ -482,8 +484,8 @@ def complexify_real_family(fam: Family):
 
 def realify_normal_form(fam: Family, sigma) -> Family:
     """Push a rho-equivariant complex family back to real coordinates via
-    the block transformation; every output coefficient is verified to have
-    exactly zero imaginary part."""
+    the block transformation, which keeps commutation; every output
+    coefficient is verified to have exactly zero imaginary part."""
     sigma = _pairing_involution(sigma, fam.n)
     offense = rho_equivariance_offense(fam, sigma)
     if offense is not None:
@@ -496,4 +498,4 @@ def realify_normal_form(fam: Family, sigma) -> Family:
     if imaginary is not None:
         i, m, exp, _ = imaginary
         raise AssertionError(f"realified germ {i} component {m} kept an imaginary part at {exp}")
-    return Family(real_germs, check_commuting=True)
+    return Family(real_germs, check_commuting=False)

@@ -7,19 +7,30 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from germnf.cli import _json_text, run
 from germnf.exactnum import GaussianRational as GR
-from germnf.germ import Germ, family_from_json, invert_germ
+from germnf.germ import CommutationError, Family, Germ, conjugate, family_from_json, family_to_json, invert_germ
+from germnf.normalform import generate_integrable_nf
+from germnf.resonance import EigenData
 from germnf.series import TruncatedSeries, UsageError, compose_all
 
-from helpers import RANK_2_P4_MU, from_term_list, random_gaussian, random_real_block_family
+from helpers import (
+    RANK_2_P4_MU,
+    all_exponents,
+    from_term_list,
+    nonzero_gaussians,
+    random_gaussian,
+    random_real_block_family,
+    random_tangent_identity,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -417,17 +428,19 @@ class TestJetWork:
 
     # Series products per normalize/realcase corpus op, with g o s_l and
     # psi o s_l formed by the Taylor kernel (the inner map's linear part is
-    # the identity): 2334 in all (5285 when every monomial of g and psi was
+    # the identity) and no commutation check where the ok certificate shows
+    # it: 1766 in all (2334 when the input and the normal form were each
+    # checked pair by pair, 5285 when every monomial of g and psi was
     # substituted, 6453 with the final Phi o psi composition, 9453 when each
     # step was inverted and the dense inverse composed on the left).
     PRODUCTS = {
         "dense_p1-0.normalize": 298,
         "dense_p1-1.normalize": 277,
-        "dense_p1-2.normalize": 215,
-        "conj_p2-0.normalize": 231,
-        "conj_p2-1.normalize": 90,
-        "conj_p2-2.normalize": 341,
-        "conj_p2-3.normalize": 159,
+        "dense_p1-2.normalize": 211,
+        "conj_p2-0.normalize": 41,
+        "conj_p2-1.normalize": 35,
+        "conj_p2-2.normalize": 89,
+        "conj_p2-3.normalize": 92,
         "real_block-0.realcase": 283,
         "real_block-1.realcase": 215,
         "real_block-2.realcase": 225,
@@ -437,7 +450,7 @@ class TestJetWork:
         golden = _perfbench_golden()
         manifest, _ = golden.load("normalize")
         assert sorted(self.PRODUCTS) == sorted(op["id"] for op in manifest["ops"])
-        assert sum(self.PRODUCTS.values()) == 2334
+        assert sum(self.PRODUCTS.values()) == 1766
 
     @pytest.mark.parametrize("op_id", sorted(PRODUCTS))
     def test_conjugation_product_budget(self, tmp_path, monkeypatch, op_id):
@@ -728,6 +741,7 @@ class TestBoundedSearchShortfall:
             assert entry["verdict"] == "indeterminate" and entry["bounds_used"] == {"omega_bound": 8}, name
         assert report["payload"]["nondegenerate"]["reason"] == (
             "need n-p = 2 independent first-integral exponents, found 0")
+        assert {report["payload"][name]["method"] for name in ("nondegenerate", "poincare_type")} == {"bounded_search"}
         code, report = _run_json(tmp_path, "analyze", path, "--bound-omega", "21")
         assert code == 0
         entry = report["payload"]["nondegenerate"]
@@ -754,10 +768,162 @@ class TestBoundedSearchShortfall:
         entry = report["payload"]["normal_form_hypothesis"]
         assert entry["verdict"] == "indeterminate" and entry["bounds_used"] == {"branch_bound": 10}
         assert entry["reason"] == "germ 1: integer solutions exist but none within branch bound"
+        assert entry["method"] == "bounded_search"
         code, report = _run_json(tmp_path, "analyze", path, "--bound-branch", "60")
         assert code == 0
         entry = report["payload"]["normal_form_hypothesis"]
         assert entry["verdict"] == "yes" and entry["witness"]["branch"] == [[-59, 0]]
+
+    def test_candidate_cap_names_the_bounded_search(self, tmp_path):
+        path = _write(tmp_path, "p4.json", {"schema": 1, "mu": RANK_2_P4_MU})
+        code, report = _run_json(tmp_path, "analyze", path)
+        entry = report["payload"]["normal_form_hypothesis"]
+        assert code == 2 and entry["reason"].startswith("too many candidate branches")
+        assert entry["method"] == "bounded_search" and entry["bounds_used"] == {"branch_bound": 10}
+
+
+def _pd_nf_pair(a: int, b: int, degree: int = 5) -> dict:
+    """Phi_1 = (2x(1 + a xy), y/2), Phi_2 = (3x, y/3 (1 + b xy)): in PD-NF
+    and divisible, with a certificate that is not ok; the pair commutes
+    exactly when a b = 0 (the defect sits at degree 5)."""
+    return {"schema": 1, "n": 2, "p": 2, "degree": degree, "maps": [
+        {"linear_diag": ["2", "1/2"], "terms": [{"component": 1, "exponents": [2, 1], "coeff": str(2 * a)}]},
+        {"linear_diag": ["3", "1/3"], "terms": [{"component": 2, "exponents": [1, 2], "coeff": str(Fraction(b, 3))}]},
+    ]}
+
+
+def _run_captured(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+class TestCommutationOnce:
+    """`normalize`, `realcase` and `verify` load their family unchecked and
+    show commutation once; input that does not commute keeps its error."""
+
+    @pytest.fixture
+    def defect_calls(self, monkeypatch):
+        import germnf.germ as germ
+
+        calls, original = [], germ.commutativity_defect
+
+        def counted(f, g):
+            calls.append((f, g))
+            return original(f, g)
+
+        monkeypatch.setattr(germ, "commutativity_defect", counted)
+        return calls
+
+    def test_ok_certificate_means_no_check(self, defect_calls):
+        corpus = _perfbench_golden().HERE / "corpus"
+        for command, name in [("normalize", "normalize/conj_p2-0"), ("verify", "integrals/inf_p2_n3-1"),
+                              ("first-integrals", "integrals/inf_p2_n3-1")]:
+            defect_calls.clear()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run([command, str(corpus / f"{name}.json")]) == 0
+            report = json.loads(out.getvalue())
+            if command == "first-integrals":
+                assert len(defect_calls) == 1  # p (p - 1) / 2 at load
+            else:
+                assert report["payload"]["certificate"]["ok"] is True and defect_calls == [], command
+
+    def test_without_a_certificate_one_check_of_the_normal_form(self, tmp_path, defect_calls):
+        fam = family_from_json(_pd_nf_pair(1, 0))
+        psi = random_tangent_identity(random.Random(4), 2, 5, extra_terms=3)
+        path = _write(tmp_path, "conj.json", family_to_json(Family([conjugate(g, psi) for g in fam.germs])))
+        defect_calls.clear()
+        code, report = _run_json(tmp_path, "normalize", path)
+        assert code == 0 and report["payload"]["certificate"]["ok"] is False
+        normal = family_from_json(report["payload"]["normalized"], check_commuting=False)
+        assert len(defect_calls) == 1 and list(defect_calls[0]) == list(normal.germs)
+        defect_calls.clear()
+        code, report = _run_json(tmp_path, "verify", path)
+        assert code == 0 and "certificate" not in report["payload"] and len(defect_calls) == 1
+
+    def test_normal_form_defect_raises_the_input_witness(self, tmp_path):
+        """Nothing is eliminated from this PD-NF pair, so only the final
+        check of Phi' sees the defect; the error is the input's."""
+        data = _pd_nf_pair(1, 1)
+        with pytest.raises(CommutationError) as err:
+            family_from_json(data)
+        path = _write(tmp_path, "pair.json", data)
+        for command in ("normalize", "verify"):
+            assert _run_captured([command, path]) == (1, f"error: bad family input: {err.value}\n")
+
+    def test_normal_form_defect_on_commuting_input_exits_3(self, tmp_path, monkeypatch):
+        import germnf.normalform as normalform
+
+        original = normalform.poincare_dulac_normalize
+
+        def broken(fam, eigen, rho_pairing=None):
+            result = original(fam, eigen, rho_pairing)
+            bad = family_from_json(_pd_nf_pair(1, 1), check_commuting=False)
+            return normalform.NormalizationResult(bad, result.psi, result.eliminations)
+
+        monkeypatch.setattr(normalform, "poincare_dulac_normalize", broken)
+        path = _write(tmp_path, "pair.json", _pd_nf_pair(1, 0))
+        code, err = _run_captured(["normalize", path])
+        assert code == 3
+        assert err.startswith("internal verification failed: the normal form does not commute, though its input does")
+
+    def test_noncommuting_and_nondiagonal(self, tmp_path):
+        data = {"schema": 1, "n": 2, "degree": 3, "maps": [
+            {"linear_matrix": [["2", "1"], ["0", "1"]], "terms": [{"component": 2, "exponents": [2, 0], "coeff": "1"}]},
+            {"linear_diag": ["3", "1"], "terms": []},
+        ]}
+        with pytest.raises(CommutationError) as err:
+            family_from_json(data)
+        path = _write(tmp_path, "bad.json", data)
+        for command in ("normalize", "verify", "realcase"):
+            assert _run_captured([command, path]) == (1, f"error: bad family input: {err.value}\n"), command
+        data["maps"] = [{"linear_matrix": [["2", "1"], ["0", "1"]]}, {"linear_diag": ["3", "3"]}]  # commuting
+        path = _write(tmp_path, "nondiag.json", data)
+        assert _run_captured(["normalize", path]) == (1, "error: normalization requires diagonal linear parts\n")
+        assert _run_captured(["verify", path]) == (1, "error: PD-NF verification requires diagonal linear parts\n")
+        path = _write(tmp_path, "pair.json", _pd_nf_pair(1, 0))
+        assert _run_captured(["normalize", path, "--rho-equivariant"]) == (
+            1, "error: --rho-equivariant needs a 'pairing' field (1-based involution)\n")
+
+    PAIR_ROWS = [
+        [["2", "1/2"], ["-3", "-1/3"]], [["2", "1/2"], ["3", "1/3"]],
+        [["3", "1/3", "2"], ["1/2", "2", "5"]], [["2", "1/2", "1"], ["3", "1/3", "-1"]],
+    ]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.booleans(), st.sampled_from(PAIR_ROWS), st.integers(3, 5), st.integers(1, 50), st.data())
+    def test_perturbed_pair_error_parity(self, real, rows, degree, seed, data):
+        """One term added to a commuting p = 2 pair: each command prints the
+        error that a checked load of the same family gives (draws that still
+        commute are discarded)."""
+        rng = random.Random(seed)
+        if real:
+            fam, _ = random_real_block_family(rng, 1, [], 2, degree)
+            coeff = GR(data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool)))
+        else:
+            eigen = EigenData.from_rows(rows)
+            nf = generate_integrable_nf(eigen, eigen.lattice, degree, seed=seed)
+            psi = random_tangent_identity(rng, eigen.n, degree)
+            fam = Family([conjugate(g, psi) for g in nf.germs])
+            coeff = data.draw(nonzero_gaussians)
+        i, m = data.draw(st.integers(0, 1)), data.draw(st.integers(0, fam.n - 1))
+        exp = data.draw(st.sampled_from(list(all_exponents(fam.n, degree, min_degree=2))))
+        germs = list(fam.germs)
+        comps = list(germs[i].components)
+        comps[m] = comps[m] + TruncatedSeries.monomial(exp, coeff, degree)
+        germs[i] = Germ(comps)
+        try:
+            Family(germs)
+        except CommutationError as exc:
+            expected = f"error: bad family input: {exc}\n"
+        else:
+            assume(False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(Path(tmp), "pair.json", family_to_json(Family(germs, check_commuting=False)))
+            for command in ("normalize", "verify", "realcase"):
+                assert _run_captured([command, path]) == (1, expected), command
 
 
 class TestContracts:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import DomainError, GaussianRational as GR
-from germnf.germ import Family, Germ, compose_germ, conjugate, invert_germ
+from germnf.germ import Family, Germ, commutativity_defect, compose_germ, conjugate, invert_germ
 from germnf.normalform import (
     division_check,
     extract_integrable_certificate,
@@ -18,6 +18,7 @@ from germnf.resonance import EigenData, enumerate_omega, relation_lattice
 from germnf.series import TruncatedSeries as TS, UsageError, compose_all
 
 from helpers import (
+    all_exponents,
     conjugate_by_inverse,
     echelonized_span,
     example_13_family,
@@ -25,6 +26,7 @@ from helpers import (
     homogeneous_part,
     linear_diag_germ,
     mu_product,
+    nonzero_gaussians,
     pushforward_leading,
     random_tangent_identity,
 )
@@ -293,6 +295,61 @@ class TestDivisionAndCertificates:
         eigen = EigenData.from_family(example_34_family(4))
         with pytest.raises(DomainError):
             extract_integrable_certificate(example_34_family(4), eigen)
+
+
+def _add_term(fam: Family, i: int, m: int, exp, coeff) -> Family:
+    """fam with coeff * x^exp added to component m of germ i, unchecked."""
+    germs = list(fam.germs)
+    comps = list(germs[i].components)
+    comps[m] = comps[m] + TS.monomial(exp, coeff, fam.degree)
+    germs[i] = Germ(comps)
+    return Family(germs, check_commuting=False)
+
+
+class TestCertificateProvesCommutation:
+    """The lemma that lets `normalize` and `verify` skip the brute-force
+    commutation check: a family in PD-NF that passes the division check and
+    has an ok integrable certificate commutes up to D."""
+
+    # p = 2, n <= 3, each with an Omega point of degree 2; the i/-i rows have
+    # a full-rank lattice, so their generated family is linear
+    ROWS = [
+        [["2", "1/2"], ["-3", "-1/3"]], [["2", "1/2"], ["3", "1/3"]], [["i", "-i"], ["-1", "-1"]],
+        [["3", "1/3", "2"], ["1/2", "2", "5"]], [["4", "1/2", "2"], ["9", "1/3", "3"]],
+        [["2", "1/2", "1"], ["3", "1/3", "-1"]],
+    ]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(ROWS), st.integers(3, 5), st.integers(0, 50), st.sampled_from(["none", "omega", "off"]),
+           st.data())
+    def test_ok_certificate_implies_commutation(self, rows, degree, seed, kind, data):
+        eigen = EigenData.from_rows(rows)
+        fam = generate_integrable_nf(eigen, eigen.lattice, degree, seed=seed)
+        if kind != "none":
+            i, m = data.draw(st.integers(0, 1)), data.draw(st.integers(0, eigen.n - 1))
+            if kind == "omega":  # x_m x^beta, beta in Omega: resonant for component m
+                beta = data.draw(st.sampled_from(enumerate_omega(eigen, degree - 1).points))
+                exp = tuple(b + (k == m) for k, b in enumerate(beta))
+            else:
+                exp = data.draw(st.sampled_from(list(all_exponents(eigen.n, degree, min_degree=2))))
+            fam = _add_term(fam, i, m, exp, data.draw(nonzero_gaussians))
+        gates = verify_pd_nf(fam, eigen) is None and division_check(fam).ok
+        if gates and extract_integrable_certificate(fam, eigen).ok:
+            assert commutativity_defect(*fam.germs) is None
+        if kind == "none":
+            assert gates and extract_integrable_certificate(fam, eigen).ok
+
+    def test_control_broken_commutation_fails_the_certificate(self):
+        """A resonant term on Omega keeps PD-NF and division but breaks
+        commutation at degree 5; the certificate must then fail."""
+        eigen = EigenData.from_rows([["2", "1/2"], ["-3", "-1/3"]])
+        fam = generate_integrable_nf(eigen, eigen.lattice, 5, seed=3)
+        assert commutativity_defect(*fam.germs) is None
+        assert extract_integrable_certificate(fam, eigen).ok
+        broken = _add_term(fam, 0, 0, (2, 1), GR(1))
+        assert verify_pd_nf(broken, eigen) is None and division_check(broken).ok
+        assert commutativity_defect(*broken.germs) is not None
+        assert not extract_integrable_certificate(broken, eigen).ok
 
 
 class TestGenerate:
