@@ -454,16 +454,29 @@ def _branch_row_solutions(eigen: EigenData, i: int, span_rows: tuple[tuple[int, 
     return solutions, None
 
 
+def _omega_is_empty(eigen: EigenData) -> bool:
+    """Is Omega empty, i.e. the cone (L (x) Q) cap Q^n_{>=0} zero, L the relation lattice?
+    By signs at rank <= 1, else by one LP: x >= 0, sum x = 1, x orthogonal to L^perp."""
+    basis = eigen.lattice.basis
+    if len(basis) <= 1:
+        return not basis or min(basis[0]) < 0 < max(basis[0])
+    rows = kernel_basis([list(v) for v in basis], ncols=eigen.n) + [[1] * eigen.n]
+    return rational_feasible(rows, [0] * (len(rows) - 1) + [1]) is None
+
+
 def find_infinitesimal_generators(
     eigen: EigenData, branch_bound: int = 10, omega_bound: int = 8
 ) -> tuple[BranchChoice | None, dict]:
     """Branch matrix making K vanish on the Z-span of the enumerated Omega
     points (then every common monomial first integral of the linear parts is
     a first integral of the generators), or None with an infeasibility
-    certificate."""
+    certificate.  No Omega point in the bound is `vacuous` only when Omega
+    is empty, else `indeterminate`."""
     span = enumerate_omega(eigen, omega_bound).span
     bounds = {"omega_bound": omega_bound, "branch_bound": branch_bound}
     if not span:
+        if not _omega_is_empty(eigen):
+            return None, {"indeterminate": "Omega is not empty but has no point within omega_bound", **bounds}
         return BranchChoice.zero(eigen.p, eigen.n), {"vacuous": True, **bounds}
     rows = []
     for i in range(eigen.p):

@@ -26,9 +26,11 @@ there is no option for it, and an indeterminate rank verdict reports the
 cap in `bounds_used.max_bits`.
 
 Commutation is checked once per command: `first-integrals`, `analyze` and
-`lattice` check every pair of the input at load; `normalize`, `realcase` and
-`verify` show it at the end by an ok integrable certificate or one check of
-the normal form (for `verify`, the input), see `_commutation_once`.
+`lattice` check every pair of the input at load (`germ.require_commuting`);
+`normalize`, `realcase` and `verify` show it at the end by an ok integrable
+certificate or one check of the normal form (for `verify`, the input), see
+`_commutation_once`.  `realcase` checks realness only at its two ends, which
+shows rho-equivariance in between (see `normalform.realify_normal_form`).
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from .exactnum import DomainError, IndeterminateError
 from .germ import (
     CommutationError,
     Family,
-    compose_germ,
     family_from_json,
     family_to_json,
     germ_to_json,
+    require_commuting,
 )
 from .resonance import EigenData, enumerate_omega, resonant_set, vect_omega_rank
 from .series import UsageError
@@ -74,15 +76,15 @@ def _load_json(path: str):
     return data, hashlib.sha256(raw).hexdigest()
 
 
-def _load_family(data, check_commuting: bool = True) -> Family:
+def _load_family(data) -> Family:
     try:
-        return family_from_json(data, check_commuting)
-    except (UsageError, DomainError, CommutationError, KeyError, ValueError) as exc:
+        return family_from_json(data)
+    except (UsageError, DomainError, KeyError, ValueError) as exc:
         raise UsageError(f"bad family input: {exc}")
 
 
 def _commutation_once(command):
-    """Run `command(fam, data, args)` on the family loaded unchecked and show
+    """Run `command(fam, data, args)` on the loaded family and show
     commutation once.  The command returns its payload and None when an
     integrable certificate is ok, else the family to check: the normal form
     Phi', or for `verify` the input.  On any error, or if that family does
@@ -99,13 +101,13 @@ def _commutation_once(command):
     mod m^D and (Phi_i o Phi_j)_m = mu_im mu_jm x_m u_im u_jm mod m^(D+1),
     symmetric in i and j."""
     def checked(data, args):
-        fam = _load_family(data, check_commuting=False)
+        fam = _load_family(data)
         try:
             payload, unproven = command(fam, data, args)
             if unproven is not None:
-                Family(unproven.germs)
+                require_commuting(unproven)
         except Exception as exc:
-            _load_family(data)  # raises when the input does not commute
+            require_commuting(fam)  # raises when the input does not commute
             if isinstance(exc, CommutationError):
                 raise AssertionError(f"the normal form does not commute, though its input does: {exc}")
             raise
@@ -140,7 +142,7 @@ def _load_eigen(data) -> EigenData:
 def _eigen_from_input(data) -> tuple[EigenData, Family | None]:
     """The eigen data of a family or eigen file, and the family if it is one."""
     if "maps" in data:
-        fam = _load_family(data)
+        fam = require_commuting(_load_family(data))
         return _family_eigen(fam, "this command"), fam
     return _load_eigen(data), None
 
@@ -243,7 +245,7 @@ def _cmd_normalize(fam, data, args) -> tuple[dict, Family | None]:
 
 
 def _cmd_first_integrals(data, args) -> tuple[dict, int]:
-    fam = _load_family(data)
+    fam = require_commuting(_load_family(data))
     degree = min(args.degree, fam.degree)
     basis = normalform.first_integrals(fam, degree)
     payload = {
@@ -277,18 +279,15 @@ def _cmd_generate(data, args) -> tuple[dict, int]:
 
 @_commutation_once
 def _cmd_realcase(fam, data, args) -> tuple[dict, Family | None]:
-    complex_fam, _, sigma = normalform.complexify_real_family(fam)
-    result = normalform.poincare_dulac_normalize(complex_fam, EigenData.from_family(complex_fam), rho_pairing=sigma)
-    realified = normalform.realify_normal_form(result.normalized, sigma)
-    p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
-    conjugator = compose_germ(compose_germ(p_germ, result.psi), p_inv)
-    real_ok = all(comp.is_real() for comp in conjugator.components)
+    complex_fam, p, sigma = normalform.complexify_real_family(fam)
+    result = normalform.poincare_dulac_normalize(complex_fam, EigenData.from_family(complex_fam))
+    realified, conjugator = normalform.realify_normal_form(result.normalized, result.psi, p)
     payload = {
         "pairing": [m + 1 for m in sigma],
         "complexified": family_to_json(complex_fam),
         "real_normal_form": family_to_json(realified),
         "real_conjugator": germ_to_json(conjugator),
-        "real_conjugator_is_real": real_ok,
+        "real_conjugator_is_real": True,  # realify_normal_form checked it
         "eliminations": [rec.to_json() for rec in result.eliminations],
     }
     return payload, result.normalized
@@ -306,7 +305,7 @@ _COMMANDS = {
 
 
 def _family_text(data: dict) -> list[str]:
-    fam = family_from_json(data, check_commuting=False)
+    fam = family_from_json(data)
     return [f"Phi_{i + 1} = {g}" for i, g in enumerate(fam.germs)]
 
 
@@ -431,7 +430,8 @@ def run(argv=None) -> int:
         }
         text = _json_text(report) + "\n" if args.format == "json" else _render_text(report)
     except (UsageError, DomainError, CommutationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = "bad family input: " if isinstance(exc, CommutationError) else ""  # only the input's gets here
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 1
     except IndeterminateError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)

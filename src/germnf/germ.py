@@ -47,10 +47,9 @@ from .series import (
 
 
 class CommutationError(ValueError):
-    """A family constructor found two germs that do not commute up to D."""
+    """`require_commuting` found two germs that do not commute up to D."""
 
     def __init__(self, i: int, j: int, witness):
-        self.pair = (i, j)
         self.witness = witness
         degree, component, exp, coeff = witness
         super().__init__(
@@ -225,13 +224,13 @@ def commutativity_defect(f: Germ, g: Germ):
 
 
 class Family:
-    """p pairwise commuting germs sharing (n, D).  Commutativity is checked
-    at construction only when `check_commuting` is set; whoever builds a
-    family without it owns the check (see `cli._commutation_once`)."""
+    """p germs sharing (n, D), meant to commute pairwise.  Construction does
+    not check commutation: the CLI shows it once per command, at load by
+    `require_commuting` or at the end (see `cli._commutation_once`)."""
 
     __slots__ = ("p", "n", "degree", "germs")
 
-    def __init__(self, germs: list[Germ], check_commuting: bool = True):
+    def __init__(self, germs: list[Germ]):
         members = tuple(germs)
         if not members:
             raise UsageError("a family needs at least one germ")
@@ -241,12 +240,6 @@ class Family:
                 raise UsageError("family members must share dimension and degree")
         if len(members) > n:
             raise UsageError("family has more germs than the ambient dimension")
-        if check_commuting:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    defect = commutativity_defect(members[i], members[j])
-                    if defect is not None:
-                        raise CommutationError(i, j, defect)
         self.p = len(members)
         self.n = n
         self.degree = degree
@@ -265,6 +258,16 @@ class Family:
 
     def __iter__(self):
         return iter(self.germs)
+
+
+def require_commuting(fam: Family) -> Family:
+    """The family, if every pair commutes up to D; else CommutationError."""
+    for i, f in enumerate(fam.germs):
+        for j in range(i + 1, fam.p):
+            defect = commutativity_defect(f, fam.germs[j])
+            if defect is not None:
+                raise CommutationError(i, j, defect)
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +374,7 @@ def family_to_json(fam: Family) -> dict:
     }
 
 
-def family_from_json(data: dict, check_commuting: bool = True) -> Family:
+def family_from_json(data: dict) -> Family:
     if data.get("schema") != 1:
         raise UsageError("missing or unsupported schema field (expected 1)")
     for key in data:
@@ -388,5 +391,5 @@ def family_from_json(data: dict, check_commuting: bool = True) -> Family:
     for v in _json_list(data.get("pairing", []), "pairing"):
         _json_int(v, "pairing entry")
     germs = [germ_from_json(entry, n, degree) for entry in maps]
-    return Family(germs, check_commuting=check_commuting)
+    return Family(germs)
 

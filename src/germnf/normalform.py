@@ -32,7 +32,7 @@ from functools import reduce
 from operator import mul
 
 from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
-from .germ import Family, Germ, compose_germ, conjugate_all
+from .germ import Family, Germ, compose_germ, conjugate_all, family_to_json, germ_to_json
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
 from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, grlex_key, unpack
@@ -70,8 +70,6 @@ class NormalizationResult:
     eliminations: tuple[EliminationRecord, ...]
 
     def to_json(self) -> dict:
-        from .germ import family_to_json, germ_to_json
-
         return {
             "normalized": family_to_json(self.normalized),
             "psi": germ_to_json(self.psi),
@@ -132,9 +130,9 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     Order of elimination records: degree ascending, then component, then
     graded-lex monomial; the germ index used for each divisor is the
     smallest one whose resonance gap is nonzero.  With rho_pairing set (an
-    involution of the coordinates), the input must be rho-equivariant, so
-    sigma-paired monomials get conjugated coefficients in the same step and
-    the transformation commutes with the anti-holomorphic involution rho.
+    involution of the coordinates), the input and psi are checked to be
+    rho-equivariant (`realcase` shows it by realness instead): sigma-paired
+    monomials get conjugated coefficients in the same step.
     psi = s_2 o ... o s_D is built left to right, psi <- psi o s_l right
     after each step.  By associativity of truncated composition the checked
     steps give Phi_i o psi = psi o Phi_i'.  Phi' commutes iff Phi does; the
@@ -183,7 +181,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
                 "(commutativity assumption violated)"
             )
 
-    normalized = Family(work, check_commuting=False)
+    normalized = Family(work)
     if sigma is not None and rho_equivariance_offense([psi], sigma) is not None:
         raise AssertionError("psi is not rho-equivariant")
     return NormalizationResult(normalized, psi, tuple(log))
@@ -388,7 +386,7 @@ def generate_integrable_nf(
             x_m = TruncatedSeries.variable(m, n, degree)
             comps.append(x_m.scale(eigen.mu[i][m]) * w[m].exp0())
         germs.append(Germ(comps))
-    return Family(germs, check_commuting=False)
+    return Family(germs)
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +412,14 @@ def detect_block_structure(fam: Family) -> tuple[int, ...]:
     mats = [g.linear_matrix() for g in fam.germs]
     n = fam.n
     sigma = list(range(n))
-    t = 0
-    while t < n - 1:
-        if any(not mat[t][t + 1].is_zero() or not mat[t + 1][t].is_zero() for mat in mats):
+    for t in range(n - 1):  # slot t is free unless the block before took it
+        if sigma[t] == t and any(not mat[t][t + 1].is_zero() or not mat[t + 1][t].is_zero() for mat in mats):
             for i, mat in enumerate(mats):
                 if mat[t][t] != mat[t + 1][t + 1] or mat[t][t + 1] != -mat[t + 1][t]:
                     raise DomainError(
                         f"germ {i + 1} rows {t + 1},{t + 2} are not a rotation-scaling block"
                     )
             sigma[t], sigma[t + 1] = t + 1, t
-            t += 2
-        else:
-            t += 1
     # entries outside the detected blocks must vanish
     for i, mat in enumerate(mats):
         for a in range(n):
@@ -462,9 +456,9 @@ def block_transforms(sigma: tuple[int, ...], degree: int) -> tuple[Germ, Germ]:
 
 def complexify_real_family(fam: Family):
     """Conjugate a real block family by the block transformation P into a
-    family with diagonal linear parts; returns (complex family, P germ,
-    pairing sigma swapping each block's two slots).  P^{-1} is the checked
-    closed form, not a solve: the normalizer's checks do not cover P."""
+    family with diagonal linear parts; returns (complex family, (P, P^{-1})
+    in checked closed form, pairing sigma swapping each block's two slots).
+    A real input makes the complex family rho-equivariant; nothing scans it."""
     imaginary = _first_imaginary(fam.germs)
     if imaginary is not None:
         i, m, exp, c = imaginary
@@ -473,29 +467,21 @@ def complexify_real_family(fam: Family):
     if sigma == tuple(range(fam.n)):
         raise DomainError("no rotation-scaling blocks found; family is already diagonal")
     p_germ, p_inv = block_transforms(sigma, fam.degree)
-    complex_fam = Family([compose_germ(p_inv, compose_germ(g, p_germ)) for g in fam.germs], check_commuting=False)
+    complex_fam = Family([compose_germ(p_inv, compose_germ(g, p_germ)) for g in fam.germs])
     if not complex_fam.is_diagonal_linear():
         raise AssertionError("complexified family is not diagonal")
-    offense = rho_equivariance_offense(complex_fam, sigma)
-    if offense is not None:
-        raise AssertionError(f"complexified family is not rho-equivariant: {offense}")
-    return complex_fam, p_germ, sigma
+    return complex_fam, (p_germ, p_inv), sigma
 
 
-def realify_normal_form(fam: Family, sigma) -> Family:
-    """Push a rho-equivariant complex family back to real coordinates via
-    the block transformation, which keeps commutation; every output
-    coefficient is verified to have exactly zero imaginary part."""
-    sigma = _pairing_involution(sigma, fam.n)
-    offense = rho_equivariance_offense(fam, sigma)
-    if offense is not None:
-        raise DomainError(f"family is not rho-equivariant: offending term {offense}")
-    if any(abs(s - m) > 1 for m, s in enumerate(sigma)):
-        raise UsageError("pairing must swap adjacent coordinates")
-    p_germ, p_inv = block_transforms(sigma, fam.degree)
-    real_germs = [compose_germ(p_germ, compose_germ(g, p_inv)) for g in fam.germs]
-    imaginary = _first_imaginary(real_germs)
+def realify_normal_form(fam: Family, psi: Germ, p: tuple[Germ, Germ]) -> tuple[Family, Germ]:
+    """P o g o P^{-1} for the germs g of a complex family and for psi, p =
+    (P, P^{-1}) of `complexify_real_family`.  P^{-1} o conj o P is rho, so
+    each is real exactly when g is rho-equivariant: realness is checked."""
+    p_germ, p_inv = p
+    real = [compose_germ(p_germ, compose_germ(g, p_inv)) for g in (*fam.germs, psi)]
+    imaginary = _first_imaginary(real)
     if imaginary is not None:
         i, m, exp, _ = imaginary
-        raise AssertionError(f"realified germ {i} component {m} kept an imaginary part at {exp}")
-    return Family(real_germs, check_commuting=False)
+        germ = f"germ {i}" if i <= fam.p else "conjugator"
+        raise AssertionError(f"realified {germ} component {m} kept an imaginary part at {exp}")
+    return Family(real[:-1]), real[-1]

@@ -263,9 +263,6 @@ class OmegaEnumeration:
                 rows.append(pt)
         return tuple(rows)
 
-    def to_json(self) -> dict:
-        return {"bound": self.degree_bound, "points": [list(pt) for pt in self.points]}
-
 
 def enumerate_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
     """Nonzero lattice points in N^n with total degree <= bound.

@@ -26,7 +26,7 @@ from germnf.exactnum import (
     factor_gaussian,
     log_modulus,
 )
-from germnf.germ import Family, Germ, compose_germ, conjugate
+from germnf.germ import Family, Germ, compose_germ, conjugate, require_commuting
 from germnf.linalg import field_inverse, field_kernel, field_rref, solve_integer
 from germnf.normalform import division_check
 from germnf.resonance import EigenData, enumerate_omega
@@ -250,7 +250,7 @@ def family_by_oracle(data: dict) -> Family:
             comp, exp = comps[term["component"] - 1], tuple(term["exponents"])
             comp[exp] = comp.get(exp, GR(0)) + fraction_parse(term["coeff"])
         germs.append(Germ([TruncatedSeries(n, degree, comp) for comp in comps]))
-    return Family(germs, check_commuting=False)
+    return Family(germs)
 
 
 def echelonized_span(series_list: list[TruncatedSeries]) -> list[TruncatedSeries]:
@@ -270,7 +270,7 @@ def pushforward_leading(exponents: tuple[int, ...], f: Germ) -> TruncatedSeries:
     (prod mu^l) * x^l * sum_m l_m phi_m^(2) / (mu_m x_m), for a germ with
     diagonal linear part mu whose components phi_m are divisible by x_m: an
     oracle for composition."""
-    report = division_check(Family([f], check_commuting=False))
+    report = division_check(Family([f]))
     if not report.ok:
         raise DomainError(f"division fails: {report.offenders[0]}")
     diag = f.linear_diag()
@@ -524,7 +524,7 @@ def rho_equivariant_nf(eigen: EigenData, sigma: tuple[int, ...], degree: int,
             x_m = TruncatedSeries.variable(m, n, degree)
             comps.append(x_m.scale(eigen.mu[i][m]) * w[m].exp0())
         germs.append(Germ(comps))
-    return Family(germs)
+    return require_commuting(Family(germs))
 
 
 PYTHAGOREAN_UNITS = [
@@ -538,7 +538,7 @@ def random_real_block_family(rng: random.Random, blocks: int, tail: list, p: int
                              degree: int):
     """(real input family, its sigma) built by conjugating a realified
     rho-equivariant normal form with a random real tangent-to-identity germ."""
-    from germnf.normalform import realify_normal_form
+    from germnf.normalform import block_transforms, realify_normal_form
 
     rows = []
     for _ in range(p):
@@ -555,9 +555,9 @@ def random_real_block_family(rng: random.Random, blocks: int, tail: list, p: int
         sigma[2 * b], sigma[2 * b + 1] = 2 * b + 1, 2 * b
     sigma = tuple(sigma)
     nf = rho_equivariant_nf(eigen, sigma, degree, rng)
-    real_nf = realify_normal_form(nf, sigma)
+    real_nf, _ = realify_normal_form(nf, Germ.identity(n, degree), block_transforms(sigma, degree))
     psi = random_tangent_identity(rng, n, degree, extra_terms=2, real=True)
-    input_family = Family([conjugate(g, psi) for g in real_nf.germs])
+    input_family = require_commuting(Family([conjugate(g, psi) for g in real_nf.germs]))
     return input_family, sigma
 
 
@@ -579,7 +579,7 @@ def example_34_family(degree: int = 4) -> Family:
         + TruncatedSeries.monomial((2, 0), 1, degree),
     ])
     phi2 = linear_diag_germ([GR(-3), GR(9)], degree)
-    return Family([phi1, phi2])
+    return require_commuting(Family([phi1, phi2]))
 
 
 def i_minus_i_family(degree: int = 4) -> Family:

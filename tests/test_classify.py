@@ -23,6 +23,7 @@ from germnf.classify import (
     poincare_type_single,
     poly_eval_intervals,
     weak_resonance,
+    _omega_is_empty,
     _torsion_order,
 )
 from germnf.exactnum import GaussianRational as GR
@@ -153,6 +154,54 @@ class TestInfinitesimalGenerators:
         branch, cert = find_infinitesimal_generators(E23, branch_bound=5)
         assert branch == BranchChoice.zero(1, 2)
         assert cert.get("vacuous")
+
+    @pytest.mark.parametrize("rows, basis", [
+        ([[GR(Fraction(3, 5), Fraction(4, 5)) ** -400, GR(Fraction(3, 5), Fraction(4, 5))]], ((1, 400),)),
+        ([["1048576", "1/2", "1/2"]], ((1, 0, 20), (0, 1, -1))),
+    ])
+    def test_omega_beyond_the_bound_is_indeterminate(self, rows, basis):
+        """Omega's first points have degree 401 and 21, past the bound 8: no
+        point within the bound is not an empty Omega, so there is no branch
+        and no vacuity.  The rank-1 lattice is decided by its sign, the
+        rank-2 one by the LP."""
+        eigen = EigenData.from_rows([[str(z) for z in row] for row in rows])
+        assert eigen.lattice.basis == basis
+        assert enumerate_omega(eigen, 8).points == ()
+        branch, cert = find_infinitesimal_generators(eigen, branch_bound=10, omega_bound=8)
+        assert branch is None
+        assert cert == {"indeterminate": "Omega is not empty but has no point within omega_bound",
+                        "omega_bound": 8, "branch_bound": 10}
+
+    @pytest.mark.parametrize("row, empty", [
+        (["2", "3"], True),  # rank 0
+        (["2", "1/2"], False),  # rank 1, basis (1, 1)
+        (["2", "2"], True),  # rank 1, basis (1, -1)
+        (["2", "2", "2"], True),  # rank 2: k_1 + k_2 + k_3 = 0
+        (["2", "1/4", "2"], False),  # rank 2, (1, 1, 1) in L
+        (["1048576", "1/2", "1/2"], False),  # rank 2, first Omega point of degree 21
+    ])
+    def test_omega_is_empty_exactly(self, row, empty):
+        assert _omega_is_empty(EigenData.from_rows([row])) is empty
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=3)))
+    def test_omega_emptiness_oracle(self, exponents):
+        """mu_k = 2^a_k 3^b_k 5^c_k, so L = {k : M k = 0} for the exponent
+        matrix M.  Gordan: the cone {x >= 0 : M x = 0} is zero exactly when
+        y M > 0 for some y; a small such y proves Omega empty, a small Omega
+        point proves it not empty."""
+        n = len(exponents[0])
+        primes = (2, 3, 5)
+        row = [str(math.prod(Fraction(q) ** e[k] for q, e in zip(primes, exponents))) for k in range(n)]
+        eigen = EigenData.from_rows([row])
+        empty = _omega_is_empty(eigen)
+        if enumerate_omega(eigen, 10).points:
+            assert not empty
+        for y in itertools.product(range(-3, 4), repeat=len(exponents)):
+            if all(sum(c * e[k] for c, e in zip(y, exponents)) > 0 for k in range(n)):
+                assert empty
+                break
 
 
 class TestNormalFormHypothesis:

@@ -17,7 +17,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from germnf.cli import _json_text, run
 from germnf.exactnum import GaussianRational as GR
-from germnf.germ import CommutationError, Family, Germ, conjugate, family_from_json, family_to_json, invert_germ
+from germnf.germ import (
+    CommutationError,
+    Family,
+    Germ,
+    conjugate,
+    family_from_json,
+    family_to_json,
+    invert_germ,
+    require_commuting,
+)
 from germnf.normalform import generate_integrable_nf
 from germnf.resonance import EigenData
 from germnf.series import TruncatedSeries, UsageError, compose_all
@@ -231,10 +240,71 @@ class TestRealcaseCorpus:
             assert solved  # the elimination steps were solved
         p2_fam, _ = random_real_block_family(random.Random(11), blocks=1, tail=[3], p=2, degree=4)
         solved.clear()
-        cfam, _, sigma = normalform.complexify_real_family(p2_fam)
-        assert normalform.realify_normal_form(cfam, sigma) == p2_fam
+        cfam, p, _ = normalform.complexify_real_family(p2_fam)
+        identity = Germ.identity(p2_fam.n, p2_fam.degree)
+        assert normalform.realify_normal_form(cfam, identity, p) == (p2_fam, identity)
         assert solved == []
         assert inverted == []
+
+    REALCASE_OPS = ["real_block-0.realcase", "real_block-1.realcase", "real_block-2.realcase"]
+
+    def test_corpus_realcase_ops_are_listed(self):
+        manifest, _ = _perfbench_golden().load("normalize")
+        assert self.REALCASE_OPS == [op["id"] for op in manifest["ops"] if op["command"] == "realcase"]
+
+    @pytest.mark.parametrize("op_id", REALCASE_OPS)
+    def test_realness_checked_at_the_ends_only(self, tmp_path, monkeypatch, op_id):
+        """No rho-equivariance scan: realness of the input and of the output
+        shows it.  P and its inverse are built and checked once."""
+        import germnf.normalform as normalform
+
+        calls = {"rho_equivariance_offense": 0, "block_transforms": 0}
+
+        def count(name):
+            original = getattr(normalform, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(normalform, name, counted)
+
+        for name in calls:
+            count(name)
+        golden = _perfbench_golden()
+        manifest, goldens = golden.load("normalize")
+        op = next(o for o in manifest["ops"] if o["id"] == op_id)
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        assert code == 0 and golden.check(goldens[op_id], code, json.dumps(report))[0] == []
+        assert report["payload"]["real_conjugator_is_real"] is True
+        assert calls == {"rho_equivariance_offense": 0, "block_transforms": 1}
+
+    @pytest.mark.parametrize("target", ["normalized", "psi"])
+    def test_normal_form_not_rho_equivariant_exits_3(self, monkeypatch, capsys, target):
+        """A normalizer whose Phi' or psi breaks rho-equivariance, on
+        commuting real input: the realness check at the end catches it."""
+        import germnf.normalform as normalform
+
+        original = normalform.poincare_dulac_normalize
+
+        def broken(fam, eigen, rho_pairing=None):
+            result = original(fam, eigen, rho_pairing)
+            germ = result.psi if target == "psi" else result.normalized.germs[0]
+            comps = list(germ.components)  # i x_1^2 in component 1, with no conjugate partner in component 2
+            comps[0] = comps[0] + TruncatedSeries.monomial((2,) + (0,) * (fam.n - 1), GR(0, 1), fam.degree)
+            if target == "psi":
+                return normalform.NormalizationResult(result.normalized, Germ(comps), result.eliminations)
+            return normalform.NormalizationResult(Family([Germ(comps), *result.normalized.germs[1:]]), result.psi,
+                                                  result.eliminations)
+
+        monkeypatch.setattr(normalform, "poincare_dulac_normalize", broken)
+        real = _perfbench_golden().HERE / "corpus" / "normalize" / "real_block-0.json"
+        assert run(["realcase", str(real)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        which = "conjugator" if target == "psi" else "germ 1"
+        assert captured.err.startswith(f"internal verification failed: realified {which} component ")
+        assert "kept an imaginary part" in captured.err
 
 
 def _holds_verdict(payload) -> bool:
@@ -774,6 +844,23 @@ class TestBoundedSearchShortfall:
         entry = report["payload"]["normal_form_hypothesis"]
         assert entry["verdict"] == "yes" and entry["witness"]["branch"] == [[-59, 0]]
 
+    def test_generators_on_a_short_omega_walk_are_indeterminate(self, tmp_path):
+        """mu = [[mu2^-400, mu2]] again: the lattice (1, 400) has one sign, so
+        Omega is not empty though the walk to degree 8 finds no point; the
+        report has no branch and no vacuity.  A mixed-sign lattice stays
+        vacuous."""
+        mu2 = GR(Fraction(3, 5), Fraction(4, 5))
+        path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(mu2 ** -400), str(mu2)]]})
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 2
+        assert report["payload"]["infinitesimal_generators"] == {
+            "found": None, "indeterminate": "Omega is not empty but has no point within omega_bound",
+            "omega_bound": 8, "branch_bound": 10}
+        path = _write(tmp_path, "mixed.json", {"schema": 1, "mu": [["2", "2"]]})
+        _, report = _run_json(tmp_path, "analyze", path)
+        assert report["payload"]["infinitesimal_generators"] == {
+            "found": [[0, 0]], "vacuous": True, "omega_bound": 8, "branch_bound": 10}
+
     def test_candidate_cap_names_the_bounded_search(self, tmp_path):
         path = _write(tmp_path, "p4.json", {"schema": 1, "mu": RANK_2_P4_MU})
         code, report = _run_json(tmp_path, "analyze", path)
@@ -833,11 +920,12 @@ class TestCommutationOnce:
     def test_without_a_certificate_one_check_of_the_normal_form(self, tmp_path, defect_calls):
         fam = family_from_json(_pd_nf_pair(1, 0))
         psi = random_tangent_identity(random.Random(4), 2, 5, extra_terms=3)
-        path = _write(tmp_path, "conj.json", family_to_json(Family([conjugate(g, psi) for g in fam.germs])))
+        conjugated = require_commuting(Family([conjugate(g, psi) for g in fam.germs]))
+        path = _write(tmp_path, "conj.json", family_to_json(conjugated))
         defect_calls.clear()
         code, report = _run_json(tmp_path, "normalize", path)
         assert code == 0 and report["payload"]["certificate"]["ok"] is False
-        normal = family_from_json(report["payload"]["normalized"], check_commuting=False)
+        normal = family_from_json(report["payload"]["normalized"])
         assert len(defect_calls) == 1 and list(defect_calls[0]) == list(normal.germs)
         defect_calls.clear()
         code, report = _run_json(tmp_path, "verify", path)
@@ -848,7 +936,7 @@ class TestCommutationOnce:
         check of Phi' sees the defect; the error is the input's."""
         data = _pd_nf_pair(1, 1)
         with pytest.raises(CommutationError) as err:
-            family_from_json(data)
+            require_commuting(family_from_json(data))
         path = _write(tmp_path, "pair.json", data)
         for command in ("normalize", "verify"):
             assert _run_captured([command, path]) == (1, f"error: bad family input: {err.value}\n")
@@ -860,7 +948,7 @@ class TestCommutationOnce:
 
         def broken(fam, eigen, rho_pairing=None):
             result = original(fam, eigen, rho_pairing)
-            bad = family_from_json(_pd_nf_pair(1, 1), check_commuting=False)
+            bad = family_from_json(_pd_nf_pair(1, 1))
             return normalform.NormalizationResult(bad, result.psi, result.eliminations)
 
         monkeypatch.setattr(normalform, "poincare_dulac_normalize", broken)
@@ -875,7 +963,7 @@ class TestCommutationOnce:
             {"linear_diag": ["3", "1"], "terms": []},
         ]}
         with pytest.raises(CommutationError) as err:
-            family_from_json(data)
+            require_commuting(family_from_json(data))
         path = _write(tmp_path, "bad.json", data)
         for command in ("normalize", "verify", "realcase"):
             assert _run_captured([command, path]) == (1, f"error: bad family input: {err.value}\n"), command
@@ -896,7 +984,7 @@ class TestCommutationOnce:
     @given(st.booleans(), st.sampled_from(PAIR_ROWS), st.integers(3, 5), st.integers(1, 50), st.data())
     def test_perturbed_pair_error_parity(self, real, rows, degree, seed, data):
         """One term added to a commuting p = 2 pair: each command prints the
-        error that a checked load of the same family gives (draws that still
+        error that `require_commuting` gives on the same family (draws that still
         commute are discarded)."""
         rng = random.Random(seed)
         if real:
@@ -906,7 +994,7 @@ class TestCommutationOnce:
             eigen = EigenData.from_rows(rows)
             nf = generate_integrable_nf(eigen, eigen.lattice, degree, seed=seed)
             psi = random_tangent_identity(rng, eigen.n, degree)
-            fam = Family([conjugate(g, psi) for g in nf.germs])
+            fam = require_commuting(Family([conjugate(g, psi) for g in nf.germs]))
             coeff = data.draw(nonzero_gaussians)
         i, m = data.draw(st.integers(0, 1)), data.draw(st.integers(0, fam.n - 1))
         exp = data.draw(st.sampled_from(list(all_exponents(fam.n, degree, min_degree=2))))
@@ -915,13 +1003,13 @@ class TestCommutationOnce:
         comps[m] = comps[m] + TruncatedSeries.monomial(exp, coeff, degree)
         germs[i] = Germ(comps)
         try:
-            Family(germs)
+            require_commuting(Family(germs))
         except CommutationError as exc:
             expected = f"error: bad family input: {exc}\n"
         else:
             assume(False)
         with tempfile.TemporaryDirectory() as tmp:
-            path = _write(Path(tmp), "pair.json", family_to_json(Family(germs, check_commuting=False)))
+            path = _write(Path(tmp), "pair.json", family_to_json(Family(germs)))
             for command in ("normalize", "verify", "realcase"):
                 assert _run_captured([command, path]) == (1, expected), command
 

@@ -19,6 +19,7 @@ from germnf.germ import (
     family_to_json,
     invert_germ,
     jet_through,
+    require_commuting,
     solve_germ,
 )
 from germnf.series import TruncatedSeries as TS, UsageError, compose_all, identity_shift
@@ -325,8 +326,26 @@ class TestCommutativityDefect:
         f = Germ([TS.monomial((1, 0), 2, 3), TS.variable(1, 2, 3) + TS.monomial((2, 0), 1, 3)])
         g = diag([3, 1], 3)
         with pytest.raises(CommutationError) as err:
-            Family([f, g])
+            require_commuting(Family([f, g]))
         assert err.value.witness[0] == 2
+
+    def test_require_commuting_raises_the_first_pair_witness(self):
+        """The first pair in (i, j) order that does not commute, with its
+        `commutativity_defect` witness, in the message the CLI prints."""
+        f = Germ([TS.monomial((1, 0), 2, 3), TS.variable(1, 2, 3) + TS.monomial((2, 0), 1, 3)])
+        with pytest.raises(CommutationError) as err:
+            require_commuting(Family([f, diag([3, 1], 3)]))
+        assert err.value.witness == (2, 2, (2, 0), GR(8))
+        assert str(err.value) == (
+            "germs 1 and 2 do not commute: defect at degree 2, component 2, monomial (2, 0), coefficient 8")
+        f1, f2 = diag([2, 3, 5], 3), diag([7, 11, 13], 3)
+        f3 = Germ([TS.variable(0, 3, 3), TS.variable(1, 3, 3) + TS.monomial((2, 0, 0), 1, 3), TS.variable(2, 3, 3)])
+        with pytest.raises(CommutationError) as err:
+            require_commuting(Family([f1, f2, f3]))
+        assert err.value.witness == commutativity_defect(f1, f3) == (2, 2, (2, 0, 0), GR(-1))
+        assert str(err.value).startswith("germs 1 and 3 do not commute: ")
+        fam = Family([f1, f2])
+        assert require_commuting(fam) is fam
 
 
 class TestJson:
@@ -388,7 +407,7 @@ class TestJson:
         """The reader's packed keys and summed triples give the family that
         TruncatedSeries(n, D, {exponents: scalar}) builds from the
         Fraction-parsed scalars, repeated terms and terms above D included."""
-        assert family_from_json(data, check_commuting=False) == family_by_oracle(data)
+        assert family_from_json(data) == family_by_oracle(data)
 
     def test_reader_builds_scalars_only_for_the_linear_entries(self, monkeypatch):
         """No Fraction, no parsed scalar and no scalar per term: the reader
@@ -401,7 +420,7 @@ class TestJson:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a)))
         monkeypatch.setattr(GR, "__init__", lambda self, *a: built.append(a))
         monkeypatch.setattr(germ, "from_parts", lambda *t: scalars.append(t) or original(*t))
-        fam = family_from_json(data, check_commuting=False)
+        fam = family_from_json(data)
         assert built == []
         assert len(scalars) == sum(len(g.linear_rows()) for g in fam.germs) == fam.p * fam.n
 

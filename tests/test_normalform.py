@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import DomainError, GaussianRational as GR
-from germnf.germ import Family, Germ, commutativity_defect, compose_germ, conjugate, invert_germ
+from germnf.germ import (
+    Family,
+    Germ,
+    commutativity_defect,
+    compose_germ,
+    conjugate,
+    invert_germ,
+    require_commuting,
+)
 from germnf.normalform import (
     division_check,
     extract_integrable_certificate,
@@ -71,7 +79,7 @@ class TestNormalize:
         lat = relation_lattice(eigen)
         nf = generate_integrable_nf(eigen, lat, 5, seed=5)
         psi = random_tangent_identity(rng, 2, 5)
-        fam = Family([conjugate(g, psi) for g in nf.germs])
+        fam = require_commuting(Family([conjugate(g, psi) for g in nf.germs]))
         res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.eliminations
         assert verify_pd_nf(res.normalized, EigenData.from_family(fam)) is None
@@ -97,7 +105,7 @@ class TestNormalize:
         lat = relation_lattice(eigen)
         nf = generate_integrable_nf(eigen, lat, 5, seed=11)
         psi = random_tangent_identity(rng, 2, 5)
-        fam = Family([conjugate(g, psi) for g in nf.germs])
+        fam = require_commuting(Family([conjugate(g, psi) for g in nf.germs]))
         res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         assert res.eliminations
         for rec in res.eliminations:
@@ -135,7 +143,7 @@ class TestStepChain:
         eigen = EigenData.from_rows(rows)
         nf = generate_integrable_nf(eigen, eigen.lattice, degree, seed=nf_seed)
         psi0 = random_tangent_identity(random.Random(psi_seed), eigen.n, degree, extra_terms=3)
-        fam = Family([conjugate(g, psi0) for g in nf.germs])
+        fam = require_commuting(Family([conjugate(g, psi0) for g in nf.germs]))
         res = poincare_dulac_normalize(fam, eigen)
         for phi, out in zip(fam.germs, res.normalized.germs):
             assert compose_germ(phi, res.psi) == compose_germ(res.psi, out)
@@ -187,7 +195,7 @@ class TestFirstIntegrals:
         eigen = EigenData.from_rows([["-2", "1/2"]])
         nf = generate_integrable_nf(eigen, relation_lattice(eigen), 5, seed=5)
         psi = random_tangent_identity(random.Random(8), 2, 5)
-        fam = Family([conjugate(g, psi) for g in nf.germs])
+        fam = require_commuting(Family([conjugate(g, psi) for g in nf.germs]))
         basis = first_integrals(fam)
         assert any(len(f.items()) >= 2 for f in basis)
         for f in basis:
@@ -200,7 +208,7 @@ class TestFirstIntegrals:
         lat = relation_lattice(eigen)
         nf = generate_integrable_nf(eigen, lat, 4, seed=21)
         psi = random_tangent_identity(rng, 2, 4)
-        fam = Family([conjugate(g, psi) for g in nf.germs])
+        fam = require_commuting(Family([conjugate(g, psi) for g in nf.germs]))
         res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
         original_basis = first_integrals(fam, 4)
         transported = [f.compose(list(res.psi.components)) for f in original_basis]
@@ -224,7 +232,7 @@ class TestFirstIntegrals:
         eigen = EigenData.from_rows(rows)
         nf = generate_integrable_nf(eigen, eigen.lattice, degree, seed=nf_seed)
         psi0 = random_tangent_identity(random.Random(psi_seed), eigen.n, degree, extra_terms=3)
-        fam = Family([conjugate(g, psi0) for g in nf.germs])
+        fam = require_commuting(Family([conjugate(g, psi0) for g in nf.germs]))
         omega = enumerate_omega(eigen, degree).points
         basis = first_integrals(fam, degree)
         assert len(basis) == len(omega)
@@ -236,7 +244,7 @@ class TestFirstIntegrals:
                 assert f.compose(list(g.components)) == f
         first = list(fam.germs[0].components)
         first[0] = first[0] * TS.monomial(omega[0], Fraction(1, 3), degree).exp0()
-        perturbed = Family([Germ(first), *fam.germs[1:]], check_commuting=False)
+        perturbed = Family([Germ(first), *fam.germs[1:]])
         assert len(first_integrals(perturbed, degree)) < len(basis)
         assert any(f.compose(first) != f for f in basis)
 
@@ -298,12 +306,12 @@ class TestDivisionAndCertificates:
 
 
 def _add_term(fam: Family, i: int, m: int, exp, coeff) -> Family:
-    """fam with coeff * x^exp added to component m of germ i, unchecked."""
+    """fam with coeff * x^exp added to component m of germ i."""
     germs = list(fam.germs)
     comps = list(germs[i].components)
     comps[m] = comps[m] + TS.monomial(exp, coeff, fam.degree)
     germs[i] = Germ(comps)
-    return Family(germs, check_commuting=False)
+    return Family(germs)
 
 
 class TestCertificateProvesCommutation:
@@ -441,7 +449,7 @@ class TestProp32Property:
         for seed in (1, 2, 3):
             nf = generate_integrable_nf(eigen, lat, 6, seed=seed)
             psi = random_tangent_identity(rng, 2, 6)
-            fam = Family([conjugate(g, psi) for g in nf.germs])
+            fam = require_commuting(Family([conjugate(g, psi) for g in nf.germs]))
             res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
             for pt in enumerate_omega(eigen, 3).points:
                 G = TS.monomial(pt, 1, 6)

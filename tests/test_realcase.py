@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germnf.exactnum import DomainError, GaussianRational as GR
 from germnf.germ import Family, Germ, compose_germ, conjugate, invert_germ
@@ -15,7 +16,15 @@ from germnf.normalform import (
 from germnf.resonance import EigenData
 from germnf.series import TruncatedSeries as TS
 
-from helpers import linear_diag_germ, random_real_block_family, rho_equivariant_nf
+from helpers import (
+    PYTHAGOREAN_UNITS,
+    all_exponents,
+    germs,
+    linear_diag_germ,
+    nonzero_gaussians,
+    random_real_block_family,
+    rho_equivariant_nf,
+)
 
 
 def rotation_germ(degree=4):
@@ -24,7 +33,7 @@ def rotation_germ(degree=4):
 
 class TestComplexify:
     def test_pure_rotation(self):
-        cfam, p_germ, sigma = complexify_real_family(Family([rotation_germ()]))
+        cfam, _, sigma = complexify_real_family(Family([rotation_germ()]))
         assert cfam.germs[0] == linear_diag_germ([GR(0, 1), GR(0, -1)], 4)
         assert sigma == (1, 0)
 
@@ -64,39 +73,95 @@ class TestBlockTransforms:
 
     def test_complexify_uses_the_block_transform(self):
         fam = Family([rotation_germ()])
-        cfam, p_germ, sigma = complexify_real_family(fam)
-        assert block_transforms(sigma, 4)[0] == p_germ
+        cfam, p, sigma = complexify_real_family(fam)
+        assert block_transforms(sigma, 4) == p
 
 
 class TestRealify:
     def test_linear_diagonal(self):
         fam = Family([linear_diag_germ([GR(0, 1), GR(0, -1)], 3)])
-        back = realify_normal_form(fam, (1, 0))
+        identity = Germ.identity(2, 3)
+        back, psi = realify_normal_form(fam, identity, block_transforms((1, 0), 3))
         assert back.germs[0] == rotation_germ(3)
+        assert psi == identity
 
     def test_round_trip_through_complexification(self):
         fam = Family([rotation_germ()])
-        cfam, _, sigma = complexify_real_family(fam)
-        assert realify_normal_form(cfam, sigma) == fam
+        cfam, p, _ = complexify_real_family(fam)
+        assert realify_normal_form(cfam, Germ.identity(2, 4), p) == (fam, Germ.identity(2, 4))
 
     def test_violation_reported(self):
-        bad = Family(
-            [Germ([
-                TS.monomial((1, 0), GR(0, 1), 3) + TS.monomial((2, 1), 1, 3),
-                TS.monomial((0, 1), GR(0, -1), 3),
-            ])],
-            check_commuting=False,
-        )
-        with pytest.raises(DomainError) as err:
-            realify_normal_form(bad, (1, 0))
-        assert "(1, 1, (2, 1))" in str(err.value)
+        """x^2 y in component 1 has no conjugate partner x y^2 in component
+        2, so the realified germ keeps an imaginary part."""
+        bad = Germ([
+            TS.monomial((1, 0), GR(0, 1), 3) + TS.monomial((2, 1), 1, 3),
+            TS.monomial((0, 1), GR(0, -1), 3),
+        ])
+        assert rho_equivariance_offense([bad], (1, 0)) == (1, 1, (2, 1))
+        p, identity = block_transforms((1, 0), 3), Germ.identity(2, 3)
+        with pytest.raises(AssertionError, match=r"^realified germ 1 component \d kept an imaginary part"):
+            realify_normal_form(Family([bad]), identity, p)
+        with pytest.raises(AssertionError, match=r"^realified conjugator component \d kept an imaginary part"):
+            realify_normal_form(Family([linear_diag_germ([GR(0, 1), GR(0, -1)], 3)]), bad, p)
+
+
+def _rho_image(g: Germ, sigma) -> Germ:
+    """rho o g o rho: component m is conj(component sigma(m)) with the
+    variables permuted by sigma, the map `rho_equivariance_offense` compares."""
+    return Germ([g.components[sigma[m]].permute_variables(sigma).conjugate_coeffs() for m in range(g.n)])
+
+
+class TestRealnessShowsRhoEquivariance:
+    """P^{-1} o conj o P = rho, so P o g o P^{-1} is real exactly when g is
+    rho-equivariant: `realify_normal_form` raises, for a germ of the family
+    or for psi, exactly when `rho_equivariance_offense` finds a witness."""
+
+    # (pairing sigma, eigenvalue row whose sigma-paired entries are conjugate)
+    LAYOUTS = [
+        ((1, 0), (PYTHAGOREAN_UNITS[0], PYTHAGOREAN_UNITS[0].conjugate())),
+        ((1, 0, 2), (PYTHAGOREAN_UNITS[1], PYTHAGOREAN_UNITS[1].conjugate(), GR(2))),
+        ((0, 2, 1), (GR(Fraction(1, 3)), PYTHAGOREAN_UNITS[2], PYTHAGOREAN_UNITS[2].conjugate())),
+    ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(LAYOUTS), st.integers(2, 4), st.sampled_from(["nf", "symmetrized", "any"]),
+           st.booleans(), st.data())
+    def test_real_exactly_when_rho_equivariant(self, layout, degree, source, perturb, data):
+        sigma, row = layout
+        n = len(sigma)
+        if source == "nf":
+            seed = data.draw(st.integers(0, 1000))
+            g = rho_equivariant_nf(EigenData((row,)), sigma, degree, random.Random(seed)).germs[0]
+        else:
+            g = data.draw(germs(n, degree))
+            if source == "symmetrized":  # (g + rho o g o rho) / 2
+                g = Germ([(a + b).scale(GR(Fraction(1, 2))) for a, b in zip(g.components, _rho_image(g, sigma).components)])
+        if perturb:
+            m = data.draw(st.integers(0, n - 1))
+            exp = data.draw(st.sampled_from(list(all_exponents(n, degree, min_degree=2))))
+            comps = list(g.components)
+            comps[m] = comps[m] + TS.monomial(exp, data.draw(nonzero_gaussians), degree)
+            g = Germ(comps)
+        equivariant = rho_equivariance_offense([g], sigma) is None
+        if source != "any" and not perturb:
+            assert equivariant
+        p, identity = block_transforms(sigma, degree), Germ.identity(n, degree)
+        real = compose_germ(p[0], compose_germ(g, p[1]))
+        assert all(comp.is_real() for comp in real.components) == equivariant
+        for fam, psi in [(Family([g]), identity), (Family([identity]), g)]:
+            if equivariant:
+                back, conjugator = realify_normal_form(fam, psi, p)
+                assert real in (back.germs[0], conjugator)
+            else:
+                with pytest.raises(AssertionError, match="kept an imaginary part"):
+                    realify_normal_form(fam, psi, p)
 
 
 class TestRhoEquivariantNormalization:
     def test_pipeline_preserves_structure(self):
         rng = random.Random(5)
         fam, sigma = random_real_block_family(rng, blocks=1, tail=[2], p=1, degree=4)
-        cfam, p_germ, sig = complexify_real_family(fam)
+        cfam, p, sig = complexify_real_family(fam)
         assert sig == sigma
         res = poincare_dulac_normalize(cfam, EigenData.from_family(cfam), rho_pairing=sig)
         assert rho_equivariance_offense(res.normalized, sig) is None
@@ -106,8 +171,8 @@ class TestRhoEquivariantNormalization:
             for exp, c in res.psi.components[m].items():
                 mirrored = tuple(exp[sig[j]] for j in range(cfam.n))
                 assert partner.coeff(mirrored) == c.conjugate()
-        out = realify_normal_form(res.normalized, sig)
-        conjugator = compose_germ(compose_germ(p_germ, res.psi), invert_germ(p_germ))
+        out, conjugator = realify_normal_form(res.normalized, res.psi, p)
+        assert conjugator == compose_germ(compose_germ(p[0], res.psi), invert_germ(p[0]))
         assert all(c.im == 0 for comp in conjugator.components for _, c in comp.items())
         for original, final in zip(fam.germs, out.germs):
             assert conjugate(original, conjugator) == final
@@ -115,10 +180,10 @@ class TestRhoEquivariantNormalization:
     def test_two_blocks(self):
         rng = random.Random(7)
         fam, sigma = random_real_block_family(rng, blocks=2, tail=[], p=1, degree=4)
-        cfam, p_germ, sig = complexify_real_family(fam)
-        res = poincare_dulac_normalize(cfam, EigenData.from_family(cfam), rho_pairing=sig)
-        out = realify_normal_form(res.normalized, sig)
-        conjugator = compose_germ(compose_germ(p_germ, res.psi), invert_germ(p_germ))
+        cfam, p, sig = complexify_real_family(fam)
+        res = poincare_dulac_normalize(cfam, EigenData.from_family(cfam))  # as `realcase` calls it
+        out, conjugator = realify_normal_form(res.normalized, res.psi, p)
+        assert conjugator == compose_germ(compose_germ(p[0], res.psi), invert_germ(p[0]))
         assert all(c.im == 0 for comp in conjugator.components for _, c in comp.items())
         for original, final in zip(fam.germs, out.germs):
             assert conjugate(original, conjugator) == final
@@ -126,10 +191,10 @@ class TestRhoEquivariantNormalization:
     def test_p2_family(self):
         rng = random.Random(11)
         fam, sigma = random_real_block_family(rng, blocks=1, tail=[3], p=2, degree=4)
-        cfam, p_germ, sig = complexify_real_family(fam)
+        cfam, p, sig = complexify_real_family(fam)
         res = poincare_dulac_normalize(cfam, EigenData.from_family(cfam), rho_pairing=sig)
-        out = realify_normal_form(res.normalized, sig)
-        conjugator = compose_germ(compose_germ(p_germ, res.psi), invert_germ(p_germ))
+        out, conjugator = realify_normal_form(res.normalized, res.psi, p)
+        assert conjugator == compose_germ(compose_germ(p[0], res.psi), invert_germ(p[0]))
         for original, final in zip(fam.germs, out.germs):
             assert conjugate(original, conjugator) == final
 
