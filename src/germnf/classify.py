@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .exactnum import (
     GaussianRational,
@@ -73,12 +72,11 @@ class VerdictValue(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     value: VerdictValue
-    witness: Any = None
-    method: str = "exact"
-    bounds_used: dict = field(default_factory=dict)
+    witness: Any
+    method: str
+    bounds_used: dict
     reason: str | None = None
 
     @property
@@ -123,8 +121,7 @@ def _method(exact: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchChoice:
+class BranchChoice(NamedTuple):
     """Integer branch matrix b: lambda_im = ln|mu_im| + i(Arg mu_im + 2 pi b_im),
     with Arg principal in (-pi, pi]."""
 
@@ -279,8 +276,7 @@ def poly_sign(poly: dict) -> int | None:
     return _interval_signs(poly)[0] or None
 
 
-@dataclass(frozen=True)
-class Minor:
+class Minor(NamedTuple):
     """The p x p minor on `columns` (0-based) of a p-row symbolic matrix.
     `full`: `det` certified nonzero (True), symbolically zero (False) or
     neither (None)."""
@@ -679,8 +675,7 @@ def is_weakly_hyperbolic(eigen: EigenData) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoincareTypeCertificate:
+class PoincareTypeCertificate(NamedTuple):
     """Constructive growth certificate for a type-(1, n-1) diffeomorphism.
 
     log-moduli satisfy (ln|mu_1|,...,ln|mu_n|) = c k with c > 0 encoded by

@@ -10,7 +10,8 @@ the pure-Python encoder that an indent selects: strings go through the C
 `encode_basestring_ascii`, ints through `int.__repr__`, and a list of ints
 (exponents, lattice vectors) is one join.  Exit codes: 0 definite (and
 `--help`), 1 a usage or input error or an unwritable --output, 2
-indeterminate verdicts present, 3 an internal verification failed.
+indeterminate verdicts or an undecided generator search present, 3 an
+internal verification failed.
 
 Each command returns its payload and the jet degree it used, which the
 report's config echoes: the family's degree for family input, min(--degree,
@@ -31,12 +32,21 @@ Commutation is checked once per command: `first-integrals`, `analyze` and
 certificate or one check of the normal form (for `verify`, the input), see
 `_commutation_once`.  `realcase` checks realness only at its two ends, which
 shows rho-equivariance in between (see `normalform.realify_normal_form`).
+
+A process compiles what its command runs.  Importing `cli` loads the
+package (`exactnum`, `linalg`, `series`, `germ`, `resonance`), which every
+command reads its input with.  `classify` runs on its first use, which only
+`analyze` makes; `normalform` on its first use, which `normalize`,
+`realcase`, `first-integrals`, `verify` and `generate` make, and `lattice`
+and `analyze` never do.  `_on_first_use` puts each one in sys.modules under
+importlib's LazyLoader, or returns the module already there.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 import time
@@ -54,8 +64,25 @@ from .germ import (
 )
 from .resonance import EigenData, enumerate_omega, resonant_set, vect_omega_rank
 from .series import UsageError
-from . import classify
-from . import normalform
+
+
+def _on_first_use(name: str):
+    """germnf.<name> as it is in sys.modules, or else put there and on the
+    package as import would, to run on its first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+classify = _on_first_use("classify")
+normalform = _on_first_use("normalform")
 
 
 MAX_BOUND_OMEGA = 1000  # the walk's cost grows faster than the bound
@@ -164,8 +191,10 @@ def _omega_bound(args) -> int:
 
 
 def _indeterminate_in(payload) -> bool:
+    """Does a verdict read indeterminate, or a search without a verdict
+    field (`infinitesimal_generators`) hold an `indeterminate` reason?"""
     if isinstance(payload, dict):
-        if payload.get("verdict") == "indeterminate":
+        if payload.get("verdict") == "indeterminate" or "indeterminate" in payload:
             return True
         return any(_indeterminate_in(v) for v in payload.values())
     if isinstance(payload, list):

@@ -21,8 +21,8 @@ import math
 import os
 import re as _re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _PRECISION_ENV = "GERMNF_PRECISION_BITS"
 _PRECISION_START = 64
@@ -430,8 +430,7 @@ def _split_prime(p: int) -> GaussianRational:
     return GaussianRational(b, c)
 
 
-@dataclass(frozen=True)
-class GaussianFactorization:
+class GaussianFactorization(NamedTuple):
     """z = i^unit_exp * prod(prime^exponent) over canonical Gaussian primes."""
 
     unit_exp: int
@@ -542,8 +541,7 @@ def factor_gaussian(z: GaussianRational) -> GaussianFactorization:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogModulusVector:
+class LogModulusVector(NamedTuple):
     """ln|z| written as sum(coords[q] * ln q) with exact rational coords,
     over pairwise-coprime integers q > 1: rational primes (log_modulus, the
     oracle) or the elements of an integer coprime base (base_log_modulus,
@@ -820,8 +818,7 @@ def interval_sign(iv) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TurnSum:
+class TurnSum(NamedTuple):
     """A real number given in 'turns': rational + sum(c * atan(t)) / (2*pi).
 
     Principal arguments of Gaussian rationals decompose into this shape with

@@ -26,10 +26,10 @@ EigenData and refuse one that is not the family's linear diagonal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from typing import NamedTuple
 
 from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, conjugate_all, family_to_json, germ_to_json
@@ -43,8 +43,7 @@ from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, fix
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EliminationRecord:
+class EliminationRecord(NamedTuple):
     degree: int
     component: int  # 1-based
     exponents: MultiIndex
@@ -63,8 +62,7 @@ class EliminationRecord:
         }
 
 
-@dataclass
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     normalized: Family
     psi: Germ
     eliminations: tuple[EliminationRecord, ...]
@@ -234,8 +232,7 @@ def first_integrals(fam: Family, degree: int | None = None) -> list[TruncatedSer
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisionReport:
+class DivisionReport(NamedTuple):
     """Per-(germ, component) divisibility of phi_im by x_m."""
 
     offenders: tuple[tuple[int, int, MultiIndex], ...]  # (germ_1b, comp_1b, exp)
@@ -265,8 +262,7 @@ def division_check(fam: Family) -> DivisionReport:
     return DivisionReport(tuple(offenders))
 
 
-@dataclass
-class IntegrableNFCertificate:
+class IntegrableNFCertificate(NamedTuple):
     """phi matrix with exact support and product-relation residuals.
 
     ok only when normalized_im = mu_im x_m (1 + phi_im) exactly, every

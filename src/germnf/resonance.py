@@ -41,8 +41,8 @@ independent of the coprime base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .exactnum import (
     GaussianFactorization,
@@ -191,8 +191,7 @@ def _as_gauss(z) -> GaussianRational:
     return GaussianRational(z)
 
 
-@dataclass(frozen=True)
-class RelationLattice:
+class RelationLattice(NamedTuple):
     """HNF basis of {k in Z^n : mu^k = 1 for all rows}, ambient dimension n."""
 
     basis: tuple[tuple[int, ...], ...]
@@ -239,15 +238,14 @@ def relation_lattice(eigen: EigenData) -> RelationLattice:
     return lattice
 
 
-@dataclass(frozen=True)
 class OmegaEnumeration:
     """All nonzero first-integral exponents of degree <= degree_bound, in
     grlex order, with the two facts read off them, each computed on first
     read: `span`, the HNF basis of their Z-span, and `independent`, the
     points in order that raise the rank, len(span) of them."""
 
-    degree_bound: int
-    points: tuple[MultiIndex, ...]
+    def __init__(self, degree_bound: int, points: tuple[MultiIndex, ...]):
+        self.degree_bound, self.points = degree_bound, points
 
     @cached_property
     def span(self) -> tuple[tuple[int, ...], ...]:
@@ -291,8 +289,7 @@ def _walk(eigen: EigenData, offset: list[int], low: int, bound: int, holds) -> t
     return tuple(pts)
 
 
-@dataclass(frozen=True)
-class ResonantSet:
+class ResonantSet(NamedTuple):
     """Exponents gamma, 2 <= |gamma| <= bound, resonant for component m."""
 
     component: int  # 1-based, matching reports

@@ -840,9 +840,35 @@ class TestBoundedSearchShortfall:
         assert entry["reason"] == "germ 1: integer solutions exist but none within branch bound"
         assert entry["method"] == "bounded_search"
         code, report = _run_json(tmp_path, "analyze", path, "--bound-branch", "60")
-        assert code == 0
+        assert code == 2  # the generators' Omega walk still falls short
         entry = report["payload"]["normal_form_hypothesis"]
         assert entry["verdict"] == "yes" and entry["witness"]["branch"] == [[-59, 0]]
+        assert "indeterminate" in report["payload"]["infinitesimal_generators"]
+
+    def test_undecided_generators_alone_exit_2(self, tmp_path):
+        """Every verdict is definite, but Omega's first points have degree
+        21, past the bound 8, so the generators are undecided."""
+        path = _write(tmp_path, "far.json", {"schema": 1, "mu": [["1048576", "1/2", "1/2"], ["1", "1", "1"]]})
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 2
+        payload = report["payload"]
+        assert all(entry["verdict"] != "indeterminate" for entry in payload.values()
+                   if isinstance(entry, dict) and "verdict" in entry)
+        assert payload["infinitesimal_generators"]["indeterminate"] == (
+            "Omega is not empty but has no point within omega_bound")
+
+    def test_generator_search_that_raises_exits_2(self, tmp_path, monkeypatch):
+        import germnf.classify as classify
+        from germnf.exactnum import IndeterminateError
+
+        def undecided(*args, **kwargs):
+            raise IndeterminateError("precision cap reached")
+
+        monkeypatch.setattr(classify, "find_infinitesimal_generators", undecided)
+        path = ROOT / "perfbench" / "corpus" / "eigen" / "small_p2-0.json"
+        code, report = _run_json(tmp_path, "analyze", str(path))
+        assert code == 2
+        assert report["payload"]["infinitesimal_generators"] == {"found": None, "indeterminate": "precision cap reached"}
 
     def test_generators_on_a_short_omega_walk_are_indeterminate(self, tmp_path):
         """mu = [[mu2^-400, mu2]] again: the lattice (1, 400) has one sign, so

@@ -3,7 +3,9 @@ function it wraps, so `perfbench/run.py --trace 1` keeps working when code is
 deleted or renamed.
 
 The tracer rebinds names inside the germnf modules, so it runs in a child
-process and the rebinding cannot leak into other tests.
+process and the rebinding cannot leak into other tests.  `germnf.cli` loads
+`classify` and `normalform` on first use; the tracer's lookup loads them, and
+`analyze` shows that the wrappers reach the module `cli` calls.
 """
 
 import json
@@ -12,20 +14,24 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+EIGEN = ROOT / "perfbench" / "corpus" / "eigen" / "small_p2-3.json"
 
 CHILD = """
 import contextlib, io, json, sys
-root, path = sys.argv[1:]
+root, path, eigen_path = sys.argv[1:]
 sys.path[:0] = [root + "/perfbench", root + "/src"]
 import germnf.cli
 from tracer import FUNCTIONS, Tracer
 
 tracer = Tracer()
 tracer.install()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = germnf.cli.run(["normalize", path])
-calls = {name: counts[0] for name, counts in tracer.take()["functions"].items()}
-print(json.dumps({"code": code, "wrapped": len(FUNCTIONS), "calls": calls}))
+out = {"wrapped": len(FUNCTIONS)}
+for command, file in (("normalize", path), ("analyze", eigen_path)):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = germnf.cli.run([command, file])
+    calls = {name: counts[0] for name, counts in tracer.take()["functions"].items()}
+    out[command] = {"code": code, "calls": calls}
+print(json.dumps(out))
 """
 
 NORMALIZABLE = {
@@ -43,15 +49,16 @@ def test_tracer_installs_and_traces_normalize(tmp_path):
     path = tmp_path / "norm.json"
     path.write_text(json.dumps(NORMALIZABLE))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT), str(path)],
+        [sys.executable, "-c", CHILD, str(ROOT), str(path), str(EIGEN)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["code"] == 0
-    assert result["wrapped"] == len(result["calls"]) == 37
+    normalize, analyze = result["normalize"], result["analyze"]
+    assert normalize["code"] == analyze["code"] == 0
+    assert result["wrapped"] == len(normalize["calls"]) == 37
     for name in (
         "cli.run",
         "germ.family_from_json",
@@ -59,4 +66,6 @@ def test_tracer_installs_and_traces_normalize(tmp_path):
         "germ.compose_germ",
         "series.mul",
     ):
-        assert result["calls"][name] > 0, name
+        assert normalize["calls"][name] > 0, name
+    for name in ("cli.run", "classify.is_hyperbolic", "classify.normal_form_hypothesis"):
+        assert analyze["calls"][name] > 0, name
