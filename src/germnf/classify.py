@@ -428,26 +428,36 @@ def weak_resonance(eigen: EigenData, branches: BranchChoice | None = None) -> Ve
 # ---------------------------------------------------------------------------
 
 
-def _branch_row_solutions(eigen: EigenData, i: int, span_rows: tuple[tuple[int, ...], ...], bound: int):
-    """Integer vectors b_i with sum_m w_m b_im = -K0_i(w) on every span row,
-    restricted to |b_im| <= bound.  Returns (solutions, infeasibility); the
-    solutions are complete for the box and sorted smallest-norm first."""
-    rhs = [-certified_round_to_integer(_turns_of(eigen, i, w)) for w in span_rows]
-    particular = solve_integer([list(w) for w in span_rows], rhs)
+def _branch_row_coset(eigen: EigenData, i: int, span_rows: tuple[tuple[int, ...], ...], bound: int):
+    """The integer b_i with sum_m w_m b_im = -K0_i(w) on every span row, as ((particular,
+    kernel basis), None) if one has |b| <= bound, else (None, infeasibility or particular)."""
+    rows = [list(w) for w in span_rows]
+    rhs = [-certified_round_to_integer(_turns_of(eigen, i, w)) for w in rows]
+    particular = solve_integer(rows, rhs)
     if particular is None:
-        return [], {"germ": i + 1, "span": [list(w) for w in span_rows], "rhs": rhs,
-                    "reason": "no integer solution"}
-    kern = kernel_basis([list(w) for w in span_rows], ncols=eigen.n)
-    # every in-bound solution is particular + kernel vector, so scanning the
-    # kernel coset against the box is complete
-    solutions = list(
-        lattice_points(kern, [-bound] * eigen.n, [bound] * eigen.n, offset=list(particular))
-    )
-    if not solutions:
-        return [], {"germ": i + 1, "reason": "integer solutions exist but none within branch bound",
-                    "bound": bound, "particular": particular}
-    solutions.sort(key=lambda b: (max(abs(v) for v in b), b))
-    return solutions, None
+        return None, {"germ": i + 1, "span": rows, "rhs": rhs, "reason": "no integer solution"}
+    coset = (particular, kernel_basis(rows, ncols=eigen.n))
+    if not _in_box(coset, bound, 1):
+        return None, {"germ": i + 1, "reason": "integer solutions exist but none within branch bound",
+                      "bound": bound, "particular": particular}
+    return coset, None
+
+
+def _in_box(coset, radius: int, most: int | None = None) -> list[tuple[int, ...]]:
+    """The coset's points with |b_m| <= radius (the first `most` the scan
+    finds), smallest (max|b|, b) first; the scan of the coset is complete."""
+    particular, kern = coset
+    points = lattice_points(kern, [-radius] * len(particular), [radius] * len(particular), offset=particular)
+    return sorted(itertools.islice(points, most), key=lambda b: (max(map(abs, b)), b))
+
+
+def _smallest_in_box(coset, bound: int) -> tuple[int, ...]:
+    """The smallest (max|b|, b) point of a coset that meets the box |b| <=
+    bound, from the first nonempty box of radius 0, 1, 2, 4, ..., bound."""
+    radius = 0
+    while not (found := _in_box(coset, radius)) and radius < bound:
+        radius = min(2 * radius or 1, bound)
+    return found[0]
 
 
 def _omega_is_empty(eigen: EigenData) -> bool:
@@ -476,10 +486,10 @@ def find_infinitesimal_generators(
         return BranchChoice.zero(eigen.p, eigen.n), {"vacuous": True, **bounds}
     rows = []
     for i in range(eigen.p):
-        solutions, failure = _branch_row_solutions(eigen, i, span, branch_bound)
+        coset, failure = _branch_row_coset(eigen, i, span, branch_bound)
         if failure is not None:
             return None, {**failure, **bounds}
-        rows.append(solutions[0])
+        rows.append(_smallest_in_box(coset, branch_bound))
     return BranchChoice(tuple(rows)), bounds
 
 
@@ -512,20 +522,20 @@ def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3) -> Verdict:
             per_row.append([tuple([0] * eigen.n)])
             continue
         try:
-            sols, failure = _branch_row_solutions(eigen, i, lat.basis, branch_bound)
+            coset, failure = _branch_row_coset(eigen, i, lat.basis, branch_bound)
         except IndeterminateError as exc:
             return _indet(str(exc), bounds)
-        if failure is None:
-            per_row.append(sols)
+        if failure is None:  # one past the cap is enough to give up
+            per_row.append(_in_box(coset, branch_bound, CANDIDATE_CAP + 1))
         elif "particular" in failure:  # integer solutions exist, only the box missed them
             return _indet(f"germ {i + 1}: {failure['reason']}", bounds, "bounded_search")
         elif proj.no:
             return _no({"projective": proj.witness, "weak_nonresonance": failure}, bounds=bounds)
         else:
             return _indet("projective hyperbolicity undecided and no weakly non-resonant branch", bounds)
-    total = math.prod(len(sols) for sols in per_row)
-    if total > CANDIDATE_CAP:
-        return _indet(f"too many candidate branches ({total}) within bound", bounds, "bounded_search")
+    if math.prod(map(len, per_row)) > CANDIDATE_CAP:
+        return _indet(f"too many candidate branches (more than {CANDIDATE_CAP}) within bound", bounds,
+                      "bounded_search")
     saw_indeterminate = False
     for combo in itertools.product(*per_row):
         branch = BranchChoice(tuple(combo))

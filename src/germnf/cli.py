@@ -30,8 +30,9 @@ Commutation is checked once per command: `first-integrals`, `analyze` and
 `lattice` check every pair of the input at load (`germ.require_commuting`);
 `normalize`, `realcase` and `verify` show it at the end by an ok integrable
 certificate or one check of the normal form (for `verify`, the input), see
-`_commutation_once`.  `realcase` checks realness only at its two ends, which
-shows rho-equivariance in between (see `normalform.realify_normal_form`).
+`_commutation_once`.  `realcase` is the one real-case route: it checks
+realness only at its two ends, which shows rho-equivariance in between (see
+`normalform.realify_normal_form`); `normalize` knows no real structure.
 
 A process compiles what its command runs.  Importing `cli` loads the
 package (`exactnum`, `linalg`, `series`, `germ`, `resonance`), which every
@@ -257,13 +258,8 @@ def _cmd_analyze(data, args) -> tuple[dict, int]:
 
 @_commutation_once
 def _cmd_normalize(fam, data, args) -> tuple[dict, Family | None]:
-    pairing = None
-    if args.rho_equivariant:
-        if "pairing" not in data:
-            raise UsageError("--rho-equivariant needs a 'pairing' field (1-based involution)")
-        pairing = [v - 1 for v in data["pairing"]]
     eigen = _family_eigen(fam, "normalization")
-    result = normalform.poincare_dulac_normalize(fam, eigen, rho_pairing=pairing)
+    result = normalform.poincare_dulac_normalize(fam, eigen)
     payload = result.to_json()
     division = normalform.division_check(result.normalized)
     if division.ok:
@@ -421,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumeration bound for Omega (default 2*degree)")
     parser.add_argument("--bound-branch", type=int, default=10,
                         help="max |b| entries in branch searches")
-    parser.add_argument("--rho-equivariant", action="store_true")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -451,7 +446,6 @@ def run(argv=None) -> int:
                 "degree": degree,
                 "bound_omega": args.bound_omega or 2 * args.degree,
                 "bound_branch": args.bound_branch,
-                "rho_equivariant": args.rho_equivariant,
                 "seed": args.seed,
             },
             "payload": payload,

@@ -256,9 +256,6 @@ class Family:
             return NotImplemented
         return self.germs == other.germs
 
-    def __iter__(self):
-        return iter(self.germs)
-
 
 def require_commuting(fam: Family) -> Family:
     """The family, if every pair commutes up to D; else CommutationError."""
@@ -378,7 +375,7 @@ def family_from_json(data: dict) -> Family:
     if data.get("schema") != 1:
         raise UsageError("missing or unsupported schema field (expected 1)")
     for key in data:
-        if key not in {"schema", "n", "p", "degree", "maps", "pairing"}:
+        if key not in {"schema", "n", "p", "degree", "maps"}:
             raise UsageError(f"unknown field {key!r} in family input")
     n = _json_int(data["n"], "n")
     degree = _json_int(data["degree"], "degree")
@@ -388,8 +385,6 @@ def family_from_json(data: dict) -> Family:
     maps = _json_list(data["maps"], "maps")
     if "p" in data and _json_int(data["p"], "p") != len(maps):
         raise UsageError("declared p does not match the number of maps")
-    for v in _json_list(data.get("pairing", []), "pairing"):
-        _json_int(v, "pairing entry")
     germs = [germ_from_json(entry, n, degree) for entry in maps]
     return Family(germs)
 

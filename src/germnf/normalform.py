@@ -75,30 +75,6 @@ class NormalizationResult(NamedTuple):
         }
 
 
-def _pairing_involution(pairing, n: int) -> tuple[int, ...]:
-    sigma = tuple(pairing)
-    if sorted(sigma) != list(range(n)):
-        raise UsageError("pairing must be a permutation of 0..n-1")
-    for m in range(n):
-        if sigma[sigma[m]] != m:
-            raise UsageError("pairing must be an involution")
-    return sigma
-
-
-def rho_equivariance_offense(germs, sigma: tuple[int, ...]):
-    """First witness (germ_1based, component_1based, exponents) violating
-    coeff(m, gamma) = conj(coeff(sigma(m), gamma o sigma)) in a family or a
-    list of germs, or None.  Component m is compared whole with
-    conj(component sigma(m)), variables permuted by sigma; the offense is
-    the first term of the difference."""
-    for i, g in enumerate(germs):
-        for m, comp in enumerate(g.components):
-            difference = comp - g.components[sigma[m]].permute_variables(sigma).conjugate_coeffs()
-            if not difference.is_zero():
-                return (i + 1, m + 1, difference.support()[0])
-    return None
-
-
 def _check_eigen(fam: Family, eigen: EigenData) -> None:
     if eigen.mu != tuple(fam.linear_diags()):
         raise UsageError("eigen data must be the family's linear diagonal")
@@ -117,7 +93,7 @@ def _scan_nonresonant(work: list[Germ], eigen: EigenData, ell: int) -> list[tupl
     return found
 
 
-def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) -> NormalizationResult:
+def poincare_dulac_normalize(fam: Family, eigen: EigenData) -> NormalizationResult:
     """Conjugate a commuting family with diagonal linear parts, whose
     eigenvalues are `eigen`, into Poincare-Dulac normal form up to the
     truncation degree.
@@ -127,10 +103,8 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     g; after it no non-resonant term of that degree may survive in any germ.
     Order of elimination records: degree ascending, then component, then
     graded-lex monomial; the germ index used for each divisor is the
-    smallest one whose resonance gap is nonzero.  With rho_pairing set (an
-    involution of the coordinates), the input and psi are checked to be
-    rho-equivariant (`realcase` shows it by realness instead): sigma-paired
-    monomials get conjugated coefficients in the same step.
+    smallest one whose resonance gap is nonzero.  No real structure enters:
+    `realcase` shows rho-equivariance by realness at its two ends.
     psi = s_2 o ... o s_D is built left to right, psi <- psi o s_l right
     after each step.  By associativity of truncated composition the checked
     steps give Phi_i o psi = psi o Phi_i'.  Phi' commutes iff Phi does; the
@@ -139,12 +113,6 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
     """
     _check_eigen(fam, eigen)
     n, degree = fam.n, fam.degree
-    sigma = None
-    if rho_pairing is not None:
-        sigma = _pairing_involution(rho_pairing, n)
-        offense = rho_equivariance_offense(fam, sigma)
-        if offense is not None:
-            raise DomainError(f"input family is not rho-equivariant: offending term {offense}")
     work = list(fam.germs)
     psi = Germ.identity(n, degree)
     log: list[EliminationRecord] = []
@@ -179,10 +147,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData, rho_pairing=None) ->
                 "(commutativity assumption violated)"
             )
 
-    normalized = Family(work)
-    if sigma is not None and rho_equivariance_offense([psi], sigma) is not None:
-        raise AssertionError("psi is not rho-equivariant")
-    return NormalizationResult(normalized, psi, tuple(log))
+    return NormalizationResult(Family(work), psi, tuple(log))
 
 
 def verify_pd_nf(fam: Family, eigen: EigenData):

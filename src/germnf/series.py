@@ -27,10 +27,10 @@ fields flipped), and dividing by x_j subtracts the key of x_j.
 
 `GaussianRational` and exponent tuples stay the boundary types: the mapping
 constructor takes {exponent tuple: scalar}, `scale` one scalar, and
-`coeff` and `permute_variables` a tuple; `items` and `support` give tuples
-and scalars back, and `to_term_list` exponent lists and coefficient
-strings.  Only `keys_of_degree` hands out keys, which `unpack` turns into
-tuples; `from_key_parts` takes keys (`pack`) with integer triples.
+`coeff` a tuple; `items` and `support` give tuples and scalars back, and
+`to_term_list` exponent lists and coefficient strings.  Only
+`keys_of_degree` hands out keys, which `unpack` turns into tuples;
+`from_key_parts` takes keys (`pack`) with integer triples.
 
 Composition has two kernels.  `compose_all` substitutes the components into
 each monomial of the targets through one table of images x^gamma o g
@@ -384,24 +384,6 @@ class TruncatedSeries:
             fact *= t
             result = result + power.scale(Fraction(1, fact))
         return result
-
-    # -- coordinate operations used by the real case --------------------------
-
-    def conjugate_coeffs(self) -> "TruncatedSeries":
-        return self._map(lambda k, a, b: (k, a, -b))
-
-    def permute_variables(self, perm: tuple[int, ...]) -> "TruncatedSeries":
-        """Substitute x_j -> x_{perm[j]}: exponent at slot perm[j] receives e_j."""
-        n = self.n
-        if sorted(perm) != list(range(n)):
-            raise UsageError("not a permutation")
-        inverse = sorted(range(n), key=lambda j: perm[j])
-
-        def permuted(k, a, b):
-            e = unpack(k, n)
-            return pack(tuple(e[j] for j in inverse)), a, b
-
-        return self._map(permuted)
 
     def divide_by_variable(self, index: int) -> "TruncatedSeries":
         """Exact division by x_index; raises DomainError if any term lacks it.

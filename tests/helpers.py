@@ -527,6 +527,28 @@ def rho_equivariant_nf(eigen: EigenData, sigma: tuple[int, ...], degree: int,
     return require_commuting(Family(germs))
 
 
+def rho_image(g: Germ, sigma: tuple[int, ...]) -> Germ:
+    """rho o g o rho, rho = conj o sigma: component m is the conjugate of
+    component sigma(m), each exponent gamma moved to gamma o sigma."""
+    n = g.n
+    return Germ([
+        TruncatedSeries(n, g.degree, {tuple(exp[sigma[j]] for j in range(n)): c.conjugate()
+                                      for exp, c in g.components[sigma[m]].items()})
+        for m in range(n)
+    ])
+
+
+def rho_equivariance_offense(germs, sigma: tuple[int, ...]):
+    """First witness (germ_1based, component_1based, exponents) of g != rho o
+    g o rho among the germs, the first term of the difference, or None."""
+    for i, g in enumerate(germs):
+        for m, (comp, image) in enumerate(zip(g.components, rho_image(g, sigma).components)):
+            difference = comp - image
+            if not difference.is_zero():
+                return (i + 1, m + 1, difference.support()[0])
+    return None
+
+
 PYTHAGOREAN_UNITS = [
     GR(Fraction(3, 5), Fraction(4, 5)),
     GR(Fraction(5, 13), Fraction(12, 13)),

@@ -23,11 +23,14 @@ from germnf.classify import (
     poincare_type_single,
     poly_eval_intervals,
     weak_resonance,
+    _in_box,
     _omega_is_empty,
+    _smallest_in_box,
     _torsion_order,
 )
 from germnf.exactnum import GaussianRational as GR
 from germnf.exactnum import LogModulusVector, precision_ladder
+from germnf.linalg import kernel_basis
 from germnf.resonance import EigenData, enumerate_omega, relation_lattice
 
 from helpers import (
@@ -202,6 +205,31 @@ class TestInfinitesimalGenerators:
             if all(sum(c * e[k] for c, e in zip(y, exponents)) > 0 for k in range(n)):
                 assert empty
                 break
+
+
+class TestBranchBox:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_radius_search_finds_the_full_box_minimum(self, data):
+        """On a random coset {b : A b = A b0}, the box |b| <= bound listed in
+        full here, by brute force, and sorted by (max|b|, b): `_in_box` gives
+        that list (a prefix of it under a cap), and the doubling-radius
+        search its first point whenever it is not empty."""
+        n = data.draw(st.integers(1, 4), label="n")
+        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n), label="A")
+        b0 = data.draw(st.lists(st.integers(-15, 15), min_size=n, max_size=n), label="b0")
+        bound = data.draw(st.integers(1, 10 if n <= 3 else 4), label="bound")
+        target = [sum(a * x for a, x in zip(row, b0)) for row in rows]
+        box = sorted((b for b in itertools.product(range(-bound, bound + 1), repeat=n)
+                      if [sum(a * x for a, x in zip(row, b)) for row in rows] == target),
+                     key=lambda b: (max(map(abs, b)), b))
+        coset = (b0, kernel_basis(rows, ncols=n))
+        assert _in_box(coset, bound) == box
+        most = data.draw(st.integers(1, 5), label="most")
+        capped = _in_box(coset, bound, most)
+        assert len(capped) == min(most, len(box)) and set(capped) <= set(box)
+        if box:
+            assert _smallest_in_box(coset, bound) == box[0]
 
 
 class TestNormalFormHypothesis:

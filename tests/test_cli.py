@@ -258,7 +258,8 @@ class TestRealcaseCorpus:
         shows it.  P and its inverse are built and checked once."""
         import germnf.normalform as normalform
 
-        calls = {"rho_equivariance_offense": 0, "block_transforms": 0}
+        assert not hasattr(normalform, "rho_equivariance_offense")
+        calls = {"block_transforms": 0}
 
         def count(name):
             original = getattr(normalform, name)
@@ -277,7 +278,7 @@ class TestRealcaseCorpus:
         code, report = _run_json(tmp_path, *golden.argv_of(op))
         assert code == 0 and golden.check(goldens[op_id], code, json.dumps(report))[0] == []
         assert report["payload"]["real_conjugator_is_real"] is True
-        assert calls == {"rho_equivariance_offense": 0, "block_transforms": 1}
+        assert calls == {"block_transforms": 1}
 
     @pytest.mark.parametrize("target", ["normalized", "psi"])
     def test_normal_form_not_rho_equivariant_exits_3(self, monkeypatch, capsys, target):
@@ -287,8 +288,8 @@ class TestRealcaseCorpus:
 
         original = normalform.poincare_dulac_normalize
 
-        def broken(fam, eigen, rho_pairing=None):
-            result = original(fam, eigen, rho_pairing)
+        def broken(fam, eigen):
+            result = original(fam, eigen)
             germ = result.psi if target == "psi" else result.normalized.germs[0]
             comps = list(germ.components)  # i x_1^2 in component 1, with no conjugate partner in component 2
             comps[0] = comps[0] + TruncatedSeries.monomial((2,) + (0,) * (fam.n - 1), GR(0, 1), fam.degree)
@@ -845,6 +846,39 @@ class TestBoundedSearchShortfall:
         assert entry["verdict"] == "yes" and entry["witness"]["branch"] == [[-59, 0]]
         assert "indeterminate" in report["payload"]["infinitesimal_generators"]
 
+    # unit-modulus pairs u, conj(u): lattice basis e_2k-1 + e_2k, and each
+    # branch row's coset b_2k-1 + b_2k = 0 has (2 bound + 1)^(n/2) points in the box
+    UNIT_PAIRS = [GR(Fraction(a, c), Fraction(b, c))
+                  for a, b, c in [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]]
+
+    @pytest.mark.parametrize("pairs, extra", [(4, []), (2, ["--bound-branch", "300"])])
+    def test_branch_search_lists_no_full_box(self, tmp_path, monkeypatch, pairs, extra):
+        """The generator search takes its branch from the smallest box that
+        holds one, and the hypothesis stops one past the candidate cap: the
+        boxes hold 194 481 and 361 201 points, of which about 260 are listed."""
+        import germnf.classify as classify
+        import germnf.linalg as linalg
+
+        listed = []
+
+        def counted(*args, **kwargs):
+            for point in linalg.lattice_points(*args, **kwargs):
+                listed.append(point)
+                yield point
+
+        monkeypatch.setattr(classify, "lattice_points", counted)
+        mu = [str(z) for u in self.UNIT_PAIRS[:pairs] for z in (u, u.conjugate())]
+        path = _write(tmp_path, "pairs.json", {"schema": 1, "mu": [mu]})
+        code, report = _run_json(tmp_path, "analyze", path, *extra)
+        bound = int(extra[1]) if extra else 10
+        assert code == 2
+        assert report["payload"]["infinitesimal_generators"] == {
+            "found": [[0] * (2 * pairs)], "omega_bound": 8, "branch_bound": bound}
+        assert report["payload"]["normal_form_hypothesis"] == {
+            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"branch_bound": bound},
+            "reason": "too many candidate branches (more than 256) within bound"}
+        assert len(listed) <= 2 * (classify.CANDIDATE_CAP + 1)
+
     def test_undecided_generators_alone_exit_2(self, tmp_path):
         """Every verdict is definite, but Omega's first points have degree
         21, past the bound 8, so the generators are undecided."""
@@ -972,8 +1006,8 @@ class TestCommutationOnce:
 
         original = normalform.poincare_dulac_normalize
 
-        def broken(fam, eigen, rho_pairing=None):
-            result = original(fam, eigen, rho_pairing)
+        def broken(fam, eigen):
+            result = original(fam, eigen)
             bad = family_from_json(_pd_nf_pair(1, 1))
             return normalform.NormalizationResult(bad, result.psi, result.eliminations)
 
@@ -997,9 +1031,6 @@ class TestCommutationOnce:
         path = _write(tmp_path, "nondiag.json", data)
         assert _run_captured(["normalize", path]) == (1, "error: normalization requires diagonal linear parts\n")
         assert _run_captured(["verify", path]) == (1, "error: PD-NF verification requires diagonal linear parts\n")
-        path = _write(tmp_path, "pair.json", _pd_nf_pair(1, 0))
-        assert _run_captured(["normalize", path, "--rho-equivariant"]) == (
-            1, "error: --rho-equivariant needs a 'pairing' field (1-based involution)\n")
 
     PAIR_ROWS = [
         [["2", "1/2"], ["-3", "-1/3"]], [["2", "1/2"], ["3", "1/3"]],
@@ -1103,6 +1134,25 @@ class TestContracts:
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 0 and "bound_torsion" not in report["config"]
 
+    def test_rho_equivariant_is_gone(self, tmp_path, capsys):
+        """`realcase` is the one real-case route: `normalize` has no
+        rho-equivariance option and family input no `pairing` field."""
+        path = _write(tmp_path, "pair.json", NORMALIZABLE)
+        with pytest.raises(SystemExit) as exited:
+            run(["normalize", path, "--rho-equivariant"])
+        assert exited.value.code == 1 and "unrecognized arguments: --rho-equivariant" in capsys.readouterr().err
+        for command, data in [("normalize", NORMALIZABLE), ("verify", NORMALIZABLE),
+                              ("first-integrals", NORMALIZABLE), ("realcase", ROTATION)]:
+            code, report = _run_json(tmp_path, command, _write(tmp_path, "in.json", data))
+            assert code == 0 and "rho_equivariant" not in report["config"], command
+            paired = _write(tmp_path, "paired.json", {**data, "pairing": [2, 1]})
+            assert _run_captured([command, paired]) == (
+                1, "error: bad family input: unknown field 'pairing' in family input\n"), command
+        eigen = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        for command in ("lattice", "analyze", "generate"):
+            code, report = _run_json(tmp_path, command, eigen)
+            assert code == 0 and "rho_equivariant" not in report["config"], command
+
     @pytest.mark.parametrize("extra", [["--degree", "1"], ["--bound-omega", "0"], ["--bogus"]])
     def test_usage_error_exits_1(self, tmp_path, capsys, extra):
         path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
@@ -1140,8 +1190,8 @@ class TestContracts:
             ("n", 2.0),
             ("degree", True),
             ("p", True),
-            ("pairing", [2, True]),
-            ("pairing", "21"),
+            ("n", "2"),
+            ("degree", 4.0),
             ("coeff", 0.5),
             ("coeff", 2),
             ("coeff", True),

@@ -93,12 +93,6 @@ class TestNormalize:
         with pytest.raises(UsageError):
             poincare_dulac_normalize(Family([rot]), EigenData.from_rows([["i", "-i"]]))
 
-    def test_linear_part_not_rho_equivariant(self):
-        # the pairing swaps x and y, so their eigenvalues must be conjugate
-        fam = Family([linear_diag_germ([GR(2), GR(3)], 3)])
-        with pytest.raises(DomainError, match="input family is not rho-equivariant"):
-            poincare_dulac_normalize(fam, EigenData.from_family(fam), rho_pairing=(1, 0))
-
     def test_elimination_log_remultiplies(self):
         rng = random.Random(9)
         eigen = EigenData.from_rows([["2", "1/4"]])
