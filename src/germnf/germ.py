@@ -16,14 +16,16 @@ is read out (the linear matrix).  The wire format is read in one pass into
 that storage, strings to packed keys and integer triples with no Fraction
 (`germ_from_json`), and printed from the numerators.  compose_germ(f, g)
 picks its algorithm from g: when g's linear part is exactly the identity,
-g = id + h (every elimination step, psi), it is the Taylor sum f(x + h) of
-`series.compose_shifted`; otherwise all components are substituted through
-one `compose_all` call, whose memo of monomial images is shared by the n
-components of f.
+g = id + h, it is the Taylor sum f(x + h) of `series.compose_shifted`;
+otherwise all components are substituted through one `compose_all` call,
+whose memo of monomial images is shared by the n components of f.
 
 Composition convention: compose_germ(f, g) is f after g.  No inverse is
-formed to divide on the left: `solve_germ`, the one checked kernel, gives the
-Y_i with f o Y_i = g_i, and conjugate_all, conjugate and invert_germ call it.
+formed to divide on the left: one checked rounds loop (`_rounds`) gives the
+Y_i with f o Y_i = g_i.  `solve_germ` runs it for any invertible linear part
+L, and conjugate and invert_germ call it; `conjugate_by_shift` runs it with
+L = I for a near-identity step s = id + h given by its shift h alone, the
+normalizer's step, after forming every g o s and psi o s in one Taylor sum.
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ class Germ:
 
 def compose_germ(f: Germ, g: Germ) -> Germ:
     """f o g (f after g), truncated at the shared degree.  When g = id + h
-    (its linear part exactly the identity, as for every elimination step
-    and for psi), f o g is the Taylor sum f(x + h) of `compose_shifted`;
-    otherwise every monomial of f is substituted by `compose_all`."""
+    (its linear part exactly the identity), f o g is the Taylor sum
+    f(x + h) of `compose_shifted`; otherwise every monomial of f is
+    substituted by `compose_all`."""
     if f.n != g.n or f.degree != g.degree:
         raise UsageError("germ composition dimension/degree mismatch")
     shift = identity_shift(g.components)
@@ -159,14 +161,34 @@ def _round_degrees(r: int, degree: int) -> range:
     return range(r - 1, degree, r - 1)  # the degree Y is exact through before each composing round
 
 
+def _rounds(nonlinear: list[TruncatedSeries], targets, lin_solve=None) -> list[Germ]:
+    """The checked jets Y with L Y + N o Y = g for each target g (a list of
+    components), N = `nonlinear` of lowest degree r and `lin_solve` applying
+    L^{-1} (None for L = I).  The round Y <- L^{-1}(g - N o Y) from Y = 0 is
+    exact through degree r - 1, each later one gains r - 1, and N is fed Y
+    only through that degree, at most D - r + 1 (all N o Y reads).  Check
+    (AssertionError): a fixed point: the last round gives Y = L^{-1}(g - N o Y')
+    for the Y' it was fed, so L Y + N o Y = g - N o Y' + N o Y, which is g when
+    Y through D - r + 1 is Y'."""
+    degree = nonlinear[0].degree
+    r = min(c.order() for c in nonlinear)
+    solve = lin_solve or list
+    solved = []
+    for g in targets:
+        y, fed = solve(g), None
+        for t in _round_degrees(r, degree):
+            fed = jet_through(y, min(t, degree - r + 1))
+            y = solve([a - b for a, b in zip(g, compose_all(nonlinear, fed))])
+        if r <= degree and jet_through(y, degree - r + 1) != fed:
+            raise AssertionError("germ solve failed verification: f o Y != g (no fixed point)")
+        solved.append(Germ(y))
+    return solved
+
+
 def solve_germ(f: Germ, targets: list[Germ]) -> list[Germ]:
-    """The checked jets Y_i with f o Y_i = g_i, without forming f^{-1}.  With
-    f = L + N, N of lowest degree r, the round Y <- L^{-1}(g - N o Y) from
-    Y = 0 is exact through degree r - 1, each later one gains r - 1, and N is
-    fed Y only through that degree, at most D - r + 1 (all N o Y reads).
-    Checks (AssertionError): L^{-1} L = I (so L L^{-1} = I), and a fixed
-    point: the last round gives Y = L^{-1}(g - N o Y') for the Y' it was fed,
-    so f o Y = g - N o Y' + N o Y, which is g when Y through D - r + 1 is Y'."""
+    """The checked jets Y_i with f o Y_i = g_i, without forming f^{-1}: the
+    rounds of `_rounds` for f = L + N.  Checks (AssertionError): L^{-1} L = I
+    (so L L^{-1} = I), and the rounds' fixed point."""
     if any(g.n != f.n or g.degree != f.degree for g in targets):
         raise UsageError("germ solve dimension/degree mismatch")
     lin_inv = field_inverse(f.linear_rows(), ONE)
@@ -176,18 +198,7 @@ def solve_germ(f: Germ, targets: list[Germ]) -> list[Germ]:
 
     if Germ(lin_solve(jet_through(f.components, 1))) != Germ.identity(f.n, f.degree):
         raise AssertionError("germ solve failed verification: L^-1 L is not the identity")
-    nonlinear = f.nonlinear_part()
-    r = min(c.order() for c in nonlinear)
-    solved = []
-    for g in targets:
-        y, fed = lin_solve(g.components), None
-        for t in _round_degrees(r, f.degree):
-            fed = jet_through(y, min(t, f.degree - r + 1))
-            y = lin_solve([a - b for a, b in zip(g.components, compose_all(nonlinear, fed))])
-        if r <= f.degree and jet_through(y, f.degree - r + 1) != fed:
-            raise AssertionError("germ solve failed verification: f o Y != g (no fixed point)")
-        solved.append(Germ(y))
-    return solved
+    return _rounds(f.nonlinear_part(), [g.components for g in targets], lin_solve)
 
 
 def invert_germ(f: Germ) -> Germ:
@@ -195,14 +206,21 @@ def invert_germ(f: Germ) -> Germ:
     return solve_germ(f, [Germ.identity(f.n, f.degree)])[0]
 
 
-def conjugate_all(germs: list[Germ], psi: Germ) -> list[Germ]:
-    """psi^{-1} o g o psi for every g, by one checked solve of psi o Y = g o psi."""
-    return solve_germ(psi, [compose_germ(g, psi) for g in germs])
-
-
 def conjugate(f: Germ, psi: Germ) -> Germ:
-    """psi^{-1} o f o psi, the one-germ call of `conjugate_all`."""
-    return conjugate_all([f], psi)[0]
+    """psi^{-1} o f o psi, by one checked solve of psi o Y = f o psi."""
+    return solve_germ(psi, [compose_germ(f, psi)])[0]
+
+
+def conjugate_by_shift(germs: list[Germ], psi: Germ, h: list[TruncatedSeries]) -> tuple[list[Germ], Germ]:
+    """(s^{-1} o g o s for every g, psi o s) for the near-identity step
+    s = id + h, given by its shift h (no constant or linear terms).  One
+    `compose_shifted` call forms every g o s and psi o s; the conjugates
+    are the checked rounds of s o Y = g o s with L = I and N = h, so no
+    linear part is inverted and s is never built as a germ."""
+    n = len(h)
+    shifted = compose_shifted([c for g in (*germs, psi) for c in g.components], h)
+    parts = [shifted[k:k + n] for k in range(0, len(shifted), n)]
+    return _rounds(h, parts[:-1]), Germ(parts[-1])
 
 
 def commutativity_defect(f: Germ, g: Germ):

@@ -13,11 +13,11 @@ same result as one conjugation per monomial.  The resonance gaps
 mu_i^gamma - mu_im that decide which terms are eliminated (by
 `resonance.is_resonant_exponent`) and supply the divisors live in the
 EigenData's one gap table, so each is computed once per command.  No germ
-is inverted: each step s_l's conjugation is one checked solve for the
-family (`germ.conjugate_all`), and the chain of checked steps gives
+is inverted and no linear part either: each step s_l = id + h_l is built
+as its shift h_l alone, and `germ.conjugate_by_shift` forms g o s_l for
+every germ and psi o s_l in one Taylor sum, then solves s_l o Y = g o s_l
+by the checked rounds with L = I.  The chain of checked steps gives
 Phi o psi = psi o Phi' unformed (see `poincare_dulac_normalize`).
-Both g o s_l and psi o s_l have an inner map with identity linear part, so
-`compose_germ` forms them by the Taylor kernel.
 
 The normalizer, the PD-NF check and the certificate take the command's
 EigenData and refuse one that is not the family's linear diagonal.
@@ -28,14 +28,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import NamedTuple
 
 from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
-from .germ import Family, Germ, compose_germ, conjugate_all, family_to_json, germ_to_json
+from .germ import Family, Germ, compose_germ, conjugate_by_shift, family_to_json, germ_to_json
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
-from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, grlex_key, unpack
+from .series import FIELD, MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, unpack
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +83,15 @@ def _check_eigen(fam: Family, eigen: EigenData) -> None:
 
 def _scan_nonresonant(work: list[Germ], eigen: EigenData, ell: int) -> list[tuple[int, MultiIndex]]:
     """The non-resonant (component, exponent) pairs of degree ell present in
-    some germ, by component and then graded-lex; each monomial is unpacked
+    some germ, by component and then graded-lex (the order of the packed
+    keys with their exponent fields flipped); each monomial is unpacked
     once, however many germs hold it."""
     found: list[tuple[int, MultiIndex]] = []
     n = work[0].n
+    flipped = ((1 << FIELD * n) - 1).__xor__
     for m in range(n):
         keys = set().union(*(g.components[m].keys_of_degree(ell) for g in work))
-        exps = sorted((unpack(key, n) for key in keys), key=grlex_key)
+        exps = [unpack(key, n) for key in sorted(keys, key=flipped)]
         found.extend((m, exp) for exp in exps if not is_resonant_exponent(eigen, m + 1, exp))
     return found
 
@@ -99,8 +102,11 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData) -> NormalizationResu
     truncation degree.
 
     Each degree's non-resonant terms are removed by one conjugation by the
-    step s_l = id + h_l, a checked solve of s_l o Y = g o s_l for all germs
-    g; after it no non-resonant term of that degree may survive in any germ.
+    step s_l = id + h_l, built as its shift h_l (the c / divisor terms) and
+    never as a germ: `conjugate_by_shift` forms g o s_l for all germs g and
+    psi o s_l in one Taylor sum and solves s_l o Y = g o s_l by the checked
+    rounds with L = I, inverting no linear part; after it no non-resonant
+    term of that degree may survive in any germ.
     Order of elimination records: degree ascending, then component, then
     graded-lex monomial; the germ index used for each divisor is the
     smallest one whose resonance gap is nonzero.  No real structure enters:
@@ -121,7 +127,7 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData) -> NormalizationResu
         candidates = _scan_nonresonant(work, eigen, ell)
         if not candidates:
             continue
-        comps = [{tuple(int(j == m) for j in range(n)): 1} for m in range(n)]  # the step, id + h
+        terms = [{} for _ in range(n)]  # the step's shift h_l, by component
         for m, exp in candidates:
             # the first germ with a nonzero resonance gap supplies the divisor
             for i_star, divisor in enumerate(eigen.gaps(m, exp)):
@@ -135,11 +141,9 @@ def poincare_dulac_normalize(fam: Family, eigen: EigenData) -> NormalizationResu
                     f"inconsistent degree-{ell} term {exp}: zero in the pivot germ "
                     "but present elsewhere (input cannot commute)"
                 )
-            comps[m][exp] = c / divisor
+            terms[m][exp] = c / divisor
             log.append(EliminationRecord(ell, m + 1, exp, c, divisor, i_star + 1))
-        step = Germ([TruncatedSeries(n, degree, terms) for terms in comps])
-        work = conjugate_all(work, step)
-        psi = compose_germ(psi, step)
+        work, psi = conjugate_by_shift(work, psi, [TruncatedSeries(n, degree, t) for t in terms])
         remaining = _scan_nonresonant(work, eigen, ell)
         if remaining:
             raise AssertionError(
@@ -169,11 +173,14 @@ def verify_pd_nf(fam: Family, eigen: EigenData):
 
 
 def _monomial_columns(n: int, degree: int) -> list[MultiIndex]:
-    """The exponents with 1 <= |gamma| <= degree in graded-lex order."""
-    out = [()]
-    for _ in range(n):
-        out = [e + (k,) for e in out for k in range(degree + 1 - sum(e))]
-    return sorted(out[1:], key=grlex_key)
+    """The exponents with 1 <= |gamma| <= degree in graded-lex order: degree
+    by degree, the non-decreasing index sequences of that length in lex
+    order, which lists the larger power of x_1 first, then of x_2, ..."""
+    return [
+        tuple(map(seq.count, range(n)))
+        for d in range(1, degree + 1)
+        for seq in combinations_with_replacement(range(n), d)
+    ]
 
 
 def first_integrals(fam: Family, degree: int | None = None) -> list[TruncatedSeries]:
@@ -231,9 +238,10 @@ class IntegrableNFCertificate(NamedTuple):
     """phi matrix with exact support and product-relation residuals.
 
     ok only when normalized_im = mu_im x_m (1 + phi_im) exactly, every
-    phi_im is supported on Omega exponents, and each lattice basis relation
-    prod (1 + phi_ik)^{gamma_k} = 1 holds over the verified range (checked
-    in cleared-denominator form).
+    phi_im is supported on Omega exponents (k is in Omega exactly when
+    k + e_m is resonant for component m, as mu_im != 0), and each lattice
+    basis relation prod (1 + phi_ik)^{gamma_k} = 1 holds over the verified
+    range (checked in cleared-denominator form).
 
     The verified range is degree D - 1: a degree-D jet of the family pins
     phi down only to degree D - 1 (its degree-D terms sit at degree D + 1
@@ -285,7 +293,7 @@ def extract_integrable_certificate(fam: Family, eigen: EigenData) -> IntegrableN
             if not phi.constant_term().is_zero():
                 raise AssertionError("phi has a constant term after division")
             for exp in phi.support():
-                if not eigen.satisfies_relation(exp):
+                if not is_resonant_exponent(eigen, m + 1, tuple(e + (j == m) for j, e in enumerate(exp))):
                     support_offenders.append((i + 1, m + 1, exp))
                     break
         phi_rows.append(row)

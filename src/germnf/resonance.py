@@ -59,6 +59,10 @@ from .exactnum import (
 from .linalg import integer_rank, kernel_basis, lattice_points, row_hnf
 from .series import MultiIndex, UsageError, grlex_key
 
+# Lattice points one box walk may pass.  The box [0, bound]^n holds up to
+# (bound + 1)^n of them, so this caps the cost that the bound alone does not.
+MAX_WALK_POINTS = 100_000
+
 
 class EigenData:
     """Eigenvalues mu[i][m] of the diagonal semisimple linear parts, and
@@ -278,9 +282,16 @@ def _walk(eigen: EigenData, offset: list[int], low: int, bound: int, holds) -> t
     """The points of offset + lattice in N^n with low <= degree <= bound, in
     grlex order.  The walk covers the lattice intersected with the box
     [0, bound]^n, not all of N^n, and each point is re-checked exactly by
-    `holds`, which reads the power table."""
+    `holds`, which reads the power table.  UsageError once it has passed
+    MAX_WALK_POINTS box points."""
+    n = eigen.n
     pts = []
-    for pt in lattice_points(eigen.lattice.basis, [0] * eigen.n, [bound] * eigen.n, offset=offset):
+    for count, pt in enumerate(lattice_points(eigen.lattice.basis, [0] * n, [bound] * n, offset=offset), 1):
+        if count > MAX_WALK_POINTS:
+            raise UsageError(
+                f"the Omega walk passed {MAX_WALK_POINTS} lattice points in the box [0, {bound}]^{n}; "
+                "lower --bound-omega (or --degree)"
+            )
         if low <= sum(pt) <= bound:
             if not holds(pt):
                 raise AssertionError(f"walked point {pt} failed its exact re-check")

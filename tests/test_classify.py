@@ -161,7 +161,7 @@ class TestInfinitesimalGenerators:
     @pytest.mark.parametrize("rows, basis", [
         ([[GR(Fraction(3, 5), Fraction(4, 5)) ** -400, GR(Fraction(3, 5), Fraction(4, 5))]], ((1, 400),)),
         ([["1048576", "1/2", "1/2"]], ((1, 0, 20), (0, 1, -1))),
-    ])
+    ], ids=["rows0-basis0", "rows1-basis1"])
     def test_omega_beyond_the_bound_is_indeterminate(self, rows, basis):
         """Omega's first points have degree 401 and 21, past the bound 8: no
         point within the bound is not an empty Omega, so there is no branch
@@ -182,7 +182,7 @@ class TestInfinitesimalGenerators:
         (["2", "2", "2"], True),  # rank 2: k_1 + k_2 + k_3 = 0
         (["2", "1/4", "2"], False),  # rank 2, (1, 1, 1) in L
         (["1048576", "1/2", "1/2"], False),  # rank 2, first Omega point of degree 21
-    ])
+    ], ids=["row0-True", "row1-False", "row2-True", "row3-True", "row4-False", "row5-False"])
     def test_omega_is_empty_exactly(self, row, empty):
         assert _omega_is_empty(EigenData.from_rows([row])) is empty
 

@@ -209,41 +209,43 @@ class TestRealcaseCorpus:
     def test_real_block_matches_golden_and_never_inverts_p(self, tmp_path, monkeypatch):
         """realcase inverts no germ: the block transformation P is composed
         with its closed-form inverse, and is never the left factor of a
-        solve; the only solves are the elimination steps, whose linear part
-        is the identity."""
+        solve; the only solves are the rounds of the elimination steps,
+        each given by a shift h of order >= 2, so its linear part is the
+        identity, and no linear part is inverted."""
         import germnf.germ as germ
+        import germnf.linalg as linalg
         import germnf.normalform as normalform
 
         golden = _perfbench_golden()
         manifest, goldens = golden.load("normalize")
-        inverted, solved = [], []
-        solve = germ.solve_germ
+        inverted, solved, shifts, inverses = [], [], [], []
+        solve, step, inverse = germ.solve_germ, normalform.conjugate_by_shift, linalg.field_inverse
         for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "germnf"]:
             if hasattr(module, "invert_germ"):
                 monkeypatch.setattr(module, "invert_germ", lambda f: inverted.append(f) or invert_germ(f))
+            if hasattr(module, "field_inverse"):
+                monkeypatch.setattr(module, "field_inverse", lambda rows, one: inverses.append(1) or inverse(rows, one))
         monkeypatch.setattr(germ, "solve_germ", lambda f, g: solved.append(f) or solve(f, g))
-
-        def check_solves(fam, sigma):
-            p_germ, p_inv = normalform.block_transforms(sigma, fam.degree)
-            identity = Germ.identity(fam.n, fam.degree).linear_matrix()
-            assert p_germ not in solved and p_inv not in solved
-            assert all(f.linear_matrix() == identity for f in solved)
+        monkeypatch.setattr(normalform, "conjugate_by_shift",
+                            lambda germs, psi, h: shifts.append(h) or step(germs, psi, h))
 
         for op in (o for o in manifest["ops"] if o["command"] == "realcase"):
-            solved.clear()
+            shifts.clear()
             code, report = _run_json(tmp_path, *golden.argv_of(op))
             expected = goldens[op["id"]]
             assert code == expected["exit"]
             assert golden.check(expected, code, json.dumps(report))[0] == []
-            fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
-            check_solves(fam, tuple(m - 1 for m in report["payload"]["pairing"]))
-            assert solved  # the elimination steps were solved
+            steps = {rec["degree"] for rec in report["payload"]["eliminations"]}
+            assert len(shifts) == len(steps) > 0  # the elimination steps were solved
+            assert all(c.order() >= 2 for h in shifts for c in h)  # s = id + h: L = I
+            assert solved == [] and inverses == []
         p2_fam, _ = random_real_block_family(random.Random(11), blocks=1, tail=[3], p=2, degree=4)
         solved.clear()
+        inverses.clear()
         cfam, p, _ = normalform.complexify_real_family(p2_fam)
         identity = Germ.identity(p2_fam.n, p2_fam.degree)
         assert normalform.realify_normal_form(cfam, identity, p) == (p2_fam, identity)
-        assert solved == []
+        assert solved == [] and inverses == []
         assert inverted == []
 
     REALCASE_OPS = ["real_block-0.realcase", "real_block-1.realcase", "real_block-2.realcase"]
@@ -498,9 +500,8 @@ class TestJetWork:
         assert len(calls) == 1
 
     # Series products per normalize/realcase corpus op, with g o s_l and
-    # psi o s_l formed by the Taylor kernel (the inner map's linear part is
-    # the identity) and no commutation check where the ok certificate shows
-    # it: 1766 in all (2334 when the input and the normal form were each
+    # psi o s_l formed by one Taylor sum per degree from the step's shift
+    # and no commutation check where the ok certificate shows it: 1766 in all (2334 when the input and the normal form were each
     # checked pair by pair, 5285 when every monomial of g and psi was
     # substituted, 6453 with the final Phi o psi composition, 9453 when each
     # step was inverted and the dense inverse composed on the left).
@@ -537,7 +538,8 @@ class TestJetWork:
 
     @pytest.mark.parametrize("op_id", sorted(PRODUCTS))
     def test_one_linear_inverse_per_elimination_step(self, tmp_path, monkeypatch, op_id):
-        """A step's linear part is inverted once for all germs of the family."""
+        """No step inverts a linear part: each step is id + h_l, given by its
+        shift, and its rounds run with L = I."""
         import germnf.linalg as linalg
 
         golden = _perfbench_golden()
@@ -550,7 +552,31 @@ class TestJetWork:
         code, report = _run_json(tmp_path, *golden.argv_of(op))
         steps = {rec["degree"] for rec in report["payload"]["eliminations"]}
         assert code == 0 and steps
-        assert len(calls) <= len(steps)
+        assert calls == []
+
+    @pytest.mark.parametrize("op_id", sorted(PRODUCTS))
+    def test_one_taylor_sum_per_elimination_degree(self, tmp_path, monkeypatch, op_id):
+        """Each degree with an elimination makes one `compose_shifted` call,
+        whose targets are the components of every germ and of psi, and its
+        shift holds exactly that degree's terms."""
+        import germnf.germ as germ
+
+        golden = _perfbench_golden()
+        manifest, _ = golden.load("normalize")
+        op = next(o for o in manifest["ops"] if o["id"] == op_id)
+        calls, original = [], germ.compose_shifted
+
+        def recorded(targets, h):
+            targets = list(targets)
+            calls.append((len(targets), {sum(e) for c in h for e in c.support()}))
+            return original(targets, h)
+
+        monkeypatch.setattr(germ, "compose_shifted", recorded)
+        code, report = _run_json(tmp_path, *golden.argv_of(op))
+        steps = sorted({rec["degree"] for rec in report["payload"]["eliminations"]})
+        fam = family_from_json(json.loads((golden.HERE / op["input"]).read_text()))
+        assert code == 0 and steps
+        assert calls == [(fam.n * (fam.p + 1), {ell}) for ell in steps]
 
     def test_first_integrals_one_product_per_column_monomial(self, monkeypatch):
         """Each column monomial's image costs one product; the rows are read
@@ -851,7 +877,7 @@ class TestBoundedSearchShortfall:
     UNIT_PAIRS = [GR(Fraction(a, c), Fraction(b, c))
                   for a, b, c in [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]]
 
-    @pytest.mark.parametrize("pairs, extra", [(4, []), (2, ["--bound-branch", "300"])])
+    @pytest.mark.parametrize("pairs, extra", [(4, []), (2, ["--bound-branch", "300"])], ids=["4-extra0", "2-extra1"])
     def test_branch_search_lists_no_full_box(self, tmp_path, monkeypatch, pairs, extra):
         """The generator search takes its branch from the smallest box that
         holds one, and the hypothesis stops one past the candidate cap: the
@@ -1109,6 +1135,7 @@ class TestContracts:
             {"schema": 1, "mu": "2"},
             ["schema", 1],
         ],
+        ids=["data0", "data1", "data2", "data3", "data4", "data5", "data6", "data7", "data8", "data9", "data10"],
     )
     @pytest.mark.parametrize("command", ["lattice", "analyze"])
     def test_strict_eigen_input_exit_1(self, tmp_path, capsys, command, data):
@@ -1153,7 +1180,8 @@ class TestContracts:
             code, report = _run_json(tmp_path, command, eigen)
             assert code == 0 and "rho_equivariant" not in report["config"], command
 
-    @pytest.mark.parametrize("extra", [["--degree", "1"], ["--bound-omega", "0"], ["--bogus"]])
+    @pytest.mark.parametrize("extra", [["--degree", "1"], ["--bound-omega", "0"], ["--bogus"]],
+                             ids=["extra0", "extra1", "extra2"])
     def test_usage_error_exits_1(self, tmp_path, capsys, extra):
         path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
         with pytest.raises(SystemExit) as exited:
@@ -1201,6 +1229,11 @@ class TestContracts:
             ("linear_matrix", ["20", "03"]),  # was read as [["2", "0"], ["0", "3"]]
             ("linear_matrix", "2003"),
         ],
+        ids=[
+            "exponents-value0", "exponents-value1", "exponents-02", "component-True", "n-2.0", "degree-True",
+            "p-True", "n-2", "degree-4.0", "coeff-0.5", "coeff-2", "coeff-True", "coeff-None",
+            "linear_diag-value13", "linear_diag-23", "linear_matrix-value15", "linear_matrix-2003",
+        ],
     )
     def test_non_integer_field_exit_1(self, tmp_path, capsys, place, value):
         data = json.loads(json.dumps(NORMALIZABLE))
@@ -1215,7 +1248,8 @@ class TestContracts:
         assert run(["verify", path]) == 1
         assert "must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("place, value", [("maps", 5), ("maps", [5]), ("terms", [5]), ("terms", 5)])
+    @pytest.mark.parametrize("place, value", [("maps", 5), ("maps", [5]), ("terms", [5]), ("terms", 5)],
+                             ids=["maps-5", "maps-value1", "terms-value2", "terms-5"])
     def test_malformed_maps_exit_1(self, tmp_path, capsys, place, value):
         data = json.loads(json.dumps(NORMALIZABLE))
         if place == "maps":
@@ -1340,6 +1374,25 @@ class TestContracts:
         code, report = _run_json(tmp_path, "lattice", path, "--bound-omega", "40")
         assert code == 0 and report["payload"]["bound"] == 40
 
+    def test_omega_walk_cost_cap_exit_1(self, tmp_path, capsys):
+        """A full-rank lattice puts every box point in the walk: on
+        mu = [[1, 1, 1]] at bound 60 that is 61^3 = 226 981 points and, uncapped,
+        a 10 MB report.  The walk stops at its cap and the command exits 1
+        at once; bound 24 (15 625 points) still runs."""
+        from germnf.resonance import MAX_WALK_POINTS
+
+        assert 25 ** 3 < MAX_WALK_POINTS < 61 ** 3
+        path = _write(tmp_path, "ones.json", {"schema": 1, "mu": [["1", "1", "1"]]})
+        started = time.process_time()
+        assert run(["lattice", path, "--bound-omega", "60"]) == 1
+        assert time.process_time() - started < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the Omega walk passed {MAX_WALK_POINTS} lattice points in the box "
+                                "[0, 60]^3; lower --bound-omega (or --degree)\n")
+        code, report = _run_json(tmp_path, "lattice", path, "--bound-omega", "24")
+        assert code == 0 and report["payload"]["bound"] == 24
+
     def test_jet_size_check_is_cheap_at_any_height(self):
         from germnf.series import check_jet_size
 
@@ -1379,13 +1432,27 @@ class TestContracts:
         def doubled(rows, one):
             return [{j: a + a for j, a in row.items()} for row in exact(rows, one)]
 
-        monkeypatch.setattr(germ, "field_inverse", doubled)
-        message = "germ solve failed verification: L^-1 L is not the identity"
-        with pytest.raises(AssertionError, match=re.escape(message)):
-            invert_germ(family_from_json(NORMALIZABLE).germs[0])
-        # every solve checks L^-1 L = I, so the corrupted linear solve is
-        # caught at the first elimination step, also on the complexified
-        # family of a real block
+        with monkeypatch.context() as patched:
+            patched.setattr(germ, "field_inverse", doubled)
+            message = "germ solve failed verification: L^-1 L is not the identity"
+            with pytest.raises(AssertionError, match=re.escape(message)):
+                invert_germ(family_from_json(NORMALIZABLE).germs[0])
+        # the elimination steps invert no linear part; their rounds check a
+        # fixed point, so rounds whose N o Y is corrupted (it also returns
+        # the Y it was fed, which breaks the gain of r - 1 degrees a round)
+        # are caught at the first step, also on the complexified family of
+        # a real block
+        compose = germ.compose_all
+
+        def corrupted(targets, comps):
+            targets, comps = list(targets), list(comps)
+            out = compose(targets, comps)
+            if all(t.order() >= 2 for t in targets):  # the N of a rounds loop
+                out = [a + b for a, b in zip(out, comps)]
+            return out
+
+        monkeypatch.setattr(germ, "compose_all", corrupted)
+        message = "germ solve failed verification: f o Y != g (no fixed point)"
         path = _write(tmp_path, "nf.json", NORMALIZABLE)
         assert run(["normalize", path]) == 3
         captured = capsys.readouterr()

@@ -15,6 +15,7 @@ from germnf.germ import (
     commutativity_defect,
     compose_germ,
     conjugate,
+    conjugate_by_shift,
     family_from_json,
     family_to_json,
     invert_germ,
@@ -261,6 +262,26 @@ class TestSolve:
 
 
 class TestConjugate:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_step_by_shift_matches_the_general_path(self, data):
+        """For a near-identity step s = id + h, conjugating by its shift h
+        alone gives what `conjugate` and `compose_germ` give for the germ s."""
+        n, d = data.draw(st.tuples(st.integers(1, 3), st.integers(2, 5)), label="(n, D)")
+        rng = data.draw(st.randoms(use_true_random=False), label="rng")
+        step = random_tangent_identity(rng, n, d, extra_terms=data.draw(st.integers(0, 4), label="terms"))
+        h = identity_shift(step.components)
+        family = [data.draw(germs(n, d), label=f"g{i}") for i in range(data.draw(st.integers(1, 2), label="p"))]
+        psi = data.draw(germs(n, d), label="psi")
+        assert conjugate_by_shift(family, psi, h) == ([conjugate(g, step) for g in family], compose_germ(psi, step))
+
+    def test_step_by_shift_rejects_a_mismatch(self):
+        f = example_34_family(4).germs[0]
+        with pytest.raises(UsageError):
+            conjugate_by_shift([f], f, [TS.zero(3, 4)] * 3)
+        with pytest.raises(UsageError):
+            conjugate_by_shift([f], Germ.identity(2, 5), [TS.zero(2, 4)] * 2)
+
     def test_by_identity(self):
         f = example_34_family(4).germs[0]
         assert conjugate(f, Germ.identity(2, 4)) == f

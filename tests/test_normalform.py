@@ -15,6 +15,7 @@ from germnf.germ import (
     require_commuting,
 )
 from germnf.normalform import (
+    _monomial_columns,
     division_check,
     extract_integrable_certificate,
     first_integrals,
@@ -22,8 +23,8 @@ from germnf.normalform import (
     poincare_dulac_normalize,
     verify_pd_nf,
 )
-from germnf.resonance import EigenData, enumerate_omega, relation_lattice
-from germnf.series import TruncatedSeries as TS, UsageError, compose_all
+from germnf.resonance import EigenData, enumerate_omega, is_resonant_exponent, relation_lattice
+from germnf.series import TruncatedSeries as TS, UsageError, compose_all, grlex_key
 
 from helpers import (
     all_exponents,
@@ -250,6 +251,13 @@ class TestFirstIntegrals:
         assert basis and all(eigen.satisfies_relation(exp) for f in basis for exp in f.support())
         assert not eigen.satisfies_relation((1, 0))
 
+    def test_columns_match_the_sorted_construction(self):
+        """The columns, built degree by degree, are every exponent with
+        1 <= |gamma| <= d sorted by `grlex_key`."""
+        for n in range(1, 5):
+            for d in range(7):
+                assert _monomial_columns(n, d) == sorted(all_exponents(n, d, 1), key=grlex_key), (n, d)
+
 
 class TestDivisionAndCertificates:
     def test_example_34_division_fails(self):
@@ -292,6 +300,24 @@ class TestDivisionAndCertificates:
         cert = extract_integrable_certificate(fam, eigen)
         assert cert.ok and any(e < 0 for gamma in cert.omega_generators for e in gamma)
         assert len(products) >= 4 and not any(products)
+
+    def test_support_rule_is_the_omega_rule(self):
+        """k is in Omega (mu_i^k = 1 for every i) exactly when k + e_m is
+        resonant for component m, the rule the certificate reads off the gap
+        table; both outcomes occur on these rows."""
+        rng = random.Random(41)
+        pool = ["2", "1/2", "4", "-1", "i", "-i", "3", "1/3", "2+i"]
+        seen = set()
+        for _ in range(300):
+            n, p = rng.randint(1, 4), rng.randint(1, 2)
+            eigen = EigenData.from_rows([[rng.choice(pool) for _ in range(n)] for _ in range(min(p, n))])
+            k = tuple(rng.randint(0, 4) for _ in range(n))
+            m = rng.randrange(n)
+            shifted = tuple(e + (j == m) for j, e in enumerate(k))
+            omega = eigen.satisfies_relation(k)
+            assert is_resonant_exponent(eigen, m + 1, shifted) is omega, (eigen, k, m)
+            seen.add(omega)
+        assert seen == {True, False}
 
     def test_example_34_certificate_errors(self):
         eigen = EigenData.from_family(example_34_family(4))
