@@ -36,7 +36,7 @@ from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, conjugate_by_shift, family_to_json, germ_to_json
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
-from .series import FIELD, MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, unpack
+from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, grlex_sorted, unpack
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +83,13 @@ def _check_eigen(fam: Family, eigen: EigenData) -> None:
 
 def _scan_nonresonant(work: list[Germ], eigen: EigenData, ell: int) -> list[tuple[int, MultiIndex]]:
     """The non-resonant (component, exponent) pairs of degree ell present in
-    some germ, by component and then graded-lex (the order of the packed
-    keys with their exponent fields flipped); each monomial is unpacked
-    once, however many germs hold it."""
+    some germ, by component and then graded-lex (sorted as packed keys);
+    each monomial is unpacked once, however many germs hold it."""
     found: list[tuple[int, MultiIndex]] = []
     n = work[0].n
-    flipped = ((1 << FIELD * n) - 1).__xor__
     for m in range(n):
         keys = set().union(*(g.components[m].keys_of_degree(ell) for g in work))
-        exps = [unpack(key, n) for key in sorted(keys, key=flipped)]
+        exps = [unpack(key, n) for key in grlex_sorted(keys, n)]
         found.extend((m, exp) for exp in exps if not is_resonant_exponent(eigen, m + 1, exp))
     return found
 

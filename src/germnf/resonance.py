@@ -56,12 +56,13 @@ from .exactnum import (
     integer_coprime_base,
     principal_arg_turns,
 )
-from .linalg import integer_rank, kernel_basis, lattice_points, row_hnf
+from .linalg import WalkTooLong, integer_rank, kernel_basis, lattice_points, row_hnf
 from .series import MultiIndex, UsageError, grlex_key
 
-# Lattice points one box walk may pass.  The box [0, bound]^n holds up to
-# (bound + 1)^n of them, so this caps the cost that the bound alone does not.
-MAX_WALK_POINTS = 100_000
+# Nodes one walk of the lattice to degree <= bound may visit.  A full-rank
+# lattice keeps about bound^n / n! points, so this caps the cost that the
+# bound alone does not.
+MAX_WALK_NODES = 30_000
 
 
 class EigenData:
@@ -280,22 +281,24 @@ def enumerate_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
 
 def _walk(eigen: EigenData, offset: list[int], low: int, bound: int, holds) -> tuple[MultiIndex, ...]:
     """The points of offset + lattice in N^n with low <= degree <= bound, in
-    grlex order.  The walk covers the lattice intersected with the box
-    [0, bound]^n, not all of N^n, and each point is re-checked exactly by
-    `holds`, which reads the power table.  UsageError once it has passed
-    MAX_WALK_POINTS box points."""
+    grlex order.  The walk visits only partial points that can still end in
+    N^n at degree <= bound, and each point is re-checked exactly by `holds`,
+    which reads the power table.  UsageError once it has visited
+    MAX_WALK_NODES nodes."""
     n = eigen.n
+    walk = lattice_points(eigen.lattice.basis, [0] * n, [bound] * n, offset, max_sum=bound, max_nodes=MAX_WALK_NODES)
     pts = []
-    for count, pt in enumerate(lattice_points(eigen.lattice.basis, [0] * n, [bound] * n, offset=offset), 1):
-        if count > MAX_WALK_POINTS:
-            raise UsageError(
-                f"the Omega walk passed {MAX_WALK_POINTS} lattice points in the box [0, {bound}]^{n}; "
-                "lower --bound-omega (or --degree)"
-            )
-        if low <= sum(pt) <= bound:
-            if not holds(pt):
-                raise AssertionError(f"walked point {pt} failed its exact re-check")
-            pts.append(pt)
+    try:
+        for pt in walk:
+            if low <= sum(pt):
+                if not holds(pt):
+                    raise AssertionError(f"walked point {pt} failed its exact re-check")
+                pts.append(pt)
+    except WalkTooLong:
+        raise UsageError(
+            f"the lattice walk to degree {bound} in {n} variables passed {MAX_WALK_NODES} nodes; "
+            "lower --bound-omega (or --degree)"
+        ) from None
     pts.sort(key=grlex_key)
     return tuple(pts)
 

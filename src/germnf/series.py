@@ -123,6 +123,11 @@ def unpack(key: int, n: int) -> MultiIndex:
     return tuple(key >> s & _FIELD_MASK for s in range(FIELD * (n - 1), -1, -FIELD))
 
 
+def grlex_sorted(keys, n: int) -> list[int]:
+    """Keys in n variables in graded-lex order: by key ^ (2^(FIELD*n) - 1)."""
+    return sorted(keys, key=((1 << FIELD * n) - 1).__xor__)
+
+
 def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
     """(terms, den) without zero numerators and divided by the gcd of den
     and all numerators; 1 over the zero series.  `terms` is consumed."""
@@ -214,7 +219,7 @@ class TruncatedSeries:
 
     def _grlex_keys(self) -> list[int]:
         """The keys of the nonzero terms in graded-lex order."""
-        return sorted(self._terms, key=((1 << FIELD * self.n) - 1).__xor__)
+        return grlex_sorted(self._terms, self.n)
 
     def items(self) -> list[tuple[MultiIndex, GaussianRational]]:
         """Terms in graded-lex order (the canonical iteration order)."""
@@ -517,7 +522,7 @@ def fixed_point_rows(components: list[TruncatedSeries], columns: list[MultiIndex
         for delta, (a, b) in terms.items():
             if a or b:
                 rows.setdefault(delta, {})[j] = from_parts(a, b, den)
-    return [rows[key] for key in sorted(rows, key=((1 << FIELD * n) - 1).__xor__)]
+    return [rows[key] for key in grlex_sorted(rows, n)]
 
 
 def identity_shift(components: list[TruncatedSeries]) -> list[TruncatedSeries] | None:

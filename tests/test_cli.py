@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -790,9 +791,9 @@ class TestEigenWork:
 
         boxes = []
 
-        def counted(basis, lower, upper, offset=None):
+        def counted(basis, lower, upper, offset=None, **limits):
             boxes.append((tuple(lower), tuple(upper)))
-            return linalg.lattice_points(basis, lower, upper, offset)
+            return linalg.lattice_points(basis, lower, upper, offset, **limits)
 
         for module in (resonance, classify):
             monkeypatch.setattr(module, "lattice_points", counted)
@@ -1375,23 +1376,58 @@ class TestContracts:
         assert code == 0 and report["payload"]["bound"] == 40
 
     def test_omega_walk_cost_cap_exit_1(self, tmp_path, capsys):
-        """A full-rank lattice puts every box point in the walk: on
-        mu = [[1, 1, 1]] at bound 60 that is 61^3 = 226 981 points and, uncapped,
-        a 10 MB report.  The walk stops at its cap and the command exits 1
-        at once; bound 24 (15 625 points) still runs."""
-        from germnf.resonance import MAX_WALK_POINTS
+        """A full-rank lattice keeps every point of N^n to the bound: on
+        mu = [[1, 1, 1]] at bound 60 the walk visits C(64, 3) - 1 = 41 663
+        nodes for 39 710 points and, uncapped, prints a 10 MB report.  The
+        walk stops at its cap and the command exits 1 at once; bound 53
+        (29 259 nodes) still runs."""
+        from germnf.resonance import MAX_WALK_NODES
 
-        assert 25 ** 3 < MAX_WALK_POINTS < 61 ** 3
+        assert comb(57, 3) - 1 < MAX_WALK_NODES < comb(64, 3) - 1
         path = _write(tmp_path, "ones.json", {"schema": 1, "mu": [["1", "1", "1"]]})
         started = time.process_time()
         assert run(["lattice", path, "--bound-omega", "60"]) == 1
         assert time.process_time() - started < 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: the Omega walk passed {MAX_WALK_POINTS} lattice points in the box "
-                                "[0, 60]^3; lower --bound-omega (or --degree)\n")
-        code, report = _run_json(tmp_path, "lattice", path, "--bound-omega", "24")
-        assert code == 0 and report["payload"]["bound"] == 24
+        assert captured.err == (f"error: the lattice walk to degree 60 in 3 variables passed {MAX_WALK_NODES} "
+                                "nodes; lower --bound-omega (or --degree)\n")
+        code, report = _run_json(tmp_path, "lattice", path, "--bound-omega", "53")
+        assert code == 0 and len(report["payload"]["omega_points"]) == comb(56, 3) - 1
+
+    @pytest.mark.parametrize("mu", [["1"] * 6, ["-1"] * 6, ["1"] * 8], ids=["ones_6", "signs_6", "ones_8"])
+    @pytest.mark.parametrize("command", ["lattice", "analyze"])
+    def test_walk_cap_serves_full_rank_lattices_at_the_default_bound(self, tmp_path, command, mu):
+        """The walk visits only points that can end at degree <= bound, so a
+        full-rank lattice in up to 8 variables passes the cap at the default
+        bound 8: C(17, 8) - 1 = 24 309 nodes for n = 8."""
+        path = _write(tmp_path, "mu.json", {"schema": 1, "mu": [mu]})
+        code, report = _run_json(tmp_path, command, path)
+        assert code in (0, 2) and report["config"]["bound_omega"] == 8
+        if command == "lattice":
+            n, index = len(mu), 1 if mu[0] == "1" else 2  # the lattice's index in Z^n
+            expected = sum(comb(d + n - 1, n - 1) for d in range(1, 9) if d % index == 0)
+            assert len(report["payload"]["omega_points"]) == expected
+
+    def test_walk_cap_serves_generate_at_degree_19(self, tmp_path):
+        """generate on a full-rank lattice in 4 variables at --degree 19 walks
+        Omega to degree 18: C(23, 4) - 1 = 8 854 nodes."""
+        path = _write(tmp_path, "ones.json", {"schema": 1, "mu": [["1", "1", "1", "1"]]})
+        assert _run_json(tmp_path, "generate", path, "--degree", "19")[0] == 0
+
+    def test_walk_with_a_partly_negative_basis_is_cheap(self, tmp_path):
+        """mu = [[2, 3, 2, 3, 5, 5]] has the relation lattice basis (1, 0, -1, 0, 0, 0),
+        (0, 1, 0, -1, 0, 0), (0, 0, 0, 0, 1, -1), with no point in N^6 but 0.  The walk
+        cuts each coefficient's range by the coordinates it fixes, so at the
+        largest bound each of lattice's seven walks visits a handful of nodes,
+        not 1001^3 leaves."""
+        path = _write(tmp_path, "mu.json", {"schema": 1, "mu": [["2", "3", "2", "3", "5", "5"]]})
+        started = time.process_time()
+        code, report = _run_json(tmp_path, "lattice", path, "--bound-omega", "1000")
+        assert time.process_time() - started < 2
+        assert code == 0 and report["payload"]["basis"] == [
+            [1, 0, -1, 0, 0, 0], [0, 1, 0, -1, 0, 0], [0, 0, 0, 0, 1, -1]]
+        assert report["payload"]["omega_points"] == []
 
     def test_jet_size_check_is_cheap_at_any_height(self):
         from germnf.series import check_jet_size

@@ -16,7 +16,9 @@ from germnf.series import (
     compose_shifted,
     fixed_point_rows,
     grlex_key,
+    grlex_sorted,
     identity_shift,
+    pack,
     unpack,
 )
 
@@ -516,6 +518,13 @@ class TestPackedKeys:
         if any(e[k] == 0 for e in expected):
             with pytest.raises(DomainError):
                 f.divide_by_variable(k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_grlex_sorted_keys_follow_grlex_key(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        exps = data.draw(st.lists(exponents(n, 0, 9), max_size=30), label="exps")
+        assert [unpack(key, n) for key in grlex_sorted(map(pack, exps), n)] == sorted(exps, key=grlex_key)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
