@@ -16,8 +16,9 @@ a guess.  Concretely:
   be separated from zero) is reported as INDETERMINATE.
 
 A NO rests only on an exact fact: a relation lattice of too small a rank
-(`_exponents_needed`) or a branch system with no integer solution.  A
-bounded Omega walk, branch box or candidate cap that falls short gives
+(`_exponents_needed`, and for the generators n - rank L < p) or a branch
+system with no integer solution.  The branches b are decided exactly (see
+normal_form_hypothesis); only a bounded Omega walk that falls short gives
 INDETERMINATE with method `bounded_search` and its bound in `bounds_used`.
 
 Every decider takes the one eigen object, `resonance.EigenData`, which
@@ -56,12 +57,7 @@ from .exactnum import (
     precision_ladder,
     rational_interval,
 )
-from .linalg import (
-    kernel_basis,
-    lattice_points,
-    rational_feasible,
-    solve_integer,
-)
+from .linalg import kernel_basis, rational_feasible, solve_integer
 from .resonance import EigenData, OmegaEnumeration, enumerate_omega
 from .series import UsageError
 
@@ -428,36 +424,16 @@ def weak_resonance(eigen: EigenData, branches: BranchChoice | None = None) -> Ve
 # ---------------------------------------------------------------------------
 
 
-def _branch_row_coset(eigen: EigenData, i: int, span_rows: tuple[tuple[int, ...], ...], bound: int):
-    """The integer b_i with sum_m w_m b_im = -K0_i(w) on every span row, as ((particular,
-    kernel basis), None) if one has |b| <= bound, else (None, infeasibility or particular)."""
+def _branch_row(eigen: EigenData, i: int, span_rows: tuple[tuple[int, ...], ...]):
+    """(b_i, None) for one integer b_i with sum_m w_m b_im = -K0_i(w) on every
+    span row, solve_integer's particular solution, else (None, the infeasible
+    system).  The other solutions add the kernel of the span rows."""
     rows = [list(w) for w in span_rows]
     rhs = [-certified_round_to_integer(_turns_of(eigen, i, w)) for w in rows]
-    particular = solve_integer(rows, rhs)
+    particular = solve_integer(rows, rhs, ncols=eigen.n)
     if particular is None:
         return None, {"germ": i + 1, "span": rows, "rhs": rhs, "reason": "no integer solution"}
-    coset = (particular, kernel_basis(rows, ncols=eigen.n))
-    if not _in_box(coset, bound, 1):
-        return None, {"germ": i + 1, "reason": "integer solutions exist but none within branch bound",
-                      "bound": bound, "particular": particular}
-    return coset, None
-
-
-def _in_box(coset, radius: int, most: int | None = None) -> list[tuple[int, ...]]:
-    """The coset's points with |b_m| <= radius (the first `most` the scan
-    finds), smallest (max|b|, b) first; the scan of the coset is complete."""
-    particular, kern = coset
-    points = lattice_points(kern, [-radius] * len(particular), [radius] * len(particular), offset=particular)
-    return sorted(itertools.islice(points, most), key=lambda b: (max(map(abs, b)), b))
-
-
-def _smallest_in_box(coset, bound: int) -> tuple[int, ...]:
-    """The smallest (max|b|, b) point of a coset that meets the box |b| <=
-    bound, from the first nonempty box of radius 0, 1, 2, 4, ..., bound."""
-    radius = 0
-    while not (found := _in_box(coset, radius)) and radius < bound:
-        radius = min(2 * radius or 1, bound)
-    return found[0]
+    return particular, None
 
 
 def _omega_is_empty(eigen: EigenData) -> bool:
@@ -470,27 +446,30 @@ def _omega_is_empty(eigen: EigenData) -> bool:
     return rational_feasible(rows, [0] * (len(rows) - 1) + [1]) is None
 
 
-def find_infinitesimal_generators(
-    eigen: EigenData, branch_bound: int = 10, omega_bound: int = 8
-) -> tuple[BranchChoice | None, dict]:
-    """Branch matrix making K vanish on the Z-span of the enumerated Omega
-    points (then every common monomial first integral of the linear parts is
-    a first integral of the generators), or None with an infeasibility
-    certificate.  No Omega point in the bound is `vacuous` only when Omega
-    is empty, else `indeterminate`."""
+def find_infinitesimal_generators(eigen: EigenData, omega_bound: int = 8) -> Verdict:
+    """Is there a branch matrix making K vanish on the Z-span of the Omega
+    points within the bound (then every common monomial first integral of
+    the linear parts is a first integral of the generators)?  YES with each
+    row's particular solution, which is 0 whenever 0 is a solution, and
+    `vacuous` when Omega is empty; NO with a row that has no integer
+    solution; INDETERMINATE when the walk finds no point of a nonempty
+    Omega, or a K0 is not certified."""
     span = enumerate_omega(eigen, omega_bound).span
-    bounds = {"omega_bound": omega_bound, "branch_bound": branch_bound}
+    bounds = {"omega_bound": omega_bound}
     if not span:
         if not _omega_is_empty(eigen):
-            return None, {"indeterminate": "Omega is not empty but has no point within omega_bound", **bounds}
-        return BranchChoice.zero(eigen.p, eigen.n), {"vacuous": True, **bounds}
+            return _indet("Omega is not empty but has no point within omega_bound", bounds, "bounded_search")
+        return _yes({"branch": BranchChoice.zero(eigen.p, eigen.n).to_json(), "vacuous": True})
     rows = []
     for i in range(eigen.p):
-        coset, failure = _branch_row_coset(eigen, i, span, branch_bound)
+        try:
+            row, failure = _branch_row(eigen, i, span)
+        except IndeterminateError as exc:
+            return _indet(str(exc), bounds)
         if failure is not None:
-            return None, {**failure, **bounds}
-        rows.append(_smallest_in_box(coset, branch_bound))
-    return BranchChoice(tuple(rows)), bounds
+            return _no(failure)
+        rows.append(row)
+    return _yes({"branch": rows}, bounds=bounds)
 
 
 def generators_independent(eigen: EigenData, branch: BranchChoice):
@@ -500,63 +479,60 @@ def generators_independent(eigen: EigenData, branch: BranchChoice):
     return _full_row_rank(_minors(entries))
 
 
-CANDIDATE_CAP = 256  # lambda(b) families tried by normal_form_hypothesis
-
-
-def normal_form_hypothesis(eigen: EigenData, branch_bound: int = 3) -> Verdict:
+def normal_form_hypothesis(eigen: EigenData) -> Verdict:
     """Theorem hypothesis: projectively hyperbolic, or infinitesimally
     integrable with a weakly non-resonant, linearly independent family of
-    generators (the independence is part of integrability; branch search is
-    bounded and the bound is reported)."""
+    generators lambda(b) (the independence is part of integrability).
+
+    The branches are decided exactly.  K(b) = 0 on the relation lattice L
+    (weak non-resonance) asks b_i in a coset b0_i + span_Z(n_1, ..., n_k)
+    per row, the n_j a basis of L^perp cap Z^n, k = n - rank L; no integer
+    b0_i is an exact NO.  Every row of lambda(b) vanishes on L, so
+    lambda(b) = (C0 + 2 pi i T) N with N the k x n matrix of the n_j, C0
+    the coordinates of lambda(b0) and T in Z^(p x k) free; N has rank k,
+    so rank lambda(b) = rank(C0 + 2 pi i T).  If k < p every family is
+    dependent, an exact NO with witness {lattice_rank, n, p}.  Else take
+    b_i = b0_i + s n_i for s = 0, ..., p: det(C0_S + 2 pi i s I) on the
+    first p coordinates is a polynomial in s of degree p with leading
+    coefficient (2 pi i)^p, so it has at most p roots and one of these
+    p + 1 families is independent.  A minor of lambda(b) that is truly
+    nonzero is symbolically nonzero, so the verdict is YES unless no
+    precision up to the cap certifies it: INDETERMINATE with that cap."""
     proj = is_projectively_hyperbolic(eigen)
     if proj.yes:
         return _yes({"route": "projectively_hyperbolic", **(proj.witness or {})},
                     method=proj.method)
-    lat = eigen.lattice
-    bounds = {"branch_bound": branch_bound}
-    # branches with K == 0 on the full relation lattice are exactly the
-    # weakly non-resonant generator families
-    per_row: list[list[tuple[int, ...]]] = []
+    particular = []
     for i in range(eigen.p):
-        if lat.rank == 0:
-            per_row.append([tuple([0] * eigen.n)])
-            continue
         try:
-            coset, failure = _branch_row_coset(eigen, i, lat.basis, branch_bound)
+            row, failure = _branch_row(eigen, i, eigen.lattice.basis)
         except IndeterminateError as exc:
-            return _indet(str(exc), bounds)
-        if failure is None:  # one past the cap is enough to give up
-            per_row.append(_in_box(coset, branch_bound, CANDIDATE_CAP + 1))
-        elif "particular" in failure:  # integer solutions exist, only the box missed them
-            return _indet(f"germ {i + 1}: {failure['reason']}", bounds, "bounded_search")
-        elif proj.no:
-            return _no({"projective": proj.witness, "weak_nonresonance": failure}, bounds=bounds)
-        else:
-            return _indet("projective hyperbolicity undecided and no weakly non-resonant branch", bounds)
-    if math.prod(map(len, per_row)) > CANDIDATE_CAP:
-        return _indet(f"too many candidate branches (more than {CANDIDATE_CAP}) within bound", bounds,
-                      "bounded_search")
-    saw_indeterminate = False
-    for combo in itertools.product(*per_row):
-        branch = BranchChoice(tuple(combo))
+            return _indet(str(exc))
+        if failure is not None:
+            if proj.no:
+                return _no({"projective": proj.witness, "weak_nonresonance": failure})
+            return _indet("projective hyperbolicity undecided and no weakly non-resonant branch")
+        particular.append(row)
+    kernel = kernel_basis([list(k) for k in eigen.lattice.basis], ncols=eigen.n)
+    if len(kernel) < eigen.p:
+        if proj.no:
+            return _no({"lattice_rank": eigen.lattice.rank, "n": eigen.n, "p": eigen.p})
+        return _indet("projective hyperbolicity undecided and the generators dependent for every branch")
+    undecided = False
+    for s in range(eigen.p + 1):
+        branch = BranchChoice(tuple(tuple(b + s * v for b, v in zip(row, kernel[i]))
+                                    for i, row in enumerate(particular)))
         decided, info = generators_independent(eigen, branch)
-        if decided is True:
+        if decided:
             # only intervals certify a lambda(b) minor: at p >= 2 it has
             # degree p, and at p = 1 an entry without pi or atan is ln|mu|,
             # which, nonzero, makes the family projectively hyperbolic
-            return _yes(
-                {"route": "weakly_nonresonant_generators", "branch": branch.to_json(), **info},
-                method="symbolic+interval",
-                bounds=bounds,
-            )
-        if decided is None:
-            saw_indeterminate = True
-    if saw_indeterminate or not proj.no:
-        return _indet("no branch certified; independence or hyperbolicity undecided", bounds)
-    return _no(
-        {"projective": proj.witness, "dependent_generators_for_all_branches_within_bound": True},
-        bounds=bounds,
-    )
+            return _yes({"route": "weakly_nonresonant_generators", "branch": branch.to_json(), **info},
+                        method="symbolic+interval")
+        undecided = undecided or decided is None
+    if not undecided:
+        raise AssertionError("lambda(b) dependent at all p + 1 values of s: more roots than its degree p")
+    return _indet("no lambda(b) minor certified nonzero", {"max_bits": precision_cap()})
 
 
 # ---------------------------------------------------------------------------

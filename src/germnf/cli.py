@@ -9,9 +9,8 @@ json.dumps(report, sort_keys=True, indent=2) would, byte for byte, without
 the pure-Python encoder that an indent selects: strings go through the C
 `encode_basestring_ascii`, ints through `int.__repr__`, and a list of ints
 (exponents, lattice vectors) is one join.  Exit codes: 0 definite (and
-`--help`), 1 a usage or input error or an unwritable --output, 2
-indeterminate verdicts or an undecided generator search present, 3 an
-internal verification failed.
+`--help`), 1 a usage or input error or an unwritable --output, 2 some
+verdict of the payload indeterminate, 3 an internal verification failed.
 
 Each command returns its payload and the jet degree it used, which the
 report's config echoes: the family's degree for family input, min(--degree,
@@ -192,10 +191,9 @@ def _omega_bound(args) -> int:
 
 
 def _indeterminate_in(payload) -> bool:
-    """Does a verdict read indeterminate, or a search without a verdict
-    field (`infinitesimal_generators`) hold an `indeterminate` reason?"""
+    """Does some verdict in the payload read indeterminate?"""
     if isinstance(payload, dict):
-        if payload.get("verdict") == "indeterminate" or "indeterminate" in payload:
+        if payload.get("verdict") == "indeterminate":
             return True
         return any(_indeterminate_in(v) for v in payload.values())
     if isinstance(payload, list):
@@ -230,24 +228,15 @@ def _cmd_analyze(data, args) -> tuple[dict, int]:
     bound = _omega_bound(args)
     eigen, fam = _eigen_from_input(data)
     rank_enum, rank_lat = vect_omega_rank(eigen, bound)
-    branch = None
-    try:
-        branch, gen_info = classify.find_infinitesimal_generators(
-            eigen, branch_bound=args.bound_branch, omega_bound=bound
-        )
-    except IndeterminateError as exc:
-        gen_info = {"indeterminate": str(exc)}
     payload = {
         "lattice_basis": eigen.lattice.to_json(),
         "vect_omega_rank": {"enumerated": rank_enum, "lattice": rank_lat, "bound": bound},
         "projectively_hyperbolic": classify.is_projectively_hyperbolic(eigen).to_json(),
         "weakly_resonant": classify.weak_resonance(eigen).to_json(),
-        "infinitesimal_generators": {"found": None if branch is None else branch.to_json(), **gen_info},
+        "infinitesimal_generators": classify.find_infinitesimal_generators(eigen, bound).to_json(),
         "hyperbolic": classify.is_hyperbolic(eigen).to_json(),
         "weakly_hyperbolic": classify.is_weakly_hyperbolic(eigen).to_json(),
-        "normal_form_hypothesis": classify.normal_form_hypothesis(
-            eigen, branch_bound=args.bound_branch
-        ).to_json(),
+        "normal_form_hypothesis": classify.normal_form_hypothesis(eigen).to_json(),
     }
     if fam is not None:
         payload["nondegenerate"] = classify.is_nondegenerate(eigen, bound).to_json()
@@ -415,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree", type=int, default=4, help="truncation degree (default 4)")
     parser.add_argument("--bound-omega", type=int, default=None,
                         help="enumeration bound for Omega (default 2*degree)")
-    parser.add_argument("--bound-branch", type=int, default=10,
-                        help="max |b| entries in branch searches")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -430,10 +417,8 @@ def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     if args.degree < 2:
         _PARSER.error("--degree must be >= 2")
-    for name in ("bound_omega", "bound_branch"):
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            _PARSER.error(f"--{name.replace('_', '-')} must be positive")
+    if args.bound_omega is not None and args.bound_omega < 1:
+        _PARSER.error("--bound-omega must be positive")
     started = time.monotonic()
     try:
         data, digest = _load_json(args.input)
@@ -445,7 +430,6 @@ def run(argv=None) -> int:
             "config": {
                 "degree": degree,
                 "bound_omega": args.bound_omega or 2 * args.degree,
-                "bound_branch": args.bound_branch,
                 "seed": args.seed,
             },
             "payload": payload,

@@ -102,10 +102,11 @@ def kernel_basis(rows: list[list[int]], ncols: int | None = None) -> list[list[i
     return row_hnf(kernel)
 
 
-def solve_integer(rows: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None when none exists."""
+def solve_integer(rows: list[list[int]], rhs: list[int], ncols: int | None = None) -> list[int] | None:
+    """One integer solution x in Z^c of A x = b, or None when none exists;
+    x = 0 whenever b = 0, and a system with no rows gives c zeros."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = ncols if ncols is not None else (len(rows[0]) if m else 0)
     if m != len(rhs):
         raise ValueError("rhs length mismatch")
     if m == 0:

@@ -89,10 +89,10 @@ class FactoringEigenData(EigenData):
         return self.once(("log_modulus", z), lambda: log_modulus(z))
 
 
-def decider_outcomes(eigen: EigenData, bound: int = 6, branch_bound: int = 3) -> dict:
+def decider_outcomes(eigen: EigenData, bound: int = 6) -> dict:
     """(verdict, method) of each decider `analyze` runs, the generator
-    search's branch, and for p = 1 the Poincare-type verdict; an
-    IndeterminateError stands as its own outcome."""
+    verdict in full (its witness is the branch), and for p = 1 the
+    Poincare-type verdict; an IndeterminateError stands as its own outcome."""
     from germnf import classify
 
     deciders = {
@@ -100,7 +100,7 @@ def decider_outcomes(eigen: EigenData, bound: int = 6, branch_bound: int = 3) ->
         "weakly_resonant": classify.weak_resonance,
         "hyperbolic": classify.is_hyperbolic,
         "weakly_hyperbolic": classify.is_weakly_hyperbolic,
-        "normal_form_hypothesis": lambda e: classify.normal_form_hypothesis(e, branch_bound=branch_bound),
+        "normal_form_hypothesis": classify.normal_form_hypothesis,
     }
     out = {}
     for name, decide in deciders.items():
@@ -109,11 +109,7 @@ def decider_outcomes(eigen: EigenData, bound: int = 6, branch_bound: int = 3) ->
             out[name] = (verdict.value, verdict.method)
         except IndeterminateError:
             out[name] = "IndeterminateError"
-    try:
-        branch, _ = classify.find_infinitesimal_generators(eigen, branch_bound=branch_bound, omega_bound=bound)
-        out["generators"] = branch.to_json() if branch is not None else None
-    except IndeterminateError:
-        out["generators"] = "IndeterminateError"
+    out["generators"] = classify.find_infinitesimal_generators(eigen, bound).to_json()
     if eigen.p == 1:
         verdict = classify.poincare_type_single(eigen, enumerate_omega(eigen, bound))
         out["poincare_type"] = (verdict.value, verdict.method)

@@ -23,14 +23,12 @@ from germnf.classify import (
     poincare_type_single,
     poly_eval_intervals,
     weak_resonance,
-    _in_box,
     _omega_is_empty,
-    _smallest_in_box,
     _torsion_order,
 )
 from germnf.exactnum import GaussianRational as GR
 from germnf.exactnum import LogModulusVector, precision_ladder
-from germnf.linalg import kernel_basis
+from germnf.linalg import kernel_basis, solve_integer
 from germnf.resonance import EigenData, enumerate_omega, relation_lattice
 
 from helpers import (
@@ -140,23 +138,23 @@ class TestWeakResonance:
 
 class TestInfinitesimalGenerators:
     def test_example_13_infeasible(self):
-        branch, cert = find_infinitesimal_generators(E13, branch_bound=10)
-        assert branch is None
-        assert cert["reason"] == "no integer solution"
+        verdict = find_infinitesimal_generators(E13)
+        assert verdict.no and verdict.method == "exact" and not verdict.bounds_used
+        assert verdict.witness["reason"] == "no integer solution"
 
     def test_i_minus_i_infeasible(self):
-        branch, cert = find_infinitesimal_generators(EI, branch_bound=10, omega_bound=4)
-        assert branch is None
+        assert find_infinitesimal_generators(EI, omega_bound=4).no
 
     def test_weakly_nonresonant_case(self):
         eigen = EigenData.from_rows([["1/2", "2"]])
-        branch, _ = find_infinitesimal_generators(eigen, branch_bound=10)
-        assert branch == BranchChoice.zero(1, 2)
+        verdict = find_infinitesimal_generators(eigen)
+        assert verdict.yes and verdict.method == "exact"
+        assert verdict.witness == {"branch": [[0, 0]]} and verdict.bounds_used == {"omega_bound": 8}
 
     def test_empty_omega_vacuous(self):
-        branch, cert = find_infinitesimal_generators(E23, branch_bound=5)
-        assert branch == BranchChoice.zero(1, 2)
-        assert cert.get("vacuous")
+        verdict = find_infinitesimal_generators(E23, omega_bound=5)
+        assert verdict.yes and verdict.method == "exact" and not verdict.bounds_used
+        assert verdict.witness == {"branch": [[0, 0]], "vacuous": True}
 
     @pytest.mark.parametrize("rows, basis", [
         ([[GR(Fraction(3, 5), Fraction(4, 5)) ** -400, GR(Fraction(3, 5), Fraction(4, 5))]], ((1, 400),)),
@@ -170,10 +168,9 @@ class TestInfinitesimalGenerators:
         eigen = EigenData.from_rows([[str(z) for z in row] for row in rows])
         assert eigen.lattice.basis == basis
         assert enumerate_omega(eigen, 8).points == ()
-        branch, cert = find_infinitesimal_generators(eigen, branch_bound=10, omega_bound=8)
-        assert branch is None
-        assert cert == {"indeterminate": "Omega is not empty but has no point within omega_bound",
-                        "omega_bound": 8, "branch_bound": 10}
+        assert find_infinitesimal_generators(eigen, omega_bound=8).to_json() == {
+            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"omega_bound": 8},
+            "reason": "Omega is not empty but has no point within omega_bound"}
 
     @pytest.mark.parametrize("row, empty", [
         (["2", "3"], True),  # rank 0
@@ -207,35 +204,64 @@ class TestInfinitesimalGenerators:
                 break
 
 
-class TestBranchBox:
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_radius_search_finds_the_full_box_minimum(self, data):
-        """On a random coset {b : A b = A b0}, the box |b| <= bound listed in
-        full here, by brute force, and sorted by (max|b|, b): `_in_box` gives
-        that list (a prefix of it under a cap), and the doubling-radius
-        search its first point whenever it is not empty."""
-        n = data.draw(st.integers(1, 4), label="n")
-        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n), label="A")
-        b0 = data.draw(st.lists(st.integers(-15, 15), min_size=n, max_size=n), label="b0")
-        bound = data.draw(st.integers(1, 10 if n <= 3 else 4), label="bound")
-        target = [sum(a * x for a, x in zip(row, b0)) for row in rows]
-        box = sorted((b for b in itertools.product(range(-bound, bound + 1), repeat=n)
-                      if [sum(a * x for a, x in zip(row, b)) for row in rows] == target),
-                     key=lambda b: (max(map(abs, b)), b))
-        coset = (b0, kernel_basis(rows, ncols=n))
-        assert _in_box(coset, bound) == box
-        most = data.draw(st.integers(1, 5), label="most")
-        capped = _in_box(coset, bound, most)
-        assert len(capped) == min(most, len(box)) and set(capped) <= set(box)
-        if box:
-            assert _smallest_in_box(coset, bound) == box[0]
+_ORACLE_ENTRIES = tuple(GR.parse(z) for z in (
+    "1", "-1", "i", "-i", "3/5+4/5*i", "3/5-4/5*i", "5/13+12/13*i", "-3/5+4/5*i", "2", "1/2", "4", "-2", "2+i"))
+
+
+def _mpc(z: GR):
+    return mpmath.mpc(mpmath.mpf(z.re.numerator) / z.re.denominator, mpmath.mpf(z.im.numerator) / z.im.denominator)
+
+
+def _numeric_lambda(eigen: EigenData, b) -> list[list]:
+    """lambda_im = ln|mu_im| + i (Arg mu_im + 2 pi b_im) in mpmath."""
+    return [[mpmath.log(mpmath.mpf(z.norm().numerator) / z.norm().denominator) / 2
+             + 1j * (mpmath.arg(_mpc(z)) + 2 * mpmath.pi * b[i][m])
+             for m, z in enumerate(row)] for i, row in enumerate(eigen.mu)]
+
+
+def _numeric_full_rank(eigen: EigenData, b) -> bool:
+    """Has lambda(b) a p x p minor above 1e-30 (by the Leibniz sum)?"""
+    def det(rows):
+        return mpmath.fsum(
+            (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2)) * mpmath.fprod(
+                row[c] for row, c in zip(rows, perm)) for perm in itertools.permutations(range(len(rows))))
+
+    with mpmath.workdps(60):
+        lam = _numeric_lambda(eigen, b)
+        return any(abs(det([[row[c] for c in cols] for row in lam])) > mpmath.mpf(10) ** -30
+                   for cols in itertools.combinations(range(eigen.n), eigen.p))
+
+
+def _oracle_generator_route(eigen: EigenData) -> VerdictValue:
+    """The generator route's verdict in mpmath, with no symbolic algebra:
+    see test_generator_route_agrees_with_an_independent_search."""
+    basis = [list(k) for k in eigen.lattice.basis]
+    particular = []
+    with mpmath.workdps(60):
+        for row in eigen.mu:
+            args = [mpmath.arg(_mpc(z)) / (2 * mpmath.pi) for z in row]
+            turns = [mpmath.fsum(e * a for e, a in zip(k, args)) for k in basis]
+            assert all(abs(t - mpmath.nint(t)) < mpmath.mpf(10) ** -40 for t in turns)
+            b0 = solve_integer(basis, [-int(mpmath.nint(t)) for t in turns], ncols=eigen.n)
+            if b0 is None:
+                return VerdictValue.NO
+            particular.append(b0)
+    kernel = kernel_basis(basis, ncols=eigen.n)
+    if len(kernel) < eigen.p:
+        return VerdictValue.NO
+    for flat in itertools.product((0, 1), repeat=eigen.p * eigen.p):
+        t = [flat[i * eigen.p:(i + 1) * eigen.p] for i in range(eigen.p)]
+        b = [[b0[m] + sum(t[i][j] * kernel[j][m] for j in range(eigen.p)) for m in range(eigen.n)]
+             for i, b0 in enumerate(particular)]
+        if _numeric_full_rank(eigen, b):
+            return VerdictValue.YES
+    raise AssertionError("no independent family on {0,1}^(p x p), against the multilinear argument")
 
 
 class TestNormalFormHypothesis:
     def test_routes(self):
         assert normal_form_hypothesis(E13).witness["route"] == "projectively_hyperbolic"
-        assert normal_form_hypothesis(E34).no
+        assert normal_form_hypothesis(E34).witness == {"lattice_rank": 1, "n": 2, "p": 2}
         # no integer branch row at all, whatever the box: an exact NO
         assert normal_form_hypothesis(EI).witness["weak_nonresonance"]["reason"] == "no integer solution"
         assert normal_form_hypothesis(EI).no
@@ -243,6 +269,28 @@ class TestNormalFormHypothesis:
         verdict = normal_form_hypothesis(elliptic)
         assert verdict.yes
         assert verdict.witness["route"] == "weakly_nonresonant_generators"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(eigen=st.integers(1, 3).flatmap(lambda p: st.integers(p, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(_ORACLE_ENTRIES)] * n), min_size=p, max_size=p))).map(
+        lambda rows: EigenData(tuple(rows))))
+    def test_generator_route_agrees_with_an_independent_search(self, eigen):
+        """Decided here with mpmath: when the family is not projectively
+        hyperbolic, a row with no integer branch or k = n - rank L < p gives
+        NO; else lambda(b) for b_i = b0_i + sum_j T_ij n_j, T in {0,1}^(p x p)
+        on p kernel vectors n_j, is searched for a nonzero p x p minor.  The
+        search is complete: det(C0_S + 2 pi i T) is multilinear in T with
+        the nonzero term (2 pi i)^p det T, and a nonzero multilinear
+        polynomial has a non-root on {0,1}^N."""
+        verdict = normal_form_hypothesis(eigen)
+        if is_projectively_hyperbolic(eigen).yes:
+            assert verdict.yes and verdict.witness["route"] == "projectively_hyperbolic"
+            return
+        expected = _oracle_generator_route(eigen)
+        assert verdict.value is expected, (eigen.mu, verdict)
+        if verdict.yes:
+            branch = BranchChoice(tuple(map(tuple, verdict.witness["branch"])))
+            assert weak_resonance(eigen, branch).no and _numeric_full_rank(eigen, branch.b)
 
 
 class TestHyperbolicity:
@@ -602,13 +650,10 @@ def bounded_search_eigen(draw):
 
 
 def _bounded_verdicts(eigen: EigenData, scale: int) -> dict:
-    """The verdicts whose searches the Omega and branch bounds limit, at the
-    command line's default bounds (8 and 10) times `scale`."""
-    omega_bound, branch_bound = 8 * scale, 10 * scale
-    verdicts = {
-        "nondegenerate": is_nondegenerate(eigen, omega_bound),
-        "normal_form_hypothesis": normal_form_hypothesis(eigen, branch_bound=branch_bound),
-    }
+    """The verdicts whose searches the Omega bound limits, at the command
+    line's default bound 8 times `scale`."""
+    omega_bound = 8 * scale
+    verdicts = {"nondegenerate": is_nondegenerate(eigen, omega_bound)}
     if eigen.p == 1:
         verdicts["poincare_type"] = poincare_type_single(eigen, enumerate_omega(eigen, omega_bound))
     return {name: verdict.value for name, verdict in verdicts.items()}

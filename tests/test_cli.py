@@ -119,7 +119,7 @@ class TestCommands:
         assert payload["nondegenerate"]["verdict"] == "yes"
         assert payload["projectively_hyperbolic"]["verdict"] == "yes"
         assert payload["weakly_resonant"]["verdict"] == "yes"
-        assert payload["infinitesimal_generators"]["found"] is None
+        assert payload["infinitesimal_generators"]["verdict"] == "no"
         assert payload["normal_form_hypothesis"]["verdict"] == "yes"
         assert payload["poincare_type"]["verdict"] == "yes"
 
@@ -466,8 +466,8 @@ class TestStartup:
 class TestCircuitRule:
     def test_rank_2_subset_of_p4_is_decided(self, tmp_path):
         """The one 4-subset has rank 2, and only the circuit {1, 2, 3}
-        decides its hull.  Exit 2 comes from normal_form_hypothesis alone,
-        whose branch search is still capped on this input."""
+        decides its hull.  Every verdict is definite: normal_form_hypothesis
+        is an exact NO, as n - rank L = 3 < p = 4."""
         path = _write(tmp_path, "p4.json", {"schema": 1, "mu": RANK_2_P4_MU})
         start = time.process_time()
         code, report = _run_json(tmp_path, "analyze", path)
@@ -476,9 +476,9 @@ class TestCircuitRule:
         weak = payload["weakly_hyperbolic"]
         assert weak["verdict"] == "no" and weak["witness"]["circuit"] == [1, 2, 3]
         assert weak["witness"]["kernel_signs"] == [1, 1, 1]
-        assert code == 2
+        assert code == 0
         assert [key for key, value in payload.items() if isinstance(value, dict)
-                and value.get("verdict") == "indeterminate"] == ["normal_form_hypothesis"]
+                and value.get("verdict") == "indeterminate"] == []
 
 
 class TestJetWork:
@@ -785,7 +785,6 @@ class TestEigenWork:
         assert len(calls) == 1
 
     def test_p1_analyze_walks_the_omega_box_once(self, tmp_path, monkeypatch):
-        import germnf.classify as classify
         import germnf.linalg as linalg
         import germnf.resonance as resonance
 
@@ -795,8 +794,7 @@ class TestEigenWork:
             boxes.append((tuple(lower), tuple(upper)))
             return linalg.lattice_points(basis, lower, upper, offset, **limits)
 
-        for module in (resonance, classify):
-            monkeypatch.setattr(module, "lattice_points", counted)
+        monkeypatch.setattr(resonance, "lattice_points", counted)
         path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 0 and report["payload"]["poincare_type"]["verdict"] == "yes"
@@ -856,104 +854,134 @@ class TestBoundedSearchShortfall:
             "witness": {"lattice_rank": 0, "needed": 1},
         }
 
+    MU2 = GR(Fraction(3, 5), Fraction(4, 5))
+
     def test_branch_box_shortfall_is_indeterminate(self, tmp_path):
-        # all moduli 1 and lattice basis (1, 400): the branch row's integer
-        # solutions are (-59, 0) plus the kernel, none within the default box
-        mu2 = GR(Fraction(3, 5), Fraction(4, 5))
-        path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(mu2 ** -400), str(mu2)]]})
+        """There is no branch box to fall short: all moduli are 1 and the
+        lattice basis is (1, 400), the branch row's integer solutions are
+        (-59, 0) plus the kernel, and the particular solution is the YES.
+        Exit 2 comes from the generators' Omega walk alone."""
+        path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(self.MU2 ** -400), str(self.MU2)]]})
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 2
-        entry = report["payload"]["normal_form_hypothesis"]
-        assert entry["verdict"] == "indeterminate" and entry["bounds_used"] == {"branch_bound": 10}
-        assert entry["reason"] == "germ 1: integer solutions exist but none within branch bound"
-        assert entry["method"] == "bounded_search"
-        code, report = _run_json(tmp_path, "analyze", path, "--bound-branch", "60")
-        assert code == 2  # the generators' Omega walk still falls short
-        entry = report["payload"]["normal_form_hypothesis"]
-        assert entry["verdict"] == "yes" and entry["witness"]["branch"] == [[-59, 0]]
-        assert "indeterminate" in report["payload"]["infinitesimal_generators"]
+        assert report["payload"]["normal_form_hypothesis"] == {
+            "verdict": "yes", "method": "symbolic+interval",
+            "witness": {"route": "weakly_nonresonant_generators", "branch": [[-59, 0]], "minor_columns": [1]}}
+        assert report["payload"]["infinitesimal_generators"]["verdict"] == "indeterminate"
+
+    def test_particular_solution_far_from_zero_needs_no_box(self, tmp_path):
+        """n = 8 with six primes beside the unit-modulus pair: the first box
+        around 0 holding a branch would have about 129^6 points, but the
+        generators' particular solution is read off one integer solve."""
+        mu = [str(self.MU2 ** -400), str(self.MU2), "2", "3", "5", "7", "11", "13"]
+        path = _write(tmp_path, "far8.json", {"schema": 1, "mu": [mu]})
+        start = time.process_time()
+        code, report = _run_json(tmp_path, "analyze", path, "--bound-omega", "401")
+        assert time.process_time() - start < 2.0
+        assert code == 0
+        assert report["payload"]["infinitesimal_generators"] == {
+            "verdict": "yes", "method": "exact", "witness": {"branch": [[-59, 0, 0, 0, 0, 0, 0, 0]]},
+            "bounds_used": {"omega_bound": 401}}
+
+    def test_trivial_lattice_gets_a_certified_branch(self, tmp_path):
+        """u = 3/5+4/5 i and v = 5/13+12/13 i are independent, so L = 0 and
+        every branch is weakly non-resonant: b = 0 gives two equal rows, and
+        b = 0 + 1 * (e_1; e_2) = [[1, 0], [0, 1]] independent generators."""
+        u, v = str(self.MU2), str(GR(Fraction(5, 13), Fraction(12, 13)))
+        path = _write(tmp_path, "uv.json", {"schema": 1, "mu": [[u, v], [u, v]]})
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 0
+        assert report["payload"]["normal_form_hypothesis"] == {
+            "verdict": "yes", "method": "symbolic+interval",
+            "witness": {"route": "weakly_nonresonant_generators", "branch": [[1, 0], [0, 1]], "minor_columns": [1, 2]}}
 
     # unit-modulus pairs u, conj(u): lattice basis e_2k-1 + e_2k, and each
-    # branch row's coset b_2k-1 + b_2k = 0 has (2 bound + 1)^(n/2) points in the box
+    # branch row's coset b_2k-1 + b_2k = 0 holds 0
     UNIT_PAIRS = [GR(Fraction(a, c), Fraction(b, c))
                   for a, b, c in [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]]
 
-    @pytest.mark.parametrize("pairs, extra", [(4, []), (2, ["--bound-branch", "300"])], ids=["4-extra0", "2-extra1"])
+    @pytest.mark.parametrize("pairs, extra", [(4, []), (2, ["--bound-omega", "30"])], ids=["4-extra0", "2-extra1"])
     def test_branch_search_lists_no_full_box(self, tmp_path, monkeypatch, pairs, extra):
-        """The generator search takes its branch from the smallest box that
-        holds one, and the hypothesis stops one past the candidate cap: the
-        boxes hold 194 481 and 361 201 points, of which about 260 are listed."""
-        import germnf.classify as classify
+        """No branch box is listed at all: the one lattice walk is the Omega
+        walk, and both branch questions are decided at the zero branch, the
+        particular solution of b_2k-1 + b_2k = 0."""
         import germnf.linalg as linalg
+        import germnf.resonance as resonance
 
-        listed = []
+        walks = []
 
         def counted(*args, **kwargs):
-            for point in linalg.lattice_points(*args, **kwargs):
-                listed.append(point)
-                yield point
+            walks.append(1)
+            return linalg.lattice_points(*args, **kwargs)
 
-        monkeypatch.setattr(classify, "lattice_points", counted)
+        monkeypatch.setattr(resonance, "lattice_points", counted)
         mu = [str(z) for u in self.UNIT_PAIRS[:pairs] for z in (u, u.conjugate())]
         path = _write(tmp_path, "pairs.json", {"schema": 1, "mu": [mu]})
         code, report = _run_json(tmp_path, "analyze", path, *extra)
-        bound = int(extra[1]) if extra else 10
-        assert code == 2
+        bound = int(extra[1]) if extra else 8
+        assert code == 0 and len(walks) == 1
         assert report["payload"]["infinitesimal_generators"] == {
-            "found": [[0] * (2 * pairs)], "omega_bound": 8, "branch_bound": bound}
+            "verdict": "yes", "method": "exact", "witness": {"branch": [[0] * (2 * pairs)]},
+            "bounds_used": {"omega_bound": bound}}
         assert report["payload"]["normal_form_hypothesis"] == {
-            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"branch_bound": bound},
-            "reason": "too many candidate branches (more than 256) within bound"}
-        assert len(listed) <= 2 * (classify.CANDIDATE_CAP + 1)
+            "verdict": "yes", "method": "symbolic+interval",
+            "witness": {"route": "weakly_nonresonant_generators", "branch": [[0] * (2 * pairs)],
+                        "minor_columns": [1]}}
 
     def test_undecided_generators_alone_exit_2(self, tmp_path):
-        """Every verdict is definite, but Omega's first points have degree
-        21, past the bound 8, so the generators are undecided."""
+        """Every other verdict is definite, but Omega's first points have
+        degree 21, past the bound 8, so the generators are undecided."""
         path = _write(tmp_path, "far.json", {"schema": 1, "mu": [["1048576", "1/2", "1/2"], ["1", "1", "1"]]})
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 2
         payload = report["payload"]
-        assert all(entry["verdict"] != "indeterminate" for entry in payload.values()
-                   if isinstance(entry, dict) and "verdict" in entry)
-        assert payload["infinitesimal_generators"]["indeterminate"] == (
-            "Omega is not empty but has no point within omega_bound")
+        assert all(entry["verdict"] != "indeterminate" for name, entry in payload.items()
+                   if isinstance(entry, dict) and "verdict" in entry and name != "infinitesimal_generators")
+        assert payload["infinitesimal_generators"] == {
+            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"omega_bound": 8},
+            "reason": "Omega is not empty but has no point within omega_bound"}
 
     def test_generator_search_that_raises_exits_2(self, tmp_path, monkeypatch):
+        """A K0 that no precision certifies makes the generators, not the
+        command, indeterminate."""
         import germnf.classify as classify
         from germnf.exactnum import IndeterminateError
 
         def undecided(*args, **kwargs):
             raise IndeterminateError("precision cap reached")
 
-        monkeypatch.setattr(classify, "find_infinitesimal_generators", undecided)
-        path = ROOT / "perfbench" / "corpus" / "eigen" / "small_p2-0.json"
+        monkeypatch.setattr(classify, "_branch_row", undecided)
+        path = ROOT / "perfbench" / "corpus" / "eigen" / "small_p2-2.json"
         code, report = _run_json(tmp_path, "analyze", str(path))
         assert code == 2
-        assert report["payload"]["infinitesimal_generators"] == {"found": None, "indeterminate": "precision cap reached"}
+        assert report["payload"]["infinitesimal_generators"] == {
+            "verdict": "indeterminate", "method": "symbolic+interval", "bounds_used": {"omega_bound": 8},
+            "reason": "precision cap reached"}
 
     def test_generators_on_a_short_omega_walk_are_indeterminate(self, tmp_path):
         """mu = [[mu2^-400, mu2]] again: the lattice (1, 400) has one sign, so
         Omega is not empty though the walk to degree 8 finds no point; the
         report has no branch and no vacuity.  A mixed-sign lattice stays
         vacuous."""
-        mu2 = GR(Fraction(3, 5), Fraction(4, 5))
-        path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(mu2 ** -400), str(mu2)]]})
+        path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(self.MU2 ** -400), str(self.MU2)]]})
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 2
         assert report["payload"]["infinitesimal_generators"] == {
-            "found": None, "indeterminate": "Omega is not empty but has no point within omega_bound",
-            "omega_bound": 8, "branch_bound": 10}
+            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"omega_bound": 8},
+            "reason": "Omega is not empty but has no point within omega_bound"}
         path = _write(tmp_path, "mixed.json", {"schema": 1, "mu": [["2", "2"]]})
         _, report = _run_json(tmp_path, "analyze", path)
         assert report["payload"]["infinitesimal_generators"] == {
-            "found": [[0, 0]], "vacuous": True, "omega_bound": 8, "branch_bound": 10}
+            "verdict": "yes", "method": "exact", "witness": {"branch": [[0, 0]], "vacuous": True}}
 
     def test_candidate_cap_names_the_bounded_search(self, tmp_path):
+        """No candidate cap is left: rank L = 1, so k = 3 < p = 4 and every
+        lambda(b) is dependent, an exact NO."""
         path = _write(tmp_path, "p4.json", {"schema": 1, "mu": RANK_2_P4_MU})
         code, report = _run_json(tmp_path, "analyze", path)
-        entry = report["payload"]["normal_form_hypothesis"]
-        assert code == 2 and entry["reason"].startswith("too many candidate branches")
-        assert entry["method"] == "bounded_search" and entry["bounds_used"] == {"branch_bound": 10}
+        assert code == 0
+        assert report["payload"]["normal_form_hypothesis"] == {
+            "verdict": "no", "method": "exact", "witness": {"lattice_rank": 1, "n": 4, "p": 4}}
 
 
 def _pd_nf_pair(a: int, b: int, degree: int = 5) -> dict:
@@ -1161,6 +1189,15 @@ class TestContracts:
             run(["analyze", path, "--bound-torsion", "64"])
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 0 and "bound_torsion" not in report["config"]
+
+    def test_bound_branch_is_gone(self, tmp_path, capsys):
+        """The generator branches are decided exactly, with no box to bound."""
+        path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
+        with pytest.raises(SystemExit) as exited:
+            run(["analyze", path, "--bound-branch", "3"])
+        assert exited.value.code == 1 and "unrecognized arguments: --bound-branch 3" in capsys.readouterr().err
+        code, report = _run_json(tmp_path, "analyze", path)
+        assert code == 0 and "bound_branch" not in report["config"]
 
     def test_rho_equivariant_is_gone(self, tmp_path, capsys):
         """`realcase` is the one real-case route: `normalize` has no

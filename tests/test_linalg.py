@@ -95,6 +95,10 @@ def test_solve_integer():
     assert solve_integer([[2, 4]], [3]) is None
     x = solve_integer([[1, 2, 3], [0, 1, 1]], [5, 2])
     assert x is not None and x[0] + 2 * x[1] + 3 * x[2] == 5 and x[1] + x[2] == 2
+    assert solve_integer([[1, 2, 3], [0, 1, 1]], [0, 0]) == [0, 0, 0]
+    # no rows: every x solves, and the solution has ncols zeros, as kernel_basis has ncols columns
+    assert solve_integer([], [], ncols=3) == [0, 0, 0]
+    assert solve_integer([], []) == []
 
 
 def test_rank():
