@@ -15,15 +15,17 @@ a guess.  Concretely:
 * the remaining gap (a symbolically nonzero expression whose value cannot
   be separated from zero) is reported as INDETERMINATE.
 
-A NO rests only on an exact fact: a relation lattice of too small a rank
-(`_exponents_needed`, and for the generators n - rank L < p) or a branch
-system with no integer solution.  The branches b are decided exactly (see
-normal_form_hypothesis); only a bounded Omega walk that falls short gives
-INDETERMINATE with method `bounded_search` and its bound in `bounds_used`.
+A NO rests only on an exact fact: Omega spanning too small a rank
+(`_exponents_needed`: the relation lattice's rank, or the cone's with a
+separating vector), n - rank L < p for the generators, or a branch system
+with no integer solution.  No decider reads a bound: Omega's span is
+`resonance.omega_cone`, exact, and the branches b are decided exactly (see
+normal_form_hypothesis), so INDETERMINATE comes only from a value that no
+precision up to the cap separates from zero.
 
 Every decider takes the one eigen object, `resonance.EigenData`, which
 decomposes each eigenvalue once and keeps what the deciders share: the
-relation lattice, the Omega walks and one table of log-modulus minors,
+relation lattice, the Omega cone and one table of log-modulus minors,
 which the three hyperbolicity deciders read.  Weak hyperbolicity decides
 each subset's hull: full rank (not in it), else a rational hull point from
 an exact LP, else one circuit rule at every rank (in it iff some minimally
@@ -57,8 +59,8 @@ from .exactnum import (
     precision_ladder,
     rational_interval,
 )
-from .linalg import kernel_basis, rational_feasible, solve_integer
-from .resonance import EigenData, OmegaEnumeration, enumerate_omega
+from .linalg import integer_rank, kernel_basis, rational_feasible, solve_integer
+from .resonance import EigenData, OmegaCone, omega_cone
 from .series import UsageError
 
 
@@ -94,16 +96,16 @@ class Verdict(NamedTuple):
         return out
 
 
-def _yes(witness=None, method="exact", bounds=None) -> Verdict:
-    return Verdict(VerdictValue.YES, witness, method, bounds or {})
+def _yes(witness=None, method="exact") -> Verdict:
+    return Verdict(VerdictValue.YES, witness, method, {})
 
 
-def _no(witness=None, method="exact", bounds=None) -> Verdict:
-    return Verdict(VerdictValue.NO, witness, method, bounds or {})
+def _no(witness=None, method="exact") -> Verdict:
+    return Verdict(VerdictValue.NO, witness, method, {})
 
 
-def _indet(reason: str, bounds=None, method="symbolic+interval") -> Verdict:
-    return Verdict(VerdictValue.INDETERMINATE, None, method, bounds or {}, reason)
+def _indet(reason: str, bounds=None) -> Verdict:
+    return Verdict(VerdictValue.INDETERMINATE, None, "symbolic+interval", bounds or {}, reason)
 
 
 def _method(exact: bool) -> str:
@@ -345,27 +347,40 @@ def _minor_table(eigen: EigenData) -> list[Minor]:
 # ---------------------------------------------------------------------------
 
 
-def is_nondegenerate(eigen: EigenData, omega_bound: int) -> Verdict:
+def is_nondegenerate(eigen: EigenData) -> Verdict:
     """q = n - p independent first-integral exponents at the linear level
-    certify q functionally independent monomial first integrals."""
-    chosen, shortfall = _exponents_needed(eigen, enumerate_omega(eigen, omega_bound), eigen.n - eigen.p, "n-p")
+    certify q functionally independent monomial first integrals.  YES lists
+    the first q that raise the rank among m_j + t v and v (M's basis, the
+    cone's point, t >= 0 least with every m_j + t v >= 0): integer
+    combinations of the verified lattice basis, so no power of mu re-checks
+    them, which at entries such as 312000 would take minutes."""
+    q = eigen.n - eigen.p
+    cone, shortfall = _exponents_needed(eigen, q)
     if shortfall is not None:
         return shortfall
-    return _yes({"independent_exponents": chosen}, bounds={"omega_bound": omega_bound})
+    chosen: list[list[int]] = []
+    if q:
+        v = cone.point
+        t = max([0] + [-(m[c] // v[c]) for m in cone.basis for c in range(eigen.n) if v[c]])
+        for pt in [[x + t * y for x, y in zip(m, v)] for m in cone.basis] + [list(v)]:
+            if len(chosen) < q and integer_rank([*chosen, pt]) > len(chosen):
+                chosen.append(pt)
+    return _yes({"independent_exponents": chosen})
 
 
-def _exponents_needed(eigen: EigenData, omega: OmegaEnumeration, k: int, label: str):
-    """(the first k independent Omega points, None), or (those found, the
-    shortfall's verdict): NO when the relation lattice's rank is below k,
-    so that no bound finds k, else INDETERMINATE with the walk's bound.
-    `label` names k in the reason."""
-    rows = [list(pt) for pt in omega.independent[:k]]
-    if len(rows) == k:
-        return rows, None
-    if eigen.lattice.rank < k:
-        return rows, _no({"lattice_rank": eigen.lattice.rank, "needed": k})
-    return rows, _indet(f"need {label} = {k} independent first-integral exponents, found {len(rows)}",
-                        {"omega_bound": omega.degree_bound}, "bounded_search")
+def _exponents_needed(eigen: EigenData, k: int) -> tuple[OmegaCone | None, Verdict | None]:
+    """(the Omega cone, None) when Omega spans rank >= k, else (None, NO)
+    with {lattice_rank, needed}, and when rank L >= k also the cone's
+    `omega_rank`, `zero_coordinates` Z and `separating_vector` w: w.x = 0
+    on Omega, so every Omega point lies in L cap {x_Z = 0}."""
+    cone = omega_cone(eigen)
+    if len(cone.basis) >= k:
+        return cone, None
+    witness = {"lattice_rank": eigen.lattice.rank, "needed": k}
+    if eigen.lattice.rank >= k:
+        witness.update(omega_rank=len(cone.basis), zero_coordinates=_one_based(cone.zero),
+                       separating_vector=list(cone.separator))
+    return None, _no(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -424,52 +439,38 @@ def weak_resonance(eigen: EigenData, branches: BranchChoice | None = None) -> Ve
 # ---------------------------------------------------------------------------
 
 
-def _branch_row(eigen: EigenData, i: int, span_rows: tuple[tuple[int, ...], ...]):
-    """(b_i, None) for one integer b_i with sum_m w_m b_im = -K0_i(w) on every
-    span row, solve_integer's particular solution, else (None, the infeasible
-    system).  The other solutions add the kernel of the span rows."""
+def _branch_rows(eigen: EigenData, span_rows: tuple[tuple[int, ...], ...]):
+    """(b, None) with b_i, per germ i, one integer solution of
+    sum_m w_m b_im = -K0_i(w) on every span row w, solve_integer's
+    particular solution; else (None, the first infeasible system).  The
+    other solutions add the kernel of the span rows.  IndeterminateError
+    when a K0 is not certified."""
     rows = [list(w) for w in span_rows]
-    rhs = [-certified_round_to_integer(_turns_of(eigen, i, w)) for w in rows]
-    particular = solve_integer(rows, rhs, ncols=eigen.n)
-    if particular is None:
-        return None, {"germ": i + 1, "span": rows, "rhs": rhs, "reason": "no integer solution"}
+    particular = []
+    for i in range(eigen.p):
+        rhs = [-certified_round_to_integer(_turns_of(eigen, i, w)) for w in rows]
+        row = solve_integer(rows, rhs, ncols=eigen.n)
+        if row is None:
+            return None, {"germ": i + 1, "span": rows, "rhs": rhs, "reason": "no integer solution"}
+        particular.append(row)
     return particular, None
 
 
-def _omega_is_empty(eigen: EigenData) -> bool:
-    """Is Omega empty, i.e. the cone (L (x) Q) cap Q^n_{>=0} zero, L the relation lattice?
-    By signs at rank <= 1, else by one LP: x >= 0, sum x = 1, x orthogonal to L^perp."""
-    basis = eigen.lattice.basis
-    if len(basis) <= 1:
-        return not basis or min(basis[0]) < 0 < max(basis[0])
-    rows = kernel_basis([list(v) for v in basis], ncols=eigen.n) + [[1] * eigen.n]
-    return rational_feasible(rows, [0] * (len(rows) - 1) + [1]) is None
-
-
-def find_infinitesimal_generators(eigen: EigenData, omega_bound: int = 8) -> Verdict:
-    """Is there a branch matrix making K vanish on the Z-span of the Omega
-    points within the bound (then every common monomial first integral of
-    the linear parts is a first integral of the generators)?  YES with each
-    row's particular solution, which is 0 whenever 0 is a solution, and
-    `vacuous` when Omega is empty; NO with a row that has no integer
-    solution; INDETERMINATE when the walk finds no point of a nonempty
-    Omega, or a K0 is not certified."""
-    span = enumerate_omega(eigen, omega_bound).span
-    bounds = {"omega_bound": omega_bound}
+def find_infinitesimal_generators(eigen: EigenData) -> Verdict:
+    """Is there a branch matrix making K vanish on the Z-span of Omega (then
+    every common monomial first integral of the linear parts is a first
+    integral of the generators)?  That span is the cone's lattice M, exact.
+    YES with each row's particular solution, which is 0 whenever 0 is a
+    solution, and `vacuous` when Omega is empty; NO with a row that has no
+    integer solution; INDETERMINATE when a K0 is not certified."""
+    span = omega_cone(eigen).basis
     if not span:
-        if not _omega_is_empty(eigen):
-            return _indet("Omega is not empty but has no point within omega_bound", bounds, "bounded_search")
         return _yes({"branch": BranchChoice.zero(eigen.p, eigen.n).to_json(), "vacuous": True})
-    rows = []
-    for i in range(eigen.p):
-        try:
-            row, failure = _branch_row(eigen, i, span)
-        except IndeterminateError as exc:
-            return _indet(str(exc), bounds)
-        if failure is not None:
-            return _no(failure)
-        rows.append(row)
-    return _yes({"branch": rows}, bounds=bounds)
+    try:
+        rows, failure = _branch_rows(eigen, span)
+    except IndeterminateError as exc:
+        return _indet(str(exc))
+    return _no(failure) if failure is not None else _yes({"branch": rows})
 
 
 def generators_independent(eigen: EigenData, branch: BranchChoice):
@@ -502,17 +503,14 @@ def normal_form_hypothesis(eigen: EigenData) -> Verdict:
     if proj.yes:
         return _yes({"route": "projectively_hyperbolic", **(proj.witness or {})},
                     method=proj.method)
-    particular = []
-    for i in range(eigen.p):
-        try:
-            row, failure = _branch_row(eigen, i, eigen.lattice.basis)
-        except IndeterminateError as exc:
-            return _indet(str(exc))
-        if failure is not None:
-            if proj.no:
-                return _no({"projective": proj.witness, "weak_nonresonance": failure})
-            return _indet("projective hyperbolicity undecided and no weakly non-resonant branch")
-        particular.append(row)
+    try:
+        particular, failure = _branch_rows(eigen, eigen.lattice.basis)
+    except IndeterminateError as exc:
+        return _indet(str(exc))
+    if failure is not None:
+        if proj.no:
+            return _no({"projective": proj.witness, "weak_nonresonance": failure})
+        return _indet("projective hyperbolicity undecided and no weakly non-resonant branch")
     kernel = kernel_basis([list(k) for k in eigen.lattice.basis], ncols=eigen.n)
     if len(kernel) < eigen.p:
         if proj.no:
@@ -706,12 +704,12 @@ class PoincareTypeCertificate(NamedTuple):
         }
 
 
-def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
+def poincare_type_single(eigen: EigenData) -> Verdict:
     """Constructive Poincare-type certificate for p = 1 with n-1 independent
     first-integral exponents; hypothesis is that some eigenvalue leaves the
-    unit circle.  Too few exponents give the shortfall verdict of
-    _exponents_needed.  The rows are Omega points, which lie in the relation
-    lattice and span k^perp over Q, so every integer vector v orthogonal to
+    unit circle.  Too few exponents give the NO of _exponents_needed.  The
+    rows are the basis of M, Omega's span, which lies in the relation
+    lattice and spans k^perp over Q, so every integer vector v orthogonal to
     k has a multiple in the lattice and mu^v is a root of unity: a slot with
     k_m = 0 or a cancelling pair without a torsion order is an internal
     error (AssertionError), not an undecided input."""
@@ -722,10 +720,10 @@ def poincare_type_single(eigen: EigenData, omega: OmegaEnumeration) -> Verdict:
     logmods = [eigen.log_modulus(0, m) for m in range(n)]
     if all(v.is_zero() for v in logmods):
         return _no({"all_unit_modulus": True})
-    rows, shortfall = _exponents_needed(eigen, omega, n - 1, "n-1")
+    cone, shortfall = _exponents_needed(eigen, n - 1)
     if shortfall is not None:
         return shortfall
-    kern = kernel_basis(rows, ncols=n)
+    kern = kernel_basis([list(m) for m in cone.basis], ncols=n)
     if len(kern) != 1:
         raise AssertionError("first-integral matrix kernel is not one-dimensional")
     k = list(kern[0])

@@ -20,10 +20,12 @@ The CLI holds no verdict logic: `analyze` serializes what `classify`
 decides.  A command builds one `EigenData` from its input and passes that
 one object to every lattice, Omega and decider call, so each distinct
 eigenvalue is factored once per command and the relation lattice computed
-once; nothing is kept between commands.  Certified interval evaluation has
-one precision budget, GERMNF_PRECISION_BITS (see `exactnum.precision_cap`);
-there is no option for it, and an indeterminate rank verdict reports the
-cap in `bounds_used.max_bits`.
+once; nothing is kept between commands.  `--bound-omega` shapes only the
+Omega walk: `lattice`'s listing and `analyze`'s `vect_omega_rank`; no
+verdict reads it.  Certified interval evaluation has one precision budget,
+GERMNF_PRECISION_BITS (see `exactnum.precision_cap`); there is no option
+for it, and an indeterminate rank verdict reports the cap in
+`bounds_used.max_bits`.
 
 Commutation is checked once per command: `first-integrals`, `analyze` and
 `lattice` check every pair of the input at load (`germ.require_commuting`);
@@ -233,15 +235,15 @@ def _cmd_analyze(data, args) -> tuple[dict, int]:
         "vect_omega_rank": {"enumerated": rank_enum, "lattice": rank_lat, "bound": bound},
         "projectively_hyperbolic": classify.is_projectively_hyperbolic(eigen).to_json(),
         "weakly_resonant": classify.weak_resonance(eigen).to_json(),
-        "infinitesimal_generators": classify.find_infinitesimal_generators(eigen, bound).to_json(),
+        "infinitesimal_generators": classify.find_infinitesimal_generators(eigen).to_json(),
         "hyperbolic": classify.is_hyperbolic(eigen).to_json(),
         "weakly_hyperbolic": classify.is_weakly_hyperbolic(eigen).to_json(),
         "normal_form_hypothesis": classify.normal_form_hypothesis(eigen).to_json(),
     }
     if fam is not None:
-        payload["nondegenerate"] = classify.is_nondegenerate(eigen, bound).to_json()
+        payload["nondegenerate"] = classify.is_nondegenerate(eigen).to_json()
     if eigen.p == 1:
-        payload["poincare_type"] = classify.poincare_type_single(eigen, enumerate_omega(eigen, bound)).to_json()
+        payload["poincare_type"] = classify.poincare_type_single(eigen).to_json()
     return payload, fam.degree if fam else args.degree
 
 

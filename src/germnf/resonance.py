@@ -13,17 +13,17 @@ scaled auxiliary column per germ.
 
 Omega (the paper's first-integral exponent set) is the lattice's
 intersection with N^n; resonant sets are its e_m-translates.  One box walk,
-`_walk`, enumerates both.  Its record, `OmegaEnumeration`, also carries
-the two facts every reader of a bounded Omega needs: `span`, the HNF of
-its points, and `independent`, its points that raise the rank.
+`_walk`, lists both to a degree bound, for `lattice` and `vect_omega_rank`.
+The deciders read Omega's span exactly instead, with no bound, from the
+cone (L (x) Q) cap Q^n_{>=0} (`omega_cone`).
 
 EigenData is the one eigen object: every hypothesis of the theorem is a
 function of the eigenvalue matrix mu alone, and everything read off mu is
 computed once per object, on first use, and kept with it: the two
 coprime bases (in Z[i] for the lattice, in Z for the log-moduli), each
 distinct eigenvalue's factorization, log-modulus vector and principal
-argument, the relation lattice, the Omega walk per degree bound,
-`classify`'s table of log-modulus minors, and the tables of eigenvalue
+argument, the relation lattice, its Omega cone, the Omega walk per degree
+bound, `classify`'s table of log-modulus minors, and the tables of eigenvalue
 powers and resonance gaps.  A caller that holds a lattice or an Omega
 enumeration holds the EigenData it came from, so the functions here take
 only that.  Nothing is cached beyond the object's lifetime; one CLI
@@ -41,6 +41,8 @@ independent of the coprime base.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -56,7 +58,7 @@ from .exactnum import (
     integer_coprime_base,
     principal_arg_turns,
 )
-from .linalg import WalkTooLong, integer_rank, kernel_basis, lattice_points, row_hnf
+from .linalg import WalkTooLong, kernel_basis, lattice_points, rational_feasible, row_hnf
 from .series import MultiIndex, UsageError, grlex_key
 
 # Nodes one walk of the lattice to degree <= bound may visit.  A full-rank
@@ -243,11 +245,79 @@ def relation_lattice(eigen: EigenData) -> RelationLattice:
     return lattice
 
 
+class OmegaCone(NamedTuple):
+    """Omega's span, exactly: see omega_cone."""
+
+    zero: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
+    point: tuple[int, ...] | None
+    separator: tuple[int, ...]
+
+
+def omega_cone(eigen: EigenData) -> OmegaCone:
+    """Omega's span from C = (L (x) Q) cap Q^n_{>=0}, L the relation
+    lattice: `zero`, the coordinates (0-based) that all of C leaves at 0;
+    `basis`, the HNF basis of M = L cap {x_zero = 0}; `point`, an Omega
+    point v positive off `zero` (None when Omega is empty); `separator`, an
+    integer w >= 0 orthogonal to L and positive on `zero`.
+
+    Rank <= 1 is decided by signs.  Else a basis row >= 0 covers its
+    support, and each coordinate j not yet covered takes one LP, x >= 0,
+    x orthogonal to L^perp, x_j = 1, or else its dual, B w = 0, w >= 0,
+    w_j = 1 with B the basis of L: by Tucker's alternative exactly one of
+    them is feasible.  v and w sum the solutions of each kind, cleared of
+    denominators, and v is multiplied by the product of M's HNF pivots,
+    which puts it in M.
+
+    M is the Z-span of Omega, so rank M = dim C: Omega lies in M, and each
+    m in M is (m + t v) - t v, two Omega points for large t, since m and v
+    vanish on `zero` and v is positive off it."""
+    return eigen.once("omega_cone", lambda: _cone([list(row) for row in eigen.lattice.basis], eigen.n))
+
+
+def _cone(basis: list[list[int]], n: int) -> OmegaCone:
+    if len(basis) <= 1:
+        row = basis[0] if basis else [0] * n
+        if basis and min(row) >= 0:
+            return OmegaCone(tuple(j for j in range(n) if not row[j]), (tuple(row),), tuple(row),
+                             tuple(int(not x) for x in row))
+        pos = sum(x for x in row if x > 0)  # else C = 0, and w balances the signs
+        neg = pos - sum(row)
+        return OmegaCone(tuple(range(n)), (), None, tuple(neg if x > 0 else pos if x < 0 else 1 for x in row))
+    points, duals, perp = [row for row in basis if min(row) >= 0], [], None
+    for j in range(n):
+        if any(x[j] for x in points + duals):
+            continue
+        unit = [int(m == j) for m in range(n)]
+        perp = kernel_basis(basis, ncols=n) if perp is None else perp
+        x = rational_feasible(perp + [unit], [0] * len(perp) + [1])
+        if x is not None:
+            points.append(x)
+            continue
+        w = rational_feasible(basis + [unit], [0] * len(basis) + [1])
+        if w is None:
+            raise AssertionError(f"neither the Omega cone nor its dual is positive at coordinate {j + 1}")
+        duals.append(w)
+    zero = tuple(j for j in range(n) if not any(x[j] for x in points))
+    # M = {y B : y in Z^rank, (y B)_zero = 0}
+    ys = kernel_basis([[row[j] for row in basis] for j in zero], ncols=len(basis))
+    span = row_hnf([[sum(a * row[c] for a, row in zip(y, basis)) for c in range(n)] for y in ys])
+    pivots = math.prod(next(x for x in row if x) for row in span)
+    point = tuple(pivots * x for x in _cleared(points, n)) if points else None
+    return OmegaCone(zero, tuple(map(tuple, span)), point, _cleared(duals, n))
+
+
+def _cleared(vectors: list, n: int) -> tuple[int, ...]:
+    """The sum of rational n-vectors times the lcm of its denominators."""
+    total = [sum((Fraction(v[c]) for v in vectors), Fraction(0)) for c in range(n)]
+    scale = math.lcm(*(f.denominator for f in total))
+    return tuple(int(f * scale) for f in total)
+
+
 class OmegaEnumeration:
     """All nonzero first-integral exponents of degree <= degree_bound, in
-    grlex order, with the two facts read off them, each computed on first
-    read: `span`, the HNF basis of their Z-span, and `independent`, the
-    points in order that raise the rank, len(span) of them."""
+    grlex order, and `span`, the HNF basis of their Z-span, computed on
+    first read."""
 
     def __init__(self, degree_bound: int, points: tuple[MultiIndex, ...]):
         self.degree_bound, self.points = degree_bound, points
@@ -255,16 +325,6 @@ class OmegaEnumeration:
     @cached_property
     def span(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, row_hnf(self.points))) if self.points else ()
-
-    @cached_property
-    def independent(self) -> tuple[MultiIndex, ...]:
-        rows: list[MultiIndex] = []
-        for pt in self.points:
-            if len(rows) == len(self.span):
-                break
-            if integer_rank([*rows, pt]) > len(rows):
-                rows.append(pt)
-        return tuple(rows)
 
 
 def enumerate_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:

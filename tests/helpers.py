@@ -89,7 +89,7 @@ class FactoringEigenData(EigenData):
         return self.once(("log_modulus", z), lambda: log_modulus(z))
 
 
-def decider_outcomes(eigen: EigenData, bound: int = 6) -> dict:
+def decider_outcomes(eigen: EigenData) -> dict:
     """(verdict, method) of each decider `analyze` runs, the generator
     verdict in full (its witness is the branch), and for p = 1 the
     Poincare-type verdict; an IndeterminateError stands as its own outcome."""
@@ -109,9 +109,9 @@ def decider_outcomes(eigen: EigenData, bound: int = 6) -> dict:
             out[name] = (verdict.value, verdict.method)
         except IndeterminateError:
             out[name] = "IndeterminateError"
-    out["generators"] = classify.find_infinitesimal_generators(eigen, bound).to_json()
+    out["generators"] = classify.find_infinitesimal_generators(eigen).to_json()
     if eigen.p == 1:
-        verdict = classify.poincare_type_single(eigen, enumerate_omega(eigen, bound))
+        verdict = classify.poincare_type_single(eigen)
         out["poincare_type"] = (verdict.value, verdict.method)
     return out
 

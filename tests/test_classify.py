@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
+import os
 import random
+import tempfile
 import time
 from fractions import Fraction
 
@@ -23,13 +26,14 @@ from germnf.classify import (
     poincare_type_single,
     poly_eval_intervals,
     weak_resonance,
-    _omega_is_empty,
     _torsion_order,
 )
+from germnf.cli import run
 from germnf.exactnum import GaussianRational as GR
 from germnf.exactnum import LogModulusVector, precision_ladder
-from germnf.linalg import kernel_basis, solve_integer
-from germnf.resonance import EigenData, enumerate_omega, relation_lattice
+from germnf.linalg import kernel_basis, rational_feasible, solve_integer
+from germnf.resonance import EigenData, enumerate_omega, omega_cone, relation_lattice
+from germnf.series import UsageError
 
 from helpers import (
     RANK_2_P4_MU,
@@ -49,7 +53,7 @@ E34 = EigenData.from_rows([["2", "4"], ["-3", "9"]])
 
 class TestNondegenerate:
     def test_example_13(self):
-        verdict = is_nondegenerate(EigenData.from_family(example_13_family(4)), 8)
+        verdict = is_nondegenerate(EigenData.from_family(example_13_family(4)))
         assert verdict.yes
         assert verdict.witness["independent_exponents"] == [[2, 2]]
 
@@ -57,10 +61,10 @@ class TestNondegenerate:
         from germnf.germ import Family, Germ
 
         fam = Family([linear_diag_germ([GR(2), GR(3)], 4)])
-        assert is_nondegenerate(EigenData.from_family(fam), 8).no
+        assert is_nondegenerate(EigenData.from_family(fam)).no
 
     def test_i_minus_i(self):
-        verdict = is_nondegenerate(EigenData.from_family(i_minus_i_family(4)), 8)
+        verdict = is_nondegenerate(EigenData.from_family(i_minus_i_family(4)))
         assert verdict.yes
         assert verdict.witness["independent_exponents"] == [[1, 1]]
 
@@ -143,34 +147,34 @@ class TestInfinitesimalGenerators:
         assert verdict.witness["reason"] == "no integer solution"
 
     def test_i_minus_i_infeasible(self):
-        assert find_infinitesimal_generators(EI, omega_bound=4).no
+        assert find_infinitesimal_generators(EI).no
 
     def test_weakly_nonresonant_case(self):
         eigen = EigenData.from_rows([["1/2", "2"]])
         verdict = find_infinitesimal_generators(eigen)
         assert verdict.yes and verdict.method == "exact"
-        assert verdict.witness == {"branch": [[0, 0]]} and verdict.bounds_used == {"omega_bound": 8}
+        assert verdict.witness == {"branch": [[0, 0]]} and not verdict.bounds_used
 
     def test_empty_omega_vacuous(self):
-        verdict = find_infinitesimal_generators(E23, omega_bound=5)
+        verdict = find_infinitesimal_generators(E23)
         assert verdict.yes and verdict.method == "exact" and not verdict.bounds_used
         assert verdict.witness == {"branch": [[0, 0]], "vacuous": True}
 
-    @pytest.mark.parametrize("rows, basis", [
-        ([[GR(Fraction(3, 5), Fraction(4, 5)) ** -400, GR(Fraction(3, 5), Fraction(4, 5))]], ((1, 400),)),
-        ([["1048576", "1/2", "1/2"]], ((1, 0, 20), (0, 1, -1))),
+    @pytest.mark.parametrize("rows, basis, branch", [
+        ([[GR(Fraction(3, 5), Fraction(4, 5)) ** -400, GR(Fraction(3, 5), Fraction(4, 5))]], ((1, 400),), [-59, 0]),
+        ([["1048576", "1/2", "1/2"]], ((1, 0, 20), (0, 1, -1)), [0, 0, 0]),
     ], ids=["rows0-basis0", "rows1-basis1"])
-    def test_omega_beyond_the_bound_is_indeterminate(self, rows, basis):
-        """Omega's first points have degree 401 and 21, past the bound 8: no
-        point within the bound is not an empty Omega, so there is no branch
-        and no vacuity.  The rank-1 lattice is decided by its sign, the
-        rank-2 one by the LP."""
+    def test_omega_beyond_the_bound_is_decided(self, rows, basis, branch):
+        """Omega's first points have degree 401 and 21, past the default
+        bound 8, and the walk there finds none; the cone spans all of L (by
+        the sign of the rank-1 lattice, by one LP at rank 2), and the branch
+        rows are solved on it."""
         eigen = EigenData.from_rows([[str(z) for z in row] for row in rows])
         assert eigen.lattice.basis == basis
         assert enumerate_omega(eigen, 8).points == ()
-        assert find_infinitesimal_generators(eigen, omega_bound=8).to_json() == {
-            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"omega_bound": 8},
-            "reason": "Omega is not empty but has no point within omega_bound"}
+        assert omega_cone(eigen).basis == basis
+        assert find_infinitesimal_generators(eigen).to_json() == {
+            "verdict": "yes", "method": "exact", "witness": {"branch": [branch]}}
 
     @pytest.mark.parametrize("row, empty", [
         (["2", "3"], True),  # rank 0
@@ -181,27 +185,33 @@ class TestInfinitesimalGenerators:
         (["1048576", "1/2", "1/2"], False),  # rank 2, first Omega point of degree 21
     ], ids=["row0-True", "row1-False", "row2-True", "row3-True", "row4-False", "row5-False"])
     def test_omega_is_empty_exactly(self, row, empty):
-        assert _omega_is_empty(EigenData.from_rows([row])) is empty
+        assert (omega_cone(EigenData.from_rows([row])).point is None) is empty
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
         st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=3)))
     def test_omega_emptiness_oracle(self, exponents):
         """mu_k = 2^a_k 3^b_k 5^c_k, so L = {k : M k = 0} for the exponent
-        matrix M.  Gordan: the cone {x >= 0 : M x = 0} is zero exactly when
-        y M > 0 for some y; a small such y proves Omega empty, a small Omega
-        point proves it not empty."""
+        matrix M and L^perp is the row space of M.  Tucker: coordinate j is
+        left at 0 by the cone {x >= 0 : M x = 0} exactly when some w = y M
+        is >= 0 with w_j > 0, and the cone is zero exactly when some y M > 0.
+        A small such y puts j in the cone's zero set, or proves Omega empty;
+        a small Omega point positive at j keeps j out of it, and proves
+        Omega not empty."""
         n = len(exponents[0])
         primes = (2, 3, 5)
         row = [str(math.prod(Fraction(q) ** e[k] for q, e in zip(primes, exponents))) for k in range(n)]
         eigen = EigenData.from_rows([row])
-        empty = _omega_is_empty(eigen)
-        if enumerate_omega(eigen, 10).points:
-            assert not empty
+        cone = omega_cone(eigen)
+        walked = enumerate_omega(eigen, 10).points
+        assert not walked or cone.point is not None
+        assert not any(pt[j] for pt in walked for j in cone.zero)
         for y in itertools.product(range(-3, 4), repeat=len(exponents)):
-            if all(sum(c * e[k] for c, e in zip(y, exponents)) > 0 for k in range(n)):
-                assert empty
-                break
+            w = [sum(c * e[k] for c, e in zip(y, exponents)) for k in range(n)]
+            if min(w) >= 0:
+                assert all(j in cone.zero for j in range(n) if w[j] > 0)
+            if min(w) > 0:
+                assert cone.point is None
 
 
 _ORACLE_ENTRIES = tuple(GR.parse(z) for z in (
@@ -578,7 +588,7 @@ class TestHullOracle:
 
 class TestPoincareType:
     def test_example_13(self):
-        verdict = poincare_type_single(E13, enumerate_omega(E13, 8))
+        verdict = poincare_type_single(E13)
         assert verdict.yes
         cert = verdict.witness
         assert cert.k == (1, -1)
@@ -587,7 +597,7 @@ class TestPoincareType:
 
     def test_three_slot(self):
         eigen = EigenData.from_rows([["2", "1/2", "-1"]])
-        verdict = poincare_type_single(eigen, enumerate_omega(eigen, 8))
+        verdict = poincare_type_single(eigen)
         cert = verdict.witness
         assert verdict.yes
         assert cert.alphas == ((3, 2),)
@@ -595,11 +605,11 @@ class TestPoincareType:
         assert cert.verify(eigen)
 
     def test_unit_circle_hypothesis_fails(self):
-        assert poincare_type_single(EI, enumerate_omega(EI, 8)).no
+        assert poincare_type_single(EI).no
 
     def test_unit_modulus_slot_of_order_4(self):
         eigen = EigenData.from_rows([["2", "1/2", "i"]])
-        verdict = poincare_type_single(eigen, enumerate_omega(eigen, 8))
+        verdict = poincare_type_single(eigen)
         assert verdict.yes and verdict.witness.alphas == ((3, 4),) and not verdict.bounds_used
         assert verdict.witness.verify(eigen)
 
@@ -617,12 +627,12 @@ class TestPoincareType:
         monkeypatch.setattr(classify, "_torsion_order", lambda z: None)
         eigen = EigenData.from_rows([["2", "1/2", "-1"]])
         with pytest.raises(AssertionError, match="slot 3 is not a root of unity"):
-            poincare_type_single(eigen, enumerate_omega(eigen, 8))
+            poincare_type_single(eigen)
         with pytest.raises(AssertionError, match=r"pair \(2,1\) has no exact cancelling power"):
-            poincare_type_single(E13, enumerate_omega(E13, 8))
+            poincare_type_single(E13)
 
     def test_needs_enough_integrals(self):
-        verdict = poincare_type_single(E23, enumerate_omega(E23, 8))
+        verdict = poincare_type_single(E23)
         assert verdict.no and verdict.method == "exact" and not verdict.bounds_used
         assert verdict.witness == {"lattice_rank": 0, "needed": 1}
 
@@ -632,41 +642,89 @@ _ELLIPTIC = GR(1, 2) / GR(1, -2)  # modulus 1, not a root of unity
 
 
 @st.composite
-def bounded_search_eigen(draw):
-    """p x n eigenvalues, p <= 2 and n <= 3.  Each germ's entries are units
-    times powers of one or two generators from 2, 3, 6 and the unit-modulus
-    (1 + 2i)/(1 - 2i), so its relation lattice has rank n - 1 or n - 2 and
-    Omega can be empty, start past degree 8 or start low; exponents up to
-    12 also give branch rows with large particular solutions."""
-    p = draw(st.integers(1, 2))
-    n = draw(st.integers(max(p, 2), 3))
+def cone_eigen(draw):
+    """p x n eigenvalues, p <= 3 and n <= 5.  Each germ's entries are units
+    times powers of one or two generators from 2, 3, 5, 6 and the
+    unit-modulus (1 + 2i)/(1 - 2i), so relation lattices of every rank up
+    to n occur, and Omega can be empty, start past degree 8 or start low.
+    Exponents go up to 12 at p = 1, which also gives branch rows with large
+    particular solutions, and up to 3 above: the lattice's entries grow
+    with p, and its exact re-check raises the eigenvalues to them."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(max(p, 2), 5))
+    top = 12 if p == 1 else 3
     rows = []
     for _ in range(p):
-        gens = draw(st.lists(st.sampled_from([GR(2), GR(3), GR(6), _ELLIPTIC]), min_size=1, max_size=2))
+        gens = draw(st.lists(st.sampled_from([GR(2), GR(3), GR(5), GR(6), _ELLIPTIC]), min_size=1, max_size=2))
         rows.append(tuple(
-            draw(st.sampled_from(_UNITS)) * math.prod((g ** draw(st.integers(-12, 12)) for g in gens), start=GR(1))
+            draw(st.sampled_from(_UNITS)) * math.prod((g ** draw(st.integers(-top, top)) for g in gens), start=GR(1))
             for _ in range(n)))
     return EigenData(tuple(rows))
 
 
-def _bounded_verdicts(eigen: EigenData, scale: int) -> dict:
-    """The verdicts whose searches the Omega bound limits, at the command
-    line's default bound 8 times `scale`."""
-    omega_bound = 8 * scale
-    verdicts = {"nondegenerate": is_nondegenerate(eigen, omega_bound)}
-    if eigen.p == 1:
-        verdicts["poincare_type"] = poincare_type_single(eigen, enumerate_omega(eigen, omega_bound))
-    return {name: verdict.value for name, verdict in verdicts.items()}
+def _in_span(rows, point) -> bool:
+    """Is `point` an integer combination of `rows`?"""
+    columns = [[row[c] for row in rows] for c in range(len(point))]
+    return solve_integer(columns, list(point), ncols=len(rows)) is not None
 
 
-class TestBoundedSearchOracle:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(eigen=bounded_search_eigen())
-    def test_default_bounds_never_contradict_larger_ones(self, eigen):
-        """A verdict at the default bounds is INDETERMINATE or the one that
-        three times the bounds give, whenever that one is definite: a
-        bounded search that falls short never answers NO."""
-        small, large = _bounded_verdicts(eigen, 1), _bounded_verdicts(eigen, 3)
-        undecided = VerdictValue.INDETERMINATE
-        for name, verdict in small.items():
-            assert verdict is undecided or large[name] is undecided or verdict is large[name], (name, eigen)
+def _analyze_verdicts(eigen: EigenData, bound: int) -> dict | None:
+    """The verdict entries of `analyze` on the linear family with these
+    eigenvalues (so `nondegenerate` is among them) at --bound-omega
+    `bound`, or None when its Omega walk passes the node cap (exit 1)."""
+    family = {"schema": 1, "n": eigen.n, "p": eigen.p, "degree": 4,
+              "maps": [{"linear_diag": [str(z) for z in row], "terms": []} for row in eigen.mu]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "family.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            json.dump(family, fh)
+        if run(["analyze", path, "--bound-omega", str(bound), "--output", out]) == 1:
+            return None
+        with open(out) as fh:
+            payload = json.load(fh)["payload"]
+    return {name: entry for name, entry in payload.items() if isinstance(entry, dict) and "verdict" in entry}
+
+
+class TestOmegaConeOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(eigen=cone_eigen())
+    def test_cone_agrees_with_its_dual_and_the_walk(self, eigen):
+        """For every coordinate j exactly one of the LP x in L (x) Q, x >= 0,
+        x_j = 1 and its dual B w = 0, w >= 0, w_j = 1 is feasible, the dual
+        exactly on the cone's zero set Z.  M lies in L (by exact products on
+        its basis) and vanishes on Z, the point v lies in M and is >= 0 and
+        positive off Z, so an Omega point, the separator is >= 0, orthogonal
+        to L and positive on Z, and every Omega point that the walk to
+        degree 24 finds lies in M and vanishes on Z."""
+        n, basis = eigen.n, [list(k) for k in eigen.lattice.basis]
+        cone = omega_cone(eigen)
+        perp = kernel_basis(basis, ncols=n)
+        for j in range(n):
+            unit = [int(m == j) for m in range(n)]
+            primal = rational_feasible(perp + [unit], [0] * len(perp) + [1]) is not None
+            dual = rational_feasible(basis + [unit], [0] * len(basis) + [1]) is not None
+            assert primal is not dual and dual is (j in cone.zero), (eigen.mu, j)
+        assert all(eigen.satisfies_relation(m) and not any(m[j] for j in cone.zero) for m in cone.basis)
+        w = cone.separator
+        assert min(w) >= 0 and all(w[j] > 0 for j in cone.zero)
+        assert all(sum(a * b for a, b in zip(k, w)) == 0 for k in basis)
+        v = cone.point
+        if v is None:
+            assert not cone.basis and len(cone.zero) == n
+        else:
+            assert min(v) >= 0 and all(v[j] > 0 for j in range(n) if j not in cone.zero)
+            assert _in_span(cone.basis, v)
+        try:
+            walked = enumerate_omega(eigen, 24).points
+        except UsageError:  # the walk passed its node cap
+            walked = enumerate_omega(eigen, 8).points
+        for pt in walked:
+            assert _in_span(cone.basis, pt) and not any(pt[j] for j in cone.zero), (eigen.mu, pt)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(eigen=cone_eigen())
+    def test_analyze_verdicts_do_not_read_the_bound(self, eigen):
+        """Every `analyze` verdict, witness and all, is the same at
+        --bound-omega 8 and 24, when the walk to 24 stays under its cap."""
+        large = _analyze_verdicts(eigen, 24)
+        assert large is None or _analyze_verdicts(eigen, 8) == large, eigen.mu

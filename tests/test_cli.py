@@ -811,39 +811,40 @@ class TestEigenWork:
         }
 
     def test_poincare_type_undecided_when_only_enumeration_is_short(self, tmp_path):
-        # lattice (1, -1) has rank n - 1 but no nonzero point in N^2
+        """The lattice (1, -1) has rank n - 1 but no nonzero point in N^2, so
+        no enumeration is short: Omega spans rank 0, an exact NO whose
+        separating vector (1, 1) is >= 0, orthogonal to L and positive on
+        both coordinates."""
         path = _write(tmp_path, "e22.json", {"schema": 1, "mu": [["2", "2"]]})
         code, report = _run_json(tmp_path, "analyze", path)
-        assert code == 2
-        entry = report["payload"]["poincare_type"]
-        assert entry["verdict"] == "indeterminate"
-        assert entry["reason"] == "need n-1 = 1 independent first-integral exponents, found 0"
+        assert code == 0
+        assert report["payload"]["poincare_type"] == {"verdict": "no", "method": "exact", "witness": {
+            "lattice_rank": 1, "needed": 1, "omega_rank": 0, "zero_coordinates": [1, 2],
+            "separating_vector": [1, 1]}}
 
 
 class TestBoundedSearchShortfall:
-    """A bounded search that falls short answers INDETERMINATE and names its
-    bound; a bound large enough decides."""
+    """Where a bounded Omega walk once fell short, the Omega cone decides:
+    each verdict is the same at every --bound-omega."""
 
     # Omega's first points, (1, 20, 0) and (1, 19, 1), have degree 21
     FAR_OMEGA = {"schema": 1, "n": 3, "p": 1, "degree": 4,
                  "maps": [{"linear_diag": ["1048576", "1/2", "1/2"], "terms": []}]}
 
     def test_omega_walk_shortfall_is_indeterminate(self, tmp_path):
+        """No walk falls short now: at the default bound, which finds no
+        Omega point, both verdicts are YES, and the nondegeneracy witness is
+        m_j + v for M's basis m_j and the cone's point v = (21, 20, 400)."""
         path = _write(tmp_path, "far.json", self.FAR_OMEGA)
         code, report = _run_json(tmp_path, "analyze", path)
-        assert code == 2
-        for name in ("nondegenerate", "poincare_type"):
-            entry = report["payload"][name]
-            assert entry["verdict"] == "indeterminate" and entry["bounds_used"] == {"omega_bound": 8}, name
-        assert report["payload"]["nondegenerate"]["reason"] == (
-            "need n-p = 2 independent first-integral exponents, found 0")
-        assert {report["payload"][name]["method"] for name in ("nondegenerate", "poincare_type")} == {"bounded_search"}
-        code, report = _run_json(tmp_path, "analyze", path, "--bound-omega", "21")
         assert code == 0
-        entry = report["payload"]["nondegenerate"]
-        assert entry["verdict"] == "yes"
-        assert entry["witness"]["independent_exponents"] == [[1, 20, 0], [1, 19, 1]]
+        assert report["payload"]["nondegenerate"] == {"verdict": "yes", "method": "exact", "witness": {
+            "independent_exponents": [[22, 20, 420], [21, 21, 399]]}}
         assert report["payload"]["poincare_type"]["verdict"] == "yes"
+        code, wider = _run_json(tmp_path, "analyze", path, "--bound-omega", "21")
+        assert code == 0
+        for name in ("nondegenerate", "poincare_type", "infinitesimal_generators"):
+            assert wider["payload"][name] == report["payload"][name], name
 
     def test_nondegenerate_fails_exactly_when_lattice_rank_is_short(self, tmp_path):
         data = {"schema": 1, "n": 2, "p": 1, "degree": 4, "maps": [{"linear_diag": ["2", "3"], "terms": []}]}
@@ -859,15 +860,17 @@ class TestBoundedSearchShortfall:
     def test_branch_box_shortfall_is_indeterminate(self, tmp_path):
         """There is no branch box to fall short: all moduli are 1 and the
         lattice basis is (1, 400), the branch row's integer solutions are
-        (-59, 0) plus the kernel, and the particular solution is the YES.
-        Exit 2 comes from the generators' Omega walk alone."""
+        (-59, 0) plus the kernel, and the particular solution is the YES of
+        both branch questions.  The lattice row is >= 0, so it spans Omega,
+        and the command exits 0."""
         path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(self.MU2 ** -400), str(self.MU2)]]})
         code, report = _run_json(tmp_path, "analyze", path)
-        assert code == 2
+        assert code == 0
         assert report["payload"]["normal_form_hypothesis"] == {
             "verdict": "yes", "method": "symbolic+interval",
             "witness": {"route": "weakly_nonresonant_generators", "branch": [[-59, 0]], "minor_columns": [1]}}
-        assert report["payload"]["infinitesimal_generators"]["verdict"] == "indeterminate"
+        assert report["payload"]["infinitesimal_generators"] == {
+            "verdict": "yes", "method": "exact", "witness": {"branch": [[-59, 0]]}}
 
     def test_particular_solution_far_from_zero_needs_no_box(self, tmp_path):
         """n = 8 with six primes beside the unit-modulus pair: the first box
@@ -880,8 +883,7 @@ class TestBoundedSearchShortfall:
         assert time.process_time() - start < 2.0
         assert code == 0
         assert report["payload"]["infinitesimal_generators"] == {
-            "verdict": "yes", "method": "exact", "witness": {"branch": [[-59, 0, 0, 0, 0, 0, 0, 0]]},
-            "bounds_used": {"omega_bound": 401}}
+            "verdict": "yes", "method": "exact", "witness": {"branch": [[-59, 0, 0, 0, 0, 0, 0, 0]]}}
 
     def test_trivial_lattice_gets_a_certified_branch(self, tmp_path):
         """u = 3/5+4/5 i and v = 5/13+12/13 i are independent, so L = 0 and
@@ -918,28 +920,25 @@ class TestBoundedSearchShortfall:
         mu = [str(z) for u in self.UNIT_PAIRS[:pairs] for z in (u, u.conjugate())]
         path = _write(tmp_path, "pairs.json", {"schema": 1, "mu": [mu]})
         code, report = _run_json(tmp_path, "analyze", path, *extra)
-        bound = int(extra[1]) if extra else 8
         assert code == 0 and len(walks) == 1
         assert report["payload"]["infinitesimal_generators"] == {
-            "verdict": "yes", "method": "exact", "witness": {"branch": [[0] * (2 * pairs)]},
-            "bounds_used": {"omega_bound": bound}}
+            "verdict": "yes", "method": "exact", "witness": {"branch": [[0] * (2 * pairs)]}}
         assert report["payload"]["normal_form_hypothesis"] == {
             "verdict": "yes", "method": "symbolic+interval",
             "witness": {"route": "weakly_nonresonant_generators", "branch": [[0] * (2 * pairs)],
                         "minor_columns": [1]}}
 
     def test_undecided_generators_alone_exit_2(self, tmp_path):
-        """Every other verdict is definite, but Omega's first points have
-        degree 21, past the bound 8, so the generators are undecided."""
+        """Omega's first points have degree 21, past the bound 8, yet the
+        generators are decided on the cone's span, L itself, where K0 = 0:
+        every verdict is definite and the command exits 0."""
         path = _write(tmp_path, "far.json", {"schema": 1, "mu": [["1048576", "1/2", "1/2"], ["1", "1", "1"]]})
         code, report = _run_json(tmp_path, "analyze", path)
-        assert code == 2
-        payload = report["payload"]
-        assert all(entry["verdict"] != "indeterminate" for name, entry in payload.items()
-                   if isinstance(entry, dict) and "verdict" in entry and name != "infinitesimal_generators")
-        assert payload["infinitesimal_generators"] == {
-            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"omega_bound": 8},
-            "reason": "Omega is not empty but has no point within omega_bound"}
+        assert code == 0
+        assert not any(entry.get("verdict") == "indeterminate" for entry in report["payload"].values()
+                       if isinstance(entry, dict))
+        assert report["payload"]["infinitesimal_generators"] == {
+            "verdict": "yes", "method": "exact", "witness": {"branch": [[0, 0, 0], [0, 0, 0]]}}
 
     def test_generator_search_that_raises_exits_2(self, tmp_path, monkeypatch):
         """A K0 that no precision certifies makes the generators, not the
@@ -950,29 +949,39 @@ class TestBoundedSearchShortfall:
         def undecided(*args, **kwargs):
             raise IndeterminateError("precision cap reached")
 
-        monkeypatch.setattr(classify, "_branch_row", undecided)
+        monkeypatch.setattr(classify, "_branch_rows", undecided)
         path = ROOT / "perfbench" / "corpus" / "eigen" / "small_p2-2.json"
         code, report = _run_json(tmp_path, "analyze", str(path))
         assert code == 2
         assert report["payload"]["infinitesimal_generators"] == {
-            "verdict": "indeterminate", "method": "symbolic+interval", "bounds_used": {"omega_bound": 8},
-            "reason": "precision cap reached"}
+            "verdict": "indeterminate", "method": "symbolic+interval", "reason": "precision cap reached"}
 
     def test_generators_on_a_short_omega_walk_are_indeterminate(self, tmp_path):
         """mu = [[mu2^-400, mu2]] again: the lattice (1, 400) has one sign, so
-        Omega is not empty though the walk to degree 8 finds no point; the
-        report has no branch and no vacuity.  A mixed-sign lattice stays
-        vacuous."""
+        it spans Omega, and the generator verdict is the same whether the
+        walk stops at degree 8, with no point, or reaches (1, 400).  A
+        mixed-sign lattice stays vacuous."""
         path = _write(tmp_path, "far_branch.json", {"schema": 1, "mu": [[str(self.MU2 ** -400), str(self.MU2)]]})
-        code, report = _run_json(tmp_path, "analyze", path)
-        assert code == 2
-        assert report["payload"]["infinitesimal_generators"] == {
-            "verdict": "indeterminate", "method": "bounded_search", "bounds_used": {"omega_bound": 8},
-            "reason": "Omega is not empty but has no point within omega_bound"}
+        for bound in ("8", "401"):
+            code, report = _run_json(tmp_path, "analyze", path, "--bound-omega", bound)
+            assert code == 0
+            assert report["payload"]["infinitesimal_generators"] == {
+                "verdict": "yes", "method": "exact", "witness": {"branch": [[-59, 0]]}}, bound
         path = _write(tmp_path, "mixed.json", {"schema": 1, "mu": [["2", "2"]]})
         _, report = _run_json(tmp_path, "analyze", path)
         assert report["payload"]["infinitesimal_generators"] == {
             "verdict": "yes", "method": "exact", "witness": {"branch": [[0, 0]], "vacuous": True}}
+
+    def test_generators_answer_no_at_every_bound(self, tmp_path):
+        """L = <(1, 1, 0, 0), (0, 0, 2, 40)> spans Omega, and K0 is odd on the
+        second row, of degree 42: the walk to 8 sees only the first row, yet
+        the answer is NO at the default bound as at 42."""
+        path = _write(tmp_path, "found.json", {"schema": 1, "mu": [["3/5+4/5*i", "3/5-4/5*i", "-1048576", "1/2"]]})
+        for bound in ("8", "42"):
+            code, report = _run_json(tmp_path, "analyze", path, "--bound-omega", bound)
+            assert code == 0
+            assert report["payload"]["infinitesimal_generators"] == {"verdict": "no", "method": "exact", "witness": {
+                "germ": 1, "span": [[1, 1, 0, 0], [0, 0, 2, 40]], "rhs": [0, -1], "reason": "no integer solution"}}
 
     def test_candidate_cap_names_the_bounded_search(self, tmp_path):
         """No candidate cap is left: rank L = 1, so k = 3 < p = 4 and every
