@@ -29,7 +29,6 @@ from .germ import (
 )
 from .resonance import (
     EigenData,
-    OmegaEnumeration,
     RelationLattice,
     ResonantSet,
     enumerate_omega,

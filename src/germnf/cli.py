@@ -215,7 +215,7 @@ def _cmd_lattice(data, args) -> tuple[dict, int]:
     rank_enum, rank_lat = vect_omega_rank(eigen, bound)
     payload = {
         "basis": eigen.lattice.to_json(),
-        "omega_points": [list(pt) for pt in omega.points],
+        "omega_points": [list(pt) for pt in omega],
         "bound": bound,
         "rank_enumerated": rank_enum,
         "rank_lattice": rank_lat,
@@ -405,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="input JSON file (family or eigen data)")
     parser.add_argument("--degree", type=int, default=4, help="truncation degree (default 4)")
     parser.add_argument("--bound-omega", type=int, default=None,
-                        help="enumeration bound for Omega (default 2*degree)")
+                        help="degree bound of lattice's Omega and resonant-set listings and of "
+                             "analyze's vect_omega_rank (default 2*degree)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")

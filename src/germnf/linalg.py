@@ -146,28 +146,18 @@ class WalkTooLong(Exception):
     """A lattice walk reached its node cap before it was done."""
 
 
-def lattice_points(
-    basis: list[list[int]],
-    lower: list[int],
-    upper: list[int],
-    offset: list[int] | None = None,
-    *,
-    max_sum: int | None = None,
-    max_nodes: int | None = None,
-):
-    """All points offset + Z-combinations of basis rows inside the box
-    [lower, upper] (componentwise) and, given max_sum, with coordinate sum
-    at most max_sum.  Yields tuples in a deterministic order.
+def lattice_points(basis: list[list[int]], offset: list[int], max_sum: int, max_nodes: int):
+    """All points offset + Z-combinations of basis rows in N^n with
+    coordinate sum at most max_sum.  Yields tuples in a deterministic order.
 
     basis must be in row HNF, so row l is the last row to move its pivot
     coordinate and every coordinate that no later row moves: those are
-    fixed once row l's coefficient is chosen.  That coefficient ranges only
-    over the values that keep them in the box and keep the sum of the
-    fixed coordinates, plus the lower bounds of the others, within max_sum.
-    So every node of the walk is a consistent partial point and the walk's
-    cost is its node count, which raises WalkTooLong past max_nodes."""
-    n = len(lower)
-    base = list(offset) if offset is not None else [0] * n
+    fixed once row l's coefficient a is chosen.  Each fixed coordinate
+    c + a*v >= 0 bounds a, and so does the sum of the fixed coordinates,
+    now + a*step <= max_sum, since the free ones add at least 0.  So every
+    node of the walk is a consistent partial point and the walk's cost is
+    its node count, which raises WalkTooLong past max_nodes."""
+    n = len(offset)
     last, pivot = [-1] * n, -1  # the last row that moves each coordinate
     for level, row in enumerate(basis):
         p = next(i for i, v in enumerate(row) if v)
@@ -177,22 +167,18 @@ def lattice_points(
         for j, v in enumerate(row):
             if v:
                 last[j] = level
-    # per row: the coordinates it fixes with their entries and box, the
-    # sum of those entries, and the least sum the still free ones can reach
-    k, start, least = len(basis), 0, 0
-    levels = [[[], 0, 0] for _ in basis]
+    # per row: the coordinates it fixes with their entries, and their sum
+    k, start = len(basis), 0
+    levels = [[[], 0] for _ in basis]
     for j, level in enumerate(last):
         if level < 0:
-            if not lower[j] <= base[j] <= upper[j]:
+            if offset[j] < 0:
                 return
-            start += base[j]
-            continue
-        row, least = basis[level], least + lower[j]
-        levels[level][0].append((j, row[j], lower[j], upper[j]))
-        levels[level][1] += row[j]
-        for earlier in levels[:level]:
-            earlier[2] += lower[j]
-    if max_sum is not None and start + least > max_sum:
+            start += offset[j]
+        else:
+            levels[level][0].append((j, basis[level][j]))
+            levels[level][1] += basis[level][j]
+    if start > max_sum:
         return
     nodes = 0
 
@@ -201,33 +187,28 @@ def lattice_points(
         if level == k:
             yield tuple(current)
             return
-        row, (fixes, step, free_low) = basis[level], levels[level]
-        a_lo, a_hi, now = None, None, fixed_sum
-        for j, v, low, high in fixes:
-            c = current[j]
-            now += c
-            lo, hi = (_ceil_div(low - c, v), (high - c) // v) if v > 0 else (_ceil_div(high - c, v), (low - c) // v)
-            if a_lo is None or lo > a_lo:
-                a_lo = lo
-            if a_hi is None or hi < a_hi:
-                a_hi = hi
-        if max_sum is not None:  # a * step <= slack
-            slack = max_sum - free_low - now
-            if step > 0:
-                a_hi = min(a_hi, slack // step)
-            elif step < 0:
-                a_lo = max(a_lo, _ceil_div(slack, step))
-            elif slack < 0:
+        row, (fixes, step) = basis[level], levels[level]
+        now = fixed_sum + sum(current[j] for j, _ in fixes)
+        # c + a*v >= 0 for each fixed coordinate and for the slack max_sum - now - a*step:
+        # the pivot bounds a below, and a negative entry or else step > 0 bounds it above
+        lows, highs = [], []
+        for c, v in [(current[j], v) for j, v in fixes] + [(max_sum - now, -step)]:
+            if v > 0:
+                lows.append(_ceil_div(-c, v))
+            elif v < 0:
+                highs.append(-c // v)
+            elif c < 0:
                 return
+        a_lo, a_hi = max(lows), min(highs)
         if a_hi < a_lo:
             return
         nodes += a_hi - a_lo + 1
-        if max_nodes is not None and nodes > max_nodes:
+        if nodes > max_nodes:
             raise WalkTooLong(f"the walk passed {max_nodes} nodes")
         for a in range(a_lo, a_hi + 1):
             yield from rec(level + 1, [current[j] + a * row[j] for j in range(n)], now + a * step)
 
-    yield from rec(0, base, start)
+    yield from rec(0, list(offset), start)
 
 
 # ---------------------------------------------------------------------------

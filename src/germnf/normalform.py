@@ -332,14 +332,14 @@ def generate_integrable_nf(
     seed = 0 means zero degrees of freedom: the linear family."""
     n = eigen.n
     check_jet_size(n, degree)
-    omega = enumerate_omega(eigen, max(degree - 1, 1)) if degree >= 2 else None
+    omega = enumerate_omega(eigen, degree - 1)
     kernel = kernel_basis([list(r) for r in lattice.basis], ncols=n)
     germs = []
     rng = random.Random(seed)
     for i in range(eigen.p):
         w = [TruncatedSeries.zero(n, degree) for _ in range(n)]
-        if seed != 0 and omega is not None and kernel:
-            for pt in omega.points:
+        if seed != 0 and kernel:
+            for pt in omega:
                 vec = [Fraction(0)] * n
                 for basis_vec in kernel:
                     t = Fraction(rng.randint(-16, 16), rng.randint(1, 16))

@@ -12,7 +12,7 @@ mod-4 congruence is absorbed into one integer-kernel computation by a
 scaled auxiliary column per germ.
 
 Omega (the paper's first-integral exponent set) is the lattice's
-intersection with N^n; resonant sets are its e_m-translates.  One box walk,
+intersection with N^n; resonant sets are its e_m-translates.  One walk,
 `_walk`, lists both to a degree bound, for `lattice` and `vect_omega_rank`.
 The deciders read Omega's span exactly instead, with no bound, from the
 cone (L (x) Q) cap Q^n_{>=0} (`omega_cone`).
@@ -25,7 +25,7 @@ distinct eigenvalue's factorization, log-modulus vector and principal
 argument, the relation lattice, its Omega cone, the Omega walk per degree
 bound, `classify`'s table of log-modulus minors, and the tables of eigenvalue
 powers and resonance gaps.  A caller that holds a lattice or an Omega
-enumeration holds the EigenData it came from, so the functions here take
+listing holds the EigenData it came from, so the functions here take
 only that.  Nothing is cached beyond the object's lifetime; one CLI
 command builds one object.
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .exactnum import (
@@ -58,7 +57,7 @@ from .exactnum import (
     integer_coprime_base,
     principal_arg_turns,
 )
-from .linalg import WalkTooLong, kernel_basis, lattice_points, rational_feasible, row_hnf
+from .linalg import WalkTooLong, integer_rank, kernel_basis, lattice_points, rational_feasible, row_hnf
 from .series import MultiIndex, UsageError, grlex_key
 
 # Nodes one walk of the lattice to degree <= bound may visit.  A full-rank
@@ -314,29 +313,13 @@ def _cleared(vectors: list, n: int) -> tuple[int, ...]:
     return tuple(int(f * scale) for f in total)
 
 
-class OmegaEnumeration:
-    """All nonzero first-integral exponents of degree <= degree_bound, in
-    grlex order, and `span`, the HNF basis of their Z-span, computed on
-    first read."""
-
-    def __init__(self, degree_bound: int, points: tuple[MultiIndex, ...]):
-        self.degree_bound, self.points = degree_bound, points
-
-    @cached_property
-    def span(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, row_hnf(self.points))) if self.points else ()
-
-
-def enumerate_omega(eigen: EigenData, bound: int) -> OmegaEnumeration:
-    """Nonzero lattice points in N^n with total degree <= bound.
-
-    The eigen object keeps the result, so one command walks each box once
-    and computes its span once.
-    """
+def enumerate_omega(eigen: EigenData, bound: int) -> tuple[MultiIndex, ...]:
+    """Nonzero lattice points in N^n with total degree <= bound, in grlex
+    order.  The eigen object keeps them, so one command walks to each bound
+    once."""
     if bound < 1:
         raise UsageError("enumeration bound must be >= 1")
-    return eigen.once(("omega", bound), lambda: OmegaEnumeration(
-        bound, _walk(eigen, [0] * eigen.n, 1, bound, eigen.satisfies_relation)))
+    return eigen.once(("omega", bound), lambda: _walk(eigen, [0] * eigen.n, 1, bound, eigen.satisfies_relation))
 
 
 def _walk(eigen: EigenData, offset: list[int], low: int, bound: int, holds) -> tuple[MultiIndex, ...]:
@@ -346,7 +329,7 @@ def _walk(eigen: EigenData, offset: list[int], low: int, bound: int, holds) -> t
     which reads the power table.  UsageError once it has visited
     MAX_WALK_NODES nodes."""
     n = eigen.n
-    walk = lattice_points(eigen.lattice.basis, [0] * n, [bound] * n, offset, max_sum=bound, max_nodes=MAX_WALK_NODES)
+    walk = lattice_points(eigen.lattice.basis, offset, bound, MAX_WALK_NODES)
     pts = []
     try:
         for pt in walk:
@@ -405,4 +388,4 @@ def vect_omega_rank(eigen: EigenData, enumeration_bound: int) -> tuple[int, int]
     nonnegative points only, and a finite enumeration can only bound its
     dimension from below.
     """
-    return len(enumerate_omega(eigen, enumeration_bound).span), eigen.lattice.rank
+    return integer_rank(enumerate_omega(eigen, enumeration_bound)), eigen.lattice.rank

@@ -480,7 +480,7 @@ def rho_equivariant_nf(eigen: EigenData, sigma: tuple[int, ...], degree: int,
     conjugation pairing w_{sigma(k)}(G o sigma) = conj(w_k(G))."""
     n = eigen.n
     lat = eigen.lattice
-    omega_pts = list(enumerate_omega(eigen, max(degree - 1, 1)).points) if degree >= 2 else []
+    omega_pts = list(enumerate_omega(eigen, max(degree - 1, 1))) if degree >= 2 else []
     if not omega_pts:
         return Family([linear_diag_germ(row, degree) for row in eigen.mu])
     # real unknowns re[k, G], im[k, G]

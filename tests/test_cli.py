@@ -784,22 +784,22 @@ class TestEigenWork:
         assert _run_json(tmp_path, "analyze", path)[0] == 0
         assert len(calls) == 1
 
-    def test_p1_analyze_walks_the_omega_box_once(self, tmp_path, monkeypatch):
+    def test_p1_analyze_walks_omega_once(self, tmp_path, monkeypatch):
         import germnf.linalg as linalg
         import germnf.resonance as resonance
 
-        boxes = []
+        walks = []
 
-        def counted(basis, lower, upper, offset=None, **limits):
-            boxes.append((tuple(lower), tuple(upper)))
-            return linalg.lattice_points(basis, lower, upper, offset, **limits)
+        def counted(basis, offset, max_sum, max_nodes):
+            walks.append((tuple(offset), max_sum))
+            return linalg.lattice_points(basis, offset, max_sum, max_nodes)
 
         monkeypatch.setattr(resonance, "lattice_points", counted)
         path = _write(tmp_path, "e13.json", {"schema": 1, "mu": [["-2", "1/2"]]})
         code, report = _run_json(tmp_path, "analyze", path)
         assert code == 0 and report["payload"]["poincare_type"]["verdict"] == "yes"
         bound = report["config"]["bound_omega"]
-        assert boxes.count(((0, 0), (bound, bound))) == 1
+        assert walks.count(((0, 0), bound)) == 1
 
     def test_poincare_type_fails_exactly_when_lattice_rank_is_short(self, tmp_path):
         path = _write(tmp_path, "e23.json", {"schema": 1, "mu": [["2", "3"]]})
@@ -810,7 +810,7 @@ class TestEigenWork:
             "witness": {"lattice_rank": 0, "needed": 1},
         }
 
-    def test_poincare_type_undecided_when_only_enumeration_is_short(self, tmp_path):
+    def test_poincare_type_no_when_omega_spans_rank_0(self, tmp_path):
         """The lattice (1, -1) has rank n - 1 but no nonzero point in N^2, so
         no enumeration is short: Omega spans rank 0, an exact NO whose
         separating vector (1, 1) is >= 0, orthogonal to L and positive on
@@ -831,7 +831,7 @@ class TestBoundedSearchShortfall:
     FAR_OMEGA = {"schema": 1, "n": 3, "p": 1, "degree": 4,
                  "maps": [{"linear_diag": ["1048576", "1/2", "1/2"], "terms": []}]}
 
-    def test_omega_walk_shortfall_is_indeterminate(self, tmp_path):
+    def test_far_omega_is_decided_at_the_default_bound(self, tmp_path):
         """No walk falls short now: at the default bound, which finds no
         Omega point, both verdicts are YES, and the nondegeneracy witness is
         m_j + v for M's basis m_j and the cone's point v = (21, 20, 400)."""
@@ -857,7 +857,7 @@ class TestBoundedSearchShortfall:
 
     MU2 = GR(Fraction(3, 5), Fraction(4, 5))
 
-    def test_branch_box_shortfall_is_indeterminate(self, tmp_path):
+    def test_far_branch_is_the_particular_solution(self, tmp_path):
         """There is no branch box to fall short: all moduli are 1 and the
         lattice basis is (1, 400), the branch row's integer solutions are
         (-59, 0) plus the kernel, and the particular solution is the YES of
@@ -928,7 +928,7 @@ class TestBoundedSearchShortfall:
             "witness": {"route": "weakly_nonresonant_generators", "branch": [[0] * (2 * pairs)],
                         "minor_columns": [1]}}
 
-    def test_undecided_generators_alone_exit_2(self, tmp_path):
+    def test_generators_past_the_bound_are_decided(self, tmp_path):
         """Omega's first points have degree 21, past the bound 8, yet the
         generators are decided on the cone's span, L itself, where K0 = 0:
         every verdict is definite and the command exits 0."""
@@ -956,7 +956,7 @@ class TestBoundedSearchShortfall:
         assert report["payload"]["infinitesimal_generators"] == {
             "verdict": "indeterminate", "method": "symbolic+interval", "reason": "precision cap reached"}
 
-    def test_generators_on_a_short_omega_walk_are_indeterminate(self, tmp_path):
+    def test_generator_verdict_ignores_the_walk_bound(self, tmp_path):
         """mu = [[mu2^-400, mu2]] again: the lattice (1, 400) has one sign, so
         it spans Omega, and the generator verdict is the same whether the
         walk stops at degree 8, with no point, or reaches (1, 400).  A
@@ -983,7 +983,7 @@ class TestBoundedSearchShortfall:
             assert report["payload"]["infinitesimal_generators"] == {"verdict": "no", "method": "exact", "witness": {
                 "germ": 1, "span": [[1, 1, 0, 0], [0, 0, 2, 40]], "rhs": [0, -1], "reason": "no integer solution"}}
 
-    def test_candidate_cap_names_the_bounded_search(self, tmp_path):
+    def test_too_few_kernel_rows_is_an_exact_no(self, tmp_path):
         """No candidate cap is left: rank L = 1, so k = 3 < p = 4 and every
         lambda(b) is dependent, an exact NO."""
         path = _write(tmp_path, "p4.json", {"schema": 1, "mu": RANK_2_P4_MU})

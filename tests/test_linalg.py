@@ -107,67 +107,44 @@ def test_rank():
 
 
 def test_lattice_points_against_brute_force():
-    rng = random.Random(21)
-    for _ in range(25):
-        n = rng.randint(1, 3)
-        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
-        basis = row_hnf(gens)
-        bound = rng.randint(1, 5)
-        got = sorted(lattice_points(basis, [0] * n, [bound] * n))
-        # brute force over combination coefficients large enough to cover the box
-        brute = set()
-        if not basis:
-            brute.add(tuple([0] * n))
-        else:
-            reach = 3 * bound + 6
-            for coeffs in itertools.product(range(-reach, reach + 1), repeat=len(basis)):
-                pt = tuple(
-                    sum(coeffs[i] * basis[i][j] for i in range(len(basis))) for j in range(n)
-                )
-                if all(0 <= v <= bound for v in pt):
-                    brute.add(pt)
-        assert got == sorted(brute)
-
-
-def test_lattice_points_signed_box_with_offset():
-    basis = row_hnf([[2, -1]])
-    pts = sorted(lattice_points(basis, [-4, -4], [4, 4], offset=[1, 0]))
-    assert pts == sorted(
-        (1 + 2 * t, -t) for t in range(-3, 4) if -4 <= 1 + 2 * t <= 4 and -4 <= -t <= 4
-    )
-
-
-def test_lattice_points_degree_bound_matches_the_filtered_box():
-    """max_sum cuts the walk, not only its output: the points are the box's
-    points of sum <= max_sum, in the same order, on bases with signed entries."""
+    """The walk lists offset + L in N^n with coordinate sum <= max_sum, each
+    point once, on signed HNF bases and signed offsets."""
     rng = random.Random(26)
     for _ in range(300):
         n = rng.randint(1, 4)
         basis = row_hnf([[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))])
-        lower = [rng.randint(-3, 1) for _ in range(n)]
-        upper = [low + rng.randint(0, 5) for low in lower]
         offset = [rng.randint(-2, 2) for _ in range(n)]
-        max_sum = rng.randint(-3, 10)
-        box = lattice_points(basis, lower, upper, offset)
-        got = list(lattice_points(basis, lower, upper, offset, max_sum=max_sum))
-        assert got == [pt for pt in box if sum(pt) <= max_sum]
+        max_sum = rng.randint(0, 8)
+        got = list(lattice_points(basis, offset, max_sum, 10**6))
+
+        def in_coset(pt):  # reduce pt - offset by the echelon rows
+            d = [a - b for a, b in zip(pt, offset)]
+            for row in basis:
+                p = next(j for j, v in enumerate(row) if v)
+                if d[p] % row[p]:
+                    return False
+                d = [a - d[p] // row[p] * b for a, b in zip(d, row)]
+            return not any(d)
+
+        brute = [pt for pt in itertools.product(range(max_sum + 1), repeat=n) if sum(pt) <= max_sum and in_coset(pt)]
+        assert len(got) == len(set(got)) and sorted(got) == brute
 
 
 def test_lattice_points_node_cap_counts_visited_nodes():
     # full rank in N^3 to degree 10: C(14, 3) - 1 = 363 nodes, C(13, 3) - 1 = 285 nonzero points
     unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert len(list(lattice_points(unit, [0] * 3, [10] * 3, max_sum=10, max_nodes=363))) == 286
+    assert len(list(lattice_points(unit, [0] * 3, 10, 363))) == 286
     with pytest.raises(WalkTooLong):
-        list(lattice_points(unit, [0] * 3, [10] * 3, max_sum=10, max_nodes=362))
+        list(lattice_points(unit, [0] * 3, 10, 362))
     # each row fixes a coordinate it moves negatively: only the origin lies in N^6, and
     # the walk to bound 1000 visits one node per row, not 1001^3 leaves
     signed = [[1, 0, -1, 0, 0, 0], [0, 1, 0, -1, 0, 0], [0, 0, 0, 0, 1, -1]]
-    assert list(lattice_points(signed, [0] * 6, [1000] * 6, max_sum=1000, max_nodes=3)) == [(0,) * 6]
+    assert list(lattice_points(signed, [0] * 6, 1000, 3)) == [(0,) * 6]
 
 
 def test_lattice_points_refuses_a_basis_out_of_hnf():
     with pytest.raises(ValueError):
-        list(lattice_points([[0, 1], [1, 0]], [0, 0], [3, 3]))
+        list(lattice_points([[0, 1], [1, 0]], [0, 0], 3, 100))
 
 
 def test_rational_feasible():

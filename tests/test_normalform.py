@@ -228,7 +228,7 @@ class TestFirstIntegrals:
         nf = generate_integrable_nf(eigen, eigen.lattice, degree, seed=nf_seed)
         psi0 = random_tangent_identity(random.Random(psi_seed), eigen.n, degree, extra_terms=3)
         fam = require_commuting(Family([conjugate(g, psi0) for g in nf.germs]))
-        omega = enumerate_omega(eigen, degree).points
+        omega = enumerate_omega(eigen, degree)
         basis = first_integrals(fam, degree)
         assert len(basis) == len(omega)
         psi_inv = list(invert_germ(poincare_dulac_normalize(fam, eigen).psi).components)
@@ -356,7 +356,7 @@ class TestCertificateProvesCommutation:
         if kind != "none":
             i, m = data.draw(st.integers(0, 1)), data.draw(st.integers(0, eigen.n - 1))
             if kind == "omega":  # x_m x^beta, beta in Omega: resonant for component m
-                beta = data.draw(st.sampled_from(enumerate_omega(eigen, degree - 1).points))
+                beta = data.draw(st.sampled_from(enumerate_omega(eigen, degree - 1)))
                 exp = tuple(b + (k == m) for k, b in enumerate(beta))
             else:
                 exp = data.draw(st.sampled_from(list(all_exponents(eigen.n, degree, min_degree=2))))
@@ -471,7 +471,7 @@ class TestProp32Property:
             psi = random_tangent_identity(rng, 2, 6)
             fam = require_commuting(Family([conjugate(g, psi) for g in nf.germs]))
             res = poincare_dulac_normalize(fam, EigenData.from_family(fam))
-            for pt in enumerate_omega(eigen, 3).points:
+            for pt in enumerate_omega(eigen, 3):
                 G = TS.monomial(pt, 1, 6)
                 for g in res.normalized.germs:
                     assert G.compose(list(g.components)) == G
