@@ -130,6 +130,21 @@ def test_lattice_points_against_brute_force():
         assert len(got) == len(set(got)) and sorted(got) == brute
 
 
+def test_lattice_points_degree_bound_matches_the_filtered_box():
+    """max_sum cuts the walk, not only its output: the points are those of a
+    wider walk (a larger degree bound) with sum <= max_sum, in the same order,
+    on bases with signed entries and signed offsets."""
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        basis = row_hnf([[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))])
+        offset = [rng.randint(-2, 2) for _ in range(n)]
+        max_sum = rng.randint(-3, 8)
+        box = lattice_points(basis, offset, max_sum + rng.randint(0, 5), 10**6)
+        got = list(lattice_points(basis, offset, max_sum, 10**6))
+        assert got == [pt for pt in box if sum(pt) <= max_sum]
+
+
 def test_lattice_points_node_cap_counts_visited_nodes():
     # full rank in N^3 to degree 10: C(14, 3) - 1 = 363 nodes, C(13, 3) - 1 = 285 nonzero points
     unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
