@@ -342,10 +342,14 @@ def _render_text(report: dict) -> str:
                     walk(value, indent + 1)
                 else:
                     lines.append(f"{pad}{key}: {value}")
-        elif isinstance(obj, list):
+        elif isinstance(obj, list):  # one "- " per item: a list of scalars on one line
             for value in obj:
-                if isinstance(value, (dict, list)):
+                if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
+                    lines.append(f"{pad}- [{', '.join(map(str, value))}]")
+                elif isinstance(value, (dict, list)) and value:
+                    start = len(lines)
                     walk(value, indent + 1)
+                    lines[start] = f"{pad}- {lines[start][len(pad) + 2:]}"
                 else:
                     lines.append(f"{pad}- {value}")
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .exactnum import GaussianRational, ONE, from_parts, parse_parts
+from .exactnum import GaussianRational, as_parts, from_parts, parse_parts
 from .linalg import field_inverse, field_rref
 from .series import (
     TruncatedSeries,
@@ -191,7 +191,8 @@ def solve_germ(f: Germ, targets: list[Germ]) -> list[Germ]:
     (so L L^{-1} = I), and the rounds' fixed point."""
     if any(g.n != f.n or g.degree != f.degree for g in targets):
         raise UsageError("germ solve dimension/degree mismatch")
-    lin_inv = field_inverse(f.linear_rows(), ONE)
+    rows = [{j: as_parts(a) for j, a in row.items()} for row in f.linear_rows()]
+    lin_inv = [{j: from_parts(*t) for j, t in row.items()} for row in field_inverse(rows)]
 
     def lin_solve(rhs: list[TruncatedSeries]) -> list[TruncatedSeries]:
         return [reduce(add, (rhs[j].scale(a) for j, a in row.items())) for row in lin_inv]
@@ -337,7 +338,8 @@ def _json_object(value, what: str) -> dict:
 
 def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
     """One map entry in one pass: repeated terms summed as triples, terms
-    above D dropped; only the linear entries become scalars (the rank check)."""
+    above D dropped, and no scalar built: the rank check eliminates the
+    parsed linear triples, which need not be in lowest terms for a rank."""
     entry = _json_object(entry, "map entry")
     if "linear_diag" in entry:
         diag = [_json_parts(s) for s in _json_list(entry["linear_diag"], "linear_diag")]
@@ -354,7 +356,7 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
         raise UsageError("map entry needs linear_diag or linear_matrix")
     if not n:
         raise UsageError("a germ needs at least one component")
-    if len(field_rref([{j: from_parts(*t) for j, t in row.items() if t[0] or t[1]} for row in linear])[1]) < n:
+    if len(field_rref(linear)[1]) < n:
         raise UsageError("linear part is singular; not a diffeomorphism germ")
     comps = [{pack(_unit(j, n)): t for j, t in row.items()} for row in linear]
     for term in _json_list(entry.get("terms", []), "terms"):

@@ -2,14 +2,15 @@
 
 Integer routines use row-style Hermite normal form with positive pivots,
 which makes every lattice basis in the engine canonical and reports
-diffable.  Field routines run over any of the exact coefficient types
-(Fraction, GaussianRational) that support +, -, *, / and are false exactly
-when zero; their matrices are sparse rows {column: nonzero value}.
+diffable.  Field routines run over Q(i) on sparse rows {column: (a, b, d)},
+each entry (a + b*i)/d the integer triple that `exactnum` scalars and
+`series` jets share, so no scalar is built per update.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -212,77 +213,94 @@ def lattice_points(basis: list[list[int]], offset: list[int], max_sum: int, max_
 
 
 # ---------------------------------------------------------------------------
-# Field elimination on sparse rows (Fraction and GaussianRational alike)
+# Field elimination over Q(i) on sparse rows of integer triples
 # ---------------------------------------------------------------------------
 
 
-def _subtract(row: dict, f, pivot_row: dict) -> None:
-    """row -= f * pivot_row in place, dropping entries that cancel."""
-    g = -f
-    for c, y in pivot_row.items():
-        x = row.get(c)
-        if x is None:
-            row[c] = g * y
+def _subtract(row: dict, f: tuple, pivot_row: dict) -> None:
+    """row -= f * pivot_row in place, dropping entries that cancel: each
+    entry x - f*y in integers, reduced by one 3-way gcd."""
+    fa, fb, fd = f
+    for c, (ya, yb, yd) in pivot_row.items():
+        pa, pb, pd = fa * ya - fb * yb, fa * yb + fb * ya, fd * yd
+        xa, xb, xd = row.get(c, (0, 0, 1))
+        a, b, d = xa * pd - pa * xd, xb * pd - pb * xd, xd * pd
+        if a or b:
+            g = gcd(a, b, d)
+            row[c] = (a // g, b // g, d // g)
         else:
-            x = x + g * y
-            if x:
-                row[c] = x
-            else:
-                del row[c]
+            del row[c]
+
+
+def _divide(row: dict, p: tuple) -> None:
+    """row /= p in place: each entry times (a - b*i)*d/(a^2 + b^2) for
+    p = (a, b, d), reduced by one 3-way gcd."""
+    pa, pb, pd = p
+    fa, fb, fd = pa * pd, -pb * pd, pa * pa + pb * pb
+    for c, (xa, xb, xd) in row.items():
+        a, b, d = xa * fa - xb * fb, xa * fb + xb * fa, xd * fd
+        g = gcd(a, b, d)
+        row[c] = (a // g, b // g, d // g)
 
 
 def field_rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form over a field; returns (rref rows, pivot cols).
+    """Reduced row echelon form over Q(i); returns (rref rows, pivot cols).
 
-    A row is a dict {column: value}; zero values are dropped, and every
-    output row holds only its nonzero entries.  Rows are reduced one at a
-    time against the pivot rows found so far, so zero entries cost nothing.
-    The reduced echelon basis of a row space is unique, so the result does
-    not depend on the order of the rows.
+    A row is a dict {column: (a, b, d)}, the entry (a + b*i)/d in canonical
+    form (d > 0 and gcd(a, b, d) = 1, as `exactnum.as_parts` gives); zero
+    entries are dropped, and every output row holds only its nonzero
+    entries, each canonical.  Rows are reduced one at a time against the
+    pivot rows found so far, so zero entries cost nothing; a pivot row is
+    kept without its pivot entry 1, which each update would only cancel.
+    Each new pivot column is cleared only from the pivot rows that hold it,
+    read off an index of the rows that may hold each column.  The reduced
+    echelon basis of a row space is unique, so the result does not depend on
+    the order of the rows.
     """
-    echelon: dict[int, dict] = {}
+    echelon: dict[int, dict] = {}  # pivot -> its row less the pivot entry 1
+    holders: dict[int, set] = {}  # column -> pivots whose rows may hold it
     for given in rows:
-        row = {c: x for c, x in given.items() if x}
+        row = {c: x for c, x in given.items() if x[0] or x[1]}
         for c in [c for c in row if c in echelon]:
-            _subtract(row, row[c], echelon[c])
+            _subtract(row, row.pop(c), echelon[c])
         if not row:
             continue
         pivot = min(row)
-        inv = row[pivot]
-        row = {c: x / inv for c, x in row.items()}
-        for other in echelon.values():
-            if pivot in other:
-                _subtract(other, other[pivot], row)
+        _divide(row, row.pop(pivot))
+        others = holders.pop(pivot, ())
+        for c in row:
+            holders.setdefault(c, set()).add(pivot)
+        for other in others:
+            target = echelon[other]
+            f = target.pop(pivot, None)
+            if f is not None:
+                for c in row.keys() - target.keys():
+                    holders[c].add(other)
+                _subtract(target, f, row)
         echelon[pivot] = row
     pivots = sorted(echelon)
-    return [echelon[c] for c in pivots], pivots
+    return [{c: (1, 0, 1), **echelon[c]} for c in pivots], pivots
 
 
-def field_kernel(rows: list[dict], ncols: int, one) -> list[dict]:
-    """Basis of the right kernel in columns 0..ncols-1, as sparse vectors.
-
-    `one` is the field's unit (e.g. Fraction(1)).  Each basis vector has a
-    1 in its free column, in increasing order of that column.
-    """
+def field_kernel(rows: list[dict], ncols: int) -> list[dict]:
+    """Basis of the right kernel in columns 0..ncols-1, as sparse vectors of
+    triples.  Each basis vector has a 1 in its free column, in increasing
+    order of that column."""
     rref, pivots = field_rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = {fc: one}
-        for pc, row in zip(pivots, rref):
-            if fc in row:
-                vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis
+    basis = {fc: {fc: (1, 0, 1)} for fc in sorted(set(range(ncols)) - set(pivots))}
+    for pc, row in zip(pivots, rref):
+        for c, (a, b, d) in row.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[pc] = (-a, -b, d)
+    return list(basis.values())
 
 
-def field_inverse(rows: list[dict], one) -> list[dict]:
-    """Inverse of a square n x n matrix given by n sparse rows; raises
-    ValueError if singular."""
+def field_inverse(rows: list[dict]) -> list[dict]:
+    """Inverse of a square n x n matrix given by n sparse rows of triples;
+    raises ValueError if singular."""
     n = len(rows)
-    aug = [{**row, n + i: one} for i, row in enumerate(rows)]
+    aug = [{**row, n + i: (1, 0, 1)} for i, row in enumerate(rows)]
     rref, pivots = field_rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")

@@ -36,7 +36,8 @@ from .exactnum import DomainError, GaussianRational, I_UNIT, ONE, ZERO
 from .germ import Family, Germ, compose_germ, conjugate_by_shift, family_to_json, germ_to_json
 from .linalg import field_kernel, field_rref, kernel_basis
 from .resonance import EigenData, RelationLattice, enumerate_omega, is_resonant_exponent
-from .series import MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, grlex_sorted, unpack
+from .series import (MultiIndex, TruncatedSeries, UsageError, check_jet_size, fixed_point_rows, from_key_parts,
+                     grlex_sorted, pack, unpack)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +193,9 @@ def first_integrals(fam: Family, degree: int | None = None) -> list[TruncatedSer
         raise UsageError("first-integral degree exceeds the family's jet degree")
     columns = _monomial_columns(fam.n, d)
     rows = [row for g in fam.germs for row in fixed_point_rows([c.truncate(d) for c in g.components], columns)]
-    kernel = field_kernel(rows, len(columns), ONE)
-    echelon, _ = field_rref(kernel)
-    return [TruncatedSeries(fam.n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
+    keys = [pack(gamma) for gamma in columns]
+    echelon, _ = field_rref(field_kernel(rows, len(columns)))
+    return [from_key_parts(fam.n, d, {keys[j]: t for j, t in vec.items()}) for vec in echelon]
 
 
 # ---------------------------------------------------------------------------

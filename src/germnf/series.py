@@ -508,9 +508,10 @@ def compose_all(
 def fixed_point_rows(components: list[TruncatedSeries], columns: list[MultiIndex]) -> list[dict]:
     """The conditions F o g = F on F = sum_j c_j x^(columns[j]): one sparse
     row {j: nonzero entry} per monomial x^delta, in graded-lex order.  The
-    entry is from_parts(a - [delta == gamma]*den, b, den) for gamma =
-    columns[j] and (a + b*i)/den the coefficient of x^delta in x^gamma o g,
-    read off the `_monomial_images` memo: no jet per column, none subtracted."""
+    entry is the triple (a - [delta == gamma]*den, b, den) in lowest terms
+    (`linalg`'s field rows) for gamma = columns[j] and (a + b*i)/den the
+    coefficient of x^delta in x^gamma o g, read off the `_monomial_images`
+    memo: no jet per column, none subtracted, no scalar built."""
     image, n = _monomial_images(components), len(components)
     rows: dict[int, dict] = {}
     for j, gamma in enumerate(columns):
@@ -521,7 +522,8 @@ def fixed_point_rows(components: list[TruncatedSeries], columns: list[MultiIndex
         terms[key] = (a - den, b)
         for delta, (a, b) in terms.items():
             if a or b:
-                rows.setdefault(delta, {})[j] = from_parts(a, b, den)
+                g = gcd(a, b, den)
+                rows.setdefault(delta, {})[j] = (a // g, b // g, den // g)
     return [rows[key] for key in grlex_sorted(rows, n)]
 
 

@@ -24,6 +24,7 @@ from germnf.exactnum import (
     IndeterminateError,
     as_parts,
     factor_gaussian,
+    from_parts,
     log_modulus,
 )
 from germnf.germ import Family, Germ, compose_germ, conjugate, require_commuting
@@ -257,8 +258,8 @@ def echelonized_span(series_list: list[TruncatedSeries]) -> list[TruncatedSeries
     n, d = series_list[0].n, series_list[0].degree
     columns = sorted({exp for s in series_list for exp in s.support()}, key=grlex_key)
     index = {exp: j for j, exp in enumerate(columns)}
-    echelon, _ = field_rref([{index[exp]: c for exp, c in s.items()} for s in series_list])
-    return [TruncatedSeries(n, d, {columns[j]: c for j, c in vec.items()}) for vec in echelon]
+    echelon, _ = field_rref(triple_rows([{index[exp]: c for exp, c in s.items()} for s in series_list]))
+    return [TruncatedSeries(n, d, {columns[j]: c for j, c in vec.items()}) for vec in scalar_rows(echelon)]
 
 
 def pushforward_leading(exponents: tuple[int, ...], f: Germ) -> TruncatedSeries:
@@ -285,7 +286,7 @@ def inverse_by_defect_correction(f: Germ) -> Germ:
     add L^{-1}(id - f o X), L the linear part of f, until f o X == id
     (at most D + 1 rounds).  It forms the inverse, which solve_germ never
     does, so it checks invert_germ and conjugate independently."""
-    lin_inv = field_inverse(f.linear_rows(), GR(1))
+    lin_inv = scalar_rows(field_inverse(triple_rows(f.linear_rows())))
     identity = [TruncatedSeries.variable(j, f.n, f.degree) for j in range(f.n)]
     x = [TruncatedSeries.zero(f.n, f.degree)] * f.n
     for _ in range(f.degree + 1):
@@ -424,6 +425,16 @@ gaussians = st.builds(
 nonzero_gaussians = gaussians.filter(lambda z: not z.is_zero())
 
 
+def triple_rows(rows: list[dict]) -> list[dict]:
+    """Sparse rows of scalars as the field routines' rows of triples."""
+    return [{c: as_parts(x) for c, x in row.items()} for row in rows]
+
+
+def scalar_rows(rows: list[dict]) -> list[dict]:
+    """Sparse rows of triples back as rows of GaussianRationals."""
+    return [{c: from_parts(*t) for c, t in row.items()} for row in rows]
+
+
 def gr_to_sympy(c: GR):
     """The sympy number equal to a Gaussian rational."""
     return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
@@ -491,24 +502,27 @@ def rho_equivariant_nf(eigen: EigenData, sigma: tuple[int, ...], degree: int,
     for gamma in lat.basis:
         for pt in omega_pts:
             for part in (0, 1):
-                rows.append({pos[(k, pt)] + part: Fraction(gamma[k]) for k in range(n) if gamma[k]})
+                rows.append({pos[(k, pt)] + part: (gamma[k], 0, 1) for k in range(n) if gamma[k]})
+    pairing = []
     for k in range(n):
         for pt in omega_pts:
             mirrored = tuple(pt[sigma[j]] for j in range(n))
-            row_re = {pos[(sigma[k], mirrored)]: Fraction(1)}
-            row_re[pos[(k, pt)]] = row_re.get(pos[(k, pt)], Fraction(0)) - 1
-            rows.append(row_re)
-            row_im = {pos[(sigma[k], mirrored)] + 1: Fraction(1)}
-            row_im[pos[(k, pt)] + 1] = row_im.get(pos[(k, pt)] + 1, Fraction(0)) + 1
-            rows.append(row_im)
-    basis = field_kernel(rows, width, Fraction(1))
+            row_re = {pos[(sigma[k], mirrored)]: 1}
+            row_re[pos[(k, pt)]] = row_re.get(pos[(k, pt)], 0) - 1
+            pairing.append(row_re)
+            row_im = {pos[(sigma[k], mirrored)] + 1: 1}
+            row_im[pos[(k, pt)] + 1] = row_im.get(pos[(k, pt)] + 1, 0) + 1
+            pairing.append(row_im)
+    rows += [{j: (v, 0, 1) for j, v in row.items()} for row in pairing]
+    basis = field_kernel(rows, width)
     germs = []
     for i in range(eigen.p):
         vec = [Fraction(0)] * width
         for kernel_vec in basis:
             t = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-            for j, v in kernel_vec.items():
-                vec[j] += t * v
+            for j, (a, b, d) in kernel_vec.items():
+                assert not b  # the system is real
+                vec[j] += t * Fraction(a, d)
         w = [TruncatedSeries.zero(n, degree) for _ in range(n)]
         for k in range(n):
             for pt in omega_pts:

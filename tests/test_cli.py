@@ -40,6 +40,7 @@ from helpers import (
     random_gaussian,
     random_real_block_family,
     random_tangent_identity,
+    triple_rows,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -225,7 +226,7 @@ class TestRealcaseCorpus:
             if hasattr(module, "invert_germ"):
                 monkeypatch.setattr(module, "invert_germ", lambda f: inverted.append(f) or invert_germ(f))
             if hasattr(module, "field_inverse"):
-                monkeypatch.setattr(module, "field_inverse", lambda rows, one: inverses.append(1) or inverse(rows, one))
+                monkeypatch.setattr(module, "field_inverse", lambda rows: inverses.append(1) or inverse(rows))
         monkeypatch.setattr(germ, "solve_germ", lambda f, g: solved.append(f) or solve(f, g))
         monkeypatch.setattr(normalform, "conjugate_by_shift",
                             lambda germs, psi, h: shifts.append(h) or step(germs, psi, h))
@@ -549,7 +550,7 @@ class TestJetWork:
         calls, inverse = [], linalg.field_inverse
         for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "germnf"]:
             if hasattr(module, "field_inverse"):
-                monkeypatch.setattr(module, "field_inverse", lambda rows, one: calls.append(1) or inverse(rows, one))
+                monkeypatch.setattr(module, "field_inverse", lambda rows: calls.append(1) or inverse(rows))
         code, report = _run_json(tmp_path, *golden.argv_of(op))
         steps = {rec["degree"] for rec in report["payload"]["eliminations"]}
         assert code == 0 and steps
@@ -625,17 +626,31 @@ class TestScalarWork:
         return built
 
     def test_field_kernels_build_no_fraction(self, monkeypatch):
-        from germnf.exactnum import ONE
+        """The field routines eliminate on integer triples, and so does
+        first-integrals: no Fraction and no GaussianRational, whether by the
+        public constructor or by `from_parts`, on random rows and on the
+        degree-6 first integrals of integrals/inf_p2_n4-0 (2521 `from_parts`
+        calls when the rows held scalars)."""
+        import germnf.exactnum as exactnum
         from germnf.linalg import field_inverse, field_kernel, field_rref
+        from germnf.normalform import first_integrals
 
         rng = random.Random(12)
-        wide = [{c: random_gaussian(rng, 9) for c in rng.sample(range(9), 5)} for _ in range(6)]
-        square = [{c: random_gaussian(rng, 9) for c in range(5)} for _ in range(5)]
+        wide = triple_rows([{c: random_gaussian(rng, 9) for c in rng.sample(range(9), 5)} for _ in range(6)])
+        square = triple_rows([{c: random_gaussian(rng, 9) for c in range(5)} for _ in range(5)])
+        fam = family_from_json(json.loads((ROOT / "perfbench/corpus/integrals/inf_p2_n4-0.json").read_text()))
         built = self._count_fractions(monkeypatch)
+        scalars, original = [], exactnum.from_parts
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "germnf"]:
+            if getattr(module, "from_parts", None) is original:
+                monkeypatch.setattr(module, "from_parts", lambda *t: scalars.append(t) or original(*t))
+        monkeypatch.setattr(exactnum.GaussianRational, "__init__", lambda self, *a: scalars.append(a))
         assert len(field_rref(wide)[1]) == 6
-        assert len(field_kernel(wide, 9, ONE)) == 3
-        assert len(field_inverse(square, ONE)) == 5
+        assert len(field_kernel(wide, 9)) == 3
+        assert len(field_inverse(square)) == 5
+        assert len(first_integrals(fam, 6)) == 9
         assert built == []
+        assert scalars == []
 
     def test_first_integrals_fraction_budget(self, tmp_path, monkeypatch):
         """None on integrals/inf_p2_n4-0: the input is read straight into
@@ -1511,8 +1526,8 @@ class TestContracts:
 
         exact = germ.field_inverse
 
-        def doubled(rows, one):
-            return [{j: a + a for j, a in row.items()} for row in exact(rows, one)]
+        def doubled(rows):
+            return [{j: (2 * a, 2 * b, d) for j, (a, b, d) in row.items()} for row in exact(rows)]
 
         with monkeypatch.context() as patched:
             patched.setattr(germ, "field_inverse", doubled)
@@ -1592,6 +1607,24 @@ class TestContracts:
         assert run(["normalize", path, "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "Phi_1 = (2*x, 3*y)" in out
+
+    def test_text_format_prints_one_line_per_list_item(self, capsys):
+        """Each Omega point is one `- [..]` line, and each resonant set an
+        item of its own; the JSON report is unchanged."""
+        path = str(ROOT / "perfbench/corpus/integrals/inf_p2_n3-1.json")
+        assert run(["lattice", path, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("omega_points:")
+        assert lines[start + 1:start + 3] == ["  - [1, 1, 1]", "  - [2, 2, 2]"]
+        sets = lines[lines.index("resonant_sets:") + 1:]
+        assert [line for line in sets if line.startswith("  - ")] == [
+            "  - bound: 8" for _ in range(3)
+        ]
+        assert sets[:5] == ["  - bound: 8", "    component: 1", "    points:", "      - [2, 1, 1]", "      - [3, 2, 2]"]
+        assert run(["lattice", path]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["omega_points"] == [[1, 1, 1], [2, 2, 2]]
+        assert [s["component"] for s in payload["resonant_sets"]] == [1, 2, 3]
 
     def test_console_script(self, tmp_path):
         path = _write(tmp_path, "ex13.json", EX13)

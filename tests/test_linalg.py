@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from germnf.exactnum import GaussianRational as GR
+from germnf.exactnum import GaussianRational as GR, as_parts, from_parts
 from germnf.linalg import (
     field_inverse,
     field_kernel,
@@ -21,7 +21,7 @@ from germnf.linalg import (
     solve_integer,
 )
 
-from helpers import gr_from_sympy, gr_to_sympy, nonzero_gaussians
+from helpers import gr_from_sympy, gr_to_sympy, nonzero_gaussians, random_gaussian, scalar_rows, triple_rows
 
 
 def _mat_mul(a, b):
@@ -182,15 +182,17 @@ def test_rational_feasible():
 
 
 def test_field_routines():
-    one = Fraction(1)
-    kern = field_kernel([{0: one, 1: one}], 3, one)
-    assert kern == [{1: one, 0: -one}, {2: one}]
-    inv = field_inverse([{0: Fraction(2), 1: one}, {0: one, 1: one}], one)
-    assert inv == [{0: one, 1: -one}, {0: -one, 1: Fraction(2)}]
+    one = (1, 0, 1)
+    kern = field_kernel([{0: one, 1: one}], 3)
+    assert kern == [{1: one, 0: (-1, 0, 1)}, {2: one}]
+    inv = field_inverse([{0: (2, 0, 1), 1: one}, {0: one, 1: one}])
+    assert inv == [{0: one, 1: (-1, 0, 1)}, {0: (-1, 0, 1), 1: (2, 0, 1)}]
     with pytest.raises(ValueError):
-        field_inverse([{0: one, 1: one}, {0: Fraction(2), 1: Fraction(2)}], one)
-    rref, pivots = field_rref([{1: one}, {0: one, 1: Fraction(0)}, {}])
+        field_inverse([{0: one, 1: one}, {0: (2, 0, 1), 1: (2, 0, 1)}])
+    rref, pivots = field_rref([{1: one}, {0: one, 1: (0, 0, 1)}, {}])
     assert pivots == [0, 1] and rref == [{0: one}, {1: one}]
+    # entries come out in lowest terms: 1/(2 + 2i) = (1 - i)/4
+    assert field_inverse([{0: (2, 2, 1)}]) == [{0: (1, -1, 4)}]
 
 
 # sparse elimination over Q(i) against sympy ----------------------------------
@@ -219,6 +221,9 @@ def _sparse_matrices(draw):
 
 
 class TestSparseElimination:
+    """The field routines take and give sparse rows of canonical triples;
+    the oracle works on GaussianRationals and sympy, converted at the edge."""
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(_sparse_matrices())
     def test_matches_sympy_rref_over_gaussian_rationals(self, matrix):
@@ -226,21 +231,21 @@ class TestSparseElimination:
         dense = sympy.Matrix([[gr_to_sympy(row.get(c, GR(0))) for c in range(ncols)] for row in rows])
         reduced, sympy_pivots = dense.rref()
         want = [
-            {c: x for c in range(ncols) if (x := gr_from_sympy(reduced[i, c]))}
+            {c: as_parts(x) for c in range(ncols) if (x := gr_from_sympy(reduced[i, c]))}
             for i in range(len(sympy_pivots))
         ]
-        rref, pivots = field_rref(rows)
+        rref, pivots = field_rref(triple_rows(rows))
         assert pivots == list(sympy_pivots)
         assert rref == want
-        assert all(all(x for x in row.values()) for row in rref)
+        assert all(all(a or b for a, b, _ in row.values()) for row in rref)
 
-        kernel = field_kernel(rows, ncols, GR(1))
+        kernel = field_kernel(triple_rows(rows), ncols)
         free = [c for c in range(ncols) if c not in pivots]
         assert kernel == [
-            {fc: GR(1), **{pc: -row[fc] for pc, row in zip(pivots, want) if fc in row}}
+            {fc: (1, 0, 1), **{pc: as_parts(-from_parts(*row[fc])) for pc, row in zip(pivots, want) if fc in row}}
             for fc in free
         ]
-        for vec in kernel:
+        for vec in scalar_rows(kernel):
             for row in rows:
                 assert sum((x * vec.get(c, GR(0)) for c, x in row.items()), GR(0)).is_zero()
 
@@ -248,9 +253,32 @@ class TestSparseElimination:
         rng = random.Random(4)
         for _ in range(20):
             rows = [
-                {c: GR(rng.randint(-3, 3), rng.randint(-3, 3)) for c in range(6) if rng.random() < 0.4}
+                {c: as_parts(GR(rng.randint(-3, 3), rng.randint(-3, 3))) for c in range(6) if rng.random() < 0.4}
                 for _ in range(5)
             ]
             shuffled = rows[:]
             rng.shuffle(shuffled)
             assert field_rref(rows) == field_rref(shuffled)
+
+    def test_inverse_matches_sympy(self):
+        """field_inverse on random invertible matrices over Q(i), some
+        sparse, against sympy's inverse; each made singular (a row replaced
+        by a multiple of another, or by zero at n = 1) raises ValueError."""
+        rng = random.Random(30)
+        for trial in range(30):
+            n = 1 + trial % 5
+            while True:
+                mat = [[random_gaussian(rng, 6) if rng.random() < 0.7 else GR(0) for _ in range(n)] for _ in range(n)]
+                dense = sympy.Matrix([[gr_to_sympy(x) for x in row] for row in mat])
+                if dense.det() != 0:
+                    break
+            rows = triple_rows([{c: x for c, x in enumerate(row) if x} for row in mat])
+            want = dense.inv()
+            assert field_inverse(rows) == [
+                {c: as_parts(x) for c in range(n) if (x := gr_from_sympy(want[i, c]))} for i in range(n)
+            ]
+            singular, k = [dict(row) for row in rows], rng.randrange(n)
+            scale = random_gaussian(rng, 6, nonzero=True)
+            singular[k] = {c: as_parts(scale * from_parts(*t)) for c, t in rows[(k + 1) % n].items()} if n > 1 else {}
+            with pytest.raises(ValueError, match="singular"):
+                field_inverse(singular)
