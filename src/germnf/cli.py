@@ -59,6 +59,7 @@ from .exactnum import DomainError, IndeterminateError
 from .germ import (
     CommutationError,
     Family,
+    check_schema,
     family_from_json,
     family_to_json,
     germ_to_json,
@@ -108,7 +109,7 @@ def _load_json(path: str):
 def _load_family(data) -> Family:
     try:
         return family_from_json(data)
-    except (UsageError, DomainError, KeyError, ValueError) as exc:
+    except (UsageError, DomainError, ValueError) as exc:
         raise UsageError(f"bad family input: {exc}")
 
 
@@ -148,8 +149,7 @@ def _load_eigen(data) -> EigenData:
     """Eigen input is strict: only the keys schema and mu, and each
     eigenvalue a string in GaussianRational.parse form or an integer (not a
     bool); floats and other JSON values are rejected, never converted."""
-    if data.get("schema") != 1:
-        raise UsageError("missing or unsupported schema field (expected 1)")
+    check_schema(data)
     for key in data:
         if key not in ("schema", "mu"):
             raise UsageError(f"unknown field {key!r} in eigen input")
@@ -328,6 +328,10 @@ def _family_text(data: dict) -> list[str]:
 def _render_text(report: dict) -> str:
     lines = [f"germnf {report['version']} — {report['command']}"]
 
+    def flat(value):  # a list with no dict or list inside, as one line [a, b]; else None
+        if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
+            return f"[{', '.join(map(str, value))}]"
+
     def walk(obj, indent=0):
         pad = "  " * indent
         if isinstance(obj, dict):
@@ -337,15 +341,17 @@ def _render_text(report: dict) -> str:
                 return
             for key in sorted(obj):
                 value = obj[key]
-                if isinstance(value, (dict, list)) and value:
+                if (text := flat(value)) is not None:
+                    lines.append(f"{pad}{key}: {text}")
+                elif isinstance(value, (dict, list)) and value:
                     lines.append(f"{pad}{key}:")
                     walk(value, indent + 1)
                 else:
                     lines.append(f"{pad}{key}: {value}")
-        elif isinstance(obj, list):  # one "- " per item: a list of scalars on one line
+        elif isinstance(obj, list):  # one "- " per item
             for value in obj:
-                if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
-                    lines.append(f"{pad}- [{', '.join(map(str, value))}]")
+                if (text := flat(value)) is not None:
+                    lines.append(f"{pad}- {text}")
                 elif isinstance(value, (dict, list)) and value:
                     start = len(lines)
                     walk(value, indent + 1)

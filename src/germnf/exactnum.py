@@ -132,9 +132,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self._a == 1 and not self._b and self._d == 1
 
-    def is_gaussian_integer(self) -> bool:
-        return self._d == 1
-
     # -- field arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -277,8 +274,8 @@ I_UNIT = GaussianRational(0, 1)
 # ---------------------------------------------------------------------------
 # Integer factorization: trial division up to 2000, then Pollard-Brent
 # splitting, with Miller-Rabin primality only where its bases prove it.
-# No command factors: this and the Gaussian factorization below are the
-# public API and the tests' oracle for the coprime bases further down.
+# No command factors: this and factor_gaussian and log_modulus below are the
+# public API and the tests' oracle for the coprime-base routines they call.
 # ---------------------------------------------------------------------------
 
 _TRIAL_LIMIT = 2000
@@ -395,7 +392,7 @@ def factor_int(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian integer factorization
+# Gaussian factorization over the primes above those factor_int finds
 # ---------------------------------------------------------------------------
 
 
@@ -445,95 +442,37 @@ class GaussianFactorization(NamedTuple):
                 den = den * q ** -e
         return I_UNIT ** (self.unit_exp % 4) * num / den
 
-    def log_modulus(self) -> "LogModulusVector":
-        """ln|z| read off the prime norms, with no further factoring: a
-        Gaussian prime above p has norm p, an inert prime p has norm p^2."""
-        coords: dict[int, Fraction] = {}
-        for prime, e in self.factors:
-            if prime._b == 0:
-                p, c = prime._a, Fraction(e)
-            else:
-                p, c = prime._a ** 2 + prime._b ** 2, Fraction(e, 2)
-            coords[p] = coords.get(p, Fraction(0)) + c
-        return LogModulusVector.from_dict(coords)
-
 
 _ONE_PLUS_I = GaussianRational(1, 1)
 _UNIT_EXP = {ONE: 0, I_UNIT: 1, -ONE: 2, -I_UNIT: 3}  # i^t -> t
 
 
-def _divide_out(g: GaussianRational, prime: GaussianRational, bound: int) -> tuple[GaussianRational, int]:
-    # Gaussian integers as integer pairs: g / prime = g * conj(prime) / norm
-    a, b = g._a, g._b
-    c, d = prime._a, prime._b
-    n = c * c + d * d
-    count = 0
-    while count < bound:
-        x, y = a * c + b * d, b * c - a * d
-        if x % n or y % n:
-            break
-        a, b = x // n, y // n
-        count += 1
-    return GaussianRational(a, b), count
-
-
-def _factor_gaussian_integer(g: GaussianRational) -> GaussianFactorization:
-    if not g.is_gaussian_integer():
-        raise AssertionError("internal: expected a Gaussian integer")
-    norm_factors = factor_int(g._a ** 2 + g._b ** 2)
-    factors: list[tuple[GaussianRational, int]] = []
-    rest = g
-    for p in sorted(norm_factors):
-        e = norm_factors[p]
-        if p == 2:
-            rest, count = _divide_out(rest, _ONE_PLUS_I, e)
-            if count != e:
-                raise AssertionError("ramified prime exponent mismatch")
-            factors.append((_ONE_PLUS_I, e))
-        elif p % 4 == 3:
-            if e % 2:
-                raise AssertionError(f"odd exponent of inert prime {p} in a norm")
-            prime = GaussianRational(p)
-            rest, count = _divide_out(rest, prime, e // 2)
-            if count != e // 2:
-                raise AssertionError("inert prime exponent mismatch")
-            factors.append((prime, e // 2))
-        else:
-            pi = _split_prime(p)
-            pi_bar = GaussianRational(*_first_quadrant(pi._a, -pi._b))
-            rest, a = _divide_out(rest, pi, e)
-            rest, b = _divide_out(rest, pi_bar, e - a)
-            if a + b != e:
-                raise AssertionError("split prime exponent mismatch")
-            if a:
-                factors.append((pi, a))
-            if b:
-                factors.append((pi_bar, b))
-    # the undivided remainder must be a unit i^t
-    if rest.norm() != 1:
-        raise AssertionError("non-unit remainder after factorization")
-    return GaussianFactorization(_UNIT_EXP[rest], tuple(factors))  # factor_gaussian orders them
+def _rational_primes(z: GaussianRational) -> list[int]:
+    """The primes of a^2 + b^2 and of d for z = (a + b*i)/d, ascending (`factor_int`)."""
+    return sorted({*factor_int(z._a ** 2 + z._b ** 2), *factor_int(z._d)})
 
 
 def factor_gaussian(z: GaussianRational) -> GaussianFactorization:
     """Exact factorization of a nonzero Gaussian rational over canonical
-    Gaussian primes (first quadrant associates; inert primes kept as-is).
-    Negative exponents carry the denominator part."""
+    Gaussian primes (first quadrant associates; inert primes kept as-is),
+    sorted by (norm, a, b).  Negative exponents carry the denominator part.
+    It is `base_factorization` over the primes above each p of
+    `_rational_primes`: 1 + i for 2, p for p ≡ 3 (mod 4), `_split_prime(p)`
+    and its conjugate for p ≡ 1 (mod 4); its check, with unique
+    factorization in Z[i], pins every exponent."""
     if z.is_zero():
         raise DomainError("cannot factor zero")
-    fn = _factor_gaussian_integer(GaussianRational(z._a, z._b))
-    fd = _factor_gaussian_integer(GaussianRational(z._d))
-    merged: dict[GaussianRational, int] = dict(fn.factors)
-    for prime, e in fd.factors:
-        merged[prime] = merged.get(prime, 0) - e
-        if merged[prime] == 0:
-            del merged[prime]
-    unit = (fn.unit_exp - fd.unit_exp) % 4
-    ordered = tuple(sorted(merged.items(), key=lambda pe: (pe[0]._a ** 2 + pe[0]._b ** 2, pe[0]._a, pe[0]._b)))
-    result = GaussianFactorization(unit, ordered)
-    if result.value() != z:
-        raise AssertionError("factorization failed re-multiplication check")
-    return result
+    base = []
+    for p in _rational_primes(z):
+        if p == 2:
+            base.append(_ONE_PLUS_I)
+        elif p % 4 == 3:
+            base.append(GaussianRational(p))
+        else:
+            pi = _split_prime(p)
+            base += [pi, GaussianRational(*_first_quadrant(pi._a, -pi._b))]
+    base.sort(key=lambda q: (q._a ** 2 + q._b ** 2, q._a, q._b))
+    return base_factorization(z, tuple(base))
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +482,9 @@ def factor_gaussian(z: GaussianRational) -> GaussianFactorization:
 
 class LogModulusVector(NamedTuple):
     """ln|z| written as sum(coords[q] * ln q) with exact rational coords,
-    over pairwise-coprime integers q > 1: rational primes (log_modulus, the
-    oracle) or the elements of an integer coprime base (base_log_modulus,
-    what every command uses).
+    over pairwise-coprime integers q > 1, as `base_log_modulus` gives it:
+    rational primes (log_modulus, the oracle) or the elements of an integer
+    coprime base (what every command uses).
 
     coords[q] is half the exponent of q in the norm |z|^2, so entries may be
     half-integers.  Exactness invariant: prod(q^(2*coords[q])) == |z|^2.
@@ -612,11 +551,12 @@ class LogModulusVector(NamedTuple):
 
 
 def log_modulus(z: GaussianRational) -> LogModulusVector:
-    """ln|z| as an exact rational vector over {ln p}, read off the
-    Gaussian factorization of z (the oracle for base_log_modulus)."""
+    """ln|z| as an exact rational vector over {ln p}: `base_log_modulus`
+    over the primes of `_rational_primes`, the oracle for the integer
+    coprime bases below."""
     if z.is_zero():
         raise DomainError("log_modulus of zero")
-    return factor_gaussian(z).log_modulus()
+    return base_log_modulus(z, tuple(_rational_primes(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -714,19 +654,24 @@ def integer_coprime_base(values) -> tuple[int, ...]:
 
 
 def _divide_all(g: GaussianRational, q: GaussianRational) -> tuple[GaussianRational, int]:
-    """(g / q^e, e) for the largest e with q^e dividing the Gaussian integer g."""
-    norm = g._a ** 2 + g._b ** 2
-    if math.gcd(norm, q._a ** 2 + q._b ** 2) == 1:
+    """(g / q^e, e) for the largest e with q^e dividing the nonzero Gaussian
+    integer g: each division by q = c + d*i is g * (c - d*i) / N(q)."""
+    a, b, c, d = g._a, g._b, q._a, q._b
+    n, e = c * c + d * d, 0
+    if math.gcd(a * a + b * b, n) == 1:
         return g, 0
-    return _divide_out(g, q, norm.bit_length())
+    while True:
+        x, y = a * c + b * d, b * c - a * d
+        if x % n or y % n:
+            return GaussianRational(a, b), e
+        a, b, e = x // n, y // n, e + 1
 
 
 def base_factorization(z: GaussianRational, base: tuple[GaussianRational, ...]) -> GaussianFactorization:
     """z = i^t * prod(q^e) over a Gaussian coprime base that holds every
     non-unit factor of z's numerator and denominator.  The undivided
     remainders must be units and the product must give z back, or this
-    raises AssertionError.  Its log_modulus() does not apply: that reads
-    prime norms."""
+    raises AssertionError."""
     if z.is_zero():
         raise DomainError("cannot factor zero")
     num, den = GaussianRational(z._a, z._b), GaussianRational(z._d)

@@ -6,8 +6,8 @@ algebra accepts arbitrary invertible linear parts; the normalizer imposes
 diagonality separately (eigen-decomposition over Q(i) is out of scope).
 Invertibility is checked once, where a linear part enters from outside
 (`germ_from_json`): compositions and inverses of invertible germs are
-invertible, so `Germ` itself checks only the structure, and `solve_germ`
-with a singular germ on the left still fails in `field_inverse`.
+invertible, so `Germ` itself checks only the structure, and `invert_germ`
+or `conjugate` by a singular germ still fails in `field_inverse`.
 
 Each component is an integer-native jet (see `series`): Gaussian-integer
 numerators over one denominator, in lowest terms, so germs compare and hash
@@ -22,18 +22,16 @@ whose memo of monomial images is shared by the n components of f.
 
 Composition convention: compose_germ(f, g) is f after g.  No inverse is
 formed to divide on the left: one checked rounds loop (`_rounds`) gives the
-Y_i with f o Y_i = g_i.  `solve_germ` runs it for any invertible linear part
-L, and conjugate and invert_germ call it; `conjugate_by_shift` runs it with
-L = I for a near-identity step s = id + h given by its shift h alone, the
-normalizer's step, after forming every g o s and psi o s in one Taylor sum.
+Y_i with (id + h) o Y_i = g_i.  `conjugate_by_shift` runs it for a
+near-identity step s = id + h given by its shift h alone, the normalizer's
+step, after forming every g o s and psi o s in one Taylor sum.  `invert_germ`
+and `conjugate` run it for any invertible linear part L: f o Y = g is
+(id + h) o Y = A o g for A = L^{-1} and A o f = id + h (`_shift_form`).
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
-
-from .exactnum import GaussianRational, as_parts, from_parts, parse_parts
+from .exactnum import GaussianRational, as_parts, parse_parts
 from .linalg import field_inverse, field_rref
 from .series import (
     TruncatedSeries,
@@ -106,10 +104,6 @@ class Germ:
     def linear_matrix(self) -> list[list[GaussianRational]]:
         return [comp.linear_coeffs() for comp in self.components]
 
-    def linear_rows(self) -> list[dict[int, GaussianRational]]:
-        """The linear part as sparse rows {column: nonzero coefficient}."""
-        return [{j: a for j, a in enumerate(row) if a} for row in self.linear_matrix()]
-
     def is_diagonal_linear(self) -> bool:
         return _is_diagonal(self.linear_matrix())
 
@@ -118,9 +112,6 @@ class Germ:
         if not _is_diagonal(mat):
             raise UsageError("linear part is not diagonal")
         return tuple(mat[j][j] for j in range(self.n))
-
-    def nonlinear_part(self) -> list[TruncatedSeries]:
-        return [c - c.part_up_to(1) for c in self.components]
 
     # -- structure ----------------------------------------------------------
 
@@ -161,55 +152,51 @@ def _round_degrees(r: int, degree: int) -> range:
     return range(r - 1, degree, r - 1)  # the degree Y is exact through before each composing round
 
 
-def _rounds(nonlinear: list[TruncatedSeries], targets, lin_solve=None) -> list[Germ]:
-    """The checked jets Y with L Y + N o Y = g for each target g (a list of
-    components), N = `nonlinear` of lowest degree r and `lin_solve` applying
-    L^{-1} (None for L = I).  The round Y <- L^{-1}(g - N o Y) from Y = 0 is
-    exact through degree r - 1, each later one gains r - 1, and N is fed Y
-    only through that degree, at most D - r + 1 (all N o Y reads).  Check
-    (AssertionError): a fixed point: the last round gives Y = L^{-1}(g - N o Y')
-    for the Y' it was fed, so L Y + N o Y = g - N o Y' + N o Y, which is g when
-    Y through D - r + 1 is Y'."""
-    degree = nonlinear[0].degree
-    r = min(c.order() for c in nonlinear)
-    solve = lin_solve or list
+def _rounds(h: list[TruncatedSeries], targets) -> list[Germ]:
+    """The checked jets Y with Y + h o Y = g for each target g (a list of
+    components), h without constant or linear terms and of lowest degree r.
+    The round Y <- g - h o Y from Y = 0 is exact through degree r - 1, each
+    later one gains r - 1, and h is fed Y only through that degree, at most
+    D - r + 1 (all h o Y reads).  Check (AssertionError): a fixed point: the
+    last round gives Y = g - h o Y' for the Y' it was fed, so Y + h o Y =
+    g - h o Y' + h o Y, which is g when Y through D - r + 1 is Y'."""
+    degree = h[0].degree
+    r = min(c.order() for c in h)
     solved = []
     for g in targets:
-        y, fed = solve(g), None
+        y, fed = list(g), None
         for t in _round_degrees(r, degree):
             fed = jet_through(y, min(t, degree - r + 1))
-            y = solve([a - b for a, b in zip(g, compose_all(nonlinear, fed))])
+            y = [a - b for a, b in zip(g, compose_all(h, fed))]
         if r <= degree and jet_through(y, degree - r + 1) != fed:
             raise AssertionError("germ solve failed verification: f o Y != g (no fixed point)")
         solved.append(Germ(y))
     return solved
 
 
-def solve_germ(f: Germ, targets: list[Germ]) -> list[Germ]:
-    """The checked jets Y_i with f o Y_i = g_i, without forming f^{-1}: the
-    rounds of `_rounds` for f = L + N.  Checks (AssertionError): L^{-1} L = I
-    (so L L^{-1} = I), and the rounds' fixed point."""
-    if any(g.n != f.n or g.degree != f.degree for g in targets):
-        raise UsageError("germ solve dimension/degree mismatch")
-    rows = [{j: as_parts(a) for j, a in row.items()} for row in f.linear_rows()]
-    lin_inv = [{j: from_parts(*t) for j, t in row.items()} for row in field_inverse(rows)]
-
-    def lin_solve(rhs: list[TruncatedSeries]) -> list[TruncatedSeries]:
-        return [reduce(add, (rhs[j].scale(a) for j, a in row.items())) for row in lin_inv]
-
-    if Germ(lin_solve(jet_through(f.components, 1))) != Germ.identity(f.n, f.degree):
+def _shift_form(f: Germ) -> tuple[Germ, list[TruncatedSeries]]:
+    """(A, h) with A = L^{-1} for f's linear part L, as a linear germ, and
+    A o f = id + h: f o Y = g is the L = I solve of `_rounds` for A o g.
+    Check (AssertionError): A o f has linear part I (so L L^{-1} = I)."""
+    n, degree = f.n, f.degree
+    rows = field_inverse([{j: as_parts(a) for j, a in enumerate(row) if a} for row in f.linear_matrix()])
+    inverse = Germ([from_key_parts(n, degree, {pack(_unit(j, n)): t for j, t in row.items()}) for row in rows])
+    h = identity_shift(compose_germ(inverse, f).components)
+    if h is None:
         raise AssertionError("germ solve failed verification: L^-1 L is not the identity")
-    return _rounds(f.nonlinear_part(), [g.components for g in targets], lin_solve)
+    return inverse, h
 
 
 def invert_germ(f: Germ) -> Germ:
     """Two-sided inverse of f modulo degree > D, the checked solve of f o X = id."""
-    return solve_germ(f, [Germ.identity(f.n, f.degree)])[0]
+    inverse, h = _shift_form(f)
+    return _rounds(h, [inverse.components])[0]
 
 
 def conjugate(f: Germ, psi: Germ) -> Germ:
-    """psi^{-1} o f o psi, by one checked solve of psi o Y = f o psi."""
-    return solve_germ(psi, [compose_germ(f, psi)])[0]
+    """psi^{-1} o f o psi, the checked solve of psi o Y = f o psi."""
+    inverse, h = _shift_form(psi)
+    return _rounds(h, [compose_germ(compose_germ(inverse, f), psi).components])[0]
 
 
 def conjugate_by_shift(germs: list[Germ], psi: Germ, h: list[TruncatedSeries]) -> tuple[list[Germ], Germ]:
@@ -316,6 +303,12 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def check_schema(data: dict) -> None:
+    """The schema of family and eigen input: the int 1, not true or 1.0 (equal to 1 in Python)."""
+    if type(data.get("schema")) is not int or data["schema"] != 1:
+        raise UsageError("missing or unsupported schema field (expected 1)")
+
+
 def _json_parts(value) -> tuple[int, int, int]:
     """A coefficient of the wire format, a string (`parse_parts`), as its
     triple; numbers and other JSON values are rejected, never coerced."""
@@ -361,17 +354,21 @@ def germ_from_json(entry: dict, n: int, degree: int) -> Germ:
     comps = [{pack(_unit(j, n)): t for j, t in row.items()} for row in linear]
     for term in _json_list(entry.get("terms", []), "terms"):
         term = _json_object(term, "term")
-        m = _json_int(term["component"], "component")
+        try:
+            m, exps, coeff = term["component"], term["exponents"], term["coeff"]
+        except KeyError as exc:
+            raise UsageError(f"missing field {exc.args[0]!r} in term") from None
+        m = _json_int(m, "component")
         if not 1 <= m <= n:
             raise UsageError(f"component {m} out of range 1..{n}")
-        exp = tuple(_json_int(e, "exponent") for e in _json_list(term["exponents"], "exponents"))
+        exp = tuple(_json_int(e, "exponent") for e in _json_list(exps, "exponents"))
         if len(exp) != n:
             raise UsageError(f"exponents {exp} have wrong arity")
         if sum(exp) < 2:
             raise UsageError(f"terms must have degree >= 2 (linear part is separate): {exp}")
         if min(exp) < 0:
             raise UsageError(f"negative exponent in {exp}")
-        c, e, f = _json_parts(term["coeff"])
+        c, e, f = _json_parts(coeff)
         if sum(exp) <= degree:
             comp, key = comps[m - 1], pack(exp)
             if key in comp:
@@ -392,17 +389,19 @@ def family_to_json(fam: Family) -> dict:
 
 
 def family_from_json(data: dict) -> Family:
-    if data.get("schema") != 1:
-        raise UsageError("missing or unsupported schema field (expected 1)")
+    check_schema(data)
     for key in data:
         if key not in {"schema", "n", "p", "degree", "maps"}:
             raise UsageError(f"unknown field {key!r} in family input")
-    n = _json_int(data["n"], "n")
-    degree = _json_int(data["degree"], "degree")
+    try:
+        n, degree, maps = data["n"], data["degree"], data["maps"]
+    except KeyError as exc:
+        raise UsageError(f"missing field {exc.args[0]!r} in family input") from None
+    n, degree = _json_int(n, "n"), _json_int(degree, "degree")
     if degree < 2:
         raise UsageError("degree must be >= 2")
     check_jet_size(n, degree)
-    maps = _json_list(data["maps"], "maps")
+    maps = _json_list(maps, "maps")
     if "p" in data and _json_int(data["p"], "p") != len(maps):
         raise UsageError("declared p does not match the number of maps")
     germs = [germ_from_json(entry, n, degree) for entry in maps]

@@ -284,9 +284,11 @@ def pushforward_leading(exponents: tuple[int, ...], f: Germ) -> TruncatedSeries:
 def inverse_by_defect_correction(f: Germ) -> Germ:
     """Two-sided inverse of f at full degree in every round: from X = 0,
     add L^{-1}(id - f o X), L the linear part of f, until f o X == id
-    (at most D + 1 rounds).  It forms the inverse, which solve_germ never
-    does, so it checks invert_germ and conjugate independently."""
-    lin_inv = scalar_rows(field_inverse(triple_rows(f.linear_rows())))
+    (at most D + 1 rounds).  It adds L^{-1} times each defect at full degree,
+    where invert_germ and conjugate solve the L = I rounds for L^{-1} o f,
+    so it checks them independently."""
+    rows = [{j: a for j, a in enumerate(row) if a} for row in f.linear_matrix()]
+    lin_inv = scalar_rows(field_inverse(triple_rows(rows)))
     identity = [TruncatedSeries.variable(j, f.n, f.degree) for j in range(f.n)]
     x = [TruncatedSeries.zero(f.n, f.degree)] * f.n
     for _ in range(f.degree + 1):

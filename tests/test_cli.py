@@ -214,20 +214,18 @@ class TestRealcaseCorpus:
         solve; the only solves are the rounds of the elimination steps,
         each given by a shift h of order >= 2, so its linear part is the
         identity, and no linear part is inverted."""
-        import germnf.germ as germ
         import germnf.linalg as linalg
         import germnf.normalform as normalform
 
         golden = _perfbench_golden()
         manifest, goldens = golden.load("normalize")
-        inverted, solved, shifts, inverses = [], [], [], []
-        solve, step, inverse = germ.solve_germ, normalform.conjugate_by_shift, linalg.field_inverse
+        inverted, shifts, inverses = [], [], []
+        step, inverse = normalform.conjugate_by_shift, linalg.field_inverse
         for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "germnf"]:
             if hasattr(module, "invert_germ"):
                 monkeypatch.setattr(module, "invert_germ", lambda f: inverted.append(f) or invert_germ(f))
             if hasattr(module, "field_inverse"):
                 monkeypatch.setattr(module, "field_inverse", lambda rows: inverses.append(1) or inverse(rows))
-        monkeypatch.setattr(germ, "solve_germ", lambda f, g: solved.append(f) or solve(f, g))
         monkeypatch.setattr(normalform, "conjugate_by_shift",
                             lambda germs, psi, h: shifts.append(h) or step(germs, psi, h))
 
@@ -240,14 +238,13 @@ class TestRealcaseCorpus:
             steps = {rec["degree"] for rec in report["payload"]["eliminations"]}
             assert len(shifts) == len(steps) > 0  # the elimination steps were solved
             assert all(c.order() >= 2 for h in shifts for c in h)  # s = id + h: L = I
-            assert solved == [] and inverses == []
+            assert inverses == []
         p2_fam, _ = random_real_block_family(random.Random(11), blocks=1, tail=[3], p=2, degree=4)
-        solved.clear()
         inverses.clear()
         cfam, p, _ = normalform.complexify_real_family(p2_fam)
         identity = Germ.identity(p2_fam.n, p2_fam.degree)
         assert normalform.realify_normal_form(cfam, identity, p) == (p2_fam, identity)
-        assert solved == [] and inverses == []
+        assert inverses == []
         assert inverted == []
 
     REALCASE_OPS = ["real_block-0.realcase", "real_block-1.realcase", "real_block-2.realcase"]
@@ -1168,6 +1165,28 @@ class TestContracts:
         path = _write(tmp_path, "bad.json", {"schema": 2})
         assert run(["analyze", path]) == 1
 
+    @pytest.mark.parametrize("schema", [True, 1.0, "1", None, 1], ids=["true", "1.0", "string-1", "null", "int-1"])
+    @pytest.mark.parametrize("kind", ["family", "eigen"])
+    def test_schema_is_the_int_1(self, tmp_path, kind, schema):
+        """true and 1.0 equal 1 in Python, yet both input kinds refuse them
+        with exit 1, as any schema but the integer 1."""
+        data = dict(NORMALIZABLE if kind == "family" else {"schema": 1, "mu": [["2", "3"]]}, schema=schema)
+        code, err = _run_captured(["lattice", _write(tmp_path, "in.json", data)])
+        if type(schema) is int:
+            assert (code, err) == (0, "")
+        else:
+            prefix = "bad family input: " if kind == "family" else ""
+            assert (code, err) == (1, f"error: {prefix}missing or unsupported schema field (expected 1)\n")
+
+    @pytest.mark.parametrize("field", ["n", "degree", "maps", "component", "exponents", "coeff"])
+    def test_missing_field_is_named_exit_1(self, tmp_path, field):
+        data = json.loads(json.dumps(NORMALIZABLE))
+        term = data["maps"][0]["terms"][0]
+        what = "term" if field in term else "family input"
+        del (term if field in term else data)[field]
+        code, err = _run_captured(["verify", _write(tmp_path, "bad.json", data)])
+        assert (code, err) == (1, f"error: bad family input: missing field {field!r} in {what}\n")
+
     def test_unknown_field_exit_1(self, tmp_path):
         data = dict(EX13, mystery=1)
         path = _write(tmp_path, "bad.json", data)
@@ -1609,8 +1628,9 @@ class TestContracts:
         assert "Phi_1 = (2*x, 3*y)" in out
 
     def test_text_format_prints_one_line_per_list_item(self, capsys):
-        """Each Omega point is one `- [..]` line, and each resonant set an
-        item of its own; the JSON report is unchanged."""
+        """Each Omega point is one `- [..]` line, each resonant set an item
+        of its own, and a list of scalars under a key sits on the key's
+        line; the JSON reports are unchanged."""
         path = str(ROOT / "perfbench/corpus/integrals/inf_p2_n3-1.json")
         assert run(["lattice", path, "--format", "text"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -1625,6 +1645,19 @@ class TestContracts:
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["omega_points"] == [[1, 1, 1], [2, 2, 2]]
         assert [s["component"] for s in payload["resonant_sets"]] == [1, 2, 3]
+        assert run(["first-integrals", path, "--degree", "6", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index("basis:") + 1:] == [
+            "  - - coeff: 1",
+            "      exponents: [1, 1, 1]",
+            "  - - coeff: 1",
+            "      exponents: [2, 2, 2]",
+            "degree: 6",
+            "dimension: 2",
+        ]
+        assert run(["first-integrals", path, "--degree", "6"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert [[t["exponents"] for t in f] for f in payload["basis"]] == [[[1, 1, 1]], [[2, 2, 2]]]
 
     def test_console_script(self, tmp_path):
         path = _write(tmp_path, "ex13.json", EX13)

@@ -148,7 +148,6 @@ class TestGaussianRationalOracle:
         assert z.norm() == o.norm() and isinstance(z.norm(), Fraction)
         assert z.is_zero() == (not z) == (o.re == o.im == 0)
         assert z.is_one() == ((o.re, o.im) == (1, 0))
-        assert z.is_gaussian_integer() == (o.re.denominator == o.im.denominator == 1)
 
     @_ORACLE
     @given(_PART, _PART)
@@ -274,6 +273,31 @@ class TestFactorization:
             if z.is_zero():
                 continue
             assert factor_gaussian(z).value() == z
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.tuples(
+            st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6)
+        ).filter(lambda t: t[0] or t[1])
+    )
+    def test_factor_gaussian_and_log_modulus_match_sympy(self, parts):
+        """An outside oracle for both: every prime's norm is a prime p, or
+        p^2 for p ≡ 3 (mod 4) (`sympy.isprime`); the factors give z back;
+        and log_modulus has coordinates v_p(a^2 + b^2) / 2 - v_p(d) for
+        z = (a + b*i)/d in lowest terms (`sympy.factorint`)."""
+        z = from_parts(*parts)
+        a, b, d = z._a, z._b, z._d
+        f = factor_gaussian(z)
+        for prime, e in f.factors:
+            norm = int(prime.norm())
+            root = math.isqrt(norm)
+            assert e and (sympy.isprime(norm) or (root * root == norm and root % 4 == 3 and sympy.isprime(root)))
+        assert f.value() == z
+        expected = {p: Fraction(e, 2) for p, e in sympy.factorint(a * a + b * b).items()}
+        for p, e in sympy.factorint(d).items():
+            expected[p] = expected.get(p, 0) - e
+        assert log_modulus(z).as_dict() == {p: c for p, c in expected.items() if c}
 
 
 # psi_12, the least strong pseudoprime to every prime base 2..37
